@@ -1,0 +1,228 @@
+"""Paired base-vs-head comparison on the wall-clock benchmark.
+
+    python benchmarks/paired.py --base <git-ref> [--workload NAME ...] [--seed N] [-n 10]
+
+The machine drifts over tens of seconds by more than ``BENCHMARK.json``'s
+bounds (``benchmarks/layers/README.md``), so one run of each commit proves
+nothing.  This exports ``--base`` into a temporary directory, then
+alternates base and head runs of the contract's own command (each in its
+own tree, so ``run.py`` only ever sees that tree's ``src/``), swapping
+which side goes first every pair.  Head is the working tree this file
+lives in, uncommitted changes included.  Per workload and end-to-end
+metric it prints both medians and quartiles, head's wins over the pairs,
+the ratio with its base, and a verdict by the ``choosing-metrics`` rule:
+
+``improved``      at least ten pairs were run, head wins >= 9/10 of them
+                  (ties count for neither) and the medians differ by more
+                  than base's own interquartile range;
+``regressed``     head's median is worse than base's by more than the
+                  metric's bound (or more operations failed);
+``unresolved``    base's interquartile range is wider than the bound, and
+                  not every head run beats every base run;
+``within bound``  otherwise.
+
+Every invocation appends one JSON line — every run made, both sides — to
+``benchmarks/results/layers_trajectory.jsonl``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY = ROOT / "benchmarks" / "results" / "layers_trajectory.jsonl"
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export_tree(ref: str, target: Path) -> None:
+    """The committed files of ``ref`` under ``target`` (nothing is left
+    registered in the repository, unlike a worktree)."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, filter="data")
+
+
+def run_once(tree: Path, contract: dict, workload: str, seed: int) -> dict:
+    """One run of the contract's command in ``tree``; its JSON record."""
+    command = [
+        *contract["command"],
+        "--workload", workload,
+        "--seed", str(seed),
+        "--seconds", str(contract["run_seconds"]),
+        "--trace", "0",
+    ]
+    # The tree's own src/ only: run.py refuses any other copy of repro.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(
+            f"{workload} in {tree} printed no record (exit {done.returncode}):\n"
+            f"{done.stdout[-2000:]}{done.stderr[-2000:]}"
+        ) from None
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def judge(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """Summary and verdict for one (metric, workload) from paired runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    losses = sum(sign * (h - b) < 0 for b, h in zip(base, head))
+    base_median, head_median = median(base), median(head)
+    base_q1, base_q3 = quartiles(base)
+    gain = sign * (head_median - base_median)  # > 0: head reads better
+    spread = base_q3 - base_q1
+    allowed = bound * abs(base_median)
+    clean_sweep = min(sign * h for h in head) > max(sign * b for b in base)
+    if len(base) >= 10 and wins >= 0.9 * len(base) and gain > spread:
+        verdict = "improved"
+    elif -gain > allowed:
+        verdict = "regressed"
+    elif spread > allowed and not clean_sweep:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {
+        "base_median": base_median,
+        "base_quartiles": [base_q1, base_q3],
+        "head_median": head_median,
+        "head_quartiles": list(quartiles(head)),
+        "head_wins": wins,
+        "head_losses": losses,
+        "ratio": head_median / base_median,
+        "verdict": verdict,
+    }
+
+
+def main() -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [workload["name"] for workload in contract["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref to compare against")
+    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("-n", "--pairs", type=int, default=10)
+    args = parser.parse_args()
+    workloads = args.workload or names
+    base_sha = git("rev-parse", args.base)
+
+    runs: dict[str, dict[str, list[dict]]] = {
+        workload: {"base": [], "head": []} for workload in workloads
+    }
+    scratch = Path(tempfile.mkdtemp(prefix="paired-base-"))
+    try:
+        export_tree(base_sha, scratch)
+        trees = {"base": scratch, "head": ROOT}
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for workload in workloads:
+                for side in order:
+                    record = run_once(trees[side], contract, workload, args.seed)
+                    runs[workload][side].append(record)
+                    print(
+                        f"pair {pair + 1}/{args.pairs} {workload:<14} {side}: "
+                        + " ".join(
+                            f"{name}={metric['value']:.4g}"
+                            for name, metric in record["metrics"].items()
+                        ),
+                        flush=True,
+                    )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    results: dict[str, dict] = {}
+    failed_any = False
+    print(
+        f"\nbase {args.base} ({base_sha[:9]}) vs head, seed {args.seed}, "
+        f"{args.pairs} pairs, --seconds {contract['run_seconds']}"
+    )
+    for workload in workloads:
+        sides = runs[workload]
+        failures = {
+            side: sum(r["failed"] for r in sides[side])
+            / max(sum(r["attempted"] for r in sides[side]), 1)
+            for side in sides
+        }
+        correct = {side: all(r["correct"] for r in sides[side]) for side in sides}
+        results[workload] = {"failed_share": failures, "correct": correct}
+        print(
+            f"\n{workload}: failed_share base {failures['base']:.4g} / head "
+            f"{failures['head']:.4g}; correct base {correct['base']} / head "
+            f"{correct['head']}"
+        )
+        for metric in contract["end_to_end"]:
+            name = metric["name"]
+            values = {
+                side: [r["metrics"][name]["value"] for r in sides[side]]
+                for side in sides
+            }
+            verdict = judge(
+                values["base"], values["head"], metric["better"], metric["bound"]
+            )
+            if failures["head"] > failures["base"]:
+                verdict["verdict"] = "regressed"
+            failed_any |= verdict["verdict"] == "regressed"
+            results[workload][name] = {**verdict, "runs": values}
+            print(
+                f"  {name:<16} base {verdict['base_median']:.4g} "
+                f"[{verdict['base_quartiles'][0]:.4g}, {verdict['base_quartiles'][1]:.4g}]"
+                f"  head {verdict['head_median']:.4g} "
+                f"[{verdict['head_quartiles'][0]:.4g}, {verdict['head_quartiles'][1]:.4g}]"
+                f"  wins {verdict['head_wins']}/{args.pairs}"
+                f"  head/base {verdict['ratio']:.3f}"
+                f"  ({metric['better']} is better, bound {metric['bound']:.0%})"
+                f"  {verdict['verdict']}"
+            )
+
+    TRAJECTORY.parent.mkdir(exist_ok=True)
+    with TRAJECTORY.open("a", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "base": {"ref": args.base, "sha": base_sha},
+                "head": {
+                    "sha": git("rev-parse", "HEAD"),
+                    "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks/layers")),
+                },
+                "seed": args.seed,
+                "pairs": args.pairs,
+                "run_seconds": contract["run_seconds"],
+                "results": results,
+            },
+            handle,
+            separators=(",", ":"),
+        )
+        handle.write("\n")
+    return 1 if failed_any else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,7 +53,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import NANOS_PER_DOLLAR
 from repro.obs.slo import SLACK_BUCKETS
-from repro.sim import Simulator
+from repro.sim import Simulator, WeakCallback
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
 
@@ -274,7 +274,9 @@ class QueryServer:
         #: shows a stale depth.
         self._depth_series: set[tuple[str, str]] = set()
         registry.add_collector(self._collect_queue_depth)
-        sim.schedule(config.scheduler_interval_s, self._tick)
+        # Held weakly: the pending tick must not pin a finished replay.
+        self._tick_callback = WeakCallback(self._tick)
+        sim.schedule(config.scheduler_interval_s, self._tick_callback)
 
     def _projection_price(self, stats, level_value: str, venue: str):
         """Price a (possibly hypothetical) execution for the activity
@@ -728,7 +730,9 @@ class QueryServer:
     # -- scheduling -----------------------------------------------------------------
 
     def _tick(self) -> None:
-        self._sim.schedule(self._config.scheduler_interval_s, self._tick)
+        self._sim.schedule(
+            self._config.scheduler_interval_s, self._tick_callback
+        )
         self._drain()
         if self.guard is not None:
             self.guard.evaluate(self._sim.now)
@@ -806,11 +810,12 @@ class QueryServer:
         for record, execution in zip(group, executions):
             record.dispatched_at = now
             record.execution = execution
-            execution.on_complete = (
-                lambda exec_, rec=record: self._completed(rec, exec_)
-            )
             if execution.finished_at is not None:  # failed during planning
                 self._completed(record, execution)
+            else:
+                execution.on_complete = (
+                    lambda exec_, rec=record: self._completed(rec, exec_)
+                )
 
     def _completed(self, record: ServerQuery, execution: QueryExecution) -> None:
         span_id = self._root_span_id(record.query_id)

@@ -1,11 +1,12 @@
 """Vectorized physical operators.
 
 One function per logical node type, all operating on whole
-:class:`~repro.storage.table.TableData` batches.  Grouping, distinct, and
-sorting share a code-based representation: every key column is reduced to
-dense integer codes (ranks of its sorted unique values) with NULL as an
-extra code, which makes multi-column grouping a single ``np.unique`` over a
-combined int64 and gives order-preserving sort keys for every data type.
+:class:`~repro.storage.table.TableData` batches.  Grouping, distinct,
+sorting and joining share a code-based representation: every key column is
+reduced to integer codes (ranks of its sorted unique values) with NULL as
+an extra code, which makes multi-column grouping a single ``np.unique``
+over a combined int64, an equi join a sort plus a binary search over one,
+and gives order-preserving sort keys for every data type.
 """
 
 from __future__ import annotations
@@ -20,29 +21,74 @@ from repro.storage.types import ColumnVector, DataType
 
 
 # ---------------------------------------------------------------------------
-# Key encoding shared by aggregate / distinct / sort
+# Key encoding shared by aggregate / distinct / sort / join
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-def column_codes(vector: ColumnVector) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a column as dense rank codes.
+
+def column_codes(
+    vector: ColumnVector, ordered: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a column as dense integer codes.
 
     Returns ``(codes, uniques)`` where ``codes[i]`` is the rank of row i's
     value among the column's sorted distinct values, and NULL rows get code
     ``len(uniques)`` (i.e. they sort last and group together, matching SQL
-    GROUP BY semantics and NULLS LAST ordering).
+    GROUP BY semantics and NULLS LAST ordering).  A caller that only tells
+    values apart (grouping, distinct, join) passes ``ordered=False`` and
+    spares strings the sort: their codes then number the distinct values
+    in no particular order.
     """
-    data = vector.data
-    if vector.dtype is DataType.VARCHAR:
-        # One vectorized conversion: NULL slots (None) become the string
-        # "None" but their codes are overwritten below anyway.
-        uniques, inverse = np.unique(data.astype(str), return_inverse=True)
-    else:
-        uniques, inverse = np.unique(data, return_inverse=True)
-    codes = inverse.astype(np.int64)
-    if vector.nulls is not None:
-        codes[vector.nulls] = len(uniques)
-    return codes, uniques
+    nulls = vector.nulls
+    if vector.dtype is not DataType.VARCHAR:
+        uniques, inverse = np.unique(vector.data, return_inverse=True)
+        codes = inverse.astype(np.int64, copy=False)
+        if nulls is not None:
+            codes[nulls] = len(uniques)
+        return codes, uniques
+    # Strings factorise by hashing: sorting only the distinct values (by
+    # code point, so MIN/MAX and ORDER BY hold) costs far less than sorting
+    # a fixed-width copy of the column.  NULL slots may hold any object
+    # (``""``, ``None``), so they are selected away before anything is
+    # hashed or compared.
+    values = (vector.data if nulls is None else vector.data[~nulls]).tolist()
+    distinct = set(values)
+    uniques = sorted(distinct) if ordered else list(distinct)
+    rank = dict(zip(uniques, range(len(uniques))))
+    codes = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+    if nulls is not None:
+        valid_codes = codes
+        codes = np.full(len(nulls), len(uniques), dtype=np.int64)
+        codes[~nulls] = valid_codes
+    return codes, np.array(uniques, dtype=object)
+
+
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), len(uniques)
+
+
+def _combine_codes(parts) -> np.ndarray:
+    """Fold per-column ``(codes, cardinality)`` pairs, codes in
+    ``[0, cardinality)``, into one int64 per row such that rows are equal
+    iff their code tuples are.
+
+    Mixed-radix, with the radix product tracked in Python integers: before
+    a multiply could pass int64 the running code (then, if still needed,
+    the incoming one) is re-ranked to at most one value per row, so wide
+    or high-cardinality keys never wrap silently.
+    """
+    parts = iter(parts)
+    combined, span = next(parts)
+    for codes, cardinality in parts:
+        if span * cardinality > _INT64_MAX:
+            combined, span = _densify(combined)
+        if span * cardinality > _INT64_MAX:
+            codes, cardinality = _densify(codes)
+        combined = combined * cardinality + codes
+        span *= cardinality
+    return combined
 
 
 def combined_group_codes(
@@ -59,11 +105,12 @@ def combined_group_codes(
         return np.zeros(num_rows, dtype=np.int64), np.zeros(
             min(num_rows, 1), dtype=np.int64
         )
-    combined = np.zeros(num_rows, dtype=np.int64)
-    for name in key_columns:
-        codes, uniques = column_codes(table.column(name))
-        cardinality = len(uniques) + 1
-        combined = combined * cardinality + codes
+    encoded = (
+        column_codes(table.column(name), ordered=False) for name in key_columns
+    )
+    combined = _combine_codes(
+        (codes, len(uniques) + 1) for codes, uniques in encoded
+    )
     _, first_indices, group_ids = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -154,11 +201,12 @@ def _count_distinct(
         return ColumnVector(
             DataType.BIGINT, np.zeros(num_groups, dtype=np.int64)
         )
-    codes, _ = column_codes(vector)
-    pairs = valid_groups.astype(np.int64) * (int(codes.max()) + 2) + codes[valid]
-    unique_pairs = np.unique(pairs)
-    distinct_groups = unique_pairs // (int(codes.max()) + 2)
-    counts = np.bincount(distinct_groups.astype(np.int64), minlength=num_groups)
+    codes, uniques = column_codes(vector, ordered=False)
+    pairs = _combine_codes(
+        [(valid_groups, num_groups), (codes[valid], len(uniques) + 1)]
+    )
+    _, first_rows = np.unique(pairs, return_index=True)
+    counts = np.bincount(valid_groups[first_rows], minlength=num_groups)
     return ColumnVector(DataType.BIGINT, counts.astype(np.int64))
 
 
@@ -173,7 +221,7 @@ def _min_max(
     codes, uniques = column_codes(vector)
     valid_codes = codes[valid]
     if spec.func is AggFunc.MIN:
-        best = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
+        best = np.full(num_groups, _INT64_MAX, dtype=np.int64)
         np.minimum.at(best, valid_groups, valid_codes)
     else:
         best = np.full(num_groups, -1, dtype=np.int64)
@@ -332,51 +380,96 @@ def final_aggregate(
 # ---------------------------------------------------------------------------
 
 
+def _shared_codes(
+    left: ColumnVector, right: ColumnVector
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Encode one (left, right) key-column pair over a domain both sides
+    share.  Returns ``(codes, cardinality, unmatchable)`` for the rows of
+    ``left`` followed by those of ``right``: equal values get equal codes
+    in ``[0, cardinality)``; ``unmatchable`` marks NULLs and NaNs, which
+    equal nothing (their codes are arbitrary but in range).
+
+    The binder admits same-type or numeric x numeric pairs only.  Integer-
+    like values (INT, BIGINT, DATE, BOOLEAN) are their own codes, shifted
+    to start at 0; a pair involving DOUBLE compares as float64 (which
+    concatenation promotes to; ``-0.0`` and ``0.0`` rank as one value);
+    strings rank over both sides at once.
+    """
+    data = np.concatenate([left.data, right.data])
+    unmatchable = ~np.concatenate([_valid_mask(left), _valid_mask(right)])
+    if left.dtype is DataType.VARCHAR:
+        shared = ColumnVector(DataType.VARCHAR, data, unmatchable)
+    elif DataType.DOUBLE in (left.dtype, right.dtype):
+        unmatchable |= np.isnan(data)
+        shared = ColumnVector(DataType.DOUBLE, data, unmatchable)
+    else:
+        values = data.astype(np.int64)
+        low, high = int(values.min()), int(values.max())
+        if high - low >= _INT64_MAX:  # the shift itself would wrap
+            return *_densify(values), unmatchable
+        return values - low, high - low + 1, unmatchable
+    codes, uniques = column_codes(shared, ordered=False)
+    return codes, len(uniques) + 1, unmatchable
+
+
+def _join_codes(
+    left: TableData, right: TableData, left_keys: list[str], right_keys: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 per row of each (non-empty) side such that two rows join
+    iff their codes are equal and non-negative: a NULL or NaN in any key
+    column makes the row's code -1."""
+    parts = []
+    unmatchable = np.zeros(left.num_rows + right.num_rows, dtype=bool)
+    for left_key, right_key in zip(left_keys, right_keys):
+        codes, cardinality, invalid = _shared_codes(
+            left.column(left_key), right.column(right_key)
+        )
+        parts.append((codes, cardinality))
+        unmatchable |= invalid
+    codes = _combine_codes(parts)
+    codes[unmatchable] = -1
+    return codes[: left.num_rows], codes[left.num_rows :]
+
+
 def execute_hash_join(
     left: TableData,
     right: TableData,
     left_keys: list[str],
     right_keys: list[str],
     is_left_join: bool,
-    residual_mask=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute matching row index pairs for an equi join.
 
-    Returns ``(left_indices, right_indices)``.  NULL keys never match.
-    With no keys, produces the cross product (used for comma joins whose
-    condition lives in WHERE).  The caller applies residual predicates and
-    LEFT-join null padding — see :func:`join_tables`.
+    Returns ``(left_indices, right_indices)`` in ascending left-row order
+    and, within one left row, ascending right-row order.  NULL (and NaN)
+    keys never match.  With no keys, produces the cross product (used for
+    comma joins whose condition lives in WHERE).  The caller applies
+    residual predicates and LEFT-join null padding — see
+    :func:`join_tables`.
     """
     if not left_keys:
         left_indices = np.repeat(np.arange(left.num_rows), right.num_rows)
         right_indices = np.tile(np.arange(right.num_rows), left.num_rows)
         return left_indices, right_indices
-    build: dict[tuple, list[int]] = {}
-    right_key_vectors = [right.column(name) for name in right_keys]
-    right_valid = np.ones(right.num_rows, dtype=bool)
-    for vector in right_key_vectors:
-        right_valid &= _valid_mask(vector)
-    right_rows = [vector.data.tolist() for vector in right_key_vectors]
-    for index in np.flatnonzero(right_valid):
-        key = tuple(column[index] for column in right_rows)
-        build.setdefault(key, []).append(int(index))
-    left_key_vectors = [left.column(name) for name in left_keys]
-    left_valid = np.ones(left.num_rows, dtype=bool)
-    for vector in left_key_vectors:
-        left_valid &= _valid_mask(vector)
-    left_rows = [vector.data.tolist() for vector in left_key_vectors]
-    left_out: list[int] = []
-    right_out: list[int] = []
-    for index in np.flatnonzero(left_valid):
-        key = tuple(column[index] for column in left_rows)
-        matches = build.get(key)
-        if matches:
-            left_out.extend([int(index)] * len(matches))
-            right_out.extend(matches)
-    return (
-        np.asarray(left_out, dtype=np.int64),
-        np.asarray(right_out, dtype=np.int64),
+    if left.num_rows == 0 or right.num_rows == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    left_codes, right_codes = _join_codes(left, right, left_keys, right_keys)
+    # Build: right rows sorted by code.  The sort is stable, so rows of one
+    # key stay in ascending row order — the output order contract.
+    build_rows = np.flatnonzero(right_codes >= 0)
+    build_rows = build_rows[np.argsort(right_codes[build_rows], kind="stable")]
+    build_codes = right_codes[build_rows]
+    # Probe: each left row matches one contiguous run of the build side.
+    probe_rows = np.flatnonzero(left_codes >= 0)
+    probe_codes = left_codes[probe_rows]
+    run_starts = np.searchsorted(build_codes, probe_codes, side="left")
+    counts = np.searchsorted(build_codes, probe_codes, side="right") - run_starts
+    left_indices = np.repeat(probe_rows, counts)
+    output_starts = np.cumsum(counts) - counts
+    positions = np.arange(len(left_indices)) + np.repeat(
+        run_starts - output_starts, counts
     )
+    return left_indices, build_rows[positions]
 
 
 def join_tables(
@@ -443,34 +536,19 @@ def execute_semi_anti_join(
     """
     if left.num_rows == 0:
         return left
-    build_values: set[tuple] = set()
-    right_has_null = False
-    right_vectors = [right.column(name) for name in right_keys]
-    if right.num_rows:
-        right_valid = np.ones(right.num_rows, dtype=bool)
-        for vector in right_vectors:
-            right_valid &= _valid_mask(vector)
-        right_has_null = not right_valid.all()
-        right_rows = [vector.data.tolist() for vector in right_vectors]
-        for index in np.flatnonzero(right_valid):
-            build_values.add(tuple(column[index] for column in right_rows))
-    if anti and right.num_rows == 0:
-        return left  # x NOT IN (empty) is TRUE for every x
-    if anti and right_has_null:
+    if right.num_rows == 0:
+        # x NOT IN (empty) is TRUE for every x; x IN (empty) for none.
+        return left if anti else left.slice(0, 0)
+    if anti and any(right.column(name).has_nulls() for name in right_keys):
         return left.slice(0, 0)  # any NULL in S poisons NOT IN entirely
-    left_vectors = [left.column(name) for name in left_keys]
-    left_valid = np.ones(left.num_rows, dtype=bool)
-    for vector in left_vectors:
-        left_valid &= _valid_mask(vector)
-    left_rows = [vector.data.tolist() for vector in left_vectors]
-    matches = np.zeros(left.num_rows, dtype=bool)
-    for index in np.flatnonzero(left_valid):
-        key = tuple(column[index] for column in left_rows)
-        if key in build_values:
-            matches[index] = True
-    if anti:
-        return left.filter(left_valid & ~matches)
-    return left.filter(matches)
+    left_codes, right_codes = _join_codes(left, right, left_keys, right_keys)
+    matches = np.isin(left_codes, right_codes[right_codes >= 0])
+    if not anti:
+        return left.filter(matches)
+    left_valid = np.logical_and.reduce(
+        [_valid_mask(left.column(name)) for name in left_keys]
+    )
+    return left.filter(left_valid & ~matches)
 
 
 def execute_union_all(
@@ -512,7 +590,7 @@ def _sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
     codes, _ = column_codes(vector)
     keys = -codes if not ascending else codes.copy()
     if vector.nulls is not None:
-        keys[vector.nulls] = np.iinfo(np.int64).max
+        keys[vector.nulls] = _INT64_MAX
     return keys
 
 

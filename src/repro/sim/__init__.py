@@ -7,7 +7,8 @@ resource-seconds.  This package provides the kernel those components run on:
 
 * :class:`~repro.sim.simulator.Simulator` — the event loop and clock.
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue` —
-  the time-ordered event heap.
+  the time-ordered event heap; :class:`~repro.sim.events.WeakCallback` is
+  how a periodic tick sits on it without pinning its owner.
 * :class:`~repro.sim.rng.RngRegistry` — named, deterministic random streams
   so that two runs with the same seed are bit-identical regardless of how
   components interleave their draws.
@@ -15,7 +16,7 @@ resource-seconds.  This package provides the kernel those components run on:
   benchmark harness to plot scaling traces and concurrency curves.
 """
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, WeakCallback
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Trace, TracePoint
@@ -27,4 +28,5 @@ __all__ = [
     "Simulator",
     "Trace",
     "TracePoint",
+    "WeakCallback",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -35,6 +36,29 @@ class Event:
     def cancel(self) -> None:
         """Mark this event so the queue skips it when it reaches the top."""
         self.cancelled = True
+
+
+class WeakCallback:
+    """A bound method that does not keep its instance alive.
+
+    For self-rescheduling periodic ticks: were the heap to hold the bound
+    method, ``simulator -> heap -> event -> method -> owner -> simulator``
+    would be a cycle only the cycle collector can free.  Held this way the
+    tick silently lapses once nothing else references its owner.
+    ``func`` is the plain function, so the callback still reads as
+    ``Owner.method`` to anything that introspects it.
+    """
+
+    __slots__ = ("func", "_owner")
+
+    def __init__(self, method: Callable[[], Any]) -> None:
+        self.func = method.__func__  # type: ignore[attr-defined]
+        self._owner = weakref.ref(method.__self__)  # type: ignore[attr-defined]
+
+    def __call__(self) -> None:
+        owner = self._owner()
+        if owner is not None:
+            self.func(owner)
 
 
 class EventQueue:

@@ -80,6 +80,7 @@ class QueryExecution:
     #: queue wait + admission verdict; EXPLAIN ANALYZE's ``pending:``
     #: header renders it next to the execution header.
     submit_context: dict | None = field(default=None, repr=False)
+    #: One-shot completion continuation: cleared just before it fires.
     on_complete: Callable[["QueryExecution"], None] | None = field(
         default=None, repr=False
     )
@@ -990,8 +991,7 @@ class Coordinator:
         self._m_bytes.inc(result.stats.bytes_scanned)
         if execution.execution_time_s is not None:
             self._m_exec_seconds.observe(execution.execution_time_s, venue=venue)
-        if execution.on_complete is not None:
-            execution.on_complete(execution)
+        self._notify(execution)
 
     def _fail(self, execution: QueryExecution, message: str) -> None:
         execution.finished_at = self._sim.now
@@ -1006,8 +1006,16 @@ class Coordinator:
         # whatever remains (execute attempts, queue spans, the root) with
         # the failure status.
         self.obs.tracer.end_open(execution.query_id, status, error=message)
-        if execution.on_complete is not None:
-            execution.on_complete(execution)
+        self._notify(execution)
+
+    def _notify(self, execution: QueryExecution) -> None:
+        """Fire the completion continuation, once.  It is dropped before
+        it runs: it usually closes over a record that points back at the
+        execution, a cycle that would keep every finished query (and its
+        result table) alive until a full garbage collection."""
+        on_complete, execution.on_complete = execution.on_complete, None
+        if on_complete is not None:
+            on_complete(execution)
 
     # -- aggregate accounting -------------------------------------------------------------
 

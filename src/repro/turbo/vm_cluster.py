@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.errors import ScalingError
 from repro.obs import Instrumentation
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator, Trace, WeakCallback
 from repro.turbo.config import VmConfig
 
 
@@ -143,7 +143,9 @@ class VmCluster:
             self._add_worker()
         self._record_gauges()
         self._autoscaler_enabled = True
-        sim.schedule(config.evaluation_interval_s, self._evaluate)
+        # Held weakly: the pending tick must not pin a finished replay.
+        self._evaluate_callback = WeakCallback(self._evaluate)
+        sim.schedule(config.evaluation_interval_s, self._evaluate_callback)
 
     # -- public state -------------------------------------------------------------
 
@@ -295,7 +297,9 @@ class VmCluster:
 
     def _evaluate(self) -> None:
         """One autoscaler tick."""
-        self._sim.schedule(self._config.evaluation_interval_s, self._evaluate)
+        self._sim.schedule(
+            self._config.evaluation_interval_s, self._evaluate_callback
+        )
         self._record_gauges()
         if not self._autoscaler_enabled:
             return

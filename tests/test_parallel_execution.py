@@ -128,6 +128,16 @@ INVARIANCE_QUERIES = [
     "WHERE o_totalprice > 100 AND o_orderstatus <> 'P'",
     # LIMIT chain stays sequential (early exit must keep billing lazy)
     "SELECT o_orderkey FROM orders LIMIT 5",
+    # LEFT join whose build side holds ~100 duplicates per key and whose
+    # probe side is mostly unmatched, under a top-N that cuts through the
+    # NULL-padded rows: the join's (left row, right row) output order shows
+    "SELECT a.o_orderkey, b.o_orderkey AS other FROM orders a "
+    "LEFT JOIN orders b ON a.o_orderkey = b.o_custkey "
+    "ORDER BY other DESC, a.o_orderkey LIMIT 320",
+    # IN (subquery) planned as a semi join
+    "SELECT o_orderkey FROM orders WHERE o_custkey IN "
+    "(SELECT c_custkey FROM customer WHERE c_nationkey = 10) "
+    "ORDER BY o_orderkey",
 ]
 
 

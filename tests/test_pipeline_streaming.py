@@ -144,6 +144,15 @@ QUERIES = [
     "SELECT o_orderkey FROM orders ORDER BY o_totalprice DESC LIMIT 3",
     "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 2 OFFSET 3",
     "SELECT o_custkey FROM orders UNION ALL SELECT c_custkey FROM customer",
+    # LEFT join with duplicate build keys and unmatched probe rows, cut by
+    # a top-N that keeps some of the NULL-padded rows
+    "SELECT a.o_orderkey, b.o_orderkey AS other FROM orders a "
+    "LEFT JOIN orders b ON a.o_orderkey = b.o_custkey "
+    "ORDER BY a.o_orderkey DESC, other LIMIT 5",
+    # IN (subquery) planned as a semi join
+    "SELECT o_orderkey FROM orders WHERE o_custkey IN "
+    "(SELECT c_custkey FROM customer WHERE c_nationkey = 10) "
+    "ORDER BY o_orderkey",
 ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, WeakCallback
 from repro.sim.events import EventQueue
 
 
@@ -167,3 +167,42 @@ class TestSimulator:
         assert sim.pending_events == 2
         sim.cancel(event)
         assert sim.pending_events == 1
+
+
+class _Ticker:
+    """A component with a self-rescheduling periodic tick."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired = 0
+        self.callback = WeakCallback(self.tick)
+        sim.schedule(1.0, self.callback)
+
+    def tick(self):
+        self.sim.schedule(1.0, self.callback)
+        self.fired += 1
+
+
+class TestWeakCallback:
+    def test_fires_like_the_bound_method_while_the_owner_lives(self):
+        sim = Simulator()
+        ticker = _Ticker(sim)
+        sim.run_until(3.5)
+        assert ticker.fired == 3
+        assert sim.pending_events == 1
+
+    def test_lapses_silently_once_the_owner_is_gone(self):
+        sim = Simulator()
+        ticker = _Ticker(sim)
+        sim.run_until(1.5)
+        del ticker  # the heap's pending tick was the only other holder
+        sim.run_until(10.0)  # fires into nothing; does not reschedule
+        assert sim.pending_events == 0
+
+    def test_names_the_plain_function_for_introspection(self):
+        """Anything that labels callbacks by ``callback.func`` (as it would
+        a ``functools.partial``) must still see ``Owner.method``."""
+        callback = _Ticker(Simulator()).callback
+        assert callback.func is _Ticker.tick
+        assert callback.func.__qualname__ == "_Ticker.tick"
+
