@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
-import time
 
 from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
@@ -229,8 +227,8 @@ def bench_record(slug: str, run, metrics, *, rounds: int = 2, warmup: int = 0,
     ``metrics(result)`` must return the bench's *deterministic* metric
     dict; it is computed every round and asserted identical across rounds
     (a built-in determinism self-check — a bench whose simulated numbers
-    wobble cannot seed a baseline).  Wall time gets robust stats instead:
-    median and MAD over the measured rounds.
+    wobble cannot seed a baseline).  Wall time is not recorded here —
+    ``benchmarks/layers`` measures it.
 
     ``profile(result)``, when given, computes the optional per-operator
     resource table (see :func:`workload_profile`) from the last round's
@@ -248,13 +246,10 @@ def bench_record(slug: str, run, metrics, *, rounds: int = 2, warmup: int = 0,
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     for _ in range(warmup):
         run()
-    wall_samples: list[float] = []
     reference: dict | None = None
     result = None
     for round_index in range(rounds):
-        started = time.perf_counter()
         result = run()
-        wall_samples.append(time.perf_counter() - started)
         observed = metrics(result)
         if reference is None:
             reference = observed
@@ -263,19 +258,12 @@ def bench_record(slug: str, run, metrics, *, rounds: int = 2, warmup: int = 0,
                 f"bench {slug!r} is not deterministic: round 0 metrics "
                 f"{reference} != round {round_index} metrics {observed}"
             )
-    median = statistics.median(wall_samples)
-    mad = statistics.median(abs(s - median) for s in wall_samples)
     record = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "slug": slug,
         "rounds": rounds,
         "warmup": warmup,
         "metrics": reference,
-        "wall": {
-            "median_s": round(median, 6),
-            "mad_s": round(mad, 6),
-            "samples_s": [round(s, 6) for s in wall_samples],
-        },
     }
     if meta:
         record["meta"] = meta

@@ -3,16 +3,12 @@
 Every bench routed through :func:`common.bench_record` writes a fresh
 record to ``benchmarks/results/bench_<slug>.json``; the committed
 baseline lives at ``BENCH_<slug>.json`` in the repo root.  This script
-compares the two with per-metric tolerance:
-
-* **deterministic metrics** (logical bytes scanned, GET counts, billed
-  $, finished queries, simulated seconds) must match **exactly** —
-  they are simulation outputs, so any drift is a real behavior change,
-  not noise;
-* **wall time** is only compared when ``--wall-band`` is given (a
-  fractional regression allowance, e.g. ``0.5`` = fresh median may be
-  up to 50% above baseline).  CI leaves it off so the gate is
-  flake-free on shared runners.
+compares the two: the **deterministic metrics** (logical bytes scanned,
+GET counts, billed $, finished queries, simulated seconds) must match
+**exactly** — they are simulation outputs, so any drift is a real
+behavior change, not noise.  Wall time is not this gate's business:
+``benchmarks/layers/run.py`` and ``benchmarks/paired.py`` measure it,
+base against head on one machine.
 
 Exit status is non-zero on any violation.  After an *intentional* perf
 change, refresh the baselines with ``BENCH_UPDATE=1`` (see
@@ -72,14 +68,10 @@ def _values_match(baseline, fresh) -> bool:
     return baseline == fresh
 
 
-def compare_records(
-    baseline: dict, fresh: dict, wall_band: float | None = None
-) -> list[str]:
+def compare_records(baseline: dict, fresh: dict) -> list[str]:
     """Violations (empty list = pass) between one baseline/fresh pair.
 
     Deterministic metrics: exact (ints) or FLOAT_RTOL (floats).
-    Wall: fresh median ≤ baseline median × (1 + wall_band), only when a
-    band is supplied.
     """
     slug = baseline.get("slug", "?")
     violations: list[str] = []
@@ -104,14 +96,6 @@ def compare_records(
         violations.append(
             f"{slug}: new metric {name!r} not in baseline — refresh the baseline"
         )
-    if wall_band is not None:
-        base_wall = (baseline.get("wall") or {}).get("median_s")
-        fresh_wall = (fresh.get("wall") or {}).get("median_s")
-        if base_wall and fresh_wall and fresh_wall > base_wall * (1.0 + wall_band):
-            violations.append(
-                f"{slug}: wall median {fresh_wall:.3f}s exceeds baseline "
-                f"{base_wall:.3f}s by more than {wall_band:.0%}"
-            )
     return violations
 
 
@@ -184,9 +168,7 @@ def explain_records(baseline: dict, fresh: dict, limit: int = 5) -> list[str]:
 
 
 def run_gate(
-    slugs: list[str] | None = None,
-    wall_band: float | None = None,
-    update: bool = False,
+    slugs: list[str] | None = None, update: bool = False
 ) -> tuple[list[str], list[str]]:
     """Gate every requested slug; returns (checked, violations)."""
     slugs = slugs if slugs else discover_slugs()
@@ -212,7 +194,7 @@ def run_gate(
             )
             continue
         checked.append(slug)
-        violations.extend(compare_records(_load(base), _load(fresh), wall_band))
+        violations.extend(compare_records(_load(base), _load(fresh)))
     return checked, violations
 
 
@@ -221,10 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "slugs", nargs="*",
         help="slugs to gate (default: every committed BENCH_*.json)",
-    )
-    parser.add_argument(
-        "--wall-band", type=float, default=None, metavar="FRACTION",
-        help="also gate wall-time medians with this fractional allowance",
     )
     parser.add_argument(
         "--update", action="store_true",
@@ -236,9 +214,7 @@ def main(argv: list[str] | None = None) -> int:
              " profile sections (operator + resource)",
     )
     args = parser.parse_args(argv)
-    checked, violations = run_gate(
-        slugs=args.slugs or None, wall_band=args.wall_band, update=args.update
-    )
+    checked, violations = run_gate(slugs=args.slugs or None, update=args.update)
     if args.update:
         print(f"perf-gate: refreshed {len(checked)} baseline(s): "
               + ", ".join(checked))

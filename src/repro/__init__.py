@@ -119,9 +119,9 @@ class PixelsDB:
         live bill/deadline projections against tenant budgets and
         service-level deadlines on its scheduler tick, alerting — and,
         opt-in, downgrading or cancelling — with every decision
-        audit-logged (:meth:`guard_audit`).  The default is the inert
-        no-op pair — query results and billed prices are identical
-        either way."""
+        audit-logged (:meth:`guard_audit`).  The default is the
+        unobserved bundle (:meth:`Instrumentation.disabled`) — query
+        results and billed prices are identical either way."""
         self.config = config if config is not None else TurboConfig()
         self.seed = seed
         self.sim = Simulator(seed=seed)
@@ -296,16 +296,16 @@ class PixelsDB:
     def statements_top(self, k: int = 10, by: str = "dollars") -> str:
         """The fixed-width top-K statement table (``by`` is one of
         ``time``/``dollars``/``calls``; empty without ``observe=True``)."""
-        return self.obs.statements.render_top(k, by)
+        return self.obs.observed(self.obs.statements.render_top, k, by)
 
     def statements_json(self) -> str:
         """Every statement-statistics entry as byte-stable JSON."""
-        return self.obs.statements.export_json()
+        return self.obs.observed(self.obs.statements.export_json)
 
     def journal_jsonl(self) -> str:
         """The query journal — every lifecycle event, trace-correlated —
         as deterministic JSONL (empty without ``observe=True``)."""
-        return self.obs.journal.export_jsonl()
+        return self.obs.observed(self.obs.journal.export_jsonl)
 
     def journal_captures(self) -> list[dict]:
         """Journal records that tail-based capture enriched with the full
@@ -318,7 +318,7 @@ class PixelsDB:
         """The metering ledger — every charge and void, integer
         nanodollars — as byte-stable JSONL (empty without
         ``observe=True``)."""
-        return self.obs.ledger.export_jsonl()
+        return self.obs.observed(self.obs.ledger.export_jsonl)
 
     def spend_report(self) -> dict:
         """The per-tenant spend report: net nanodollars, per-level
@@ -327,7 +327,7 @@ class PixelsDB:
 
     def spend_json(self) -> str:
         """Byte-stable JSON rendering of :meth:`spend_report`."""
-        return self.obs.spend.export_json()
+        return self.obs.observed(self.obs.spend.export_json)
 
     def reconcile(self):
         """Replay every server's metering ledger and prove ledger ==
@@ -357,6 +357,8 @@ class PixelsDB:
 
     def slo_json(self) -> str:
         """Every SLO record plus the summary, as deterministic JSON."""
+        if not self.obs.enabled:
+            return '{"records": [], "summary": {"levels": {}}}'
         return self.obs.slo.export_json()
 
     def timeseries_jsonl(self) -> str:
@@ -405,7 +407,7 @@ class PixelsDB:
 
     def activity_json(self) -> str:
         """Byte-stable JSON rendering of :meth:`activity`."""
-        return self.obs.activity.export_json()
+        return self.obs.observed(self.obs.activity.export_json)
 
     def projection_report(self) -> dict:
         """Estimator accuracy over every billed query: per-query
@@ -414,7 +416,7 @@ class PixelsDB:
 
     def projection_json(self) -> str:
         """Byte-stable JSON rendering of :meth:`projection_report`."""
-        return self.obs.activity.export_projection_json()
+        return self.obs.observed(self.obs.activity.export_projection_json)
 
     def guard_audit(self) -> list[dict]:
         """Every projection-guard decision across this instance's query
@@ -456,7 +458,7 @@ class PixelsDB:
             statements=self.obs.statements,
             spend=self.obs.spend,
             scheduler=self._scheduler_snapshot(),
-            activity=self.obs.activity,
+            activity=self.obs.activity if self.obs.enabled else None,
         )
 
     def _scheduler_snapshot(self) -> dict | None:

@@ -18,9 +18,12 @@ layered :mod:`repro.core.scheduler` subsystem: an
 submission (quotas, rate limits, pressure/budget downgrades — inert by
 default), and a :class:`~repro.core.scheduler.LevelScheduler` holds the
 queued work in per-tenant weighted-fair queues instead of the old FIFO
-lists.  The façade keeps what only it can own: billing, observability
-threading, and the watermark/grace *eligibility* rules; the scheduler
-decides *who goes next* among the eligible.
+lists.  The façade keeps what only it can own: the bill and the
+watermark/grace *eligibility* rules; the scheduler decides *who goes
+next* among the eligible.  Everything kept *for* observation — spans,
+journal, ledger, activity, instruments — sits behind one
+:class:`~repro.obs.recorder.QueryRecorder`, called once per transition
+and absent (``None``) when the stack is unobserved.
 
 Held queries are re-evaluated on a periodic scheduler tick and whenever a
 query completes.  On completion the server computes the user's bill:
@@ -38,21 +41,12 @@ from repro.core.scheduler import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    HELD_LEVELS,
     LevelScheduler,
 )
 from repro.core.service_levels import QueryStatus, ServiceLevel
-from repro.obs import ROOT, Span
 from repro.obs.activity import GuardDecision, GuardPolicy, ProjectionGuard
-from repro.obs.fingerprint import Fingerprint, fingerprint
-from repro.obs.metrics import (
-    ADMISSION_DOWNGRADES_METRIC,
-    ADMISSION_REJECTIONS_METRIC,
-    GUARD_DECISIONS_METRIC,
-    SCHEDULER_QUEUE_DEPTH_METRIC,
-)
 from repro.obs.profiler import NANOS_PER_DOLLAR
-from repro.obs.slo import SLACK_BUCKETS
+from repro.obs.recorder import QueryRecorder
 from repro.sim import Simulator, WeakCallback
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
@@ -74,8 +68,9 @@ class ServerQuery:
     dispatched_at: float | None = None
     execution: QueryExecution | None = field(default=None, repr=False)
     price: float = 0.0
-    #: The exact integer bill (``round(price × 1e9)``); the metering
-    #: ledger's per-axis events sum to this, and the server's aggregate
+    #: The exact integer bill, ``round(price × 1e9)`` — derived once, by
+    #: the server, observed or not.  The metering ledger is charged this
+    #: integer (its per-axis events sum to it), and the server's aggregate
     #: billing sums these so no float drift can accumulate.
     price_nanodollars: int = 0
     tenant: str = "default"
@@ -186,8 +181,11 @@ class QueryServer:
         self._queries: dict[str, ServerQuery] = {}
         self._scheduler = LevelScheduler(shares, default_share)
         self.obs = coordinator.obs
+        observed = self.obs.enabled
         self._admission = AdmissionController(
-            admission, clock=lambda: sim.now, spend=self.obs.spend
+            admission,
+            clock=lambda: sim.now,
+            spend=self.obs.spend if observed else None,
         )
         #: Per-tenant held + executing query count (the quota basis).
         self._tenant_live: dict[str, int] = {}
@@ -196,136 +194,41 @@ class QueryServer:
         self._grace_heap: list[tuple[float, int, ServerQuery]] = []
         self._grace_seq = 0
         self._query_counter = 0
-        self._root_spans: dict[str, Span] = {}
-        self._queue_spans: dict[str, Span] = {}
-        # Statement fingerprints: one cache keyed by SQL text (normalizing
-        # is per-shape work, not per-call work) plus the per-query mapping
-        # journal/statement records are labelled with.
-        self._fingerprint_cache: dict[str, Fingerprint] = {}
-        self._fingerprints: dict[str, Fingerprint] = {}
-        registry = self.obs.metrics
-        self._m_submitted = registry.counter(
-            "pixels_queries_submitted_total",
-            "Queries accepted by the server, by service level",
-        )
-        self._m_rejected = registry.counter(
-            "pixels_queries_rejected_total",
-            "Queries refused by hold-queue back-pressure",
-        )
-        self._m_admission_rejected = registry.counter(
-            ADMISSION_REJECTIONS_METRIC,
-            "Submissions refused by the admission layer, by reason",
-        )
-        self._m_admission_downgraded = registry.counter(
-            ADMISSION_DOWNGRADES_METRIC,
-            "Relaxed submissions downgraded to best_effort, by reason",
-        )
-        self._m_billed = registry.counter(
-            "pixels_billed_dollars_total",
-            "User-facing charges ($), by service level",
-        )
-        self._m_tenant_billed = registry.counter(
-            "pixels_tenant_billed_dollars_total",
-            "User-facing charges ($), by tenant "
-            "(soft-budget alert rules select on this)",
-        )
-        self._m_pending = registry.histogram(
-            "pixels_query_pending_seconds",
-            "Submission-to-execution-start delay",
-        )
-        self._m_queue_depth = registry.gauge(
-            "pixels_server_queue_depth",
-            "Queries held in the server's per-level queues",
-        )
-        self._m_tenant_queue_depth = registry.gauge(
-            SCHEDULER_QUEUE_DEPTH_METRIC,
-            "Held queries per tenant and service level "
-            "(label sets capped by the cardinality guard)",
-        )
-        self._m_slack = registry.histogram(
-            "pixels_query_deadline_slack_seconds",
-            "Deadline minus pending time; negative buckets are violations",
-            buckets=SLACK_BUCKETS,
-        )
-        self._m_guard = registry.counter(
-            GUARD_DECISIONS_METRIC,
-            "Projection-guard decisions, by rule and action",
-        )
-        # The activity registry projects bills with the same pricing the
-        # server itself uses at completion, so a projection's terminal
-        # value equals the billed price exactly.
-        self.obs.activity.bind(pricer=self._projection_price)
+        #: The one writer of spans, journal, ledger, activity, SLO and
+        #: statement records and the server's instruments; None when
+        #: unobserved, so an unobserved server runs no sink code at all.
+        self._recorder: QueryRecorder | None = None
         #: The armed :class:`ProjectionGuard` (None unless a policy was
         #: passed and observability is on); its ``audit_log`` is the
         #: guard's decision record, and ``alert_sink`` may be attached
         #: post-construction to route alerts into an alert engine.
         self.guard: ProjectionGuard | None = None
-        if guard is not None and self.obs.activity.enabled:
-            self.guard = ProjectionGuard(
-                guard,
-                self.obs.activity,
-                self.obs.spend,
-                canceller=self.cancel,
-                downgrader=self.downgrade_query,
-                on_decision=self._on_guard_decision,
+        if observed:
+            self._recorder = QueryRecorder(
+                self.obs,
+                coordinator,
+                self._scheduler,
+                clock=lambda: sim.now,
+                deadline_for=self.deadline_for,
+                profile_of=self.query_profile,
             )
-        #: (tenant, level) series last reported non-zero — zeroed on the
-        #: next collection once the tenant drains, so the gauge never
-        #: shows a stale depth.
-        self._depth_series: set[tuple[str, str]] = set()
-        registry.add_collector(self._collect_queue_depth)
+            if guard is not None:
+                self.guard = ProjectionGuard(
+                    guard,
+                    self.obs.activity,
+                    self.obs.spend,
+                    canceller=self.cancel,
+                    downgrader=self.downgrade_query,
+                    on_decision=self._on_guard_decision,
+                )
         # Held weakly: the pending tick must not pin a finished replay.
         self._tick_callback = WeakCallback(self._tick)
         sim.schedule(config.scheduler_interval_s, self._tick_callback)
 
-    def _projection_price(self, stats, level_value: str, venue: str):
-        """Price a (possibly hypothetical) execution for the activity
-        registry's projections: the same ``user_price`` + ``meter`` pair
-        :meth:`_completed` bills with, so projection and bill can never
-        disagree at the terminal state."""
-        level = ServiceLevel.from_string(level_value)
-        price = self._coordinator.cost_model.user_price(stats, level)
-        reading = self._coordinator.cost_model.meter(
-            stats,
-            venue,
-            price,
-            get_price_per_1000=(
-                self._coordinator.store.profile.get_price_per_1000
-            ),
-        )
-        return reading.billed_nanodollars, reading.axes
-
     def _on_guard_decision(self, decision: GuardDecision) -> None:
-        self._m_guard.inc(rule=decision.rule, action=decision.action)
-        record = self._queries.get(decision.query_id)
-        if record is not None:
-            self._journal_event(
-                record,
-                "guard",
-                rule=decision.rule,
-                action=decision.action,
-                applied=decision.applied,
-                reason=decision.reason,
-            )
-
-    def _collect_queue_depth(self) -> None:
-        self._m_queue_depth.set(
-            self._scheduler.depth(ServiceLevel.RELAXED), level="relaxed"
+        self._recorder.guard_decided(
+            decision, self._queries.get(decision.query_id)
         )
-        self._m_queue_depth.set(
-            self._scheduler.depth(ServiceLevel.BEST_EFFORT),
-            level="best_effort",
-        )
-        live: set[tuple[str, str]] = set()
-        for level in HELD_LEVELS:
-            for tenant, depth in self._scheduler.queue(level).depths().items():
-                self._m_tenant_queue_depth.set(
-                    depth, tenant=tenant, level=level.value
-                )
-                live.add((tenant, level.value))
-        for tenant, level_name in self._depth_series - live:
-            self._m_tenant_queue_depth.set(0, tenant=tenant, level=level_name)
-        self._depth_series = live
 
     # -- lookups ---------------------------------------------------------------
 
@@ -430,58 +333,9 @@ class QueryServer:
             admission=decision,
         )
         self._queries[query_id] = record
-        self._m_submitted.inc(level=level.value)
-        fp: Fingerprint | None = None
-        if self.obs.statements.enabled or self.obs.journal.enabled:
-            fp = self._fingerprint_cache.get(sql)
-            if fp is None:
-                fp = fingerprint(sql)
-                self._fingerprint_cache[sql] = fp
-            self._fingerprints[query_id] = fp
-        if self.obs.activity.enabled:
-            self.obs.activity.begin(
-                query_id,
-                tenant=record.tenant,
-                level=record.level.value,
-                requested_level=level.value,
-                fingerprint=fp.id if fp is not None else None,
-                deadline_s=self.deadline_for(record.level),
-                admission=decision.action,
-            )
-        admission_attrs = (
-            decision.to_attrs() if decision.action != "admit" else {}
-        )
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            # price_fraction + deadline_s let traces join SLO records by
-            # query id without re-deriving level semantics.
-            self._root_spans[query_id] = tracer.start(
-                query_id,
-                "query",
-                parent=ROOT,
-                level=record.level.value,
-                sql=sql,
-                tenant=record.tenant,
-                price_fraction=record.level.price_fraction,
-                deadline_s=self.deadline_for(record.level),
-                fingerprint=fp.id if fp is not None else None,
-                **admission_attrs,
-            )
-            tracer.start(query_id, "submit", level=record.level.value).finish(
-                price_per_tb=self.price_quote(record.level)
-            )
-        if self.obs.journal.enabled:
-            self.obs.journal.event(
-                "submit",
-                query_id,
-                span_id=self._root_span_id(query_id),
-                fingerprint=fp.id if fp is not None else None,
-                level=record.level.value,
-                tenant=record.tenant,
-                price_per_tb=self.price_quote(record.level),
-                deadline_s=self.deadline_for(record.level),
-                **admission_attrs,
-            )
+        recorder = self._recorder
+        if recorder is not None:
+            recorder.submitted(record)
         live_counted = False
         try:
             if not decision.admitted:
@@ -489,14 +343,8 @@ class QueryServer:
                     f"admission refused {level.value} submission "
                     f"({decision.reason})"
                 )
-            if decision.action == "downgrade":
-                self._m_admission_downgraded.inc(reason=decision.reason)
-                self._journal_event(
-                    record,
-                    "downgrade",
-                    reason=decision.reason,
-                    requested_level=level.value,
-                )
+            if decision.action == "downgrade" and recorder is not None:
+                recorder.downgraded(record, decision.reason)
             self._live_inc(record.tenant)
             live_counted = True
             if record.level is ServiceLevel.IMMEDIATE:
@@ -515,17 +363,14 @@ class QueryServer:
                 else:
                     self._enqueue(record)
         except QueryRejectedError as exc:
-            reason = "queue_full" if decision.admitted else decision.reason
-            self._m_rejected.inc(level=level.value)
-            self._m_admission_rejected.inc(reason=reason)
             if live_counted:
                 self._live_dec(record.tenant)
             self._queries.pop(query_id, None)
-            self._root_spans.pop(query_id, None)
-            tracer.end_open(query_id, "error", error=str(exc))
-            self._journal_event(record, "reject", error=str(exc), reason=reason)
-            self._fingerprints.pop(query_id, None)
-            self.obs.activity.finish_rejected(query_id, reason)
+            if recorder is not None:
+                reason = (
+                    "queue_full" if decision.admitted else decision.reason
+                )
+                recorder.rejected(record, reason, str(exc))
             raise
         if self.guard is not None:
             # An idle cluster dispatches (and opens the execution window)
@@ -545,25 +390,6 @@ class QueryServer:
         else:
             self._tenant_live.pop(tenant, None)
 
-    def _root_span_id(self, query_id: str) -> int | None:
-        span = self._root_spans.get(query_id)
-        return span.span_id if span is not None else None
-
-    def _journal_event(
-        self, record: ServerQuery, event: str, **attrs: object
-    ) -> None:
-        if not self.obs.journal.enabled:
-            return
-        fp = self._fingerprints.get(record.query_id)
-        self.obs.journal.event(
-            event,
-            record.query_id,
-            span_id=self._root_span_id(record.query_id),
-            fingerprint=fp.id if fp is not None else None,
-            level=record.level.value,
-            **attrs,
-        )
-
     def _enqueue(self, record: ServerQuery) -> None:
         if self._scheduler.depth(record.level) >= self._max_queue_length:
             self._admission.record_queue_full()
@@ -578,39 +404,21 @@ class QueryServer:
                 self._grace_heap,
                 (record.grace_deadline, self._grace_seq, record),
             )
-        watermark = "high" if record.level is ServiceLevel.RELAXED else "low"
-        share = self._scheduler.share_of(record.tenant)
-        if self.obs.tracer.enabled:
-            self._queue_spans[record.query_id] = self.obs.tracer.start(
-                record.query_id,
-                "queue",
-                level=record.level.value,
-                reason=f"above_{watermark}_watermark",
-                share=share,
-                finish_tag=round(finish_tag, 9),
+        if self._recorder is not None:
+            watermark = (
+                "high" if record.level is ServiceLevel.RELAXED else "low"
             )
-        self._journal_event(
-            record,
-            "queue",
-            reason=f"above_{watermark}_watermark",
-            share=share,
-            finish_tag=round(finish_tag, 9),
-        )
-        self.obs.activity.mark_queued(record.query_id)
+            self._recorder.queued(
+                record,
+                f"above_{watermark}_watermark",
+                self._scheduler.share_of(record.tenant),
+                finish_tag,
+            )
 
     def _dispatch(self, record: ServerQuery) -> None:
-        self._close_queue_span(record)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.start(
-                record.query_id, "dispatch", level=record.level.value
-            ).finish()
-        self._journal_event(
-            record,
-            "dispatch",
-            held_s=round(self._sim.now - record.submitted_at, 9),
-        )
+        if self._recorder is not None:
+            self._recorder.dispatched(record)
         record.dispatched_at = self._sim.now
-        self.obs.activity.mark_dispatched(record.query_id)
         record.execution = self._coordinator.submit(
             sql=record.sql,
             cf_enabled=record.level.cf_enabled,
@@ -650,24 +458,10 @@ class QueryServer:
             return False
         if record.execution is None:
             record.cancelled = True
-            self._close_queue_span(record, status="cancelled")
-            self._journal_event(record, "cancel", stage="held")
-            self.obs.ledger.void(
-                query_id,
-                tenant=record.tenant,
-                level=record.level.value,
-                venue="none",
-                span_id=self._root_span_id(query_id),
-                reason="cancelled_held",
-            )
-            self._fingerprints.pop(query_id, None)
-            self._root_spans.pop(query_id, None)
-            self.obs.tracer.end_open(
-                query_id, "cancelled", error="cancelled by user"
-            )
             self._scheduler.remove(query_id)
             self._live_dec(record.tenant)
-            self.obs.activity.finish_cancelled(query_id, "cancelled_held")
+            if self._recorder is not None:
+                self._recorder.cancelled_held(record)
             if record.on_finish is not None:
                 record.on_finish(record)
             return True
@@ -690,23 +484,10 @@ class QueryServer:
         ):
             return False
         self._scheduler.remove(query_id)
-        self._close_queue_span(record, status="downgraded")
         record.level = ServiceLevel.BEST_EFFORT
         record.grace_deadline = None
-        self._m_admission_downgraded.inc(reason=reason)
-        self._journal_event(
-            record,
-            "downgrade",
-            reason=reason,
-            requested_level=(
-                record.requested_level.value
-                if record.requested_level is not None
-                else None
-            ),
-        )
-        self.obs.activity.downgrade(
-            query_id, ServiceLevel.BEST_EFFORT.value, reason
-        )
+        if self._recorder is not None:
+            self._recorder.downgraded(record, reason, held=True)
         if (
             self._coordinator.below_low_watermark()
             or self._scheduler.depth(ServiceLevel.BEST_EFFORT)
@@ -719,13 +500,6 @@ class QueryServer:
         else:
             self._enqueue(record)
         return True
-
-    def _close_queue_span(
-        self, record: ServerQuery, status: str = "ok"
-    ) -> None:
-        span = self._queue_spans.pop(record.query_id, None)
-        if span is not None:
-            span.finish(status, held_s=self._sim.now - record.submitted_at)
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -786,22 +560,9 @@ class QueryServer:
             if record is None:
                 break
             group.append(record)
-        for record in group:
-            self._close_queue_span(record)
-            if self.obs.tracer.enabled:
-                self.obs.tracer.start(
-                    record.query_id,
-                    "dispatch",
-                    level=record.level.value,
-                    batch=True,
-                ).finish()
-            self._journal_event(
-                record,
-                "dispatch",
-                batch=True,
-                held_s=round(self._sim.now - record.submitted_at, 9),
-            )
-            self.obs.activity.mark_dispatched(record.query_id)
+        if self._recorder is not None:
+            for record in group:
+                self._recorder.dispatched(record, batch=True)
         executions = self._coordinator.submit_shared_batch(
             [record.sql for record in group],
             [record.query_id for record in group],
@@ -818,240 +579,20 @@ class QueryServer:
                 )
 
     def _completed(self, record: ServerQuery, execution: QueryExecution) -> None:
-        span_id = self._root_span_id(record.query_id)
         self._live_dec(record.tenant)
-        deadline = self.deadline_for(record.level)
-        pending = record.pending_time_s
-        slack = (
-            deadline - pending
-            if deadline is not None and pending is not None
-            else None
-        )
-        reading = None
         if execution.result is not None:
-            stats = execution.result.stats
-            venue = (
-                execution.venue.value
-                if execution.venue is not None
-                else "none"
-            )
+            # The bill — one path, whether or not anything is watching.
             record.price = self._coordinator.cost_model.user_price(
-                stats, record.level
+                execution.result.stats, record.level
             )
-            if self.obs.ledger.enabled or self.obs.statements.enabled:
-                # One meter reading feeds the ledger, the statement
-                # store, and price_nanodollars, so the three surfaces
-                # agree to the nanodollar by construction.
-                reading = self._coordinator.cost_model.meter(
-                    stats,
-                    venue,
-                    record.price,
-                    get_price_per_1000=(
-                        self._coordinator.store.profile.get_price_per_1000
-                    ),
-                )
-                record.price_nanodollars = reading.billed_nanodollars
-            else:
-                record.price_nanodollars = round(
-                    record.price * NANOS_PER_DOLLAR
-                )
-            if self.obs.ledger.enabled and reading is not None:
-                self.obs.ledger.charge_query(
-                    record.query_id,
-                    axes=reading.axes,
-                    billed_nanodollars=reading.billed_nanodollars,
-                    tenant=record.tenant,
-                    level=record.level.value,
-                    venue=venue,
-                    span_id=span_id,
-                    bytes_scanned=stats.bytes_scanned,
-                    data_inflation=self._coordinator.config.data_inflation,
-                    price_per_tb=self.price_quote(record.level),
-                )
-            self._m_billed.inc(record.price, level=record.level.value)
-            self._m_tenant_billed.inc(record.price, tenant=record.tenant)
-            if slack is not None:
-                self._m_slack.observe(slack, level=record.level.value)
-            if pending is not None:
-                self.obs.slo.record(
-                    query_id=record.query_id,
-                    level=record.level.value,
-                    submitted_at=record.submitted_at,
-                    finished_at=self._sim.now,
-                    deadline_s=deadline,
-                    actual_s=pending,
-                    billed=record.price,
-                )
-            root = self._root_spans.pop(record.query_id, None)
-            if root is not None:
-                self.obs.tracer.start(
-                    record.query_id,
-                    "bill",
-                    parent=root,
-                    level=record.level.value,
-                    price=record.price,
-                    price_per_tb=self.price_quote(record.level),
-                    price_fraction=record.level.price_fraction,
-                    bytes_scanned=execution.result.stats.bytes_scanned,
-                    deadline_s=deadline,
-                    slack_s=slack,
-                ).finish()
-            self.obs.tracer.end_open(record.query_id, "ok")
-            if self.obs.activity.enabled:
-                projection = self.obs.activity.finish_billed(
-                    record.query_id,
-                    record.price_nanodollars,
-                    axes=reading.axes if reading is not None else None,
-                )
-                if projection is not None:
-                    # Estimated-vs-actual goes to the journal before
-                    # _observe_statement pops the fingerprint mapping.
-                    self._journal_event(
-                        record,
-                        "projection",
-                        estimated_nanodollars=(
-                            projection.estimated_nanodollars
-                        ),
-                        actual_nanodollars=projection.actual_nanodollars,
-                        ape=round(projection.ape, 9),
-                        source=projection.source,
-                    )
-        else:
-            # The coordinator's failure path already closed the trace with
-            # an error/cancelled status; this is only the safety net.
-            self._root_spans.pop(record.query_id, None)
-            self.obs.tracer.end_open(
-                record.query_id, "error", error=execution.error or ""
-            )
-            if record.cancelled or execution.error == "cancelled by user":
-                self.obs.ledger.void(
-                    record.query_id,
-                    tenant=record.tenant,
-                    level=record.level.value,
-                    venue=(
-                        execution.venue.value
-                        if execution.venue is not None
-                        else "none"
-                    ),
-                    span_id=span_id,
-                    reason="cancelled",
-                )
-                self.obs.activity.finish_cancelled(record.query_id)
-            else:
-                self.obs.activity.finish_failed(
-                    record.query_id, execution.error
-                )
-        self._observe_statement(
-            record,
-            execution,
-            span_id,
-            slack,
-            attribution=reading.attribution if reading is not None else None,
-        )
-        if record.pending_time_s is not None:
-            self._m_pending.observe(
-                record.pending_time_s, level=record.level.value
-            )
+            record.price_nanodollars = round(record.price * NANOS_PER_DOLLAR)
+        if self._recorder is not None:
+            self._recorder.completed(record, execution)
         if record.on_finish is not None:
             record.on_finish(record)
         # A finished query frees capacity: give held queries a chance now
         # rather than waiting for the next tick.
         self._drain()
-
-    def _observe_statement(
-        self,
-        record: ServerQuery,
-        execution: QueryExecution,
-        span_id: int | None,
-        slack: float | None,
-        attribution=None,
-    ) -> None:
-        """Fold one completion into the statement store and the journal
-        (including the tail-based capture decision)."""
-        obs = self.obs
-        if not (obs.statements.enabled or obs.journal.enabled):
-            return
-        fp = self._fingerprints.pop(record.query_id, None)
-        if fp is None:
-            return
-        error = execution.error is not None
-        time_s = execution.execution_time_s or 0.0
-        pending = record.pending_time_s
-        stats = (
-            execution.result.stats if execution.result is not None else None
-        )
-        venue = (
-            execution.venue.value if execution.venue is not None else "none"
-        )
-        if obs.statements.enabled:
-            if attribution is None and stats is not None:
-                attribution = self._coordinator.cost_model.attribution(
-                    stats,
-                    venue,
-                    record.price,
-                    get_price_per_1000=(
-                        self._coordinator.store.profile.get_price_per_1000
-                    ),
-                )
-            obs.statements.record(
-                fp,
-                record.level.value,
-                time_s=time_s,
-                pending_s=pending or 0.0,
-                billed=record.price,
-                attribution=attribution,
-                stats=stats,
-                plan_shape=execution.plan_shape,
-                error=error,
-                tenant=record.tenant,
-            )
-        if not obs.journal.enabled:
-            return
-        journal = obs.journal
-        attrs: dict[str, object] = {
-            "venue": venue,
-            "execution_s": round(time_s, 9),
-            "pending_s": round(pending, 9) if pending is not None else None,
-            "slack_s": round(slack, 9) if slack is not None else None,
-            "billed_dollars": round(record.price, 12),
-            "bytes_scanned": stats.bytes_scanned if stats is not None else 0,
-            "rows_produced": (
-                stats.rows_produced if stats is not None else 0
-            ),
-            "plan_shape": execution.plan_shape,
-        }
-        if error:
-            attrs["error"] = execution.error
-        journal.event(
-            "error" if error else "finish",
-            record.query_id,
-            span_id=span_id,
-            fingerprint=fp.id,
-            level=record.level.value,
-            **attrs,
-        )
-        reasons = journal.capture_reasons(
-            time_s=execution.execution_time_s,
-            billed=record.price if not error else None,
-            slack_s=slack,
-            error=error,
-            downgraded=record.downgraded,
-        )
-        if reasons:
-            try:
-                profile = self.query_profile(record.query_id)
-            except PixelsError:
-                profile = None
-            journal.capture(
-                record.query_id,
-                reasons,
-                profile,
-                span_id=span_id,
-                fingerprint=fp.id,
-                level=record.level.value,
-                slack_s=round(slack, 9) if slack is not None else None,
-                billed_dollars=round(record.price, 12),
-            )
 
     # -- profiling ----------------------------------------------------------------------
 
@@ -1072,9 +613,7 @@ class QueryServer:
         if execution is None or execution.finished_at is None:
             raise PixelsError(f"query {query_id!r} has not finished")
         timeline = (
-            self.obs.tracer.timeline(query_id)
-            if self.obs.tracer.enabled
-            else None
+            self.obs.tracer.timeline(query_id) if self.obs.enabled else None
         )
         venue = (
             execution.venue.value if execution.venue is not None else "none"

@@ -126,7 +126,7 @@ class AdmissionController:
     # -- budgets --------------------------------------------------------------
 
     def _over_budget(self, tenant: str) -> bool:
-        if self._spend is None or not self._spend.enabled:
+        if self._spend is None:
             return False
         return tenant in self._spend.over_budget()
 

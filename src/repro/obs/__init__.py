@@ -1,6 +1,6 @@
 """``repro.obs`` — end-to-end query observability.
 
-Three pieces, all simulation-clock-aware and deterministic:
+Everything here is simulation-clock-aware and deterministic:
 
 * :mod:`repro.obs.tracer` — per-query span trees
   (``submit → queue → dispatch → plan → scan → merge → bill``) with
@@ -8,25 +8,38 @@ Three pieces, all simulation-clock-aware and deterministic:
 * :mod:`repro.obs.metrics` — a Prometheus-style registry (counters,
   gauges, histograms) fed by hooks in the query server, coordinator, VM
   cluster, CF service, and storage layers.
+* the six *lifecycle sinks*, written only at query transitions:
+  :mod:`~repro.obs.slo` (deadline compliance), :mod:`~repro.obs.statements`
+  (per-fingerprint statistics), :mod:`~repro.obs.journal` (event log +
+  tail capture), :mod:`~repro.obs.ledger` (integer-nanodollar meter
+  events), :mod:`~repro.obs.spend` (per-tenant totals over the ledger) and
+  :mod:`~repro.obs.activity` (live progress and bill projection).
+* :mod:`repro.obs.recorder` — the query server's one writer of all of the
+  above, one method per transition.
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer over the
   executor's per-operator profiles.
 
-:class:`Instrumentation` bundles a tracer and a registry and is what
-components thread through their constructors.  The default everywhere is
-:meth:`Instrumentation.disabled` — inert tracer, inert registry — so an
-un-instrumented run pays only a no-op call per would-be event.
+:class:`Instrumentation` bundles the eight sinks and is what components
+thread through their constructors.  It carries the **one** observability
+switch, :attr:`Instrumentation.enabled`: the sinks themselves have no
+on/off state.  The default everywhere is :meth:`Instrumentation.disabled`.
+Tracer and metrics are called from dozens of fine-grained sites woven
+through execution control flow, so there a null object
+(:class:`NoopTracer`, :class:`NoopMetricsRegistry`) *is* the simplest
+guard; the lifecycle sinks are touched only at query transitions, so the
+disabled bundle holds real, empty ones that nothing writes — their
+writers test the flag instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.activity import (
     ActivityRegistry,
     GuardDecision,
     GuardPolicy,
-    NoopActivityRegistry,
     ProjectionGuard,
     ProjectionRecord,
 )
@@ -46,11 +59,11 @@ from repro.obs.metrics import (
     NoopMetricsRegistry,
 )
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
-from repro.obs.journal import CapturePolicy, NoopQueryJournal, QueryJournal
-from repro.obs.ledger import MeterEvent, MeterLedger, NoopMeterLedger
-from repro.obs.spend import NoopSpendAccountant, SpendAccountant
-from repro.obs.slo import NoopSloTracker, SloObjective, SloRecord, SloTracker
-from repro.obs.statements import NoopStatementStore, StatementStore
+from repro.obs.journal import CapturePolicy, QueryJournal
+from repro.obs.ledger import MeterEvent, MeterLedger
+from repro.obs.spend import SpendAccountant
+from repro.obs.slo import SloObjective, SloRecord, SloTracker
+from repro.obs.statements import StatementStore
 from repro.obs.tracer import NOOP_SPAN, NOOP_TRACER, ROOT, NoopTracer, Span, Tracer
 
 __all__ = [
@@ -67,13 +80,7 @@ __all__ = [
     "MeterEvent",
     "MeterLedger",
     "MetricsRegistry",
-    "NoopActivityRegistry",
-    "NoopMeterLedger",
     "NoopMetricsRegistry",
-    "NoopQueryJournal",
-    "NoopSloTracker",
-    "NoopSpendAccountant",
-    "NoopStatementStore",
     "NoopTracer",
     "NOOP_SPAN",
     "NOOP_TRACER",
@@ -102,41 +109,45 @@ __all__ = [
 class Instrumentation:
     """A tracer + metrics registry + SLO tracker + statement store +
     query journal + metering ledger + spend accountant + live activity
-    registry threaded through the system.  All eight default to their
-    inert twins."""
+    registry threaded through the system, and the one flag that says
+    whether any of it is written."""
 
-    tracer: Tracer = field(default_factory=NoopTracer)
-    metrics: MetricsRegistry = field(default_factory=NoopMetricsRegistry)
-    slo: SloTracker = field(default_factory=NoopSloTracker)
-    statements: StatementStore = field(default_factory=NoopStatementStore)
-    journal: QueryJournal = field(default_factory=NoopQueryJournal)
-    ledger: MeterLedger = field(default_factory=NoopMeterLedger)
-    spend: SpendAccountant = field(default_factory=NoopSpendAccountant)
-    activity: ActivityRegistry = field(default_factory=NoopActivityRegistry)
+    tracer: Tracer
+    metrics: MetricsRegistry
+    slo: SloTracker
+    statements: StatementStore
+    journal: QueryJournal
+    ledger: MeterLedger
+    spend: SpendAccountant
+    activity: ActivityRegistry
+    #: The only observability switch.  Writers of the lifecycle sinks test
+    #: it (the query server by holding a recorder or ``None``); readers
+    #: use it to tell "nothing happened" from "nothing was watching".
+    enabled: bool
 
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.metrics.enabled
-            or self.slo.enabled
-            or self.statements.enabled
-            or self.journal.enabled
-            or self.ledger.enabled
-        )
+    def observed(self, export: Callable[..., str], *args: object) -> str:
+        """``export(*args)`` of one of this bundle's sinks — or ``""``
+        when unobserved, the read-side contract of every string accessor
+        (``PixelsDB.ledger_jsonl()``, ``RoverServer.activity()``, …),
+        decided here once rather than sink by sink."""
+        return export(*args) if self.enabled else ""
 
     @staticmethod
     def disabled() -> "Instrumentation":
-        """The no-op default: nothing recorded, near-zero overhead."""
+        """The unobserved default: null tracer and registry, and empty
+        lifecycle sinks that are constructed but never bound, listened to
+        or written (the SLO tracker without objectives, so its report has
+        no levels rather than three empty ones)."""
         return Instrumentation(
             NoopTracer(),
             NoopMetricsRegistry(),
-            NoopSloTracker(),
-            NoopStatementStore(),
-            NoopQueryJournal(),
-            NoopMeterLedger(),
-            NoopSpendAccountant(),
-            NoopActivityRegistry(),
+            SloTracker(objectives=[]),
+            StatementStore(),
+            QueryJournal(),
+            MeterLedger(),
+            SpendAccountant(),
+            ActivityRegistry(),
+            enabled=False,
         )
 
     @staticmethod
@@ -168,4 +179,5 @@ class Instrumentation:
             ledger,
             spend,
             activity,
+            enabled=True,
         )

@@ -232,8 +232,6 @@ class ActivityRegistry:
     events or perturbs execution.
     """
 
-    enabled: bool = True
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._entries: dict[str, ActivityEntry] = {}
@@ -259,7 +257,7 @@ class ActivityRegistry:
         statement store the estimator draws priors from."""
         if pricer is not None:
             self._pricer = pricer
-        if statements is not None and statements.enabled:
+        if statements is not None:
             self._statements = statements
 
     def bind_metrics(self, registry: "MetricsRegistry") -> None:
@@ -271,8 +269,6 @@ class ActivityRegistry:
             ACTIVITY_QUERIES_METRIC,
         )
 
-        if not registry.enabled:
-            return
         gauge_states = registry.gauge(
             ACTIVITY_QUERIES_METRIC,
             "Queries in the live activity registry, by lifecycle state",
@@ -679,54 +675,6 @@ class ActivityRegistry:
         )
 
 
-class NoopActivityRegistry(ActivityRegistry):
-    """Inert twin: every hook is a no-op, every view is empty."""
-
-    enabled: bool = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def bind(self, pricer=None, statements=None) -> None:  # type: ignore[override]
-        pass
-
-    def bind_metrics(self, registry) -> None:  # type: ignore[override]
-        pass
-
-    def begin(self, query_id, **kwargs):  # type: ignore[override]
-        return None
-
-    def mark_queued(self, query_id) -> None:  # type: ignore[override]
-        pass
-
-    def mark_dispatched(self, query_id) -> None:  # type: ignore[override]
-        pass
-
-    def downgrade(self, query_id, level, reason) -> None:  # type: ignore[override]
-        pass
-
-    def begin_execution(self, query_id, **kwargs) -> None:  # type: ignore[override]
-        pass
-
-    def finish_billed(self, query_id, billed_nanodollars, axes=None):  # type: ignore[override]
-        return None
-
-    def finish_cancelled(self, query_id, reason="cancelled") -> None:  # type: ignore[override]
-        pass
-
-    def finish_failed(self, query_id, error=None) -> None:  # type: ignore[override]
-        pass
-
-    def finish_rejected(self, query_id, reason=None) -> None:  # type: ignore[override]
-        pass
-
-    def export_json(self, include_terminal: bool = True) -> str:  # type: ignore[override]
-        return ""
-
-    def export_projection_json(self) -> str:  # type: ignore[override]
-        return ""
-
-
 # -- projection-driven guards -------------------------------------------------
 
 
@@ -833,7 +781,7 @@ class ProjectionGuard:
         """One guard pass over the live entries; at most one decision per
         (query, rule) for the query's lifetime."""
         decisions: list[GuardDecision] = []
-        budgets = self._spend.budgets() if self._spend.enabled else {}
+        budgets = self._spend.budgets()
         for entry in self._registry.live_entries():
             if self.policy.budget_action is not None and entry.tenant in budgets:
                 decision = self._check_budget(

@@ -117,11 +117,7 @@ class DashboardData:
             top_statements=_top_statement_rows(statements),
             tenant_spend=_tenant_spend_rows(spend),
             scheduler=dict(scheduler or {}),
-            activity=(
-                activity.snapshot()
-                if activity is not None and getattr(activity, "enabled", False)
-                else {}
-            ),
+            activity=activity.snapshot() if activity is not None else {},
         )
 
 
@@ -129,7 +125,7 @@ def _top_statement_rows(
     statements: StatementStore | None, k: int = 10
 ) -> list[dict]:
     """Rank-ordered top-``k`` statements by billed $ for the panel."""
-    if statements is None or not statements.enabled:
+    if statements is None:
         return []
     rows: list[dict] = []
     for entry in statements.top(k, by="dollars"):
@@ -154,7 +150,7 @@ def _top_statement_rows(
 def _tenant_spend_rows(spend) -> list[dict]:
     """Per-tenant net-spend rows (descending by spend) for the panel;
     ``spend`` is a :class:`~repro.obs.spend.SpendAccountant` or None."""
-    if spend is None or not getattr(spend, "enabled", False):
+    if spend is None:
         return []
     report = spend.report()
     rows = list(report.get("tenants", []))

@@ -53,8 +53,6 @@ class CapturePolicy:
 class QueryJournal:
     """Structured event log + capture ring for one workload run."""
 
-    enabled: bool = True
-
     def __init__(
         self,
         clock: Callable[[], float] | None = None,
@@ -215,21 +213,3 @@ class QueryJournal:
             )
             + "\n"
         )
-
-
-class NoopQueryJournal(QueryJournal):
-    """Inert twin: no records, no captures, empty exports."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def event(self, event, query_id, **kwargs):  # type: ignore[override]
-        return {}
-
-    def capture_reasons(self, **kwargs):  # type: ignore[override]
-        return []
-
-    def capture(self, query_id, reasons, profile, **kwargs):  # type: ignore[override]
-        return None

@@ -119,8 +119,6 @@ class MeterLedger:
     every append.
     """
 
-    enabled: bool = True
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._events: list[MeterEvent] = []
@@ -342,24 +340,3 @@ def events_jsonl(events: Iterable[MeterEvent]) -> str:
     building corrupted ledgers)."""
     lines = [json.dumps(event.to_dict(), sort_keys=True) for event in events]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class NoopMeterLedger(MeterLedger):
-    """Inert twin: swallows charges, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def charge(self, query_id, **kwargs):  # type: ignore[override]
-        return None
-
-    def charge_query(self, query_id, **kwargs):  # type: ignore[override]
-        return []
-
-    def void(self, query_id, **kwargs):  # type: ignore[override]
-        return []
-
-    def export_jsonl(self) -> str:
-        return ""

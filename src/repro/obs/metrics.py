@@ -294,8 +294,6 @@ GUARD_DECISIONS_METRIC = "pixels_guard_decisions_total"
 class MetricsRegistry:
     """Instrument factory + Prometheus text exposition."""
 
-    enabled: bool = True
-
     def __init__(
         self, max_label_sets: int | None = DEFAULT_MAX_LABEL_SETS
     ) -> None:
@@ -421,8 +419,6 @@ NOOP_INSTRUMENT = _NoopInstrument()
 
 class NoopMetricsRegistry(MetricsRegistry):
     """Registry that records nothing and renders an empty exposition."""
-
-    enabled = False
 
     def counter(self, name: str, help: str = "") -> Counter:
         return NOOP_INSTRUMENT  # type: ignore[return-value]

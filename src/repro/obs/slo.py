@@ -17,9 +17,8 @@ tracker maintains
 
 Everything runs on completed-query timestamps from the virtual clock,
 so same-seed runs export byte-identical JSON.  The tracker never feeds
-back into admission, scheduling, or billing: with the
-:class:`NoopSloTracker` default the whole subsystem is a no-op call per
-completed query.
+back into admission, scheduling, or billing, and an unobserved stack
+never calls it.
 """
 
 from __future__ import annotations
@@ -217,8 +216,6 @@ class _LevelState:
 class SloTracker:
     """Deadline-compliance accounting across service levels."""
 
-    enabled: bool = True
-
     def __init__(
         self,
         objectives: list[SloObjective] | None = None,
@@ -346,21 +343,3 @@ class SloTracker:
             "summary": self.snapshot(),
         }
         return json.dumps(document, sort_keys=True, indent=2)
-
-
-class NoopSloTracker(SloTracker):
-    """The disabled twin: swallows records, reports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(objectives=[])
-
-    def record(self, *args: object, **kwargs: object) -> SloRecord | None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {"levels": {}}
-
-    def export_json(self) -> str:
-        return json.dumps({"records": [], "summary": {"levels": {}}})

@@ -49,8 +49,6 @@ def budget_rules(budgets: dict[str, float]) -> "list[ThresholdRule]":
 class SpendAccountant:
     """Rolling per-tenant/per-level spend over ledger events."""
 
-    enabled: bool = True
-
     def __init__(self, budgets: dict[str, float] | None = None) -> None:
         #: (tenant, level) -> net nanodollars (voids subtract).
         self._totals: dict[tuple[str, str], int] = {}
@@ -163,18 +161,3 @@ class SpendAccountant:
     def export_json(self) -> str:
         """Byte-stable JSON export of the spend report."""
         return json.dumps(self.report(), indent=2, sort_keys=True) + "\n"
-
-
-class NoopSpendAccountant(SpendAccountant):
-    """Inert twin: ignores events, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def on_event(self, event) -> None:  # type: ignore[override]
-        return None
-
-    def export_json(self) -> str:
-        return ""

@@ -99,8 +99,6 @@ class StatementStore:
     """Fingerprint × level × tenant aggregation with deterministic
     exports."""
 
-    enabled: bool = True
-
     def __init__(
         self, time_buckets: Iterable[float] = STATEMENT_TIME_BUCKETS
     ) -> None:
@@ -301,21 +299,3 @@ class StatementStore:
             )
             + "\n"
         )
-
-
-class NoopStatementStore(StatementStore):
-    """Inert twin: swallows records, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def record(self, fingerprint, level, **kwargs):  # type: ignore[override]
-        return None
-
-    def render_top(self, k: int = 10, by: str = "dollars") -> str:
-        return ""
-
-    def export_json(self) -> str:
-        return ""

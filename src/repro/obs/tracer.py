@@ -14,7 +14,8 @@ become its children until it finishes.  An explicit ``parent`` (or
 The default tracer everywhere is :data:`NOOP_TRACER`: its ``start``
 returns a shared inert span and records nothing, so instrumentation has
 no cost when observability is off.  Callers guard any *expensive*
-attribute computation behind :attr:`Tracer.enabled`.
+attribute computation behind :attr:`Instrumentation.enabled
+<repro.obs.Instrumentation.enabled>`, the one observability flag.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ class Tracer:
             the simulator's (``lambda: sim.now``) so span timestamps are
             virtual and reproducible.  Defaults to a frozen clock at 0.
     """
-
-    enabled: bool = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -213,11 +212,6 @@ class NoopTracer(Tracer):
     This is the zero-cost-when-disabled path: one attribute lookup and
     one call per would-be span, no allocation, no bookkeeping.
     """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
 
     def start(
         self,

@@ -275,31 +275,36 @@ class RoverServer:
         """The top-K statement-statistics table (``by`` is one of
         ``time``/``dollars``/``calls``; empty without observability)."""
         self._session(token)  # any authenticated session may inspect
-        return self._query_server.obs.statements.render_top(k, by)
+        obs = self._query_server.obs
+        return obs.observed(obs.statements.render_top, k, by)
 
     def statements_json(self, token: str) -> str:
         """Every statement-statistics entry as byte-stable JSON."""
         self._session(token)
-        return self._query_server.obs.statements.export_json()
+        obs = self._query_server.obs
+        return obs.observed(obs.statements.export_json)
 
     def journal(self, token: str) -> str:
         """The trace-correlated query journal as deterministic JSONL
         (includes tail-based slow-query captures)."""
         self._session(token)
-        return self._query_server.obs.journal.export_jsonl()
+        obs = self._query_server.obs
+        return obs.observed(obs.journal.export_jsonl)
 
     def ledger(self, token: str) -> str:
         """The full metering ledger as byte-stable JSONL — every charge
         and void the server emitted, in sequence order (empty without
         observability)."""
         self._session(token)  # any authenticated session may audit
-        return self._query_server.obs.ledger.export_jsonl()
+        obs = self._query_server.obs
+        return obs.observed(obs.ledger.export_jsonl)
 
     def spend(self, token: str) -> str:
         """The per-tenant spend report (net nanodollars, per-level
         split, soft-budget status) as byte-stable JSON."""
         self._session(token)
-        return self._query_server.obs.spend.export_json()
+        obs = self._query_server.obs
+        return obs.observed(obs.spend.export_json)
 
     def activity(self, token: str) -> str:
         """The live query-activity view — every submission's lifecycle
@@ -307,14 +312,16 @@ class RoverServer:
         JSON (the ``pg_stat_activity`` of this system; empty without
         observability)."""
         self._session(token)  # any authenticated session may inspect
-        return self._query_server.obs.activity.export_json()
+        obs = self._query_server.obs
+        return obs.observed(obs.activity.export_json)
 
     def projections(self, token: str) -> str:
         """The estimator's accuracy record — estimated vs. actual bill
         per completed query plus the aggregate MAPE — as byte-stable
         JSON."""
         self._session(token)
-        return self._query_server.obs.activity.export_projection_json()
+        obs = self._query_server.obs
+        return obs.observed(obs.activity.export_projection_json)
 
     def scheduler(self, token: str) -> str:
         """The scheduler state — per-tenant/per-level queue depths, WFQ

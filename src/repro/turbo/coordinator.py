@@ -33,7 +33,8 @@ from repro.engine.executor import (
 from repro.engine.optimizer import Optimizer
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
-from repro.obs import Instrumentation, render_analyzed_plan
+from repro.obs import Instrumentation, plan_shape_hash, render_analyzed_plan
+from repro.obs.profiler import NANOS_PER_DOLLAR
 from repro.sim import Simulator, Trace
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import Catalog
@@ -74,7 +75,7 @@ class QueryExecution:
     #: observability is on (the profiler's input); None otherwise.
     profile: OperatorProfile | None = None
     #: Shape hash of the optimized plan (statement-store plan identity),
-    #: captured when the statement store or journal is live.
+    #: captured when observability is on.
     plan_shape: str | None = None
     #: Scheduling context the submitter (the query server) attached —
     #: queue wait + admission verdict; EXPLAIN ANALYZE's ``pending:``
@@ -212,9 +213,7 @@ class Coordinator:
         meter event in the ledger (the operator's worker-second bill for
         this query at this venue)."""
         self._m_provider.inc(cost, venue=venue)
-        if self.obs.ledger.enabled:
-            from repro.obs.profiler import NANOS_PER_DOLLAR
-
+        if self.obs.enabled:
             self.obs.ledger.charge(
                 query_id,
                 axis="compute",
@@ -342,9 +341,7 @@ class Coordinator:
             self._fail(execution, str(error))
             return execution
         plan_span.finish("ok")
-        if self.obs.statements.enabled or self.obs.journal.enabled:
-            from repro.obs.fingerprint import plan_shape_hash
-
+        if self.obs.enabled:
             execution.plan_shape = plan_shape_hash(plan)
         if explain_mode == "plan":
             # Pure EXPLAIN renders without occupying any venue and bills
@@ -556,7 +553,7 @@ class Coordinator:
         # Profiles are captured whenever tracing is on (the profiler fuses
         # them with the span tree); building one changes neither the result
         # nor the stats billing derives from, preserving observe-invariance.
-        capture_profile = analyze or tracer.enabled
+        capture_profile = analyze or self.obs.enabled
         try:
             executor = QueryExecutor(
                 ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
@@ -595,16 +592,18 @@ class Coordinator:
             )
         self._record_scan_span(execution.query_id, execute_span, result.stats)
         estimate = self.cost_model.vm_execution(result.stats)
-        # Register the execution window with the live activity registry:
-        # progress and bill projections are derived from this window (a
-        # no-op for queries never submitted through a query server).
-        self.obs.activity.begin_execution(
-            execution.query_id,
-            venue="vm",
-            duration_s=estimate.duration_s,
-            profile=result.profile,
-            stats=result.stats,
-        )
+        if self.obs.enabled:
+            # Register the execution window with the live activity
+            # registry: progress and bill projections are derived from
+            # this window (a no-op for queries never submitted through a
+            # query server).
+            self.obs.activity.begin_execution(
+                execution.query_id,
+                venue="vm",
+                duration_s=estimate.duration_s,
+                profile=result.profile,
+                stats=result.stats,
+            )
         if self.fault_injector is not None and self.fault_injector.vm_task_fails():
             # The worker crashes partway through; the partial work is still
             # paid for, the worker is retired, and the query retries on the
@@ -646,7 +645,7 @@ class Coordinator:
         self, query_id: str, parent, stats: QueryStats
     ) -> None:
         """An instant child span carrying the scan-side accounting."""
-        if not self.obs.tracer.enabled:
+        if not self.obs.enabled:
             return
         self.obs.tracer.start(
             query_id,
@@ -698,7 +697,7 @@ class Coordinator:
             # stops the sub-plan's remaining scan work.
             sub_exec = executor.execute_stream(split.sub)
             split.attach_stream(sub_exec.batches())
-            capture_profile = self.obs.tracer.enabled
+            capture_profile = self.obs.enabled
             top_result = executor.execute(split.top, analyze=capture_profile)
         except PixelsError as error:
             execute_span.finish("error", error=str(error))
@@ -746,7 +745,7 @@ class Coordinator:
         estimate = self.cost_model.cf_execution(sub_stats)
         execution.cf_workers = estimate.num_workers
         self._record_scan_span(execution.query_id, execute_span, sub_stats)
-        if self.obs.tracer.enabled:
+        if self.obs.enabled:
             self.obs.tracer.start(
                 execution.query_id,
                 "merge",
@@ -783,15 +782,16 @@ class Coordinator:
             partial_cost = estimate.provider_cost * fraction
             execution.provider_cost += partial_cost
             self._meter_provider(execution.query_id, partial_cost, venue="cf")
-            # The partial attempt's window (it dies before the merge; the
-            # retry re-registers a fresh full window).
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="cf",
-                duration_s=partial,
-                profile=execution.profile,
-                stats=result.stats,
-            )
+            if self.obs.enabled:
+                # The partial attempt's window (it dies before the merge;
+                # the retry re-registers a fresh full window).
+                self.obs.activity.begin_execution(
+                    execution.query_id,
+                    venue="cf",
+                    duration_s=partial,
+                    profile=execution.profile,
+                    stats=result.stats,
+                )
 
             def retry() -> None:
                 if execution.retries >= self.fault_injector.config.max_retries:
@@ -820,14 +820,15 @@ class Coordinator:
         self._meter_provider(
             execution.query_id, estimate.provider_cost, venue="cf"
         )
-        self.obs.activity.begin_execution(
-            execution.query_id,
-            venue="cf",
-            duration_s=estimate.duration_s,
-            profile=execution.profile,
-            stats=result.stats,
-            merge_at=merge_at,
-        )
+        if self.obs.enabled:
+            self.obs.activity.begin_execution(
+                execution.query_id,
+                venue="cf",
+                duration_s=estimate.duration_s,
+                profile=execution.profile,
+                stats=result.stats,
+                merge_at=merge_at,
+            )
 
         def completed() -> None:
             invoke_span.finish("ok")
@@ -888,9 +889,7 @@ class Coordinator:
                 plans.append(self._plan(sql))
                 members.append(execution)
                 plan_span.finish("ok")
-                if self.obs.statements.enabled or self.obs.journal.enabled:
-                    from repro.obs.fingerprint import plan_shape_hash
-
+                if self.obs.enabled:
                     execution.plan_shape = plan_shape_hash(plans[-1])
             except PixelsError as error:
                 plan_span.finish("error", error=str(error))
@@ -918,12 +917,13 @@ class Coordinator:
                 self._meter_provider(
                     execution.query_id, per_member_cost, venue="vm"
                 )
-                self.obs.activity.begin_execution(
-                    execution.query_id,
-                    venue="vm",
-                    duration_s=estimate.duration_s,
-                    stats=result.stats,
-                )
+                if self.obs.enabled:
+                    self.obs.activity.begin_execution(
+                        execution.query_id,
+                        venue="vm",
+                        duration_s=estimate.duration_s,
+                        stats=result.stats,
+                    )
                 member_spans.append(
                     self.obs.tracer.start(
                         execution.query_id,

@@ -9,7 +9,7 @@ profile evidence attached.
 
 import json
 
-from repro.obs.journal import CapturePolicy, NoopQueryJournal, QueryJournal
+from repro.obs.journal import CapturePolicy, QueryJournal
 
 
 class FakeClock:
@@ -157,15 +157,3 @@ class TestCapture:
         assert capture["billed_nanodollars"] == profile.billed_nanodollars
         # The capture is a journal record too: it exports with the rest.
         assert '"event": "capture"' in journal.export_jsonl()
-
-
-class TestNoop:
-    def test_noop_swallows_everything(self):
-        noop = NoopQueryJournal()
-        assert not noop.enabled
-        assert noop.event("submit", "q-1") == {}
-        assert noop.capture_reasons(
-            time_s=1.0, billed=1.0, slack_s=-1.0, error=True
-        ) == []
-        assert noop.capture("q-1", ["error"], None) is None
-        assert noop.export_jsonl() == ""

@@ -8,7 +8,6 @@ from repro import PixelsDB, ServiceLevel
 from repro.obs.ledger import (
     AXES,
     MeterLedger,
-    NoopMeterLedger,
     load_events_jsonl,
 )
 from repro.obs.spend import SpendAccountant, budget_rules
@@ -94,15 +93,6 @@ class TestMeterLedger:
         ledger.charge("q", axis="fixed", nanodollars=3)
         ledger.void("q")
         assert len(heard) == len(ledger)
-
-    def test_noop_twin_is_inert(self):
-        noop = NoopMeterLedger()
-        assert noop.enabled is False
-        assert noop.charge("q", axis="fixed", nanodollars=1) is None
-        assert noop.charge_query("q", axes={}, billed_nanodollars=0) == []
-        assert noop.void("q") == []
-        assert noop.export_jsonl() == ""
-        assert len(noop) == 0
 
 
 class TestSpendAccountant:

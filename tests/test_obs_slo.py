@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.slo import (
     VIOLATION_EPSILON_S,
-    NoopSloTracker,
     SloObjective,
     SloTracker,
     default_objectives,
@@ -220,9 +219,3 @@ class TestExport:
             return tracker.export_json()
 
         assert build() == build()
-
-    def test_noop_tracker_swallows_everything(self):
-        tracker = NoopSloTracker()
-        assert not tracker.enabled
-        assert _record(tracker) is None
-        assert tracker.snapshot() == {"levels": {}}

@@ -138,7 +138,6 @@ class TestExport:
 class TestNoopTracer:
     def test_records_nothing(self):
         tracer = NoopTracer()
-        assert not tracer.enabled
         span = tracer.start("q1", "a", x=1)
         assert span is NOOP_SPAN
         span.set(y=2)

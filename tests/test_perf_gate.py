@@ -2,9 +2,9 @@
 
 The gate's contract: deterministic simulation metrics (logical bytes,
 GET counts, billed dollars, ...) must match the committed baseline
-exactly; wall time is only compared when a band is supplied.  The
-regression-demonstration tests here are the acceptance check that a
-changed byte count / GET count / billed price actually fails CI.
+exactly.  The regression-demonstration tests here are the acceptance
+check that a changed byte count / GET count / billed price actually
+fails CI.
 """
 
 import importlib.util
@@ -37,7 +37,6 @@ def make_record(**metric_overrides):
         "rounds": 2,
         "warmup": 0,
         "metrics": metrics,
-        "wall": {"median_s": 0.1, "mad_s": 0.01, "samples_s": [0.09, 0.11]},
     }
 
 
@@ -85,24 +84,6 @@ class TestCompareRecords:
         violations = perf_gate.compare_records(make_record(), fresh)
         assert len(violations) == 1
         assert "schema_version" in violations[0]
-
-    def test_wall_time_ignored_without_band(self):
-        fresh = make_record()
-        fresh["wall"]["median_s"] = 100.0
-        assert perf_gate.compare_records(make_record(), fresh) == []
-
-    def test_wall_time_gated_with_band(self):
-        fresh = make_record()
-        fresh["wall"]["median_s"] = 0.5
-        violations = perf_gate.compare_records(
-            make_record(), fresh, wall_band=0.5
-        )
-        assert violations and "wall median" in violations[0]
-        fresh["wall"]["median_s"] = 0.12
-        assert (
-            perf_gate.compare_records(make_record(), fresh, wall_band=0.5)
-            == []
-        )
 
 
 class TestRunGate:

@@ -13,7 +13,7 @@ import pytest
 from repro.engine.executor import QueryStats
 from repro.obs.fingerprint import Fingerprint
 from repro.obs.profiler import NANOS_PER_DOLLAR
-from repro.obs.statements import NoopStatementStore, StatementStore
+from repro.obs.statements import StatementStore
 from repro.turbo.cost import CostAttribution
 
 
@@ -163,13 +163,3 @@ class TestExport:
         assert row["io"]["footer_gets"] == 1
         parsed = json.loads(self._populated().export_json())
         assert parsed["statements"] == snapshot
-
-
-class TestNoop:
-    def test_noop_swallows_everything(self):
-        noop = NoopStatementStore()
-        assert not noop.enabled
-        assert noop.record(FP, "immediate", billed=1.0) is None
-        assert noop.entries() == []
-        assert noop.render_top() == ""
-        assert noop.export_json() == ""

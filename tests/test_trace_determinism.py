@@ -1,17 +1,23 @@
 """End-to-end tracing: deterministic exports, span closure on every
 termination path, and the zero-cost disabled default."""
 
+import hashlib
 import json
 
+import numpy as np
+import pytest
+
 from repro import PixelsDB, ServiceLevel
+from repro.baselines.runner import Submission, run_workload
 from repro.core import QueryServer, QueryStatus
+from repro.core.scheduler import AdmissionPolicy
 from repro.obs import Instrumentation
 from repro.sim import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
 from repro.turbo import Coordinator, TurboConfig
 from repro.turbo.faults import FaultConfig
-from repro.workloads import TpchGenerator, load_dataset
+from repro.workloads import TPCH_QUERIES, TpchGenerator, load_dataset
 
 SQL = "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag"
 
@@ -42,6 +48,80 @@ def make_observed_stack(faults=None, seed=3):
     )
     server = QueryServer(sim, coordinator, config)
     return sim, coordinator, server, obs
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    store, catalog = ObjectStore(), Catalog()
+    load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.02).tables())
+    return store, catalog
+
+
+def replay_composition(dataset, observe, batch_best_effort, seed=1):
+    """One seeded schedule through every feature that touches the bill at
+    once: VM crashes and CF failures with a retry budget, quota and
+    pressure-downgrade admission, a statement that fails in planning, and
+    25 cancels at seeded times of whichever query is live then."""
+    store, catalog = dataset
+    rng = np.random.default_rng(seed)
+    statements = [*TPCH_QUERIES.values(), "SELECT no_such_column FROM nation"]
+    levels = list(ServiceLevel)
+    submissions = [
+        Submission(
+            float(at),
+            statements[int(rng.integers(len(statements)))],
+            levels[int(rng.integers(len(levels)))],
+            tenant=f"tenant-{int(rng.integers(2))}",
+        )
+        for at in np.sort(rng.uniform(0.0, 240.0, 120))
+    ]
+    # Horizon 0: the stack is built and every arrival scheduled, nothing
+    # has run — the cancels below interleave with the replay.
+    result = run_workload(
+        submissions,
+        store,
+        catalog,
+        "tpch",
+        TurboConfig.experiment(data_inflation=20_000.0),
+        seed=seed,
+        horizon_s=0.0,
+        observe=observe,
+        coordinator_kwargs={
+            "faults": FaultConfig(
+                vm_crash_rate=0.15, cf_failure_rate=0.15, max_retries=2
+            )
+        },
+        server_kwargs={
+            "batch_best_effort": batch_best_effort,
+            "admission": AdmissionPolicy(
+                tenant_quota=25, downgrade_queue_depth=8
+            ),
+        },
+    )
+    sim, server = result.sim, result.server
+    for at in np.sort(rng.uniform(5.0, 400.0, 25)):
+        sim.run_until(float(at))
+        live = [q for q in server.queries if not q.status.is_terminal]
+        if live:
+            server.cancel(live[int(rng.integers(len(live)))].query_id)
+    while not all(q.status.is_terminal for q in server.queries):
+        sim.run_until(sim.now + 60.0)
+    return result
+
+
+def bills(result):
+    """What a user could tell two runs apart by, per query."""
+    return [
+        (
+            query.query_id,
+            query.status,
+            query.level,
+            query.price_nanodollars,
+            query.execution.retries if query.execution is not None else None,
+            hashlib.sha256(repr(query.result_rows()).encode()).hexdigest(),
+        )
+        for query in result.server.queries
+    ]
 
 
 def span_names(timeline):
@@ -155,6 +235,34 @@ class TestDisabledDefault:
             q.result_rows() for q in queries_off
         ]
         assert [q.price for q in queries_on] == [q.price for q in queries_off]
+
+    @pytest.mark.parametrize("batch_best_effort", [False, True])
+    def test_same_integer_bills_under_every_feature_at_once(
+        self, dataset, batch_best_effort
+    ):
+        observed = replay_composition(dataset, True, batch_best_effort)
+        dark = replay_composition(dataset, False, batch_best_effort)
+        # The schedule reaches every path that can touch a bill.
+        queries = observed.server.queries
+        verdicts = observed.server.scheduler_snapshot()["admission"]
+        assert verdicts["rejected"]["tenant_quota"] > 0
+        assert verdicts["downgraded"]["queue_pressure"] > 0
+        assert any(q.execution and q.execution.retries for q in queries)
+        assert any("gave up" in (q.error or "") for q in queries)
+        assert any("no_such_column" in (q.error or "") for q in queries)
+        assert any(q.cancelled and q.execution is None for q in queries)
+        assert any(q.cancelled and q.execution is not None for q in queries)
+        assert any(q.price_nanodollars > 0 for q in queries)
+
+        assert bills(observed) == bills(dark)
+        total = observed.server.total_billed_nanodollars()
+        assert total == dark.server.total_billed_nanodollars()
+        # The ledger (observed only) nets to the integer both runs billed.
+        assert total == sum(
+            event.nanodollars
+            for event in observed.obs.ledger.events()
+            if event.account == "user"
+        )
 
 
 class TestMetricsEndToEnd:
