@@ -9,17 +9,22 @@ compare a tree with itself.  This exports ``--base`` with
 includes uncommitted changes and nothing is written into the checkout),
 and in each tree runs, from an emptied ``benchmarks/results/``:
 
-* ``export_trace.py``, ``export_dashboard.py``, ``export_fleet_obs.py``;
-* the observed benches ``bench_c1``, ``c2``, ``c4``, ``c5`` and ``c9``.
+* ``export_trace.py``, ``export_dashboard.py``, ``export_fleet_obs.py``
+  and ``export_faults.py`` (crashes, retries, give-ups, in-flight
+  cancels, shared batches) — **head's copies in both trees**: they use
+  only the public API, so a scenario can land in the very PR whose
+  refactor it fences;
+* the observed benches ``bench_c1``, ``c2``, ``c4``, ``c5`` and ``c9``
+  (each tree's own).
 
 It then compares, byte for byte, every file the two runs left behind —
 ledgers, journals, statement / SLO / spend / activity / projection
 reports, time series, alerts, audits, reconciliations, dashboards,
-folded stacks, flame graphs, ``demo_traces.json`` and the benches' text
-reports.  ``bench_*.json`` records are skipped: they carry wall time
-(and ``bench_engine_*`` machine-dependent ``meta``), and
+folded stacks, flame graphs, traces, metrics expositions and the
+benches' text reports.  ``bench_*.json`` records are skipped:
 ``perf_gate.py`` already holds their deterministic blocks to the
-committed baselines.
+committed baselines (and ``bench_engine_*`` carry machine-dependent
+``meta``).
 
 Exit status 1 lists the files that differ or exist on one side only.
 """
@@ -37,7 +42,12 @@ from pathlib import Path
 
 from paired import ROOT, export_tree, git
 
-EXPORTS = ("export_trace.py", "export_dashboard.py", "export_fleet_obs.py")
+EXPORTS = (
+    "export_trace.py",
+    "export_dashboard.py",
+    "export_fleet_obs.py",
+    "export_faults.py",
+)
 OBSERVED_BENCHES = ("c1", "c2", "c4", "c5", "c9")
 
 
@@ -103,6 +113,11 @@ def main() -> int:
             tree.mkdir()
         export_tree(base_sha, trees["base"])
         copy_worktree(trees["head"])
+        for script in EXPORTS:
+            shutil.copy2(
+                trees["head"] / "benchmarks" / script,
+                trees["base"] / "benchmarks" / script,
+            )
         results = {}
         for side, tree in trees.items():
             print(f"{side}: running exports and observed benches ...", flush=True)

@@ -15,7 +15,7 @@ all the way down to the object-store scan — never do the remaining work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.storage.table import TableData
 from repro.storage.types import ColumnVector, DataType
@@ -102,11 +102,9 @@ class BatchStream:
         self,
         batches: Iterator[TableData],
         schema: list[tuple[str, DataType]],
-        on_close: Callable[[], None] | None = None,
     ) -> None:
         self._batches = batches
         self._schema = list(schema)
-        self._on_close = on_close
         self._closed = False
         self.batches_consumed = 0
 
@@ -130,5 +128,3 @@ class BatchStream:
         closer = getattr(self._batches, "close", None)
         if closer is not None:
             closer()
-        if self._on_close is not None:
-            self._on_close()

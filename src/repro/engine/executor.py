@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.engine.batch import DEFAULT_BATCH_SIZE
-from repro.engine.pipeline import (
-    PhysicalOperator,
-    build_pipeline,
-    enable_wall_clock,
-)
+from repro.engine.pipeline import PhysicalOperator, build_pipeline
 from repro.engine.plan import PlanNode
 from repro.engine.source import DataSource
 from repro.storage.table import TableData
@@ -92,17 +88,14 @@ class OperatorProfile:
     ``rows_in``/``batches``/``peak_bytes`` are per-operator: rows pulled
     from children, batches emitted, and the largest simultaneously-
     materialized output (a whole table for pipeline breakers, one batch
-    for streaming operators).  ``wall_time_s`` is inclusive wall-clock
-    time, populated only under the executor's opt-in ``wall_clock`` mode
-    (zero otherwise) — it never appears in deterministic exports.  The
-    tree mirrors the plan tree node for node.
+    for streaming operators).  The tree mirrors the plan tree node for
+    node.
     """
 
     name: str
     rows_out: int
     time_s: float
     self_time_s: float = 0.0
-    wall_time_s: float = 0.0
     bytes_scanned: int = 0
     get_requests: int = 0
     footer_gets: int = 0  # request-class split of get_requests
@@ -169,7 +162,6 @@ def _build_profile(op: PhysicalOperator) -> OperatorProfile:
         rows_out=op.rows_out,
         time_s=time_s,
         self_time_s=self_time_s,
-        wall_time_s=op.wall_seconds,
         rows_in=op.rows_in,
         batches=op.batches_out,
         peak_bytes=op.peak_bytes,
@@ -221,16 +213,12 @@ class QueryExecutor:
     ``workers`` enables morsel-driven parallel scans when > 1 (results,
     billing, and EXPLAIN ANALYZE stay bit-identical for any value); None
     reads the ``REPRO_WORKERS`` environment variable, defaulting to 1.
-    ``wall_clock`` opts into per-operator wall-clock sampling
-    (:func:`~repro.engine.pipeline.enable_wall_clock`); it changes no
-    results, only fills ``OperatorProfile.wall_time_s``.
     """
 
     def __init__(
         self,
         source: DataSource,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        wall_clock: bool = False,
         workers: int | None = None,
     ) -> None:
         if batch_size < 1:
@@ -239,7 +227,6 @@ class QueryExecutor:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or 1)
         self._source = source
         self._batch_size = batch_size
-        self._wall_clock = wall_clock
         self._workers = max(1, workers)
 
     @property
@@ -257,8 +244,6 @@ class QueryExecutor:
         root = build_pipeline(
             plan, self._source, stats, self._batch_size, self._workers
         )
-        if self._wall_clock:
-            enable_wall_clock(root)
         stats.operators = root.count_operators()
         pieces: list[TableData] = []
         root.open()
@@ -288,7 +273,5 @@ class QueryExecutor:
         root = build_pipeline(
             plan, self._source, stats, self._batch_size, self._workers
         )
-        if self._wall_clock:
-            enable_wall_clock(root)
         stats.operators = root.count_operators()
         return StreamingExecution(plan, root, stats)

@@ -26,7 +26,6 @@ deterministic-trace tests rely on.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
@@ -62,7 +61,7 @@ from repro.engine.plan import (
     TopN,
     UnionAllPlan,
 )
-from repro.engine.source import DataSource, SingleGranuleSource, iter_source_batches
+from repro.engine.source import DataSource, SingleGranuleSource
 from repro.storage.table import TableData
 from repro.storage.types import ColumnVector
 
@@ -108,9 +107,6 @@ class PhysicalOperator:
         # morsel; accumulated counts equal the sequential granule count, so
         # the value is worker-count invariant.
         self.morsels = 0
-        # Inclusive wall-clock seconds spent in next_batch (self + children),
-        # populated only when enable_wall_clock() wrapped this operator.
-        self.wall_seconds = 0.0
         self.scan_counters = dict.fromkeys(_SCAN_COUNTERS, 0)
 
     # -- lifecycle ---------------------------------------------------------
@@ -190,7 +186,7 @@ class ScanOperator(PhysicalOperator):
         )
 
     def open(self) -> None:
-        self._granules = iter_source_batches(self._source, self.node)
+        self._granules = self._source.scan_batches(self.node)
 
     def next_batch(self) -> RecordBatch | None:
         assert self._granules is not None, "operator not opened"
@@ -545,8 +541,6 @@ class ExchangeOperator(PhysicalOperator):
         # Set by build_pipeline for partial->final breakers: maps a worker's
         # segment output to its partial table (e.g. partial aggregates).
         self.partial_fn: Callable[[TableData], TableData] | None = None
-        # Set by enable_wall_clock so worker instances also self-instrument.
-        self.wall_clock_workers = False
         self._batches: Iterator[RecordBatch] | None = None
         self._started = False
 
@@ -591,8 +585,6 @@ class ExchangeOperator(PhysicalOperator):
         root = build_pipeline(
             self._segment_plan, SingleGranuleSource(granule), local, self._batch_size
         )
-        if self.wall_clock_workers:
-            enable_wall_clock(root)
         root.open()
         batches: list[RecordBatch] = []
         try:
@@ -633,7 +625,6 @@ class ExchangeOperator(PhysicalOperator):
         acc.rows_out += worker.rows_out
         acc.batches_out += worker.batches_out
         acc.morsels += worker.morsels
-        acc.wall_seconds += worker.wall_seconds
         acc.peak_bytes = max(acc.peak_bytes, worker.peak_bytes)
         for key, value in worker.scan_counters.items():
             acc.scan_counters[key] += value
@@ -642,9 +633,7 @@ class ExchangeOperator(PhysicalOperator):
 
     def _adopt_counters(self) -> None:
         # Present the accumulated segment-root counters as this operator's
-        # own, completing the impersonation.  wall_seconds is *not* adopted:
-        # the instrumentation wrapper measured the real barrier elapsed
-        # time, which is what shows the parallel speedup.
+        # own, completing the impersonation.
         acc = self._accumulator
         self.rows_in = acc.rows_in
         self.rows_out = acc.rows_out
@@ -707,41 +696,6 @@ class MergeOperator(PhysicalOperator):
         if batch is None:
             return None
         return self._emit(batch)
-
-
-def enable_wall_clock(root: PhysicalOperator) -> None:
-    """Opt-in wall-clock profiling of the real numpy kernels.
-
-    Wraps every operator's ``next_batch`` so the *inclusive* time spent in
-    it (self plus everything it pulled from children) accumulates into
-    ``wall_seconds`` via ``time.perf_counter``.  The profiler later derives
-    self time as inclusive minus the children's inclusive.  This is the
-    one deliberately non-deterministic measurement in the engine: it never
-    feeds EXPLAIN ANALYZE, billing, or the byte-reproducible exports —
-    only the opt-in wall-clock flame graph.
-    """
-
-    def instrument(op: PhysicalOperator) -> None:
-        if isinstance(op, ExchangeOperator):
-            # Worker pipeline instances instrument themselves; their summed
-            # wall time lands on the (plan-shaped) accumulator chain, while
-            # the wrapper below captures the exchange's real barrier
-            # elapsed — which is where the parallel speedup is visible.
-            op.wall_clock_workers = True
-        inner = op.next_batch
-
-        def timed_next_batch() -> RecordBatch | None:
-            start = time.perf_counter()
-            try:
-                return inner()
-            finally:
-                op.wall_seconds += time.perf_counter() - start
-
-        op.next_batch = timed_next_batch  # type: ignore[method-assign]
-        for child in op.children:
-            instrument(child)
-
-    instrument(root)
 
 
 def _parallel_scan_leaf(plan: PlanNode) -> Scan | None:

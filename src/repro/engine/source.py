@@ -63,36 +63,18 @@ class Morsel:
 class DataSource(Protocol):
     """Anything that can materialize a Scan leaf."""
 
-    def scan(self, node: Scan) -> SourceResult:
-        """Read the scan's projection (with zone-map ranges applied) and
-        return columns under the scan's *qualified* output names."""
-        ...
-
     def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
-        """Stream the scan as a sequence of bounded granules.
+        """Stream the scan's projection (zone-map ranges applied, columns
+        under the scan's *qualified* output names) as bounded granules.
 
         Each yielded :class:`SourceResult` carries one granule of rows
         (row-group granularity for object-store scans) plus the cost
         accounting *delta* for producing exactly that granule, so a
         consumer that stops iterating early is only charged for what was
-        actually fetched.  Sources without a natural granule may yield a
-        single result equal to :meth:`scan`.
+        actually fetched.  Sources without a natural granule yield the
+        whole scan as one.
         """
         ...
-
-
-def iter_source_batches(source: DataSource, node: Scan) -> Iterator[SourceResult]:
-    """``source.scan_batches`` when available, else one whole-scan granule.
-
-    This keeps third-party / test doubles that only implement ``scan``
-    working under the pipeline executor (they just lose early-exit
-    laziness).
-    """
-    scan_batches = getattr(source, "scan_batches", None)
-    if scan_batches is None:
-        yield source.scan(node)
-        return
-    yield from scan_batches(node)
 
 
 class ObjectStoreSource:
@@ -120,27 +102,6 @@ class ObjectStoreSource:
         self._keys = keys
         self._cache = cache
 
-    def scan(self, node: Scan) -> SourceResult:
-        reader = self._table_reader(node)
-        base_columns = [base for _, base in node.columns]
-        result = reader.scan(
-            columns=base_columns,
-            ranges=node.ranges or None,
-            keys=self._keys,
-        )
-        return SourceResult(
-            self._rename(result.data, node),
-            result.bytes_scanned,
-            result.latency_s,
-            get_requests=result.get_requests,
-            footer_gets=result.footer_gets,
-            chunk_gets=result.chunk_gets,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            cache_evictions=result.cache_evictions,
-            row_groups_skipped=result.row_groups_skipped,
-        )
-
     def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
         """Stream the scan one row group at a time, fetching lazily.
 
@@ -150,8 +111,8 @@ class ObjectStoreSource:
         never pays — in GETs, bytes, or billed logical bytes — for the row
         groups and files it did not reach.  Per-granule accounting is the
         metrics delta since the previous yield, so summing the yielded
-        counters reproduces :meth:`scan`'s totals exactly when the stream
-        is drained in full.
+        counters reproduces a whole ``TableReader.scan``'s totals exactly
+        when the stream is drained in full.
         """
         from repro.storage.object_store import StorageMetrics
 
@@ -319,9 +280,6 @@ class SingleGranuleSource:
     def __init__(self, granule: SourceResult) -> None:
         self._granule = granule
 
-    def scan(self, node: Scan) -> SourceResult:
-        return self._granule
-
     def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
         yield self._granule
 
@@ -339,7 +297,12 @@ class InMemorySource:
     def add_table(self, schema: str, table: str, data: TableData) -> None:
         self._tables[(schema, table)] = data
 
-    def scan(self, node: Scan) -> SourceResult:
+    def has_table(self, schema: str, table: str) -> bool:
+        return (schema, table) in self._tables
+
+    def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
+        """One granule: in-memory tables have no fetch cost to defer (the
+        pipeline's scan operator re-slices it into record batches)."""
         key = (node.schema_name, node.table.name)
         if key not in self._tables:
             raise ExecutionError(f"no in-memory table {key}")
@@ -347,9 +310,4 @@ class InMemorySource:
         projected = data.select([base for _, base in node.columns]).rename(
             {base: out for out, base in node.columns}
         )
-        return SourceResult(projected, projected.nbytes(), 0.0)
-
-    def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
-        """One granule: in-memory tables have no fetch cost to defer (the
-        pipeline's scan operator re-slices it into record batches)."""
-        yield self.scan(node)
+        yield SourceResult(projected, projected.nbytes(), 0.0)

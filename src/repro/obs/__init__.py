@@ -6,29 +6,28 @@ Everything here is simulation-clock-aware and deterministic:
   (``submit → queue → dispatch → plan → scan → merge → bill``) with
   venue/cache/price attributes, exportable as byte-stable JSON timelines.
 * :mod:`repro.obs.metrics` — a Prometheus-style registry (counters,
-  gauges, histograms) fed by hooks in the query server, coordinator, VM
-  cluster, CF service, and storage layers.
+  gauges, histograms); the venue, storage and queue-depth series are
+  derived from live component state at scrape time.
 * the six *lifecycle sinks*, written only at query transitions:
   :mod:`~repro.obs.slo` (deadline compliance), :mod:`~repro.obs.statements`
   (per-fingerprint statistics), :mod:`~repro.obs.journal` (event log +
   tail capture), :mod:`~repro.obs.ledger` (integer-nanodollar meter
   events), :mod:`~repro.obs.spend` (per-tenant totals over the ledger) and
   :mod:`~repro.obs.activity` (live progress and bill projection).
-* :mod:`repro.obs.recorder` — the query server's one writer of all of the
-  above, one method per transition.
+* :mod:`repro.obs.recorder` — the only writers of all of the above:
+  :class:`~repro.obs.recorder.QueryRecorder` for the query server,
+  :class:`~repro.obs.recorder.ExecutionRecorder` for the coordinator,
+  one method per transition each.
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer over the
   executor's per-operator profiles.
 
-:class:`Instrumentation` bundles the eight sinks and is what components
-thread through their constructors.  It carries the **one** observability
-switch, :attr:`Instrumentation.enabled`: the sinks themselves have no
-on/off state.  The default everywhere is :meth:`Instrumentation.disabled`.
-Tracer and metrics are called from dozens of fine-grained sites woven
-through execution control flow, so there a null object
-(:class:`NoopTracer`, :class:`NoopMetricsRegistry`) *is* the simplest
-guard; the lifecycle sinks are touched only at query transitions, so the
-disabled bundle holds real, empty ones that nothing writes — their
-writers test the flag instead.
+:class:`Instrumentation` bundles the eight sinks and is what the
+coordinator and the query server are handed.  It carries the **one**
+observability switch, :attr:`Instrumentation.enabled`: the sinks
+themselves have no on/off state and no inert twins.  The default
+everywhere is :meth:`Instrumentation.disabled` — eight real, empty sinks
+that nothing writes, because the flag decides once, at construction,
+whether a component gets a recorder or ``None``.
 """
 
 from __future__ import annotations
@@ -51,20 +50,14 @@ from repro.obs.profiler import (
     build_query_profile,
     render_folded,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NoopMetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.journal import CapturePolicy, QueryJournal
 from repro.obs.ledger import MeterEvent, MeterLedger
 from repro.obs.spend import SpendAccountant
 from repro.obs.slo import SloObjective, SloRecord, SloTracker
 from repro.obs.statements import StatementStore
-from repro.obs.tracer import NOOP_SPAN, NOOP_TRACER, ROOT, NoopTracer, Span, Tracer
+from repro.obs.tracer import ROOT, Span, Tracer
 
 __all__ = [
     "ActivityRegistry",
@@ -80,10 +73,6 @@ __all__ = [
     "MeterEvent",
     "MeterLedger",
     "MetricsRegistry",
-    "NoopMetricsRegistry",
-    "NoopTracer",
-    "NOOP_SPAN",
-    "NOOP_TRACER",
     "ProfileNode",
     "ProjectionGuard",
     "ProjectionRecord",
@@ -120,9 +109,10 @@ class Instrumentation:
     ledger: MeterLedger
     spend: SpendAccountant
     activity: ActivityRegistry
-    #: The only observability switch.  Writers of the lifecycle sinks test
-    #: it (the query server by holding a recorder or ``None``); readers
-    #: use it to tell "nothing happened" from "nothing was watching".
+    #: The only observability switch.  It is tested once per component,
+    #: at construction, to build a recorder or hold ``None``; after that
+    #: only readers use it, to tell "nothing happened" from "nothing was
+    #: watching".
     enabled: bool
 
     def observed(self, export: Callable[..., str], *args: object) -> str:
@@ -134,13 +124,13 @@ class Instrumentation:
 
     @staticmethod
     def disabled() -> "Instrumentation":
-        """The unobserved default: null tracer and registry, and empty
-        lifecycle sinks that are constructed but never bound, listened to
-        or written (the SLO tracker without objectives, so its report has
-        no levels rather than three empty ones)."""
+        """The unobserved default: eight empty sinks that are constructed
+        but never bound, listened to or written (the SLO tracker without
+        objectives, so its report has no levels rather than three empty
+        ones)."""
         return Instrumentation(
-            NoopTracer(),
-            NoopMetricsRegistry(),
+            Tracer(),
+            MetricsRegistry(),
             SloTracker(objectives=[]),
             StatementStore(),
             QueryJournal(),

@@ -588,7 +588,7 @@ class ActivityRegistry:
 
     # -- snapshots ------------------------------------------------------------
 
-    def snapshot(self, include_terminal: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """JSON-ready live view: one row per query in submission order,
         plus lifecycle-state counts.  Deterministic under the sim clock
         and invariant to the worker count."""
@@ -598,8 +598,6 @@ class ActivityRegistry:
         for entry in self._entries.values():
             state = self._display_state(entry, now)
             counts[state] += 1
-            if entry.terminal and not include_terminal:
-                continue
             fraction = self._window_fraction(entry, now)
             row: dict = {
                 "query_id": entry.query_id,
@@ -638,13 +636,8 @@ class ActivityRegistry:
             "queries": queries,
         }
 
-    def export_json(self, include_terminal: bool = True) -> str:
-        return (
-            json.dumps(
-                self.snapshot(include_terminal), sort_keys=True, indent=2
-            )
-            + "\n"
-        )
+    def export_json(self) -> str:
+        return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
 
     # -- estimator accuracy ---------------------------------------------------
 

@@ -244,23 +244,22 @@ class AlertEngine:
 
 def default_rules(
     levels: tuple[str, ...] = ("immediate", "relaxed"),
-    burn_threshold: float = 6.0,
     fast_window_s: float = 300.0,
     slow_window_s: float = 3600.0,
-    queue_depth_threshold: float = 20.0,
-    pending_mean_threshold_s: float = 600.0,
 ) -> list[BurnRateRule | ThresholdRule]:
     """The operator's starting rule set.
 
-    One dual-window burn-rate rule per deadline-carrying level, a VM
-    queue-depth bound (the signal that the watermark autoscaler is
-    behind demand), and a windowed mean-pending-time bound.
+    One dual-window burn-rate rule (6× budget burn) per deadline-carrying
+    level, a VM queue-depth bound of 20 (the signal that the watermark
+    autoscaler is behind demand), and a windowed mean-pending-time bound
+    of 10 minutes.  An operator who wants other thresholds passes their
+    own rules to ``PixelsDB(alert_rules=...)``.
     """
     rules: list[BurnRateRule | ThresholdRule] = [
         BurnRateRule(
             name=f"{level}_burn_rate",
             level=level,
-            threshold=burn_threshold,
+            threshold=6.0,
             fast_window_s=fast_window_s,
             slow_window_s=slow_window_s,
         )
@@ -270,14 +269,14 @@ def default_rules(
         ThresholdRule(
             name="vm_queue_depth",
             metric="pixels_vm_queue_depth",
-            threshold=queue_depth_threshold,
+            threshold=20.0,
         )
     )
     rules.append(
         ThresholdRule(
             name="pending_time_mean",
             metric="pixels_query_pending_seconds",
-            threshold=pending_mean_threshold_s,
+            threshold=600.0,
             kind="histogram_mean",
             window_s=slow_window_s,
         )

@@ -3,16 +3,20 @@
 Three instrument kinds — :class:`Counter`, :class:`Gauge`,
 :class:`Histogram` — with optional labels, owned by a
 :class:`MetricsRegistry` that renders the Prometheus text exposition
-format.  Components create instruments once at construction
-(``registry.counter(...)`` is get-or-create) and update them on the hot
-path; *derived* series that mirror state held elsewhere (queue depths,
-buffer-pool occupancy, the object store's cumulative counters) are
-refreshed lazily by collector callbacks that run just before each
-render, so they cost nothing between scrapes.
+format.  The recorders create instruments once at construction
+(``registry.counter(...)`` is get-or-create) and update them at query
+transitions; *derived* series that mirror state held elsewhere (queue depths,
+the venues' worker and invocation counts, buffer-pool occupancy, the
+object store's cumulative counters) are refreshed lazily by collector
+callbacks that run just before each render, so they cost nothing between
+scrapes.
 
-:class:`NoopMetricsRegistry` is the disabled twin: its instruments
-swallow updates and its exposition is empty, so instrumented components
-pay one no-op call per update when observability is off.
+There is no inert twin: instruments are registered and updated only by
+the two recorders in :mod:`repro.obs.recorder` (and the activity
+registry's binding), none of which an unobserved stack builds, so the
+registry in :meth:`Instrumentation.disabled()
+<repro.obs.Instrumentation.disabled>` is a real one whose exposition
+stays empty.
 """
 
 from __future__ import annotations
@@ -372,70 +376,3 @@ class MetricsRegistry:
                     f"{sample_name}{_render_labels(key)} {_format_value(value)}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-class _NoopInstrument:
-    """Swallows every update; reads back as empty/zero."""
-
-    kind = "noop"
-    name = ""
-    help = ""
-    buckets: tuple[float, ...] = ()
-
-    def inc(self, value: float = 1.0, **labels: object) -> None:
-        return None
-
-    def dec(self, value: float = 1.0, **labels: object) -> None:
-        return None
-
-    def set(self, value: float, **labels: object) -> None:
-        return None
-
-    def set_total(self, value: float, **labels: object) -> None:
-        return None
-
-    def observe(self, value: float, **labels: object) -> None:
-        return None
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-    def count(self, **labels: object) -> int:
-        return 0
-
-    def sum(self, **labels: object) -> float:
-        return 0.0
-
-    def quantile(self, q: float, **labels: object) -> float | None:
-        return None
-
-    def samples(self) -> list:
-        return []
-
-
-#: Shared inert instrument returned by every NoopMetricsRegistry factory.
-NOOP_INSTRUMENT = _NoopInstrument()
-
-
-class NoopMetricsRegistry(MetricsRegistry):
-    """Registry that records nothing and renders an empty exposition."""
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return NOOP_INSTRUMENT  # type: ignore[return-value]
-
-    def add_collector(self, collect: Callable[[], None]) -> None:
-        return None
-
-    def render(self) -> str:
-        return ""

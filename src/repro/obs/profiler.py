@@ -15,10 +15,8 @@ Dollars are handled as **integer nanodollars** with largest-remainder
 rounding, so the per-node attributed amounts sum *exactly* — not merely
 approximately — to the billed price.  Everything here is derived from
 virtual-clock spans and modelled operator times, so the folded-stack and
-flame-graph exports are byte-reproducible across same-seed runs; the one
-exception is the opt-in ``wall`` view over
-:attr:`~repro.engine.executor.OperatorProfile.wall_time_s`, which is
-real ``perf_counter`` time and is excluded from determinism tests.
+flame-graph exports are byte-reproducible across same-seed runs.  Real
+elapsed time is measured from outside, by ``benchmarks/layers``.
 
 Export formats:
 
@@ -57,7 +55,6 @@ class ProfileNode:
     name: str
     kind: str  # "span" | "operator"
     self_time_s: float = 0.0
-    self_wall_s: float = 0.0
     bytes_scanned: int = 0  # self bytes
     get_requests: int = 0  # self GETs
     footer_gets: int = 0  # request-class split of self GETs
@@ -74,10 +71,6 @@ class ProfileNode:
     @property
     def cum_time_s(self) -> float:
         return self.self_time_s + sum(c.cum_time_s for c in self.children)
-
-    @property
-    def cum_wall_s(self) -> float:
-        return self.self_wall_s + sum(c.cum_wall_s for c in self.children)
 
     @property
     def cum_bytes(self) -> int:
@@ -149,15 +142,11 @@ def _operator_to_node(profile: OperatorProfile) -> ProfileNode:
     self_chunk_gets = profile.chunk_gets - sum(
         c.chunk_gets for c in profile.children
     )
-    self_wall = profile.wall_time_s - sum(
-        c.wall_time_s for c in profile.children
-    )
     self_morsels = profile.morsels - sum(c.morsels for c in profile.children)
     return ProfileNode(
         name=profile.name,
         kind="operator",
         self_time_s=profile.self_time_s,
-        self_wall_s=max(0.0, self_wall),
         bytes_scanned=max(0, self_bytes),
         get_requests=max(0, self_gets),
         footer_gets=max(0, self_footer_gets),
@@ -280,9 +269,6 @@ class QueryProfile:
     def folded_dollars(self) -> str:
         return render_folded(self.root, "dollars")
 
-    def folded_wall(self) -> str:
-        return render_folded(self.root, "wall")
-
     # -- flame graphs --------------------------------------------------------
 
     def flamegraph_time_svg(self, title: str | None = None) -> str:
@@ -303,8 +289,6 @@ class QueryProfile:
 def _node_value(node: ProfileNode, value: str) -> int:
     if value == "time":
         return round(node.self_time_s * 1_000_000)  # µs
-    if value == "wall":
-        return round(node.self_wall_s * 1_000_000)  # µs
     if value == "dollars":
         return node.self_nanodollars
     raise ValueError(f"unknown profile value {value!r}")
@@ -314,9 +298,8 @@ def render_folded(root: ProfileNode, value: str = "time") -> str:
     """flamegraph.pl-compatible folded stacks.
 
     One line per tree node with a nonzero self value:
-    ``frame;frame;frame <int>`` — µs for ``time``/``wall``, nanodollars
-    for ``dollars``.  Deterministic for the virtual views (``time``,
-    ``dollars``); ``wall`` is real elapsed time and is not.
+    ``frame;frame;frame <int>`` — µs for ``time``, nanodollars for
+    ``dollars``; both views are virtual and deterministic.
     """
     lines: list[str] = []
 

@@ -1,26 +1,40 @@
-"""The query server's one window onto observability.
+"""The only two writers of observability: one per layer that has a story.
 
-A query's life is a handful of transitions — submitted, downgraded,
-rejected, queued, dispatched, cancelled while held, completed, judged by
-the projection guard — and each of them feeds several sinks at once: a
-span, a journal line, a ledger event, an activity state, a counter.
-:class:`QueryRecorder` has one method per transition and is the *only*
-writer of the six lifecycle sinks (SLO tracker, statement store, journal,
-ledger, spend accountant via the ledger, activity registry), of the
-per-query ``query`` / ``submit`` / ``queue`` / ``dispatch`` / ``bill``
-spans, and of the server's instruments.  The server holds one, or
-``None`` when unobserved, so each transition costs it a single guarded
-call and it knows no sink by name.
+A query's life is a handful of transitions, and each of them feeds
+several sinks at once: a span, a journal line, a ledger event, an
+activity state, a counter.  Two classes own those writes, one method per
+transition, and nothing outside this module starts a span, registers an
+instrument or touches a lifecycle sink:
+
+* :class:`QueryRecorder` — the query server's transitions: submitted,
+  downgraded, rejected, queued, dispatched, cancelled while held,
+  completed, judged by the projection guard.  It writes the six
+  lifecycle sinks (SLO tracker, statement store, journal, ledger, spend
+  accountant via the ledger, activity registry), the per-query ``query``
+  / ``submit`` / ``queue`` / ``dispatch`` / ``bill`` spans and the
+  server's instruments.
+* :class:`ExecutionRecorder` — the coordinator's transitions: planned,
+  VM-queued, attempt started, attempt measured, execution window opened,
+  provider charged, CF fan-out invoked and returned, attempt ended,
+  finished.  It writes the ``plan`` / ``vm_queue`` / ``execute`` /
+  ``scan`` / ``merge`` / ``cf_invoke`` spans, the provider-account ledger
+  rows, the activity registry's execution windows and the execution
+  instruments, and it owns the scrape-time collector that derives the
+  venue and storage series from state those components already keep.
+
+Each owner holds its recorder, or ``None`` when unobserved, so a
+transition costs it a single guarded call and it knows no sink by name.
 
 **Call order is the format.**  Span ids, journal ``seq`` and ledger
 ``seq`` are counters, and the sinks read each other (journal and ledger
 rows carry the tracer's root span id, the activity registry reads the
 statement store's priors, the spend accountant listens to the ledger), so
-the order in which a method touches the sinks is part of every export.
-Reordering two calls inside a method changes bytes on disk.
+the order in which a method touches the sinks — and the order in which
+an owner calls the methods — is part of every export.  Reordering two
+calls changes bytes on disk.
 
-The recorder derives nothing the bill depends on: ``record.price`` and
-``record.price_nanodollars`` are set by the server before
+Neither recorder derives anything the bill depends on: ``record.price``
+and ``record.price_nanodollars`` are set by the server before
 :meth:`QueryRecorder.completed` runs; the cost model's meter reading is
 taken here only for the per-resource split the ledger, the statement
 store and the activity registry report.
@@ -36,18 +50,20 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.scheduler import HELD_LEVELS, LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
-from repro.obs.fingerprint import Fingerprint, fingerprint
+from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
     ADMISSION_REJECTIONS_METRIC,
     GUARD_DECISIONS_METRIC,
     SCHEDULER_QUEUE_DEPTH_METRIC,
 )
+from repro.obs.profiler import NANOS_PER_DOLLAR
 from repro.obs.slo import SLACK_BUCKETS
 from repro.obs.tracer import ROOT, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query_server import ServerQuery
+    from repro.engine.executor import QueryResult, QueryStats
     from repro.obs import Instrumentation
     from repro.obs.activity import GuardDecision
     from repro.obs.profiler import QueryProfile
@@ -557,4 +573,309 @@ class QueryRecorder:
                 level=level_value,
                 slack_s=round(slack, 9) if slack is not None else None,
                 billed_dollars=round(record.price, 12),
+            )
+
+
+class ExecutionRecorder:
+    """Writes every sink a coordinator transition feeds, in one place.
+
+    It keeps no per-query state: the span an attempt opened is found
+    again through :meth:`Tracer.last`, so the coordinator's completion
+    and crash continuations capture no span, and a fan-out relaunched
+    for a query cancelled mid-invocation still parents under that
+    query's (closed) ``execute`` span.
+    """
+
+    def __init__(self, obs: "Instrumentation", coordinator: "Coordinator") -> None:
+        """``coordinator`` is read only at scrape time, for the venues,
+        store and VM pool the derived series mirror."""
+        self._tracer = obs.tracer
+        self._ledger = obs.ledger
+        self._activity = obs.activity
+        self._registry = registry = obs.metrics
+        self._coordinator = coordinator
+        self._m_queries = registry.counter(
+            "pixels_queries_total", "Finished queries by venue and status"
+        )
+        self._m_bytes = registry.counter(
+            "pixels_bytes_scanned_total", "Logical bytes scanned (billing basis)"
+        )
+        self._m_provider = registry.counter(
+            "pixels_provider_cost_dollars_total",
+            "Infrastructure spend accrued by venue",
+        )
+        self._m_retries = registry.counter(
+            "pixels_query_retries_total", "Execution retries by venue"
+        )
+        self._m_exec_seconds = registry.histogram(
+            "pixels_query_execution_seconds", "Simulated execution time by venue"
+        )
+        self._m_vm_workers = registry.gauge(
+            "pixels_vm_workers", "Active VM workers"
+        )
+        self._m_vm_queue = registry.gauge(
+            "pixels_vm_queue_depth", "Tasks waiting for a VM slot"
+        )
+        self._m_vm_concurrency = registry.gauge(
+            "pixels_vm_concurrency", "Running + queued VM tasks"
+        )
+        self._m_vm_watermark = registry.counter(
+            "pixels_vm_watermark_crossings_total",
+            "Autoscaler actions by watermark crossed",
+        )
+        self._m_cf_invocations = registry.counter(
+            "pixels_cf_invocations_total", "CF fan-outs launched"
+        )
+        self._m_cf_worker_seconds = registry.counter(
+            "pixels_cf_worker_seconds_total", "Billed CF worker-seconds"
+        )
+        self._m_cf_active = registry.gauge(
+            "pixels_cf_active_workers", "Currently running CF workers"
+        )
+        registry.add_collector(self._collect_venue_metrics)
+        registry.add_collector(self._collect_storage_metrics)
+
+    @classmethod
+    def observing(
+        cls, obs: "Instrumentation", coordinator: "Coordinator"
+    ) -> "ExecutionRecorder | None":
+        """A recorder over ``obs`` when the bundle is observed, else
+        ``None`` — the coordinator's one guard."""
+        return cls(obs, coordinator) if obs.enabled else None
+
+    # -- derived series ---------------------------------------------------------
+
+    def _collect_venue_metrics(self) -> None:
+        """Derive the VM and CF series from venue state at scrape time.
+
+        A series has no sample before its first event: the VM gauges
+        exist from construction, each ``watermark=`` label from the first
+        crossing, the three CF series from the first invocation.  Event
+        counts are floats, as ``Counter.inc`` would have made them — the
+        time-series export prints ``14.0`` and ``14`` differently.
+        """
+        vm = self._coordinator.vm_cluster
+        cf = self._coordinator.cf_service
+        self._m_vm_workers.set(vm.num_workers)
+        self._m_vm_queue.set(vm.queue_length)
+        self._m_vm_concurrency.set(vm.concurrency)
+        if vm.scale_out_events:
+            self._m_vm_watermark.set_total(
+                float(vm.scale_out_events), watermark="high"
+            )
+        if vm.scale_in_events:
+            self._m_vm_watermark.set_total(
+                float(vm.scale_in_events), watermark="low"
+            )
+        invocations = len(cf.invocations)
+        if invocations:
+            self._m_cf_invocations.set_total(float(invocations))
+            self._m_cf_worker_seconds.set_total(cf.total_worker_seconds())
+            self._m_cf_active.set(cf.active_workers)
+
+    def _collect_storage_metrics(self) -> None:
+        """Mirror storage/cache counters into the registry at scrape time."""
+        registry = self._registry
+        metrics = self._coordinator.store.metrics
+        pool = self._coordinator.vm_buffer_pool
+        store_total = registry.counter(
+            "pixels_store_requests_total", "Object store requests by kind"
+        )
+        store_total.set_total(metrics.get_requests, kind="get")
+        store_total.set_total(metrics.put_requests, kind="put")
+        store_bytes = registry.counter(
+            "pixels_store_bytes_total", "Object store payload bytes by direction"
+        )
+        store_bytes.set_total(metrics.bytes_read, direction="read")
+        store_bytes.set_total(metrics.bytes_written, direction="written")
+        registry.counter(
+            "pixels_logical_bytes_scanned_total",
+            "Logical (billed) bytes scanned across every reader",
+        ).set_total(metrics.logical_bytes_scanned)
+        cache_events = registry.counter(
+            "pixels_cache_events_total", "Buffer-pool events by kind and outcome"
+        )
+        cache_events.set_total(metrics.footer_cache_hits, kind="footer", outcome="hit")
+        cache_events.set_total(
+            metrics.footer_cache_misses, kind="footer", outcome="miss"
+        )
+        cache_events.set_total(metrics.chunk_cache_hits, kind="chunk", outcome="hit")
+        cache_events.set_total(metrics.chunk_cache_misses, kind="chunk", outcome="miss")
+        cache_events.set_total(
+            metrics.chunk_cache_evictions, kind="chunk", outcome="eviction"
+        )
+        if pool is not None:
+            registry.gauge(
+                "pixels_vm_pool_chunk_bytes", "VM buffer pool occupancy in bytes"
+            ).set(pool.cached_chunk_bytes)
+            registry.gauge(
+                "pixels_vm_pool_entries", "VM buffer pool entries by kind"
+            ).set(pool.cached_footers, kind="footer")
+            registry.gauge("pixels_vm_pool_entries", "").set(
+                pool.cached_chunks, kind="chunk"
+            )
+
+    # -- transitions ------------------------------------------------------------
+
+    def planned(
+        self,
+        execution: "QueryExecution",
+        plan: object = None,
+        error: str | None = None,
+        batch: bool = False,
+    ) -> None:
+        """Planning ended: with ``plan`` (its shape hash becomes the
+        execution's statement-store plan identity) or with ``error``."""
+        attrs: dict[str, object] = {"batch": True} if batch else {}
+        span = self._tracer.start(execution.query_id, "plan", **attrs)
+        if error is not None:
+            span.finish("error", error=error)
+            return
+        span.finish("ok")
+        execution.plan_shape = plan_shape_hash(plan)
+
+    def vm_queued(self, execution: "QueryExecution") -> None:
+        """The query asked the VM cluster for a slot — again, if it has
+        retries behind it (a worker crashed under the last attempt)."""
+        if execution.retries:
+            self._m_retries.inc(venue="vm")
+        self._tracer.start(execution.query_id, "vm_queue")
+
+    def attempt_started(self, execution: "QueryExecution", **attrs: object) -> None:
+        """``execution.venue`` began running the plan; ``attrs`` (worker,
+        batch shape) label the ``execute`` span with it.  Ends the VM
+        queue wait, if there was one."""
+        queue = self._tracer.last(execution.query_id, "vm_queue")
+        if queue is not None:
+            queue.finish("ok")
+        self._tracer.start(
+            execution.query_id, "execute", venue=execution.venue.value, **attrs
+        )
+
+    def attempt_measured(
+        self,
+        execution: "QueryExecution",
+        scanned: "QueryStats",
+        merged: "QueryStats | None" = None,
+        merged_batches: int = 0,
+    ) -> None:
+        """The engine ran the plan: an instant ``scan`` child carrying
+        the scan-side accounting and, for a CF attempt (``merged`` is the
+        top-level plan's stats), the ``merge`` child and the fan-out
+        width."""
+        query_id = execution.query_id
+        execute = self._tracer.last(query_id, "execute")
+        self._tracer.start(
+            query_id,
+            "scan",
+            parent=execute,
+            bytes_scanned=scanned.bytes_scanned,
+            rows_scanned=scanned.rows_scanned,
+            get_requests=scanned.get_requests,
+            cache_hits=scanned.cache_hits,
+            cache_misses=scanned.cache_misses,
+            row_groups_skipped=scanned.row_groups_skipped,
+        ).finish("ok")
+        if merged is not None:
+            self._tracer.start(
+                query_id,
+                "merge",
+                parent=execute,
+                rows_produced=merged.rows_produced,
+                batches=merged_batches,
+            ).finish("ok")
+            execute.set(cf_workers=execution.cf_workers)
+
+    def window_opened(
+        self,
+        execution: "QueryExecution",
+        duration_s: float,
+        stats: "QueryStats",
+        merge_at: float | None = None,
+    ) -> None:
+        """The attempt occupies its venue over ``[now, now + duration_s]``:
+        the live activity registry derives progress and bill projections
+        from this window (a no-op for queries never submitted through a
+        query server)."""
+        self._activity.begin_execution(
+            execution.query_id,
+            venue=execution.venue.value,
+            duration_s=duration_s,
+            profile=execution.profile,
+            stats=stats,
+            merge_at=merge_at,
+        )
+
+    def provider_charged(self, execution: "QueryExecution", cost: float) -> None:
+        """Provider-side spend accrued: the metric plus a provider-account
+        meter event in the ledger (the operator's worker-second bill for
+        this query at its venue)."""
+        venue = execution.venue.value
+        self._m_provider.inc(cost, venue=venue)
+        self._ledger.charge(
+            execution.query_id,
+            axis="compute",
+            nanodollars=round(cost * NANOS_PER_DOLLAR),
+            account="provider",
+            venue=venue,
+        )
+
+    def cf_invoked(self, execution: "QueryExecution") -> None:
+        """A CF fan-out was launched — again, if the execution has
+        retries behind it: the previous invocation failed."""
+        query_id = execution.query_id
+        if execution.retries:
+            self._tracer.last(query_id, "cf_invoke").finish(
+                "retry", reason="cf invocation failed"
+            )
+            self._m_retries.inc(venue="cf")
+        self._tracer.start(
+            query_id,
+            "cf_invoke",
+            parent=self._tracer.last(query_id, "execute"),
+            workers=execution.cf_workers,
+            attempt=execution.retries,
+        )
+
+    def attempt_ended(
+        self,
+        execution: "QueryExecution",
+        status: str,
+        result: "QueryResult | None" = None,
+        provider_cost: float | None = None,
+        **failure: object,
+    ) -> None:
+        """The ``execute`` attempt is over — ``ok`` (with its ``result``
+        and what it cost the provider), ``retry`` (the worker crashed and
+        the query goes round again) or ``error`` — and with it the CF
+        fan-out still in flight, if any.  ``failure`` (``error=`` or
+        ``reason=``) labels both spans."""
+        attrs = dict(failure)
+        invoke = self._tracer.last(execution.query_id, "cf_invoke")
+        if invoke is not None:
+            invoke.finish(status, **attrs)
+        if result is not None:
+            attrs["bytes_scanned"] = result.stats.bytes_scanned
+        if provider_cost is not None:
+            attrs["provider_cost"] = provider_cost
+        self._tracer.last(execution.query_id, "execute").finish(status, **attrs)
+
+    def finished(self, execution: "QueryExecution", status: str) -> None:
+        """The execution reached a terminal state: ``ok``, ``error`` or
+        ``cancelled``."""
+        venue = execution.venue.value if execution.venue is not None else "none"
+        self._m_queries.inc(venue=venue, status=status)
+        if status == "ok":
+            self._m_bytes.inc(execution.result.stats.bytes_scanned)
+            if execution.execution_time_s is not None:
+                self._m_exec_seconds.observe(
+                    execution.execution_time_s, venue=venue
+                )
+        else:
+            # No failure path may leak an open span: whatever the query
+            # still has open (the execute attempt an engine error or a
+            # cancel cut short, a queue span, the server's root) closes
+            # here, with the failure status and message.
+            self._tracer.end_open(
+                execution.query_id, status, error=execution.error
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
 from repro.obs.profiler import NANOS_PER_DOLLAR, split_attribution_nanodollars
@@ -99,10 +99,7 @@ class StatementStore:
     """Fingerprint × level × tenant aggregation with deterministic
     exports."""
 
-    def __init__(
-        self, time_buckets: Iterable[float] = STATEMENT_TIME_BUCKETS
-    ) -> None:
-        self._time_buckets = tuple(time_buckets)
+    def __init__(self) -> None:
         self._entries: dict[tuple[str, str, str], StatementEntry] = {}
 
     def record(
@@ -136,7 +133,7 @@ class StatementStore:
                 tenant=tenant,
                 parsed=fingerprint.parsed,
                 time_histogram=Histogram(
-                    "statement_time_seconds", buckets=self._time_buckets
+                    "statement_time_seconds", buckets=STATEMENT_TIME_BUCKETS
                 ),
             )
             self._entries[key] = entry

@@ -11,11 +11,11 @@ innermost open span of its trace, and subsequent spans of the same trace
 become its children until it finishes.  An explicit ``parent`` (or
 ``parent=ROOT`` for a forced root) overrides this.
 
-The default tracer everywhere is :data:`NOOP_TRACER`: its ``start``
-returns a shared inert span and records nothing, so instrumentation has
-no cost when observability is off.  Callers guard any *expensive*
-attribute computation behind :attr:`Instrumentation.enabled
-<repro.obs.Instrumentation.enabled>`, the one observability flag.
+There is no inert twin.  The two recorders in :mod:`repro.obs.recorder`
+are the only callers of :meth:`Tracer.start`, and an unobserved stack
+builds neither of them, so the tracer in
+:meth:`Instrumentation.disabled() <repro.obs.Instrumentation.disabled>`
+is a real one that simply stays empty.
 """
 
 from __future__ import annotations
@@ -73,23 +73,6 @@ class Span:
         self.attributes.update(attributes)
         self.status = status
         self._tracer._finish(self)
-
-
-class _NoopSpan(Span):
-    """The shared inert span returned by :class:`NoopTracer`."""
-
-    def __init__(self) -> None:
-        super().__init__(span_id=-1, trace_id="", name="", start=0.0)
-
-    def set(self, **attributes: object) -> "Span":
-        return self
-
-    def finish(self, status: str = "ok", **attributes: object) -> None:
-        return None
-
-
-#: Singleton inert span — what every ``NoopTracer.start`` returns.
-NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
@@ -170,6 +153,15 @@ class Tracer:
     def open_spans(self, trace_id: str) -> list[Span]:
         return list(self._open.get(trace_id, []))
 
+    def last(self, trace_id: str, name: str) -> Span | None:
+        """The most recently started span called ``name`` in the trace,
+        open or closed — how a writer finds the attempt it is closing (or
+        parenting under) without carrying the span through a callback."""
+        for span in reversed(self._spans.get(trace_id, ())):
+            if span.name == name:
+                return span
+        return None
+
     # -- export --------------------------------------------------------------
 
     def timeline(self, trace_id: str) -> dict:
@@ -204,27 +196,3 @@ class Tracer:
             sort_keys=True,
             indent=2,
         )
-
-
-class NoopTracer(Tracer):
-    """Tracer that records nothing; ``start`` returns :data:`NOOP_SPAN`.
-
-    This is the zero-cost-when-disabled path: one attribute lookup and
-    one call per would-be span, no allocation, no bookkeeping.
-    """
-
-    def start(
-        self,
-        trace_id: str,
-        name: str,
-        parent: Span | object | None = None,
-        **attributes: object,
-    ) -> Span:
-        return NOOP_SPAN
-
-    def end_open(self, trace_id: str, status: str = "ok", **attributes: object) -> int:
-        return 0
-
-
-#: Shared default tracer for un-instrumented components.
-NOOP_TRACER = NoopTracer()

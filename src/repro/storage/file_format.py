@@ -230,19 +230,18 @@ class PixelsReader:
         bucket: str,
         key: str,
         cache: "BufferPool | None" = None,
-        max_coalesce_gap: int | None = None,
         footer: FileFooter | None = None,
     ) -> None:
         self._store = store
         self._bucket = bucket
         self._key = key
         self._cache = cache
-        if max_coalesce_gap is not None:
-            self._max_gap = max_coalesce_gap
-        elif cache is not None:
-            self._max_gap = cache.config.max_coalesce_gap_bytes
-        else:
-            self._max_gap = DEFAULT_COALESCE_GAP_BYTES
+        # The pool's config is the one place the gap budget is set.
+        self._max_gap = (
+            cache.config.max_coalesce_gap_bytes
+            if cache is not None
+            else DEFAULT_COALESCE_GAP_BYTES
+        )
         # An injected footer (the morsel driver prefetches footers once on
         # the coordinator) skips the footer read *and* its accounting — the
         # prefetch already accounted it exactly once.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.executor import QueryExecutor, QueryResult, QueryStats
 from repro.engine.plan import PlanNode, Scan, plan_scans
-from repro.engine.source import DataSource, InMemorySource, SourceResult
+from repro.engine.source import DataSource, InMemorySource
 from repro.storage.cache import BufferPool
 from repro.storage.object_store import ObjectStore
 from repro.storage.table import TableReader
@@ -60,24 +60,12 @@ class _SharedSource:
         self._shared = shared
         self._fallback = fallback
 
-    def scan(self, node: Scan) -> SourceResult:
-        try:
-            return self._shared.scan(node)
-        except Exception:
-            return self._fallback.scan(node)
-
     def scan_batches(self, node: Scan):
-        # Resolve the venue eagerly (a lazy generator would defer the
-        # shared-vs-fallback probe to first pull); shared tables stream as
-        # one in-memory granule, everything else keeps the fallback's
-        # laziness.
-        from repro.engine.source import iter_source_batches
-
-        try:
-            result = self._shared.scan(node)
-        except Exception:
-            return iter_source_batches(self._fallback, node)
-        return iter([result])
+        # Shared tables stream as one in-memory granule, everything else
+        # keeps the fallback's laziness.
+        if self._shared.has_table(node.schema_name, node.table.name):
+            return self._shared.scan_batches(node)
+        return self._fallback.scan_batches(node)
 
 
 def union_columns(plans: list[PlanNode]) -> dict[tuple[str, str], set[str]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs import Instrumentation
 from repro.sim import Simulator, Trace
 from repro.turbo.config import CfConfig, VmConfig
 
@@ -38,25 +37,17 @@ class CfService:
         config: CfConfig,
         vm_config: VmConfig,
         trace: Trace | None = None,
-        obs: Instrumentation | None = None,
     ) -> None:
         self._sim = sim
         self._config = config
         self._vm_config = vm_config
         self.trace = trace if trace is not None else Trace()
-        self.obs = obs if obs is not None else Instrumentation.disabled()
-        registry = self.obs.metrics
-        self._m_invocations = registry.counter(
-            "pixels_cf_invocations_total", "CF fan-outs launched"
-        )
-        self._m_worker_seconds = registry.counter(
-            "pixels_cf_worker_seconds_total", "Billed CF worker-seconds"
-        )
-        self._m_active = registry.gauge(
-            "pixels_cf_active_workers", "Currently running CF workers"
-        )
         self._active_workers = 0
         self._invocations: list[CfInvocation] = []
+        # A running total, not ``sum()`` over the invocations: the metrics
+        # exposition prints it to the last digit, and ``sum()`` of floats
+        # is compensated from Python 3.12 on while ``+=`` is not.
+        self._worker_seconds = 0.0
 
     @property
     def config(self) -> CfConfig:
@@ -71,7 +62,7 @@ class CfService:
         return list(self._invocations)
 
     def total_worker_seconds(self) -> float:
-        return sum(invocation.worker_seconds for invocation in self._invocations)
+        return self._worker_seconds
 
     def provider_cost(self) -> float:
         return sum(invocation.provider_cost for invocation in self._invocations)
@@ -104,14 +95,11 @@ class CfService:
         )
         self._invocations.append(invocation)
         self._active_workers += num_workers
-        self._m_invocations.inc()
-        self._m_worker_seconds.inc(worker_seconds)
-        self._m_active.set(self._active_workers)
+        self._worker_seconds += worker_seconds
         self.trace.record("cf.active_workers", self._sim.now, self._active_workers)
 
         def finish() -> None:
             self._active_workers -= num_workers
-            self._m_active.set(self._active_workers)
             self.trace.record(
                 "cf.active_workers", self._sim.now, self._active_workers
             )

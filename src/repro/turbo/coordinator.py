@@ -20,7 +20,7 @@ Execution paths:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import NoSuchQueryError, PixelsError
@@ -33,8 +33,8 @@ from repro.engine.executor import (
 from repro.engine.optimizer import Optimizer
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
-from repro.obs import Instrumentation, plan_shape_hash, render_analyzed_plan
-from repro.obs.profiler import NANOS_PER_DOLLAR
+from repro.obs import Instrumentation, render_analyzed_plan
+from repro.obs.recorder import ExecutionRecorder
 from repro.sim import Simulator, Trace
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import Catalog
@@ -173,10 +173,8 @@ class Coordinator:
         # stays warm across every VM-executed query.  CF invocations get a
         # fresh pool each (see _run_on_cf) — functions cold-start.
         self.vm_buffer_pool = BufferPool.from_config(store, config.cache)
-        self.vm_cluster = VmCluster(sim, config.vm, self.trace, obs=self.obs)
-        self.cf_service = CfService(
-            sim, config.cf, config.vm, self.trace, obs=self.obs
-        )
+        self.vm_cluster = VmCluster(sim, config.vm, self.trace)
+        self.cf_service = CfService(sim, config.cf, config.vm, self.trace)
         self.cost_model = CostModel(config)
         self._optimizer = Optimizer()
         self._executions: dict[str, QueryExecution] = {}
@@ -189,79 +187,27 @@ class Coordinator:
             if faults is not None
             else None
         )
-        registry = self.obs.metrics
-        self._m_queries = registry.counter(
-            "pixels_queries_total", "Finished queries by venue and status"
-        )
-        self._m_bytes = registry.counter(
-            "pixels_bytes_scanned_total", "Logical bytes scanned (billing basis)"
-        )
-        self._m_provider = registry.counter(
-            "pixels_provider_cost_dollars_total",
-            "Infrastructure spend accrued by venue",
-        )
-        self._m_retries = registry.counter(
-            "pixels_query_retries_total", "Execution retries by venue"
-        )
-        self._m_exec_seconds = registry.histogram(
-            "pixels_query_execution_seconds", "Simulated execution time by venue"
-        )
-        registry.add_collector(self._collect_storage_metrics)
+        #: The one writer of execution spans, provider-account ledger
+        #: rows, activity windows and the execution, venue and storage
+        #: instruments; None when unobserved, so an unobserved coordinator
+        #: runs no sink code at all.
+        self._recorder = ExecutionRecorder.observing(self.obs, self)
 
-    def _meter_provider(self, query_id: str, cost: float, venue: str) -> None:
-        """Accrue provider-side spend: the metric plus a provider-account
-        meter event in the ledger (the operator's worker-second bill for
-        this query at this venue)."""
-        self._m_provider.inc(cost, venue=venue)
-        if self.obs.enabled:
-            self.obs.ledger.charge(
-                query_id,
-                axis="compute",
-                nanodollars=round(cost * NANOS_PER_DOLLAR),
-                account="provider",
-                venue=venue,
-            )
+    def _executor(self, pool: BufferPool | None) -> QueryExecutor:
+        """An executor reading through ``pool`` — the warm VM pool or a CF
+        invocation's private one."""
+        return QueryExecutor(
+            ObjectStoreSource(self._store, cache=pool),
+            batch_size=self._config.batch_size,
+            workers=self._config.workers or None,
+        )
 
-    def _collect_storage_metrics(self) -> None:
-        """Mirror storage/cache counters into the registry at scrape time."""
-        registry = self.obs.metrics
-        metrics = self._store.metrics
-        store_total = registry.counter(
-            "pixels_store_requests_total", "Object store requests by kind"
-        )
-        store_total.set_total(metrics.get_requests, kind="get")
-        store_total.set_total(metrics.put_requests, kind="put")
-        store_bytes = registry.counter(
-            "pixels_store_bytes_total", "Object store payload bytes by direction"
-        )
-        store_bytes.set_total(metrics.bytes_read, direction="read")
-        store_bytes.set_total(metrics.bytes_written, direction="written")
-        registry.counter(
-            "pixels_logical_bytes_scanned_total",
-            "Logical (billed) bytes scanned across every reader",
-        ).set_total(metrics.logical_bytes_scanned)
-        cache_events = registry.counter(
-            "pixels_cache_events_total", "Buffer-pool events by kind and outcome"
-        )
-        cache_events.set_total(metrics.footer_cache_hits, kind="footer", outcome="hit")
-        cache_events.set_total(
-            metrics.footer_cache_misses, kind="footer", outcome="miss"
-        )
-        cache_events.set_total(metrics.chunk_cache_hits, kind="chunk", outcome="hit")
-        cache_events.set_total(metrics.chunk_cache_misses, kind="chunk", outcome="miss")
-        cache_events.set_total(
-            metrics.chunk_cache_evictions, kind="chunk", outcome="eviction"
-        )
-        if self.vm_buffer_pool is not None:
-            registry.gauge(
-                "pixels_vm_pool_chunk_bytes", "VM buffer pool occupancy in bytes"
-            ).set(self.vm_buffer_pool.cached_chunk_bytes)
-            registry.gauge(
-                "pixels_vm_pool_entries", "VM buffer pool entries by kind"
-            ).set(self.vm_buffer_pool.cached_footers, kind="footer")
-            registry.gauge("pixels_vm_pool_entries", "").set(
-                self.vm_buffer_pool.cached_chunks, kind="chunk"
-            )
+    def _charge(self, execution: QueryExecution, cost: float) -> None:
+        """Accrue provider-side spend (the operator's worker-second bill
+        for this query at its venue)."""
+        execution.provider_cost += cost
+        if self._recorder is not None:
+            self._recorder.provider_charged(execution, cost)
 
     @property
     def config(self) -> TurboConfig:
@@ -319,30 +265,13 @@ class Coordinator:
         carries the submitter's scheduling story (queue wait, admission
         verdict) into EXPLAIN ANALYZE's ``pending:`` header.
         """
-        if query_id is None:
-            self._query_counter += 1
-            query_id = f"q-{self._query_counter}"
-        if query_id in self._executions:
-            raise PixelsError(f"duplicate query id {query_id!r}")
-        execution = QueryExecution(
-            query_id=query_id,
-            sql=sql,
-            submitted_at=self._sim.now,
-            cf_enabled=cf_enabled,
-            submit_context=submit_context,
-            on_complete=on_complete,
+        execution = self._register(
+            sql, query_id, cf_enabled, on_complete, submit_context
         )
-        self._executions[query_id] = execution
-        plan_span = self.obs.tracer.start(query_id, "plan")
-        try:
-            plan, explain_mode = self._prepare(sql)
-        except PixelsError as error:
-            plan_span.finish("error", error=str(error))
-            self._fail(execution, str(error))
+        planned = self._plan(execution)
+        if planned is None:
             return execution
-        plan_span.finish("ok")
-        if self.obs.enabled:
-            execution.plan_shape = plan_shape_hash(plan)
+        plan, explain_mode = planned
         if explain_mode == "plan":
             # Pure EXPLAIN renders without occupying any venue and bills
             # nothing (no bytes are scanned).
@@ -361,6 +290,52 @@ class Coordinator:
         else:
             self._run_on_vm(execution, plan)
         return execution
+
+    def _register(
+        self,
+        sql: str,
+        query_id: str | None,
+        cf_enabled: bool,
+        on_complete: Callable[[QueryExecution], None] | None,
+        submit_context: dict | None = None,
+    ) -> QueryExecution:
+        """Open the record of a query arriving now, under ``query_id`` or
+        the next ``q-N``."""
+        if query_id is None:
+            self._query_counter += 1
+            query_id = f"q-{self._query_counter}"
+        if query_id in self._executions:
+            raise PixelsError(f"duplicate query id {query_id!r}")
+        execution = QueryExecution(
+            query_id=query_id,
+            sql=sql,
+            submitted_at=self._sim.now,
+            cf_enabled=cf_enabled,
+            submit_context=submit_context,
+            on_complete=on_complete,
+        )
+        self._executions[query_id] = execution
+        return execution
+
+    def _plan(
+        self, execution: QueryExecution, batch: bool = False
+    ) -> tuple[object, str | None] | None:
+        """``_prepare`` the execution's statement; a planning error fails
+        the execution and returns None.  A shared batch cannot EXPLAIN."""
+        try:
+            plan, explain_mode = self._prepare(execution.sql)
+            if batch and explain_mode is not None:
+                raise PixelsError(
+                    "EXPLAIN is not supported on this execution path"
+                )
+        except PixelsError as error:
+            if self._recorder is not None:
+                self._recorder.planned(execution, error=str(error), batch=batch)
+            self._fail(execution, str(error))
+            return None
+        if self._recorder is not None:
+            self._recorder.planned(execution, plan, batch=batch)
+        return plan, explain_mode
 
     def _choose_cf(self, cf_enabled: bool) -> bool:
         """The adaptive-acceleration decision (§3.1): CF only when the
@@ -382,12 +357,6 @@ class Coordinator:
             statement = statement.statement
         planner = Planner(self.catalog, self._default_schema)
         return self._optimizer.optimize(planner.plan(statement)), explain_mode
-
-    def _plan(self, sql: str):
-        plan, explain_mode = self._prepare(sql)
-        if explain_mode is not None:
-            raise PixelsError("EXPLAIN is not supported on this execution path")
-        return plan
 
     def execute_ddl(self, sql: str) -> str:
         """Run a DDL statement against the coordinator's metadata.
@@ -451,12 +420,15 @@ class Coordinator:
         actual rows, batches, bytes, GETs, cache hits, and deterministic
         virtual execution time."""
         plan, _ = self._prepare(sql)
-        executor = QueryExecutor(
-            ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
-            batch_size=self._config.batch_size,
-            workers=self._config.workers or None,
+        executor = self._executor(self.vm_buffer_pool)
+        return self._render_analyzed(
+            plan, executor.execute(plan, analyze=True), executor
         )
-        result = executor.execute(plan, analyze=True)
+
+    @staticmethod
+    def _render_analyzed(
+        plan, result: QueryResult, executor: QueryExecutor, pending=None
+    ) -> str:
         assert result.profile is not None
         return render_analyzed_plan(
             plan,
@@ -466,6 +438,7 @@ class Coordinator:
                 "workers": executor.workers,
                 "batch_size": executor.batch_size,
             },
+            pending=pending,
         )
 
     def _estimate_stats(self, plan) -> QueryStats:
@@ -524,11 +497,12 @@ class Coordinator:
     def _run_on_vm(
         self, execution: QueryExecution, plan, analyze: bool = False
     ) -> None:
-        queue_span = self.obs.tracer.start(execution.query_id, "vm_queue")
+        if self._recorder is not None:
+            self._recorder.vm_queued(execution)
         task = VmTask(
             task_id=execution.query_id,
             on_start=lambda worker: self._vm_started(
-                execution, plan, worker, analyze, queue_span
+                execution, plan, worker, analyze
             ),
         )
         self.vm_cluster.submit(task)
@@ -539,30 +513,23 @@ class Coordinator:
         plan,
         worker: VmWorker,
         analyze: bool = False,
-        queue_span=None,
     ) -> None:
-        if queue_span is not None:
-            queue_span.finish("ok")
+        recorder = self._recorder
+        query_id = execution.query_id
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.venue = ExecutionVenue.VM
-        tracer = self.obs.tracer
-        execute_span = tracer.start(
-            execution.query_id, "execute", venue="vm", worker=worker.worker_id
-        )
-        # Profiles are captured whenever tracing is on (the profiler fuses
-        # them with the span tree); building one changes neither the result
-        # nor the stats billing derives from, preserving observe-invariance.
-        capture_profile = analyze or self.obs.enabled
+        if recorder is not None:
+            recorder.attempt_started(execution, worker=worker.worker_id)
+        # Profiles are captured whenever the run is observed (the profiler
+        # fuses them with the span tree); building one changes neither the
+        # result nor the stats billing derives from, preserving
+        # observe-invariance.
+        capture_profile = analyze or recorder is not None
         try:
-            executor = QueryExecutor(
-                ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
-                batch_size=self._config.batch_size,
-                workers=self._config.workers or None,
-            )
+            executor = self._executor(self.vm_buffer_pool)
             result = executor.execute(plan, analyze=capture_profile)
         except PixelsError as error:
-            execute_span.finish("error", error=str(error))
             self.vm_cluster.release(worker)
             self._fail(execution, str(error))
             return
@@ -577,87 +544,49 @@ class Coordinator:
                 pending["vm_queue_s"] = round(
                     self._sim.now - execution.submitted_at, 9
                 )
-            execution.explain_text = render_analyzed_plan(
-                plan,
-                result.profile,
-                result.stats,
-                context={
-                    "workers": executor.workers,
-                    "batch_size": executor.batch_size,
-                },
-                pending=pending,
+            execution.explain_text = self._render_analyzed(
+                plan, result, executor, pending
             )
             result = QueryResult(
                 _text_table(execution.explain_text), result.stats, result.profile
             )
-        self._record_scan_span(execution.query_id, execute_span, result.stats)
         estimate = self.cost_model.vm_execution(result.stats)
-        if self.obs.enabled:
-            # Register the execution window with the live activity
-            # registry: progress and bill projections are derived from
-            # this window (a no-op for queries never submitted through a
-            # query server).
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="vm",
-                duration_s=estimate.duration_s,
-                profile=result.profile,
-                stats=result.stats,
-            )
+        if recorder is not None:
+            recorder.attempt_measured(execution, result.stats)
+            recorder.window_opened(execution, estimate.duration_s, result.stats)
         if self.fault_injector is not None and self.fault_injector.vm_task_fails():
             # The worker crashes partway through; the partial work is still
             # paid for, the worker is retired, and the query retries on the
             # remaining capacity.
             fraction = self.fault_injector.failure_point()
-            partial_cost = estimate.provider_cost * fraction
-            execution.provider_cost += partial_cost
-            self._meter_provider(execution.query_id, partial_cost, venue="vm")
+            self._charge(execution, estimate.provider_cost * fraction)
 
             def crash() -> None:
-                execute_span.finish("retry", reason="vm worker crashed")
-                self._vm_running.pop(execution.query_id, None)
+                if recorder is not None:
+                    recorder.attempt_ended(
+                        execution, "retry", reason="vm worker crashed"
+                    )
+                self._vm_running.pop(query_id, None)
                 self.vm_cluster.release(worker)
                 self.vm_cluster.fail_worker(worker)
                 self._retry(execution, plan, reason="VM worker crashed")
 
             event = self._sim.schedule(estimate.duration_s * fraction, crash)
-            self._vm_running[execution.query_id] = (event, worker)
+            self._vm_running[query_id] = (event, worker)
             return
-        execution.provider_cost += estimate.provider_cost
-        self._meter_provider(
-            execution.query_id, estimate.provider_cost, venue="vm"
-        )
+        self._charge(execution, estimate.provider_cost)
 
         def finish() -> None:
-            execute_span.finish(
-                "ok",
-                bytes_scanned=result.stats.bytes_scanned,
-                provider_cost=estimate.provider_cost,
-            )
-            self._vm_running.pop(execution.query_id, None)
+            if recorder is not None:
+                recorder.attempt_ended(
+                    execution, "ok", result, estimate.provider_cost
+                )
+            self._vm_running.pop(query_id, None)
             self.vm_cluster.release(worker)
             self._succeed(execution, result)
 
         event = self._sim.schedule(estimate.duration_s, finish)
-        self._vm_running[execution.query_id] = (event, worker)
-
-    def _record_scan_span(
-        self, query_id: str, parent, stats: QueryStats
-    ) -> None:
-        """An instant child span carrying the scan-side accounting."""
-        if not self.obs.enabled:
-            return
-        self.obs.tracer.start(
-            query_id,
-            "scan",
-            parent=parent,
-            bytes_scanned=stats.bytes_scanned,
-            rows_scanned=stats.rows_scanned,
-            get_requests=stats.get_requests,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
-            row_groups_skipped=stats.row_groups_skipped,
-        ).finish("ok")
+        self._vm_running[query_id] = (event, worker)
 
     def _retry(self, execution: QueryExecution, plan, reason: str) -> None:
         assert self.fault_injector is not None
@@ -668,27 +597,23 @@ class Coordinator:
             )
             return
         execution.retries += 1
-        self._m_retries.inc(venue="vm")
         self._run_on_vm(execution, plan)
 
     # -- CF path ---------------------------------------------------------------------
 
     def _run_on_cf(self, execution: QueryExecution, plan) -> None:
+        recorder = self._recorder
         execution.started_at = self._sim.now
         execution.venue = ExecutionVenue.CF
-        execute_span = self.obs.tracer.start(
-            execution.query_id, "execute", venue="cf"
-        )
+        if recorder is not None:
+            recorder.attempt_started(execution)
         split = split_plan(plan)
         try:
             # Each CF invocation starts with a cold, invocation-private
             # pool: it still coalesces range-GETs and reuses chunks within
             # the query, but no warmth carries across invocations.
-            cf_pool = BufferPool.from_config(self._store, self._config.cache)
-            executor = QueryExecutor(
-                ObjectStoreSource(self._store, cache=cf_pool),
-                batch_size=self._config.batch_size,
-                workers=self._config.workers or None,
+            executor = self._executor(
+                BufferPool.from_config(self._store, self._config.cache)
             )
             # Incremental merge: the sub-plan's result flows into the
             # top-level plan as a batch stream, so the merge step consumes
@@ -697,14 +622,14 @@ class Coordinator:
             # stops the sub-plan's remaining scan work.
             sub_exec = executor.execute_stream(split.sub)
             split.attach_stream(sub_exec.batches())
-            capture_profile = self.obs.enabled
-            top_result = executor.execute(split.top, analyze=capture_profile)
+            top_result = executor.execute(
+                split.top, analyze=recorder is not None
+            )
         except PixelsError as error:
-            execute_span.finish("error", error=str(error))
             self._fail(execution, str(error))
             return
         merge_at = None
-        if capture_profile and top_result.profile is not None:
+        if top_result.profile is not None:
             sub_profile = sub_exec.profile()
             # The fraction of the execution window spent in the fanned-out
             # sub-plan; past it the query is in its VM-side merge phase
@@ -720,131 +645,72 @@ class Coordinator:
         # abandoned) the stream, so it reflects exactly the sub-plan work
         # performed — the CF billing basis.
         sub_stats = sub_exec.stats
-        # The top-level plan consumes the materialized view; the heavy
-        # statistics (bytes scanned, GETs, cache traffic) come from the CF
-        # sub-plan; the merge step contributes its own operator counts.
-        merged_stats = QueryStats(
-            bytes_scanned=sub_stats.bytes_scanned,
-            scan_latency_s=sub_stats.scan_latency_s,
-            rows_scanned=sub_stats.rows_scanned,
-            rows_produced=top_result.stats.rows_produced,
-            operators=sub_stats.operators + top_result.stats.operators,
-            get_requests=sub_stats.get_requests
-            + top_result.stats.get_requests,
-            footer_gets=sub_stats.footer_gets + top_result.stats.footer_gets,
-            chunk_gets=sub_stats.chunk_gets + top_result.stats.chunk_gets,
-            cache_hits=sub_stats.cache_hits + top_result.stats.cache_hits,
-            cache_misses=sub_stats.cache_misses
-            + top_result.stats.cache_misses,
-            cache_evictions=sub_stats.cache_evictions
-            + top_result.stats.cache_evictions,
-            row_groups_skipped=sub_stats.row_groups_skipped
-            + top_result.stats.row_groups_skipped,
-        )
+        # The heavy statistics (bytes scanned, GETs, cache traffic) come
+        # from the CF sub-plan; the merge step, which reads only the
+        # materialized view, adds its own operator and storage counts and
+        # decides the row count.
+        merged_stats = replace(sub_stats)
+        merged_stats.merge(top_result.stats)
+        merged_stats.rows_produced = top_result.stats.rows_produced
         result = QueryResult(top_result.data, merged_stats)
         estimate = self.cost_model.cf_execution(sub_stats)
         execution.cf_workers = estimate.num_workers
-        self._record_scan_span(execution.query_id, execute_span, sub_stats)
-        if self.obs.enabled:
-            self.obs.tracer.start(
-                execution.query_id,
-                "merge",
-                parent=execute_span,
-                rows_produced=top_result.stats.rows_produced,
-                batches=sub_exec.batches_emitted,
-            ).finish("ok")
-        execute_span.set(cf_workers=estimate.num_workers)
-        self._launch_cf(execution, result, estimate, execute_span, merge_at)
+        if recorder is not None:
+            recorder.attempt_measured(
+                execution, sub_stats, top_result.stats, sub_exec.batches_emitted
+            )
+        self._launch_cf(execution, result, estimate, merge_at)
 
     def _launch_cf(
         self,
         execution: QueryExecution,
         result,
         estimate,
-        execute_span=None,
         merge_at: float | None = None,
     ) -> None:
-        tracer = self.obs.tracer
-        invoke_span = tracer.start(
-            execution.query_id,
-            "cf_invoke",
-            parent=execute_span,
-            workers=estimate.num_workers,
-            attempt=execution.retries,
-        )
-        if (
+        recorder = self._recorder
+        if recorder is not None:
+            recorder.cf_invoked(execution)
+        fails = (
             self.fault_injector is not None
             and self.fault_injector.cf_invocation_fails()
-        ):
-            # Failed function time is still billed; retry the fan-out.
-            fraction = self.fault_injector.failure_point()
-            partial = estimate.duration_s * fraction
-            partial_cost = estimate.provider_cost * fraction
-            execution.provider_cost += partial_cost
-            self._meter_provider(execution.query_id, partial_cost, venue="cf")
-            if self.obs.enabled:
-                # The partial attempt's window (it dies before the merge;
-                # the retry re-registers a fresh full window).
-                self.obs.activity.begin_execution(
-                    execution.query_id,
-                    venue="cf",
-                    duration_s=partial,
-                    profile=execution.profile,
-                    stats=result.stats,
-                )
-
-            def retry() -> None:
-                if execution.retries >= self.fault_injector.config.max_retries:
-                    invoke_span.finish("error", error="cf invocation failed")
-                    if execute_span is not None:
-                        execute_span.finish("error", error="cf invocation failed")
-                    self._fail(
-                        execution,
-                        "CF invocation failed; gave up after "
-                        f"{execution.retries} retries",
-                    )
-                    return
-                invoke_span.finish("retry", reason="cf invocation failed")
-                execution.retries += 1
-                self._m_retries.inc(venue="cf")
-                self._launch_cf(
-                    execution, result, estimate, execute_span, merge_at
-                )
-
-            self.cf_service.invoke(
-                execution.query_id, estimate.num_workers, partial,
-                on_complete=retry,
-            )
-            return
-        execution.provider_cost += estimate.provider_cost
-        self._meter_provider(
-            execution.query_id, estimate.provider_cost, venue="cf"
         )
-        if self.obs.enabled:
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="cf",
-                duration_s=estimate.duration_s,
-                profile=execution.profile,
-                stats=result.stats,
-                merge_at=merge_at,
+        # A failing invocation dies partway through — before the merge —
+        # and its function time is still billed.
+        fraction = self.fault_injector.failure_point() if fails else 1.0
+        duration_s = estimate.duration_s * fraction
+        self._charge(execution, estimate.provider_cost * fraction)
+        if recorder is not None:
+            recorder.window_opened(
+                execution, duration_s, result.stats, None if fails else merge_at
             )
 
-        def completed() -> None:
-            invoke_span.finish("ok")
-            if execute_span is not None:
-                execute_span.finish(
-                    "ok",
-                    bytes_scanned=result.stats.bytes_scanned,
-                    provider_cost=execution.provider_cost,
+        def returned() -> None:
+            if not fails:
+                if recorder is not None:
+                    recorder.attempt_ended(
+                        execution, "ok", result, execution.provider_cost
+                    )
+                self._succeed(execution, result)
+            elif execution.retries >= self.fault_injector.config.max_retries:
+                if recorder is not None:
+                    recorder.attempt_ended(
+                        execution, "error", error="cf invocation failed"
+                    )
+                self._fail(
+                    execution,
+                    "CF invocation failed; gave up after "
+                    f"{execution.retries} retries",
                 )
-            self._succeed(execution, result)
+            else:
+                execution.retries += 1
+                self._launch_cf(execution, result, estimate, merge_at)
 
         self.cf_service.invoke(
             execution.query_id,
             estimate.num_workers,
-            estimate.duration_s,
-            on_complete=completed,
+            duration_s,
+            on_complete=returned,
         )
 
     # -- batch optimization (paper §5: "opportunities for batch query
@@ -866,34 +732,17 @@ class Coordinator:
         """
         from repro.turbo.batching import execute_shared_batch
 
-        if query_ids is None:
-            query_ids = []
-            for _ in sqls:
-                self._query_counter += 1
-                query_ids.append(f"q-{self._query_counter}")
+        recorder = self._recorder
         executions = []
         plans = []
         members: list[QueryExecution] = []
-        for sql, query_id in zip(sqls, query_ids):
-            execution = QueryExecution(
-                query_id=query_id,
-                sql=sql,
-                submitted_at=self._sim.now,
-                cf_enabled=False,
-                on_complete=on_complete,
-            )
-            self._executions[query_id] = execution
+        for sql, query_id in zip(sqls, query_ids or [None] * len(sqls)):
+            execution = self._register(sql, query_id, False, on_complete)
             executions.append(execution)
-            plan_span = self.obs.tracer.start(query_id, "plan", batch=True)
-            try:
-                plans.append(self._plan(sql))
+            planned = self._plan(execution, batch=True)
+            if planned is not None:
+                plans.append(planned[0])
                 members.append(execution)
-                plan_span.finish("ok")
-                if self.obs.enabled:
-                    execution.plan_shape = plan_shape_hash(plans[-1])
-            except PixelsError as error:
-                plan_span.finish("error", error=str(error))
-                self._fail(execution, str(error))
         if not members:
             return executions
         batch = execute_shared_batch(
@@ -909,40 +758,26 @@ class Coordinator:
         )
 
         def started(worker: VmWorker) -> None:
-            member_spans = []
             for execution, result in zip(members, batch.results):
                 execution.started_at = self._sim.now
                 execution.venue = ExecutionVenue.VM
-                execution.provider_cost += per_member_cost
-                self._meter_provider(
-                    execution.query_id, per_member_cost, venue="vm"
-                )
-                if self.obs.enabled:
-                    self.obs.activity.begin_execution(
-                        execution.query_id,
-                        venue="vm",
-                        duration_s=estimate.duration_s,
-                        stats=result.stats,
+                self._charge(execution, per_member_cost)
+                if recorder is not None:
+                    recorder.window_opened(
+                        execution, estimate.duration_s, result.stats
                     )
-                member_spans.append(
-                    self.obs.tracer.start(
-                        execution.query_id,
-                        "execute",
-                        venue="vm",
+                    recorder.attempt_started(
+                        execution,
                         batch=True,
                         batch_size=len(members),
                         bytes_saved=batch.shared_stats.bytes_saved,
                     )
-                )
 
             def finish() -> None:
                 self.vm_cluster.release(worker)
-                for execution, result, span in zip(
-                    members, batch.results, member_spans
-                ):
-                    span.finish(
-                        "ok", bytes_scanned=result.stats.bytes_scanned
-                    )
+                for execution, result in zip(members, batch.results):
+                    if recorder is not None:
+                        recorder.attempt_ended(execution, "ok", result)
                     self._succeed(execution, result)
 
             self._sim.schedule(estimate.duration_s, finish)
@@ -973,7 +808,7 @@ class Coordinator:
             self.vm_cluster.release(worker)
         else:
             self.vm_cluster.cancel_task(query_id)
-        self._fail(execution, "cancelled by user")
+        self._fail(execution, "cancelled by user", status="cancelled")
         return True
 
     # -- completion --------------------------------------------------------------------
@@ -986,26 +821,23 @@ class Coordinator:
         self.trace.record(
             "query.finished", self._sim.now, 1, tag=execution.query_id
         )
-        venue = execution.venue.value if execution.venue is not None else "none"
-        self._m_queries.inc(venue=venue, status="ok")
-        self._m_bytes.inc(result.stats.bytes_scanned)
-        if execution.execution_time_s is not None:
-            self._m_exec_seconds.observe(execution.execution_time_s, venue=venue)
+        if self._recorder is not None:
+            self._recorder.finished(execution, "ok")
         self._notify(execution)
 
-    def _fail(self, execution: QueryExecution, message: str) -> None:
+    def _fail(
+        self, execution: QueryExecution, message: str, status: str = "error"
+    ) -> None:
+        """Terminal failure; ``status`` is ``"cancelled"`` only when the
+        user (or the guard) withdrew the query — never inferred from the
+        message, which may quote user SQL."""
         execution.finished_at = self._sim.now
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.error = message
         self.trace.record("query.failed", self._sim.now, 1, tag=execution.query_id)
-        venue = execution.venue.value if execution.venue is not None else "none"
-        status = "cancelled" if "cancelled" in message else "error"
-        self._m_queries.inc(venue=venue, status=status)
-        # Safety net: no failure path may leak an open span — close
-        # whatever remains (execute attempts, queue spans, the root) with
-        # the failure status.
-        self.obs.tracer.end_open(execution.query_id, status, error=message)
+        if self._recorder is not None:
+            self._recorder.finished(execution, status)
         self._notify(execution)
 
     def _notify(self, execution: QueryExecution) -> None:

@@ -16,7 +16,7 @@ taken by a :class:`~repro.engine.plan.MaterializedView` leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.engine.batch import BatchStream
 from repro.engine.plan import (
@@ -59,11 +59,7 @@ class SplitPlan:
         """Wire the CF workers' result into the top-level plan."""
         self.view.data = data
 
-    def attach_stream(
-        self,
-        batches: Iterator[TableData],
-        on_close: "Callable[[], None] | None" = None,
-    ) -> None:
+    def attach_stream(self, batches: Iterator[TableData]) -> None:
         """Wire the CF workers' result in as a batch stream.
 
         The top-level plan then pulls the sub-plan's output incrementally
@@ -72,7 +68,7 @@ class SplitPlan:
         top that stops early — e.g. a LIMIT above the view — stops the
         sub-plan's remaining work via generator close.
         """
-        self.view.data = BatchStream(batches, self.sub.output_schema(), on_close)
+        self.view.data = BatchStream(batches, self.sub.output_schema())
 
 
 def split_plan(plan: PlanNode) -> SplitPlan:

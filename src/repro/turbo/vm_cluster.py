@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ScalingError
-from repro.obs import Instrumentation
 from repro.sim import Simulator, Trace, WeakCallback
 from repro.turbo.config import VmConfig
 
@@ -29,8 +28,8 @@ from repro.turbo.config import VmConfig
 class ScalingDecision:
     """Audit record of one autoscaler action (scale-out or scale-in).
 
-    Exactly one record is appended per
-    ``pixels_vm_watermark_crossings_total`` increment, carrying the
+    Exactly one record is appended per scale event (which is what
+    ``pixels_vm_watermark_crossings_total`` counts), carrying the
     metric values the decision was made on — so a burn-rate alert at
     time *t* can be joined to the scaling decision that caused (or
     failed to prevent) it.
@@ -106,26 +105,10 @@ class VmCluster:
         sim: Simulator,
         config: VmConfig,
         trace: Trace | None = None,
-        obs: Instrumentation | None = None,
     ) -> None:
         self._sim = sim
         self._config = config
         self.trace = trace if trace is not None else Trace()
-        self.obs = obs if obs is not None else Instrumentation.disabled()
-        registry = self.obs.metrics
-        self._m_workers = registry.gauge(
-            "pixels_vm_workers", "Active VM workers"
-        )
-        self._m_queue = registry.gauge(
-            "pixels_vm_queue_depth", "Tasks waiting for a VM slot"
-        )
-        self._m_concurrency = registry.gauge(
-            "pixels_vm_concurrency", "Running + queued VM tasks"
-        )
-        self._m_watermark = registry.counter(
-            "pixels_vm_watermark_crossings_total",
-            "Autoscaler actions by watermark crossed",
-        )
         self._workers: list[VmWorker] = []
         self._queue: list[VmTask] = []
         self._running_tasks = 0
@@ -135,9 +118,9 @@ class VmCluster:
         self._retired_worker_seconds = 0.0
         self.scale_out_events = 0
         self.scale_in_events = 0
-        #: Autoscaler decision audit log — 1:1 with watermark-crossing
-        #: counter increments; always recorded (a list append per scale
-        #: event, which is rare and deterministic).
+        #: Autoscaler decision audit log — 1:1 with the scale-event
+        #: counts above; always recorded (a list append per scale event,
+        #: which is rare and deterministic).
         self.audit_log: list[ScalingDecision] = []
         for _ in range(config.min_workers):
             self._add_worker()
@@ -354,7 +337,6 @@ class VmCluster:
             )
         )
         self._pending_arrivals += to_add
-        self._m_watermark.inc(watermark="high")
         self.trace.record("vm.scale_out", self._sim.now, to_add)
         self._sim.schedule(
             self._config.scale_out_lag_s, lambda: self._arrive(to_add)
@@ -394,7 +376,6 @@ class VmCluster:
                 workers_target=desired,
             )
         )
-        self._m_watermark.inc(watermark="low")
         self.trace.record("vm.scale_in", self._sim.now, to_remove)
         # Prefer idle workers; mark busy ones to stop when they drain.
         removable = sorted(
@@ -419,10 +400,8 @@ class VmCluster:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def _record_gauges(self) -> None:
+        """Feed the ``sim.Trace`` series the autoscaler itself reads."""
         now = self._sim.now
         self.trace.record("vm.workers", now, self.num_workers)
         self.trace.record("vm.concurrency", now, self.concurrency)
         self.trace.record("vm.queue", now, len(self._queue))
-        self._m_workers.set(self.num_workers)
-        self._m_queue.set(len(self._queue))
-        self._m_concurrency.set(self.concurrency)

@@ -121,6 +121,25 @@ class TestCancellationEdges:
         assert server.cancel(record.query_id) is True
         assert server.cancel(record.query_id) is False
 
+    def test_a_failure_that_says_cancelled_is_still_an_error(self):
+        """The terminal status comes from who ended the query, never from
+        the wording of the message (which may quote user SQL)."""
+        from repro import PixelsDB
+
+        db = PixelsDB(observe=True, seed=5)
+        db.load_tpch("tpch", scale=0.01)
+        failed = db.submit("tpch", "SELECT cancelled FROM nation")
+        db.run_to_completion()
+        assert "cancelled" in failed.error and not failed.cancelled
+        finished = db.obs.metrics.get("pixels_queries_total")
+        assert finished.value(venue="none", status="error") == 1
+        assert finished.value(venue="none", status="cancelled") == 0
+        (root,) = [
+            span for span in db.obs.tracer.spans(failed.query_id)
+            if span.name == "query"
+        ]
+        assert root.status == "error"
+
 
 class TestRoverCancellation:
     def test_cancel_via_result_block(self, turbo_env):

@@ -135,3 +135,57 @@ class TestStatistics:
         assert cf_execution.venue is ExecutionVenue.CF
         assert cf_execution.cf_workers >= 1
         assert cf_execution.provider_cost > 0
+
+    def test_cf_stats_are_the_sub_plan_plus_the_merge_step(self, turbo_env):
+        """Scan-side counters (the billing basis) come from the fanned-out
+        sub-plan alone — the merge step reads only the materialized view —
+        every other counter sums over both stages, and the row count is
+        the merge step's."""
+        from repro.engine import Optimizer, Planner, QueryExecutor
+        from repro.engine.executor import QueryStats
+        from repro.engine.source import ObjectStoreSource
+        from repro.engine.sql.parser import parse_sql
+        from repro.storage import BufferPool
+        from repro.turbo import split_plan
+
+        sim, store, catalog, config, coordinator, _ = turbo_env
+        sql = (
+            "SELECT o_orderpriority, count(*) FROM orders JOIN lineitem "
+            "ON o_orderkey = l_orderkey GROUP BY o_orderpriority "
+            "ORDER BY o_orderpriority LIMIT 3"
+        )
+        for _ in range(4):
+            coordinator.submit(HEAVY, cf_enabled=False)
+        execution = coordinator.submit(sql, cf_enabled=True)
+        sim.run_until(600)
+        assert execution.venue is ExecutionVenue.CF and execution.succeeded
+
+        split = split_plan(
+            Optimizer().optimize(Planner(catalog, "tpch").plan(parse_sql(sql)))
+        )
+        executor = QueryExecutor(
+            ObjectStoreSource(
+                store, cache=BufferPool.from_config(store, config.cache)
+            ),
+            batch_size=config.batch_size,
+        )
+        sub = executor.execute_stream(split.sub)
+        split.attach_stream(sub.batches())
+        top = executor.execute(split.top).stats
+        assert (top.bytes_scanned, top.rows_scanned, top.scan_latency_s) == (0, 0, 0.0)
+        assert execution.result.stats == QueryStats(
+            bytes_scanned=sub.stats.bytes_scanned,
+            scan_latency_s=sub.stats.scan_latency_s,
+            rows_scanned=sub.stats.rows_scanned,
+            rows_produced=top.rows_produced,
+            operators=sub.stats.operators + top.operators,
+            get_requests=sub.stats.get_requests + top.get_requests,
+            footer_gets=sub.stats.footer_gets + top.footer_gets,
+            chunk_gets=sub.stats.chunk_gets + top.chunk_gets,
+            cache_hits=sub.stats.cache_hits + top.cache_hits,
+            cache_misses=sub.stats.cache_misses + top.cache_misses,
+            cache_evictions=sub.stats.cache_evictions + top.cache_evictions,
+            row_groups_skipped=sub.stats.row_groups_skipped
+            + top.row_groups_skipped,
+        )
+        assert execution.result.stats.rows_produced == 3

@@ -1,10 +1,12 @@
-"""The observability boundary: one flag, one recorder, no twins.
+"""The observability boundary: one flag, two recorders, no twins.
 
 Two fences.  A static one walks ``src/repro`` with :mod:`ast` and fails
-when a per-sink switch, a null-object twin of a lifecycle sink, or a
-direct write from ``repro.core`` into a lifecycle sink comes back.  A
-behavioural one runs a whole unobserved session and checks the bundle:
-no sink recorded anything, and every read-side accessor of
+when a per-sink switch, a null-object twin of any sink, a sink reached
+from ``repro.core`` or ``repro.turbo`` other than through a recorder, or
+an instrument registered outside ``repro.obs`` comes back.  A
+behavioural one runs a whole unobserved session — and an unobserved
+coordinator on its own, through every execution path — and checks the
+bundle: no sink recorded anything, and every read-side accessor of
 :class:`~repro.PixelsDB` and :class:`~repro.rover.RoverServer` returns
 the documented "nothing was watching" value.
 """
@@ -18,16 +20,36 @@ from repro import PixelsDB, ServiceLevel
 from repro.errors import NoSuchQueryError
 from repro.obs import Instrumentation
 from repro.rover import UserStore
+from repro.sim import Simulator
+from repro.storage.catalog import Catalog
+from repro.storage.object_store import ObjectStore
+from repro.turbo import Coordinator, TurboConfig
+from repro.turbo.faults import FaultConfig
+from repro.workloads import TpchGenerator, load_dataset
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 SINKS = (
     "tracer", "metrics", "slo", "statements", "journal", "ledger", "spend",
     "activity",
 )
-LIFECYCLE_SINKS = ("slo", "statements", "journal", "ledger", "activity")
-#: Tracer and metrics are called from dozens of sites woven through
-#: execution control flow, where a null object is the simplest guard.
-NULL_OBJECTS = {"_NoopSpan", "NoopTracer", "_NoopInstrument", "NoopMetricsRegistry"}
+#: What ``core`` and ``turbo`` may not take off an ``obs`` bundle (the
+#: spend accountant is also the admission layer's budget input).
+FENCED = (
+    "tracer", "metrics", "slo", "statements", "journal", "ledger", "activity",
+    "enabled",
+)
+#: The reads that are the boundary itself, as (file, function, attribute):
+#: the server tests the flag once to build its recorder and arm the guard,
+#: and answers "was anything watching?" when asked for a profile.
+ALLOWED_READS = {
+    ("core/query_server.py", "__init__", "enabled"),
+    ("core/query_server.py", "query_profile", "enabled"),
+    ("core/query_server.py", "query_profile", "tracer"),
+}
+#: Every sink is a real object in both bundles; none has an inert twin.
+NULL_OBJECTS: set[str] = set()
+#: Registry and tracer entry points only ``repro.obs`` may call.
+WRITER_CALLS = {"counter", "gauge", "histogram", "add_collector", "end_open"}
 
 
 def parsed_sources(root: pathlib.Path = SRC):
@@ -64,7 +86,7 @@ class TestStaticFence:
     def test_sinks_carry_no_switch_of_their_own(self, bundle):
         assert [s for s in SINKS if hasattr(getattr(bundle, s), "enabled")] == []
 
-    def test_only_tracer_and_metrics_keep_null_objects(self):
+    def test_no_sink_has_a_null_object_twin(self):
         noops = {
             node.name
             for _, tree in parsed_sources()
@@ -74,29 +96,57 @@ class TestStaticFence:
         assert noops == NULL_OBJECTS
 
     def test_core_reaches_lifecycle_sinks_only_to_arm_the_guard(self):
-        def sink_reads(tree: ast.AST) -> set[ast.Attribute]:
-            return {
-                node
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute)
-                and node.attr in LIFECYCLE_SINKS
-                and terminal_name(node.value) == "obs"
-            }
+        """``repro.turbo`` is fenced as well as ``repro.core``, and the
+        tracer, the registry and the flag as well as the lifecycle sinks."""
 
-        offenders = []
-        for name, tree in parsed_sources(SRC / "core"):
-            allowed: set[ast.Attribute] = set()
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and terminal_name(node.func) == "ProjectionGuard"
-                ):
-                    allowed |= sink_reads(node)
-            offenders += [
-                f"{name}:{node.lineno} obs.{node.attr}"
-                for node in sink_reads(tree) - allowed
-            ]
+        def walk(node: ast.AST, function: str | None, in_guard: bool):
+            """Yield (function, attribute node) for every fenced read off
+            an ``obs`` bundle outside a ``ProjectionGuard(...)`` call."""
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (
+                isinstance(node, ast.Call)
+                and terminal_name(node.func) == "ProjectionGuard"
+            ):
+                in_guard = True
+            if (
+                not in_guard
+                and isinstance(node, ast.Attribute)
+                and node.attr in FENCED
+                and terminal_name(node.value) == "obs"
+            ):
+                yield function, node
+            for child in ast.iter_child_nodes(node):
+                yield from walk(child, function, in_guard)
+
+        offenders = [
+            f"{name}:{node.lineno} obs.{node.attr}"
+            for package in ("core", "turbo")
+            for name, tree in parsed_sources(SRC / package)
+            for function, node in walk(tree, None, False)
+            if (name, function, node.attr) not in ALLOWED_READS
+        ]
         assert sorted(offenders) == []
+
+    def test_only_obs_registers_instruments_and_closes_traces(self):
+        offenders = [
+            f"{name}:{node.lineno} .{node.func.attr}()"
+            for name, tree in parsed_sources()
+            if not name.startswith("obs/")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in WRITER_CALLS
+        ]
+        assert offenders == []
+
+    def test_venues_take_no_instrumentation(self):
+        import inspect
+
+        from repro.turbo import CfService, VmCluster
+
+        for venue in (VmCluster, CfService):
+            assert "obs" not in inspect.signature(venue).parameters
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +252,45 @@ class TestUnobservedBundle:
         # Billed queries, no ledger: the reconciler says so, per query.
         report = db.reconcile()
         assert not report.ok
+
+
+class TestUnobservedCoordinator:
+    """A coordinator on its own, unobserved, walks every execution path
+    and its (real, not inert) tracer and registry stay empty — what the
+    deleted ``NoopTracer`` / ``NoopMetricsRegistry`` unit tests checked of
+    the twins, checked of the system."""
+
+    HEAVY = "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag"
+
+    def test_every_execution_path_writes_nothing(self):
+        sim = Simulator(seed=3)
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.01).tables())
+        coordinator = Coordinator(
+            sim, TurboConfig.fast(), catalog, store, "tpch",
+            faults=FaultConfig(vm_crash_rate=0.5, cf_failure_rate=0.5,
+                               max_retries=8),
+        )
+        slots = TurboConfig.fast().vm.slots_per_worker
+        on_vm = [coordinator.submit(self.HEAVY, cf_enabled=False)
+                 for _ in range(slots + 1)]  # the last one waits in the queue
+        on_cf = coordinator.submit(self.HEAVY, cf_enabled=True)
+        unplannable = coordinator.submit("SELECT nope FROM nation", False)
+        batch = coordinator.submit_shared_batch(
+            ["SELECT count(*) FROM nation", "SELECT max(n_name) FROM nation"]
+        )
+        assert coordinator.cancel(on_vm[-1].query_id)
+        sim.run_until(3600)
+
+        assert on_cf.venue.value == "cf" and on_cf.succeeded
+        assert all(e.succeeded for e in on_vm[:-1] + batch)
+        assert on_vm[-1].error == "cancelled by user"
+        assert "nope" in unplannable.error
+        assert any(e.retries for e in [*on_vm, on_cf]), "no fault was injected"
+        obs = coordinator.obs
+        assert obs.enabled is False
+        assert obs.metrics.render() == ""
+        assert obs.metrics.instruments() == []
+        assert obs.tracer.trace_ids() == []
+        assert obs.tracer.export_all_json() == "[]"
+        assert on_cf.profile is None and on_cf.plan_shape is None

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, NoopMetricsRegistry
-from repro.obs.metrics import NOOP_INSTRUMENT
+from repro.obs import MetricsRegistry
 
 
 class TestCounter:
@@ -118,10 +117,6 @@ class TestHistogramQuantile:
         with pytest.raises(ValueError):
             hist.quantile(-0.1)
 
-    def test_noop_registry_returns_none(self):
-        hist = NoopMetricsRegistry().histogram("lat", buckets=(1.0,))
-        assert hist.quantile(0.5) is None
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -200,19 +195,6 @@ class TestExpositionEscaping:
         assert [i.name for i in registry.instruments()] == [
             "a_total", "b", "c_seconds",
         ]
-
-
-class TestNoopRegistry:
-    def test_swallows_everything(self):
-        registry = NoopMetricsRegistry()
-        counter = registry.counter("c")
-        assert counter is NOOP_INSTRUMENT
-        counter.inc(5)
-        assert counter.value() == 0
-        registry.gauge("g").set(7)
-        registry.histogram("h").observe(1.0)
-        registry.add_collector(lambda: 1 / 0)  # never runs
-        assert registry.render() == ""
 
 
 class TestHistogramQuantileEdgeCases:

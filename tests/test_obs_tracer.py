@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import NOOP_SPAN, ROOT, NoopTracer, Tracer
+from repro.obs import ROOT, Tracer
 
 
 class FakeClock:
@@ -79,6 +79,20 @@ class TestParenting:
         assert other.parent_id is None
 
 
+class TestLast:
+    def test_finds_the_newest_span_of_a_name_open_or_closed(self):
+        tracer = Tracer()
+        first = tracer.start("q1", "execute")
+        first.finish("retry")
+        second = tracer.start("q1", "execute")
+        tracer.start("q2", "execute")
+        assert tracer.last("q1", "execute") is second
+        second.finish()
+        assert tracer.last("q1", "execute") is second
+        assert tracer.last("q1", "cf_invoke") is None
+        assert tracer.last("ghost", "execute") is None
+
+
 class TestEndOpen:
     def test_closes_innermost_first_and_counts(self):
         clock = FakeClock()
@@ -133,16 +147,3 @@ class TestExport:
         tracer.start("q1", "a").finish()
         doc = json.loads(tracer.export_all_json())
         assert [t["trace_id"] for t in doc] == ["q1", "q2"]
-
-
-class TestNoopTracer:
-    def test_records_nothing(self):
-        tracer = NoopTracer()
-        span = tracer.start("q1", "a", x=1)
-        assert span is NOOP_SPAN
-        span.set(y=2)
-        span.finish("error")
-        assert span.attributes == {}
-        assert tracer.trace_ids() == []
-        assert tracer.end_open("q1") == 0
-        assert json.loads(tracer.export_all_json()) == []

@@ -287,13 +287,12 @@ class TestMetricsEndToEnd:
 
     def test_watermark_crossings_counted(self):
         from repro.turbo.config import VmConfig
-        from repro.turbo.vm_cluster import VmCluster, VmTask
+        from repro.turbo.vm_cluster import VmTask
 
         sim = Simulator()
         obs = Instrumentation.create(clock=lambda: sim.now)
-        cluster = VmCluster(
-            sim,
-            VmConfig(
+        config = TurboConfig(
+            vm=VmConfig(
                 min_workers=1,
                 max_workers=8,
                 slots_per_worker=2,
@@ -301,24 +300,90 @@ class TestMetricsEndToEnd:
                 evaluation_interval_s=1.0,
                 scale_in_window_s=20.0,
                 scale_in_cooldown_s=20.0,
-            ),
-            obs=obs,
+            )
         )
+        cluster = Coordinator(
+            sim, config, Catalog(), ObjectStore(), "tpch", obs=obs
+        ).vm_cluster
         workers = []
         for index in range(12):  # hold 12 tasks open: far above high watermark
             cluster.submit(
                 VmTask(task_id=f"t{index}", on_start=workers.append)
             )
         sim.run_until(10.0)
+        # The venue series are derived at scrape time: collect, then read.
+        obs.metrics.collect()
         counter = obs.metrics.get("pixels_vm_watermark_crossings_total")
         assert counter.value(watermark="high") == cluster.scale_out_events > 0
+        assert 'watermark="low"' not in obs.metrics.render()
         # Release everything; after the window + cooldown the cluster
         # scales back in and counts the low-watermark crossing.
         while workers:
             cluster.release(workers.pop())
         sim.run_until(120.0)
+        obs.metrics.collect()
         assert counter.value(watermark="low") == cluster.scale_in_events > 0
         assert obs.metrics.get("pixels_vm_workers").value() == 1
+
+    def test_venue_series_have_no_sample_before_their_first_event(self):
+        sim, coordinator, _, obs = make_observed_stack()
+
+        def sampled(text):
+            return {
+                line.split("{")[0].split(" ")[0]
+                for line in text.splitlines()
+                if line.startswith(("pixels_vm_", "pixels_cf_"))
+                and not line.startswith("pixels_vm_pool_")
+            }
+
+        before = obs.metrics.render()
+        # Registered (HELP/TYPE lines) from the start, as when the venues
+        # registered them — but only the VM gauges have a value yet.
+        for name in ("pixels_cf_invocations_total", "pixels_cf_active_workers",
+                     "pixels_cf_worker_seconds_total",
+                     "pixels_vm_watermark_crossings_total"):
+            assert f"# TYPE {name} " in before
+        assert sampled(before) == {
+            "pixels_vm_workers", "pixels_vm_queue_depth", "pixels_vm_concurrency",
+        }
+        coordinator.cf_service.invoke("q", 3, 2.0, on_complete=lambda: None)
+        during = obs.metrics.render()
+        assert "pixels_cf_active_workers 3\n" in during
+        assert "pixels_cf_invocations_total 1\n" in during
+        assert "pixels_cf_worker_seconds_total 6\n" in during
+        sim.run_until(5.0)
+        assert "pixels_cf_active_workers 0\n" in obs.metrics.render()
+
+    def test_derived_event_counts_keep_the_float_type_inc_gave_them(self):
+        """``Counter.inc`` accumulated floats, and the time-series export
+        prints 1.0 and 1 differently."""
+        from repro.obs.timeseries import TimeSeriesStore, ScrapeLoop
+
+        sim, coordinator, _, obs = make_observed_stack()
+        loop = ScrapeLoop(sim, obs.metrics, TimeSeriesStore(), interval_s=1.0)
+        coordinator.cf_service.invoke("q", 2, 0.5, on_complete=lambda: None)
+        sim.run_until(1.0)
+        exported = loop.store.export_jsonl()
+        assert '"name": "pixels_cf_invocations_total", "time": 1.0, "value": 1.0}' in exported
+        assert '"name": "pixels_cf_active_workers", "time": 1.0, "value": 0}' in exported
+
+    def test_cf_worker_seconds_accumulate_the_way_the_counter_did(self):
+        """A running ``+=``, not ``sum()``: ten times 0.1 is
+        0.9999999999999999 by repeated addition and 1.0 by the compensated
+        ``sum()`` of Python 3.12+, and the exposition prints every digit."""
+        from repro.obs import MetricsRegistry
+
+        _, coordinator, _, obs = make_observed_stack()
+        pushed = MetricsRegistry().counter("reference")
+        for _ in range(10):
+            coordinator.cf_service.invoke("q", 1, 0.1, on_complete=lambda: None)
+            pushed.inc(1 * 0.1)
+        assert pushed.value() == 0.9999999999999999
+        assert coordinator.cf_service.total_worker_seconds() == pushed.value()
+        assert (
+            "pixels_cf_worker_seconds_total 0.9999999999999999\n"
+            in obs.metrics.render()
+        )
 
     def test_rover_exposes_metrics_and_traces(self):
         from repro.rover import UserStore
