@@ -21,6 +21,12 @@ the ratio with its base, and a verdict by the ``choosing-metrics`` rule:
                   not every head run beats every base run;
 ``within bound``  otherwise.
 
+Under each workload's table it prints, per step class (a statement
+template, a scan or ingest, a replay's batch), the median over the runs of
+the class's p50 latency on each side — ``run.py`` reports those on stderr —
+with head's wins over the pairs: a per-template prediction is then judged
+by the same alternating pairs as the claim, not by one traced run.
+
 Every invocation appends one JSON line — every run made, both sides — to
 ``benchmarks/results/layers_trajectory.jsonl``.
 """
@@ -31,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +49,8 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "benchmarks" / "results" / "layers_trajectory.jsonl"
+#: ``run.py``'s per-class stderr line: ``  step <class> n= 36 p50=  4.988 ms``.
+STEP_LINE = re.compile(r"^\s+step (\S+)\s+n=\s*\d+ p50=\s*([0-9.]+) ms$", re.M)
 
 
 def git(*args: str) -> str:
@@ -76,12 +85,16 @@ def run_once(tree: Path, contract: dict, workload: str, seed: int) -> dict:
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        record = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise SystemExit(
             f"{workload} in {tree} printed no record (exit {done.returncode}):\n"
             f"{done.stdout[-2000:]}{done.stderr[-2000:]}"
         ) from None
+    record["step_p50_ms"] = {
+        label: float(p50) for label, p50 in STEP_LINE.findall(done.stderr)
+    }
+    return record
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -120,6 +133,29 @@ def judge(base: list[float], head: list[float], better: str, bound: float) -> di
         "ratio": head_median / base_median,
         "verdict": verdict,
     }
+
+
+def judge_step_classes(base: list[dict], head: list[dict]) -> dict[str, dict]:
+    """Per step class: each side's median of the runs' p50s (ms), head's
+    wins over the pairs, and every run's p50."""
+    classes: dict[str, dict] = {}
+    for label in sorted(set().union(*base, *head)):
+        pairs = [
+            (b[label], h[label])
+            for b, h in zip(base, head)
+            if label in b and label in h
+        ]
+        if not pairs:
+            continue
+        base_runs, head_runs = (list(side) for side in zip(*pairs))
+        classes[label] = {
+            "base_median": median(base_runs),
+            "head_median": median(head_runs),
+            "head_wins": sum(h < b for b, h in pairs),
+            "pairs": len(pairs),
+            "runs": {"base": base_runs, "head": head_runs},
+        }
+    return classes
 
 
 def main() -> int:
@@ -200,6 +236,17 @@ def main() -> int:
                 f"  head/base {verdict['ratio']:.3f}"
                 f"  ({metric['better']} is better, bound {metric['bound']:.0%})"
                 f"  {verdict['verdict']}"
+            )
+        classes = judge_step_classes(
+            *([r["step_p50_ms"] for r in sides[side]] for side in ("base", "head"))
+        )
+        results[workload]["step_p50_ms"] = classes
+        for label, row in classes.items():
+            print(
+                f"    step {label:<26} p50 base {row['base_median']:8.3f} ms"
+                f"  head {row['head_median']:8.3f} ms"
+                f"  wins {row['head_wins']}/{row['pairs']}"
+                f"  head/base {row['head_median'] / row['base_median']:.3f}"
             )
 
     TRAJECTORY.parent.mkdir(exist_ok=True)

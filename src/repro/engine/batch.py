@@ -35,7 +35,7 @@ def approx_vector_nbytes(vector: ColumnVector) -> int:
     memory gauge, not a billing basis, so the approximation is fine.
     """
     if vector.dtype is DataType.VARCHAR:
-        size = 8 * len(vector.data)
+        size = 8 * len(vector)  # either representation; never builds strings
     else:
         size = int(vector.data.nbytes)
     if vector.nulls is not None:

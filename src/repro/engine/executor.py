@@ -256,7 +256,9 @@ class QueryExecutor:
         finally:
             root.close()
         if pieces:
-            data = TableData.concat_all(pieces)
+            # The result boundary: dictionary-coded VARCHAR columns become
+            # strings here, for the rows that survived, and never later.
+            data = TableData.concat_all(pieces).materialize()
         else:
             data = TableData.empty(plan.output_schema())
         stats.rows_produced = data.num_rows

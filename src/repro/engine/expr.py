@@ -11,6 +11,7 @@ propagate NULL, AND/OR follow Kleene logic, and WHERE treats NULL as false
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import threading
 from collections import OrderedDict
@@ -71,13 +72,16 @@ def _broadcast_scalar(dtype: DataType, value: object, num_rows: int) -> ColumnVe
             if cached is not None:
                 _BROADCAST_CACHE.move_to_end(key)
                 return cached
-    if value is None:
-        data = np.zeros(num_rows, dtype=dtype.numpy_dtype)
-        if dtype is DataType.VARCHAR:
-            data = np.array([""] * num_rows, dtype=object)
-        vector = ColumnVector(dtype, data, np.ones(num_rows, dtype=bool))
-    elif dtype is DataType.VARCHAR:
-        vector = ColumnVector(dtype, np.array([value] * num_rows, dtype=object))
+    nulls = np.ones(num_rows, dtype=bool) if value is None else None
+    if dtype is DataType.VARCHAR:
+        # A one-entry dictionary: how `_compare` knows a constant operand.
+        vector = ColumnVector.from_codes(
+            np.zeros(num_rows, dtype=np.int32),
+            np.array(["" if value is None else value], dtype=object),
+            nulls,
+        )
+    elif value is None:
+        vector = ColumnVector(dtype, np.zeros(num_rows, dtype=dtype.numpy_dtype), nulls)
     else:
         vector = ColumnVector(dtype, np.full(num_rows, value, dtype=dtype.numpy_dtype))
     if key is not None:
@@ -131,6 +135,50 @@ def _combine_nulls(*vectors: ColumnVector) -> np.ndarray | None:
     for mask in masks[1:]:
         result |= mask
     return result
+
+
+def _per_value(vector: ColumnVector, fn: Callable[[np.ndarray], np.ndarray]):
+    """``fn`` — a total function of string values alone, object array in,
+    array out — over a VARCHAR column: once per *distinct* value of a coded
+    column (when that is fewer calls) and gathered by code, else over every
+    row.  Every per-value predicate and string function, compiled or
+    interpreted, comes through here, so the rule is written once."""
+    if vector.codes is not None and len(vector.dictionary) <= len(vector.codes):
+        return fn(vector.dictionary)[vector.codes]
+    return fn(vector.data)
+
+
+def _each(fn: Callable[[str], object], dtype: object = object):
+    """Lift a per-string function to the arrays :func:`_per_value` passes."""
+    return lambda values: np.array(
+        [fn(str(value)) for value in values.tolist()], dtype=dtype
+    )
+
+
+_COMPARISONS = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def _compare(ufunc: np.ufunc, left: ColumnVector, right: ColumnVector) -> ColumnVector:
+    """One comparison over evaluated operands, NULLs propagated.  Strings
+    compare as Python strings, by code point (numpy's fixed-width unicode
+    drops trailing NULs); against a constant — a coded operand with a
+    one-entry dictionary — they compare once per distinct value."""
+    if right.codes is not None and len(right.dictionary) == 1:
+        data = _per_value(left, lambda values: ufunc(values, right.dictionary))
+    elif left.codes is not None and len(left.dictionary) == 1:
+        data = _per_value(right, lambda values: ufunc(left.dictionary, values))
+    else:
+        data = ufunc(left.data, right.data)
+    return ColumnVector(
+        DataType.BOOLEAN, np.asarray(data, dtype=bool), _combine_nulls(left, right)
+    )
 
 
 def _promote(left: DataType, right: DataType) -> DataType:
@@ -238,26 +286,9 @@ class BoundComparison(BoundExpr):
         return BoundComparison(op, left, right)
 
     def evaluate(self, table: TableData) -> ColumnVector:
-        left = self.left.evaluate(table)
-        right = self.right.evaluate(table)
-        nulls = _combine_nulls(left, right)
-        lhs, rhs = left.data, right.data
-        if left.dtype is DataType.VARCHAR:
-            lhs = lhs.astype(str)
-            rhs = rhs.astype(str)
-        if self.op == "=":
-            data = lhs == rhs
-        elif self.op == "<>":
-            data = lhs != rhs
-        elif self.op == "<":
-            data = lhs < rhs
-        elif self.op == "<=":
-            data = lhs <= rhs
-        elif self.op == ">":
-            data = lhs > rhs
-        else:
-            data = lhs >= rhs
-        return ColumnVector(DataType.BOOLEAN, np.asarray(data, dtype=bool), nulls)
+        return _compare(
+            _COMPARISONS[self.op], self.left.evaluate(table), self.right.evaluate(table)
+        )
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()
@@ -392,15 +423,20 @@ class BoundInList(BoundExpr):
     dtype: DataType = DataType.BOOLEAN
 
     def evaluate(self, table: TableData) -> ColumnVector:
-        value = self.operand.evaluate(table)
+        return self.apply(self.operand.evaluate(table))
+
+    @functools.cached_property
+    def _candidates(self) -> "set[str] | np.ndarray":
+        if self.operand.dtype is DataType.VARCHAR:
+            return {str(item) for item in self.values}
+        return np.array(list(self.values))
+
+    def apply(self, value: ColumnVector) -> ColumnVector:
+        """Membership of an evaluated operand (the compiled kernel too)."""
         if value.dtype is DataType.VARCHAR:
-            members = set(str(item) for item in self.values)
-            data = np.array(
-                [str(item) in members for item in value.data], dtype=bool
-            )
+            data = _per_value(value, _each(self._candidates.__contains__, bool))
         else:
-            candidates = np.array(list(self.values))
-            data = np.isin(value.data, candidates)
+            data = np.isin(value.data, self._candidates)
         if self.negated:
             data = ~data
         return ColumnVector(DataType.BOOLEAN, data, value.nulls)
@@ -427,9 +463,8 @@ class BoundLike(BoundExpr):
 
     def evaluate(self, table: TableData) -> ColumnVector:
         value = self.operand.evaluate(table)
-        data = np.array(
-            [bool(self._regex.match(str(item))) for item in value.data], dtype=bool
-        )
+        match = self._regex.match
+        data = _per_value(value, _each(lambda item: match(item) is not None, bool))
         if self.negated:
             data = ~data
         return ColumnVector(DataType.BOOLEAN, data, value.nulls)
@@ -584,14 +619,11 @@ class BoundScalarFunction(BoundExpr):
     def evaluate(self, table: TableData) -> ColumnVector:
         values = [arg.evaluate(table) for arg in self.args]
         first = values[0]
-        if self.name == "upper":
-            data = np.array([str(v).upper() for v in first.data], dtype=object)
-            return ColumnVector(self.dtype, data, first.nulls)
-        if self.name == "lower":
-            data = np.array([str(v).lower() for v in first.data], dtype=object)
+        if self.name in ("upper", "lower"):
+            data = _per_value(first, _each(getattr(str, self.name)))
             return ColumnVector(self.dtype, data, first.nulls)
         if self.name == "length":
-            data = np.array([len(str(v)) for v in first.data], dtype=np.int32)
+            data = _per_value(first, _each(len, np.int32))
             return ColumnVector(self.dtype, data, first.nulls)
         if self.name == "abs":
             return ColumnVector(self.dtype, np.abs(first.data), first.nulls)
@@ -628,9 +660,7 @@ class BoundScalarFunction(BoundExpr):
             start = int(values[1].data[0]) if len(values[1]) else 1
             length = int(values[2].data[0]) if len(values[2]) else 0
             begin = max(start - 1, 0)
-            data = np.array(
-                [str(v)[begin : begin + length] for v in first.data], dtype=object
-            )
+            data = _per_value(first, _each(lambda v: v[begin : begin + length]))
             return ColumnVector(self.dtype, data, first.nulls)
         raise ExecutionError(f"unhandled function {self.name!r}")
 
@@ -847,7 +877,12 @@ def _compile_body(
     if isinstance(expr, BoundArithmetic):
         return _compile_arithmetic(expr, counts, kernels)
     if isinstance(expr, BoundComparison):
-        return _compile_comparison(expr, counts, kernels)
+        left = _compile_node(expr.left, counts, kernels)
+        right = _compile_node(expr.right, counts, kernels)
+        ufunc = _COMPARISONS[expr.op]
+        return lambda table, memo: _compare(
+            ufunc, left(table, memo), right(table, memo)
+        )
     if isinstance(expr, BoundLogical):
         return _compile_logical(expr, counts, kernels)
     if isinstance(expr, BoundNot):
@@ -883,7 +918,9 @@ def _compile_body(
 
         return is_null_kernel
     if isinstance(expr, BoundInList):
-        return _compile_in_list(expr, counts, kernels)
+        operand = _compile_node(expr.operand, counts, kernels)
+        apply = expr.apply
+        return lambda table, memo: apply(operand(table, memo))
     # LIKE / CASE / CAST / scalar functions / concat keep the interpreter —
     # they are either already per-item loops or rare in hot predicates.
     node = expr
@@ -937,35 +974,6 @@ def _compile_arithmetic(
     return arithmetic_kernel
 
 
-def _compile_comparison(
-    expr: BoundComparison, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    left = _compile_node(expr.left, counts, kernels)
-    right = _compile_node(expr.right, counts, kernels)
-    ufunc = {
-        "=": np.equal,
-        "<>": np.not_equal,
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-    }[expr.op]
-    varchar = expr.left.dtype is DataType.VARCHAR
-
-    def comparison_kernel(table: TableData, memo: dict) -> ColumnVector:
-        l, r = left(table, memo), right(table, memo)
-        lhs, rhs = l.data, r.data
-        if varchar:
-            lhs = lhs.astype(str)
-            rhs = rhs.astype(str)
-        data = ufunc(lhs, rhs)
-        return ColumnVector(
-            DataType.BOOLEAN, np.asarray(data, dtype=bool), _combine_nulls(l, r)
-        )
-
-    return comparison_kernel
-
-
 def _compile_logical(
     expr: BoundLogical, counts: dict[str, int], kernels: dict[str, Callable]
 ) -> Callable[[TableData, dict], ColumnVector]:
@@ -995,31 +1003,3 @@ def _compile_logical(
         return ColumnVector(DataType.BOOLEAN, data, nulls if nulls.any() else None)
 
     return logical_kernel
-
-
-def _compile_in_list(
-    expr: BoundInList, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    operand = _compile_node(expr.operand, counts, kernels)
-    negated = expr.negated
-    if expr.operand.dtype is DataType.VARCHAR:
-        members = set(str(item) for item in expr.values)
-
-        def in_varchar_kernel(table: TableData, memo: dict) -> ColumnVector:
-            value = operand(table, memo)
-            data = np.array([str(item) in members for item in value.data], dtype=bool)
-            if negated:
-                data = ~data
-            return ColumnVector(DataType.BOOLEAN, data, value.nulls)
-
-        return in_varchar_kernel
-    candidates = np.array(list(expr.values))
-
-    def in_list_kernel(table: TableData, memo: dict) -> ColumnVector:
-        value = operand(table, memo)
-        data = np.isin(value.data, candidates)
-        if negated:
-            data = ~data
-        return ColumnVector(DataType.BOOLEAN, data, value.nulls)
-
-    return in_list_kernel

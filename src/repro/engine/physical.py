@@ -38,30 +38,40 @@ def column_codes(
     GROUP BY semantics and NULLS LAST ordering).  A caller that only tells
     values apart (grouping, distinct, join) passes ``ordered=False`` and
     spares strings the sort: their codes then number the distinct values
-    in no particular order.
+    in no particular order.  A dictionary-coded column already has them:
+    its stored codes are returned (``ordered`` ranks the *dictionary*), and
+    ``uniques`` may then hold values no row uses.
     """
     nulls = vector.nulls
-    if vector.dtype is not DataType.VARCHAR:
+    if vector.codes is not None:
+        uniques = vector.dictionary
+        if ordered:  # rank the dictionary, then the rows through it
+            order = np.argsort(uniques, kind="stable")
+            uniques, codes = uniques[order], np.argsort(order)[vector.codes]
+        else:
+            codes = vector.codes.astype(np.int64)
+    elif vector.dtype is not DataType.VARCHAR:
         uniques, inverse = np.unique(vector.data, return_inverse=True)
         codes = inverse.astype(np.int64, copy=False)
+    else:
+        # Other strings factorise by hashing: sorting only the distinct
+        # values (by code point, so MIN/MAX and ORDER BY hold) costs far
+        # less than sorting a fixed-width copy of the column.  NULL slots
+        # may hold any object (``""``, ``None``), so they are selected away
+        # before anything is hashed or compared.
+        values = (vector.data if nulls is None else vector.data[~nulls]).tolist()
+        distinct = set(values)
+        uniques = sorted(distinct) if ordered else list(distinct)
+        rank = dict(zip(uniques, range(len(uniques))))
+        codes = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
         if nulls is not None:
-            codes[nulls] = len(uniques)
-        return codes, uniques
-    # Strings factorise by hashing: sorting only the distinct values (by
-    # code point, so MIN/MAX and ORDER BY hold) costs far less than sorting
-    # a fixed-width copy of the column.  NULL slots may hold any object
-    # (``""``, ``None``), so they are selected away before anything is
-    # hashed or compared.
-    values = (vector.data if nulls is None else vector.data[~nulls]).tolist()
-    distinct = set(values)
-    uniques = sorted(distinct) if ordered else list(distinct)
-    rank = dict(zip(uniques, range(len(uniques))))
-    codes = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+            valid_codes = codes
+            codes = np.full(len(nulls), len(uniques), dtype=np.int64)
+            codes[~nulls] = valid_codes
+        return codes, np.array(uniques, dtype=object)
     if nulls is not None:
-        valid_codes = codes
-        codes = np.full(len(nulls), len(uniques), dtype=np.int64)
-        codes[~nulls] = valid_codes
-    return codes, np.array(uniques, dtype=object)
+        codes[nulls] = len(uniques)
+    return codes, uniques
 
 
 def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
@@ -393,17 +403,18 @@ def _shared_codes(
     like values (INT, BIGINT, DATE, BOOLEAN) are their own codes, shifted
     to start at 0; a pair involving DOUBLE compares as float64 (which
     concatenation promotes to; ``-0.0`` and ``0.0`` rank as one value);
-    strings rank over both sides at once.
+    strings rank over both sides at once — two dictionary-coded sides by
+    unifying their dictionaries, no string built.
     """
-    data = np.concatenate([left.data, right.data])
     unmatchable = ~np.concatenate([_valid_mask(left), _valid_mask(right)])
     if left.dtype is DataType.VARCHAR:
-        shared = ColumnVector(DataType.VARCHAR, data, unmatchable)
+        shared = ColumnVector.concat_all([left, right])  # its nulls: unmatchable
     elif DataType.DOUBLE in (left.dtype, right.dtype):
+        data = np.concatenate([left.data, right.data])
         unmatchable |= np.isnan(data)
         shared = ColumnVector(DataType.DOUBLE, data, unmatchable)
     else:
-        values = data.astype(np.int64)
+        values = np.concatenate([left.data, right.data]).astype(np.int64)
         low, high = int(values.min()), int(values.max())
         if high - low >= _INT64_MAX:  # the shift itself would wrap
             return *_densify(values), unmatchable

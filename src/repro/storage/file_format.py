@@ -28,6 +28,7 @@ from repro.storage.columnar import (
     compute_stats,
     decode_chunk,
     encode_chunk,
+    string_index,
 )
 from repro.storage.object_store import ObjectStore, StoreView
 from repro.storage.types import ColumnVector, DataType
@@ -178,8 +179,9 @@ class PixelsWriter:
                 raise ValueError(
                     f"column {name!r}: expected {dtype}, got {vector.dtype}"
                 )
-            encoding = choose_encoding(vector)
-            blob = encode_chunk(vector, encoding)
+            index = string_index(vector) if dtype is DataType.VARCHAR else None
+            encoding = choose_encoding(vector, index)
+            blob = encode_chunk(vector, encoding, index)
             chunks[name] = ChunkMeta(
                 column=name,
                 offset=len(self._buffer),
@@ -314,6 +316,8 @@ class PixelsReader:
         Returns:
             Mapping of column name to a single concatenated ColumnVector.
             Returns empty vectors (length 0) if every group is pruned.
+            Every vector is plain: DICT chunks' strings are built here
+            (:meth:`iter_groups` / :meth:`read_group` yield them coded).
         """
         if columns is None:
             columns = [name for name, _ in self._footer.schema]
@@ -330,7 +334,7 @@ class PixelsReader:
                     dtype, np.empty(0, dtype=dtype.numpy_dtype)
                 )
                 continue
-            result[column] = ColumnVector.concat_all(vectors)
+            result[column] = ColumnVector.concat_all(vectors).materialize()
         return result
 
     def iter_groups(

@@ -108,6 +108,14 @@ class TableData:
             }
         )
 
+    def materialize(self) -> "TableData":
+        """Every coded column as a plain one (:meth:`ColumnVector.materialize`)."""
+        if all(vector.codes is None for vector in self.columns.values()):
+            return self
+        return TableData(
+            {name: vector.materialize() for name, vector in self.columns.items()}
+        )
+
     def rename(self, mapping: dict[str, str]) -> "TableData":
         """Return a copy with columns renamed per ``mapping``."""
         return TableData(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,18 +85,37 @@ class ColumnVector:
         data: Backing numpy array (``object`` dtype for VARCHAR).
         nulls: Boolean array, True where the value is NULL; ``None`` means
             no nulls anywhere (the common fast path).
+
+    ``codes`` and ``dictionary`` are ``None`` except on the dictionary-coded
+    VARCHAR representation, :class:`CodedVector` (see :meth:`from_codes`).
     """
 
     dtype: DataType
     data: np.ndarray
     nulls: np.ndarray | None = field(default=None)
+    codes: ClassVar[np.ndarray | None] = None
+    dictionary: ClassVar[np.ndarray | None] = None
 
     def __post_init__(self) -> None:
         if self.nulls is not None and len(self.nulls) != len(self.data):
             raise ValueError("null mask length must match data length")
 
+    @staticmethod
+    def from_codes(
+        codes: np.ndarray, dictionary: np.ndarray, nulls: np.ndarray | None = None
+    ) -> "ColumnVector":
+        """A dictionary-coded VARCHAR vector (what a DICT chunk decodes to);
+        the caller vouches that ``dictionary`` is distinct and every code
+        is in range."""
+        return CodedVector(codes, dictionary, nulls)
+
     def __len__(self) -> int:
         return len(self.data)
+
+    def materialize(self) -> "ColumnVector":
+        """This column as a plain vector (the result boundary): a coded
+        vector's strings are built here, a plain one is returned as is."""
+        return self
 
     @property
     def null_count(self) -> int:
@@ -154,6 +174,10 @@ class ColumnVector:
         A single ``np.concatenate`` allocates the result once, so merging
         n pieces is O(total rows) — the pairwise ``concat`` loop it
         replaces re-copied every previously merged row and was O(n²).
+        Coded pieces stay coded: their dictionaries are unified by value,
+        in order of first appearance across the pieces (pieces sharing one
+        dictionary object — slices of one row group — skip that); a mix of
+        coded and plain pieces concatenates plain.
         """
         if not vectors:
             raise ValueError("concat_all needs at least one vector")
@@ -165,7 +189,6 @@ class ColumnVector:
                 )
         if len(vectors) == 1:
             return first
-        data = np.concatenate([vector.data for vector in vectors])
         if all(vector.nulls is None for vector in vectors):
             nulls = None
         else:
@@ -173,10 +196,13 @@ class ColumnVector:
                 [
                     vector.nulls
                     if vector.nulls is not None
-                    else np.zeros(len(vector.data), dtype=bool)
+                    else np.zeros(len(vector), dtype=bool)
                     for vector in vectors
                 ]
             )
+        if all(vector.codes is not None for vector in vectors):
+            return CodedVector(*_unify(vectors), nulls)
+        data = np.concatenate([vector.data for vector in vectors])
         return ColumnVector(first.dtype, data, nulls)
 
     def nbytes(self) -> int:
@@ -188,6 +214,75 @@ class ColumnVector:
         if self.nulls is not None:
             size += int(self.nulls.nbytes)
         return size
+
+
+class CodedVector(ColumnVector):
+    """The dictionary-coded representation of a VARCHAR column.
+
+    ``codes[i]`` indexes ``dictionary``, an object array of **distinct**
+    strings, some of which no row may use; NULL slots carry an arbitrary
+    in-range code.  ``data`` is ``dictionary[codes]``, built on first touch
+    and kept, so code that knows nothing about dictionaries stays correct;
+    ``take`` / ``filter`` / ``slice`` / ``concat_all`` act on the codes and
+    never build it.  Building it is an idempotent write — two morsel
+    threads may both do it, to the same value — so it takes no lock.  A
+    subclass, so that a plain vector's ``data`` stays a plain attribute.
+    """
+
+    def __init__(
+        self, codes: np.ndarray, dictionary: np.ndarray, nulls: np.ndarray | None
+    ) -> None:
+        if nulls is not None and len(nulls) != len(codes):
+            raise ValueError("null mask length must match data length")
+        self.dtype = DataType.VARCHAR
+        self.codes, self.dictionary, self.nulls = codes, dictionary, nulls
+        self._data: np.ndarray | None = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.dictionary[self.codes]
+        return self._data
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def materialize(self) -> ColumnVector:
+        return ColumnVector(self.dtype, self.data, self.nulls)
+
+    def _select(self, key) -> "CodedVector":
+        nulls = None if self.nulls is None else self.nulls[key]
+        return CodedVector(self.codes[key], self.dictionary, nulls)
+
+    def take(self, indices: np.ndarray) -> "CodedVector":
+        return self._select(indices)
+
+    def filter(self, mask: np.ndarray) -> "CodedVector":
+        return self._select(mask)
+
+    def slice(self, start: int, stop: int) -> "CodedVector":
+        return self._select(slice(start, stop))
+
+
+def _unify(vectors: list[ColumnVector]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated codes of coded ``vectors`` over one merged dictionary."""
+    dictionary = vectors[0].dictionary
+    if all(vector.dictionary is dictionary for vector in vectors):
+        return np.concatenate([vector.codes for vector in vectors]), dictionary
+    index: dict[str, int] = {}
+    remaps: dict[int, np.ndarray] = {}  # batches of one row group share theirs
+    pieces = []
+    for vector in vectors:
+        remap = remaps.get(id(vector.dictionary))
+        if remap is None:
+            entries = vector.dictionary.tolist()
+            remap = remaps[id(vector.dictionary)] = np.fromiter(
+                (index.setdefault(entry, len(index)) for entry in entries),
+                np.int32,
+                len(entries),
+            )
+        pieces.append(remap[vector.codes])
+    return np.concatenate(pieces), np.array(list(index), dtype=object)
 
 
 def date_to_days(iso_date: str) -> int:

@@ -1,10 +1,13 @@
 """Unit + property tests for column-chunk encodings and zone-map stats."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptFileError
 from repro.storage.columnar import (
     ColumnChunkStats,
     Encoding,
@@ -12,6 +15,7 @@ from repro.storage.columnar import (
     compute_stats,
     decode_chunk,
     encode_chunk,
+    string_index,
 )
 from repro.storage.types import ColumnVector, DataType
 
@@ -197,3 +201,162 @@ class TestStats:
     def test_might_contain_range_all_nulls(self):
         stats = ColumnChunkStats(num_rows=5, null_count=5, min_value=None, max_value=None)
         assert not stats.might_contain_range(1, 2)
+
+
+# -- coded decode, corrupt chunks, and the dictionary encoder ------------------
+
+
+def string_block(values: list[str]) -> bytes:
+    encoded = [value.encode("utf-8") for value in values]
+    lengths = np.array([len(value) for value in encoded], dtype=np.int32)
+    return struct.pack("<I", len(encoded)) + lengths.tobytes() + b"".join(encoded)
+
+
+def dict_blob(dictionary: list[str], codes, nulls: bytes = b"") -> bytes:
+    """A DICT chunk written by hand, so it can be wrong on purpose."""
+    strings = string_block(dictionary)
+    payload = (
+        struct.pack("<I", len(strings))
+        + strings
+        + np.asarray(codes, dtype=np.int32).tobytes()
+    )
+    return struct.pack("<II", len(codes), len(nulls)) + nulls + payload
+
+
+class TestCodedDecode:
+    def test_dict_chunk_decodes_to_codes_over_a_distinct_dictionary(self):
+        values = ["b", "a", None, "b", "", "a"]
+        vector = ColumnVector.from_values(DataType.VARCHAR, values)
+        decoded = roundtrip(vector, Encoding.DICT)
+        assert decoded.codes.dtype == np.int32
+        assert decoded.codes.tolist() == [0, 1, 2, 0, 2, 1]  # first appearance
+        assert decoded.dictionary.tolist() == ["b", "a", ""]
+        assert decoded._data is None  # no string built by decoding
+        assert decoded.to_values() == values
+
+    def test_plain_varchar_chunk_decodes_plain(self):
+        vector = ColumnVector.from_values(DataType.VARCHAR, ["a", "b"])
+        assert roundtrip(vector, Encoding.PLAIN).codes is None
+
+    def test_hand_written_blob_is_well_formed(self):
+        decoded = decode_chunk(
+            dict_blob(["x", "y"], [1, 0, 1]), DataType.VARCHAR, Encoding.DICT
+        )
+        assert decoded.to_values() == ["y", "x", "y"]
+
+
+class TestCorruptStringChunks:
+    """Each of these decoded to wrong data, or raised something other than
+    ``CorruptFileError``, before codes travelled past the decoder."""
+
+    def test_negative_code(self):
+        with pytest.raises(CorruptFileError):
+            decode_chunk(dict_blob(["x", "y"], [0, -1]), DataType.VARCHAR, Encoding.DICT)
+
+    def test_code_beyond_the_dictionary(self):
+        with pytest.raises(CorruptFileError):
+            decode_chunk(dict_blob(["x", "y"], [0, 7]), DataType.VARCHAR, Encoding.DICT)
+
+    def test_truncated_code_array(self):
+        blob = dict_blob(["x", "y"], [0, 1, 1])
+        with pytest.raises(CorruptFileError):
+            decode_chunk(blob[:-4], DataType.VARCHAR, Encoding.DICT)
+
+    def test_repeated_dictionary_value(self):
+        with pytest.raises(CorruptFileError):
+            decode_chunk(dict_blob(["x", "x"], [0, 1]), DataType.VARCHAR, Encoding.DICT)
+
+    def test_plain_string_block_one_byte_short(self):
+        vector = ColumnVector.from_values(DataType.VARCHAR, ["ab", "c"])
+        blob = encode_chunk(vector, Encoding.PLAIN)
+        with pytest.raises(CorruptFileError):
+            decode_chunk(blob[:-1], DataType.VARCHAR, Encoding.PLAIN)
+
+    def test_negative_string_length(self):
+        vector = ColumnVector.from_values(DataType.VARCHAR, ["ab", "c"])
+        blob = bytearray(encode_chunk(vector, Encoding.PLAIN))
+        struct.pack_into("<i", blob, 8 + 4, -1)  # the first length
+        with pytest.raises(CorruptFileError):
+            decode_chunk(bytes(blob), DataType.VARCHAR, Encoding.PLAIN)
+
+    def test_plain_string_count_disagrees_with_the_header(self):
+        vector = ColumnVector.from_values(DataType.VARCHAR, ["ab", "c"])
+        blob = bytearray(encode_chunk(vector, Encoding.PLAIN))
+        struct.pack_into("<I", blob, 0, 3)  # header claims one more row
+        with pytest.raises(CorruptFileError):
+            decode_chunk(bytes(blob), DataType.VARCHAR, Encoding.PLAIN)
+
+    def test_dictionary_encoding_of_a_numeric_column(self):
+        with pytest.raises(CorruptFileError):
+            decode_chunk(dict_blob(["x"], [0]), DataType.INT, Encoding.DICT)
+
+
+def sorting_encode_dict(vector: ColumnVector) -> bytes:
+    """The dictionary encoder this repo used to ship (sort the rows with
+    ``np.unique``, then undo the sort), kept as the byte-identity oracle."""
+    values = np.array([str(value) for value in vector.data], dtype=object)
+    uniques, first, inverse = np.unique(
+        values, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    remap = np.empty(len(uniques), dtype=np.int32)
+    remap[order] = np.arange(len(uniques), dtype=np.int32)
+    codes = remap[inverse.reshape(-1)]
+    nulls = vector.nulls if vector.nulls is not None else np.zeros(0, dtype=bool)
+    return dict_blob(
+        uniques[order].tolist(),
+        codes,
+        np.packbits(nulls).tobytes() if nulls.any() else b"",
+    )
+
+
+class TestDictionaryEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["", "a", "a\x00", "b", "é", "\U0001F600", "ab"]),
+                st.text(max_size=4),
+                st.none(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_blob_is_byte_identical_to_the_sorting_encoder(self, values):
+        vector = ColumnVector.from_values(DataType.VARCHAR, values)
+        index = string_index(vector)
+        expected = sorting_encode_dict(vector)
+        assert encode_chunk(vector, Encoding.DICT) == expected
+        assert encode_chunk(vector, Encoding.DICT, index) == expected
+        assert choose_encoding(vector, index) is choose_encoding(vector)
+
+    def test_every_generated_varchar_chunk_is_byte_identical(self):
+        from repro.workloads.logs import LogsGenerator
+        from repro.workloads.tpch import TpchGenerator
+
+        tables = [*TpchGenerator(0.02, 42).tables(), LogsGenerator(5000, 7).table()]
+        chunks = dict_chunks = 0
+        for table in tables:
+            for name, vector in table.data.columns.items():
+                if vector.dtype is not DataType.VARCHAR:
+                    continue
+                for start in range(0, len(vector), 512):
+                    piece = vector.slice(start, start + 512)
+                    chunks += 1
+                    dict_chunks += choose_encoding(piece) is Encoding.DICT
+                    assert encode_chunk(piece, Encoding.DICT) == sorting_encode_dict(
+                        piece
+                    ), (table.name, name, start)
+        assert chunks > 50 and dict_chunks > 20
+
+    def test_a_coded_vector_encodes_like_its_plain_twin(self):
+        values = ["b", "a", None, "b", "", "a", "c"]
+        plain = ColumnVector.from_values(DataType.VARCHAR, values)
+        coded = roundtrip(plain, Encoding.DICT).filter(
+            np.array([True, False, True, True, True, True, False])
+        )
+        twin = coded.materialize()
+        assert twin.codes is None
+        for encoding in (Encoding.PLAIN, Encoding.DICT):
+            assert encode_chunk(coded, encoding) == encode_chunk(twin, encoding)
+        assert choose_encoding(coded) is choose_encoding(twin)

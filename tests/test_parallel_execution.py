@@ -24,6 +24,7 @@ from repro.engine.expr import (
     BoundComparison,
     BoundInList,
     BoundIsNull,
+    BoundLike,
     BoundLiteral,
     BoundLogical,
     BoundNegate,
@@ -140,6 +141,33 @@ INVARIANCE_QUERIES = [
     "ORDER BY o_orderkey",
 ]
 
+#: ``o_orderstatus`` is dictionary-encoded with a different dictionary order
+#: in every 16-row group, so these run on codes from chunk to kernel; they
+#: are also the batch-size list's (``tests/test_pipeline_streaming.py``).
+DICT_QUERIES = [
+    # VARCHAR filter + GROUP BY on the same coded column
+    "SELECT o_orderstatus, COUNT(*) AS n, MIN(o_orderstatus) AS lo FROM orders "
+    "WHERE o_orderstatus <> 'P' AND o_orderstatus >= 'F' GROUP BY o_orderstatus",
+    # q12's shape: IN on one side of a join, CASE over the other side's codes
+    "SELECT a.o_orderstatus, "
+    "SUM(CASE WHEN b.o_orderstatus = 'O' OR b.o_orderstatus = 'F' THEN 1 ELSE 0 END) "
+    "AS high, "
+    "SUM(CASE WHEN b.o_orderstatus <> 'O' AND b.o_orderstatus <> 'F' THEN 1 ELSE 0 END) "
+    "AS low FROM orders a JOIN orders b ON a.o_orderkey = b.o_custkey "
+    "WHERE b.o_orderstatus IN ('O', 'P') GROUP BY a.o_orderstatus "
+    "ORDER BY a.o_orderstatus",
+    # ORDER BY a coded column: full sort and top-N with boundary ties
+    "SELECT o_orderkey, o_orderstatus FROM orders "
+    "ORDER BY o_orderstatus DESC, o_orderkey",
+    "SELECT o_orderstatus, o_orderkey FROM orders "
+    "ORDER BY o_orderstatus, o_orderdate, o_orderkey LIMIT 40",
+    # VARCHAR-key join: the two sides' dictionaries are unified
+    "SELECT a.o_orderkey, b.o_orderkey AS other FROM orders a "
+    "JOIN orders b ON a.o_orderstatus = b.o_orderstatus "
+    "WHERE a.o_orderkey < 8 AND b.o_orderkey > 290 ORDER BY a.o_orderkey, other",
+]
+INVARIANCE_QUERIES += DICT_QUERIES
+
 
 class TestWorkerInvariance:
     @pytest.mark.parametrize("sql", INVARIANCE_QUERIES)
@@ -235,12 +263,16 @@ def _expr_table(rng, num_rows=97):
     b = np.array([rng.uniform(-10.0, 10.0) for _ in range(num_rows)])
     c = np.array([rng.randrange(0, 5) for _ in range(num_rows)], dtype=np.int64)
     s = np.array([rng.choice(["red", "green", "blue", ""]) for _ in range(num_rows)], dtype=object)
+    # The same kind of column, dictionary-coded (one entry no row uses).
+    d = np.array([rng.randrange(4) for _ in range(num_rows)], dtype=np.int32)
+    words = np.array(["red", "", "blue", "green", "unused"], dtype=object)
     return TableData(
         {
             "t.a": ColumnVector(DataType.BIGINT, a, nullable(a, 0.2)),
             "t.b": ColumnVector(DataType.DOUBLE, b, nullable(b, 0.2)),
             "t.c": ColumnVector(DataType.BIGINT, c),
             "t.s": ColumnVector(DataType.VARCHAR, s, nullable(s, 0.15)),
+            "t.d": ColumnVector.from_codes(d, words, nullable(d, 0.15)),
         }
     )
 
@@ -275,10 +307,23 @@ def _gen_bool(rng, depth) -> BoundExpr:
                 _gen_numeric(rng, 1),
             )
         if kind == 1:
+            column = BoundColumn(rng.choice(["t.s", "t.d"]), DataType.VARCHAR)
+            shape = rng.randrange(4)
+            if shape == 0:
+                return BoundInList(
+                    column, ("red", rng.choice(["", "nope"])), negated=rng.random() < 0.5
+                )
+            if shape == 1:
+                return BoundLike(column, rng.choice(["%e%", "b_ue", ""]))
+            other = (
+                BoundColumn("t.d", DataType.VARCHAR)
+                if shape == 2
+                else BoundLiteral(rng.choice(["red", "blue", "nope"]), DataType.VARCHAR)
+            )
+            sides = [column, other]
+            rng.shuffle(sides)
             return BoundComparison.bind(
-                rng.choice(["=", "<>"]),
-                BoundColumn("t.s", DataType.VARCHAR),
-                BoundLiteral(rng.choice(["red", "blue", "nope"]), DataType.VARCHAR),
+                rng.choice(["=", "<>", "<", "<=", ">", ">="]), *sides
             )
         if kind == 2:
             return BoundIsNull(

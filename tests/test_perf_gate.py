@@ -223,3 +223,41 @@ class TestExplain:
         assert perf_gate.main(["c1", "--explain"]) == 1
         captured = capsys.readouterr()
         assert "perf-gate: cause c1: Scan regressed in bandwidth" in captured.err
+
+
+class TestPairedStepClasses:
+    """``benchmarks/paired.py`` judges per-template predictions from the
+    ``step <class> … p50=…`` lines ``benchmarks/layers/run.py`` prints."""
+
+    @pytest.fixture(scope="class")
+    def paired(self):
+        spec = importlib.util.spec_from_file_location(
+            "paired", _GATE_PATH.with_name("paired.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_step_lines_are_parsed_from_run_py_stderr(self, paired):
+        stderr = (
+            "engine_mix: seed 1, 36 timed rounds, 504 ops, 504 timed steps\n"
+            "  ops_per_s quartiles over rounds: 80.5 / 85.2 / 89.5\n"
+            "  step bot_share                    n=  36 p50=   58.356 ms\n"
+            "  step count_star.cold              n=  12 p50=    7.993 ms\n"
+            "  3 outputs not in golden.json, checked for run-to-run equality only:\n"
+        )
+        assert paired.STEP_LINE.findall(stderr) == [
+            ("bot_share", "58.356"),
+            ("count_star.cold", "7.993"),
+        ]
+
+    def test_each_class_gets_both_medians_and_heads_wins(self, paired):
+        base = [{"q1": 29.0, "q6": 4.0}, {"q1": 31.0, "q6": 3.9}, {"q1": 30.0}]
+        head = [{"q1": 16.0, "q6": 4.1}, {"q1": 18.0, "q6": 3.8}, {"q1": 33.0}]
+        classes = paired.judge_step_classes(base, head)
+        assert classes["q1"]["base_median"] == 30.0
+        assert classes["q1"]["head_median"] == 18.0
+        assert (classes["q1"]["head_wins"], classes["q1"]["pairs"]) == (2, 3)
+        # a class one run did not report is judged over the pairs that did
+        assert (classes["q6"]["head_wins"], classes["q6"]["pairs"]) == (1, 2)
+        assert classes["q6"]["runs"] == {"base": [4.0, 3.9], "head": [4.1, 3.8]}

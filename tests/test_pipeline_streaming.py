@@ -26,6 +26,7 @@ from repro.storage.object_store import ObjectStore
 from repro.storage.table import TableData, TableWriter
 from repro.storage.types import DataType
 from repro.turbo.plan_split import split_plan
+from tests.test_parallel_execution import DICT_QUERIES, _setup as dict_store
 from tests.conftest import (
     CUSTOMER_ROWS,
     CUSTOMER_SCHEMA,
@@ -188,6 +189,22 @@ class TestBatchSizeInvariance:
             )
             results.append(run_query(engine, sql))
         assert results[0].rows() == results[1].rows() == results[2].rows()
+
+    @pytest.mark.parametrize("sql", DICT_QUERIES)
+    def test_dictionary_coded_columns(self, sql):
+        """Several dictionaries per column (16-row groups): the merged
+        dictionary's order must not depend on where batches are cut."""
+        store, catalog = dict_store()
+        results = []
+        for batch_size in (1, 7, 4096):
+            engine = (
+                Planner(catalog, "mini"),
+                Optimizer(),
+                QueryExecutor(ObjectStoreSource(store), batch_size=batch_size),
+            )
+            results.append(run_query(engine, sql))
+        assert results[0].rows() == results[1].rows() == results[2].rows()
+        assert results[0].num_rows > 0
 
     def test_rejects_nonpositive_batch_size(self, mini_tables):
         with pytest.raises(ValueError):
