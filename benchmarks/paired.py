@@ -24,8 +24,13 @@ the ratio with its base, and a verdict by the ``choosing-metrics`` rule:
 Under each workload's table it prints, per step class (a statement
 template, a scan or ingest, a replay's batch), the median over the runs of
 the class's p50 latency on each side — ``run.py`` reports those on stderr —
-with head's wins over the pairs: a per-template prediction is then judged
-by the same alternating pairs as the claim, not by one traced run.
+with head's wins over the pairs and a verdict by the same rule: ``faster``
+/ ``slower`` when head wins / loses >= 9/10 of at least ten pairs and the
+medians differ by more than base's interquartile range, blank otherwise.
+Classes that read ``slower`` are listed again under the table.  A
+per-template prediction is then judged by the same alternating pairs as the
+claim, not by one traced run; class verdicts never change the exit code
+(one scan has two allocator modes that would flap it).
 
 Every invocation appends one JSON line — every run made, both sides — to
 ``benchmarks/results/layers_trajectory.jsonl``.
@@ -104,6 +109,22 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def decided(base: list[float], head: list[float], sign: float) -> int:
+    """+1 / -1 when the pairs show head better / worse than base — at least
+    ten pairs, >= 9/10 of them one way (ties count for neither), medians
+    further apart than base's interquartile range — and 0 when they do not.
+    ``sign`` is +1 where higher reads better, -1 where lower does."""
+    ahead = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    behind = sum(sign * (h - b) < 0 for b, h in zip(base, head))
+    gain = sign * (median(head) - median(base))
+    base_q1, base_q3 = quartiles(base)
+    if len(base) < 10 or abs(gain) <= base_q3 - base_q1:
+        return 0
+    if gain > 0:
+        return int(ahead >= 0.9 * len(base))
+    return -int(behind >= 0.9 * len(base))
+
+
 def judge(base: list[float], head: list[float], better: str, bound: float) -> dict:
     """Summary and verdict for one (metric, workload) from paired runs."""
     sign = 1.0 if better == "higher" else -1.0
@@ -115,7 +136,7 @@ def judge(base: list[float], head: list[float], better: str, bound: float) -> di
     spread = base_q3 - base_q1
     allowed = bound * abs(base_median)
     clean_sweep = min(sign * h for h in head) > max(sign * b for b in base)
-    if len(base) >= 10 and wins >= 0.9 * len(base) and gain > spread:
+    if decided(base, head, sign) > 0:
         verdict = "improved"
     elif -gain > allowed:
         verdict = "regressed"
@@ -137,7 +158,8 @@ def judge(base: list[float], head: list[float], better: str, bound: float) -> di
 
 def judge_step_classes(base: list[dict], head: list[dict]) -> dict[str, dict]:
     """Per step class: each side's median of the runs' p50s (ms), head's
-    wins over the pairs, and every run's p50."""
+    wins and losses over the pairs, ``faster`` / ``slower`` / blank by
+    :func:`decided`, and every run's p50."""
     classes: dict[str, dict] = {}
     for label in sorted(set().union(*base, *head)):
         pairs = [
@@ -152,7 +174,11 @@ def judge_step_classes(base: list[dict], head: list[dict]) -> dict[str, dict]:
             "base_median": median(base_runs),
             "head_median": median(head_runs),
             "head_wins": sum(h < b for b, h in pairs),
+            "head_losses": sum(h > b for b, h in pairs),
             "pairs": len(pairs),
+            "verdict": {1: "faster", -1: "slower", 0: ""}[
+                decided(base_runs, head_runs, -1.0)
+            ],
             "runs": {"base": base_runs, "head": head_runs},
         }
     return classes
@@ -247,7 +273,11 @@ def main() -> int:
                 f"  head {row['head_median']:8.3f} ms"
                 f"  wins {row['head_wins']}/{row['pairs']}"
                 f"  head/base {row['head_median'] / row['base_median']:.3f}"
+                f"  {row['verdict']}".rstrip()
             )
+        slower = [label for label, row in classes.items() if row["verdict"] == "slower"]
+        if slower:
+            print(f"    slower: {', '.join(slower)}")
 
     TRAJECTORY.parent.mkdir(exist_ok=True)
     with TRAJECTORY.open("a", encoding="utf-8") as handle:

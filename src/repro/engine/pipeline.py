@@ -166,10 +166,12 @@ class ScanOperator(PhysicalOperator):
     """Leaf: stream a table scan, one source granule at a time.
 
     Granules arrive at the source's natural fetch unit (a row group for
-    object-store scans) and are re-sliced into record batches.  The
-    granule iterator is advanced lazily, so a consumer that stops pulling
-    ends the scan with the remaining row groups unfetched — the early-exit
-    half of the billing story (§3.2: pay for bytes actually scanned).
+    object-store scans), already filtered by the scan's residual, and are
+    re-sliced into record batches; ``rows_in`` counts the rows the source
+    read, before that filter.  The granule iterator is advanced lazily, so
+    a consumer that stops pulling ends the scan with the remaining row
+    groups unfetched — the early-exit half of the billing story (§3.2: pay
+    for bytes actually scanned).
     """
 
     def __init__(
@@ -181,9 +183,6 @@ class ScanOperator(PhysicalOperator):
         self._batch_size = batch_size
         self._granules: Iterator | None = None
         self._slices: Iterator[RecordBatch] | None = None
-        self._residual = (
-            compile_expr(node.residual) if node.residual is not None else None
-        )
 
     def open(self) -> None:
         self._granules = self._source.scan_batches(self.node)
@@ -200,19 +199,15 @@ class ScanOperator(PhysicalOperator):
             if granule is None:
                 return None
             self._account(granule)
-            data = granule.data
-            if self._residual is not None and data.num_rows:
-                mask = mask_from_predicate(self._residual(data))
-                data = data.filter(mask)
-            self._slices = RecordBatch.slices(data, self._batch_size)
+            self._slices = RecordBatch.slices(granule.data, self._batch_size)
 
     def _account(self, granule) -> None:
-        self.rows_in += granule.data.num_rows
+        self.rows_in += granule.rows_scanned
         self.morsels += 1
         stats = self._stats
         stats.bytes_scanned += granule.bytes_scanned
         stats.scan_latency_s += granule.latency_s
-        stats.rows_scanned += granule.data.num_rows
+        stats.rows_scanned += granule.rows_scanned
         stats.get_requests += granule.get_requests
         stats.footer_gets += granule.footer_gets
         stats.chunk_gets += granule.chunk_gets

@@ -45,7 +45,7 @@ class Scan(PlanNode):
     ``columns`` is the projection (qualified output names mapped to base
     column names); ``ranges`` are zone-map bounds pushed down by the
     optimizer; ``residual`` is the part of the pushed predicate zone maps
-    cannot fully decide, evaluated right after the read.
+    cannot fully decide, applied by the data source as it reads.
     """
 
     table: TableMeta

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from repro.errors import ExecutionError
+from repro.engine.expr import compile_expr, mask_from_predicate
 from repro.engine.plan import Scan
 from repro.storage.cache import BufferPool
-from repro.storage.file_format import FileFooter, PixelsReader
+from repro.storage.file_format import FileFooter, PixelsReader, Selection
 from repro.storage.object_store import ObjectStore, StorageMetrics, StoreView
 from repro.storage.table import TableData, TableReader
 
@@ -23,6 +24,10 @@ from repro.storage.table import TableData, TableReader
 class SourceResult:
     """A scan's payload plus its cost accounting.
 
+    ``data`` holds only the rows that satisfy the scan's residual;
+    ``rows_scanned`` is the row count *before* it (what the cost model and
+    the Scan operator's ``rows_in`` are built on), so it has no default: a
+    source that forgets it must fail, not report zero.
     The request/cache counters mirror :class:`~repro.storage.table
     .ScanResult` so they survive the executor boundary and land in
     :class:`~repro.engine.executor.QueryStats` (sources without a
@@ -32,6 +37,7 @@ class SourceResult:
     data: TableData
     bytes_scanned: int
     latency_s: float
+    rows_scanned: int
     get_requests: int = 0
     footer_gets: int = 0  # request-class split of get_requests
     chunk_gets: int = 0
@@ -60,12 +66,37 @@ class Morsel:
     row_groups_skipped: int
 
 
+def _residual_selection(node: Scan) -> Selection | None:
+    """The scan's residual as a reader :data:`Selection` over base column
+    names (the residual itself references the qualified output names)."""
+    if node.residual is None:
+        return None
+    residual = compile_expr(node.residual)
+    referenced = node.residual.references()
+    out_names = {base: out for out, base in node.columns}
+    # A reference-free residual (``WHERE 1 = 0``) evaluated over no column
+    # yields a mask of length 0, which is vacuously all-true: always test a
+    # column, so the constant broadcasts to the group's row count.
+    tested = [
+        base for base, out in out_names.items() if out in referenced
+    ] or [node.columns[0][1]]
+
+    def predicate(vectors):
+        return mask_from_predicate(
+            residual(TableData({out_names[base]: v for base, v in vectors.items()}))
+        )
+
+    return tested, predicate
+
+
 class DataSource(Protocol):
     """Anything that can materialize a Scan leaf."""
 
     def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
         """Stream the scan's projection (zone-map ranges applied, columns
-        under the scan's *qualified* output names) as bounded granules.
+        under the scan's *qualified* output names) as bounded granules
+        that hold only rows satisfying the scan's ``residual`` — the source
+        is the one place that predicate is applied.
 
         Each yielded :class:`SourceResult` carries one granule of rows
         (row-group granularity for object-store scans) plus the cost
@@ -114,11 +145,10 @@ class ObjectStoreSource:
         counters reproduces a whole ``TableReader.scan``'s totals exactly
         when the stream is drained in full.
         """
-        from repro.storage.object_store import StorageMetrics
-
         reader = self._table_reader(node)
         base_columns = [base for _, base in node.columns]
         ranges = node.ranges or None
+        selection = _residual_selection(node)
         file_keys = self._keys if self._keys is not None else reader.file_keys()
         metrics = self._store.metrics
         for key in file_keys:
@@ -130,29 +160,28 @@ class ObjectStoreSource:
                 self._store, node.table.bucket, key, cache=self._cache
             )
             pending = metrics.delta(before)  # the footer read
-            pending_skipped = (
-                file_reader.count_pruned_groups(ranges) if ranges else 0
-            )
-            groups = file_reader.iter_groups(columns=base_columns, ranges=ranges)
-            yielded = False
-            while True:
+            footer = file_reader.footer
+            surviving = file_reader.surviving_group_indexes(ranges)
+            pending_skipped = len(footer.row_groups) - len(surviving)
+            groups = file_reader.iter_groups(base_columns, ranges, selection)
+            for index in surviving:
                 before = metrics.snapshot()
-                vectors = next(groups, None)
-                if vectors is None:
-                    break
+                vectors = next(groups)
                 delta = metrics.delta(before)
                 delta.merge(pending)
                 pending = StorageMetrics()
                 yield self._granule(
-                    self._rename(TableData(vectors), node), delta, pending_skipped
+                    self._rename(TableData(vectors), node),
+                    delta,
+                    pending_skipped,
+                    footer.row_groups[index].num_rows,
                 )
                 pending_skipped = 0
-                yielded = True
-            if not yielded:
+            if not surviving:
                 # Fully pruned (or empty) file: still surface the footer
                 # read and the skip count so accounting stays exact.
                 yield self._granule(
-                    TableData.empty(node.output_schema()), pending, pending_skipped
+                    TableData.empty(node.output_schema()), pending, pending_skipped, 0
                 )
 
     # -- morsel-driven parallel scan path -----------------------------------
@@ -179,8 +208,8 @@ class ObjectStoreSource:
                 self._store, node.table.bucket, key, cache=self._cache
             )
             footer_delta: StorageMetrics | None = metrics.delta(before)
-            skipped = file_reader.count_pruned_groups(ranges) if ranges else 0
             surviving = file_reader.surviving_group_indexes(ranges)
+            skipped = len(file_reader.footer.row_groups) - len(surviving)
             if not surviving:
                 morsels.append(
                     Morsel(key, None, file_reader.footer, footer_delta, skipped)
@@ -210,7 +239,10 @@ class ObjectStoreSource:
             delta.merge(morsel.footer_delta)
         if morsel.group_index is None:
             return self._granule(
-                TableData.empty(node.output_schema()), delta, morsel.row_groups_skipped
+                TableData.empty(node.output_schema()),
+                delta,
+                morsel.row_groups_skipped,
+                0,
             )
         file_reader = PixelsReader(
             view,
@@ -221,11 +253,16 @@ class ObjectStoreSource:
         )
         before = view.metrics.snapshot()
         vectors = file_reader.read_group(
-            morsel.group_index, [base for _, base in node.columns]
+            morsel.group_index,
+            [base for _, base in node.columns],
+            _residual_selection(node),
         )
         delta.merge(view.metrics.delta(before))
         return self._granule(
-            self._rename(TableData(vectors), node), delta, morsel.row_groups_skipped
+            self._rename(TableData(vectors), node),
+            delta,
+            morsel.row_groups_skipped,
+            morsel.footer.row_groups[morsel.group_index].num_rows,
         )
 
     def store_view(self) -> StoreView:
@@ -253,11 +290,14 @@ class ObjectStoreSource:
         )
 
     @staticmethod
-    def _granule(data: TableData, delta, skipped: int) -> SourceResult:
+    def _granule(
+        data: TableData, delta, skipped: int, rows_scanned: int
+    ) -> SourceResult:
         return SourceResult(
             data,
             delta.logical_bytes_scanned,
             delta.read_time_s,
+            rows_scanned,
             get_requests=delta.get_requests,
             footer_gets=delta.footer_get_requests,
             chunk_gets=delta.chunk_get_requests,
@@ -310,4 +350,8 @@ class InMemorySource:
         projected = data.select([base for _, base in node.columns]).rename(
             {base: out for out, base in node.columns}
         )
-        yield SourceResult(projected, projected.nbytes(), 0.0)
+        kept = projected
+        if node.residual is not None and projected.num_rows:
+            mask = mask_from_predicate(compile_expr(node.residual)(projected))
+            kept = projected.filter(mask)
+        yield SourceResult(kept, projected.nbytes(), 0.0, projected.num_rows)

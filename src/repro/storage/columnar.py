@@ -36,6 +36,10 @@ class Encoding(enum.Enum):
     DICT = "dict"
 
 
+#: The integer-like types the writer may run-length encode.
+_RLE_TYPES = (DataType.INT, DataType.BIGINT, DataType.DATE)
+
+
 @dataclass(frozen=True)
 class ColumnChunkStats:
     """Zone-map statistics for one column chunk.
@@ -54,10 +58,11 @@ class ColumnChunkStats:
 
         ``None`` bounds are open.  A True result means "cannot rule out";
         False is a proof the chunk holds no matching row, so it may be
-        skipped without reading it.
+        skipped without reading it: a chunk without min/max (BOOLEAN) is
+        ruled out only when every row is NULL.
         """
         if self.min_value is None or self.max_value is None:
-            return self.null_count < self.num_rows and low is None and high is None
+            return self.null_count < self.num_rows
         if low is not None and _less_than(self.max_value, low):
             return False
         if high is not None and _less_than(high, self.min_value):
@@ -69,8 +74,11 @@ def _less_than(a: object, b: object) -> bool:
     return a < b  # type: ignore[operator]
 
 
-def compute_stats(vector: ColumnVector) -> ColumnChunkStats:
-    """Compute zone-map statistics for ``vector``."""
+def compute_stats(
+    vector: ColumnVector, index: dict[str, int] | None = None
+) -> ColumnChunkStats:
+    """Compute zone-map statistics for ``vector``; ``index`` is its
+    :func:`string_index`, if the caller has it."""
     num_rows = len(vector)
     null_count = vector.null_count
     if num_rows == null_count or num_rows == 0:
@@ -82,8 +90,10 @@ def compute_stats(vector: ColumnVector) -> ColumnChunkStats:
     if vector.dtype is DataType.BOOLEAN:
         return ColumnChunkStats(num_rows, null_count, None, None)
     if vector.dtype is DataType.VARCHAR:
-        as_str = [str(value) for value in valid]
-        return ColumnChunkStats(num_rows, null_count, min(as_str), max(as_str))
+        # Without NULLs the distinct strings bound the rows exactly (a NULL
+        # slot's filler is in the index but is no value of the column).
+        strings = index if index is not None and not null_count else valid.tolist()
+        return ColumnChunkStats(num_rows, null_count, min(strings), max(strings))
     min_value = valid.min()
     max_value = valid.max()
     if vector.dtype is DataType.DOUBLE:
@@ -112,7 +122,7 @@ def choose_encoding(
     """
     if len(vector) == 0:
         return Encoding.PLAIN
-    if vector.dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
+    if vector.dtype in _RLE_TYPES:
         data = vector.data
         if len(data) >= 8:
             changes = int(np.count_nonzero(np.diff(data))) + 1
@@ -150,24 +160,47 @@ def encode_chunk(
     return header + null_blob + payload
 
 
-def decode_chunk(blob: bytes, dtype: DataType, encoding: Encoding) -> ColumnVector:
+def decode_chunk(
+    blob: bytes,
+    dtype: DataType,
+    encoding: Encoding,
+    rows: np.ndarray | None = None,
+) -> ColumnVector:
     """Inverse of :func:`encode_chunk`.  A DICT chunk decodes to a *coded*
     vector (:meth:`ColumnVector.from_codes`): its strings are not built
-    here.  Codes then travel far from the file, so every string chunk is
-    validated now and a bad one raises :class:`CorruptFileError`."""
+    here.
+
+    ``rows`` is an ascending integer array of the rows to keep; the result
+    equals ``decode_chunk(blob, dtype, encoding).take(rows)`` but builds
+    only those rows (a PLAIN string that is dropped is never sliced, a
+    fixed-width column is gathered straight from the buffer).
+
+    Decoded values travel far from the file, so every chunk is validated
+    here and a bad one raises :class:`CorruptFileError` — on the **whole**
+    chunk, whatever ``rows`` says: a corrupt chunk fails the scan whether
+    or not its bad row is selected.  Strings that are not built are checked
+    as one UTF-8 block; the one corruption that hides is a length vector
+    that splits a multi-byte character inside a dropped row of an
+    otherwise valid block.
+    """
     if len(blob) < 8:
         raise CorruptFileError("column chunk too short for header")
     num_rows, null_len = struct.unpack_from("<II", blob, 0)
-    offset = 8
-    nulls = _decode_nulls(blob[offset : offset + null_len], num_rows)
-    offset += null_len
-    payload = blob[offset:]
+    if null_len not in (0, (num_rows + 7) // 8) or len(blob) < 8 + null_len:
+        raise CorruptFileError("null mask length disagrees with the row count")
+    nulls = _decode_nulls(blob[8 : 8 + null_len], num_rows)
+    if nulls is not None and rows is not None:
+        nulls = nulls[rows]
+    payload = blob[8 + null_len :]
     if encoding is Encoding.PLAIN:
-        data = _decode_plain(payload, dtype, num_rows)
-    elif encoding is Encoding.RLE:
-        data = _decode_rle(payload, dtype, num_rows)
+        data = _decode_plain(payload, dtype, num_rows, rows)
+    elif encoding is Encoding.RLE and dtype in _RLE_TYPES:
+        data = _decode_rle(payload, dtype, num_rows, rows)
     elif encoding is Encoding.DICT and dtype is DataType.VARCHAR:
-        return ColumnVector.from_codes(*_decode_dict(payload, num_rows), nulls)
+        codes, dictionary = _decode_dict(payload, num_rows)
+        if rows is not None:
+            codes = codes[rows]
+        return ColumnVector.from_codes(codes, dictionary, nulls)
     else:
         raise CorruptFileError(f"cannot decode {dtype.value} as {encoding.value}")
     return ColumnVector(dtype, data, nulls)
@@ -187,19 +220,31 @@ def _decode_nulls(blob: bytes, num_rows: int) -> np.ndarray | None:
 
 
 def _encode_strings(values: list[str]) -> bytes:
-    # Encode each value exactly once; the length vector reuses the encoded
-    # bytes instead of re-encoding (this is the hot path of VARCHAR writes).
-    encoded = [value.encode("utf-8") for value in values]
-    lengths = np.fromiter(
-        (len(blob) for blob in encoded), dtype=np.int32, count=len(encoded)
-    )
-    return struct.pack("<I", len(values)) + lengths.tobytes() + b"".join(encoded)
+    # The hot path of VARCHAR writes.  An ASCII block is encoded in one
+    # call and its byte lengths are its character counts; otherwise each
+    # value is encoded exactly once and the lengths reuse the encoded bytes.
+    joined = "".join(values)
+    if joined.isascii():
+        payload, sized = joined.encode("ascii"), values
+    else:
+        sized = [value.encode("utf-8") for value in values]
+        payload = b"".join(sized)
+    lengths = np.fromiter(map(len, sized), dtype=np.int32, count=len(sized))
+    return struct.pack("<I", len(values)) + lengths.tobytes() + payload
 
 
-def _decode_strings(blob: bytes) -> list[str]:
+def _decode_strings(
+    blob: bytes, num_rows: int | None = None, rows: np.ndarray | None = None
+) -> list[str]:
+    """The strings of a block, or only those at ``rows``; ``num_rows`` is
+    the count the block must hold, if the caller knows one."""
     if len(blob) < 4:
         raise CorruptFileError("string block too short")
     (count,) = struct.unpack_from("<I", blob, 0)
+    if num_rows is not None and count != num_rows:
+        raise CorruptFileError(
+            f"string chunk holds {count} values, expected {num_rows}"
+        )
     base = 4 + 4 * count
     if len(blob) < base:
         raise CorruptFileError("string block shorter than its length vector")
@@ -208,32 +253,45 @@ def _decode_strings(blob: bytes) -> list[str]:
     # Vectorized offset arithmetic (cumsum) instead of a running counter
     # with per-item int() casts; slicing stays on byte boundaries so
     # multi-byte UTF-8 values decode exactly as written.
-    ends = (np.cumsum(lengths, dtype=np.int64) + base).tolist()
-    if count and ends[-1] > len(blob):
-        raise CorruptFileError("string lengths overrun the block")
-    starts = [base] + ends[:-1]
-    return [blob[start:end].decode("utf-8") for start, end in zip(starts, ends)]
+    ends = np.cumsum(lengths, dtype=np.int64) + base
+    if (int(ends[-1]) if count else base) != len(blob):
+        raise CorruptFileError("string lengths disagree with the block's size")
+    starts = ends - lengths
+    try:
+        if rows is not None:
+            blob[base:].decode("utf-8")  # the strings not built, as one block
+            starts, ends = starts[rows], ends[rows]
+        return [
+            blob[start:end].decode("utf-8")
+            for start, end in zip(starts.tolist(), ends.tolist())
+        ]
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"string block is not UTF-8: {exc}") from None
 
 
 def _encode_plain(vector: ColumnVector) -> bytes:
     if vector.dtype is DataType.VARCHAR:
-        return _encode_strings([str(value) for value in vector.data])
+        return _encode_strings(vector.data.tolist())
     if vector.dtype is DataType.BOOLEAN:
         return vector.data.astype(np.uint8).tobytes()
     return np.ascontiguousarray(vector.data).tobytes()
 
 
-def _decode_plain(blob: bytes, dtype: DataType, num_rows: int) -> np.ndarray:
+def _decode_plain(
+    blob: bytes, dtype: DataType, num_rows: int, rows: np.ndarray | None
+) -> np.ndarray:
     if dtype is DataType.VARCHAR:
-        strings = _decode_strings(blob)
-        if len(strings) != num_rows:
-            raise CorruptFileError(
-                f"string chunk holds {len(strings)} values, expected {num_rows}"
-            )
-        return np.array(strings, dtype=object)
-    if dtype is DataType.BOOLEAN:
-        return np.frombuffer(blob, dtype=np.uint8, count=num_rows).astype(bool)
-    return np.frombuffer(blob, dtype=dtype.numpy_dtype, count=num_rows).copy()
+        return np.array(_decode_strings(blob, num_rows, rows), dtype=object)
+    numpy_dtype = dtype.numpy_dtype
+    if len(blob) != num_rows * numpy_dtype.itemsize:
+        raise CorruptFileError(
+            f"{dtype.value} chunk is {len(blob)} bytes, expected {num_rows} values"
+        )
+    stored = np.uint8 if dtype is DataType.BOOLEAN else numpy_dtype
+    values = np.frombuffer(blob, dtype=stored)
+    # One copy either way: the view of the chunk's bytes is read-only.
+    values = values.copy() if rows is None else values[rows]
+    return values.astype(numpy_dtype, copy=False)
 
 
 def _encode_rle(vector: ColumnVector) -> bytes:
@@ -248,18 +306,25 @@ def _encode_rle(vector: ColumnVector) -> bytes:
     return struct.pack("<I", len(runs)) + runs.tobytes() + values.tobytes()
 
 
-def _decode_rle(blob: bytes, dtype: DataType, num_rows: int) -> np.ndarray:
+def _decode_rle(
+    blob: bytes, dtype: DataType, num_rows: int, rows: np.ndarray | None
+) -> np.ndarray:
+    if len(blob) < 4:
+        raise CorruptFileError("RLE chunk too short")
     (num_runs,) = struct.unpack_from("<I", blob, 0)
+    if len(blob) != 4 + 12 * num_runs:
+        raise CorruptFileError("RLE chunk size disagrees with its run count")
     runs = np.frombuffer(blob, dtype=np.int32, count=num_runs, offset=4)
     values = np.frombuffer(
         blob, dtype=np.int64, count=num_runs, offset=4 + 4 * num_runs
     )
-    data = np.repeat(values, runs).astype(dtype.numpy_dtype)
-    if len(data) != num_rows:
-        raise CorruptFileError(
-            f"RLE chunk decoded {len(data)} rows, expected {num_rows}"
-        )
-    return data
+    if (runs <= 0).any() or int(runs.sum(dtype=np.int64)) != num_rows:
+        raise CorruptFileError(f"RLE runs do not add up to {num_rows} rows")
+    narrow = values.astype(dtype.numpy_dtype)
+    if (narrow != values).any():
+        raise CorruptFileError(f"RLE value out of range for {dtype.value}")
+    data = np.repeat(narrow, runs)
+    return data if rows is None else data[rows]
 
 
 def _encode_dict(vector: ColumnVector, index: dict[str, int] | None) -> bytes:
@@ -279,8 +344,8 @@ def _decode_dict(blob: bytes, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
     if len(blob) < 4:
         raise CorruptFileError("dictionary chunk too short")
     (dict_len,) = struct.unpack_from("<I", blob, 0)
-    if len(blob) < 4 + dict_len + 4 * num_rows:
-        raise CorruptFileError("dictionary chunk shorter than its codes")
+    if len(blob) != 4 + dict_len + 4 * num_rows:
+        raise CorruptFileError("dictionary chunk size disagrees with its codes")
     dictionary = _decode_strings(blob[4 : 4 + dict_len])
     if len(set(dictionary)) != len(dictionary):
         raise CorruptFileError("dictionary values are not distinct")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,12 @@ from repro.storage.types import ColumnVector, DataType
 
 MAGIC = b"PIXL"
 FORMAT_VERSION = 1
+
+#: A row selection for the read path: the columns to decode first, and a
+#: predicate from those vectors to the boolean mask of rows to keep.
+Selection = tuple[
+    list[str], Callable[[dict[str, ColumnVector]], np.ndarray]
+]
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,7 @@ class PixelsWriter:
                 offset=len(self._buffer),
                 length=len(blob),
                 encoding=encoding,
-                stats=compute_stats(vector),
+                stats=compute_stats(vector, index),
             )
             self._buffer.extend(blob)
         self._row_groups.append(RowGroupMeta(group_rows, chunks))
@@ -341,6 +348,7 @@ class PixelsReader:
         self,
         columns: list[str] | None = None,
         ranges: dict[str, tuple[object | None, object | None]] | None = None,
+        selection: Selection | None = None,
     ):
         """Yield each unpruned row group's projected columns, *lazily*.
 
@@ -351,32 +359,20 @@ class PixelsReader:
 
         Yields:
             One ``{column: ColumnVector}`` mapping per surviving row group,
-            in file order.
+            in file order, holding the rows ``selection`` keeps (see
+            :meth:`_decode_group`); a group with none still yields.
         """
-        names = [name for name, _ in self._footer.schema]
-        if columns is None:
-            columns = names
-        for column in columns:
-            if column not in names:
-                raise NoSuchColumnError(f"no column {column!r} in {self._key}")
-        column_types = {column: self.column_type(column) for column in columns}
+        columns = self._projection(columns)
         for group in self._footer.row_groups:
             if ranges and self._pruned(group, ranges):
                 continue
-            blobs = self._fetch_group_chunks(
-                [group.chunks[column] for column in columns]
-            )
-            yield {
-                column: decode_chunk(
-                    blobs[column],
-                    column_types[column],
-                    group.chunks[column].encoding,
-                )
-                for column in columns
-            }
+            yield self._decode_group(group, columns, selection)
 
     def read_group(
-        self, index: int, columns: list[str] | None = None
+        self,
+        index: int,
+        columns: list[str] | None = None,
+        selection: Selection | None = None,
     ) -> dict[str, ColumnVector]:
         """Fetch and decode one row group by index (the morsel read path).
 
@@ -385,28 +381,56 @@ class PixelsReader:
         scanned bytes, pool lookups count hits/misses, and misses are
         coalesced into ranged GETs.
         """
+        return self._decode_group(
+            self._footer.row_groups[index], self._projection(columns), selection
+        )
+
+    def _projection(self, columns: list[str] | None) -> list[str]:
         names = [name for name, _ in self._footer.schema]
         if columns is None:
-            columns = names
+            return names
         for column in columns:
             if column not in names:
                 raise NoSuchColumnError(f"no column {column!r} in {self._key}")
-        group = self._footer.row_groups[index]
-        blobs = self._fetch_group_chunks([group.chunks[column] for column in columns])
-        return {
-            column: decode_chunk(
-                blobs[column],
-                self.column_type(column),
-                group.chunks[column].encoding,
+        return columns
+
+    def _decode_group(
+        self, group: RowGroupMeta, columns: list[str], selection: Selection | None
+    ) -> dict[str, ColumnVector]:
+        """Fetch one row group's chunks and decode them in two phases.
+
+        ``selection`` is ``(tested, predicate)``: the ``tested`` columns are
+        decoded first, ``predicate({column: vector})`` returns the boolean
+        mask of the group's rows to keep, and every other chunk is decoded
+        under that mask (:func:`decode_chunk`'s ``rows``), so a value the
+        predicate drops is never built.  What is fetched, pooled, accounted
+        and validated does not depend on the mask.
+        """
+        tested, predicate = selection or ((), None)
+        fetched = columns + [column for column in tested if column not in columns]
+        blobs = self._fetch_group_chunks([group.chunks[column] for column in fetched])
+        types = dict(self._footer.schema)
+
+        def decode(column: str, rows: np.ndarray | None = None) -> ColumnVector:
+            return decode_chunk(
+                blobs[column], types[column], group.chunks[column].encoding, rows
             )
+
+        probe = {column: decode(column) for column in tested}
+        rows = None
+        if predicate is not None:
+            mask = predicate(probe)
+            if len(mask) != group.num_rows:
+                raise ValueError(
+                    f"selection mask has {len(mask)} rows, the group {group.num_rows}"
+                )
+            if not mask.all():
+                rows = np.flatnonzero(mask)
+                probe = {column: vector.take(rows) for column, vector in probe.items()}
+        return {
+            column: probe[column] if column in probe else decode(column, rows)
             for column in columns
         }
-
-    def count_pruned_groups(
-        self, ranges: dict[str, tuple[object | None, object | None]]
-    ) -> int:
-        """Row groups of this file that ``ranges`` rules out entirely."""
-        return sum(1 for group in self._footer.row_groups if self._pruned(group, ranges))
 
     def surviving_group_indexes(
         self,

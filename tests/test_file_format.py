@@ -1,5 +1,6 @@
 """Unit tests for the Pixels file format (writer/reader/footer)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CorruptFileError, NoSuchColumnError
@@ -148,6 +149,85 @@ class TestReader:
             columns=["id"], ranges={"ghost": (0, 1)}
         )
         assert len(data["id"]) == 8
+
+
+    def test_a_range_on_a_chunk_without_min_max_prunes_only_all_null_groups(
+        self, store
+    ):
+        """BOOLEAN chunks carry no min/max: a pushed bound used to read that
+        as "proven empty" and ``WHERE flag = TRUE`` returned nothing."""
+        writer = PixelsWriter(store, "b", "f/part-0.pxl", [("f", DataType.BOOLEAN)])
+        for values in ([True, False], [None, None], [False, None]):
+            writer.write_row_group(
+                {"f": ColumnVector.from_values(DataType.BOOLEAN, values)}
+            )
+        writer.close()
+        reader = PixelsReader(store, "b", "f/part-0.pxl")
+        assert reader.surviving_group_indexes({"f": (True, True)}) == [0, 2]
+        assert reader.read(ranges={"f": (True, True)})["f"].to_values() == [
+            True, False, False, None,
+        ]
+
+
+class TestSelection:
+    """``iter_groups`` / ``read_group`` under a row selection."""
+
+    @staticmethod
+    def big_ids(vectors):
+        return vectors["id"].data % 3 == 0
+
+    def test_groups_hold_only_selected_rows_in_projection_order(self, store):
+        key = write_sample(store, groups=3, rows=4)  # ids 0..11
+        reader = PixelsReader(store, "b", key)
+        selection = (["id"], self.big_ids)
+        groups = list(reader.iter_groups(["name", "id"], selection=selection))
+        assert [list(group) for group in groups] == [["name", "id"]] * 3
+        assert [group["id"].to_values() for group in groups] == [[0, 3], [6], [9]]
+        assert [group["name"].to_values() for group in groups] == [
+            ["n0", "n3"], ["n6"], ["n9"],
+        ]
+        assert reader.read_group(1, ["price"], selection)["price"].to_values() == [9.0]
+
+    def test_selection_changes_no_accounting(self):
+        totals = []
+        for selection in (None, (["id"], self.big_ids)):
+            store = ObjectStore()
+            store.create_bucket("b")
+            key = write_sample(store, groups=3, rows=4)
+            reader = PixelsReader(store, "b", key)
+            list(reader.iter_groups(["id", "name"], selection=selection))
+            totals.append(store.metrics.snapshot())
+        assert totals[0] == totals[1]
+
+    def test_all_true_and_all_false_masks(self, store):
+        key = write_sample(store, groups=2, rows=4)
+        reader = PixelsReader(store, "b", key)
+        for keep, expected in ((np.ones, [0, 1, 2, 3]), (np.zeros, [])):
+            selection = (["id"], lambda vectors: keep(len(vectors["id"]), dtype=bool))
+            group = reader.read_group(0, ["name", "id"], selection)
+            assert group["id"].to_values() == expected
+            assert len(group["name"]) == len(expected)
+
+    def test_a_mask_of_the_wrong_length_is_rejected(self, store):
+        """A predicate over no column yields an empty — vacuously all-true —
+        mask; the reader refuses it instead of returning every row."""
+        key = write_sample(store)
+        reader = PixelsReader(store, "b", key)
+        selection = ([], lambda vectors: np.zeros(0, dtype=bool))
+        with pytest.raises(ValueError, match="mask"):
+            reader.read_group(0, ["id"], selection)
+
+    def test_a_corrupt_chunk_fails_whatever_the_mask_keeps(self, store):
+        key = write_sample(store, groups=1, rows=4)
+        footer = PixelsReader(store, "b", key).footer
+        chunk = footer.row_groups[0].chunks["name"]
+        blob = bytearray(store.get("b", key).data)
+        blob[chunk.offset + chunk.length - 1] = 0xFF  # last byte of "n3"
+        store.put("b", key, bytes(blob))
+        reader = PixelsReader(store, "b", key)
+        selection = (["id"], lambda vectors: vectors["id"].data == 0)
+        with pytest.raises(CorruptFileError):
+            reader.read_group(0, ["name", "id"], selection)
 
 
 class TestIterGroupsCacheAccounting:

@@ -261,3 +261,38 @@ class TestPairedStepClasses:
         # a class one run did not report is judged over the pairs that did
         assert (classes["q6"]["head_wins"], classes["q6"]["pairs"]) == (1, 2)
         assert classes["q6"]["runs"] == {"base": [4.0, 3.9], "head": [4.1, 3.8]}
+
+    def test_a_class_is_faster_or_slower_by_the_claims_own_rule(self, paired):
+        steady = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
+
+        def runs(**classes):
+            return [
+                {label: values[i] for label, values in classes.items()}
+                for i in range(10)
+            ]
+
+        base = runs(quick=steady, slow=steady, noisy=steady, short=steady)
+        head = runs(
+            quick=[value * 0.6 for value in steady],
+            slow=[value * 1.3 for value in steady],
+            # wins 10/10, but by less than base's own quartile spread
+            noisy=[value - 0.01 for value in steady],
+            short=[value * 0.6 for value in steady],
+        )
+        for run in base[9:] + head[9:]:
+            del run["short"]  # nine pairs are not enough
+        verdicts = {
+            label: row["verdict"]
+            for label, row in paired.judge_step_classes(base, head).items()
+        }
+        assert verdicts == {"quick": "faster", "slow": "slower", "noisy": "", "short": ""}
+        slow = paired.judge_step_classes(base, head)["slow"]
+        assert (slow["head_wins"], slow["head_losses"]) == (0, 10)
+
+    def test_the_metric_verdict_still_follows_the_same_rule(self, paired):
+        base = [100.0 + i for i in range(10)]
+        head = [value * 1.5 for value in base]
+        assert paired.judge(base, head, "higher", 0.25)["verdict"] == "improved"
+        assert paired.judge(base, head, "lower", 0.25)["verdict"] == "regressed"
+        nine = paired.judge(base[:9], head[:9], "higher", 0.25)
+        assert nine["verdict"] == "within bound"
