@@ -5,9 +5,10 @@
 "Every export byte-identical" is the fence behind each refactor of the
 observability layer, and ``tests/test_trace_determinism.py`` can only
 compare a tree with itself.  This exports ``--base`` with
-:func:`paired.export_tree`, copies the working tree next to it (so head
-includes uncommitted changes and nothing is written into the checkout),
-and in each tree runs, from an emptied ``benchmarks/results/``:
+:func:`paired.export_tree`, copies the working tree next to it with
+:func:`paired.copy_worktree` (so head includes uncommitted changes and
+nothing is written into the checkout), and in each tree runs, from an
+emptied ``benchmarks/results/``:
 
 * ``export_trace.py``, ``export_dashboard.py``, ``export_fleet_obs.py``
   and ``export_faults.py`` (crashes, retries, give-ups, in-flight
@@ -40,7 +41,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from paired import ROOT, export_tree, git
+from paired import copy_worktree, export_tree, git
 
 EXPORTS = (
     "export_trace.py",
@@ -49,16 +50,6 @@ EXPORTS = (
     "export_faults.py",
 )
 OBSERVED_BENCHES = ("c1", "c2", "c4", "c5", "c9")
-
-
-def copy_worktree(target: Path) -> None:
-    """The working tree's tracked and untracked-but-not-ignored files."""
-    listed = git("ls-files", "-co", "--exclude-standard", "-z")
-    for name in filter(None, listed.split("\0")):
-        source = ROOT / name
-        if source.is_file():  # a tracked file may be deleted in the worktree
-            (target / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target / name)
 
 
 def run_exports(tree: Path) -> Path:

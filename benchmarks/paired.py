@@ -4,13 +4,17 @@
 
 The machine drifts over tens of seconds by more than ``BENCHMARK.json``'s
 bounds (``benchmarks/layers/README.md``), so one run of each commit proves
-nothing.  This exports ``--base`` into a temporary directory, then
-alternates base and head runs of the contract's own command (each in its
-own tree, so ``run.py`` only ever sees that tree's ``src/``), swapping
-which side goes first every pair.  Head is the working tree this file
-lives in, uncommitted changes included.  Per workload and end-to-end
-metric it prints both medians and quartiles, head's wins over the pairs,
-the ratio with its base, and a verdict by the ``choosing-metrics`` rule:
+nothing.  This exports ``--base`` and copies the working tree this file
+lives in (uncommitted changes included) into two sibling temporary
+directories, then alternates base and head runs of the contract's own
+command (each in its own tree, so ``run.py`` only ever sees that tree's
+``src/``), swapping which side goes first every pair.  Both sides run from
+the same kind of directory — a run from the checkout itself read
+differently from an export of the same commit — and the copy is taken
+once, at start, so editing the checkout mid-run moves neither side.  Per
+workload and end-to-end metric it prints both medians and quartiles, head's
+wins over the pairs, the ratio with its base, and a verdict by the
+``choosing-metrics`` rule:
 
 ``improved``      at least ten pairs were run, head wins >= 9/10 of them
                   (ties count for neither) and the medians differ by more
@@ -74,6 +78,16 @@ def export_tree(ref: str, target: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
+
+
+def copy_worktree(target: Path) -> None:
+    """The working tree's tracked and untracked-but-not-ignored files."""
+    listed = git("ls-files", "-co", "--exclude-standard", "-z")
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file may be deleted in the worktree
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target / name)
 
 
 def run_once(tree: Path, contract: dict, workload: str, seed: int) -> dict:
@@ -199,10 +213,13 @@ def main() -> int:
     runs: dict[str, dict[str, list[dict]]] = {
         workload: {"base": [], "head": []} for workload in workloads
     }
-    scratch = Path(tempfile.mkdtemp(prefix="paired-base-"))
+    scratch = Path(tempfile.mkdtemp(prefix="paired-"))
     try:
-        export_tree(base_sha, scratch)
-        trees = {"base": scratch, "head": ROOT}
+        trees = {"base": scratch / "base", "head": scratch / "head"}
+        for tree in trees.values():
+            tree.mkdir()
+        export_tree(base_sha, trees["base"])
+        copy_worktree(trees["head"])
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for workload in workloads:

@@ -141,8 +141,8 @@ def _per_value(vector: ColumnVector, fn: Callable[[np.ndarray], np.ndarray]):
     """``fn`` — a total function of string values alone, object array in,
     array out — over a VARCHAR column: once per *distinct* value of a coded
     column (when that is fewer calls) and gathered by code, else over every
-    row.  Every per-value predicate and string function, compiled or
-    interpreted, comes through here, so the rule is written once."""
+    row.  Every per-value predicate and string function comes through here,
+    so the rule is written once."""
     if vector.codes is not None and len(vector.dictionary) <= len(vector.codes):
         return fn(vector.dictionary)[vector.codes]
     return fn(vector.data)
@@ -308,6 +308,8 @@ class BoundLogical(BoundExpr):
 
     @staticmethod
     def bind(op: str, left: BoundExpr, right: BoundExpr) -> "BoundLogical":
+        if op not in LOGICAL_OPS:
+            raise BindError(f"unknown logical operator {op!r}")
         if left.dtype is not DataType.BOOLEAN or right.dtype is not DataType.BOOLEAN:
             raise BindError(f"{op.upper()} requires BOOLEAN operands")
         return BoundLogical(op, left, right)
@@ -315,6 +317,10 @@ class BoundLogical(BoundExpr):
     def evaluate(self, table: TableData) -> ColumnVector:
         left = self.left.evaluate(table)
         right = self.right.evaluate(table)
+        if left.nulls is None and right.nulls is None:
+            # Two-valued: one mask op, no Kleene bookkeeping.
+            data = (left.data & right.data) if self.op == "and" else (left.data | right.data)
+            return ColumnVector(DataType.BOOLEAN, data)
         num_rows = len(left)
         left_null = (
             left.nulls if left.nulls is not None else np.zeros(num_rows, dtype=bool)
@@ -422,17 +428,14 @@ class BoundInList(BoundExpr):
     negated: bool = False
     dtype: DataType = DataType.BOOLEAN
 
-    def evaluate(self, table: TableData) -> ColumnVector:
-        return self.apply(self.operand.evaluate(table))
-
     @functools.cached_property
     def _candidates(self) -> "set[str] | np.ndarray":
         if self.operand.dtype is DataType.VARCHAR:
             return {str(item) for item in self.values}
         return np.array(list(self.values))
 
-    def apply(self, value: ColumnVector) -> ColumnVector:
-        """Membership of an evaluated operand (the compiled kernel too)."""
+    def evaluate(self, table: TableData) -> ColumnVector:
+        value = self.operand.evaluate(table)
         if value.dtype is DataType.VARCHAR:
             data = _per_value(value, _each(self._candidates.__contains__, bool))
         else:
@@ -715,12 +718,8 @@ def mask_from_predicate(vector: ColumnVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Expression fusion: constant folding, CSE, and compiled closures
+# Constant folding and the per-batch callable
 # ---------------------------------------------------------------------------
-
-#: A compiled expression: one call per batch instead of one interpreted
-#: ``evaluate`` dispatch per tree node.
-CompiledExpr = Callable[[TableData], ColumnVector]
 
 _FOLD_PROBE: TableData | None = None
 
@@ -733,23 +732,6 @@ def _fold_probe() -> TableData:
             {"__fold__": ColumnVector(DataType.BIGINT, np.zeros(1, dtype=np.int64))}
         )
     return _FOLD_PROBE
-
-
-def _expr_children(expr: BoundExpr) -> tuple[BoundExpr, ...]:
-    if isinstance(expr, (BoundArithmetic, BoundComparison, BoundLogical, BoundConcat)):
-        return (expr.left, expr.right)
-    if isinstance(
-        expr, (BoundNot, BoundNegate, BoundIsNull, BoundInList, BoundLike, BoundCast)
-    ):
-        return (expr.operand,)
-    if isinstance(expr, BoundCase):
-        kids = [child for pair in expr.whens for child in pair]
-        if expr.else_ is not None:
-            kids.append(expr.else_)
-        return tuple(kids)
-    if isinstance(expr, BoundScalarFunction):
-        return expr.args
-    return ()
 
 
 def fold_constants(expr: BoundExpr) -> BoundExpr:
@@ -801,205 +783,13 @@ def _fold_children(expr: BoundExpr) -> BoundExpr:
     return expr
 
 
-def compile_expr(expr: BoundExpr) -> CompiledExpr:
-    """Fuse a ``BoundExpr`` tree into one closure over numpy kernels.
+def compile_expr(expr: BoundExpr) -> Callable[[TableData], ColumnVector]:
+    """The per-batch callable of a Filter, a Project or a scan residual:
+    ``expr.evaluate`` itself.
 
-    Three optimizations over interpreted ``evaluate``:
-
-    * **constant folding** — reference-free subtrees are pre-evaluated and
-      served from the broadcast cache;
-    * **common-subexpression elimination** — structurally identical
-      subtrees (keyed by their SQL rendering + dtype) compile to one
-      shared kernel memoized per batch;
-    * **fused kernels** — comparison/logic/arithmetic nodes become plain
-      closures over numpy ufuncs with operator dispatch resolved at
-      compile time, so a batch costs one call into the compiled chain
-      instead of O(tree nodes) method dispatches.
-
-    The compiled callable is bit-for-bit equivalent to ``expr.evaluate``,
-    including NULL masks and Kleene three-valued logic (node types without
-    a fused kernel fall back to the interpreter).
+    Nothing is compiled and nothing is folded here — the planner folds
+    constants once per statement (:func:`fold_constants`).  The function
+    exists because operators reach the evaluator through this one name,
+    which the wall-clock benchmark wraps to attribute expression time.
     """
-    folded = fold_constants(expr)
-    counts: dict[str, int] = {}
-    _count_subtrees(folded, counts)
-    kernel = _compile_node(folded, counts, {})
-
-    def compiled(table: TableData) -> ColumnVector:
-        return kernel(table, {})
-
-    compiled.source = folded  # type: ignore[attr-defined]
-    return compiled
-
-
-def _cse_key(expr: BoundExpr) -> str:
-    return f"{expr.dtype.value}:{expr.to_sql()}"
-
-
-def _count_subtrees(expr: BoundExpr, counts: dict[str, int]) -> None:
-    key = _cse_key(expr)
-    counts[key] = counts.get(key, 0) + 1
-    for child in _expr_children(expr):
-        _count_subtrees(child, counts)
-
-
-def _compile_node(
-    expr: BoundExpr, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    key = _cse_key(expr)
-    cached = kernels.get(key)
-    if cached is not None:
-        return cached
-    fn = _compile_body(expr, counts, kernels)
-    if counts.get(key, 0) > 1:
-        inner = fn
-
-        def fn(table: TableData, memo: dict, _key=key, _inner=inner) -> ColumnVector:
-            hit = memo.get(_key)
-            if hit is None:
-                hit = _inner(table, memo)
-                memo[_key] = hit
-            return hit
-
-    kernels[key] = fn
-    return fn
-
-
-def _compile_body(
-    expr: BoundExpr, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    if isinstance(expr, BoundLiteral):
-        dtype, value = expr.dtype, expr.value
-        return lambda table, memo: _broadcast_scalar(dtype, value, table.num_rows)
-    if isinstance(expr, BoundColumn):
-        name = expr.name
-        return lambda table, memo: table.column(name)
-    if isinstance(expr, BoundArithmetic):
-        return _compile_arithmetic(expr, counts, kernels)
-    if isinstance(expr, BoundComparison):
-        left = _compile_node(expr.left, counts, kernels)
-        right = _compile_node(expr.right, counts, kernels)
-        ufunc = _COMPARISONS[expr.op]
-        return lambda table, memo: _compare(
-            ufunc, left(table, memo), right(table, memo)
-        )
-    if isinstance(expr, BoundLogical):
-        return _compile_logical(expr, counts, kernels)
-    if isinstance(expr, BoundNot):
-        operand = _compile_node(expr.operand, counts, kernels)
-
-        def not_kernel(table: TableData, memo: dict) -> ColumnVector:
-            value = operand(table, memo)
-            return ColumnVector(DataType.BOOLEAN, ~value.data, value.nulls)
-
-        return not_kernel
-    if isinstance(expr, BoundNegate):
-        operand = _compile_node(expr.operand, counts, kernels)
-        dtype = expr.dtype
-
-        def negate_kernel(table: TableData, memo: dict) -> ColumnVector:
-            value = operand(table, memo)
-            return ColumnVector(dtype, -value.data, value.nulls)
-
-        return negate_kernel
-    if isinstance(expr, BoundIsNull):
-        operand = _compile_node(expr.operand, counts, kernels)
-        negated = expr.negated
-
-        def is_null_kernel(table: TableData, memo: dict) -> ColumnVector:
-            value = operand(table, memo)
-            nulls = (
-                value.nulls
-                if value.nulls is not None
-                else np.zeros(len(value), dtype=bool)
-            )
-            data = ~nulls if negated else nulls.copy()
-            return ColumnVector(DataType.BOOLEAN, data)
-
-        return is_null_kernel
-    if isinstance(expr, BoundInList):
-        operand = _compile_node(expr.operand, counts, kernels)
-        apply = expr.apply
-        return lambda table, memo: apply(operand(table, memo))
-    # LIKE / CASE / CAST / scalar functions / concat keep the interpreter —
-    # they are either already per-item loops or rare in hot predicates.
-    node = expr
-    return lambda table, memo: node.evaluate(table)
-
-
-def _compile_arithmetic(
-    expr: BoundArithmetic, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    left = _compile_node(expr.left, counts, kernels)
-    right = _compile_node(expr.right, counts, kernels)
-    dtype = expr.dtype
-    np_dtype = dtype.numpy_dtype
-    if expr.op == "/":
-
-        def divide_kernel(table: TableData, memo: dict) -> ColumnVector:
-            l, r = left(table, memo), right(table, memo)
-            nulls = _combine_nulls(l, r)
-            lhs = l.data.astype(np.float64)
-            rhs = r.data.astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                data = lhs / rhs
-            zero_division = rhs == 0
-            if zero_division.any():
-                nulls = zero_division if nulls is None else (nulls | zero_division)
-                data = np.where(zero_division, 0.0, data)
-            return ColumnVector(dtype, data.astype(np_dtype), nulls)
-
-        return divide_kernel
-    if expr.op == "%":
-
-        def modulo_kernel(table: TableData, memo: dict) -> ColumnVector:
-            l, r = left(table, memo), right(table, memo)
-            nulls = _combine_nulls(l, r)
-            rhs = r.data
-            rhs_safe = np.where(rhs == 0, 1, rhs)
-            data = l.data % rhs_safe
-            zero_division = rhs == 0
-            if zero_division.any():
-                nulls = zero_division if nulls is None else (nulls | zero_division)
-            return ColumnVector(dtype, data.astype(np_dtype), nulls)
-
-        return modulo_kernel
-    ufunc = {"+": np.add, "-": np.subtract, "*": np.multiply}[expr.op]
-
-    def arithmetic_kernel(table: TableData, memo: dict) -> ColumnVector:
-        l, r = left(table, memo), right(table, memo)
-        data = ufunc(l.data, r.data)
-        return ColumnVector(dtype, data.astype(np_dtype), _combine_nulls(l, r))
-
-    return arithmetic_kernel
-
-
-def _compile_logical(
-    expr: BoundLogical, counts: dict[str, int], kernels: dict[str, Callable]
-) -> Callable[[TableData, dict], ColumnVector]:
-    left = _compile_node(expr.left, counts, kernels)
-    right = _compile_node(expr.right, counts, kernels)
-    is_and = expr.op == "and"
-
-    def logical_kernel(table: TableData, memo: dict) -> ColumnVector:
-        l, r = left(table, memo), right(table, memo)
-        if l.nulls is None and r.nulls is None:
-            # Fused two-valued fast path: one mask op, no Kleene bookkeeping.
-            data = (l.data & r.data) if is_and else (l.data | r.data)
-            return ColumnVector(DataType.BOOLEAN, data, None)
-        num_rows = len(l)
-        left_null = l.nulls if l.nulls is not None else np.zeros(num_rows, dtype=bool)
-        right_null = r.nulls if r.nulls is not None else np.zeros(num_rows, dtype=bool)
-        left_value = l.data & ~left_null
-        right_value = r.data & ~right_null
-        if is_and:
-            definite_false = (~l.data & ~left_null) | (~r.data & ~right_null)
-            data = left_value & right_value
-            nulls = (left_null | right_null) & ~definite_false
-        else:
-            definite_true = left_value | right_value
-            data = definite_true
-            nulls = (left_null | right_null) & ~definite_true
-        return ColumnVector(DataType.BOOLEAN, data, nulls if nulls.any() else None)
-
-    return logical_kernel
+    return expr.evaluate

@@ -285,9 +285,6 @@ class ViewOperator(PhysicalOperator):
 class FilterOperator(PhysicalOperator):
     def __init__(self, node: Filter, children: list[PhysicalOperator]) -> None:
         super().__init__(node, children)
-        # One fused kernel per operator instance: the whole predicate tree
-        # collapses to a single compiled closure, so per-batch dispatch is
-        # one Python call instead of one per expression node.
         self._predicate = compile_expr(node.predicate)
 
     def next_batch(self) -> RecordBatch | None:
@@ -318,8 +315,8 @@ class ProjectOperator(PhysicalOperator):
         if batch is None:
             return None
         columns: dict[str, ColumnVector] = {}
-        for name, kernel in self._exprs:
-            columns[name] = kernel(batch.data)
+        for name, evaluate in self._exprs:
+            columns[name] = evaluate(batch.data)
         return self._emit(RecordBatch(TableData(columns)))
 
 

@@ -289,14 +289,17 @@ class ObjectStoreSource:
             [out for out, _ in node.columns]
         )
 
-    @staticmethod
     def _granule(
-        data: TableData, delta, skipped: int, rows_scanned: int
+        self, data: TableData, delta, skipped: int, rows_scanned: int
     ) -> SourceResult:
+        # Latency from the granule's integer counts, not ``delta.read_time_s``:
+        # the sequential path's delta is a difference of the store's running
+        # float total, the morsel path's a sum from zero, and the two differ
+        # in the last bits.
         return SourceResult(
             data,
             delta.logical_bytes_scanned,
-            delta.read_time_s,
+            self._store.profile.read_latency(delta.get_requests, delta.bytes_read),
             rows_scanned,
             get_requests=delta.get_requests,
             footer_gets=delta.footer_get_requests,

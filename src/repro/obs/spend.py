@@ -1,7 +1,7 @@
 """Per-tenant spend accounting over the metering ledger.
 
 The :class:`SpendAccountant` subscribes to the :class:`~repro.obs.ledger.
-MeterLedger` and maintains rolling per-tenant × per-service-level spend
+MeterLedger` and maintains running per-tenant × per-service-level spend
 aggregates in integer nanodollars, the provider-side spend per venue,
 and soft tenant budgets.  Budgets are *soft*: crossing one never blocks
 a query — it raises an alert through the existing alert engine instead
@@ -47,13 +47,14 @@ def budget_rules(budgets: dict[str, float]) -> "list[ThresholdRule]":
 
 
 class SpendAccountant:
-    """Rolling per-tenant/per-level spend over ledger events."""
+    """Running per-tenant/per-level spend over ledger events.
+
+    State is bounded by tenants × levels and venues, not by event count.
+    """
 
     def __init__(self, budgets: dict[str, float] | None = None) -> None:
         #: (tenant, level) -> net nanodollars (voids subtract).
         self._totals: dict[tuple[str, str], int] = {}
-        #: per-tenant (ts, nanodollars) history for windowed queries.
-        self._history: dict[str, list[tuple[float, int]]] = {}
         self._provider: dict[str, int] = {}  # venue -> nanodollars
         self._budgets: dict[str, float] = dict(budgets or {})
         self._events = 0
@@ -74,14 +75,8 @@ class SpendAccountant:
             return
         key = (event.tenant, event.level)
         self._totals[key] = self._totals.get(key, 0) + event.nanodollars
-        self._history.setdefault(event.tenant, []).append(
-            (event.ts, event.nanodollars)
-        )
 
     # -- budgets -------------------------------------------------------------
-
-    def set_budget(self, tenant: str, dollars: float) -> None:
-        self._budgets[tenant] = float(dollars)
 
     def budgets(self) -> dict[str, float]:
         return dict(self._budgets)
@@ -115,15 +110,6 @@ class SpendAccountant:
             if t == tenant
         }
         return {level: out[level] for level in sorted(out)}
-
-    def spent_since(self, tenant: str, since_ts: float) -> int:
-        """Net nanodollars ``tenant`` accrued at or after ``since_ts`` —
-        the rolling-window view (virtual clock)."""
-        return sum(
-            nanos
-            for ts, nanos in self._history.get(tenant, [])
-            if ts >= since_ts
-        )
 
     def provider_nanodollars(self) -> dict[str, int]:
         """Provider-account spend per venue, venue-sorted."""

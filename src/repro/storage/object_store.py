@@ -39,7 +39,17 @@ class StorageProfile:
 
     def get_latency(self, num_bytes: int) -> float:
         """Modelled wall-clock seconds for a GET of ``num_bytes``."""
-        return self.first_byte_latency_s + num_bytes / self.read_bandwidth_bytes_per_s
+        return self.read_latency(1, num_bytes)
+
+    def read_latency(self, requests: int, num_bytes: int) -> float:
+        """Modelled seconds of ``requests`` GETs moving ``num_bytes`` in
+        total — a function of the two counts alone, so the same reads give
+        the same float however they were split or ordered (a difference of
+        running float totals does not)."""
+        return (
+            requests * self.first_byte_latency_s
+            + num_bytes / self.read_bandwidth_bytes_per_s
+        )
 
     def put_latency(self, num_bytes: int) -> float:
         """Modelled wall-clock seconds for a PUT of ``num_bytes``."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import re
 import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field
@@ -273,13 +272,6 @@ class Divergence(AssertionError):
     pass
 
 
-#: The one float in EXPLAIN ANALYZE's totals: morsel workers sum the modelled
-#: GET latencies in another order, which can move its sixth decimal (DESIGN,
-#: "Morsel-driven parallelism"; seed 7 / statement 2347 found the rounding
-#: boundary).  Everything else in the text is integers and must not move.
-_FLOAT_TOTAL = re.compile(r"scan_latency_s=\S+")
-
-
 def _rows(result) -> list[tuple]:
     """The result's rows with NaN as a token, so equal rows compare equal."""
     return [
@@ -355,9 +347,7 @@ class Differential:
                     f"{where}: (rows_scanned, bytes_scanned, get_requests, "
                     f"row_groups_skipped) {seen} != {accounting}"
                 )
-            rendered = _FLOAT_TOTAL.sub(
-                "scan_latency_s=~", render_analyzed_plan(plan, result.profile, stats)
-            )
+            rendered = render_analyzed_plan(plan, result.profile, stats)
             if explained.setdefault((batch_size, pooled), rendered) != rendered:
                 raise Divergence(
                     f"{where}: EXPLAIN ANALYZE depends on the worker count\n"

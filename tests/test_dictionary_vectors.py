@@ -3,8 +3,8 @@
 A dictionary-coded :class:`ColumnVector` (int codes into a distinct
 dictionary — what a DICT chunk decodes to) and its materialised plain twin
 (an object array of strings) must be indistinguishable to every consumer:
-vector surgery, ``column_codes``, every expression node (interpreted and
-compiled), the blocking kernels and the joins.  Columns are drawn with
+vector surgery, ``column_codes``, every expression node, the blocking
+kernels and the joins.  Columns are drawn with
 NULLs, ``""``, non-ASCII and astral code points, a trailing NUL, duplicates,
 and 1-5 pieces whose dictionaries differ in order and hold values no row
 uses.  The second half runs SQL end to end over a stored table with several
@@ -31,7 +31,6 @@ from repro.engine.expr import (
     BoundLiteral,
     BoundScalarFunction,
     _per_value,
-    compile_expr,
 )
 from repro.engine.optimizer import Optimizer
 from repro.engine.physical import (
@@ -283,14 +282,8 @@ def number(value: int) -> BoundLiteral:
 
 
 def evaluations(expr, coded: TableData, twin: TableData) -> list[list]:
-    """``expr`` four ways: interpreted and compiled, coded and plain."""
-    compiled = compile_expr(expr)
-    return [
-        expr.evaluate(coded).to_values(),
-        compiled(coded).to_values(),
-        expr.evaluate(twin).to_values(),
-        compiled(twin).to_values(),
-    ]
+    """``expr`` over the coded table and over its plain twin."""
+    return [expr.evaluate(coded).to_values(), expr.evaluate(twin).to_values()]
 
 
 def assert_all_equal(results: list[list], context: str) -> list:
@@ -727,4 +720,3 @@ class TestComparisonRegressions:
                 expr = BoundComparison.bind(op, S, lit(word))
                 expected = [python_op(value, word) for value in words]
                 assert expr.evaluate(table).to_values() == expected
-                assert compile_expr(expr)(table).to_values() == expected

@@ -144,17 +144,6 @@ class TestSpendAccountant:
         assert spend.over_budget() == []
         assert spend.report()["voids"] == 4  # one negating event per axis
 
-    def test_rolling_window(self):
-        now = [0.0]
-        ledger = MeterLedger(clock=lambda: now[0])
-        spend = SpendAccountant()
-        ledger.add_listener(spend.on_event)
-        ledger.charge("q1", axis="fixed", nanodollars=10, tenant="t")
-        now[0] = 100.0
-        ledger.charge("q2", axis="fixed", nanodollars=5, tenant="t")
-        assert spend.spent_since("t", 50.0) == 5
-        assert spend.spent_since("t", 0.0) == 15
-
     def test_provider_account_tracked_per_venue(self):
         ledger, spend = self._fed()
         ledger.charge(

@@ -1,10 +1,11 @@
-"""Morsel-driven parallel execution and fused expression kernels.
+"""Morsel-driven parallel execution and the expression evaluator.
 
 The contract under test is *bit-identical determinism*: query results, row
 ordering, billed dollars, storage accounting, and the rendered EXPLAIN
-ANALYZE output must not depend on the worker count.  Expression fusion is
-checked with a seeded randomized equivalence test against the interpreted
-evaluator (including NULL propagation and Kleene three-valued logic).
+ANALYZE output must not depend on the worker count.  Expressions are
+checked for batch-split invariance over seeded random trees (including
+NULL propagation and Kleene three-valued logic), the row-locality the
+executor's batch-size invariance rests on.
 """
 
 import random
@@ -17,6 +18,7 @@ from tests.conftest import (
     CUSTOMER_ROWS,
     build_catalog,
 )
+from repro.engine.batch import RecordBatch
 from repro.engine.executor import QueryExecutor
 from repro.engine.expr import (
     BoundArithmetic,
@@ -31,7 +33,6 @@ from repro.engine.expr import (
     BoundNot,
     BoundExpr,
     clear_broadcast_cache,
-    compile_expr,
     fold_constants,
     _BROADCAST_CACHE,
 )
@@ -39,10 +40,11 @@ from repro.engine.optimizer import Optimizer
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
 from repro.obs.explain import render_analyzed_plan
-from repro.storage.catalog import ColumnMeta
+from repro.storage.catalog import Catalog, ColumnMeta
 from repro.storage.object_store import ObjectStore
 from repro.storage.table import TableData, TableWriter
 from repro.storage.types import ColumnVector, DataType
+from repro.workloads import TpchGenerator, load_dataset
 
 # ---------------------------------------------------------------------------
 # A store-backed dataset with enough row groups to exercise real morsels.
@@ -124,7 +126,7 @@ INVARIANCE_QUERIES = [
     "SELECT c_name, COUNT(*) AS n FROM orders "
     "JOIN customer ON o_custkey = c_custkey "
     "WHERE o_totalprice IS NOT NULL GROUP BY c_name",
-    # fused filter + projection arithmetic over the scan segment
+    # filter + projection arithmetic over the scan segment
     "SELECT o_orderkey * 2 + 1 AS k FROM orders "
     "WHERE o_totalprice > 100 AND o_orderstatus <> 'P'",
     # LIMIT chain stays sequential (early exit must keep billing lazy)
@@ -197,6 +199,32 @@ class TestWorkerInvariance:
             else:
                 assert snapshot == baseline, f"workers={workers}: {sql}"
 
+    def test_scan_latency_is_exactly_worker_invariant(self):
+        # lineitem's 3 035 rows in 12 row groups over 2 files: enough reads
+        # for a difference of the store's running float total to round
+        # differently from the same granule's reads summed from zero.
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(
+            store,
+            catalog,
+            "tpch",
+            TpchGenerator(scale=0.05, seed=13).tables(),
+            rows_per_file=2048,
+            rows_per_group=256,
+        )
+        plan = Optimizer().optimize(
+            Planner(catalog, "tpch").plan_sql(
+                "SELECT count(*) FROM lineitem WHERE l_discount > 0.05"
+            )
+        )
+        latencies = [
+            QueryExecutor(ObjectStoreSource(store), workers=workers)
+            .execute(plan)
+            .stats.scan_latency_s
+            for workers in (1, 3)
+        ]
+        assert latencies[0] == latencies[1]
+
     def test_morsel_count_matches_row_groups(self):
         expected_groups = -(-NUM_ORDERS // ROWS_PER_GROUP)
         for workers in (1, 4):
@@ -250,7 +278,7 @@ class TestExplainSurfaces:
 
 
 # ---------------------------------------------------------------------------
-# Fused expression kernels: randomized equivalence with the interpreter.
+# Expressions: batch-split invariance over random trees, Kleene tables.
 # ---------------------------------------------------------------------------
 
 
@@ -338,7 +366,7 @@ def _gen_bool(rng, depth) -> BoundExpr:
     if roll < 0.15:
         return BoundNot.bind(_gen_bool(rng, depth - 1))
     return BoundLogical.bind(
-        rng.choice(["AND", "OR"]),
+        rng.choice(["and", "or"]),
         _gen_bool(rng, depth - 1),
         _gen_bool(rng, depth - 1),
     )
@@ -367,41 +395,56 @@ def _assert_vectors_equal(expected: ColumnVector, actual: ColumnVector, context)
 
 
 class TestCompiledExpressions:
-    def test_randomized_equivalence_with_interpreter(self):
+    def test_randomized_batch_split_invariance(self):
+        # Every expression is row-local: evaluating a table equals
+        # evaluating its slices and concatenating, at any slice size —
+        # which also runs the broadcast cache across batch lengths.
         rng = random.Random(20260808)
         table = _expr_table(rng)
         for round_index in range(250):
             expr = (
                 _gen_bool(rng, 3) if round_index % 2 else _gen_numeric(rng, 3)
             )
-            context = f"round {round_index}: {expr.to_sql()}"
-            interpreted = expr.evaluate(table)
-            compiled = compile_expr(expr)
-            _assert_vectors_equal(interpreted, compiled(table), context)
+            whole = expr.evaluate(table)
+            for size in (1, 7, table.num_rows):
+                pieces = [
+                    expr.evaluate(batch.data)
+                    for batch in RecordBatch.slices(table, size)
+                ]
+                _assert_vectors_equal(
+                    whole,
+                    ColumnVector.concat_all(pieces),
+                    f"round {round_index}, slices of {size}: {expr.to_sql()}",
+                )
 
     def test_kleene_logic_with_nulls(self):
-        # NULL AND FALSE = FALSE, NULL AND TRUE = NULL, NULL OR TRUE = TRUE.
-        nulls = np.array([True, True, False, False])
-        left = ColumnVector(
-            DataType.BOOLEAN, np.array([True, False, True, False]), nulls
-        )
-        table = TableData(
-            {
-                "t.l": left,
-                "t.t": ColumnVector(DataType.BOOLEAN, np.array([True] * 4)),
-                "t.f": ColumnVector(DataType.BOOLEAN, np.array([False] * 4)),
-            }
-        )
-        l = BoundColumn("t.l", DataType.BOOLEAN)
-        for expr in (
-            BoundLogical.bind("AND", l, BoundColumn("t.f", DataType.BOOLEAN)),
-            BoundLogical.bind("AND", l, BoundColumn("t.t", DataType.BOOLEAN)),
-            BoundLogical.bind("OR", l, BoundColumn("t.t", DataType.BOOLEAN)),
-            BoundLogical.bind("OR", l, BoundColumn("t.f", DataType.BOOLEAN)),
-        ):
-            _assert_vectors_equal(
-                expr.evaluate(table), compile_expr(expr)(table), expr.to_sql()
+        # All nine (left, right) cells in one batch, then the four
+        # NULL-free cells with no null mask on either side (the two-valued
+        # path).
+        cells = [(l, r) for l in (True, False, None) for r in (True, False, None)]
+
+        def and_(l, r):
+            if l is False or r is False:
+                return False
+            return None if l is None or r is None else True
+
+        def or_(l, r):
+            if l is True or r is True:
+                return True
+            return None if l is None or r is None else False
+
+        for rows in (cells, [(l, r) for l, r in cells if None not in (l, r)]):
+            table = TableData(
+                {
+                    "t.l": ColumnVector.from_values(DataType.BOOLEAN, [l for l, _ in rows]),
+                    "t.r": ColumnVector.from_values(DataType.BOOLEAN, [r for _, r in rows]),
+                }
             )
+            left = BoundColumn("t.l", DataType.BOOLEAN)
+            right = BoundColumn("t.r", DataType.BOOLEAN)
+            for op, truth in (("and", and_), ("or", or_)):
+                got = BoundLogical.bind(op, left, right).evaluate(table)
+                assert got.to_values() == [truth(l, r) for l, r in rows], (op, rows)
 
     def test_constant_folding(self):
         expr = BoundArithmetic.bind(
@@ -440,32 +483,6 @@ class TestCompiledExpressions:
         assert node is not None, sql
         assert isinstance(node.predicate.right, BoundLiteral)
         assert node.predicate.right.value == 5
-
-    def test_common_subexpressions_evaluate_once(self):
-        calls = 0
-
-        class CountingColumn(BoundColumn):
-            def evaluate(self, table):
-                nonlocal calls
-                calls += 1
-                return super().evaluate(table)
-
-        rng = random.Random(7)
-        table = _expr_table(rng)
-        shared = BoundArithmetic.bind(
-            "*",
-            CountingColumn("t.a", DataType.BIGINT),
-            BoundColumn("t.c", DataType.BIGINT),
-        )
-        expr = BoundComparison.bind(">", shared, BoundLiteral(0, DataType.BIGINT))
-        expr = BoundLogical.bind(
-            "OR",
-            expr,
-            BoundComparison.bind("<", shared, BoundLiteral(-10, DataType.BIGINT)),
-        )
-        interpreted = expr.evaluate(table)
-        compiled = compile_expr(expr)
-        _assert_vectors_equal(interpreted, compiled(table), expr.to_sql())
 
 
 class TestBroadcastCache:
