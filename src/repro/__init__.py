@@ -31,6 +31,8 @@ The package layers, bottom-up:
 
 from __future__ import annotations
 
+from itertools import count
+
 from repro.core import QueryServer, QueryStatus, ServerQuery, ServiceLevel
 from repro.errors import PixelsError, TranslationError
 from repro.nl2sql import CodesService
@@ -130,6 +132,9 @@ class PixelsDB:
         self.codes = CodesService()
         self._coordinators: dict[str, Coordinator] = {}
         self._servers: dict[str, QueryServer] = {}
+        # One id sequence for every schema's server: the observability
+        # bundle is shared, so ``sq-N`` must be unique per db.
+        self._query_ids = count(1)
         self.timeseries: TimeSeriesStore | None = None
         self.alerts: AlertEngine | None = None
         self.scrape_loop: ScrapeLoop | None = None
@@ -205,7 +210,6 @@ class PixelsDB:
         schema: str,
         admission=None,
         shares: dict[str, float] | None = None,
-        default_share: float = 1.0,
     ) -> QueryServer:
         """The (cached) query server for ``schema``.  ``admission``
         (an :class:`~repro.core.scheduler.AdmissionPolicy`) and the WFQ
@@ -217,8 +221,8 @@ class PixelsDB:
                 self.config,
                 admission=admission,
                 shares=shares,
-                default_share=default_share,
                 guard=self._guard_policy,
+                query_ids=self._query_ids,
             )
             if server.guard is not None and self.alerts is not None:
                 server.guard.alert_sink = self.alerts.events.append

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterator
 
 from repro.errors import NoSuchQueryError, PixelsError, QueryRejectedError
 from repro.core.scheduler import (
@@ -154,8 +155,8 @@ class QueryServer:
         batch_size: int = 16,
         admission: AdmissionPolicy | None = None,
         shares: dict[str, float] | None = None,
-        default_share: float = 1.0,
         guard: GuardPolicy | None = None,
+        query_ids: Iterator[int] | None = None,
     ) -> None:
         """``batch_best_effort`` enables the paper's §5 batch-optimization
         opportunity: held best-of-effort queries are dispatched together
@@ -163,14 +164,18 @@ class QueryServer:
 
         ``admission`` configures the front-end admission layer (quotas,
         rate limits, downgrades); the default policy admits everything.
-        ``shares``/``default_share`` set per-tenant weighted-fair shares
-        for the hold queues; with one tenant (or equal shares and equal
-        load) dispatch order is exactly the old FIFO order.
+        ``shares`` sets per-tenant weighted-fair shares for the hold
+        queues (other tenants get ``DEFAULT_SHARE``); with one tenant (or
+        equal shares and equal load) dispatch order is exactly the old FIFO
+        order.
         ``guard`` arms the projection guard: on every scheduler tick the
         live activity registry's bill/deadline projections are held
         against tenant budgets and service-level deadlines, with the
         policy's (opt-in) alert/downgrade/cancel actions audit-logged on
         :attr:`guard` (requires observability; inert otherwise).
+        ``query_ids`` numbers the ``sq-N`` ids of submissions without
+        one; servers that share an observability bundle must share it, so
+        their ids cannot collide.  It defaults to a private count from 1.
         """
         self._sim = sim
         self._coordinator = coordinator
@@ -179,7 +184,7 @@ class QueryServer:
         self._batch_best_effort = batch_best_effort
         self._batch_size = batch_size
         self._queries: dict[str, ServerQuery] = {}
-        self._scheduler = LevelScheduler(shares, default_share)
+        self._scheduler = LevelScheduler(shares)
         self.obs = coordinator.obs
         observed = self.obs.enabled
         self._admission = AdmissionController(
@@ -193,7 +198,7 @@ class QueryServer:
         #: queries; dispatched/cancelled entries are skipped lazily.
         self._grace_heap: list[tuple[float, int, ServerQuery]] = []
         self._grace_seq = 0
-        self._query_counter = 0
+        self._query_ids = query_ids if query_ids is not None else count(1)
         #: The one writer of spans, journal, ledger, activity, SLO and
         #: statement records and the server's instruments; None when
         #: unobserved, so an unobserved server runs no sink code at all.
@@ -312,8 +317,7 @@ class QueryServer:
         queue is full (back-pressure rather than unbounded growth).
         """
         if query_id is None:
-            self._query_counter += 1
-            query_id = f"sq-{self._query_counter}"
+            query_id = f"sq-{next(self._query_ids)}"
         tenant_name = tenant or "default"
         decision = self._admission.decide(
             tenant_name,

@@ -36,20 +36,15 @@ from repro.core.service_levels import ServiceLevel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query_server import ServerQuery
 
-#: Default per-tenant share weight when no explicit share is configured.
+#: Share weight of every tenant without an explicit share.
 DEFAULT_SHARE = 1.0
 
 
 class FairQueue:
     """Weighted-fair queue over tenant flows for one service level."""
 
-    def __init__(
-        self,
-        shares: dict[str, float] | None = None,
-        default_share: float = DEFAULT_SHARE,
-    ) -> None:
+    def __init__(self, shares: dict[str, float] | None = None) -> None:
         self._shares: dict[str, float] = dict(shares or {})
-        self._default_share = float(default_share)
         #: Virtual clock: finish tag of the last dispatched query.
         self._virtual_now = 0.0
         #: Per-flow finish tag of the last *arrived* query.
@@ -65,7 +60,7 @@ class FairQueue:
     # -- shares ---------------------------------------------------------------
 
     def share_of(self, tenant: str) -> float:
-        return self._shares.get(tenant, self._default_share)
+        return self._shares.get(tenant, DEFAULT_SHARE)
 
     def set_share(self, tenant: str, share: float) -> None:
         if share <= 0:
@@ -188,16 +183,11 @@ class LevelScheduler:
     dispatchable one.
     """
 
-    def __init__(
-        self,
-        shares: dict[str, float] | None = None,
-        default_share: float = DEFAULT_SHARE,
-    ) -> None:
+    def __init__(self, shares: dict[str, float] | None = None) -> None:
         self._queues: dict[ServiceLevel, FairQueue] = {
-            level: FairQueue(shares, default_share) for level in HELD_LEVELS
+            level: FairQueue(shares) for level in HELD_LEVELS
         }
         self._shares = dict(shares or {})
-        self._default_share = float(default_share)
         #: Tenant → queries dispatched *from a hold queue* (WFQ decisions
         #: only; immediate queries never enter the contended queues and
         #: would otherwise drown the fairness signal).
@@ -252,7 +242,7 @@ class LevelScheduler:
         return self.queue(level).records()
 
     def share_of(self, tenant: str) -> float:
-        return self._shares.get(tenant, self._default_share)
+        return self._shares.get(tenant, DEFAULT_SHARE)
 
     # -- accounting -----------------------------------------------------------
 
@@ -286,5 +276,5 @@ class LevelScheduler:
                     round(fairness, 9) if fairness is not None else None
                 ),
             },
-            "shares": {"default": self._default_share, **shares},
+            "shares": {"default": DEFAULT_SHARE, **shares},
         }

@@ -253,36 +253,10 @@ def _min_max(
 
 
 # ---------------------------------------------------------------------------
-# Partial -> final aggregation (morsel-parallel breakers)
+# Partial -> final aggregation.  No engine path calls these any more; the
+# layer benchmark (benchmarks/layers/layers.py) still attributes them by
+# name, so they go once it stops naming them.
 # ---------------------------------------------------------------------------
-
-
-def aggregate_supports_partial(
-    aggregates: list[AggSpec], input_types: dict[str, DataType]
-) -> bool:
-    """Whether partial->final decomposition is *bit-identical* to one pass.
-
-    COUNT / MIN / MAX always are (integer counters; codes-based extrema).
-    SUM and AVG are only admitted over integral inputs: their accumulators
-    are exact in float64 there, so any grouping of the additions produces
-    the same value.  DOUBLE accumulation is order-sensitive (float addition
-    is non-associative) and DISTINCT needs global value sets — both fall
-    back to gather mode, where the coordinator runs the one-pass kernel
-    over morsel-ordered batches and is trivially identical.
-    """
-    for spec in aggregates:
-        if spec.distinct:
-            return False
-        if spec.func is AggFunc.COUNT:
-            continue
-        if spec.func in (AggFunc.MIN, AggFunc.MAX):
-            continue
-        if spec.input_column is None:
-            return False
-        input_dtype = input_types.get(spec.input_column)
-        if input_dtype is None or input_dtype is DataType.DOUBLE:
-            return False
-    return True
 
 
 def _partial_specs(aggregates: list[AggSpec]) -> list[AggSpec]:

@@ -26,14 +26,12 @@ deterministic-trace tests rely on.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import ExecutionError
 from repro.engine.batch import BatchStream, RecordBatch
 from repro.engine.expr import compile_expr, mask_from_predicate
 from repro.engine.physical import (
-    aggregate_supports_partial,
     execute_aggregate,
     execute_distinct,
     execute_hash_join,
@@ -42,9 +40,7 @@ from repro.engine.physical import (
     execute_sort,
     execute_top_n,
     execute_union_all,
-    final_aggregate,
     join_tables,
-    partial_aggregate,
 )
 from repro.engine.plan import (
     Aggregate,
@@ -61,7 +57,7 @@ from repro.engine.plan import (
     TopN,
     UnionAllPlan,
 )
-from repro.engine.source import DataSource, SingleGranuleSource
+from repro.engine.source import DataSource
 from repro.storage.table import TableData
 from repro.storage.types import ColumnVector
 
@@ -102,10 +98,9 @@ class PhysicalOperator:
         self.rows_out = 0
         self.batches_out = 0
         self.peak_bytes = 0
-        # Source granules processed (row groups for object-store scans).
-        # Under the morsel driver each worker instance counts its single
-        # morsel; accumulated counts equal the sequential granule count, so
-        # the value is worker-count invariant.
+        # Source granules processed (row groups for object-store scans);
+        # a parallel scan yields the same granules, so the count is
+        # worker-count invariant.
         self.morsels = 0
         self.scan_counters = dict.fromkeys(_SCAN_COUNTERS, 0)
 
@@ -172,20 +167,34 @@ class ScanOperator(PhysicalOperator):
     a consumer that stops pulling ends the scan with the remaining row
     groups unfetched — the early-exit half of the billing story (§3.2: pay
     for bytes actually scanned).
+
+    With ``workers`` > 1 and a source that can read in parallel, granules
+    come from ``scan_batches_parallel`` instead: the same granules in the
+    same order, their row groups read ahead on ``workers`` threads.
     """
 
     def __init__(
-        self, node: Scan, source: DataSource, stats, batch_size: int
+        self,
+        node: Scan,
+        source: DataSource,
+        stats,
+        batch_size: int,
+        workers: int = 1,
     ) -> None:
         super().__init__(node, [])
         self._source = source
         self._stats = stats
         self._batch_size = batch_size
+        self._workers = workers
         self._granules: Iterator | None = None
         self._slices: Iterator[RecordBatch] | None = None
 
     def open(self) -> None:
-        self._granules = self._source.scan_batches(self.node)
+        parallel = getattr(self._source, "scan_batches_parallel", None)
+        if self._workers > 1 and parallel is not None:
+            self._granules = parallel(self.node, self._workers)
+        else:
+            self._granules = self._source.scan_batches(self.node)
 
     def next_batch(self) -> RecordBatch | None:
         assert self._granules is not None, "operator not opened"
@@ -459,262 +468,15 @@ class UnionAllOperator(BlockingOperator):
         )
 
 
-# ---------------------------------------------------------------------------
-# Morsel-driven parallel execution
-# ---------------------------------------------------------------------------
-
-
-class _LocalScanStats:
-    """Private scan-stat sink for one morsel's pipeline instance.
-
-    Mirrors exactly the fields :meth:`ScanOperator._account` touches on the
-    shared query stats; the exchange merges these into the real stats in
-    morsel order after the barrier, so totals equal the sequential run's.
-    """
-
-    def __init__(self) -> None:
-        self.bytes_scanned = 0
-        self.scan_latency_s = 0.0
-        self.rows_scanned = 0
-        self.get_requests = 0
-        self.footer_gets = 0
-        self.chunk_gets = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.row_groups_skipped = 0
-
-
-class ExchangeOperator(PhysicalOperator):
-    """Runs a streaming segment (Filter/Project chain over a Scan) as
-    parallel per-morsel pipeline instances and re-emits their output in
-    morsel order.
-
-    Determinism is the contract: results, billed bytes, and per-operator
-    counters are invariant to the worker count because
-
-    * morsels are enumerated in file/row-group order and results are
-      gathered with ``pool.map`` (order-preserving);
-    * each worker reads through a private
-      :class:`~repro.storage.object_store.StoreView` whose metrics are
-      merged into the shared store in morsel order after the barrier;
-    * per-operator counters are integer sums over per-morsel instances, and
-      virtual time is linear in those integers, so the accumulated profile
-      is bit-identical to the sequential one.
-
-    The operator *impersonates* the segment root in the profile tree: its
-    ``node`` is the segment's root plan node and its ``children`` are the
-    children of a never-executed "accumulator" operator chain built over the
-    same segment, into which worker-instance counters are folded.  EXPLAIN
-    ANALYZE therefore sees the exact plan-shaped tree it would see
-    sequentially.
-    """
-
-    def __init__(
-        self,
-        segment_plan: PlanNode,
-        scan_node: Scan,
-        source: DataSource,
-        stats,
-        batch_size: int,
-        workers: int,
-    ) -> None:
-        # Building the chain has no side effects; it exists only to hold
-        # accumulated counters in plan-tree shape.
-        accumulator = build_pipeline(segment_plan, source, stats, batch_size)
-        super().__init__(segment_plan, accumulator.children)
-        self._accumulator = accumulator
-        self._segment_plan = segment_plan
-        self._scan_node = scan_node
-        self._source = source
-        self._stats = stats
-        self._batch_size = batch_size
-        self._workers = workers
-        # Set by build_pipeline for partial->final breakers: maps a worker's
-        # segment output to its partial table (e.g. partial aggregates).
-        self.partial_fn: Callable[[TableData], TableData] | None = None
-        self._batches: Iterator[RecordBatch] | None = None
-        self._started = False
-
-    def open(self) -> None:
-        # The accumulator chain never executes; nothing to open.
-        pass
-
-    def close(self) -> None:
-        self._batches = None
-
-    def next_batch(self) -> RecordBatch | None:
-        if not self._started:
-            self._started = True
-            self._run()
-        assert self._batches is not None
-        # No _emit: rows_out/batches_out were adopted from the accumulated
-        # worker counters, which already equal the sequential values.
-        return next(self._batches, None)
-
-    def _run(self) -> None:
-        morsels = self._source.morsel_granules(self._scan_node)
-        if morsels:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                results = list(pool.map(self._run_morsel, morsels))
-        else:
-            results = []
-        views = []
-        output: list[RecordBatch] = []
-        for root, batches, local, view in results:
-            self._merge_local_stats(local)
-            views.append(view)
-            self._accumulate(self._accumulator, root)
-            output.extend(batches)
-        self._source.merge_view_metrics(views)
-        self._adopt_counters()
-        self._batches = iter(output)
-
-    def _run_morsel(self, morsel):
-        view = self._source.store_view()
-        granule = self._source.read_morsel(self._scan_node, morsel, view)
-        local = _LocalScanStats()
-        root = build_pipeline(
-            self._segment_plan, SingleGranuleSource(granule), local, self._batch_size
-        )
-        root.open()
-        batches: list[RecordBatch] = []
-        try:
-            while True:
-                batch = root.next_batch()
-                if batch is None:
-                    break
-                batches.append(batch)
-        finally:
-            root.close()
-        if self.partial_fn is not None:
-            if batches:
-                table = TableData.concat_all([b.data for b in batches])
-                partial = self.partial_fn(table)
-                batches = [RecordBatch(partial)] if partial.num_rows else []
-            else:
-                # Empty morsel output contributes nothing; the merge side
-                # reconstructs the empty-input result if *all* are empty.
-                batches = []
-        return root, batches, local, view
-
-    def _merge_local_stats(self, local: _LocalScanStats) -> None:
-        stats = self._stats
-        stats.bytes_scanned += local.bytes_scanned
-        stats.scan_latency_s += local.scan_latency_s
-        stats.rows_scanned += local.rows_scanned
-        stats.get_requests += local.get_requests
-        stats.footer_gets += local.footer_gets
-        stats.chunk_gets += local.chunk_gets
-        stats.cache_hits += local.cache_hits
-        stats.cache_misses += local.cache_misses
-        stats.cache_evictions += local.cache_evictions
-        stats.row_groups_skipped += local.row_groups_skipped
-
-    @staticmethod
-    def _accumulate(acc: PhysicalOperator, worker: PhysicalOperator) -> None:
-        acc.rows_in += worker.rows_in
-        acc.rows_out += worker.rows_out
-        acc.batches_out += worker.batches_out
-        acc.morsels += worker.morsels
-        acc.peak_bytes = max(acc.peak_bytes, worker.peak_bytes)
-        for key, value in worker.scan_counters.items():
-            acc.scan_counters[key] += value
-        for acc_child, worker_child in zip(acc.children, worker.children):
-            ExchangeOperator._accumulate(acc_child, worker_child)
-
-    def _adopt_counters(self) -> None:
-        # Present the accumulated segment-root counters as this operator's
-        # own, completing the impersonation.
-        acc = self._accumulator
-        self.rows_in = acc.rows_in
-        self.rows_out = acc.rows_out
-        self.batches_out = acc.batches_out
-        self.morsels = acc.morsels
-        self.peak_bytes = acc.peak_bytes
-        self.scan_counters = acc.scan_counters
-
-
-class MergeOperator(PhysicalOperator):
-    """Final phase of a parallel pipeline breaker.
-
-    Concatenates the per-morsel partial tables emitted by its
-    :class:`ExchangeOperator` child (in morsel order) and runs the final
-    kernel once — e.g. merging partial aggregates, or re-selecting the
-    global top N from per-morsel candidates.  It impersonates the breaker
-    plan node, with counters matching the sequential breaker's exactly.
-    """
-
-    def __init__(
-        self,
-        node: PlanNode,
-        exchange: ExchangeOperator,
-        batch_size: int,
-        final_fn: Callable[[TableData], TableData],
-        empty_fn: Callable[[], TableData],
-    ) -> None:
-        super().__init__(node, [exchange])
-        self._batch_size = batch_size
-        self._final_fn = final_fn
-        self._empty_fn = empty_fn
-        self._slices: Iterator[RecordBatch] | None = None
-        self._computed = False
-
-    def next_batch(self) -> RecordBatch | None:
-        if not self._computed:
-            self._computed = True
-            (exchange,) = self.children
-            pieces: list[TableData] = []
-            while True:
-                # Direct next_batch, not _pull: partial-table rows are an
-                # implementation detail and must not pollute rows_in.
-                batch = exchange.next_batch()
-                if batch is None:
-                    break
-                pieces.append(batch.data)
-            if pieces:
-                result = self._final_fn(TableData.concat_all(pieces))
-            else:
-                result = self._empty_fn()
-            # rows_in mirrors the sequential breaker: the segment's rows
-            # (the exchange adopted the segment root's rows_out).
-            self.rows_in = exchange.rows_out
-            from repro.engine.batch import approx_table_nbytes
-
-            self.peak_bytes = max(self.peak_bytes, approx_table_nbytes(result))
-            self._slices = RecordBatch.slices(result, self._batch_size)
-        assert self._slices is not None
-        batch = next(self._slices, None)
-        if batch is None:
-            return None
-        return self._emit(batch)
-
-
-def _parallel_scan_leaf(plan: PlanNode) -> Scan | None:
-    """The Scan at the bottom of a pure streaming segment, if any.
-
-    A segment is parallelizable when it is a (possibly empty) chain of
-    Filter/Project over a Scan: each morsel instance then produces output
-    independent of every other morsel's rows.  Limits are deliberately
-    excluded — parallelizing under a LIMIT would fetch row groups the
-    sequential early-exit path never bills for.
-    """
-    node = plan
-    while isinstance(node, (Filter, Project)):
-        node = node.input
-    return node if isinstance(node, Scan) else None
-
-
-def _maybe_exchange(
-    segment: PlanNode, source: DataSource, stats, batch_size: int, workers: int
-) -> ExchangeOperator | None:
-    """An exchange over ``segment`` when morsel parallelism applies."""
-    if workers <= 1 or not hasattr(source, "morsel_granules"):
-        return None
-    scan = _parallel_scan_leaf(segment)
-    if scan is None:
-        return None
-    return ExchangeOperator(segment, scan, source, stats, batch_size, workers)
+#: Blocking operator per pipeline-breaker plan node.
+_BREAKERS = {
+    Sort: SortOperator,
+    TopN: TopNOperator,
+    Aggregate: AggregateOperator,
+    Distinct: DistinctOperator,
+    HashJoin: HashJoinOperator,
+    UnionAllPlan: UnionAllOperator,
+}
 
 
 def build_pipeline(
@@ -723,130 +485,52 @@ def build_pipeline(
     """Lower a logical plan into its physical operator tree.
 
     The tree mirrors the plan node for node (EXPLAIN ANALYZE relies on
-    this to zip the two trees).  Pipelines break exactly at the blocking
-    operators; everything between two breaks streams in ``batch_size``
-    batches.  ``stats`` is the shared :class:`~repro.engine.executor
-    .QueryStats` the scan leaves account into as they fetch.
+    this to zip the two trees), and it is the same tree for every
+    ``workers``.  Pipelines break exactly at the blocking operators;
+    everything between two breaks streams in ``batch_size`` batches.
+    ``stats`` is the shared :class:`~repro.engine.executor.QueryStats` the
+    scan leaves account into as they fetch.
 
-    With ``workers > 1`` (and a morsel-capable source), the streaming
-    segment feeding each pipeline breaker runs as parallel per-morsel
-    instances behind an :class:`ExchangeOperator`.  Breakers whose kernel
-    decomposes exactly get a partial->final split (:class:`MergeOperator`);
-    the rest gather the segment output — in morsel order, so every mode is
-    bit-identical to the sequential plan.  The operator tree still mirrors
-    the plan node for node: exchange and merge impersonate the nodes they
-    replace.
+    ``workers`` reaches only a Scan whose Filter/Project chain feeds a
+    pipeline breaker: that scan is drained in full anyway, so reading its
+    row groups on ``workers`` threads fetches nothing extra.  A Scan under
+    a Limit, or one whose chain reaches the root, stays lazy and
+    sequential, so early exit still bills only the row groups it reached.
     """
-    if isinstance(plan, Scan):
-        return ScanOperator(plan, source, stats, batch_size)
-    if isinstance(plan, MaterializedView):
-        return ViewOperator(plan, batch_size)
-    if isinstance(plan, Filter):
-        return FilterOperator(
-            plan, [build_pipeline(plan.input, source, stats, batch_size, workers)]
-        )
-    if isinstance(plan, Project):
-        return ProjectOperator(
-            plan, [build_pipeline(plan.input, source, stats, batch_size, workers)]
-        )
-    if isinstance(plan, Limit):
-        return LimitOperator(
-            plan, [build_pipeline(plan.input, source, stats, batch_size, workers)]
-        )
-    if isinstance(plan, Sort):
-        # Gather mode: global sort is order-sensitive, so workers stream
-        # the segment and the coordinator runs the one sort kernel.
-        child = _maybe_exchange(
-            plan.input, source, stats, batch_size, workers
-        ) or build_pipeline(plan.input, source, stats, batch_size, workers)
-        return SortOperator(plan, [child], batch_size)
-    if isinstance(plan, TopN):
-        exchange = _maybe_exchange(plan.input, source, stats, batch_size, workers)
-        if exchange is not None and plan.limit is not None:
-            keys = [(key.column, key.ascending) for key in plan.keys]
-            budget = plan.limit + plan.offset
-            # Per-morsel top-(limit+offset) keeps every row the global
-            # selection could need (ties included: execute_top_n retains
-            # all boundary ties); the final pass re-selects exactly.
-            exchange.partial_fn = lambda t: execute_top_n(t, keys, budget, 0)
-            return MergeOperator(
-                plan,
-                exchange,
-                batch_size,
-                final_fn=lambda t: execute_top_n(t, keys, plan.limit, plan.offset),
-                empty_fn=lambda: execute_top_n(
-                    TableData.empty(plan.input.output_schema()),
-                    keys,
-                    plan.limit,
-                    plan.offset,
-                ),
-            )
-        child = exchange or build_pipeline(
-            plan.input, source, stats, batch_size, workers
-        )
-        return TopNOperator(plan, [child], batch_size)
-    if isinstance(plan, Aggregate):
-        exchange = _maybe_exchange(plan.input, source, stats, batch_size, workers)
-        if exchange is not None:
-            input_types = dict(plan.input.output_schema())
-            if aggregate_supports_partial(plan.aggregates, input_types):
-                exchange.partial_fn = lambda t: partial_aggregate(
-                    t, plan.group_keys, plan.aggregates
-                )
-                return MergeOperator(
-                    plan,
-                    exchange,
-                    batch_size,
-                    final_fn=lambda t: final_aggregate(
-                        t, plan.group_keys, plan.aggregates
-                    ),
-                    empty_fn=lambda: execute_aggregate(
-                        TableData.empty(plan.input.output_schema()),
-                        plan.group_keys,
-                        plan.aggregates,
-                    ),
-                )
-            # Gather mode for order-sensitive kernels (DOUBLE SUM/AVG,
-            # DISTINCT aggregates): workers scan/filter/project, the
-            # coordinator aggregates exactly as the sequential plan would.
-            return AggregateOperator(plan, [exchange], batch_size)
-        return AggregateOperator(
-            plan,
-            [build_pipeline(plan.input, source, stats, batch_size, workers)],
-            batch_size,
-        )
-    if isinstance(plan, Distinct):
-        exchange = _maybe_exchange(plan.input, source, stats, batch_size, workers)
-        if exchange is not None:
-            exchange.partial_fn = execute_distinct
-            return MergeOperator(
-                plan,
-                exchange,
-                batch_size,
-                final_fn=execute_distinct,
-                empty_fn=lambda: execute_distinct(
-                    TableData.empty(plan.input.output_schema())
-                ),
-            )
-        return DistinctOperator(
-            plan,
-            [build_pipeline(plan.input, source, stats, batch_size, workers)],
-            batch_size,
-        )
-    if isinstance(plan, HashJoin):
-        children = []
-        for side in (plan.left, plan.right):
-            child = _maybe_exchange(
-                side, source, stats, batch_size, workers
-            ) or build_pipeline(side, source, stats, batch_size, workers)
-            children.append(child)
-        return HashJoinOperator(plan, children, batch_size)
-    if isinstance(plan, UnionAllPlan):
-        children = []
-        for sub in plan.inputs:
-            child = _maybe_exchange(
-                sub, source, stats, batch_size, workers
-            ) or build_pipeline(sub, source, stats, batch_size, workers)
-            children.append(child)
-        return UnionAllOperator(plan, children, batch_size)
-    raise ExecutionError(f"unknown plan node {type(plan).__name__}")
+    return _lower(plan, source, stats, batch_size, workers, 1)
+
+
+def _lower(
+    node: PlanNode,
+    source: DataSource,
+    stats,
+    batch_size: int,
+    workers: int,
+    scan_workers: int,
+) -> PhysicalOperator:
+    """:func:`build_pipeline` for one node; ``scan_workers`` is what a Scan
+    reached through Filter/Project from here reads with.  (A module-level
+    function, not a nested one: a recursive closure is a reference cycle
+    that would keep ``source`` and ``stats`` alive until the collector ran.)
+    """
+    if isinstance(node, Scan):
+        return ScanOperator(node, source, stats, batch_size, scan_workers)
+    if isinstance(node, MaterializedView):
+        return ViewOperator(node, batch_size)
+    if isinstance(node, (Filter, Project, Limit)):
+        # A Limit stops pulling early, so the scan under it stays lazy.
+        below = 1 if isinstance(node, Limit) else scan_workers
+        child = _lower(node.input, source, stats, batch_size, workers, below)
+        if isinstance(node, Filter):
+            return FilterOperator(node, [child])
+        if isinstance(node, Project):
+            return ProjectOperator(node, [child])
+        return LimitOperator(node, [child])
+    breaker = _BREAKERS.get(type(node))
+    if breaker is None:
+        raise ExecutionError(f"unknown plan node {type(node).__name__}")
+    children = [
+        _lower(child, source, stats, batch_size, workers, workers)
+        for child in node.children()
+    ]
+    return breaker(node, children, batch_size)

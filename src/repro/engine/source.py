@@ -8,6 +8,8 @@ makes $/TB-scan billing real); tests and CF materialized views use
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Protocol
 
@@ -186,8 +188,45 @@ class ObjectStoreSource:
 
     # -- morsel-driven parallel scan path -----------------------------------
 
+    def scan_batches_parallel(
+        self, node: Scan, workers: int
+    ) -> Iterator[SourceResult]:
+        """:meth:`scan_batches` with row groups read on ``workers`` threads.
+
+        Reads wait on GETs, which threads overlap.  The morsels are
+        enumerated up front (footers read and charged on the calling
+        thread); each is then read through a private :class:`StoreView`,
+        at most ``workers`` morsels ahead of the consumer.  Granules are
+        yielded in morsel order and each view's metrics are merged into the
+        store as its granule is yielded, so the granules, their counters
+        and the store's totals equal the sequential stream's drained in
+        full.  This path is not lazy about row groups, so it suits only a
+        consumer that drains the scan (a pipeline breaker).
+        """
+
+        def read(morsel: Morsel) -> tuple[SourceResult, StoreView]:
+            view = StoreView(self._store)
+            return self.read_morsel(node, morsel, view), view
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        ahead: deque[Future] = deque()
+        try:
+            for morsel in self.morsel_granules(node):
+                ahead.append(pool.submit(read, morsel))
+                if len(ahead) > workers:
+                    yield self._take(ahead.popleft())
+            while ahead:
+                yield self._take(ahead.popleft())
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _take(self, future: Future) -> SourceResult:
+        granule, view = future.result()
+        self._store.metrics.merge(view.metrics)
+        return granule
+
     def morsel_granules(self, node: Scan) -> list[Morsel]:
-        """Enumerate the scan as row-group morsels (coordinator side).
+        """Enumerate the scan as row-group morsels (on the calling thread).
 
         Footers are read here, sequentially, through the *real* store and
         the configured pool — byte-for-byte the same footer GET/cache
@@ -195,8 +234,6 @@ class ObjectStoreSource:
         immediately.  The per-file footer delta is captured and attached
         to that file's first morsel so operator-level counters also match.
         """
-        base_columns = [base for _, base in node.columns]
-        del base_columns  # validated at read time; enumeration needs none
         ranges = node.ranges or None
         reader = self._table_reader(node)
         file_keys = self._keys if self._keys is not None else reader.file_keys()
@@ -226,13 +263,13 @@ class ObjectStoreSource:
         return morsels
 
     def read_morsel(self, node: Scan, morsel: Morsel, view: StoreView) -> SourceResult:
-        """Materialize one morsel through ``view`` (worker side).
+        """Materialize one morsel through ``view`` (on a reader thread).
 
         Chunk GETs and pool hit/miss accounting land in ``view.metrics``
-        only; the caller merges views into the shared store metrics after
-        the barrier, in morsel order.  The returned granule's counters
-        (chunks + any attached footer delta) equal what the sequential
-        stream would have yielded for the same row group.
+        only; the caller merges views into the shared store metrics in
+        morsel order.  The returned granule's counters (chunks + any
+        attached footer delta) equal what the sequential stream would have
+        yielded for the same row group.
         """
         delta = StorageMetrics()
         if morsel.footer_delta is not None:
@@ -264,15 +301,6 @@ class ObjectStoreSource:
             morsel.row_groups_skipped,
             morsel.footer.row_groups[morsel.group_index].num_rows,
         )
-
-    def store_view(self) -> StoreView:
-        """A fresh private-metrics view over this source's store."""
-        return StoreView(self._store)
-
-    def merge_view_metrics(self, views: list[StoreView]) -> None:
-        """Fold worker views into the shared store metrics, in order."""
-        for view in views:
-            self._store.metrics.merge(view.metrics)
 
     def _table_reader(self, node: Scan) -> TableReader:
         if not node.table.bucket or not node.table.prefix:
@@ -309,22 +337,6 @@ class ObjectStoreSource:
             cache_evictions=delta.chunk_cache_evictions,
             row_groups_skipped=skipped,
         )
-
-
-class SingleGranuleSource:
-    """A source serving exactly one pre-fetched granule.
-
-    The morsel driver reads a row group up front (through a private
-    :class:`~repro.storage.object_store.StoreView`) and then runs a normal
-    pipeline instance over it; this adapter feeds that granule — with its
-    accounting — into the instance's scan operator unchanged.
-    """
-
-    def __init__(self, granule: SourceResult) -> None:
-        self._granule = granule
-
-    def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
-        yield self._granule
 
 
 class InMemorySource:

@@ -245,9 +245,10 @@ class StoreView:
     Morsel workers read through one fresh view each: the view shares the
     store's data and latency model but accounts every request into its own
     :class:`StorageMetrics`, so concurrent workers never race on the shared
-    counters.  After the barrier, the driver merges each view's metrics into
-    the real store in morsel order — the global counters end up identical to
-    a sequential run, and per-morsel deltas are simply ``view.metrics``.
+    counters.  The parallel scan merges each view's metrics into the real
+    store in morsel order as it yields that morsel's granule — the global
+    counters end up identical to a sequential run, and per-morsel deltas
+    are simply ``view.metrics``.
 
     Only the read-side surface a :class:`~repro.storage.file_format.PixelsReader`
     touches is exposed (get/head/etag/exists/profile).

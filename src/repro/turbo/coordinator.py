@@ -818,9 +818,6 @@ class Coordinator:
             return  # e.g. cancelled while a CF invocation was in flight
         execution.finished_at = self._sim.now
         execution.result = result
-        self.trace.record(
-            "query.finished", self._sim.now, 1, tag=execution.query_id
-        )
         if self._recorder is not None:
             self._recorder.finished(execution, "ok")
         self._notify(execution)
@@ -835,7 +832,6 @@ class Coordinator:
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.error = message
-        self.trace.record("query.failed", self._sim.now, 1, tag=execution.query_id)
         if self._recorder is not None:
             self._recorder.finished(execution, status)
         self._notify(execution)

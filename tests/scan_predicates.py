@@ -69,8 +69,8 @@ CONFIGURATIONS = [
     for pooled in (False, True)
     for workers in WORKERS
 ]
-#: A LIMIT keeps the plan sequential whatever the worker count (only a
-#: ``count(*)`` under it still runs an exchange), so one multi-worker run.
+#: A LIMIT keeps the scan sequential whatever the worker count (only a
+#: ``count(*)`` under it still reads in parallel), so one multi-worker run.
 LIMIT_CONFIGURATIONS = [c for c in CONFIGURATIONS if c[1] == 1] + [(4096, 3, False)]
 
 _S_VALUES = ["", "a", "a\x00", "é", "\U0001F600"]

@@ -1,9 +1,11 @@
-"""Morsel-driven parallel execution and the expression evaluator.
+"""Morsel-parallel scans and the expression evaluator.
 
 The contract under test is *bit-identical determinism*: query results, row
 ordering, billed dollars, storage accounting, and the rendered EXPLAIN
-ANALYZE output must not depend on the worker count.  Expressions are
-checked for batch-split invariance over seeded random trees (including
+ANALYZE output must not depend on the worker count — and neither does the
+physical plan, since workers only change how a scan reads its row
+groups.  Expressions are checked for batch-split invariance over seeded
+random trees (including
 NULL propagation and Kleene three-valued logic), the row-locality the
 executor's batch-size invariance rests on.
 """
@@ -36,7 +38,9 @@ from repro.engine.expr import (
     fold_constants,
     _BROADCAST_CACHE,
 )
+from repro.engine.executor import QueryStats
 from repro.engine.optimizer import Optimizer
+from repro.engine.pipeline import build_pipeline
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
 from repro.obs.explain import render_analyzed_plan
@@ -106,27 +110,27 @@ def _run(sql, workers, analyze=True):
 
 
 INVARIANCE_QUERIES = [
-    # partial->final aggregate (int SUM / COUNT / MIN / MAX are exact)
+    # grouped aggregate over a parallel scan
     "SELECT o_orderstatus, COUNT(*) AS n, SUM(o_orderkey) AS s, "
     "MIN(o_orderdate) AS lo, MAX(o_orderdate) AS hi "
     "FROM orders GROUP BY o_orderstatus",
     # global aggregate, empty-group edge included via selective filter
     "SELECT COUNT(*) AS n, AVG(o_orderkey) AS a FROM orders "
     "WHERE o_totalprice > 880",
-    # DOUBLE SUM falls back to gather mode (order-sensitive float adds)
+    # DOUBLE SUM: float adds are order-sensitive, so granule order shows
     "SELECT SUM(o_totalprice) AS s, AVG(o_totalprice) AS a FROM orders",
-    # partial->final distinct
+    # distinct
     "SELECT DISTINCT o_orderstatus FROM orders",
-    # partial->final top-N, including boundary ties on o_orderdate
+    # top-N, including boundary ties on o_orderdate
     "SELECT o_orderkey, o_orderdate FROM orders "
     "ORDER BY o_orderdate, o_orderkey LIMIT 7",
-    # gather-mode full sort
+    # full sort
     "SELECT o_orderkey FROM orders WHERE o_custkey = 2 ORDER BY o_orderkey",
-    # parallel segments feeding both sides of a hash join
+    # parallel scans feeding both sides of a hash join
     "SELECT c_name, COUNT(*) AS n FROM orders "
     "JOIN customer ON o_custkey = c_custkey "
     "WHERE o_totalprice IS NOT NULL GROUP BY c_name",
-    # filter + projection arithmetic over the scan segment
+    # filter + projection arithmetic straight to the root (sequential)
     "SELECT o_orderkey * 2 + 1 AS k FROM orders "
     "WHERE o_totalprice > 100 AND o_orderstatus <> 'P'",
     # LIMIT chain stays sequential (early exit must keep billing lazy)
@@ -224,6 +228,31 @@ class TestWorkerInvariance:
             for workers in (1, 3)
         ]
         assert latencies[0] == latencies[1]
+
+    @pytest.mark.parametrize("sql", INVARIANCE_QUERIES)
+    def test_one_physical_plan_for_every_worker_count(self, sql):
+        store, catalog = _setup()
+        plan = Optimizer().optimize(Planner(catalog, "mini").plan_sql(sql))
+        source = ObjectStoreSource(store)
+
+        def shape(op):
+            return (type(op), [shape(child) for child in op.children])
+
+        shapes = [
+            shape(build_pipeline(plan, source, QueryStats(), 4096, workers))
+            for workers in (1, 4)
+        ]
+        assert shapes[0] == shapes[1], sql
+
+    def test_scan_under_limit_reads_sequentially(self):
+        # Read ahead, a parallel scan would fetch row groups the LIMIT
+        # never reaches; the lazy scan stops after the first one.
+        gets = []
+        for workers in (1, 4):
+            store, _, result = _run("SELECT o_orderkey FROM orders LIMIT 3", workers)
+            assert result.profile.morsels == 1
+            gets.append(store.metrics.get_requests)
+        assert gets[0] == gets[1]
 
     def test_morsel_count_matches_row_groups(self):
         expected_groups = -(-NUM_ORDERS // ROWS_PER_GROUP)

@@ -116,6 +116,24 @@ class TestEqualityChain:
         )
 
 
+class TestCrossSchemaIds:
+    def test_two_schemas_never_share_a_query_id(self):
+        # One observability bundle serves every schema's server, so the
+        # ledger, profiler and activity registry key on the id alone.
+        db = PixelsDB(observe=True, seed=9)
+        queries = []
+        for schema in ("a", "b"):
+            db.load_tpch(schema, scale=0.02)
+            queries.append(
+                db.submit(schema, "SELECT count(*) FROM orders", ServiceLevel.IMMEDIATE)
+            )
+        db.run_to_completion()
+        assert [q.query_id for q in queries] == ["sq-1", "sq-2"]
+        report = db.reconcile()
+        assert report.ok, report.render()
+        assert len(db.obs.activity.entries()) == 2
+
+
 class TestNamedViolations:
     """Seeded corruptions are detected and named — zero tolerance."""
 
