@@ -3,10 +3,19 @@
 One function per logical node type, all operating on whole
 :class:`~repro.storage.table.TableData` batches.  Grouping, distinct,
 sorting and joining share a code-based representation: every key column is
-reduced to integer codes (ranks of its sorted unique values) with NULL as
-an extra code, which makes multi-column grouping a single ``np.unique``
-over a combined int64, an equi join a sort plus a binary search over one,
-and gives order-preserving sort keys for every data type.
+reduced to integer codes in ``[0, cardinality)`` with NULL as the last
+code, and several key columns fold into one int64 by mixed radix.
+
+ORDER BY needs codes that rank (:func:`column_codes`).  Grouping, distinct
+and joins only tell values apart, so an integer-like key whose range is
+narrower than its row count is its own code (``value - min``) and a
+dictionary-coded string keeps its dictionary codes.  When the folded radix
+is at most twice the row count, group ids and first rows come from a
+scatter into a radix-sized array, with no sort; otherwise from one
+``np.unique`` over the folded codes.  MIN / MAX scatter the values
+themselves, and COUNT(DISTINCT) over uncoded strings counts one ``set``
+per group, so neither ranks its input column.  An equi join is a sort plus
+a binary search over the folded codes.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from repro.storage.types import ColumnVector, DataType
 # ---------------------------------------------------------------------------
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INTEGER_LIKE = (DataType.INT, DataType.BIGINT, DataType.DATE, DataType.BOOLEAN)
 
 
 def column_codes(
@@ -79,10 +90,38 @@ def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.astype(np.int64, copy=False), len(uniques)
 
 
-def _combine_codes(parts) -> np.ndarray:
+def _key_codes(vector: ColumnVector) -> tuple[np.ndarray, int]:
+    """Codes that tell one key column's values apart: ``(codes,
+    cardinality)`` with codes in ``[0, cardinality)`` and NULL the last.
+
+    An integer-like column whose range is narrower than its row count is
+    its own code, shifted to start at 0, so nothing is sorted; any other
+    column goes through :func:`column_codes` (a dictionary-coded string
+    keeps its dictionary codes there).
+    """
+    nulls = vector.nulls
+    if vector.dtype in _INTEGER_LIKE:
+        values = vector.data.astype(np.int64, copy=False)
+        valid = True if nulls is None else ~nulls
+        low = int(values.min(initial=_INT64_MAX, where=valid))
+        high = int(values.max(initial=_INT64_MIN, where=valid))
+        if high < low:  # no valid row
+            return np.zeros(len(values), dtype=np.int64), 1
+        if high - low < len(values):
+            codes, width = values - low, high - low + 1
+            if nulls is None:
+                return codes, width
+            codes[nulls] = width
+            return codes, width + 1
+    codes, uniques = column_codes(vector, ordered=False)
+    return codes, len(uniques) + 1
+
+
+def _combine_codes(parts) -> tuple[np.ndarray, int]:
     """Fold per-column ``(codes, cardinality)`` pairs, codes in
     ``[0, cardinality)``, into one int64 per row such that rows are equal
-    iff their code tuples are.
+    iff their code tuples are.  Returns ``(combined, span)``: the folded
+    codes lie in ``[0, span)``.
 
     Mixed-radix, with the radix product tracked in Python integers: before
     a multiply could pass int64 the running code (then, if still needed,
@@ -98,7 +137,7 @@ def _combine_codes(parts) -> np.ndarray:
             codes, cardinality = _densify(codes)
         combined = combined * cardinality + codes
         span *= cardinality
-    return combined
+    return combined, span
 
 
 def combined_group_codes(
@@ -107,20 +146,27 @@ def combined_group_codes(
     """Combine multiple key columns into one group id per row.
 
     Returns ``(group_ids, first_row_index)``: dense group ids in
-    [0, num_groups) and, per group, the index of its first row in input
-    order (used to materialize key output values).
+    [0, num_groups), numbered by first appearance, and, per group, the
+    index of its first row in input order (used to materialize key output
+    values).  A folded radix of at most twice the row count is addressed
+    directly: a scatter finds each code's first row and only those
+    ``num_groups`` rows are sorted.  A wider one takes one ``np.unique``.
     """
     num_rows = table.num_rows
     if not key_columns:
         return np.zeros(num_rows, dtype=np.int64), np.zeros(
             min(num_rows, 1), dtype=np.int64
         )
-    encoded = (
-        column_codes(table.column(name), ordered=False) for name in key_columns
+    combined, span = _combine_codes(
+        _key_codes(table.column(name)) for name in key_columns
     )
-    combined = _combine_codes(
-        (codes, len(uniques) + 1) for codes, uniques in encoded
-    )
+    if span <= 2 * num_rows:
+        first = np.full(span, num_rows, dtype=np.int64)
+        np.minimum.at(first, combined, np.arange(num_rows))
+        first_rows = np.sort(first[first < num_rows])
+        remap = np.empty(span, dtype=np.int64)
+        remap[combined[first_rows]] = np.arange(len(first_rows))
+        return remap[combined], first_rows
     _, first_indices, group_ids = np.unique(
         combined, return_index=True, return_inverse=True
     )
@@ -187,6 +233,9 @@ def _compute_aggregate(
     counts = np.bincount(valid_groups, minlength=num_groups)
     empty = counts == 0
     nulls = empty if empty.any() else None
+    if spec.func is AggFunc.SUM and spec.dtype is not DataType.DOUBLE:
+        sums = _integer_sums(vector.data[valid], valid_groups, num_groups)
+        return ColumnVector(spec.dtype, sums, nulls)
     if spec.func in (AggFunc.SUM, AggFunc.AVG):
         values = vector.data[valid].astype(np.float64)
         sums = np.bincount(valid_groups, weights=values, minlength=num_groups)
@@ -194,11 +243,34 @@ def _compute_aggregate(
             with np.errstate(invalid="ignore", divide="ignore"):
                 data = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
             return ColumnVector(DataType.DOUBLE, data, nulls)
-        data = sums.astype(spec.dtype.numpy_dtype)
-        return ColumnVector(spec.dtype, data, nulls)
+        return ColumnVector(spec.dtype, sums, nulls)
     if spec.func in (AggFunc.MIN, AggFunc.MAX):
         return _min_max(vector, spec, valid, valid_groups, num_groups, nulls)
     raise ExecutionError(f"unsupported aggregate {spec.func}")  # pragma: no cover
+
+
+def _integer_sums(
+    values: np.ndarray, groups: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """Exact per-group int64 sums; an :class:`ExecutionError` when one
+    leaves int64.
+
+    int64 addition wraps, but it is exact modulo 2^64, so the result is
+    right whenever the true sum fits.  Only inputs whose magnitude times
+    row count reaches 2^63 can overflow; for those, a float64 shadow sum
+    (off by far less than 2^63) tells a wrapped sum from a true one.
+    """
+    sums = np.zeros(num_groups, dtype=np.int64)
+    np.add.at(sums, groups, values)
+    if not len(values):
+        return sums
+    if max(-int(values.min()), int(values.max())) * len(values) > _INT64_MAX:
+        shadow = np.bincount(
+            groups, weights=values.astype(np.float64), minlength=num_groups
+        )
+        if (np.abs(shadow - sums) >= 2.0**63).any():
+            raise ExecutionError("sum() overflows BIGINT")
+    return sums
 
 
 def _count_distinct(
@@ -207,17 +279,37 @@ def _count_distinct(
     valid_groups: np.ndarray,
     num_groups: int,
 ) -> ColumnVector:
-    if len(vector) == 0 or not valid.any():
+    if not valid.any():
         return ColumnVector(
             DataType.BIGINT, np.zeros(num_groups, dtype=np.int64)
         )
-    codes, uniques = column_codes(vector, ordered=False)
-    pairs = _combine_codes(
-        [(valid_groups, num_groups), (codes[valid], len(uniques) + 1)]
+    if vector.dtype is DataType.VARCHAR and vector.codes is None:
+        counts = _distinct_strings(vector.data[valid], valid_groups, num_groups)
+        return ColumnVector(DataType.BIGINT, counts)
+    codes, cardinality = _key_codes(vector)
+    pairs, _ = _combine_codes(
+        [(valid_groups, num_groups), (codes[valid], cardinality)]
     )
     _, first_rows = np.unique(pairs, return_index=True)
     counts = np.bincount(valid_groups[first_rows], minlength=num_groups)
     return ColumnVector(DataType.BIGINT, counts.astype(np.int64))
+
+
+def _distinct_strings(
+    strings: np.ndarray, groups: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """How many distinct strings each group holds: the rows are partitioned
+    by group (a stable sort of 16-bit ids is numpy's radix sort), then each
+    group's slice is hashed once into a ``set``.  No string is coded."""
+    if num_groups > 1:
+        ids = groups.astype(np.uint16) if num_groups <= 1 << 16 else groups
+        strings = strings[np.argsort(ids, kind="stable")]
+    values = strings.tolist()
+    ends = np.cumsum(np.bincount(groups, minlength=num_groups)).tolist()
+    counts = [
+        len(set(values[start:end])) for start, end in zip([0] + ends, ends)
+    ]
+    return np.array(counts, dtype=np.int64)
 
 
 def _min_max(
@@ -228,6 +320,30 @@ def _min_max(
     num_groups: int,
     nulls: np.ndarray | None,
 ) -> ColumnVector:
+    """MIN / MAX per group.  Numbers and dates are scattered as they are;
+    a DOUBLE NaN ranks above every number, so MAX propagates it and MIN
+    (``fmin``) keeps it only where a group holds nothing else.  Strings
+    scatter their ranks."""
+    if not valid.any():
+        data = np.zeros(num_groups, dtype=spec.dtype.numpy_dtype)
+        if spec.dtype is DataType.VARCHAR:
+            data = np.array([""] * num_groups, dtype=object)
+        return ColumnVector(spec.dtype, data, np.ones(num_groups, dtype=bool))
+    if vector.dtype in (DataType.INT, DataType.BIGINT, DataType.DATE, DataType.DOUBLE):
+        values = vector.data[valid]
+        if vector.dtype is DataType.DOUBLE:
+            lowest, highest, minimum = -np.inf, np.nan, np.fmin
+        else:
+            info = np.iinfo(values.dtype)
+            lowest, highest, minimum = info.min, info.max, np.minimum
+        with np.errstate(invalid="ignore"):  # NaN operands are expected
+            if spec.func is AggFunc.MIN:
+                best = np.full(num_groups, highest, dtype=values.dtype)
+                minimum.at(best, valid_groups, values)
+            else:
+                best = np.full(num_groups, lowest, dtype=values.dtype)
+                np.maximum.at(best, valid_groups, values)
+        return ColumnVector(spec.dtype, best, nulls)
     codes, uniques = column_codes(vector)
     valid_codes = codes[valid]
     if spec.func is AggFunc.MIN:
@@ -236,15 +352,7 @@ def _min_max(
     else:
         best = np.full(num_groups, -1, dtype=np.int64)
         np.maximum.at(best, valid_groups, valid_codes)
-    safe = np.clip(best, 0, max(len(uniques) - 1, 0))
-    if len(uniques) == 0:
-        data = np.zeros(num_groups, dtype=spec.dtype.numpy_dtype)
-        if spec.dtype is DataType.VARCHAR:
-            data = np.array([""] * num_groups, dtype=object)
-        return ColumnVector(
-            spec.dtype, data, np.ones(num_groups, dtype=bool)
-        )
-    data = uniques[safe]
+    data = uniques[np.clip(best, 0, len(uniques) - 1)]
     if spec.dtype is DataType.VARCHAR:
         data = np.asarray(data, dtype=object)
     else:
@@ -411,7 +519,7 @@ def _join_codes(
         )
         parts.append((codes, cardinality))
         unmatchable |= invalid
-    codes = _combine_codes(parts)
+    codes, _ = _combine_codes(parts)
     codes[unmatchable] = -1
     return codes[: left.num_rows], codes[left.num_rows :]
 

@@ -31,6 +31,7 @@ import argparse
 import random
 import sqlite3
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.engine.executor import QueryExecutor
@@ -215,13 +216,13 @@ def _atom(rng: random.Random) -> Predicate:
     return Predicate(_comparison(rng, case, str(rng.choice([0, 3, 24]))), test.off_list)
 
 
-def _predicate(rng: random.Random, depth: int) -> Predicate:
+def random_predicate(rng: random.Random, depth: int) -> Predicate:
     if depth == 0 or rng.random() < 0.35:
         return _atom(rng)
     if rng.random() < 0.2:
-        inner = _predicate(rng, depth - 1)
+        inner = random_predicate(rng, depth - 1)
         return Predicate(f"NOT ({inner.sql})", inner.off_list)
-    left, right = _predicate(rng, depth - 1), _predicate(rng, depth - 1)
+    left, right = random_predicate(rng, depth - 1), random_predicate(rng, depth - 1)
     joiner = rng.choice(["AND", "AND", "OR"])
     return Predicate(f"({left.sql}) {joiner} ({right.sql})", left.off_list | right.off_list)
 
@@ -229,7 +230,7 @@ def _predicate(rng: random.Random, depth: int) -> Predicate:
 def generate(seed: int, index: int) -> Predicate:
     """Statement ``index`` of the run seeded ``seed`` (replayable alone)."""
     rng = random.Random(f"{seed}/{index}")
-    predicate = _predicate(rng, depth=2)
+    predicate = random_predicate(rng, depth=2)
     if rng.random() < 0.15:
         select = "count(*)"
     else:
@@ -252,17 +253,26 @@ class Counts:
     sqlite_skipped_statements: int = 0
     #: Off-list constructs met (a statement can hold several).
     sqlite_skipped: Counter = field(default_factory=Counter)
-    #: Row groups by what the statement's predicate kept of them.
-    groups: Counter = field(default_factory=Counter)
 
-    def summary(self) -> str:
+    def sqlite_summary(self) -> str:
         skipped = ", ".join(
             f"{reason}: {count}" for reason, count in sorted(self.sqlite_skipped.items())
         )
         return (
+            f"sqlite3 compared {self.sqlite_compared}, "
+            f"skipped {self.sqlite_skipped_statements} ({skipped})"
+        )
+
+
+@dataclass
+class ScanCounts(Counts):
+    #: Row groups by what the statement's predicate kept of them.
+    groups: Counter = field(default_factory=Counter)
+
+    def summary(self) -> str:
+        return (
             f"scan differential: {self.explored} statements explored in "
-            f"{self.executions} executions; sqlite3 compared {self.sqlite_compared}, "
-            f"skipped {self.sqlite_skipped_statements} ({skipped}); row groups "
+            f"{self.executions} executions; {self.sqlite_summary()}; row groups "
             f"all-true {self.groups['all']}, all-false {self.groups['none']}, "
             f"mixed {self.groups['mixed']}"
         )
@@ -272,7 +282,19 @@ class Divergence(AssertionError):
     pass
 
 
-def _rows(result) -> list[tuple]:
+@contextmanager
+def replayable(seed: int, index: int, sql: str):
+    """Re-raise any failure as a :class:`Divergence` naming the seed, the
+    statement's index and its SQL, so the statement can be replayed alone."""
+    try:
+        yield
+    except Exception as exc:
+        raise Divergence(
+            f"seed={seed} statement={index}: {sql!r}\n{type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def result_rows(result) -> list[tuple]:
     """The result's rows with NaN as a token, so equal rows compare equal."""
     return [
         tuple("NaN" if value != value else value for value in row)
@@ -283,7 +305,7 @@ def _rows(result) -> list[tuple]:
 class Differential:
     """The table in its three homes, and the checks one statement gets."""
 
-    def __init__(self) -> None:
+    def __init__(self, counts: Counts | None = None) -> None:
         rows = table_rows()
         self.data = TableData.from_rows(SCHEMA, rows)
         self.store = ObjectStore()
@@ -303,7 +325,7 @@ class Differential:
         self.lite.execute("PRAGMA case_sensitive_like = ON")
         self.lite.execute(f"CREATE TABLE t ({', '.join(name for name, _ in SCHEMA)})")
         self.lite.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(SCHEMA))})", rows)
-        self.counts = Counts()
+        self.counts = ScanCounts() if counts is None else counts
 
     def encodings(self) -> set[str]:
         """Every encoding a chunk of the stored table uses."""
@@ -313,14 +335,14 @@ class Differential:
                 found |= {chunk.encoding.value for chunk in group.chunks.values()}
         return found
 
-    def _plan(self, sql: str):
+    def plan(self, sql: str):
         return self.optimizer.optimize(self.planner.plan_sql(sql))
 
-    def _execute(self, plan, source, batch_size: int, workers: int = 1):
+    def execute(self, plan, source, batch_size: int, workers: int = 1):
         self.counts.executions += 1
         return QueryExecutor(source, batch_size, workers).execute(plan, analyze=True)
 
-    def _stored(self, plan, expected_rows: list[tuple], configurations) -> tuple:
+    def stored(self, plan, expected_rows: list[tuple], configurations) -> tuple:
         """``plan`` over the object store in each configuration: the rows of
         the in-memory run, one accounting for all of them (returned), and
         one EXPLAIN ANALYZE text per (batch size, pool) whatever the workers."""
@@ -329,12 +351,12 @@ class Differential:
         for batch_size, workers, pooled in configurations:
             cache = BufferPool(self.store) if pooled else None  # cold every time
             source = ObjectStoreSource(self.store, cache=cache)
-            result = self._execute(plan, source, batch_size, workers)
+            result = self.execute(plan, source, batch_size, workers)
             where = f"batch_size={batch_size} workers={workers} pool={pooled}"
-            if _rows(result) != expected_rows:
+            if result_rows(result) != expected_rows:
                 raise Divergence(
                     f"{where}: rows differ from the in-memory scan\n"
-                    f"  stored: {_rows(result)}\n  memory: {expected_rows}"
+                    f"  stored: {result_rows(result)}\n  memory: {expected_rows}"
                 )
             stats = result.stats
             seen = (
@@ -355,34 +377,25 @@ class Differential:
                 )
         return accounting
 
-    def check(self, statement: Predicate, limit: int) -> None:
-        sql = statement.sql
-        plan = self._plan(sql)
-        expected = _rows(self._execute(plan, self.memory, 4096))
+    def memory_rows(self, plan) -> list[tuple]:
+        """``plan``'s rows over the in-memory table, the same at every batch
+        size."""
+        expected = result_rows(self.execute(plan, self.memory, 4096))
         for batch_size in BATCH_SIZES[:2]:
-            if _rows(self._execute(plan, self.memory, batch_size)) != expected:
+            if result_rows(self.execute(plan, self.memory, batch_size)) != expected:
                 raise Divergence(f"in-memory rows differ at batch_size={batch_size}")
-        rows_scanned, _, _, skipped = self._stored(plan, expected, CONFIGURATIONS)
-        if rows_scanned != ROWS_PER_GROUP * (GROUPS - skipped):
-            raise Divergence(
-                f"rows_scanned {rows_scanned} is not the pre-residual row count of "
-                f"the {GROUPS - skipped} groups read"
-            )
-        limited = self._plan(f"{sql} LIMIT {limit}")
-        if _rows(self._execute(limited, self.memory, 4096)) != expected[:limit]:
-            raise Divergence(f"in-memory LIMIT {limit} is not a prefix of the full scan")
-        try:
-            self._stored(limited, expected[:limit], LIMIT_CONFIGURATIONS)
-        except Divergence as exc:
-            raise Divergence(f"under LIMIT {limit}: {exc}") from None
-        self._count_groups(sql)
+        return expected
+
+    def compare_sqlite(self, statement: Predicate, rows: list[tuple]) -> None:
+        """``rows`` equal sqlite3's answer to ``statement`` as multisets, or
+        the statement is counted as skipped under its off-list reasons."""
         if statement.off_list:
             self.counts.sqlite_skipped.update(statement.off_list)
             self.counts.sqlite_skipped_statements += 1
             return
-        reference = self.lite.execute(sql).fetchall()
+        reference = self.lite.execute(statement.sql).fetchall()
         # sqlite has no BOOLEAN: ``f`` comes back 0/1, which equal False/True.
-        ours = [tuple(int(v) if v is True or v is False else v for v in row) for row in expected]
+        ours = [tuple(int(v) if v is True or v is False else v for v in row) for row in rows]
         if sorted(ours, key=repr) != sorted(reference, key=repr):
             raise Divergence(
                 f"rows differ from sqlite3\n  ours:   {sorted(ours, key=repr)}\n"
@@ -390,12 +403,32 @@ class Differential:
             )
         self.counts.sqlite_compared += 1
 
+    def check(self, statement: Predicate, limit: int) -> None:
+        sql = statement.sql
+        plan = self.plan(sql)
+        expected = self.memory_rows(plan)
+        rows_scanned, _, _, skipped = self.stored(plan, expected, CONFIGURATIONS)
+        if rows_scanned != ROWS_PER_GROUP * (GROUPS - skipped):
+            raise Divergence(
+                f"rows_scanned {rows_scanned} is not the pre-residual row count of "
+                f"the {GROUPS - skipped} groups read"
+            )
+        limited = self.plan(f"{sql} LIMIT {limit}")
+        if result_rows(self.execute(limited, self.memory, 4096)) != expected[:limit]:
+            raise Divergence(f"in-memory LIMIT {limit} is not a prefix of the full scan")
+        try:
+            self.stored(limited, expected[:limit], LIMIT_CONFIGURATIONS)
+        except Divergence as exc:
+            raise Divergence(f"under LIMIT {limit}: {exc}") from None
+        self._count_groups(sql)
+        self.compare_sqlite(statement, expected)
+
     def _count_groups(self, sql: str) -> None:
         where = sql[sql.index(" WHERE ") :]
         kept = Counter(
             key // ROWS_PER_GROUP
-            for (key,) in self._execute(
-                self._plan(f"SELECT id FROM t{where}"), self.memory, 4096
+            for (key,) in self.execute(
+                self.plan(f"SELECT id FROM t{where}"), self.memory, 4096
             ).rows()
         )
         for group in range(GROUPS):
@@ -403,7 +436,7 @@ class Differential:
             self.counts.groups[shape] += 1
 
 
-def run(seed: int, statements: int) -> Counts:
+def run(seed: int, statements: int) -> ScanCounts:
     """Explore ``statements`` generated statements; raises :class:`Divergence`
     naming the seed, the statement's index and its SQL on the first
     disagreement."""
@@ -411,13 +444,8 @@ def run(seed: int, statements: int) -> Counts:
     assert differential.encodings() == {"plain", "rle", "dict"}
     for index in range(statements):
         statement = generate(seed, index)
-        try:
+        with replayable(seed, index, statement.sql):
             differential.check(statement, limit=1 + index % 9)
-        except Exception as exc:
-            raise Divergence(
-                f"seed={seed} statement={index}: {statement.sql!r}\n"
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
         differential.counts.explored += 1
     return differential.counts
 

@@ -40,7 +40,7 @@ def differential():
 
 
 def stored_runs(differential, sql):
-    plan = differential._plan(sql)
+    plan = differential.plan(sql)
     for batch_size in BATCH_SIZES:
         for workers in WORKERS:
             source = ObjectStoreSource(differential.store)
@@ -67,7 +67,7 @@ class TestRegressions:
         """BOOLEAN chunks have no min/max; the zone map took that for
         "empty" as soon as a bound was pushed and the count came back 0."""
         sql = f"SELECT count(*) FROM t WHERE {predicate}"
-        plan = differential._plan(sql)
+        plan = differential.plan(sql)
         (expected,) = QueryExecutor(differential.memory).execute(plan).rows()
         assert expected[0] > 0
         for result in stored_runs(differential, sql):
@@ -76,7 +76,7 @@ class TestRegressions:
     def test_rows_scanned_and_rows_in_stay_pre_residual(self, differential):
         """The cost model scales compute by ``rows_scanned``: it counts the
         rows of the groups read, not the rows the residual kept."""
-        plan = differential._plan("SELECT id FROM t WHERE NOT (id <> 7)")
+        plan = differential.plan("SELECT id FROM t WHERE NOT (id <> 7)")
         source = ObjectStoreSource(differential.store)
         result = QueryExecutor(source).execute(plan, analyze=True)
         assert result.rows() == [(7,)]
@@ -90,7 +90,7 @@ class TestRegressions:
     def test_a_residual_that_raises_fails_the_query_as_before(
         self, differential, workers
     ):
-        plan = differential._plan("SELECT id FROM t WHERE CAST(p AS BIGINT) = 1")
+        plan = differential.plan("SELECT id FROM t WHERE CAST(p AS BIGINT) = 1")
         for source in (differential.memory, ObjectStoreSource(differential.store)):
             with pytest.raises(ExecutionError, match="CAST failed"):
                 QueryExecutor(source, workers=workers).execute(plan)
