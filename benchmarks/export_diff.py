@@ -27,7 +27,10 @@ benches' text reports.  ``bench_*.json`` records are skipped:
 committed baselines (and ``bench_engine_*`` carry machine-dependent
 ``meta``).
 
-Exit status 1 lists the files that differ or exist on one side only.
+Exit status 1 lists the files that differ or exist on one side only,
+or says that nothing was compared.  The summary also counts compared
+artifacts that are empty on both sides, so a match between two empty
+files is visible rather than counted as evidence.
 """
 
 from __future__ import annotations
@@ -119,19 +122,29 @@ def main() -> int:
         _, differing, errors = filecmp.cmpfiles(
             results["base"], results["head"], common, shallow=False
         )
+        empty = [
+            name
+            for name in common
+            if all((path / name).stat().st_size == 0 for path in results.values())
+        ]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(
         f"base {args.base} ({base_sha[:9]}) vs head: {len(common)} artifacts "
-        f"compared, {len(differing) + len(errors)} differ, "
+        f"compared ({len(empty)} empty on both sides), "
+        f"{len(differing) + len(errors)} differ, "
         f"{len(one_sided)} on one side only"
     )
+    for name in empty:
+        print(f"  empty on both sides: {name}")
     for name in differing + errors:
         print(f"  differs: {name}")
     for name in one_sided:
         side = "base" if name in names["base"] else "head"
         print(f"  only in {side}: {name}")
-    return 1 if differing or errors or one_sided else 0
+    if not common:
+        print("  nothing was compared")
+    return 1 if differing or errors or one_sided or not common else 0
 
 
 if __name__ == "__main__":

@@ -121,9 +121,21 @@ class PixelsDB:
         live bill/deadline projections against tenant budgets and
         service-level deadlines on its scheduler tick, alerting — and,
         opt-in, downgrading or cancelling — with every decision
-        audit-logged (:meth:`guard_audit`).  The default is the
+        audit-logged (:meth:`guard_audit`).  ``alert_rules``,
+        ``capture``, ``tenant_budgets`` and ``guard`` only act on an
+        observed stack: passing one with ``observe=False`` raises
+        ``ValueError``.  The default is the
         unobserved bundle (:meth:`Instrumentation.disabled`) — query
         results and billed prices are identical either way."""
+        if not observe:
+            for name, value in (
+                ("alert_rules", alert_rules),
+                ("capture", capture),
+                ("tenant_budgets", tenant_budgets),
+                ("guard", guard),
+            ):
+                if value is not None:
+                    raise ValueError(f"{name}= needs observe=True")
         self.config = config if config is not None else TurboConfig()
         self.seed = seed
         self.sim = Simulator(seed=seed)

@@ -92,18 +92,6 @@ class WorkloadResult:
     def provider_cost(self) -> float:
         return self.coordinator.total_provider_cost()
 
-    def attributed_cost(self, level: ServiceLevel) -> float:
-        """Provider cost attributable to this level's queries.
-
-        CF queries carry their exact invocation cost.  VM queries share
-        the cluster, so each is attributed its modelled worker-seconds at
-        the VM unit price — the marginal-cost view used for C2.
-        """
-        total = 0.0
-        for query in self.finished(level):
-            total += query.execution.provider_cost
-        return total
-
     def dashboard_data(self, title: str) -> DashboardData:
         """The operator-dashboard bundle for an observed replay
         (requires ``run_workload(observe=True)``)."""

@@ -172,11 +172,17 @@ class QueryServer:
         live activity registry's bill/deadline projections are held
         against tenant budgets and service-level deadlines, with the
         policy's (opt-in) alert/downgrade/cancel actions audit-logged on
-        :attr:`guard` (requires observability; inert otherwise).
+        :attr:`guard` (requires an observed coordinator: ``ValueError``
+        otherwise).
         ``query_ids`` numbers the ``sq-N`` ids of submissions without
         one; servers that share an observability bundle must share it, so
         their ids cannot collide.  It defaults to a private count from 1.
         """
+        if guard is not None and not coordinator.obs.enabled:
+            raise ValueError(
+                "guard= needs an observed coordinator: the projection guard "
+                "judges the activity registry's projections"
+            )
         self._sim = sim
         self._coordinator = coordinator
         self._config = config

@@ -62,11 +62,6 @@ class FairQueue:
     def share_of(self, tenant: str) -> float:
         return self._shares.get(tenant, DEFAULT_SHARE)
 
-    def set_share(self, tenant: str, share: float) -> None:
-        if share <= 0:
-            raise ValueError(f"share must be positive, got {share}")
-        self._shares[tenant] = float(share)
-
     # -- queue ops ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -205,9 +200,6 @@ class LevelScheduler:
 
     def depth(self, level: ServiceLevel) -> int:
         return len(self._queues[level])
-
-    def total_depth(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
 
     def push(self, record: "ServerQuery") -> float:
         return self.queue(record.level).push(record)

@@ -78,10 +78,6 @@ class Scope:
             raise BindError(f"unknown table alias {table!r}")
         return result
 
-    @property
-    def bindings(self) -> set[str]:
-        return {entry.binding for entry in self.entries}
-
 
 @dataclass
 class AggCollector:

@@ -12,12 +12,15 @@ Everything here is simulation-clock-aware and deterministic:
   :mod:`~repro.obs.slo` (deadline compliance), :mod:`~repro.obs.statements`
   (per-fingerprint statistics), :mod:`~repro.obs.journal` (event log +
   tail capture), :mod:`~repro.obs.ledger` (integer-nanodollar meter
-  events), :mod:`~repro.obs.spend` (per-tenant totals over the ledger) and
-  :mod:`~repro.obs.activity` (live progress and bill projection).
+  events), :mod:`~repro.obs.spend` (a read-only view of per-tenant totals
+  over the ledger) and :mod:`~repro.obs.activity` (live progress and bill
+  projection).  Each is a store or a view over one store; none reads or
+  calls another.
 * :mod:`repro.obs.recorder` — the only writers of all of the above:
   :class:`~repro.obs.recorder.QueryRecorder` for the query server,
   :class:`~repro.obs.recorder.ExecutionRecorder` for the coordinator,
-  one method per transition each.
+  one method per transition each, and the only code that reads one sink
+  to write another.
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer over the
   executor's per-operator profiles.
 
@@ -125,17 +128,17 @@ class Instrumentation:
     @staticmethod
     def disabled() -> "Instrumentation":
         """The unobserved default: eight empty sinks that are constructed
-        but never bound, listened to or written (the SLO tracker without
-        objectives, so its report has no levels rather than three empty
-        ones)."""
+        but never written (the SLO tracker without objectives, so its
+        report has no levels rather than three empty ones)."""
+        ledger = MeterLedger()
         return Instrumentation(
             Tracer(),
             MetricsRegistry(),
             SloTracker(objectives=[]),
             StatementStore(),
             QueryJournal(),
-            MeterLedger(),
-            SpendAccountant(),
+            ledger,
+            SpendAccountant(ledger),
             ActivityRegistry(),
             enabled=False,
         )
@@ -151,23 +154,18 @@ class Instrumentation:
         so span/journal timestamps are virtual and reproducible.
         ``capture`` overrides the journal's slow-query capture policy;
         ``budgets`` seeds the spend accountant's soft per-tenant budgets
-        (tenant → dollars)."""
+        (tenant → dollars).  Only constructors run here: no sink is
+        bound to another."""
         ledger = MeterLedger(clock)
-        spend = SpendAccountant(budgets)
-        ledger.add_listener(spend.on_event)
-        statements = StatementStore()
-        activity = ActivityRegistry(clock)
-        activity.bind(statements=statements)
         metrics = MetricsRegistry()
-        activity.bind_metrics(metrics)
         return Instrumentation(
             Tracer(clock),
             metrics,
             SloTracker(objectives),
-            statements,
+            StatementStore(),
             QueryJournal(clock, capture),
             ledger,
-            spend,
-            activity,
+            SpendAccountant(ledger, budgets),
+            ActivityRegistry(clock, metrics),
             enabled=True,
         )

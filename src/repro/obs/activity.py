@@ -26,10 +26,12 @@ and frozen at the terminal transition, so it never exceeds 1.0 and a
 cancelled query keeps the fraction it died at.
 
 **Projection.**  The estimator blends two sources in exact integer
-nanodollars: the statement-store *prior* (mean bill of past calls of the
-same fingerprint × level × tenant, available from submission time) and
-the *execution-known* final (computable from the scanned bytes the
-moment execution starts).  The blend weight moves linearly from the
+nanodollars: the *prior* (mean bill of past calls of the same
+fingerprint × level × tenant, which the recorder reads off the
+statement store and hands over at submission) and the *execution-known*
+final (the recorder prices the scanned bytes the moment execution
+starts).  The registry reads no other sink and calls nothing back.  The
+blend weight moves linearly from the
 prior to the known final as the window elapses, so the projection's
 terminal value equals the billed price exactly; the resource split uses
 the shared largest-remainder splitter so the four axes always sum to the
@@ -55,16 +57,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.engine.pipeline import BLOCKING_PLAN_NODES
-from repro.obs.profiler import NANOS_PER_DOLLAR, _distribute
+from repro.obs.profiler import AXES, NANOS_PER_DOLLAR, _distribute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.executor import OperatorProfile, QueryStats
+    from repro.engine.executor import OperatorProfile
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spend import SpendAccountant
-    from repro.obs.statements import StatementStore
+    from repro.turbo.cost import MeterReading
 
 #: Lifecycle states, in rough progression order.  ``merging`` is the CF
 #: tail of ``executing`` (the VM-side merge of function results) and is
@@ -83,9 +85,6 @@ LIFECYCLE_STATES = (
 
 TERMINAL_STATES = frozenset({"billed", "cancelled", "rejected", "failed"})
 
-#: Resource axes of a projection split — same order as the ledger's.
-RESOURCE_AXES = ("bandwidth", "compute", "requests", "fixed")
-
 
 @dataclass(frozen=True)
 class OperatorWork:
@@ -99,6 +98,17 @@ class OperatorWork:
     #: Window fraction at which a blocking sink flips from accumulating
     #: input to emitting output (its upstream share of subtree time).
     emit_at: float
+
+
+class Prior(NamedTuple):
+    """What past calls of one fingerprint × level × tenant say about the
+    next: the mean bill, the mean execution time, and the resource split
+    of their summed bills (the weights a prior-only projection is split
+    by)."""
+
+    nanodollars: int
+    time_s: float
+    axes: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -152,19 +162,15 @@ class ActivityEntry:
     submitted_at: float = 0.0
     deadline_s: float | None = None
     admission: str = "admit"
-    history: list[tuple[str, float]] = field(default_factory=list)
     venue: str | None = None
     exec_started_at: float | None = None
     exec_duration_s: float | None = None
     #: Window fraction where the CF merge phase begins (CF venue only).
     merge_at: float | None = None
     operators: list[OperatorWork] = field(default_factory=list)
-    prior_nanodollars: int | None = None
-    prior_time_s: float | None = None
-    prior_axes: dict[str, int] | None = None
+    prior: Prior | None = None
     #: The exec-start-known final bill (scanned bytes × the level rate).
-    final_nanodollars: int | None = None
-    final_axes: dict[str, int] | None = None
+    final: "MeterReading | None" = None
     #: The pre-completion estimate the accuracy record is judged on.
     estimate_nanodollars: int | None = None
     estimate_source: str | None = None
@@ -215,11 +221,11 @@ def _split_axes(total: int, weights: dict[str, int] | None) -> dict[str, int]:
         total = 0
     if weights:
         pools = _distribute(
-            total, [float(weights.get(axis, 0)) for axis in RESOURCE_AXES]
+            total, [float(weights.get(axis, 0)) for axis in AXES]
         )
         if sum(pools) == total:
-            return dict(zip(RESOURCE_AXES, pools))
-    return {axis: (total if axis == "fixed" else 0) for axis in RESOURCE_AXES}
+            return dict(zip(AXES, pools))
+    return {axis: (total if axis == "fixed" else 0) for axis in AXES}
 
 
 class ActivityRegistry:
@@ -232,35 +238,22 @@ class ActivityRegistry:
     events or perturbs execution.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        metrics: "MetricsRegistry | None" = None,
+    ) -> None:
+        """``metrics``, when given, gets the live-activity gauges."""
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._entries: dict[str, ActivityEntry] = {}
         self._records: list[ProjectionRecord] = []
-        # Bound by the query server (the one component that knows prices).
-        self._pricer: (
-            Callable[["QueryStats", str, str], tuple[int, dict[str, int]]] | None
-        ) = None
-        self._statements: "StatementStore | None" = None
         self._projected_series: set[str] = set()
+        if metrics is not None:
+            self._register_gauges(metrics)
 
     # -- wiring ---------------------------------------------------------------
 
-    def bind(
-        self,
-        pricer: (
-            Callable[["QueryStats", str, str], tuple[int, dict[str, int]]] | None
-        ) = None,
-        statements: "StatementStore | None" = None,
-    ) -> None:
-        """Attach the server-owned pricing callback
-        (``(stats, level, venue) → (nanodollars, axes)``) and the
-        statement store the estimator draws priors from."""
-        if pricer is not None:
-            self._pricer = pricer
-        if statements is not None:
-            self._statements = statements
-
-    def bind_metrics(self, registry: "MetricsRegistry") -> None:
+    def _register_gauges(self, registry: "MetricsRegistry") -> None:
         """Register the live-activity gauges (collector-refreshed, so the
         scrape loop sees current state; label sets ride behind the
         registry's cardinality guard)."""
@@ -286,7 +279,7 @@ class ActivityRegistry:
                 counts[self._display_state(entry, now)] += 1
                 if entry.terminal:
                     continue
-                projection = self._projected_nanodollars(entry, now)
+                projection = self.projected_nanodollars(entry, now)
                 if projection is not None:
                     projected[entry.tenant] = (
                         projected.get(entry.tenant, 0) + projection
@@ -304,11 +297,9 @@ class ActivityRegistry:
     # -- state machine --------------------------------------------------------
 
     def _transition(self, entry: ActivityEntry, state: str) -> None:
-        now = self._clock()
         entry.state = state
-        entry.history.append((state, round(now, 9)))
         if state in TERMINAL_STATES:
-            entry.terminal_at = now
+            entry.terminal_at = self._clock()
 
     def begin(
         self,
@@ -320,8 +311,10 @@ class ActivityRegistry:
         fingerprint: str | None = None,
         deadline_s: float | None = None,
         admission: str = "admit",
+        prior: Prior | None = None,
     ) -> ActivityEntry:
-        """Admit a submission into the registry (state ``admitted``)."""
+        """Admit a submission into the registry (state ``admitted``);
+        ``prior`` anchors its projection until execution starts."""
         entry = ActivityEntry(
             query_id=query_id,
             tenant=tenant,
@@ -334,36 +327,17 @@ class ActivityRegistry:
         )
         self._entries[query_id] = entry
         self._transition(entry, "admitted")
-        self._refresh_prior(entry)
+        self._set_prior(entry, prior)
         return entry
 
-    def _refresh_prior(self, entry: ActivityEntry) -> None:
-        """Pull the statement-store prior for this fingerprint × level ×
-        tenant (the queued-state projection and the blend's anchor)."""
-        entry.prior_nanodollars = None
-        entry.prior_time_s = None
-        entry.prior_axes = None
-        if (
-            self._statements is None
-            or entry.fingerprint is None
-            or entry.level is None
+    def _set_prior(self, entry: ActivityEntry, prior: Prior | None) -> None:
+        """Install the prior for the entry's fingerprint × level × tenant
+        (the queued-state projection and the blend's anchor)."""
+        entry.prior = prior
+        if prior is not None and (
+            entry.estimate_nanodollars is None or entry.estimate_source == "prior"
         ):
-            return
-        stats = self._statements.entry(
-            entry.fingerprint, entry.level, entry.tenant
-        )
-        if stats is None or stats.calls == 0:
-            return
-        entry.prior_nanodollars = round(stats.nanodollars / stats.calls)
-        entry.prior_time_s = stats.mean_time_s
-        entry.prior_axes = {
-            "bandwidth": stats.bandwidth_nanodollars,
-            "compute": stats.compute_nanodollars,
-            "requests": stats.request_nanodollars,
-            "fixed": stats.fixed_nanodollars,
-        }
-        if entry.estimate_nanodollars is None or entry.estimate_source == "prior":
-            entry.estimate_nanodollars = entry.prior_nanodollars
+            entry.estimate_nanodollars = prior.nanodollars
             entry.estimate_source = "prior"
 
     def mark_queued(self, query_id: str) -> None:
@@ -376,15 +350,25 @@ class ActivityRegistry:
         if entry is not None and not entry.terminal:
             self._transition(entry, "dispatched")
 
-    def downgrade(self, query_id: str, level: str, reason: str) -> None:
-        """Record a held query's level change (admission or guard); the
-        prior refreshes because the bill now accrues at the new rate."""
+    def downgrade(
+        self,
+        query_id: str,
+        level: str,
+        reason: str,
+        *,
+        deadline_s: float | None,
+        prior: Prior | None,
+    ) -> None:
+        """Record a held query's level change: the new level's deadline
+        and prior replace the old ones, because the query now waits and
+        bills as the new level does."""
         entry = self._entries.get(query_id)
         if entry is None or entry.terminal:
             return
         entry.level = level
+        entry.deadline_s = deadline_s
         entry.detail = reason
-        self._refresh_prior(entry)
+        self._set_prior(entry, prior)
 
     def begin_execution(
         self,
@@ -393,13 +377,14 @@ class ActivityRegistry:
         venue: str,
         duration_s: float,
         profile: "OperatorProfile | None" = None,
-        stats: "QueryStats | None" = None,
+        final: "MeterReading | None" = None,
         merge_at: float | None = None,
     ) -> None:
         """The coordinator's hook: a venue started running the plan over
-        the virtual window ``[now, now + duration_s]``.  Unknown query
-        ids (coordinator-only executions never submitted through the
-        server) are ignored — the registry tracks billed work."""
+        the virtual window ``[now, now + duration_s]`` and will bill
+        ``final``.  Unknown query ids (coordinator-only executions never
+        submitted through the server) are ignored — the registry tracks
+        billed work."""
         entry = self._entries.get(query_id)
         if entry is None or entry.terminal:
             return
@@ -410,19 +395,12 @@ class ActivityRegistry:
         entry.operators = (
             _flatten_operators(profile) if profile is not None else []
         )
-        if (
-            stats is not None
-            and entry.level is not None
-            and self._pricer is not None
-        ):
-            nanos, axes = self._pricer(stats, entry.level, venue)
-            entry.final_nanodollars = nanos
-            entry.final_axes = axes
-            if entry.estimate_nanodollars is None:
-                # First-seen statement: the exec-start projection is the
-                # best pre-completion estimate the system ever had.
-                entry.estimate_nanodollars = nanos
-                entry.estimate_source = "execution"
+        entry.final = final
+        if final is not None and entry.estimate_nanodollars is None:
+            # First-seen statement: the exec-start projection is the
+            # best pre-completion estimate the system ever had.
+            entry.estimate_nanodollars = final.billed_nanodollars
+            entry.estimate_source = "execution"
         self._transition(entry, "executing")
 
     def finish_billed(
@@ -533,7 +511,7 @@ class ActivityRegistry:
             rows.append(row)
         return rows
 
-    def _projected_nanodollars(
+    def projected_nanodollars(
         self, entry: ActivityEntry, now: float
     ) -> int | None:
         """The current point estimate of the final bill, in nanodollars.
@@ -545,25 +523,25 @@ class ActivityRegistry:
         if entry.actual_nanodollars is not None:
             return entry.actual_nanodollars
         fraction = self._window_fraction(entry, now)
-        prior = entry.prior_nanodollars
-        final = entry.final_nanodollars
-        if final is not None:
+        prior = entry.prior.nanodollars if entry.prior is not None else None
+        if entry.final is not None:
+            final = entry.final.billed_nanodollars
             if prior is None:
                 return final
             return prior + round((final - prior) * fraction)
         return prior
 
     def _projection_row(self, entry: ActivityEntry, now: float) -> dict | None:
-        total = self._projected_nanodollars(entry, now)
+        total = self.projected_nanodollars(entry, now)
         if total is None:
             return None
         if entry.actual_nanodollars is not None:
             weights, source = entry.actual_axes, "billed"
-        elif entry.final_nanodollars is not None:
-            weights = entry.final_axes
-            source = "blended" if entry.prior_nanodollars is not None else "execution"
+        elif entry.final is not None:
+            weights = entry.final.axes
+            source = "blended" if entry.prior is not None else "execution"
         else:
-            weights, source = entry.prior_axes, "prior"
+            weights, source = entry.prior.axes, "prior"
         row: dict = {
             "nanodollars": total,
             "dollars": round(total / NANOS_PER_DOLLAR, 12),
@@ -584,7 +562,7 @@ class ActivityRegistry:
             )
         # Pending: the prior's mean execution time is the only basis (the
         # remaining queue wait is the scheduler's call, not the query's).
-        return entry.prior_time_s
+        return entry.prior.time_s if entry.prior is not None else None
 
     # -- snapshots ------------------------------------------------------------
 
@@ -793,7 +771,7 @@ class ProjectionGuard:
     ) -> GuardDecision | None:
         if (entry.query_id, "budget") in self._fired:
             return None
-        projected = self._registry._projected_nanodollars(entry, now)
+        projected = self._registry.projected_nanodollars(entry, now)
         if projected is None:
             return None
         remaining = (

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
-#: The resource axes one user charge decomposes into — the same four
-#: pools :func:`repro.obs.profiler.split_attribution_nanodollars` emits.
-AXES = ("bandwidth", "compute", "requests", "fixed")
+from repro.obs.profiler import AXES  # the axes a user charge splits into
 
 #: Whose money an event moves: the user's bill or the operator's cloud
 #: spend (§2's provider cost).
@@ -115,24 +114,35 @@ class MeterLedger:
     """Append-only meter-event log with deterministic exports.
 
     Events are never mutated or removed; cancellation appends negating
-    ``void`` events.  Listeners (the spend accountant) are notified on
-    every append.
+    ``void`` events.  Beside the log, each append folds the event into
+    three running totals — net user nanodollars per (tenant, level),
+    provider nanodollars per venue, and the void count — so a total is
+    read without a scan (the spend accountant is a view over them).
     """
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._events: list[MeterEvent] = []
         self._by_query: dict[str, list[int]] = {}
-        self._listeners: list[Callable[[MeterEvent], None]] = []
-
-    def add_listener(self, listener: Callable[[MeterEvent], None]) -> None:
-        self._listeners.append(listener)
+        self._user: dict[tuple[str, str], int] = {}
+        self._provider: dict[str, int] = {}
+        #: Running totals, read-only: (tenant, level) → net user
+        #: nanodollars (voids subtract), venue → provider nanodollars,
+        #: and the number of void events.
+        self.user_totals: Mapping[tuple[str, str], int] = MappingProxyType(self._user)
+        self.provider_totals: Mapping[str, int] = MappingProxyType(self._provider)
+        self.voids = 0
 
     def _append(self, event: MeterEvent) -> MeterEvent:
         self._events.append(event)
         self._by_query.setdefault(event.query_id, []).append(event.seq)
-        for listener in self._listeners:
-            listener(event)
+        if event.kind == "void":
+            self.voids += 1
+        if event.account == "provider":
+            totals, key = self._provider, event.venue
+        else:
+            totals, key = self._user, (event.tenant, event.level)
+        totals[key] = totals.get(key, 0) + event.nanodollars
         return event
 
     # -- emission ------------------------------------------------------------
@@ -297,11 +307,8 @@ class MeterLedger:
         )
 
     def total_nanodollars(self, account: str = "user") -> int:
-        return sum(
-            event.nanodollars
-            for event in self._events
-            if event.account == account
-        )
+        totals = self._provider if account == "provider" else self._user
+        return sum(totals.values())
 
     def voided_query_ids(self) -> list[str]:
         return sorted(

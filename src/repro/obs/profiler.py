@@ -39,6 +39,10 @@ if TYPE_CHECKING:  # import cycle: turbo.coordinator imports repro.obs
 
 NANOS_PER_DOLLAR = 1_000_000_000
 
+#: The resource axes one bill splits into, in the order
+#: :func:`split_attribution_nanodollars` returns its pools.
+AXES = ("bandwidth", "compute", "requests", "fixed")
+
 #: Span name under which the executor's operator tree is grafted.
 EXECUTE_SPAN = "execute"
 
@@ -69,30 +73,10 @@ class ProfileNode:
     # -- derived (cumulative over the subtree) -------------------------------
 
     @property
-    def cum_time_s(self) -> float:
-        return self.self_time_s + sum(c.cum_time_s for c in self.children)
-
-    @property
-    def cum_bytes(self) -> int:
-        return self.bytes_scanned + sum(c.cum_bytes for c in self.children)
-
-    @property
-    def cum_gets(self) -> int:
-        return self.get_requests + sum(c.cum_gets for c in self.children)
-
-    @property
     def cum_nanodollars(self) -> int:
         return self.self_nanodollars + sum(
             c.cum_nanodollars for c in self.children
         )
-
-    @property
-    def self_dollars(self) -> float:
-        return self.self_nanodollars / NANOS_PER_DOLLAR
-
-    @property
-    def cum_dollars(self) -> float:
-        return self.cum_nanodollars / NANOS_PER_DOLLAR
 
     def walk(self) -> Iterator["ProfileNode"]:
         """Preorder traversal of the subtree (self first)."""

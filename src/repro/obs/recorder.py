@@ -8,11 +8,11 @@ instrument or touches a lifecycle sink:
 
 * :class:`QueryRecorder` — the query server's transitions: submitted,
   downgraded, rejected, queued, dispatched, cancelled while held,
-  completed, judged by the projection guard.  It writes the six
-  lifecycle sinks (SLO tracker, statement store, journal, ledger, spend
-  accountant via the ledger, activity registry), the per-query ``query``
-  / ``submit`` / ``queue`` / ``dispatch`` / ``bill`` spans and the
-  server's instruments.
+  completed, judged by the projection guard.  It writes the lifecycle
+  sinks (SLO tracker, statement store, journal, ledger — the spend
+  accountant is a view over it — and activity registry), the per-query
+  ``query`` / ``submit`` / ``queue`` / ``dispatch`` / ``bill`` spans and
+  the server's instruments.
 * :class:`ExecutionRecorder` — the coordinator's transitions: planned,
   VM-queued, attempt started, attempt measured, execution window opened,
   provider charged, CF fan-out invoked and returned, attempt ended,
@@ -26,18 +26,21 @@ Each owner holds its recorder, or ``None`` when unobserved, so a
 transition costs it a single guarded call and it knows no sink by name.
 
 **Call order is the format.**  Span ids, journal ``seq`` and ledger
-``seq`` are counters, and the sinks read each other (journal and ledger
-rows carry the tracer's root span id, the activity registry reads the
-statement store's priors, the spend accountant listens to the ledger), so
-the order in which a method touches the sinks — and the order in which
-an owner calls the methods — is part of every export.  Reordering two
-calls changes bytes on disk.
+``seq`` are counters, and what one sink holds is written into another
+(journal and ledger rows carry the tracer's root span id, the activity
+registry's prior is read off the statement store, its execution window
+is priced at the level it holds), so the order in which a method touches
+the sinks — and the order in which an owner calls the methods — is part
+of every export.  Reordering two calls changes bytes on disk.  No sink
+reads or calls another: every such read is in this module, in the
+method that writes its result.
 
 Neither recorder derives anything the bill depends on: ``record.price``
 and ``record.price_nanodollars`` are set by the server before
-:meth:`QueryRecorder.completed` runs; the cost model's meter reading is
-taken here only for the per-resource split the ledger, the statement
-store and the activity registry report.
+:meth:`QueryRecorder.completed` runs; the cost model's meter reading
+(:func:`_meter`) is taken here only for the per-resource split, once per
+billed query, and the ledger, the statement store and the activity
+registry all report that one reading.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.scheduler import HELD_LEVELS, LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
+from repro.obs.activity import Prior
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
@@ -68,6 +72,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.activity import GuardDecision
     from repro.obs.profiler import QueryProfile
     from repro.turbo.coordinator import Coordinator, QueryExecution
+    from repro.turbo.cost import MeterReading
+
+
+def _meter(
+    coordinator: "Coordinator", stats: "QueryStats", venue: str, price: float
+) -> "MeterReading":
+    """The cost model's integer split of ``price`` by resource, at the
+    object store's request price — what the ledger is charged and what
+    an execution window is projected to bill."""
+    return coordinator.cost_model.meter(
+        stats,
+        venue,
+        price,
+        get_price_per_1000=coordinator.store.profile.get_price_per_1000,
+    )
 
 
 @dataclass(slots=True)
@@ -156,10 +175,6 @@ class QueryRecorder:
             GUARD_DECISIONS_METRIC,
             "Projection-guard decisions, by rule and action",
         )
-        # The activity registry projects bills with the same pricing the
-        # server itself uses at completion, so a projection's terminal
-        # value equals the billed price exactly.
-        obs.activity.bind(pricer=self._projection_price)
         #: (tenant, level) series last reported non-zero — zeroed on the
         #: next collection once the tenant drains, so the gauge never
         #: shows a stale depth.
@@ -171,27 +186,19 @@ class QueryRecorder:
     def _price_per_tb(self, level: ServiceLevel) -> float:
         return self._coordinator.cost_model.price_per_tb(level)
 
-    def _meter(self, stats, venue: str, price: float):
-        return self._coordinator.cost_model.meter(
-            stats,
-            venue,
-            price,
-            get_price_per_1000=(
-                self._coordinator.store.profile.get_price_per_1000
-            ),
+    def _prior(self, fp: Fingerprint, record: "ServerQuery") -> Prior | None:
+        """The statement store's prior for ``fp`` at the query's current
+        level and tenant (None before the statement's first call)."""
+        stats = self.obs.statements.entry(
+            fp.id, record.level.value, record.tenant
         )
-
-    def _projection_price(self, stats, level_value: str, venue: str):
-        """Price a (possibly hypothetical) execution for the activity
-        registry's projections: the ``user_price`` the server bills with,
-        rounded the way the server rounds it and split by the meter the
-        ledger is charged from, so projection and bill can never disagree
-        at the terminal state."""
-        price = self._coordinator.cost_model.user_price(
-            stats, ServiceLevel(level_value)
+        if stats is None or stats.calls == 0:
+            return None
+        return Prior(
+            round(stats.nanodollars / stats.calls),
+            stats.mean_time_s,
+            dict(stats.axes),
         )
-        reading = self._meter(stats, venue, price)
-        return reading.billed_nanodollars, reading.axes
 
     def _collect_queue_depth(self) -> None:
         live: set[tuple[str, str]] = set()
@@ -252,6 +259,7 @@ class QueryRecorder:
             fingerprint=fp.id,
             deadline_s=deadline,
             admission=decision.action,
+            prior=self._prior(fp, record),
         )
         admission_attrs = (
             decision.to_attrs() if decision.action != "admit" else {}
@@ -318,8 +326,13 @@ class QueryRecorder:
             requested_level=record.requested_level.value,
         )
         if held:
+            fp = self._open[record.query_id].fingerprint
             self.obs.activity.downgrade(
-                record.query_id, record.level.value, reason
+                record.query_id,
+                record.level.value,
+                reason,
+                deadline_s=self._deadline_for(record.level),
+                prior=self._prior(fp, record),
             )
 
     def queued(
@@ -409,15 +422,14 @@ class QueryRecorder:
         venue = (
             execution.venue.value if execution.venue is not None else "none"
         )
-        attribution = None
+        reading = None
         if execution.result is not None:
             stats = execution.result.stats
             price_per_tb = self._price_per_tb(record.level)
             # One meter reading feeds the ledger, the statement store and
             # the activity registry, so the three split the server's
             # integer bill identically.
-            reading = self._meter(stats, venue, record.price)
-            attribution = reading.attribution
+            reading = _meter(self._coordinator, stats, venue, record.price)
             obs.ledger.charge_query(
                 query_id,
                 axes=reading.axes,
@@ -493,7 +505,7 @@ class QueryRecorder:
                 obs.activity.finish_failed(query_id, execution.error)
         self._fold_statement(
             record, execution, state.fingerprint, span_id, slack, venue,
-            attribution,
+            reading,
         )
         if pending is not None:
             self._m_pending.observe(pending, level=level_value)
@@ -506,10 +518,11 @@ class QueryRecorder:
         span_id: int | None,
         slack: float | None,
         venue: str,
-        attribution,
+        reading: "MeterReading | None",
     ) -> None:
         """Fold one completion into the statement store and the journal
-        (including the tail-based capture decision)."""
+        (including the tail-based capture decision); ``reading`` is the
+        bill's meter reading, None for a query that billed nothing."""
         journal = self.obs.journal
         level_value = record.level.value
         error = execution.error is not None
@@ -523,8 +536,8 @@ class QueryRecorder:
             level_value,
             time_s=time_s,
             pending_s=pending or 0.0,
-            billed=record.price,
-            attribution=attribution,
+            nanodollars=reading.billed_nanodollars if reading is not None else 0,
+            axes=reading.axes if reading is not None else None,
             stats=stats,
             plan_shape=execution.plan_shape,
             error=error,
@@ -796,13 +809,24 @@ class ExecutionRecorder:
         """The attempt occupies its venue over ``[now, now + duration_s]``:
         the live activity registry derives progress and bill projections
         from this window (a no-op for queries never submitted through a
-        query server)."""
+        query server).  The window is priced here, at the level the
+        registry holds for the query, with the ``user_price`` and meter
+        the server bills with — so projection and bill cannot disagree
+        at the terminal state."""
+        query_id, venue = execution.query_id, execution.venue.value
+        entry = self._activity.entry(query_id)
+        final = None
+        if entry is not None and not entry.terminal and entry.level is not None:
+            price = self._coordinator.cost_model.user_price(
+                stats, ServiceLevel(entry.level)
+            )
+            final = _meter(self._coordinator, stats, venue, price)
         self._activity.begin_execution(
-            execution.query_id,
-            venue=execution.venue.value,
+            query_id,
+            venue=venue,
             duration_s=duration_s,
             profile=execution.profile,
-            stats=stats,
+            final=final,
             merge_at=merge_at,
         )
 

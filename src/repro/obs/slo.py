@@ -5,8 +5,8 @@ level*: immediate queries start at once, relaxed queries start before
 the grace period expires, best-of-effort queries carry no deadline.
 The :class:`SloTracker` turns that promise into first-class accounting:
 every completed query is recorded as an :class:`SloRecord` (deadline vs
-actual pending time, slack, violation flag, billed $), and per level the
-tracker maintains
+actual pending time, slack, violation flag, billed $).  Per level the
+tracker stores only those records and folds them, on read, into
 
 * lifetime and rolling compliance ratios,
 * a fixed-window **error budget** against a configurable target
@@ -134,37 +134,36 @@ class _BudgetWindow:
 
 
 class _LevelState:
-    """All accounting for one service level."""
+    """All accounting for one service level: its records, and folds over
+    them computed on read."""
 
     def __init__(self, objective: SloObjective) -> None:
         self.objective = objective
         self.records: list[SloRecord] = []
-        self.total = 0
-        self.violations = 0
-        self.billed = 0.0
-        self.window = _BudgetWindow(index=0)
-        self.closed_windows: list[_BudgetWindow] = []
 
-    def add(self, record: SloRecord) -> None:
-        self.total += 1
-        self.billed += record.billed
-        if record.violated:
-            self.violations += 1
-        self.records.append(record)
-        self._roll_window(record.finished_at)
-        if record.deadline_s is not None:
-            self.window.total += 1
-            if record.violated:
-                self.window.violations += 1
-
-    def _roll_window(self, now: float) -> None:
-        index = int(now // self.objective.budget_window_s)
-        if index > self.window.index:
-            # Close the current window (even if empty windows were
-            # skipped in between — only the occupied one is kept).
-            if self.window.total:
-                self.closed_windows.append(self.window)
-            self.window = _BudgetWindow(index=index)
+    def fold(self) -> tuple[int, float, _BudgetWindow, list[_BudgetWindow]]:
+        """One pass over the records in completion order: (violations,
+        billed dollars, current budget window, closed windows oldest
+        first).  ``billed`` is a running ``+=`` (``sum()`` compensates on
+        Python ≥ 3.12).  A record finishing in a later window — with or
+        without a deadline — closes the current one, which is kept only
+        if a deadline-carrying query occupied it; only deadline-carrying
+        records count in a window."""
+        window_s = self.objective.budget_window_s
+        violations, billed = 0, 0.0
+        window, closed = _BudgetWindow(index=0), []
+        for record in self.records:
+            billed += record.billed
+            violations += record.violated
+            index = int(record.finished_at // window_s)
+            if index > window.index:
+                if window.total:
+                    closed.append(window)
+                window = _BudgetWindow(index=index)
+            if record.deadline_s is not None:
+                window.total += 1
+                window.violations += record.violated
+        return violations, billed, window, closed
 
     def compliance(self) -> float | None:
         """Lifetime fraction of deadline-carrying queries that met it."""
@@ -263,7 +262,7 @@ class SloTracker:
             violated=violated,
             billed=billed,
         )
-        state.add(record)
+        state.records.append(record)
         return record
 
     # -- queries ------------------------------------------------------------
@@ -300,14 +299,14 @@ class SloTracker:
         state = self._levels.get(level)
         if state is None:
             return None
-        return state.window.to_dict(state.objective)
+        return state.fold()[2].to_dict(state.objective)
 
     def budget_history(self, level: str) -> list[dict]:
         """Closed (already-rolled) budget windows, oldest first."""
         state = self._levels.get(level)
         if state is None:
             return []
-        return [w.to_dict(state.objective) for w in state.closed_windows]
+        return [w.to_dict(state.objective) for w in state.fold()[3]]
 
     # -- export -------------------------------------------------------------
 
@@ -317,21 +316,22 @@ class SloTracker:
         levels = {}
         for name in self.levels():
             state = self._levels[name]
+            violations, billed, window, closed = state.fold()
             levels[name] = {
                 "objective": {
                     "target": state.objective.target,
                     "budget_window_s": state.objective.budget_window_s,
                 },
-                "queries": state.total,
-                "violations": state.violations,
+                "queries": len(state.records),
+                "violations": violations,
                 "compliance": state.compliance(),
                 "rolling_compliance": state.rolling_compliance(
                     self._rolling_window
                 ),
-                "billed": state.billed,
-                "budget": state.window.to_dict(state.objective),
+                "billed": billed,
+                "budget": window.to_dict(state.objective),
                 "closed_windows": [
-                    w.to_dict(state.objective) for w in state.closed_windows
+                    w.to_dict(state.objective) for w in closed
                 ],
             }
         return {"levels": levels}

@@ -1,9 +1,10 @@
 """Per-tenant spend accounting over the metering ledger.
 
-The :class:`SpendAccountant` subscribes to the :class:`~repro.obs.ledger.
-MeterLedger` and maintains running per-tenant × per-service-level spend
-aggregates in integer nanodollars, the provider-side spend per venue,
-and soft tenant budgets.  Budgets are *soft*: crossing one never blocks
+The :class:`SpendAccountant` is a read-only view over the
+:class:`~repro.obs.ledger.MeterLedger`'s running totals — per-tenant ×
+per-service-level spend in integer nanodollars, the provider-side spend
+per venue, the void count — plus the soft tenant budgets, the only
+state it holds.  Budgets are *soft*: crossing one never blocks
 a query — it raises an alert through the existing alert engine instead
 (see :func:`budget_rules`), which is the paper-consistent behaviour for
 an analytics service that bills per TB rather than pre-authorizing.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from repro.obs.ledger import MeterEvent
+from repro.obs.ledger import MeterLedger
 from repro.obs.profiler import NANOS_PER_DOLLAR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,34 +48,18 @@ def budget_rules(budgets: dict[str, float]) -> "list[ThresholdRule]":
 
 
 class SpendAccountant:
-    """Running per-tenant/per-level spend over ledger events.
+    """Per-tenant/per-level spend, read off the ledger's running totals.
 
-    State is bounded by tenants × levels and venues, not by event count.
+    Every read is bounded by tenants × levels and venues, not by event
+    count, so admission and the projection guard can ask on every
+    submission and every tick.
     """
 
-    def __init__(self, budgets: dict[str, float] | None = None) -> None:
-        #: (tenant, level) -> net nanodollars (voids subtract).
-        self._totals: dict[tuple[str, str], int] = {}
-        self._provider: dict[str, int] = {}  # venue -> nanodollars
+    def __init__(
+        self, ledger: MeterLedger, budgets: dict[str, float] | None = None
+    ) -> None:
+        self._ledger = ledger
         self._budgets: dict[str, float] = dict(budgets or {})
-        self._events = 0
-        self._voids = 0
-
-    # -- ledger feed ---------------------------------------------------------
-
-    def on_event(self, event: MeterEvent) -> None:
-        """Ledger listener: fold one meter event into the aggregates."""
-        self._events += 1
-        if event.kind == "void":
-            self._voids += 1
-        if event.account == "provider":
-            venue = event.venue
-            self._provider[venue] = (
-                self._provider.get(venue, 0) + event.nanodollars
-            )
-            return
-        key = (event.tenant, event.level)
-        self._totals[key] = self._totals.get(key, 0) + event.nanodollars
 
     # -- budgets -------------------------------------------------------------
 
@@ -93,12 +78,12 @@ class SpendAccountant:
     # -- queries -------------------------------------------------------------
 
     def tenants(self) -> list[str]:
-        return sorted({tenant for tenant, _ in self._totals})
+        return sorted({tenant for tenant, _ in self._ledger.user_totals})
 
     def tenant_nanodollars(self, tenant: str) -> int:
         return sum(
             nanos
-            for (t, _), nanos in self._totals.items()
+            for (t, _), nanos in self._ledger.user_totals.items()
             if t == tenant
         )
 
@@ -106,42 +91,39 @@ class SpendAccountant:
         """Level → net nanodollars for one tenant, level-sorted."""
         out = {
             level: nanos
-            for (t, level), nanos in self._totals.items()
+            for (t, level), nanos in self._ledger.user_totals.items()
             if t == tenant
         }
         return {level: out[level] for level in sorted(out)}
 
     def provider_nanodollars(self) -> dict[str, int]:
         """Provider-account spend per venue, venue-sorted."""
-        return {venue: self._provider[venue] for venue in sorted(self._provider)}
+        provider = self._ledger.provider_totals
+        return {venue: provider[venue] for venue in sorted(provider)}
 
     # -- export --------------------------------------------------------------
 
     def report(self) -> dict:
         """The per-tenant spend report (JSON-ready, deterministic)."""
         tenants = []
+        over = set(self.over_budget())
         for tenant in self.tenants():
             nanos = self.tenant_nanodollars(tenant)
-            budget = self._budgets.get(tenant)
             tenants.append(
                 {
                     "tenant": tenant,
                     "nanodollars": nanos,
                     "dollars": round(nanos / NANOS_PER_DOLLAR, 12),
                     "by_level": self.by_level(tenant),
-                    "budget_dollars": budget,
-                    "over_budget": (
-                        nanos > round(budget * NANOS_PER_DOLLAR)
-                        if budget is not None
-                        else False
-                    ),
+                    "budget_dollars": self._budgets.get(tenant),
+                    "over_budget": tenant in over,
                 }
             )
         return {
             "tenants": tenants,
             "provider_nanodollars": self.provider_nanodollars(),
-            "events": self._events,
-            "voids": self._voids,
+            "events": len(self._ledger),
+            "voids": self._ledger.voids,
         }
 
     def export_json(self) -> str:

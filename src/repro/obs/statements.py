@@ -4,10 +4,11 @@ The :class:`StatementStore` aggregates every completed query under its
 :mod:`~repro.obs.fingerprint` × service level: call counts, rows,
 virtual execution time (totals plus a :class:`~repro.obs.metrics.Histogram`
 per entry), bytes scanned, cache traffic, the footer-vs-chunk GET split,
-and the billed price decomposed by resource.  The dollar decomposition
-reuses the profiler's integer-nanodollar largest-remainder split over
-the cost model's attribution, so per-entry resource dollars sum exactly
-to the entry's billed total — the same invariant the flame graphs hold.
+and the billed price decomposed by resource.  The store sums the
+integer-nanodollar split it is handed — the cost model's meter reading,
+the one the ledger is charged from — so per-entry resource dollars sum
+exactly to the entry's billed total, the same invariant the flame
+graphs hold.
 
 Everything is driven by the virtual clock and integer counters, so the
 top-K renderings and the JSON export are byte-deterministic across runs
@@ -21,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
-from repro.obs.profiler import NANOS_PER_DOLLAR, split_attribution_nanodollars
+from repro.obs.profiler import AXES, NANOS_PER_DOLLAR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fingerprint import Fingerprint
-    from repro.turbo.cost import CostAttribution
 
 #: Virtual execution-time buckets: sub-second single-table scans up to
 #: multi-minute held/heavy queries.
@@ -52,10 +52,8 @@ class StatementEntry:
     time_s: float = 0.0
     pending_s: float = 0.0
     nanodollars: int = 0
-    bandwidth_nanodollars: int = 0
-    compute_nanodollars: int = 0
-    request_nanodollars: int = 0
-    fixed_nanodollars: int = 0
+    #: ``nanodollars`` by resource axis; the axes sum to it.
+    axes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(AXES, 0))
     bytes_scanned: int = 0
     get_requests: int = 0
     footer_gets: int = 0
@@ -83,18 +81,6 @@ class StatementEntry:
         return self.cache_hits / lookups if lookups else None
 
 
-def _split_nanodollars(
-    billed: float, attribution: "CostAttribution | None"
-) -> tuple[int, list[int]]:
-    """Billed $ → integer nanodollars split by resource, exactly.
-
-    Delegates to the profiler's shared splitter so the statement store,
-    the flame graphs, and the metering ledger can never disagree by even
-    one nanodollar.
-    """
-    return split_attribution_nanodollars(billed, attribution)
-
-
 class StatementStore:
     """Fingerprint × level × tenant aggregation with deterministic
     exports."""
@@ -109,8 +95,8 @@ class StatementStore:
         *,
         time_s: float = 0.0,
         pending_s: float = 0.0,
-        billed: float = 0.0,
-        attribution: "CostAttribution | None" = None,
+        nanodollars: int = 0,
+        axes: dict[str, int] | None = None,
         stats=None,
         plan_shape: str | None = None,
         error: bool = False,
@@ -119,9 +105,11 @@ class StatementStore:
         """Fold one completed query into its entry.
 
         ``stats`` is the execution's :class:`~repro.engine.executor.QueryStats`
-        (or None for failures that never produced one); ``attribution``
-        the cost model's resource split of ``billed``; ``tenant`` the
-        submitting tenant (one entry per fingerprint × level × tenant).
+        (or None for failures that never produced one); ``nanodollars``
+        the bill and ``axes`` its resource split (axis → nanodollars, the
+        meter reading's; None for a query that billed nothing);
+        ``tenant`` the submitting tenant (one entry per fingerprint ×
+        level × tenant).
         """
         key = (fingerprint.id, level, tenant)
         entry = self._entries.get(key)
@@ -145,12 +133,10 @@ class StatementStore:
         entry.time_s += time_s
         entry.pending_s += pending_s
         entry.time_histogram.observe(time_s)
-        billed_nano, pools = _split_nanodollars(billed, attribution)
-        entry.nanodollars += billed_nano
-        entry.bandwidth_nanodollars += pools[0]
-        entry.compute_nanodollars += pools[1]
-        entry.request_nanodollars += pools[2]
-        entry.fixed_nanodollars += pools[3]
+        entry.nanodollars += nanodollars
+        if axes is not None:
+            for axis in AXES:
+                entry.axes[axis] += axes[axis]
         if stats is not None:
             entry.rows_produced += stats.rows_produced
             entry.rows_scanned += stats.rows_scanned
@@ -264,13 +250,7 @@ class StatementStore:
                             for name, value in quantiles.items()
                         },
                     },
-                    "nanodollars": {
-                        "billed": entry.nanodollars,
-                        "bandwidth": entry.bandwidth_nanodollars,
-                        "compute": entry.compute_nanodollars,
-                        "requests": entry.request_nanodollars,
-                        "fixed": entry.fixed_nanodollars,
-                    },
+                    "nanodollars": {"billed": entry.nanodollars, **entry.axes},
                     "io": {
                         "bytes_scanned": entry.bytes_scanned,
                         "get_requests": entry.get_requests,

@@ -181,9 +181,6 @@ class ScrapeLoop:
         self._last_scrape: float | None = None
         sim.schedule(interval_s, self._tick)
 
-    def add_listener(self, listener: Callable[[float], None]) -> None:
-        self._listeners.append(listener)
-
     def _tick(self) -> None:
         self._sim.schedule(self.interval_s, self._tick)
         self.scrape()

@@ -49,10 +49,6 @@ class Span:
     _tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
 
     @property
-    def is_open(self) -> bool:
-        return self.end is None
-
-    @property
     def duration_s(self) -> float | None:
         return None if self.end is None else self.end - self.start
 

@@ -77,8 +77,8 @@ class CostAttribution:
 
 @dataclass(frozen=True)
 class MeterReading:
-    """One query's bill as the metering ledger records it: the float
-    attribution plus its exact integer-nanodollar decomposition.
+    """One query's bill as the metering ledger records it: its exact
+    integer-nanodollar decomposition by resource.
 
     ``axes`` maps resource axis (bandwidth/compute/requests/fixed) to
     nanodollars and always sums to ``billed_nanodollars`` — the split
@@ -88,7 +88,6 @@ class MeterReading:
     """
 
     billed_nanodollars: int
-    attribution: CostAttribution
     axes: dict[str, int]
 
 
@@ -214,17 +213,14 @@ class CostModel:
         billed: float,
         get_price_per_1000: float = 0.0004,
     ) -> MeterReading:
-        """The billing point the metering ledger consumes: attribution
-        plus the exact integer axis split of ``billed``."""
-        from repro.obs.ledger import AXES
-        from repro.obs.profiler import split_attribution_nanodollars
+        """The billing point the metering ledger consumes: the exact
+        integer axis split of ``billed`` over its attribution."""
+        from repro.obs.profiler import AXES, split_attribution_nanodollars
 
         attribution = self.attribution(stats, venue, billed, get_price_per_1000)
         billed_nano, pools = split_attribution_nanodollars(billed, attribution)
         return MeterReading(
-            billed_nanodollars=billed_nano,
-            attribution=attribution,
-            axes=dict(zip(AXES, pools)),
+            billed_nanodollars=billed_nano, axes=dict(zip(AXES, pools))
         )
 
     # -- user-facing prices ------------------------------------------------------

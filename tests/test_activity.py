@@ -75,12 +75,18 @@ class TestLifecycle:
         sim.run_until(900)
         assert record.status is QueryStatus.FINISHED
         assert entry.state == "billed"
-        states = [state for state, _ in entry.history]
-        assert states[0] == "admitted"
-        assert states[-1] == "billed"
-        assert "executing" in states
-        # Timestamps are monotone along the history.
-        times = [time for _, time in entry.history]
+        # The journal keeps the transitions, each with its time.
+        rows = [
+            row
+            for row in server.obs.journal.records()
+            if row["query_id"] == record.query_id
+        ]
+        events = [row["event"] for row in rows]
+        assert events[0] == "submit"
+        assert events.index("dispatch") < events.index("finish")
+        assert events.count("finish") == 1
+        # Timestamps are monotone along the journal.
+        times = [row["ts"] for row in rows]
         assert times == sorted(times)
 
     def test_saturated_relaxed_query_reports_queued(self):
@@ -189,9 +195,9 @@ class TestProjection:
         sim, _, server = observed_env()
         record = server.submit(HEAVY, ServiceLevel.RELAXED)
         entry = run_to_exec_start(sim, server, record)
-        assert entry.final_nanodollars is not None
+        assert entry.final is not None
         sim.run_until(900)
-        assert entry.final_nanodollars == record.price_nanodollars
+        assert entry.final.billed_nanodollars == record.price_nanodollars
 
     def test_repeat_statement_projects_from_prior(self):
         sim, _, server = observed_env()
@@ -200,7 +206,7 @@ class TestProjection:
         assert first.status is QueryStatus.FINISHED
         second = server.submit(HEAVY, ServiceLevel.RELAXED, tenant="acme")
         entry = server.obs.activity.entry(second.query_id)
-        assert entry.prior_nanodollars == first.price_nanodollars
+        assert entry.prior.nanodollars == first.price_nanodollars
         assert entry.estimate_source == "prior"
         # The snapshot already carries a $ projection (the idle cluster
         # starts the query synchronously, so the prior blends with the
@@ -292,6 +298,34 @@ class TestGuard:
         )
         assert row["requested_level"] == "relaxed"
         sim.run_until(3600)
+        assert held.status is QueryStatus.FINISHED
+
+    def test_downgraded_query_takes_the_best_effort_deadline(self):
+        """A guard downgrade moves the query to best-effort, which has no
+        deadline: the deadline rule must not then cancel it against the
+        relaxed grace period it no longer holds."""
+        sim, _, server = observed_env(
+            guard=GuardPolicy(budget_action="downgrade", deadline_action="cancel"),
+            budgets={"acme": 1e-9},
+            grace_s=1.0,
+        )
+        seed = server.submit(HEAVY, ServiceLevel.RELAXED, tenant="acme")
+        sim.run_until(900)
+        assert seed.status is QueryStatus.FINISHED
+        for _ in range(40):
+            server.submit(HEAVY, ServiceLevel.RELAXED)
+        held = server.submit(HEAVY, ServiceLevel.RELAXED, tenant="acme")
+        sim.run_until(20_000)
+        entry = server.obs.activity.entry(held.query_id)
+        rulings = [
+            (d.rule, d.action)
+            for d in server.guard.audit_log
+            if d.query_id == held.query_id
+        ]
+        assert rulings == [("budget", "downgrade")]
+        assert held.level is ServiceLevel.BEST_EFFORT
+        assert entry.deadline_s is None
+        assert entry.deadline_s == server.deadline_for(ServiceLevel.BEST_EFFORT)
         assert held.status is QueryStatus.FINISHED
 
     def test_deadline_alert_fires_while_pending(self):

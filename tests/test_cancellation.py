@@ -335,6 +335,11 @@ class TestCancellationActivity:
         assert row["progress"] == 0.0  # never ran
         assert row["detail"] == "cancelled_held"
         # Terminal states are stable: no later transition revives it.
-        states = [state for state, _ in entry.history]
-        assert states[-1] == "cancelled"
-        assert states.count("cancelled") == 1
+        events = [
+            row["event"]
+            for row in server.obs.journal.records()
+            if row["query_id"] == held.query_id
+        ]
+        assert events[-1] == "cancel"
+        assert events.count("cancel") == 1
+        assert entry.state == "cancelled"

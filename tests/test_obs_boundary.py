@@ -2,13 +2,15 @@
 
 Two fences.  A static one walks ``src/repro`` with :mod:`ast` and fails
 when a per-sink switch, a null-object twin of any sink, a sink reached
-from ``repro.core`` or ``repro.turbo`` other than through a recorder, or
-an instrument registered outside ``repro.obs`` comes back.  A
+from ``repro.core`` or ``repro.turbo`` other than through a recorder, an
+instrument registered outside ``repro.obs``, or a lifecycle sink that
+reads, binds to or listens to another comes back.  A
 behavioural one runs a whole unobserved session — and an unobserved
 coordinator on its own, through every execution path — and checks the
 bundle: no sink recorded anything, and every read-side accessor of
 :class:`~repro.PixelsDB` and :class:`~repro.rover.RoverServer` returns
-the documented "nothing was watching" value.
+the documented "nothing was watching" value; options that act only on
+an observed stack are refused on an unobserved one.
 """
 
 import ast
@@ -16,7 +18,7 @@ import pathlib
 
 import pytest
 
-from repro import PixelsDB, ServiceLevel
+from repro import CapturePolicy, GuardPolicy, PixelsDB, QueryServer, ServiceLevel
 from repro.errors import NoSuchQueryError
 from repro.obs import Instrumentation
 from repro.rover import UserStore
@@ -50,6 +52,10 @@ ALLOWED_READS = {
 NULL_OBJECTS: set[str] = set()
 #: Registry and tracer entry points only ``repro.obs`` may call.
 WRITER_CALLS = {"counter", "gauge", "histogram", "add_collector", "end_open"}
+#: The modules of the six lifecycle sinks, and the one runtime import
+#: between them: the spend accountant is a view over the ledger.
+LIFECYCLE_SINKS = ("slo", "statements", "journal", "ledger", "spend", "activity")
+SINK_IMPORTS_ALLOWED = {("spend", "ledger")}
 
 
 def parsed_sources(root: pathlib.Path = SRC):
@@ -138,6 +144,74 @@ class TestStaticFence:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in WRITER_CALLS
         ]
+        assert offenders == []
+
+    def test_bundle_constructors_only_construct(self):
+        """``Instrumentation.create`` / ``disabled`` wire nothing: every
+        call in them is a constructor, none a method call on a sink."""
+        tree = dict(parsed_sources())["obs/__init__.py"]
+        bundle = next(
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Instrumentation"
+        )
+        factories = {
+            node.name: node
+            for node in bundle.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("create", "disabled")
+        }
+        assert sorted(factories) == ["create", "disabled"]
+        offenders = [
+            f"{name}:{call.lineno} {ast.unparse(call.func)}()"
+            for name, factory in factories.items()
+            for call in ast.walk(factory)
+            if isinstance(call, ast.Call)
+            and not (
+                isinstance(call.func, ast.Name) and call.func.id[:1].isupper()
+            )
+        ]
+        assert offenders == []
+
+    def test_no_lifecycle_sink_binds_or_listens(self):
+        offenders = [
+            f"{name}:{node.lineno} {cls.name}.{node.name}"
+            for name, tree in parsed_sources(SRC / "obs")
+            if pathlib.PurePath(name).stem in LIFECYCLE_SINKS
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("bind") or node.name == "add_listener")
+        ]
+        assert offenders == []
+
+    def test_no_lifecycle_sink_imports_another(self):
+        def runtime_imports(node: ast.AST):
+            """Modules imported outside ``if TYPE_CHECKING:`` blocks."""
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                yield from (
+                    module for child in node.orelse for module in runtime_imports(child)
+                )
+                return
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+            for child in ast.iter_child_nodes(node):
+                yield from runtime_imports(child)
+
+        offenders = sorted({
+            f"{sink} -> {target}"
+            for name, tree in parsed_sources(SRC / "obs")
+            if (sink := pathlib.PurePath(name).stem) in LIFECYCLE_SINKS
+            for module in runtime_imports(tree)
+            if module.startswith("repro.obs.")
+            and (target := module.split(".")[2]) in LIFECYCLE_SINKS
+            and target != sink
+            and (sink, target) not in SINK_IMPORTS_ALLOWED
+        })
         assert offenders == []
 
     def test_venues_take_no_instrumentation(self):
@@ -294,3 +368,30 @@ class TestUnobservedCoordinator:
         assert obs.tracer.trace_ids() == []
         assert obs.tracer.export_all_json() == "[]"
         assert on_cf.profile is None and on_cf.plan_shape is None
+
+
+class TestObservedOnlyOptions:
+    """An option that only acts on an observed stack is refused on an
+    unobserved one instead of being dropped."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("alert_rules", []),
+            ("capture", CapturePolicy()),
+            ("tenant_budgets", {"acme": 1.0}),
+            ("guard", GuardPolicy()),
+        ],
+    )
+    def test_pixelsdb_refuses_them_unobserved(self, option, value):
+        with pytest.raises(ValueError, match=f"{option}="):
+            PixelsDB(observe=False, **{option: value})
+        PixelsDB(observe=True, **{option: value})
+
+    def test_query_server_refuses_a_guard_over_an_unobserved_coordinator(self):
+        sim = Simulator(seed=1)
+        config = TurboConfig.fast()
+        coordinator = Coordinator(sim, config, Catalog(), ObjectStore(), "tpch")
+        with pytest.raises(ValueError, match="guard="):
+            QueryServer(sim, coordinator, config, guard=GuardPolicy())
+        assert QueryServer(sim, coordinator, config).guard is None

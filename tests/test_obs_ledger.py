@@ -86,21 +86,26 @@ class TestMeterLedger:
         restored = load_events_jsonl(text)
         assert restored == ledger.events()
 
-    def test_listeners_hear_every_event(self):
+    def test_running_totals_fold_every_append(self):
         ledger = MeterLedger()
-        heard = []
-        ledger.add_listener(heard.append)
-        ledger.charge("q", axis="fixed", nanodollars=3)
+        ledger.charge("q", axis="fixed", nanodollars=3, tenant="t", level="x")
+        ledger.charge(
+            "q", axis="compute", nanodollars=8, account="provider", venue="vm"
+        )
         ledger.void("q")
-        assert len(heard) == len(ledger)
+        ledger.void("held", tenant="t", level="y")
+        assert dict(ledger.user_totals) == {("t", "x"): 0, ("t", "y"): 0}
+        assert dict(ledger.provider_totals) == {"vm": 8}
+        assert ledger.voids == 2
+        assert ledger.total_nanodollars("provider") == 8
+        with pytest.raises(TypeError):
+            ledger.user_totals[("t", "x")] = 1  # read-only
 
 
 class TestSpendAccountant:
     def _fed(self):
         ledger = MeterLedger()
-        spend = SpendAccountant(budgets={"acme": 1e-8})
-        ledger.add_listener(spend.on_event)
-        return ledger, spend
+        return ledger, SpendAccountant(ledger, budgets={"acme": 1e-8})
 
     def test_aggregates_by_tenant_and_level(self):
         ledger, spend = self._fed()

@@ -1,9 +1,9 @@
 """Tests for the statement-statistics store (repro.obs.statements).
 
 Invariants under test: per-entry resource nanodollars sum exactly to
-the entry's billed total (the profiler's largest-remainder split), the
-top-K orderings are total and deterministic, and the JSON export is
-byte-stable.
+the entry's billed total (the store sums the meter's largest-remainder
+split it is handed), the top-K orderings are total and deterministic,
+and the JSON export is byte-stable.
 """
 
 import json
@@ -12,7 +12,8 @@ import pytest
 
 from repro.engine.executor import QueryStats
 from repro.obs.fingerprint import Fingerprint
-from repro.obs.profiler import NANOS_PER_DOLLAR
+from repro.obs.ledger import AXES
+from repro.obs.profiler import NANOS_PER_DOLLAR, split_attribution_nanodollars
 from repro.obs.statements import StatementStore
 from repro.turbo.cost import CostAttribution
 
@@ -33,6 +34,14 @@ def attribution(billed, bandwidth=0.0, compute=0.0, requests=0.0):
     )
 
 
+def bill(dollars, split=None):
+    """``record``'s ``nanodollars`` / ``axes`` for a bill of ``dollars``,
+    split over the attribution ``split`` exactly as the cost model's
+    meter splits it."""
+    nanodollars, pools = split_attribution_nanodollars(dollars, split)
+    return {"nanodollars": nanodollars, "axes": dict(zip(AXES, pools))}
+
+
 def stats(bytes_scanned=1000, gets=4, footer=1, chunk=3, hits=2, misses=2):
     return QueryStats(
         bytes_scanned=bytes_scanned,
@@ -50,10 +59,10 @@ class TestRecording:
     def test_aggregates_by_fingerprint_and_level(self):
         store = StatementStore()
         for _ in range(3):
-            store.record(FP, "immediate", time_s=1.0, billed=0.001,
-                         attribution=attribution(0.001), stats=stats())
-        store.record(FP, "relaxed", time_s=2.0, billed=0.0005,
-                     attribution=attribution(0.0005), stats=stats())
+            store.record(FP, "immediate", time_s=1.0,
+                         **bill(0.001, attribution(0.001)), stats=stats())
+        store.record(FP, "relaxed", time_s=2.0,
+                     **bill(0.0005, attribution(0.0005)), stats=stats())
         entries = store.entries()
         assert [(e.fingerprint, e.level, e.calls) for e in entries] == [
             ("abc123def456", "immediate", 3),
@@ -70,27 +79,21 @@ class TestRecording:
         store = StatementStore()
         # A split with remainders that cannot divide evenly.
         entry = store.record(
-            FP, "immediate", time_s=1.0, billed=0.0000001,
-            attribution=attribution(
+            FP, "immediate", time_s=1.0,
+            **bill(0.0000001, attribution(
                 0.0000001, bandwidth=0.00000003, compute=0.00000003,
                 requests=0.00000003,
-            ),
+            )),
             stats=stats(),
         )
-        total = (
-            entry.bandwidth_nanodollars
-            + entry.compute_nanodollars
-            + entry.request_nanodollars
-            + entry.fixed_nanodollars
-        )
-        assert total == entry.nanodollars
+        assert sum(entry.axes.values()) == entry.nanodollars
         assert entry.nanodollars == round(0.0000001 * NANOS_PER_DOLLAR)
 
     def test_missing_attribution_parks_in_fixed(self):
         store = StatementStore()
-        entry = store.record(FP, "immediate", billed=0.002, attribution=None)
-        assert entry.fixed_nanodollars == entry.nanodollars
-        assert entry.bandwidth_nanodollars == 0
+        entry = store.record(FP, "immediate", **bill(0.002))
+        assert entry.axes["fixed"] == entry.nanodollars
+        assert entry.axes["bandwidth"] == 0
 
     def test_errors_counted_without_stats(self):
         store = StatementStore()
@@ -104,11 +107,11 @@ class TestRecording:
 class TestTopK:
     def _store(self):
         store = StatementStore()
-        store.record(FP, "immediate", time_s=5.0, billed=0.001,
-                     attribution=attribution(0.001), stats=stats())
+        store.record(FP, "immediate", time_s=5.0,
+                     **bill(0.001, attribution(0.001)), stats=stats())
         for _ in range(4):
-            store.record(OTHER, "relaxed", time_s=0.5, billed=0.0001,
-                         attribution=attribution(0.0001), stats=stats())
+            store.record(OTHER, "relaxed", time_s=0.5,
+                         **bill(0.0001, attribution(0.0001)), stats=stats())
         return store
 
     def test_top_by_each_dimension(self):
@@ -123,8 +126,8 @@ class TestTopK:
 
     def test_ties_break_deterministically(self):
         store = StatementStore()
-        store.record(OTHER, "relaxed", time_s=1.0, billed=0.001)
-        store.record(FP, "immediate", time_s=1.0, billed=0.001)
+        store.record(OTHER, "relaxed", time_s=1.0, **bill(0.001))
+        store.record(FP, "immediate", time_s=1.0, **bill(0.001))
         tops = store.top(2, by="dollars")
         assert [e.fingerprint for e in tops] == [FP.id, OTHER.id]
 
@@ -147,8 +150,8 @@ class TestExport:
 
     def _populated(self):
         store = StatementStore()
-        store.record(FP, "immediate", time_s=1.5, pending_s=0.5, billed=0.001,
-                     attribution=attribution(0.001, bandwidth=0.0004),
+        store.record(FP, "immediate", time_s=1.5, pending_s=0.5,
+                     **bill(0.001, attribution(0.001, bandwidth=0.0004)),
                      stats=stats(), plan_shape="d00dfeedbeef")
         return store
 
