@@ -14,8 +14,10 @@ is at most twice the row count, group ids and first rows come from a
 scatter into a radix-sized array, with no sort; otherwise from one
 ``np.unique`` over the folded codes.  MIN / MAX scatter the values
 themselves, and COUNT(DISTINCT) over uncoded strings counts one ``set``
-per group, so neither ranks its input column.  An equi join is a sort plus
-a binary search over the folded codes.
+per group, so neither ranks its input column.  An equi join sorts the
+build side by folded code and finds each probe row's run of matches by
+direct lookup in a per-code count array (codes wider than twice both
+sides' rows are ranked to that first), so nothing is binary-searched.
 """
 
 from __future__ import annotations
@@ -507,10 +509,11 @@ def _shared_codes(
 
 def _join_codes(
     left: TableData, right: TableData, left_keys: list[str], right_keys: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """One int64 per row of each (non-empty) side such that two rows join
     iff their codes are equal and non-negative: a NULL or NaN in any key
-    column makes the row's code -1."""
+    column makes the row's code -1.  The third item is ``span``: every
+    non-negative code is below it."""
     parts = []
     unmatchable = np.zeros(left.num_rows + right.num_rows, dtype=bool)
     for left_key, right_key in zip(left_keys, right_keys):
@@ -519,9 +522,9 @@ def _join_codes(
         )
         parts.append((codes, cardinality))
         unmatchable |= invalid
-    codes, _ = _combine_codes(parts)
+    codes, span = _combine_codes(parts)
     codes[unmatchable] = -1
-    return codes[: left.num_rows], codes[left.num_rows :]
+    return codes[: left.num_rows], codes[left.num_rows :], span
 
 
 def execute_hash_join(
@@ -546,17 +549,30 @@ def execute_hash_join(
         return left_indices, right_indices
     if left.num_rows == 0 or right.num_rows == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    left_codes, right_codes = _join_codes(left, right, left_keys, right_keys)
+    left_codes, right_codes, span = _join_codes(
+        left, right, left_keys, right_keys
+    )
+    if span > 2 * (left.num_rows + right.num_rows):
+        # Too wide to address: rank both sides' valid codes together.
+        codes = np.concatenate([left_codes, right_codes])
+        valid = codes >= 0
+        codes[valid], span = _densify(codes[valid])
+        left_codes, right_codes = codes[: left.num_rows], codes[left.num_rows :]
     # Build: right rows sorted by code.  The sort is stable, so rows of one
     # key stay in ascending row order — the output order contract.
     build_rows = np.flatnonzero(right_codes >= 0)
-    build_rows = build_rows[np.argsort(right_codes[build_rows], kind="stable")]
     build_codes = right_codes[build_rows]
-    # Probe: each left row matches one contiguous run of the build side.
-    probe_rows = np.flatnonzero(left_codes >= 0)
-    probe_codes = left_codes[probe_rows]
-    run_starts = np.searchsorted(build_codes, probe_codes, side="left")
-    counts = np.searchsorted(build_codes, probe_codes, side="right") - run_starts
+    build_rows = build_rows[np.argsort(build_codes, kind="stable")]
+    # Probe: each left row matches one contiguous run of the build side,
+    # found by its code: the run's length is the code's build count, and
+    # its start the counts of every smaller code.  No build row fills the
+    # slot past ``span``, so the -1 of a NULL or NaN key reads a count of 0.
+    per_code = np.bincount(build_codes, minlength=span + 1)
+    code_starts = np.cumsum(per_code) - per_code
+    counts = per_code[left_codes]
+    probe_rows = np.flatnonzero(counts)
+    counts = counts[probe_rows]
+    run_starts = code_starts[left_codes[probe_rows]]
     left_indices = np.repeat(probe_rows, counts)
     output_starts = np.cumsum(counts) - counts
     positions = np.arange(len(left_indices)) + np.repeat(
@@ -634,7 +650,7 @@ def execute_semi_anti_join(
         return left if anti else left.slice(0, 0)
     if anti and any(right.column(name).has_nulls() for name in right_keys):
         return left.slice(0, 0)  # any NULL in S poisons NOT IN entirely
-    left_codes, right_codes = _join_codes(left, right, left_keys, right_keys)
+    left_codes, right_codes, _ = _join_codes(left, right, left_keys, right_keys)
     matches = np.isin(left_codes, right_codes[right_codes >= 0])
     if not anti:
         return left.filter(matches)

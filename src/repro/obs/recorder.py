@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.scheduler import HELD_LEVELS, LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
+from repro.lru import LruCache
 from repro.obs.activity import Prior
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.metrics import (
@@ -125,8 +126,10 @@ class QueryRecorder:
         self._deadline_for = deadline_for
         self._profile_of = profile_of
         self._open: dict[str, _OpenQuery] = {}
-        # Normalizing a statement is per-shape work, not per-call work.
-        self._fingerprint_cache: dict[str, Fingerprint] = {}
+        # Normalizing a statement is per-shape work, not per-call work.  A
+        # fingerprint is a pure function of the text, so an evicted entry
+        # comes back identical.
+        self._fingerprint_cache: LruCache[Fingerprint] = LruCache()
         registry = obs.metrics
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
@@ -249,7 +252,8 @@ class QueryRecorder:
         self._m_submitted.inc(level=record.requested_level.value)
         fp = self._fingerprint_cache.get(sql)
         if fp is None:
-            fp = self._fingerprint_cache[sql] = fingerprint(sql)
+            fp = fingerprint(sql)
+            self._fingerprint_cache.put(sql, fp)
         deadline = self._deadline_for(record.level)
         self.obs.activity.begin(
             query_id,

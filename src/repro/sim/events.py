@@ -2,7 +2,8 @@
 
 Events are ordered by ``(time, sequence)``: ties on time break in scheduling
 order, which makes runs deterministic without requiring callbacks to be
-comparable.
+comparable.  The heap holds ``(time, seq, event)`` tuples, so ordering is
+a tuple compare and never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
     """A single scheduled callback.
 
@@ -30,8 +31,8 @@ class Event:
 
     time: float
     seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], Any]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it when it reaches the top."""
@@ -65,33 +66,35 @@ class EventQueue:
     """A min-heap of :class:`Event` objects with lazy cancellation."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def push(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        event = Event(time=time, seq=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time=time, seq=seq, callback=callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or None if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Return the time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (no-op if already fired)."""

@@ -7,7 +7,9 @@ time, concurrency vs time, workers provisioned after a demand step) from
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 
@@ -20,14 +22,21 @@ class TracePoint:
     tag: str = ""
 
 
+def _time(point: TracePoint) -> float:
+    return point.time
+
+
 class Trace:
-    """Append-only collection of named metric time series."""
+    """Append-only collection of named metric time series.  Samples of
+    one series are recorded in time order (simulated time never runs
+    backwards); the bisecting readers rely on it."""
 
     def __init__(self) -> None:
         self._series: dict[str, list[TracePoint]] = {}
 
     def record(self, metric: str, time: float, value: float, tag: str = "") -> None:
-        """Append one sample to ``metric``'s series."""
+        """Append one sample to ``metric``'s series; ``time`` is at or
+        after the series' last sample."""
         self._series.setdefault(metric, []).append(TracePoint(time, value, tag))
 
     def series(self, metric: str) -> list[TracePoint]:
@@ -53,12 +62,9 @@ class Trace:
 
     def value_at(self, metric: str, time: float, default: float = 0.0) -> float:
         """Step-function lookup: the last recorded value at or before ``time``."""
-        result = default
-        for point in self._series.get(metric, []):
-            if point.time > time:
-                break
-            result = point.value
-        return result
+        points = self._series.get(metric, [])
+        at = bisect_right(points, time, key=_time)
+        return points[at - 1].value if at else default
 
     def time_weighted_mean(
         self, metric: str, start: float, end: float, initial: float = 0.0
@@ -71,15 +77,14 @@ class Trace:
         """
         if end <= start:
             return self.value_at(metric, start, initial)
+        points = self._series.get(metric, [])
+        # Only the samples inside (start, end) add terms; the one before
+        # them sets the opening value.
+        first = bisect_right(points, start, key=_time)
         total = 0.0
-        current_value = initial
+        current_value = points[first - 1].value if first else initial
         current_time = start
-        for point in self._series.get(metric, []):
-            if point.time <= start:
-                current_value = point.value
-                continue
-            if point.time >= end:
-                break
+        for point in islice(points, first, bisect_left(points, end, key=_time)):
             total += current_value * (point.time - current_time)
             current_value = point.value
             current_time = point.time

@@ -97,11 +97,15 @@ class Catalog:
 
     All mutation goes through ``create_*`` methods that enforce uniqueness;
     lookups raise the dedicated ``NoSuch*`` errors so API layers can map
-    them to user-facing messages.
+    them to user-facing messages.  Every mutator bumps :attr:`version`, so
+    a plan prepared under an older version is known to be stale.
     """
 
     def __init__(self) -> None:
         self._schemas: dict[str, SchemaMeta] = {}
+        #: Incremented by every mutation: schemas, tables, foreign keys and
+        #: statistics (the optimizer picks build sides by row count).
+        self.version = 0
 
     # -- schemas -------------------------------------------------------------
 
@@ -110,12 +114,14 @@ class Catalog:
             raise DuplicateObjectError(f"schema {name!r} already exists")
         schema = SchemaMeta(name=name, comment=comment)
         self._schemas[name] = schema
+        self.version += 1
         return schema
 
     def drop_schema(self, name: str) -> None:
         if name not in self._schemas:
             raise NoSuchSchemaError(f"no schema {name!r}")
         del self._schemas[name]
+        self.version += 1
 
     def schema(self, name: str) -> SchemaMeta:
         try:
@@ -159,6 +165,7 @@ class Catalog:
             comment=comment,
         )
         schema.tables[table_name] = table
+        self.version += 1
         return table
 
     def drop_table(self, schema_name: str, table_name: str) -> None:
@@ -166,6 +173,7 @@ class Catalog:
         if table_name not in schema.tables:
             raise NoSuchTableError(f"no table {table_name!r} in {schema_name!r}")
         del schema.tables[table_name]
+        self.version += 1
 
     def table(self, schema_name: str, table_name: str) -> TableMeta:
         return self.schema(schema_name).table(table_name)
@@ -184,6 +192,7 @@ class Catalog:
         referenced = self.table(schema_name, ref_table)
         referenced.column(ref_column)
         table.foreign_keys.append(ForeignKey(column, ref_table, ref_column))
+        self.version += 1
 
     def update_statistics(
         self, schema_name: str, table_name: str, row_count: int, size_bytes: int
@@ -192,6 +201,7 @@ class Catalog:
         table = self.table(schema_name, table_name)
         table.row_count = row_count
         table.size_bytes = size_bytes
+        self.version += 1
 
     # -- persistence ----------------------------------------------------------
 

@@ -33,6 +33,7 @@ from repro.engine.executor import (
 from repro.engine.optimizer import Optimizer
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
+from repro.lru import LruCache
 from repro.obs import Instrumentation, render_analyzed_plan
 from repro.obs.recorder import ExecutionRecorder
 from repro.sim import Simulator, Trace
@@ -177,6 +178,9 @@ class Coordinator:
         self.cf_service = CfService(sim, config.cf, config.vm, self.trace)
         self.cost_model = CostModel(config)
         self._optimizer = Optimizer()
+        #: Prepared plans by (exact SQL text, catalog version planned
+        #: under); see :meth:`_prepare`.
+        self.prepared: LruCache[tuple[object, str | None]] = LruCache()
         self._executions: dict[str, QueryExecution] = {}
         self._query_counter = 0
         # query_id -> (pending completion/crash event, worker) for queries
@@ -346,7 +350,19 @@ class Coordinator:
     def _prepare(self, sql: str) -> tuple[object, str | None]:
         """Parse + plan; returns ``(plan, explain_mode)`` where the mode is
         None for a plain query, ``"plan"`` for EXPLAIN, ``"analyze"`` for
-        EXPLAIN ANALYZE."""
+        EXPLAIN ANALYZE.
+
+        A text this coordinator prepared before, under the catalog version
+        still current, is served from :attr:`prepared` without being lexed
+        again; entries of older versions are never looked up again and
+        age out.  Every caller treats the plan as read-only (the CF
+        splitter copies the tail it rewires), so one plan serves every run
+        of its text.  A statement that fails to prepare is not cached: it
+        raises the same error each time."""
+        key = (sql, self.catalog.version)
+        cached = self.prepared.get(key)
+        if cached is not None:
+            return cached
         from repro.engine.sql import ast as sql_ast
         from repro.engine.sql.parser import parse_sql
 
@@ -356,7 +372,9 @@ class Coordinator:
             explain_mode = "analyze" if statement.analyze else "plan"
             statement = statement.statement
         planner = Planner(self.catalog, self._default_schema)
-        return self._optimizer.optimize(planner.plan(statement)), explain_mode
+        plan = self._optimizer.optimize(planner.plan(statement))
+        self.prepared.put(key, (plan, explain_mode))
+        return plan, explain_mode
 
     def execute_ddl(self, sql: str) -> str:
         """Run a DDL statement against the coordinator's metadata.

@@ -10,12 +10,13 @@ The splitter peels cheap tail operators (projection over aggregated rows,
 HAVING filters, sort, distinct, limit) off the root until it reaches the
 first expensive operator (scan, join, or aggregate).  Everything from that
 operator down becomes the CF sub-plan; its seat in the top-level plan is
-taken by a :class:`~repro.engine.plan.MaterializedView` leaf.
+taken by a :class:`~repro.engine.plan.MaterializedView` leaf.  The plan
+handed in is never modified: the top-level plan is a copy of the tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.engine.batch import BatchStream
@@ -91,7 +92,9 @@ def split_plan(plan: PlanNode) -> SplitPlan:
         name="cf_subplan_result",
         schema=node.output_schema(),
     )
-    if not tail:
-        return SplitPlan(top=view, sub=node, view=view)
-    tail[-1].input = view  # type: ignore[attr-defined]
-    return SplitPlan(top=plan, sub=node, view=view)
+    # ``plan`` is a prepared plan other runs share, so the tail is rebuilt
+    # over the view instead of rewired: a shallow copy per (unary) node.
+    top: PlanNode = view
+    for cheap in reversed(tail):
+        top = replace(cheap, input=top)  # type: ignore[call-arg]
+    return SplitPlan(top=top, sub=node, view=view)

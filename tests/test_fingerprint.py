@@ -109,3 +109,38 @@ class TestPlanShape:
             self._plan(mini_engine, "SELECT count(*) FROM orders")
         )
         assert scan != agg
+
+
+class TestRecorderFingerprintCache:
+    """The recorder's per-text fingerprint cache is bounded, and since a
+    fingerprint is a pure function of its text, evicting one changes no
+    export."""
+
+    TEXTS = [
+        "SELECT count(*) FROM orders",
+        "SELECT count(*) FROM orders WHERE o_totalprice > 100",
+        "SELECT count(*) FROM customer",
+    ]
+
+    def _observed_run(self, capacity):
+        from repro import PixelsDB, ServiceLevel
+        from repro.lru import LruCache, STATEMENT_CACHE_ENTRIES
+
+        db = PixelsDB(seed=5, observe=True)
+        db.load_tpch("tpch", scale=0.01)
+        server = db.query_server("tpch")
+        cache = server._recorder._fingerprint_cache
+        assert cache.capacity == STATEMENT_CACHE_ENTRIES
+        if capacity is not None:
+            cache = server._recorder._fingerprint_cache = LruCache(capacity)
+        for sql in self.TEXTS + self.TEXTS[:1]:
+            server.submit(sql, ServiceLevel.IMMEDIATE)
+        db.run_to_completion()
+        return db, cache
+
+    def test_eviction_changes_no_export(self):
+        bounded, cache = self._observed_run(capacity=2)
+        unbounded, _ = self._observed_run(capacity=None)
+        assert cache.evictions == 2 and len(cache) == 2  # the repeat missed
+        assert bounded.statements_json() == unbounded.statements_json()
+        assert bounded.journal_jsonl() == unbounded.journal_jsonl()

@@ -1,10 +1,12 @@
 """Differential tests for the array join kernels and the key encoder.
 
-The oracles are the row-at-a-time kernels the array versions replaced,
-kept here verbatim: a Python ``dict[tuple, list[int]]`` build and probe
-over ``.tolist()`` columns, and ``np.unique(astype(str))`` for VARCHAR
-codes.  Index arrays must agree *including order* — ascending left row,
-then ascending right row — because LIMIT early-exit billing and result
+The oracles are the kernels the current ones replaced, kept here
+verbatim: a Python ``dict[tuple, list[int]]`` build and probe over
+``.tolist()`` columns, ``np.unique(astype(str))`` for VARCHAR codes, and
+the array probe that found each probe row's run of build rows with two
+``np.searchsorted`` calls (the kernel now looks the run up by code).
+Index arrays must agree *including order* — ascending left row, then
+ascending right row — because LIMIT early-exit billing and result
 digests depend on it.  A second fence runs join statements through the
 SQL path against stdlib ``sqlite3``, and a regression table pins the
 int64 overflow the shared combiner used to hit.
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.engine.executor import QueryExecutor
 from repro.engine.optimizer import Optimizer
 from repro.engine.physical import (
+    _join_codes,
     column_codes,
     execute_aggregate,
     execute_distinct,
@@ -76,6 +79,33 @@ def row_loop_hash_join(left, right, left_keys, right_keys):
     )
 
 
+def searchsorted_hash_join(left, right, left_keys, right_keys, is_left_join):
+    """The replaced binary-search probe, over the same folded codes."""
+    if not left_keys:
+        left_indices = np.repeat(np.arange(left.num_rows), right.num_rows)
+        right_indices = np.tile(np.arange(right.num_rows), left.num_rows)
+        return left_indices, right_indices
+    if left.num_rows == 0 or right.num_rows == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    left_codes, right_codes, _ = _join_codes(left, right, left_keys, right_keys)
+    # Build: right rows sorted by code.  The sort is stable, so rows of one
+    # key stay in ascending row order — the output order contract.
+    build_rows = np.flatnonzero(right_codes >= 0)
+    build_rows = build_rows[np.argsort(right_codes[build_rows], kind="stable")]
+    build_codes = right_codes[build_rows]
+    # Probe: each left row matches one contiguous run of the build side.
+    probe_rows = np.flatnonzero(left_codes >= 0)
+    probe_codes = left_codes[probe_rows]
+    run_starts = np.searchsorted(build_codes, probe_codes, side="left")
+    counts = np.searchsorted(build_codes, probe_codes, side="right") - run_starts
+    left_indices = np.repeat(probe_rows, counts)
+    output_starts = np.cumsum(counts) - counts
+    positions = np.arange(len(left_indices)) + np.repeat(
+        run_starts - output_starts, counts
+    )
+    return left_indices, build_rows[positions]
+
+
 def row_loop_semi_anti_join(left, right, left_keys, right_keys, anti):
     if left.num_rows == 0:
         return left
@@ -122,6 +152,9 @@ def sorted_copy_codes(vector):
 
 # Small shared domains, so both sides are dense with duplicates and matches.
 SMALL_INTS = st.integers(-3, 3)
+#: Few distinct values over a range far wider than any side's rows: their
+#: folded span is past twice the rows, so the probe ranks codes first.
+WIDE_INTS = st.sampled_from([-(10**15), -7, 0, 3, 10**12, 2**62])
 DOUBLES = st.sampled_from(
     [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 0.5, -1.5, float("nan"), float("inf")]
 )
@@ -138,6 +171,8 @@ KEY_PAIRS = st.sampled_from(
         (DataType.DATE, DataType.DATE, st.integers(9000, 9004), st.integers(9000, 9004)),
         (DataType.BOOLEAN, DataType.BOOLEAN, st.booleans(), st.booleans()),
         (DataType.VARCHAR, DataType.VARCHAR, STRINGS, STRINGS),
+        (DataType.BIGINT, DataType.BIGINT, WIDE_INTS, WIDE_INTS),
+        (DataType.BIGINT, DataType.DOUBLE, WIDE_INTS, DOUBLES),
     ]
 )
 
@@ -242,6 +277,119 @@ class TestJoinKernelsMatchRowLoop:
             expected = row_loop_hash_join(left, right, *keys)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
+
+
+def join_span(left, right, left_keys, right_keys):
+    """Whether the probe addresses the folded codes directly ("dense") or
+    ranks them first ("wide")."""
+    span = _join_codes(left, right, left_keys, right_keys)[2]
+    return "dense" if span <= 2 * (left.num_rows + right.num_rows) else "wide"
+
+
+class TestProbeMatchesSearchsorted:
+    """The per-code lookup against the binary-search probe it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(join_inputs(min_keys=0), st.booleans())
+    def test_index_pairs_and_order(self, inputs, is_left_join):
+        left, right, left_keys, right_keys = inputs
+        got = execute_hash_join(left, right, left_keys, right_keys, is_left_join)
+        expected = searchsorted_hash_join(
+            left, right, left_keys, right_keys, is_left_join
+        )
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    @staticmethod
+    def _table(prefix, **columns):
+        """``name=(dtype, values, null flags or None)`` columns."""
+        table = {}
+        for name, (dtype, values, nulls) in columns.items():
+            numpy_dtype = object if dtype is DataType.VARCHAR else dtype.numpy_dtype
+            table[f"{prefix}{name}"] = ColumnVector(
+                dtype,
+                np.array(values, dtype=numpy_dtype),
+                None if nulls is None else np.array(nulls, dtype=bool),
+            )
+        return TableData(table)
+
+    CASES = {
+        # Duplicates on both sides, a NULL on each, one dense INT key.
+        "dense_int": (
+            {"k": (DataType.INT, [3, 1, 3, 0, 2, 3], [0, 0, 0, 1, 0, 0])},
+            {"k": (DataType.INT, [3, 3, 2, 9, 0, 3], [0, 0, 0, 0, 1, 0])},
+            "dense",
+        ),
+        # Values 10^12 apart: the span is far past the rows.
+        "wide_bigint": (
+            {"k": (DataType.BIGINT, [10**12, -5, 10**12, 2**62, 7], None)},
+            {"k": (DataType.BIGINT, [2**62, 10**12, 10**12, -(10**15)], None)},
+            "wide",
+        ),
+        # VARCHAR + INT, duplicated pairs on both sides, NULLs in each key.
+        "varchar_and_int": (
+            {
+                "s": (DataType.VARCHAR, ["a", "b", "a", "", "a", None], [0, 0, 0, 0, 0, 1]),
+                "n": (DataType.INT, [1, 1, 1, 2, 0, 1], [0, 0, 0, 0, 1, 0]),
+            },
+            {
+                "s": (DataType.VARCHAR, ["a", "a", "", "b", "a"], None),
+                "n": (DataType.INT, [1, 1, 2, 1, 0], [0, 0, 0, 0, 0]),
+            },
+            "dense",
+        ),
+        # -0.0 joins 0.0; NaN joins nothing; a NULL joins nothing.
+        "double_signed_zero_nan": (
+            {"d": (DataType.DOUBLE, [-0.0, float("nan"), 0.0, 1.5, 2.0], [0, 0, 0, 0, 1])},
+            {"d": (DataType.DOUBLE, [0.0, float("nan"), 1.5, -0.0, 2.0], None)},
+            "dense",
+        ),
+        # Two wide BIGINT keys whose radix product passes int64: the
+        # combiner ranks the first, and the probe ranks the result.
+        "wide_two_keys": (
+            {
+                "a": (DataType.BIGINT, [10**12, -(10**12), 10**12, 0], None),
+                "b": (DataType.BIGINT, [-(10**12), 10**12, -(10**12), 0], None),
+            },
+            {
+                "a": (DataType.BIGINT, [10**12, 0, 10**12], None),
+                "b": (DataType.BIGINT, [-(10**12), 0, -(10**12)], None),
+            },
+            "wide",
+        ),
+        # Every key NULL on the build side: it has no valid code to rank.
+        "no_valid_build_row": (
+            {"k": (DataType.BIGINT, [10**12, 1], None)},
+            {"k": (DataType.BIGINT, [10**12, 1], [1, 1])},
+            "wide",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fixed_cases(self, case):
+        left_cols, right_cols, span = self.CASES[case]
+        left, right = self._table("l", **left_cols), self._table("r", **right_cols)
+        left_keys, right_keys = list(left.columns), list(right.columns)
+        assert join_span(left, right, left_keys, right_keys) == span
+        got = execute_hash_join(left, right, left_keys, right_keys, False)
+        expected = searchsorted_hash_join(left, right, left_keys, right_keys, False)
+        loop = row_loop_hash_join(left, right, left_keys, right_keys)
+        for side in (0, 1):
+            assert np.array_equal(got[side], expected[side])
+            assert np.array_equal(got[side], loop[side])
+        if case != "no_valid_build_row":
+            assert len(got[0])  # a vacuous agreement would prove nothing
+
+    @pytest.mark.parametrize("empty", ["left", "right", "both"])
+    def test_empty_sides(self, empty):
+        full = self._table("x", k=(DataType.INT, [1, 2, 2], None))
+        none = full.slice(0, 0)
+        left = none if empty in ("left", "both") else full
+        right = none if empty in ("right", "both") else full
+        got = execute_hash_join(left, right, ["xk"], ["xk"], True)
+        expected = searchsorted_hash_join(left, right, ["xk"], ["xk"], True)
+        assert got[0].tolist() == expected[0].tolist() == []
+        assert got[1].tolist() == expected[1].tolist() == []
 
 
 class TestColumnCodes:

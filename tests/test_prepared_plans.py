@@ -1,0 +1,307 @@
+"""Prepared plans: one bounded cache per coordinator, keyed by exact text.
+
+Three fences.  A plan is read-only once optimized: every execution path
+(VM, CF, a VM-crash retry, a shared batch, EXPLAIN, EXPLAIN ANALYZE)
+leaves the cached plan's rendering *and* its node structure as they were.
+Every catalog mutation — through any coordinator over that catalog —
+makes a cached text prepare again, so statistics still steer the build
+side and a statement over a dropped table fails as it would uncached.
+And the headline replay reuses what it prepared: its counts are pinned.
+"""
+
+import dataclasses
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+from repro import PixelsDB
+from repro.engine.plan import HashJoin, PlanNode, walk_plan
+from repro.lru import LruCache, STATEMENT_CACHE_ENTRIES
+from repro.sim import Simulator
+from repro.storage.catalog import Catalog, ColumnMeta
+from repro.storage.object_store import ObjectStore
+from repro.storage.types import DataType
+from repro.turbo import Coordinator, TurboConfig
+from repro.turbo.coordinator import ExecutionVenue
+from repro.turbo.faults import FaultConfig
+from repro.turbo.plan_split import split_plan
+from repro.workloads import TpchGenerator, load_dataset
+
+#: A cheap tail (TopN, Project) over an aggregate over a join: the CF
+#: splitter has a tail to rebuild over its view.
+SQL = (
+    "SELECT o_orderpriority, count(*) AS n FROM orders JOIN lineitem "
+    "ON o_orderkey = l_orderkey GROUP BY o_orderpriority "
+    "ORDER BY o_orderpriority LIMIT 3"
+)
+HEAVY = "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag"
+
+
+def structure(node: PlanNode):
+    """Every node's identity and every field: a child by its own
+    structure, anything else by ``repr`` — a rewired input, a swapped
+    side or an edited field all show."""
+    fields = []
+    for spec in dataclasses.fields(node):
+        value = getattr(node, spec.name)
+        if isinstance(value, PlanNode):
+            value = structure(value)
+        elif isinstance(value, list) and any(
+            isinstance(item, PlanNode) for item in value
+        ):
+            value = [structure(item) for item in value]
+        else:
+            value = repr(value)
+        fields.append((spec.name, value))
+    return type(node).__name__, id(node), fields
+
+
+def stack(faults=None, seed=11):
+    sim = Simulator(seed=seed)
+    store = ObjectStore()
+    catalog = Catalog()
+    load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.05).tables())
+    coordinator = Coordinator(
+        sim, TurboConfig.fast(), catalog, store, "tpch", faults=faults
+    )
+    return sim, catalog, coordinator
+
+
+def saturate(coordinator):
+    """Fill every VM slot so the next CF-enabled query goes to CF."""
+    while coordinator.vm_cluster.has_free_slot():
+        coordinator.submit(HEAVY, cf_enabled=False)
+
+
+class TestPlansStayAsPrepared:
+    def _prepared(self, coordinator):
+        plan, mode = coordinator._prepare(SQL)
+        assert mode is None
+        return plan, plan.explain(), structure(plan)
+
+    def _assert_unchanged(self, coordinator, plan, text, shape):
+        again, _ = coordinator._prepare(SQL)
+        assert again is plan  # served from the cache, not re-planned
+        assert plan.explain() == text
+        assert structure(plan) == shape
+
+    def test_vm_run(self):
+        sim, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        execution = coordinator.submit(SQL, cf_enabled=False)
+        sim.run_until(600)
+        assert execution.venue is ExecutionVenue.VM and execution.succeeded
+        self._assert_unchanged(coordinator, plan, text, shape)
+
+    def test_cf_run(self):
+        sim, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        saturate(coordinator)
+        execution = coordinator.submit(SQL, cf_enabled=True)
+        sim.run_until(600)
+        assert execution.venue is ExecutionVenue.CF and execution.succeeded
+        self._assert_unchanged(coordinator, plan, text, shape)
+        # A later VM run of the same text still runs the whole plan.
+        vm = coordinator.submit(SQL, cf_enabled=False)
+        sim.run_until(1200)
+        assert vm.venue is ExecutionVenue.VM
+        assert vm.result.rows() == execution.result.rows()
+
+    def test_vm_crash_retry(self):
+        sim, _, coordinator = stack(FaultConfig(vm_crash_rate=1.0, max_retries=2))
+        plan, text, shape = self._prepared(coordinator)
+        execution = coordinator.submit(SQL, cf_enabled=False)
+        sim.run_until(600)
+        assert execution.retries == 2 and not execution.succeeded
+        self._assert_unchanged(coordinator, plan, text, shape)
+
+    def test_shared_batch(self):
+        sim, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        executions = coordinator.submit_shared_batch([SQL, SQL, HEAVY])
+        sim.run_until(600)
+        assert all(execution.succeeded for execution in executions)
+        assert executions[0].result.rows() == executions[1].result.rows()
+        self._assert_unchanged(coordinator, plan, text, shape)
+
+    def test_explain(self):
+        sim, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        saturate(coordinator)  # the report then names the CF venue
+        report = coordinator.explain(SQL, cf_enabled=True)
+        assert report.startswith(text) and "cf fan-out" in report
+        self._assert_unchanged(coordinator, plan, text, shape)
+        execution = coordinator.submit("EXPLAIN " + SQL, cf_enabled=True)
+        assert execution.explain_text.startswith(text)
+        self._assert_unchanged(coordinator, plan, text, shape)
+
+    def test_explain_analyze(self):
+        sim, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        coordinator.explain_analyze(SQL)
+        self._assert_unchanged(coordinator, plan, text, shape)
+        execution = coordinator.submit("EXPLAIN ANALYZE " + SQL, cf_enabled=True)
+        sim.run_until(600)
+        assert execution.succeeded
+        self._assert_unchanged(coordinator, plan, text, shape)
+
+    def test_split_plan_copies_the_tail(self):
+        _, _, coordinator = stack()
+        plan, text, shape = self._prepared(coordinator)
+        split = split_plan(plan)
+        assert split.top is not plan
+        assert split.view in list(walk_plan(split.top))
+        assert plan.explain() == text and structure(plan) == shape
+
+
+class TestInvalidation:
+    def test_repeat_is_a_hit(self):
+        _, _, coordinator = stack()
+        first, _ = coordinator._prepare(SQL)
+        second, _ = coordinator._prepare(SQL)
+        cache = coordinator.prepared
+        assert second is first
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
+        assert cache.capacity == STATEMENT_CACHE_ENTRIES
+
+    GONE = [ColumnMeta("x", DataType.INT)]
+
+    @pytest.mark.parametrize(
+        "setup, mutate",
+        [
+            (None, lambda c: c.create_schema("staging")),
+            (lambda c: c.create_schema("gone"), lambda c: c.drop_schema("gone")),
+            (None, lambda c: c.create_table("tpch", "extra", TestInvalidation.GONE)),
+            (
+                lambda c: c.create_table("tpch", "gone", TestInvalidation.GONE),
+                lambda c: c.drop_table("tpch", "gone"),
+            ),
+            (
+                None,
+                lambda c: c.add_foreign_key(
+                    "tpch", "orders", "o_custkey", "customer", "c_custkey"
+                ),
+            ),
+            (None, lambda c: c.update_statistics("tpch", "orders", 1, 1)),
+        ],
+        ids=[
+            "create_schema", "drop_schema", "create_table", "drop_table",
+            "add_foreign_key", "update_statistics",
+        ],
+    )
+    def test_every_mutator_reprepares(self, setup, mutate):
+        _, catalog, coordinator = stack()
+        if setup is not None:
+            setup(catalog)  # before the plan is cached: only mutate counts
+        first, _ = coordinator._prepare(SQL)
+        version = catalog.version
+        mutate(catalog)
+        assert catalog.version == version + 1
+        again, _ = coordinator._prepare(SQL)
+        assert again is not first
+        assert coordinator.prepared.misses == 2
+        assert coordinator._prepare(SQL)[0] is again
+
+    def test_ddl_through_one_schema_invalidates_another(self):
+        db = PixelsDB(seed=3)
+        db.load_tpch("tpch", scale=0.01)
+        db.load_logs("logs", num_rows=500)
+        tpch, logs = db.coordinator("tpch"), db.coordinator("logs")
+        first, _ = tpch._prepare(SQL)
+        logs.execute_ddl("CREATE TABLE notes (id INT, body VARCHAR)")
+        assert tpch._prepare(SQL)[0] is not first
+        assert tpch.prepared.misses == 2 and logs.prepared.misses == 0
+
+    def test_statistics_flip_the_build_side(self):
+        _, catalog, coordinator = stack()
+        sql = (
+            "SELECT c_name, o_orderkey FROM customer JOIN orders "
+            "ON c_custkey = o_custkey"
+        )
+
+        def build_table():
+            plan, _ = coordinator._prepare(sql)
+            (join,) = [n for n in walk_plan(plan) if isinstance(n, HashJoin)]
+            return join.right.table.name
+
+        customers = catalog.table("tpch", "customer").row_count
+        orders = catalog.table("tpch", "orders").row_count
+        assert build_table() == "customer"  # the smaller side
+        catalog.update_statistics("tpch", "customer", orders * 10, 1)
+        catalog.update_statistics("tpch", "orders", customers, 1)
+        assert build_table() == "orders"
+
+    def test_dropped_table_fails_as_uncached(self):
+        sim, catalog, coordinator = stack()
+        sql = "SELECT count(*) FROM region"
+        ok = coordinator.submit(sql, cf_enabled=False)
+        sim.run_until(600)
+        assert ok.succeeded
+        coordinator.execute_ddl("DROP TABLE region")
+        failed = coordinator.submit(sql, cf_enabled=False)
+        fresh = Coordinator(
+            Simulator(seed=1), TurboConfig.fast(), catalog,
+            coordinator.store, "tpch",
+        )
+        uncached = fresh.submit(sql, cf_enabled=False)
+        assert failed.error is not None
+        assert failed.error == uncached.error
+        assert "region" in failed.error
+        # A failed prepare is not cached: it raises again, identically.
+        again = coordinator.submit(sql, cf_enabled=False)
+        assert again.error == failed.error
+        assert len(coordinator.prepared) == 1  # only the pre-drop entry
+
+    def test_parse_error_is_not_cached(self):
+        _, _, coordinator = stack()
+        for _ in range(2):
+            execution = coordinator.submit("SELEC 1", cf_enabled=False)
+            assert execution.error is not None
+        assert len(coordinator.prepared) == 0
+        assert coordinator.prepared.misses == 2
+
+
+class TestLruCache:
+    def test_eviction_order_and_counts(self):
+        cache: LruCache[str] = LruCache(capacity=2)
+        cache.put("a", "A")
+        cache.put("b", "B")
+        assert cache.get("a") == "A"  # "b" is now the oldest
+        cache.put("c", "C")
+        assert cache.get("b") is None
+        assert cache.get("a") == "A" and cache.get("c") == "C"
+        assert (cache.hits, cache.misses, cache.evictions) == (3, 1, 1)
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            LruCache(capacity=0)
+
+
+class TestReplayReuse:
+    def test_hybrid_replay_counts(self):
+        """A seed-1 ``hybrid_replay`` replay prepares 128 distinct texts
+        once each and serves the other 182 submissions from the cache."""
+        layers = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "layers"
+        sys.path.insert(0, str(layers))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(layers))
+        from repro.baselines.runner import run_workload
+
+        replay = workloads.HybridReplay(1, {})
+        replay.load()
+        result = run_workload(
+            replay.schedule, replay.store, replay.catalog, "tpch",
+            TurboConfig.experiment(), horizon_s=0.0,
+        )
+        sim, server = result.sim, result.server
+        for until in replay.boundaries:
+            sim.run_until(until)
+        while (until := replay.drain_until(sim, server)) is not None:
+            sim.run_until(until)
+        cache = result.coordinator.prepared
+        assert len(replay.schedule) == 310
+        assert (cache.misses, cache.hits, cache.evictions) == (128, 182, 0)

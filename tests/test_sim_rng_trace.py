@@ -1,5 +1,6 @@
 """Unit tests for RNG streams and metric tracing."""
 
+import numpy as np
 import pytest
 
 from repro.sim.rng import RngRegistry, hash_name
@@ -152,3 +153,85 @@ class TestTraceCsv:
         trace = Trace()
         trace.record("m", 0.0, 1, tag="x,y")
         assert "x;y" in trace.to_csv()
+
+
+# -- the bisecting readers against the linear scans they replaced ------------
+
+
+def scan_value_at(points, time, default=0.0):
+    """The replaced ``Trace.value_at`` loop, over one series."""
+    result = default
+    for point in points:
+        if point.time > time:
+            break
+        result = point.value
+    return result
+
+
+def scan_time_weighted_mean(points, start, end, initial=0.0):
+    """The replaced ``Trace.time_weighted_mean`` loop, over one series."""
+    if end <= start:
+        return scan_value_at(points, start, initial)
+    total = 0.0
+    current_value = initial
+    current_time = start
+    for point in points:
+        if point.time <= start:
+            current_value = point.value
+            continue
+        if point.time >= end:
+            break
+        total += current_value * (point.time - current_time)
+        current_value = point.value
+        current_time = point.time
+    total += current_value * (end - current_time)
+    return total / (end - start)
+
+
+def random_trace(rng, samples):
+    """Non-decreasing times on a coarse grid, so ties (several samples at
+    one time) are common and window edges land on sample times."""
+    trace = Trace()
+    times = np.sort(rng.integers(0, 20, samples)) * 0.25
+    for time in times:
+        trace.record("m", float(time), float(rng.normal(3.0, 2.0)))
+    return trace
+
+
+class TestBisectingReadersMatchScans:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_series_and_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        trace = random_trace(rng, int(rng.integers(0, 30)))
+        points = trace.series("m")
+        # Every sample time (ties included), one time off the grid, and
+        # times before and past the series; start == end is among the pairs.
+        edges = sorted({p.time for p in points} | {-1.0, 0.0, 2.6, 5.0, 6.0})
+        for start in edges:
+            assert trace.value_at("m", start, 7.0) == scan_value_at(points, start, 7.0)
+            for end in edges:
+                got = trace.time_weighted_mean("m", start, end, initial=1.5)
+                want = scan_time_weighted_mean(points, start, end, initial=1.5)
+                assert got == want  # bit-identical, not approximately
+
+    def test_empty_series(self):
+        trace = Trace()
+        assert trace.value_at("none", 3.0, 4.0) == scan_value_at([], 3.0, 4.0)
+        for start, end in ((0.0, 5.0), (5.0, 5.0), (5.0, 1.0)):
+            assert trace.time_weighted_mean(
+                "none", start, end, initial=2.0
+            ) == scan_time_weighted_mean([], start, end, initial=2.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_merged_traces(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        merged = random_trace(rng, 15)
+        merged.merge(random_trace(rng, 15))
+        points = merged.series("m")
+        assert [p.time for p in points] == sorted(p.time for p in points)
+        for start in np.arange(-0.5, 5.5, 0.25):
+            assert merged.value_at("m", start) == scan_value_at(points, start)
+            for end in (start, start + 0.25, start + 1.75, 6.0):
+                assert merged.time_weighted_mean(
+                    "m", start, end
+                ) == scan_time_weighted_mean(points, start, end)

@@ -27,6 +27,16 @@ class TestEventQueue:
             event.callback()
         assert fired == ["a", "b", "c"]
 
+    def test_events_are_never_compared(self):
+        """The heap orders ``(time, seq, event)`` tuples; ``seq`` is
+        unique, so the event itself is never compared (it cannot be)."""
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None)
+        second = queue.push(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            first < second
+        assert queue.pop() is first and queue.pop() is second
+
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
         keep = queue.push(1.0, lambda: None)
