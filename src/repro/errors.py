@@ -102,10 +102,6 @@ class TurboError(PixelsError):
     """Base class for serverless-runtime errors."""
 
 
-class WorkerError(TurboError):
-    """A VM or CF worker failed while executing a plan fragment."""
-
-
 class ScalingError(TurboError):
     """The autoscaler was asked to do something impossible (e.g. scale
     below the minimum cluster size)."""
@@ -130,10 +126,6 @@ class InvalidServiceLevelError(QueryServerError):
 
 class QueryRejectedError(QueryServerError):
     """The server refused the submission (e.g. queue capacity exceeded)."""
-
-
-class GracePeriodExceededError(QueryServerError):
-    """A relaxed query could not be admitted within its grace period."""
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +160,3 @@ class AuthenticationError(RoverError):
 
 class AuthorizationError(RoverError):
     """The session is not authorized to access the requested database."""
-
-
-class NoSuchSessionError(RoverError):
-    """An operation referenced a session id that does not exist."""

@@ -1,10 +1,9 @@
 """A bounded least-recently-used map with hit, miss and eviction counts.
 
-Two per-statement caches share it: a coordinator's prepared plans and the
-query recorder's statement fingerprints.  Both hold values that are pure
-functions of their key (the exact SQL text, plus the catalog version for
-plans), so an evicted entry is recomputed to the same value.  The counts
-are plain attributes for tests to read; nothing exports them.
+Its one user is a coordinator's cache of prepared statements, keyed by
+the exact SQL text and the catalog version.  An entry is a pure function
+of its key, so an evicted one is recomputed to the same value.  The
+counts are plain attributes for tests to read; nothing exports them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Generic, Hashable, TypeVar
 
 V = TypeVar("V")
 
-#: Entries per statement cache: more distinct texts than any shipped
+#: Entries in a statement cache: more distinct texts than any shipped
 #: workload sends one deployment (the fleet replay sends 768).
 STATEMENT_CACHE_ENTRIES = 1024
 

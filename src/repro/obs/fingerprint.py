@@ -14,11 +14,19 @@ syntax) falls back to a lexical normalization — quoted strings and
 numeric tokens replaced, whitespace collapsed — so *every* submission
 gets a fingerprint and the statement store never loses a call.
 
+A running system never parses a text just to name it: a coordinator's
+prepared statement (:class:`repro.turbo.coordinator.PreparedStatement`)
+parses each text once and fingerprints the statement it already holds
+with :func:`fingerprint_statement`.  :func:`fingerprint` parses on its
+own: it is the standalone helper, and the oracle the prepared
+statement's fingerprints are tested against.
+
 :func:`plan_shape_hash` is the complementary physical identity: a hash
 over the optimized plan's preorder node kinds and scanned tables, but
 not its literals (zone-map ranges, residuals).  Two fingerprints that
 map to different plan shapes over time are how an operator spots a plan
-regression; the statement store records both.
+regression; the statement store records both.  The prepared statement
+hashes its plan's shape once, on the first execution that asks.
 """
 
 from __future__ import annotations
@@ -121,6 +129,18 @@ class Fingerprint:
     parsed: bool
 
 
+def fingerprint_statement(sql: str, statement: object | None) -> Fingerprint:
+    """Fingerprint ``sql`` from its already-parsed ``statement`` — the
+    whole statement, an ``EXPLAIN`` wrapper included — or, when
+    ``statement`` is None because the text did not parse, from the
+    lexical fallback."""
+    if statement is None:
+        normalized = _normalize_text(sql)
+        return Fingerprint(_digest(normalized), normalized, parsed=False)
+    normalized = _strip_node(statement).to_sql()
+    return Fingerprint(_digest(normalized), normalized, parsed=True)
+
+
 def fingerprint(sql: str) -> Fingerprint:
     """Fingerprint one query text (never raises)."""
     from repro.errors import PixelsError
@@ -129,10 +149,8 @@ def fingerprint(sql: str) -> Fingerprint:
     try:
         statement = parse_sql(sql)
     except PixelsError:
-        normalized = _normalize_text(sql)
-        return Fingerprint(_digest(normalized), normalized, parsed=False)
-    normalized = _strip_node(statement).to_sql()
-    return Fingerprint(_digest(normalized), normalized, parsed=True)
+        statement = None
+    return fingerprint_statement(sql, statement)
 
 
 def _shape_lines(node: PlanNode, depth: int) -> list[str]:

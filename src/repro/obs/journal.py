@@ -72,7 +72,6 @@ class QueryJournal:
         event: str,
         query_id: str,
         *,
-        trace_id: str | None = None,
         span_id: int | None = None,
         fingerprint: str | None = None,
         level: str | None = None,
@@ -84,7 +83,7 @@ class QueryJournal:
             "ts": round(self._clock(), 9),
             "event": event,
             "query_id": query_id,
-            "trace_id": trace_id if trace_id is not None else query_id,
+            "trace_id": query_id,
             "span_id": span_id,
             "fingerprint": fingerprint,
             "level": level,
@@ -151,7 +150,6 @@ class QueryJournal:
         reasons: list[str],
         profile: "QueryProfile | None",
         *,
-        trace_id: str | None = None,
         span_id: int | None = None,
         fingerprint: str | None = None,
         level: str | None = None,
@@ -163,7 +161,6 @@ class QueryJournal:
             self.event(
                 "capture_dropped",
                 query_id,
-                trace_id=trace_id,
                 span_id=span_id,
                 fingerprint=fingerprint,
                 level=level,
@@ -173,7 +170,6 @@ class QueryJournal:
         record = self.event(
             "capture",
             query_id,
-            trace_id=trace_id,
             span_id=span_id,
             fingerprint=fingerprint,
             level=level,

@@ -25,6 +25,11 @@ instrument or touches a lifecycle sink:
 Each owner holds its recorder, or ``None`` when unobserved, so a
 transition costs it a single guarded call and it knows no sink by name.
 
+Neither recorder parses SQL or hashes a plan.  The statement fingerprint
+and the plan's shape hash are read off the coordinator's prepared
+statement (:meth:`Coordinator.statement`), which parses each text once
+for planning and naming alike and keeps both values once asked for.
+
 **Call order is the format.**  Span ids, journal ``seq`` and ledger
 ``seq`` are counters, and what one sink holds is written into another
 (journal and ledger rows carry the tracer's root span id, the activity
@@ -53,9 +58,8 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.scheduler import HELD_LEVELS, LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
-from repro.lru import LruCache
 from repro.obs.activity import Prior
-from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
+from repro.obs.fingerprint import Fingerprint
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
     ADMISSION_REJECTIONS_METRIC,
@@ -72,7 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Instrumentation
     from repro.obs.activity import GuardDecision
     from repro.obs.profiler import QueryProfile
-    from repro.turbo.coordinator import Coordinator, QueryExecution
+    from repro.turbo.coordinator import (
+        Coordinator,
+        PreparedStatement,
+        QueryExecution,
+    )
     from repro.turbo.cost import MeterReading
 
 
@@ -126,10 +134,6 @@ class QueryRecorder:
         self._deadline_for = deadline_for
         self._profile_of = profile_of
         self._open: dict[str, _OpenQuery] = {}
-        # Normalizing a statement is per-shape work, not per-call work.  A
-        # fingerprint is a pure function of the text, so an evicted entry
-        # comes back identical.
-        self._fingerprint_cache: LruCache[Fingerprint] = LruCache()
         registry = obs.metrics
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
@@ -250,10 +254,7 @@ class QueryRecorder:
         decision = record.admission
         level_value = record.level.value
         self._m_submitted.inc(level=record.requested_level.value)
-        fp = self._fingerprint_cache.get(sql)
-        if fp is None:
-            fp = fingerprint(sql)
-            self._fingerprint_cache.put(sql, fp)
+        fp = self._coordinator.statement(sql).fingerprint
         deadline = self._deadline_for(record.level)
         self.obs.activity.begin(
             query_id,
@@ -737,19 +738,20 @@ class ExecutionRecorder:
     def planned(
         self,
         execution: "QueryExecution",
-        plan: object = None,
+        prepared: "PreparedStatement | None" = None,
         error: str | None = None,
         batch: bool = False,
     ) -> None:
-        """Planning ended: with ``plan`` (its shape hash becomes the
-        execution's statement-store plan identity) or with ``error``."""
+        """Planning ended: with the ``prepared`` statement (its plan's
+        shape hash becomes the execution's statement-store plan identity)
+        or with ``error``."""
         attrs: dict[str, object] = {"batch": True} if batch else {}
         span = self._tracer.start(execution.query_id, "plan", **attrs)
         if error is not None:
             span.finish("error", error=error)
             return
         span.finish("ok")
-        execution.plan_shape = plan_shape_hash(plan)
+        execution.plan_shape = prepared.shape
 
     def vm_queued(self, execution: "QueryExecution") -> None:
         """The query asked the VM cluster for a slot — again, if it has

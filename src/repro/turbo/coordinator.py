@@ -19,8 +19,10 @@ Execution paths:
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from repro.errors import NoSuchQueryError, PixelsError
@@ -35,6 +37,12 @@ from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
 from repro.lru import LruCache
 from repro.obs import Instrumentation, render_analyzed_plan
+from repro.obs.fingerprint import (
+    Fingerprint,
+    fingerprint as fingerprint_text,
+    fingerprint_statement,
+    plan_shape_hash,
+)
 from repro.obs.recorder import ExecutionRecorder
 from repro.sim import Simulator, Trace
 from repro.storage.cache import BufferPool
@@ -108,6 +116,70 @@ class QueryExecution:
         return self.result.stats.bytes_scanned if self.result else 0
 
 
+class PreparedStatement:
+    """One SQL text as its coordinator knows it under one catalog version.
+
+    The text is parsed once, when the entry is made; a parse failure is
+    kept too, so planning never parses it again while the entry lives.
+    The optimized plan is stored once planning succeeds, and the syntax
+    tree is let go then: a cache of plans should not pin every text's
+    tree as well.  The statement fingerprint and the plan's shape hash
+    are computed the first time an observer asks for them and then kept,
+    so an unobserved coordinator computes neither.
+    """
+
+    def __init__(self, sql: str) -> None:
+        from repro.engine.sql import ast as sql_ast
+        from repro.engine.sql.parser import parse_sql
+
+        self.sql = sql
+        #: None for a plain query, ``"plan"`` for EXPLAIN, ``"analyze"``
+        #: for EXPLAIN ANALYZE.
+        self.explain_mode: str | None = None
+        #: The optimized plan; None until :meth:`keep_plan`.
+        self.plan: object | None = None
+        self._parse_error: PixelsError | None = None
+        try:
+            self._statement = parse_sql(sql)
+        except PixelsError as error:
+            self._statement = None
+            self._parse_error = error
+            return
+        if isinstance(self._statement, sql_ast.Explain):
+            self.explain_mode = "analyze" if self._statement.analyze else "plan"
+
+    def query(self):
+        """The statement to plan (an EXPLAIN wrapper removed).  A text
+        that failed to parse raises a fresh copy of its parse error — the
+        same class and message as a fresh parse would raise."""
+        if self._parse_error is not None:
+            raise copy.copy(self._parse_error)
+        if self.explain_mode is not None:
+            return self._statement.statement
+        return self._statement
+
+    def keep_plan(self, plan: object) -> None:
+        """Store the optimized plan and let go of the syntax tree."""
+        self.plan = plan
+        self._statement = None
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        """The statement's fingerprint: the whole parsed statement, an
+        EXPLAIN wrapper included, or the lexical fallback when the text
+        did not parse.  The observed server asks at submission, before
+        the statement is planned; asked only after that, when the tree
+        is gone, it is computed from the text."""
+        if self.plan is not None:
+            return fingerprint_text(self.sql)
+        return fingerprint_statement(self.sql, self._statement)
+
+    @cached_property
+    def shape(self) -> str:
+        """The plan's shape hash (only once :attr:`plan` is set)."""
+        return plan_shape_hash(self.plan)
+
+
 def _graft_cf_profile(
     top: OperatorProfile, sub: OperatorProfile
 ) -> OperatorProfile:
@@ -178,9 +250,9 @@ class Coordinator:
         self.cf_service = CfService(sim, config.cf, config.vm, self.trace)
         self.cost_model = CostModel(config)
         self._optimizer = Optimizer()
-        #: Prepared plans by (exact SQL text, catalog version planned
-        #: under); see :meth:`_prepare`.
-        self.prepared: LruCache[tuple[object, str | None]] = LruCache()
+        #: Prepared statements by (exact SQL text, catalog version); see
+        #: :meth:`statement` and :meth:`_prepare`.
+        self.prepared: LruCache[PreparedStatement] = LruCache()
         self._executions: dict[str, QueryExecution] = {}
         self._query_counter = 0
         # query_id -> (pending completion/crash event, worker) for queries
@@ -272,10 +344,10 @@ class Coordinator:
         execution = self._register(
             sql, query_id, cf_enabled, on_complete, submit_context
         )
-        planned = self._plan(execution)
-        if planned is None:
+        prepared = self._plan(execution)
+        if prepared is None:
             return execution
-        plan, explain_mode = planned
+        plan, explain_mode = prepared.plan, prepared.explain_mode
         if explain_mode == "plan":
             # Pure EXPLAIN renders without occupying any venue and bills
             # nothing (no bytes are scanned).
@@ -323,12 +395,12 @@ class Coordinator:
 
     def _plan(
         self, execution: QueryExecution, batch: bool = False
-    ) -> tuple[object, str | None] | None:
+    ) -> PreparedStatement | None:
         """``_prepare`` the execution's statement; a planning error fails
         the execution and returns None.  A shared batch cannot EXPLAIN."""
         try:
-            plan, explain_mode = self._prepare(execution.sql)
-            if batch and explain_mode is not None:
+            prepared = self._prepare(execution.sql)
+            if batch and prepared.explain_mode is not None:
                 raise PixelsError(
                     "EXPLAIN is not supported on this execution path"
                 )
@@ -338,8 +410,8 @@ class Coordinator:
             self._fail(execution, str(error))
             return None
         if self._recorder is not None:
-            self._recorder.planned(execution, plan, batch=batch)
-        return plan, explain_mode
+            self._recorder.planned(execution, prepared, batch=batch)
+        return prepared
 
     def _choose_cf(self, cf_enabled: bool) -> bool:
         """The adaptive-acceleration decision (§3.1): CF only when the
@@ -347,34 +419,37 @@ class Coordinator:
         override this to force one venue."""
         return cf_enabled and not self.vm_cluster.has_free_slot()
 
-    def _prepare(self, sql: str) -> tuple[object, str | None]:
-        """Parse + plan; returns ``(plan, explain_mode)`` where the mode is
-        None for a plain query, ``"plan"`` for EXPLAIN, ``"analyze"`` for
-        EXPLAIN ANALYZE.
+    def statement(self, sql: str) -> PreparedStatement:
+        """The one place a SQL text becomes a statement: the entry for
+        ``sql`` under the current catalog version, parsed on first sight.
 
-        A text this coordinator prepared before, under the catalog version
-        still current, is served from :attr:`prepared` without being lexed
-        again; entries of older versions are never looked up again and
-        age out.  Every caller treats the plan as read-only (the CF
-        splitter copies the tail it rewires), so one plan serves every run
-        of its text.  A statement that fails to prepare is not cached: it
-        raises the same error each time."""
+        Entries of older catalog versions are never looked up again and
+        age out of :attr:`prepared`.  The query recorder reads a
+        submission's fingerprint here, so an observed text is parsed once
+        for naming and planning both."""
         key = (sql, self.catalog.version)
-        cached = self.prepared.get(key)
-        if cached is not None:
-            return cached
-        from repro.engine.sql import ast as sql_ast
-        from repro.engine.sql.parser import parse_sql
+        prepared = self.prepared.get(key)
+        if prepared is None:
+            prepared = PreparedStatement(sql)
+            self.prepared.put(key, prepared)
+        return prepared
 
-        statement = parse_sql(sql)
-        explain_mode: str | None = None
-        if isinstance(statement, sql_ast.Explain):
-            explain_mode = "analyze" if statement.analyze else "plan"
-            statement = statement.statement
-        planner = Planner(self.catalog, self._default_schema)
-        plan = self._optimizer.optimize(planner.plan(statement))
-        self.prepared.put(key, (plan, explain_mode))
-        return plan, explain_mode
+    def _prepare(self, sql: str) -> PreparedStatement:
+        """:meth:`statement`, planned: its ``plan`` is set on return.
+
+        A text whose entry holds a plan is not planned again.  Every
+        caller treats the plan as read-only (the CF splitter copies the
+        tail it rewires), so one plan serves every run of its text.  A
+        parse failure is part of the entry and raises a fresh copy of the
+        same error each time; a bind or plan failure is not stored and
+        is raised afresh by the next call."""
+        prepared = self.statement(sql)
+        if prepared.plan is None:
+            planner = Planner(self.catalog, self._default_schema)
+            prepared.keep_plan(
+                self._optimizer.optimize(planner.plan(prepared.query()))
+            )
+        return prepared
 
     def execute_ddl(self, sql: str) -> str:
         """Run a DDL statement against the coordinator's metadata.
@@ -429,7 +504,7 @@ class Coordinator:
         estimates for both venues, and the CF fan-out from the plan
         splitter — what an operator looks at before choosing a service
         level for an expensive query."""
-        plan, _ = self._prepare(sql)
+        plan = self._prepare(sql).plan
         return self._render_plan_report(plan, cf_enabled)
 
     def explain_analyze(self, sql: str) -> str:
@@ -437,7 +512,7 @@ class Coordinator:
         scheduling) and render the plan annotated with each operator's
         actual rows, batches, bytes, GETs, cache hits, and deterministic
         virtual execution time."""
-        plan, _ = self._prepare(sql)
+        plan = self._prepare(sql).plan
         executor = self._executor(self.vm_buffer_pool)
         return self._render_analyzed(
             plan, executor.execute(plan, analyze=True), executor
@@ -757,9 +832,9 @@ class Coordinator:
         for sql, query_id in zip(sqls, query_ids or [None] * len(sqls)):
             execution = self._register(sql, query_id, False, on_complete)
             executions.append(execution)
-            planned = self._plan(execution, batch=True)
-            if planned is not None:
-                plans.append(planned[0])
+            prepared = self._plan(execution, batch=True)
+            if prepared is not None:
+                plans.append(prepared.plan)
                 members.append(execution)
         if not members:
             return executions

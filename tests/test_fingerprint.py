@@ -111,10 +111,11 @@ class TestPlanShape:
         assert scan != agg
 
 
-class TestRecorderFingerprintCache:
-    """The recorder's per-text fingerprint cache is bounded, and since a
-    fingerprint is a pure function of its text, evicting one changes no
-    export."""
+class TestStatementCacheEviction:
+    """The recorder names a submission with the fingerprint its
+    coordinator's prepared statement carries.  That cache is bounded, and
+    since an entry is a pure function of its text and catalog version,
+    evicting one changes no export."""
 
     TEXTS = [
         "SELECT count(*) FROM orders",
@@ -129,10 +130,11 @@ class TestRecorderFingerprintCache:
         db = PixelsDB(seed=5, observe=True)
         db.load_tpch("tpch", scale=0.01)
         server = db.query_server("tpch")
-        cache = server._recorder._fingerprint_cache
+        coordinator = db.coordinator("tpch")
+        cache = coordinator.prepared
         assert cache.capacity == STATEMENT_CACHE_ENTRIES
         if capacity is not None:
-            cache = server._recorder._fingerprint_cache = LruCache(capacity)
+            cache = coordinator.prepared = LruCache(capacity)
         for sql in self.TEXTS + self.TEXTS[:1]:
             server.submit(sql, ServiceLevel.IMMEDIATE)
         db.run_to_completion()
@@ -140,7 +142,124 @@ class TestRecorderFingerprintCache:
 
     def test_eviction_changes_no_export(self):
         bounded, cache = self._observed_run(capacity=2)
-        unbounded, _ = self._observed_run(capacity=None)
+        unbounded, full = self._observed_run(capacity=None)
         assert cache.evictions == 2 and len(cache) == 2  # the repeat missed
+        assert (full.evictions, len(full)) == (0, 3)
         assert bounded.statements_json() == unbounded.statements_json()
         assert bounded.journal_jsonl() == unbounded.journal_jsonl()
+
+
+def _deck_texts() -> list[str]:
+    """Every statement text the wall-clock benchmark's decks can send."""
+    import importlib
+    import pathlib
+    import sys
+
+    from repro.workloads import TpchGenerator
+    from repro.workloads.logs import LogsGenerator
+
+    layers = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "layers"
+    sys.path.insert(0, str(layers))
+    try:
+        stm = importlib.import_module("statements")
+    finally:
+        sys.path.remove(str(layers))
+    texts = [
+        stm.tpch_statement(template, v, TpchGenerator(scale, 42).num_orders)
+        for scale in (0.02, 0.3)  # the fleet and hybrid replays' datasets
+        for template in stm.TPCH_TEMPLATES
+        for v in range(stm.VARIANTS)
+    ]
+    texts += [
+        stm.logs_statement(template, v)
+        for template in stm.LOGS_TEMPLATES
+        for v in range(stm.VARIANTS)
+    ]
+    span_s = LogsGenerator(10, 7).days * 86400
+    texts += [
+        stm.scan_statement(template, v, span_s)
+        for template in stm.SCAN_TEMPLATES
+        for v in range(stm.scan_variants(template))
+    ]
+    texts += [
+        stm.fleet_statement(template, v)
+        for template in range(stm.FLEET_TEMPLATES)
+        for v in range(stm.FLEET_VARIANTS)
+    ]
+    return texts
+
+
+class TestPreparedStatementFingerprint:
+    """The coordinator's prepared statement fingerprints the statement it
+    parsed once; :func:`fingerprint` parses on its own.  The two must name
+    every text identically, byte for byte."""
+
+    UNPARSEABLE = [
+        "SELEC 1",
+        "how many orders were placed in 1995?",
+        "!! bogus 'abc 123' 42",
+        "SELECT",
+        "",
+        "EXPLAIN",
+        "SELECT o_custkey FROM orders WHERE o_custkey = 'unterminated",
+    ]
+
+    @staticmethod
+    def _coordinator():
+        from repro.sim import Simulator
+        from repro.storage.catalog import Catalog
+        from repro.storage.object_store import ObjectStore
+        from repro.turbo import Coordinator, TurboConfig
+
+        return Coordinator(
+            Simulator(seed=1), TurboConfig.fast(), Catalog(), ObjectStore(),
+            "tpch",
+        )
+
+    def _assert_oracle(self, texts, parsed=True):
+        coordinator = self._coordinator()
+        for sql in texts:
+            fp = coordinator.statement(sql).fingerprint
+            assert fp == fingerprint(sql), sql
+            assert fp.parsed is parsed, sql
+
+    def test_deck_texts(self):
+        texts = _deck_texts()
+        assert len(set(texts)) > 1000
+        self._assert_oracle(texts)
+
+    def test_explain_wrappers(self):
+        texts = _deck_texts()[:: 7]
+        self._assert_oracle(
+            [f"{prefix} {sql}" for sql in texts
+             for prefix in ("EXPLAIN", "EXPLAIN ANALYZE", "explain  analyze")]
+        )
+        plain = self._coordinator().statement(texts[0]).fingerprint
+        wrapped = self._coordinator().statement("EXPLAIN " + texts[0]).fingerprint
+        assert plain != wrapped  # the wrapper is part of the hashed text
+
+    def test_generated_statements(self):
+        from tests import group_by_statements, scan_predicates
+
+        self._assert_oracle(
+            [scan_predicates.generate(7, index).sql for index in range(200)]
+            + [group_by_statements.generate(7, index)[0].sql
+               for index in range(200)]
+        )
+
+    def test_asked_only_after_planning(self):
+        """A planned entry has let its syntax tree go; a fingerprint first
+        asked for then is computed from the text, to the same value."""
+        from repro import PixelsDB
+
+        db = PixelsDB(seed=1)
+        db.load_tpch("tpch", scale=0.01)
+        coordinator = db.coordinator("tpch")
+        texts = _deck_texts()[:128:8]
+        for sql in texts + ["EXPLAIN " + texts[0], "EXPLAIN ANALYZE " + texts[1]]:
+            prepared = coordinator._prepare(sql)
+            assert prepared.plan is not None
+            assert prepared.fingerprint == fingerprint(sql), sql
+
+    def test_unparseable_input_keeps_the_lexical_fallback(self):
+        self._assert_oracle(self.UNPARSEABLE, parsed=False)

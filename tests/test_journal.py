@@ -43,9 +43,6 @@ class TestEvents:
     def test_trace_id_defaults_to_query_id(self):
         journal = QueryJournal()
         assert journal.event("submit", "q-9")["trace_id"] == "q-9"
-        assert (
-            journal.event("submit", "q-9", trace_id="t-1")["trace_id"] == "t-1"
-        )
 
     def test_export_jsonl_round_trips(self):
         journal = QueryJournal()

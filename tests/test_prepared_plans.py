@@ -1,4 +1,5 @@
-"""Prepared plans: one bounded cache per coordinator, keyed by exact text.
+"""Prepared statements: one bounded cache per coordinator, keyed by exact
+text, that parses each text once for planning and naming alike.
 
 Three fences.  A plan is read-only once optimized: every execution path
 (VM, CF, a VM-crash retry, a shared batch, EXPLAIN, EXPLAIN ANALYZE)
@@ -6,7 +7,8 @@ leaves the cached plan's rendering *and* its node structure as they were.
 Every catalog mutation — through any coordinator over that catalog —
 makes a cached text prepare again, so statistics still steer the build
 side and a statement over a dropped table fails as it would uncached.
-And the headline replay reuses what it prepared: its counts are pinned.
+And the replays reuse what they prepared: their cache, parse,
+fingerprint and plan-shape counts are pinned.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import pytest
 
 from repro import PixelsDB
 from repro.engine.plan import HashJoin, PlanNode, walk_plan
+from repro.errors import NoSuchTableError, ParseError
 from repro.lru import LruCache, STATEMENT_CACHE_ENTRIES
 from repro.sim import Simulator
 from repro.storage.catalog import Catalog, ColumnMeta
@@ -77,12 +80,13 @@ def saturate(coordinator):
 
 class TestPlansStayAsPrepared:
     def _prepared(self, coordinator):
-        plan, mode = coordinator._prepare(SQL)
-        assert mode is None
+        prepared = coordinator._prepare(SQL)
+        assert prepared.explain_mode is None
+        plan = prepared.plan
         return plan, plan.explain(), structure(plan)
 
     def _assert_unchanged(self, coordinator, plan, text, shape):
-        again, _ = coordinator._prepare(SQL)
+        again = coordinator._prepare(SQL).plan
         assert again is plan  # served from the cache, not re-planned
         assert plan.explain() == text
         assert structure(plan) == shape
@@ -159,8 +163,8 @@ class TestPlansStayAsPrepared:
 class TestInvalidation:
     def test_repeat_is_a_hit(self):
         _, _, coordinator = stack()
-        first, _ = coordinator._prepare(SQL)
-        second, _ = coordinator._prepare(SQL)
+        first = coordinator._prepare(SQL).plan
+        second = coordinator._prepare(SQL).plan
         cache = coordinator.prepared
         assert second is first
         assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
@@ -195,23 +199,23 @@ class TestInvalidation:
         _, catalog, coordinator = stack()
         if setup is not None:
             setup(catalog)  # before the plan is cached: only mutate counts
-        first, _ = coordinator._prepare(SQL)
+        first = coordinator._prepare(SQL).plan
         version = catalog.version
         mutate(catalog)
         assert catalog.version == version + 1
-        again, _ = coordinator._prepare(SQL)
+        again = coordinator._prepare(SQL).plan
         assert again is not first
         assert coordinator.prepared.misses == 2
-        assert coordinator._prepare(SQL)[0] is again
+        assert coordinator._prepare(SQL).plan is again
 
     def test_ddl_through_one_schema_invalidates_another(self):
         db = PixelsDB(seed=3)
         db.load_tpch("tpch", scale=0.01)
         db.load_logs("logs", num_rows=500)
         tpch, logs = db.coordinator("tpch"), db.coordinator("logs")
-        first, _ = tpch._prepare(SQL)
+        first = tpch._prepare(SQL).plan
         logs.execute_ddl("CREATE TABLE notes (id INT, body VARCHAR)")
-        assert tpch._prepare(SQL)[0] is not first
+        assert tpch._prepare(SQL).plan is not first
         assert tpch.prepared.misses == 2 and logs.prepared.misses == 0
 
     def test_statistics_flip_the_build_side(self):
@@ -222,7 +226,7 @@ class TestInvalidation:
         )
 
         def build_table():
-            plan, _ = coordinator._prepare(sql)
+            plan = coordinator._prepare(sql).plan
             (join,) = [n for n in walk_plan(plan) if isinstance(n, HashJoin)]
             return join.right.table.name
 
@@ -249,18 +253,44 @@ class TestInvalidation:
         assert failed.error is not None
         assert failed.error == uncached.error
         assert "region" in failed.error
-        # A failed prepare is not cached: it raises again, identically.
+        # A bind failure is not stored: the post-drop entry keeps its
+        # parse but no plan, and the next run binds again, identically.
         again = coordinator.submit(sql, cf_enabled=False)
         assert again.error == failed.error
-        assert len(coordinator.prepared) == 1  # only the pre-drop entry
+        assert len(coordinator.prepared) == 2  # pre-drop + post-drop entry
+        assert coordinator.prepared.get((sql, catalog.version)).plan is None
+        with pytest.raises(NoSuchTableError) as first:
+            coordinator._prepare(sql)
+        with pytest.raises(NoSuchTableError) as second:
+            coordinator._prepare(sql)
+        assert first.value is not second.value
+        assert str(first.value) == str(second.value) == failed.error
 
-    def test_parse_error_is_not_cached(self):
-        _, _, coordinator = stack()
+    def test_parse_error_is_cached(self):
+        """A parse failure is part of the entry: the text is parsed once,
+        and each run raises a fresh error of the class and message a
+        fresh coordinator raises."""
+        _, catalog, coordinator = stack()
+        fresh = Coordinator(
+            Simulator(seed=1), TurboConfig.fast(), catalog,
+            coordinator.store, "tpch",
+        )
+        uncached = fresh.submit("SELEC 1", cf_enabled=False)
         for _ in range(2):
             execution = coordinator.submit("SELEC 1", cf_enabled=False)
             assert execution.error is not None
-        assert len(coordinator.prepared) == 0
-        assert coordinator.prepared.misses == 2
+            assert execution.error == uncached.error
+        assert len(coordinator.prepared) == 1
+        assert (coordinator.prepared.misses, coordinator.prepared.hits) == (1, 1)
+        raised = []
+        for target in (coordinator, coordinator, fresh):
+            with pytest.raises(ParseError) as info:
+                target._prepare("SELEC 1")
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert {type(error) for error in raised} == {ParseError}
+        assert len({str(error) for error in raised}) == 1
+        assert raised[0].position == raised[2].position
 
 
 class TestLruCache:
@@ -279,16 +309,48 @@ class TestLruCache:
             LruCache(capacity=0)
 
 
+def replay_workloads():
+    """The benchmark's workload module, imported without editing it."""
+    layers = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "layers"
+    sys.path.insert(0, str(layers))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(layers))
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of the three per-statement computations: parses, statement
+    fingerprints and plan-shape hashes (each wraps the function every
+    caller of its kind goes through)."""
+    from repro.engine.sql import parser
+
+    # ``repro.obs`` re-exports the function under the module's name.
+    fingerprint_module = importlib.import_module("repro.obs.fingerprint")
+    tally = {"parse": 0, "fingerprint": 0, "shape": 0}
+
+    def counting(module, name, kind):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            tally[kind] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(parser, "parse_sql", "parse")
+    counting(fingerprint_module, "_digest", "fingerprint")
+    counting(fingerprint_module, "plan_shape", "shape")
+    return tally
+
+
 class TestReplayReuse:
-    def test_hybrid_replay_counts(self):
+    def test_hybrid_replay_counts(self, counts):
         """A seed-1 ``hybrid_replay`` replay prepares 128 distinct texts
-        once each and serves the other 182 submissions from the cache."""
-        layers = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "layers"
-        sys.path.insert(0, str(layers))
-        try:
-            workloads = importlib.import_module("workloads")
-        finally:
-            sys.path.remove(str(layers))
+        once each and serves the other 182 submissions from the cache.
+        It is unobserved, so it never fingerprints or hashes a shape."""
+        workloads = replay_workloads()
         from repro.baselines.runner import run_workload
 
         replay = workloads.HybridReplay(1, {})
@@ -305,3 +367,25 @@ class TestReplayReuse:
         cache = result.coordinator.prepared
         assert len(replay.schedule) == 310
         assert (cache.misses, cache.hits, cache.evictions) == (128, 182, 0)
+        assert counts == {"parse": 128, "fingerprint": 0, "shape": 0}
+
+    def test_fleet_sched_parses_each_text_once(self, counts):
+        """A seed-1 ``fleet_sched`` replay is observed: the recorder names
+        every submission and every execution records its plan shape.  Its
+        768 distinct texts are parsed once each (for naming and planning
+        both) and each of the 768 prepared plans is shape-hashed once,
+        across 2 028 executions."""
+        workloads = replay_workloads()
+        replay = workloads.FleetSched(1, {})
+        replay.load()
+        sim, server = replay.build()
+        for until in replay.boundaries:
+            sim.run_until(until)
+        while (until := replay.drain_until(sim, server)) is not None:
+            sim.run_until(until)
+        executions = [q.execution for q in server.queries if q.execution]
+        assert len(executions) == 2028
+        assert all(e.plan_shape is not None for e in executions if e.succeeded)
+        assert len(server._coordinator.prepared) == 768
+        assert counts["parse"] == 768
+        assert counts["shape"] == 768
