@@ -320,10 +320,17 @@ class QueryServer:
         best_effort under pressure (the record's ``requested_level``
         keeps the original).  Raises :class:`QueryRejectedError` if the
         admission layer refuses the submission or the relevant hold
-        queue is full (back-pressure rather than unbounded growth).
+        queue is full (back-pressure rather than unbounded growth), and
+        :class:`PixelsError` if an explicit ``query_id`` is already in
+        use (a generated ``sq-N`` skips the ids that are).
         """
         if query_id is None:
             query_id = f"sq-{next(self._query_ids)}"
+            while query_id in self._queries:
+                query_id = f"sq-{next(self._query_ids)}"
+        elif query_id in self._queries:
+            # Before admission moves a counter or the record is replaced.
+            raise PixelsError(f"duplicate query id {query_id!r}")
         tenant_name = tenant or "default"
         decision = self._admission.decide(
             tenant_name,

@@ -442,7 +442,7 @@ class Binder:
         right qualified column) equality keys and residual is everything
         else (bound over the joined scope), or None.
         """
-        conjuncts = _split_conjuncts(condition)
+        conjuncts = split_conjuncts(condition)
         pairs: list[tuple[str, str]] = []
         residual_parts: list[bound.BoundExpr] = []
         for conjunct in conjuncts:
@@ -492,8 +492,8 @@ class Binder:
         return None
 
 
-def _split_conjuncts(node: ast.Expr) -> list[ast.Expr]:
+def split_conjuncts(node: ast.Expr) -> list[ast.Expr]:
     """Flatten a tree of ANDs into its conjuncts."""
     if isinstance(node, ast.Binary) and node.op.lower() == "and":
-        return _split_conjuncts(node.left) + _split_conjuncts(node.right)
+        return split_conjuncts(node.left) + split_conjuncts(node.right)
     return [node]

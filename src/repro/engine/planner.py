@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.errors import BindError, PlanError
 from repro.engine import expr as bound
-from repro.engine.binder import AggCollector, Binder, Scope
+from repro.engine.binder import AggCollector, Binder, Scope, split_conjuncts
 from repro.engine.plan import (
     Aggregate,
     Distinct,
@@ -119,7 +119,7 @@ class Planner:
         if where is None:
             return plan, None
         remaining: list[ast.Expr] = []
-        for conjunct in _split_and(where):
+        for conjunct in split_conjuncts(where):
             if isinstance(conjunct, ast.InSubquery):
                 plan = self._plan_in_subquery(conjunct, scope, plan)
                 continue
@@ -379,12 +379,6 @@ class Planner:
         if isinstance(item.expr, ast.ColumnRef):
             return item.expr.name
         return f"_col{index}"
-
-
-def _split_and(node: ast.Expr) -> list[ast.Expr]:
-    if isinstance(node, ast.Binary) and node.op.lower() == "and":
-        return _split_and(node.left) + _split_and(node.right)
-    return [node]
 
 
 def _bindings_of(node: ast.TableRef | ast.Join) -> set[str]:

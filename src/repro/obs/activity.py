@@ -48,6 +48,9 @@ audit-log entry (mirroring the autoscaler's decision log); the optional
 through the server's normal cancel path, so the ledger voids the charges
 and the reconciler still balances.
 
+An entry also holds the :class:`~repro.obs.fingerprint.Fingerprint` its
+submission was named by, which the query recorder labels rows from.
+
 Everything here is passive — no simulator events are scheduled — and
 derived from virtual quantities only, so snapshots and exports are
 byte-identical across runs and invariant to ``REPRO_WORKERS``.
@@ -64,6 +67,7 @@ from repro.obs.profiler import AXES, NANOS_PER_DOLLAR, _distribute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import OperatorProfile
+    from repro.obs.fingerprint import Fingerprint
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spend import SpendAccountant
     from repro.turbo.cost import MeterReading
@@ -157,7 +161,8 @@ class ActivityEntry:
     tenant: str = "default"
     level: str | None = None
     requested_level: str | None = None
-    fingerprint: str | None = None
+    #: The fingerprint the submission was named by (the recorder keeps no copy).
+    fingerprint: "Fingerprint | None" = None
     state: str = "admitted"
     submitted_at: float = 0.0
     deadline_s: float | None = None
@@ -308,7 +313,7 @@ class ActivityRegistry:
         tenant: str = "default",
         level: str | None = None,
         requested_level: str | None = None,
-        fingerprint: str | None = None,
+        fingerprint: "Fingerprint | None" = None,
         deadline_s: float | None = None,
         admission: str = "admit",
         prior: Prior | None = None,

@@ -12,8 +12,9 @@ callbacks that run just before each render, so they cost nothing between
 scrapes.
 
 There is no inert twin: instruments are registered and updated only by
-the two recorders in :mod:`repro.obs.recorder` (and the activity
-registry's binding), none of which an unobserved stack builds, so the
+the two recorders in :mod:`repro.obs.recorder`, the derived-series
+collectors they join (:mod:`repro.obs.derived`) and the activity
+registry's binding, none of which an unobserved stack builds, so the
 registry in :meth:`Instrumentation.disabled()
 <repro.obs.Instrumentation.disabled>` is a real one whose exposition
 stays empty.
@@ -21,8 +22,9 @@ stays empty.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
+_T = TypeVar("_T")
 _LabelKey = tuple[tuple[str, str], ...]
 
 
@@ -303,6 +305,7 @@ class MetricsRegistry:
     ) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._shared: dict[Callable[["MetricsRegistry"], object], object] = {}
         self.max_label_sets = max_label_sets
 
     def _record_drop(self, name: str) -> None:
@@ -349,6 +352,15 @@ class MetricsRegistry:
         """Register a callback run before every render to refresh derived
         series from live component state."""
         self._collectors.append(collect)
+
+    def shared(self, factory: Callable[["MetricsRegistry"], _T]) -> _T:
+        """The registry's one ``factory(self)``, built on first use — how
+        the components that each feed part of a derived series (every
+        query server's hold queues, every coordinator's venues) find the
+        one collector that sums them."""
+        if factory not in self._shared:
+            self._shared[factory] = factory(self)
+        return self._shared[factory]  # type: ignore[return-value]
 
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         return self._instruments.get(name)

@@ -4,7 +4,8 @@ A query's life is a handful of transitions, and each of them feeds
 several sinks at once: a span, a journal line, a ledger event, an
 activity state, a counter.  Two classes own those writes, one method per
 transition, and nothing outside this module starts a span, registers an
-instrument or touches a lifecycle sink:
+instrument (bar the derived series the recorders join) or touches a
+lifecycle sink:
 
 * :class:`QueryRecorder` — the query server's transitions: submitted,
   downgraded, rejected, queued, dispatched, cancelled while held,
@@ -12,18 +13,23 @@ instrument or touches a lifecycle sink:
   sinks (SLO tracker, statement store, journal, ledger — the spend
   accountant is a view over it — and activity registry), the per-query
   ``query`` / ``submit`` / ``queue`` / ``dispatch`` / ``bill`` spans and
-  the server's instruments.
+  the server's instruments, and its scheduler joins the registry's
+  hold-queue depth series.
 * :class:`ExecutionRecorder` — the coordinator's transitions: planned,
   VM-queued, attempt started, attempt measured, execution window opened,
   provider charged, CF fan-out invoked and returned, attempt ended,
   finished.  It writes the ``plan`` / ``vm_queue`` / ``execute`` /
   ``scan`` / ``merge`` / ``cf_invoke`` spans, the provider-account ledger
   rows, the activity registry's execution windows and the execution
-  instruments, and it owns the scrape-time collector that derives the
-  venue and storage series from state those components already keep.
+  instruments, and its coordinator joins the registry's venue and
+  storage series (:mod:`repro.obs.derived` sums them at scrape time).
 
 Each owner holds its recorder, or ``None`` when unobserved, so a
 transition costs it a single guarded call and it knows no sink by name.
+Neither recorder keeps per-query state: a span's ``end`` says whether
+it is open, a query is open while its root ``query`` span is, the spans
+a transition closes are found again with :meth:`Tracer.last`, and the
+fingerprint a submission was named by lives in its activity entry.
 
 Neither recorder parses SQL or hashes a plan.  The statement fingerprint
 and the plan's shape hash are read off the coordinator's prepared
@@ -43,28 +49,28 @@ method that writes its result.
 Neither recorder derives anything the bill depends on: ``record.price``
 and ``record.price_nanodollars`` are set by the server before
 :meth:`QueryRecorder.completed` runs; the cost model's meter reading
-(:func:`_meter`) is taken here only for the per-resource split, once per
-billed query, and the ledger, the statement store and the activity
-registry all report that one reading.
+(:func:`_meter`) is taken here only for the per-resource split: once
+when an execution window opens (the activity registry's projection) and
+once per billed query (the ledger, the statement store and the activity
+registry's actual all report that second reading).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 # ``repro.core.query_server`` imports this module after these two, so the
 # upward imports are already loaded by the time they run.
-from repro.core.scheduler import HELD_LEVELS, LevelScheduler
+from repro.core.scheduler import LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
 from repro.obs.activity import Prior
+from repro.obs.derived import HeldQueueSeries, VenueSeries
 from repro.obs.fingerprint import Fingerprint
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
     ADMISSION_REJECTIONS_METRIC,
     GUARD_DECISIONS_METRIC,
-    SCHEDULER_QUEUE_DEPTH_METRIC,
 )
 from repro.obs.profiler import NANOS_PER_DOLLAR
 from repro.obs.slo import SLACK_BUCKETS
@@ -98,18 +104,6 @@ def _meter(
     )
 
 
-@dataclass(slots=True)
-class _OpenQuery:
-    """What the recorder keeps for a query between submission and its
-    terminal transition: the statement fingerprint its journal and
-    statement rows are labelled with, the root ``query`` span, and the
-    ``queue`` span while the query is held."""
-
-    fingerprint: Fingerprint
-    root: Span
-    queue: Span | None = None
-
-
 class QueryRecorder:
     """Writes every sink a query-server transition feeds, in one place."""
 
@@ -129,11 +123,9 @@ class QueryRecorder:
         period and the bill)."""
         self.obs = obs
         self._coordinator = coordinator
-        self._scheduler = scheduler
         self._clock = clock
         self._deadline_for = deadline_for
         self._profile_of = profile_of
-        self._open: dict[str, _OpenQuery] = {}
         registry = obs.metrics
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
@@ -164,15 +156,6 @@ class QueryRecorder:
             "pixels_query_pending_seconds",
             "Submission-to-execution-start delay",
         )
-        self._m_queue_depth = registry.gauge(
-            "pixels_server_queue_depth",
-            "Queries held in the server's per-level queues",
-        )
-        self._m_tenant_queue_depth = registry.gauge(
-            SCHEDULER_QUEUE_DEPTH_METRIC,
-            "Held queries per tenant and service level "
-            "(label sets capped by the cardinality guard)",
-        )
         self._m_slack = registry.histogram(
             "pixels_query_deadline_slack_seconds",
             "Deadline minus pending time; negative buckets are violations",
@@ -182,11 +165,7 @@ class QueryRecorder:
             GUARD_DECISIONS_METRIC,
             "Projection-guard decisions, by rule and action",
         )
-        #: (tenant, level) series last reported non-zero — zeroed on the
-        #: next collection once the tenant drains, so the gauge never
-        #: shows a stale depth.
-        self._depth_series: set[tuple[str, str]] = set()
-        registry.add_collector(self._collect_queue_depth)
+        registry.shared(HeldQueueSeries).add(scheduler)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -207,31 +186,26 @@ class QueryRecorder:
             dict(stats.axes),
         )
 
-    def _collect_queue_depth(self) -> None:
-        live: set[tuple[str, str]] = set()
-        for level in HELD_LEVELS:
-            self._m_queue_depth.set(
-                self._scheduler.depth(level), level=level.value
-            )
-            for tenant, depth in self._scheduler.queue(level).depths().items():
-                self._m_tenant_queue_depth.set(
-                    depth, tenant=tenant, level=level.value
-                )
-                live.add((tenant, level.value))
-        for tenant, level_name in self._depth_series - live:
-            self._m_tenant_queue_depth.set(0, tenant=tenant, level=level_name)
-        self._depth_series = live
+    def _root(self, query_id: str) -> Span:
+        """The query's root span: open until its terminal transition."""
+        return self.obs.tracer.last(query_id, "query")
+
+    def _fingerprint(self, query_id: str) -> Fingerprint:
+        """The fingerprint the submission was named by."""
+        return self.obs.activity.entry(query_id).fingerprint
 
     def _journal(self, record: "ServerQuery", event: str, **attrs: object) -> None:
         """One journal row, labelled with the query's root span and
-        fingerprint while it is open (a guard ruling can arrive after the
-        terminal transition it caused; that row carries neither)."""
-        state = self._open.get(record.query_id)
+        fingerprint while the root span is open (a guard ruling can
+        arrive after the terminal transition it caused; that row carries
+        neither)."""
+        root = self._root(record.query_id)
+        is_open = root.end is None
         self.obs.journal.event(
             event,
             record.query_id,
-            span_id=state.root.span_id if state is not None else None,
-            fingerprint=state.fingerprint.id if state is not None else None,
+            span_id=root.span_id if is_open else None,
+            fingerprint=self._fingerprint(record.query_id).id if is_open else None,
             level=record.level.value,
             **attrs,
         )
@@ -239,10 +213,11 @@ class QueryRecorder:
     def _close_queue_span(
         self, record: "ServerQuery", status: str = "ok"
     ) -> None:
-        state = self._open.get(record.query_id)
-        if state is not None and state.queue is not None:
-            span, state.queue = state.queue, None
-            span.finish(status, held_s=self._clock() - record.submitted_at)
+        """End the query's newest ``queue`` span (a no-op once it has
+        ended, or if the query was never held)."""
+        queue = self.obs.tracer.last(record.query_id, "queue")
+        if queue is not None:
+            queue.finish(status, held_s=self._clock() - record.submitted_at)
 
     # -- transitions ----------------------------------------------------------
 
@@ -261,7 +236,7 @@ class QueryRecorder:
             tenant=record.tenant,
             level=level_value,
             requested_level=record.requested_level.value,
-            fingerprint=fp.id,
+            fingerprint=fp,
             deadline_s=deadline,
             admission=decision.action,
             prior=self._prior(fp, record),
@@ -273,7 +248,7 @@ class QueryRecorder:
         price_per_tb = self._price_per_tb(record.level)
         # price_fraction + deadline_s let traces join SLO records by
         # query id without re-deriving level semantics.
-        root = tracer.start(
+        tracer.start(
             query_id,
             "query",
             parent=ROOT,
@@ -285,7 +260,6 @@ class QueryRecorder:
             fingerprint=fp.id,
             **admission_attrs,
         )
-        self._open[query_id] = _OpenQuery(fp, root)
         tracer.start(query_id, "submit", level=level_value).finish(
             price_per_tb=price_per_tb
         )
@@ -302,13 +276,12 @@ class QueryRecorder:
         """Admission or hold-queue back-pressure refused the submission."""
         self._m_rejected.inc(level=record.requested_level.value)
         self._m_admission_rejected.inc(reason=reason)
-        state = self._open.pop(record.query_id)
         self.obs.tracer.end_open(record.query_id, "error", error=error)
         # The trace is closed by now: fingerprint, but no span id.
         self.obs.journal.event(
             "reject",
             record.query_id,
-            fingerprint=state.fingerprint.id,
+            fingerprint=self._fingerprint(record.query_id).id,
             level=record.level.value,
             error=error,
             reason=reason,
@@ -331,7 +304,7 @@ class QueryRecorder:
             requested_level=record.requested_level.value,
         )
         if held:
-            fp = self._open[record.query_id].fingerprint
+            fp = self._fingerprint(record.query_id)
             self.obs.activity.downgrade(
                 record.query_id,
                 record.level.value,
@@ -349,7 +322,7 @@ class QueryRecorder:
             "share": share,
             "finish_tag": round(finish_tag, 9),
         }
-        self._open[record.query_id].queue = self.obs.tracer.start(
+        self.obs.tracer.start(
             record.query_id, "queue", level=record.level.value, **attrs
         )
         self._journal(record, "queue", **attrs)
@@ -377,13 +350,13 @@ class QueryRecorder:
         query_id = record.query_id
         self._close_queue_span(record, status="cancelled")
         self._journal(record, "cancel", stage="held")
-        state = self._open.pop(query_id, None)
+        root = self._root(query_id)
         self.obs.ledger.void(
             query_id,
             tenant=record.tenant,
             level=record.level.value,
             venue="none",
-            span_id=state.root.span_id if state is not None else None,
+            span_id=root.span_id if root.end is None else None,
             reason="cancelled_held",
         )
         self.obs.tracer.end_open(
@@ -415,8 +388,8 @@ class QueryRecorder:
         obs = self.obs
         query_id = record.query_id
         level_value = record.level.value
-        state = self._open.pop(query_id)
-        span_id = state.root.span_id
+        root = self._root(query_id)
+        fp = self._fingerprint(query_id)
         deadline = self._deadline_for(record.level)
         pending = record.pending_time_s
         slack = (
@@ -442,7 +415,7 @@ class QueryRecorder:
                 tenant=record.tenant,
                 level=level_value,
                 venue=venue,
-                span_id=span_id,
+                span_id=root.span_id,
                 bytes_scanned=stats.bytes_scanned,
                 data_inflation=self._coordinator.config.data_inflation,
                 price_per_tb=price_per_tb,
@@ -464,7 +437,7 @@ class QueryRecorder:
             obs.tracer.start(
                 query_id,
                 "bill",
-                parent=state.root,
+                parent=root,
                 level=level_value,
                 price=record.price,
                 price_per_tb=price_per_tb,
@@ -483,7 +456,7 @@ class QueryRecorder:
                 obs.journal.event(
                     "projection",
                     query_id,
-                    fingerprint=state.fingerprint.id,
+                    fingerprint=fp.id,
                     level=level_value,
                     estimated_nanodollars=projection.estimated_nanodollars,
                     actual_nanodollars=projection.actual_nanodollars,
@@ -502,15 +475,14 @@ class QueryRecorder:
                     tenant=record.tenant,
                     level=level_value,
                     venue=venue,
-                    span_id=span_id,
+                    span_id=root.span_id,
                     reason="cancelled",
                 )
                 obs.activity.finish_cancelled(query_id)
             else:
                 obs.activity.finish_failed(query_id, execution.error)
         self._fold_statement(
-            record, execution, state.fingerprint, span_id, slack, venue,
-            reading,
+            record, execution, fp, root.span_id, slack, venue, reading
         )
         if pending is not None:
             self._m_pending.observe(pending, level=level_value)
@@ -605,12 +577,12 @@ class ExecutionRecorder:
     """
 
     def __init__(self, obs: "Instrumentation", coordinator: "Coordinator") -> None:
-        """``coordinator`` is read only at scrape time, for the venues,
-        store and VM pool the derived series mirror."""
+        """``coordinator`` prices execution windows, and its venues,
+        store and VM pool join the registry's derived series."""
         self._tracer = obs.tracer
         self._ledger = obs.ledger
         self._activity = obs.activity
-        self._registry = registry = obs.metrics
+        registry = obs.metrics
         self._coordinator = coordinator
         self._m_queries = registry.counter(
             "pixels_queries_total", "Finished queries by venue and status"
@@ -628,30 +600,7 @@ class ExecutionRecorder:
         self._m_exec_seconds = registry.histogram(
             "pixels_query_execution_seconds", "Simulated execution time by venue"
         )
-        self._m_vm_workers = registry.gauge(
-            "pixels_vm_workers", "Active VM workers"
-        )
-        self._m_vm_queue = registry.gauge(
-            "pixels_vm_queue_depth", "Tasks waiting for a VM slot"
-        )
-        self._m_vm_concurrency = registry.gauge(
-            "pixels_vm_concurrency", "Running + queued VM tasks"
-        )
-        self._m_vm_watermark = registry.counter(
-            "pixels_vm_watermark_crossings_total",
-            "Autoscaler actions by watermark crossed",
-        )
-        self._m_cf_invocations = registry.counter(
-            "pixels_cf_invocations_total", "CF fan-outs launched"
-        )
-        self._m_cf_worker_seconds = registry.counter(
-            "pixels_cf_worker_seconds_total", "Billed CF worker-seconds"
-        )
-        self._m_cf_active = registry.gauge(
-            "pixels_cf_active_workers", "Currently running CF workers"
-        )
-        registry.add_collector(self._collect_venue_metrics)
-        registry.add_collector(self._collect_storage_metrics)
+        registry.shared(VenueSeries).add(coordinator)
 
     @classmethod
     def observing(
@@ -660,78 +609,6 @@ class ExecutionRecorder:
         """A recorder over ``obs`` when the bundle is observed, else
         ``None`` — the coordinator's one guard."""
         return cls(obs, coordinator) if obs.enabled else None
-
-    # -- derived series ---------------------------------------------------------
-
-    def _collect_venue_metrics(self) -> None:
-        """Derive the VM and CF series from venue state at scrape time.
-
-        A series has no sample before its first event: the VM gauges
-        exist from construction, each ``watermark=`` label from the first
-        crossing, the three CF series from the first invocation.  Event
-        counts are floats, as ``Counter.inc`` would have made them — the
-        time-series export prints ``14.0`` and ``14`` differently.
-        """
-        vm = self._coordinator.vm_cluster
-        cf = self._coordinator.cf_service
-        self._m_vm_workers.set(vm.num_workers)
-        self._m_vm_queue.set(vm.queue_length)
-        self._m_vm_concurrency.set(vm.concurrency)
-        if vm.scale_out_events:
-            self._m_vm_watermark.set_total(
-                float(vm.scale_out_events), watermark="high"
-            )
-        if vm.scale_in_events:
-            self._m_vm_watermark.set_total(
-                float(vm.scale_in_events), watermark="low"
-            )
-        invocations = len(cf.invocations)
-        if invocations:
-            self._m_cf_invocations.set_total(float(invocations))
-            self._m_cf_worker_seconds.set_total(cf.total_worker_seconds())
-            self._m_cf_active.set(cf.active_workers)
-
-    def _collect_storage_metrics(self) -> None:
-        """Mirror storage/cache counters into the registry at scrape time."""
-        registry = self._registry
-        metrics = self._coordinator.store.metrics
-        pool = self._coordinator.vm_buffer_pool
-        store_total = registry.counter(
-            "pixels_store_requests_total", "Object store requests by kind"
-        )
-        store_total.set_total(metrics.get_requests, kind="get")
-        store_total.set_total(metrics.put_requests, kind="put")
-        store_bytes = registry.counter(
-            "pixels_store_bytes_total", "Object store payload bytes by direction"
-        )
-        store_bytes.set_total(metrics.bytes_read, direction="read")
-        store_bytes.set_total(metrics.bytes_written, direction="written")
-        registry.counter(
-            "pixels_logical_bytes_scanned_total",
-            "Logical (billed) bytes scanned across every reader",
-        ).set_total(metrics.logical_bytes_scanned)
-        cache_events = registry.counter(
-            "pixels_cache_events_total", "Buffer-pool events by kind and outcome"
-        )
-        cache_events.set_total(metrics.footer_cache_hits, kind="footer", outcome="hit")
-        cache_events.set_total(
-            metrics.footer_cache_misses, kind="footer", outcome="miss"
-        )
-        cache_events.set_total(metrics.chunk_cache_hits, kind="chunk", outcome="hit")
-        cache_events.set_total(metrics.chunk_cache_misses, kind="chunk", outcome="miss")
-        cache_events.set_total(
-            metrics.chunk_cache_evictions, kind="chunk", outcome="eviction"
-        )
-        if pool is not None:
-            registry.gauge(
-                "pixels_vm_pool_chunk_bytes", "VM buffer pool occupancy in bytes"
-            ).set(pool.cached_chunk_bytes)
-            registry.gauge(
-                "pixels_vm_pool_entries", "VM buffer pool entries by kind"
-            ).set(pool.cached_footers, kind="footer")
-            registry.gauge("pixels_vm_pool_entries", "").set(
-                pool.cached_chunks, kind="chunk"
-            )
 
     # -- transitions ------------------------------------------------------------
 

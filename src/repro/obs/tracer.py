@@ -11,6 +11,11 @@ innermost open span of its trace, and subsequent spans of the same trace
 become its children until it finishes.  An explicit ``parent`` (or
 ``parent=ROOT`` for a forced root) overrides this.
 
+A span's own ``end`` is the only record of whether it is open: the
+tracer keeps one list of spans per trace and nothing beside it, so the
+implicit parent is the newest span of the trace that has not ended.  A
+span holds the tracer's clock, not the tracer.
+
 There is no inert twin.  The two recorders in :mod:`repro.obs.recorder`
 are the only callers of :meth:`Tracer.start`, and an unobserved stack
 builds neither of them, so the tracer in
@@ -46,7 +51,7 @@ class Span:
     end: float | None = None
     status: str = "open"
     attributes: dict[str, object] = field(default_factory=dict)
-    _tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
+    _clock: Callable[[], float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def duration_s(self) -> float | None:
@@ -64,11 +69,11 @@ class Span:
         safety-net closers (:meth:`Tracer.end_open`) compose with explicit
         closes regardless of call order.
         """
-        if self.end is not None or self._tracer is None:
+        if self.end is not None or self._clock is None:
             return
         self.attributes.update(attributes)
         self.status = status
-        self._tracer._finish(self)
+        self.end = self._clock()
 
 
 class Tracer:
@@ -84,7 +89,6 @@ class Tracer:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._next_id = 0
         self._spans: dict[str, list[Span]] = {}
-        self._open: dict[str, list[Span]] = {}  # innermost-last stacks
 
     # -- recording -----------------------------------------------------------
 
@@ -100,9 +104,9 @@ class Tracer:
             parent_id = None
         elif isinstance(parent, Span):
             parent_id = parent.span_id
-        else:
-            stack = self._open.get(trace_id)
-            parent_id = stack[-1].span_id if stack else None
+        else:  # the newest span of the trace that has not ended
+            spans = reversed(self._spans.get(trace_id, ()))
+            parent_id = next((s.span_id for s in spans if s.end is None), None)
         span = Span(
             span_id=self._next_id,
             trace_id=trace_id,
@@ -110,32 +114,23 @@ class Tracer:
             start=self._clock(),
             parent_id=parent_id,
             attributes=dict(attributes),
-            _tracer=self,
+            _clock=self._clock,
         )
         self._next_id += 1
         self._spans.setdefault(trace_id, []).append(span)
-        self._open.setdefault(trace_id, []).append(span)
         return span
 
-    def _finish(self, span: Span) -> None:
-        span.end = self._clock()
-        stack = self._open.get(span.trace_id)
-        if stack and span in stack:
-            stack.remove(span)
-
     def end_open(self, trace_id: str, status: str = "ok", **attributes: object) -> int:
-        """Close every still-open span of ``trace_id`` (innermost first).
+        """Close every still-open span of ``trace_id``, newest first.
 
         The safety net for error, retry-exhaustion, and cancellation
         paths: no code path may leak an open span past query completion.
         Returns the number of spans it closed.
         """
-        stack = self._open.get(trace_id, [])
-        closed = 0
-        while stack:
-            stack[-1].finish(status, **attributes)
-            closed += 1
-        return closed
+        closing = self.open_spans(trace_id)
+        for span in reversed(closing):
+            span.finish(status, **attributes)
+        return len(closing)
 
     # -- inspection ----------------------------------------------------------
 
@@ -147,7 +142,8 @@ class Tracer:
         return list(self._spans.get(trace_id, []))
 
     def open_spans(self, trace_id: str) -> list[Span]:
-        return list(self._open.get(trace_id, []))
+        """The spans of the trace that have not ended, in creation order."""
+        return [span for span in self._spans.get(trace_id, ()) if span.end is None]
 
     def last(self, trace_id: str, name: str) -> Span | None:
         """The most recently started span called ``name`` in the trace,

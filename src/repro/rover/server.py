@@ -110,14 +110,7 @@ class RoverServer:
                 {
                     "name": table.name,
                     "comment": table.comment,
-                    "columns": [
-                        {
-                            "name": column.name,
-                            "type": column.dtype.value,
-                            "comment": column.comment,
-                        }
-                        for column in table.columns
-                    ],
+                    "columns": [c.to_json() for c in table.columns],
                 }
                 for table in schema.tables.values()
             ],

@@ -34,6 +34,11 @@ class ColumnMeta:
     dtype: DataType
     comment: str = ""
 
+    def to_json(self) -> dict:
+        """The column as the persisted catalog, the NL2SQL payload and the
+        Rover schema tree all spell it."""
+        return {"name": self.name, "type": self.dtype.value, "comment": self.comment}
+
 
 @dataclass
 class ForeignKey:
@@ -42,6 +47,13 @@ class ForeignKey:
     column: str
     ref_table: str
     ref_column: str
+
+    def to_json(self) -> dict:
+        return {
+            "column": self.column,
+            "ref_table": self.ref_table,
+            "ref_column": self.ref_column,
+        }
 
 
 @dataclass
@@ -220,22 +232,8 @@ class Catalog:
                             "prefix": table.prefix,
                             "row_count": table.row_count,
                             "size_bytes": table.size_bytes,
-                            "columns": [
-                                {
-                                    "name": column.name,
-                                    "type": column.dtype.value,
-                                    "comment": column.comment,
-                                }
-                                for column in table.columns
-                            ],
-                            "foreign_keys": [
-                                {
-                                    "column": fk.column,
-                                    "ref_table": fk.ref_table,
-                                    "ref_column": fk.ref_column,
-                                }
-                                for fk in table.foreign_keys
-                            ],
+                            "columns": [c.to_json() for c in table.columns],
+                            "foreign_keys": [fk.to_json() for fk in table.foreign_keys],
                         }
                         for table in schema.tables.values()
                     ],
@@ -317,22 +315,8 @@ class Catalog:
                 {
                     "name": table.name,
                     "comment": table.comment,
-                    "columns": [
-                        {
-                            "name": column.name,
-                            "type": column.dtype.value,
-                            "comment": column.comment,
-                        }
-                        for column in table.columns
-                    ],
-                    "foreign_keys": [
-                        {
-                            "column": fk.column,
-                            "ref_table": fk.ref_table,
-                            "ref_column": fk.ref_column,
-                        }
-                        for fk in table.foreign_keys
-                    ],
+                    "columns": [c.to_json() for c in table.columns],
+                    "foreign_keys": [fk.to_json() for fk in table.foreign_keys],
                 }
                 for table in schema.tables.values()
             ],

@@ -116,11 +116,9 @@ class VmCluster:
         self._pending_arrivals = 0
         self._last_scale_event = -float("inf")
         self._retired_worker_seconds = 0.0
-        self.scale_out_events = 0
-        self.scale_in_events = 0
-        #: Autoscaler decision audit log — 1:1 with the scale-event
-        #: counts above; always recorded (a list append per scale event,
-        #: which is rare and deterministic).
+        #: Autoscaler decision audit log, which the scale-event counts
+        #: count; always recorded (a list append per scale event, which
+        #: is rare and deterministic).
         self.audit_log: list[ScalingDecision] = []
         for _ in range(config.min_workers):
             self._add_worker()
@@ -152,6 +150,14 @@ class VmCluster:
     @property
     def concurrency_per_worker(self) -> float:
         return self.concurrency / max(self.num_workers, 1)
+
+    @property
+    def scale_out_events(self) -> int:
+        return sum(d.action == "scale_out" for d in self.audit_log)
+
+    @property
+    def scale_in_events(self) -> int:
+        return sum(d.action == "scale_in" for d in self.audit_log)
 
     def has_free_slot(self) -> bool:
         return any(worker.free_slots() > 0 for worker in self._workers)
@@ -317,7 +323,6 @@ class VmCluster:
         to_add = desired - self.num_workers - self._pending_arrivals
         if to_add <= 0:
             return
-        self.scale_out_events += 1
         self._last_scale_event = self._sim.now
         pending_before = self._pending_arrivals
         self.audit_log.append(
@@ -359,7 +364,6 @@ class VmCluster:
         to_remove = self.num_workers - desired
         if to_remove <= 0:
             return
-        self.scale_in_events += 1
         self._last_scale_event = self._sim.now
         self.audit_log.append(
             ScalingDecision(

@@ -10,7 +10,9 @@ coordinator on its own, through every execution path — and checks the
 bundle: no sink recorded anything, and every read-side accessor of
 :class:`~repro.PixelsDB` and :class:`~repro.rover.RoverServer` returns
 the documented "nothing was watching" value; options that act only on
-an observed stack are refused on an unobserved one.
+an observed stack are refused on an unobserved one.  And on an observed
+stack neither recorder keeps state per query: the tracer and the
+activity registry already hold it.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pathlib
 import pytest
 
 from repro import CapturePolicy, GuardPolicy, PixelsDB, QueryServer, ServiceLevel
+from repro.core import QueryStatus
 from repro.errors import NoSuchQueryError
 from repro.obs import Instrumentation
 from repro.rover import UserStore
@@ -395,3 +398,46 @@ class TestObservedOnlyOptions:
         with pytest.raises(ValueError, match="guard="):
             QueryServer(sim, coordinator, config, guard=GuardPolicy())
         assert QueryServer(sim, coordinator, config).guard is None
+
+
+class TestRecordersKeepNoPerQueryState:
+    """What a query's transitions need again (its root and queue spans,
+    its fingerprint) is read back off the tracer and the activity
+    registry, so no recorder container grows with the held queue."""
+
+    SQL = "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag"
+
+    @staticmethod
+    def container_sizes(recorder) -> dict[str, int]:
+        return {
+            name: len(value)
+            for name, value in vars(recorder).items()
+            if isinstance(value, (dict, list, set, tuple))
+        }
+
+    def held_stack(self, dataset, held: int):
+        store, catalog = dataset
+        sim = Simulator(seed=3)
+        config = TurboConfig.fast()
+        obs = Instrumentation.create(clock=lambda: sim.now)
+        coordinator = Coordinator(sim, config, catalog, store, "tpch", obs=obs)
+        server = QueryServer(sim, coordinator, config)
+        server.submit(self.SQL, ServiceLevel.IMMEDIATE)  # the blocker
+        records = [
+            server.submit(self.SQL, ServiceLevel.BEST_EFFORT, tenant="acme")
+            for _ in range(held)
+        ]
+        assert server.queued_best_effort == held
+        assert all(r.status is QueryStatus.PENDING for r in records)
+        return server, coordinator
+
+    def test_held_queries_grow_no_recorder_container(self):
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.01).tables())
+        one_server, one_coordinator = self.held_stack((store, catalog), 1)
+        ten_server, ten_coordinator = self.held_stack((store, catalog), 10)
+        for one, ten in (
+            (one_server._recorder, ten_server._recorder),
+            (one_coordinator._recorder, ten_coordinator._recorder),
+        ):
+            assert self.container_sizes(one) == self.container_sizes(ten)

@@ -152,6 +152,12 @@ class TestAutoscalerAudit:
         assert len(audit) > 0
         assert len(outs) == crossings.value(watermark="high")
         assert len(ins) == crossings.value(watermark="low")
+        # The cluster's event counts are read off the same log.
+        cluster = result.coordinator.vm_cluster
+        assert cluster.scale_out_events == len(outs) > 0
+        assert cluster.scale_in_events == len(ins)
+        with pytest.raises(AttributeError):
+            cluster.scale_out_events = 0
 
     def test_audit_entries_explain_the_decision(self, dataset):
         result = _run_stress(dataset, observe=True)

@@ -1,5 +1,6 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
+import itertools
 import json
 
 from repro.obs import ROOT, Tracer
@@ -42,6 +43,18 @@ class TestSpanLifecycle:
         span = tracer.start("q1", "a").set(x=1).set(y=2)
         assert span.attributes == {"x": 1, "y": 2}
 
+    def test_span_holds_no_reference_to_its_tracer(self):
+        # A span's ``end`` is the only record of whether it is open: it
+        # finishes on the tracer's clock without calling back into the
+        # tracer, so it neither holds the tracer nor a bound method of it.
+        tracer = Tracer(FakeClock())
+        span = tracer.start("q1", "a")
+        held = list(vars(span).values())
+        assert not any(isinstance(value, Tracer) for value in held)
+        assert not any(getattr(value, "__self__", None) is tracer for value in held)
+        span.finish()
+        assert tracer.open_spans("q1") == []
+
 
 class TestParenting:
     def test_implicit_parent_is_innermost_open_span(self):
@@ -58,6 +71,25 @@ class TestParenting:
         tracer.start("q1", "first").finish()
         second = tracer.start("q1", "second")
         assert second.parent_id == outer.span_id
+
+    def test_finishing_a_middle_span_keeps_the_newest_open_one_as_parent(self):
+        ticks = itertools.count()
+        tracer = Tracer(lambda: float(next(ticks)))
+        outer = tracer.start("q1", "outer")  # t=0
+        middle = tracer.start("q1", "middle")  # t=1
+        inner = tracer.start("q1", "inner")  # t=2
+        middle.finish()  # t=3
+        leaf = tracer.start("q1", "leaf")  # t=4
+        assert leaf.parent_id == inner.span_id
+        assert [s.name for s in tracer.open_spans("q1")] == ["outer", "inner", "leaf"]
+        # end_open closes what is left newest first: each close reads the
+        # ticking clock once, so the end stamps give the order.
+        assert tracer.end_open("q1", "cancelled") == 3
+        assert (leaf.end, inner.end, outer.end) == (5.0, 6.0, 7.0)
+        assert [s.status for s in (outer, middle, inner, leaf)] == [
+            "cancelled", "ok", "cancelled", "cancelled",
+        ]
+        assert middle.end == 3.0
 
     def test_explicit_parent_overrides_stack(self):
         tracer = Tracer()

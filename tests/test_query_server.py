@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro import PixelsDB
 from repro.core import QueryStatus, ServiceLevel
-from repro.errors import InvalidServiceLevelError, NoSuchQueryError, QueryRejectedError
+from repro.errors import (
+    InvalidServiceLevelError,
+    NoSuchQueryError,
+    PixelsError,
+    QueryRejectedError,
+)
 from repro.turbo.coordinator import ExecutionVenue
 
 SIMPLE = "SELECT count(*) FROM orders"
@@ -222,3 +228,55 @@ class TestBillingAndStatus:
             for _ in range(20):
                 server.submit(HEAVY, ServiceLevel.RELAXED)
         assert server.queued_relaxed == 8
+
+
+class TestQueryIds:
+    """A query id names one server record; the server refuses a taken
+    explicit id before anything moves, and its own ids skip taken ones."""
+
+    @pytest.fixture
+    def db(self):
+        db = PixelsDB(observe=True, seed=5)
+        db.load_tpch("tpch", scale=0.01)
+        return db
+
+    def test_generated_id_skips_an_explicit_one(self, db):
+        server = db.query_server("tpch")
+        first = server.submit(
+            "SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="sq-1"
+        )
+        second = server.submit("SELECT COUNT(*) FROM region", ServiceLevel.IMMEDIATE)
+        assert second.query_id == "sq-2"
+        db.run_to_completion()  # returns: no phantom record stays pending
+        assert [q.query_id for q in server.queries] == ["sq-1", "sq-2"]
+        assert first.price_nanodollars > 0 and second.price_nanodollars > 0
+        assert server.total_billed_nanodollars() == (
+            first.price_nanodollars + second.price_nanodollars
+        )
+        assert server.scheduler_snapshot()["tenant_live"] == {}
+
+    def test_explicit_duplicate_is_refused_before_anything_changes(self, db):
+        server = db.query_server("tpch")
+        server.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE)
+        held = server.submit(
+            "SELECT COUNT(*) FROM region", ServiceLevel.BEST_EFFORT, query_id="mine"
+        )
+        assert held.status is QueryStatus.PENDING
+
+        def state():
+            return (
+                list(server.queries),
+                server.scheduler_snapshot(),
+                db.activity(),
+                db.journal_jsonl(),
+            )
+
+        before = state()
+        with pytest.raises(PixelsError, match="duplicate query id 'mine'"):
+            server.submit(
+                "SELECT COUNT(*) FROM orders", ServiceLevel.IMMEDIATE, query_id="mine"
+            )
+        assert state() == before
+        db.run_to_completion()
+        assert server.query("mine") is held and held.status is QueryStatus.FINISHED
+        assert server.scheduler_snapshot()["tenant_live"] == {}

@@ -324,6 +324,10 @@ class TestMetricsEndToEnd:
         obs.metrics.collect()
         assert counter.value(watermark="low") == cluster.scale_in_events > 0
         assert obs.metrics.get("pixels_vm_workers").value() == 1
+        # Both event counts are views over the autoscaler's audit log.
+        actions = [decision.action for decision in cluster.audit_log]
+        assert cluster.scale_out_events == actions.count("scale_out")
+        assert cluster.scale_in_events == actions.count("scale_in")
 
     def test_venue_series_have_no_sample_before_their_first_event(self):
         sim, coordinator, _, obs = make_observed_stack()
@@ -384,6 +388,41 @@ class TestMetricsEndToEnd:
             "pixels_cf_worker_seconds_total 0.9999999999999999\n"
             in obs.metrics.render()
         )
+
+    def test_two_schemas_report_the_sum_of_their_servers_and_venues(self):
+        """Every server and coordinator of a two-schema db shares one
+        registry: the derived series report their sum (the shared object
+        store counted once), not whichever registered last."""
+        db = PixelsDB(observe=True, seed=5)
+        db.load_tpch("a", scale=0.01)
+        db.load_tpch("b", scale=0.01)
+        busy, idle = db.query_server("a"), db.query_server("b")
+        busy.submit(SQL, ServiceLevel.IMMEDIATE)
+        for _ in range(25):
+            busy.submit(SQL, ServiceLevel.BEST_EFFORT, tenant="acme")
+        idle.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE)
+        assert (busy.queued_best_effort, idle.queued_best_effort) == (25, 0)
+        metrics = db.obs.metrics
+        metrics.collect()
+
+        def value(name, **labels):
+            return metrics.get(name).value(**labels)
+
+        assert value("pixels_server_queue_depth", level="best_effort") == 25
+        assert value(
+            "pixels_scheduler_queue_depth", tenant="acme", level="best_effort"
+        ) == 25
+        clusters = [db.coordinator(s).vm_cluster for s in ("a", "b")]
+        assert [c.concurrency for c in clusters] == [1, 1]
+        assert value("pixels_vm_concurrency") == 2
+        assert value("pixels_vm_workers") == sum(c.num_workers for c in clusters)
+        assert value("pixels_store_requests_total", kind="get") == (
+            db.store.metrics.get_requests
+        )
+        pools = [db.coordinator(s).vm_buffer_pool for s in ("a", "b")]
+        assert value("pixels_vm_pool_entries", kind="footer") == sum(
+            pool.cached_footers for pool in pools
+        ) > 0
 
     def test_rover_exposes_metrics_and_traces(self):
         from repro.rover import UserStore
