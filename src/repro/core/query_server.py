@@ -236,6 +236,11 @@ class QueryServer:
         self._tick_callback = WeakCallback(self._tick)
         sim.schedule(config.scheduler_interval_s, self._tick_callback)
 
+    def _id_taken(self, query_id: str) -> bool:
+        return query_id in self._queries or (
+            self._recorder is not None and self._recorder.knows(query_id)
+        )
+
     def _on_guard_decision(self, decision: GuardDecision) -> None:
         self._recorder.guard_decided(
             decision, self._queries.get(decision.query_id)
@@ -322,13 +327,16 @@ class QueryServer:
         admission layer refuses the submission or the relevant hold
         queue is full (back-pressure rather than unbounded growth), and
         :class:`PixelsError` if an explicit ``query_id`` is already in
-        use (a generated ``sq-N`` skips the ids that are).
+        use (a generated ``sq-N`` skips the ids that are).  Observed, an id
+        is in use as long as the shared activity registry holds an entry
+        for it: a server sharing the bundle may own it, or it named a
+        rejected submission whose trace and entry remain.
         """
         if query_id is None:
             query_id = f"sq-{next(self._query_ids)}"
-            while query_id in self._queries:
+            while self._id_taken(query_id):
                 query_id = f"sq-{next(self._query_ids)}"
-        elif query_id in self._queries:
+        elif self._id_taken(query_id):
             # Before admission moves a counter or the record is replaced.
             raise PixelsError(f"duplicate query id {query_id!r}")
         tenant_name = tenant or "default"

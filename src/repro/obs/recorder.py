@@ -219,6 +219,11 @@ class QueryRecorder:
         if queue is not None:
             queue.finish(status, held_s=self._clock() - record.submitted_at)
 
+    def knows(self, query_id: str) -> bool:
+        """Whether the bundle already records a query ``query_id`` — any
+        server sharing it may have submitted one, rejected or not."""
+        return self.obs.activity.entry(query_id) is not None
+
     # -- transitions ----------------------------------------------------------
 
     def submitted(self, record: "ServerQuery") -> None:

@@ -9,13 +9,30 @@ cold columnar scans.  This module supplies the pool half of that design:
   object's etag, so repeated opens of the same file skip the two footer
   range-GETs entirely;
 * a **column-chunk LRU buffer pool** with a configurable byte budget,
-  also etag-validated per entry, so warm scans serve chunk bytes from
-  memory instead of the store.
+  also etag-validated per entry, so warm scans serve chunks from memory
+  instead of the store.
+
+**What a chunk entry holds.**  An entry is ``(etag, value, charge)`` and
+its value goes through two states:
+
+1. a miss pools the chunk's stored *bytes*, charged their length (the
+   reader decodes that miss itself, under its selection mask);
+2. the entry's first hit decodes the bytes *whole*, once, marks every
+   array of the vector read-only (``data``, ``nulls``, ``codes``,
+   ``dictionary``) and keeps the vector in the bytes' place, charged
+   :func:`decoded_size`.  Every later hit hands the vector out without
+   decoding.
+
+A hit on stored bytes saves only a (simulated) GET; a hit on a decoded
+vector also saves the decode, which is what a warm scan spends its wall
+time on.  Charging the *decoded* size keeps the byte budget honest: PLAIN
+strings decode to several times their stored bytes, so charging the stored
+length would let a pool hold far more memory than its budget says.
 
 Etag validation *is* the invalidation mechanism: every PUT bumps the
 object's etag and DELETE removes it, so entries cached against a stale
 etag are evicted lazily on the next lookup — a pool can never serve
-bytes from before an overwrite.
+values from before an overwrite, decoded or not.
 
 **Billing invariant** (see :class:`~repro.storage.table.ScanResult`):
 the user is billed for *logical* bytes scanned — the chunk and footer
@@ -28,16 +45,72 @@ byte-stable under caching.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.storage.object_store import ObjectStore, StorageMetrics
+from repro.storage.types import CodedVector, ColumnVector, DataType
 
 #: Merge adjacent range-GETs whose gap is at most this many bytes when no
 #: explicit :class:`CacheConfig` governs the reader (see
 #: ``CacheConfig.max_coalesce_gap_bytes``).
 DEFAULT_COALESCE_GAP_BYTES = 64 * 1024
+
+
+def decoded_size(vector: ColumnVector) -> int:
+    """The bytes a pooled decoded vector is charged against the budget.
+
+    A deterministic function of the vector, close to what it holds alive:
+
+    * fixed-width: ``data.nbytes``;
+    * PLAIN VARCHAR: the pointer array plus ``sys.getsizeof`` of every
+      string (each row is its own ``str``);
+    * coded (DICT): the codes plus the dictionary, counted as PLAIN VARCHAR;
+
+    plus ``nulls.nbytes`` when the vector has a null mask.
+    """
+    if vector.codes is not None:
+        size = vector.codes.nbytes + _strings_size(vector.dictionary)
+    elif vector.dtype is DataType.VARCHAR:
+        size = _strings_size(vector.data)
+    else:
+        size = vector.data.nbytes
+    return size if vector.nulls is None else size + vector.nulls.nbytes
+
+
+def _strings_size(strings) -> int:
+    values = strings.tolist()
+    joined = "".join(values)
+    if joined.isascii():
+        # Every ASCII ``str`` is compact: its size is the empty string's
+        # plus one byte per character, so the sum needs no call per value.
+        size = len(values) * _EMPTY_STR_SIZE + len(joined)
+    else:
+        size = sum(map(sys.getsizeof, values))
+    return strings.nbytes + size
+
+
+_EMPTY_STR_SIZE = sys.getsizeof("")
+
+
+def _frozen(vector: ColumnVector) -> ColumnVector:
+    """``vector`` with every array read-only, fit to be shared by scans.
+
+    A DICT chunk's codes are a view of its stored bytes; they are copied
+    so that the pooled vector does not keep those bytes alive uncharged.
+    """
+    if vector.codes is not None:
+        vector = CodedVector(vector.codes.copy(), vector.dictionary, vector.nulls)
+        arrays = (vector.codes, vector.dictionary, vector.nulls)
+    else:
+        arrays = (vector.data, vector.nulls)
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return vector
 
 
 @dataclass(frozen=True)
@@ -97,9 +170,15 @@ class BufferPool:
 
     A pool is deliberately *per worker tier*: the coordinator keeps one
     long-lived pool for the VM cluster (VMs are long-running, so their
-    pool is warm across queries) and a fresh pool per CF invocation
-    (functions cold-start with empty memory) — preserving the paper's
-    elasticity asymmetry between the two tiers.
+    pool is warm across queries and ends up holding decoded vectors) and a
+    fresh pool per CF invocation (functions cold-start with empty memory,
+    so theirs holds little but the bytes of its misses) — preserving the
+    paper's elasticity asymmetry between the two tiers.  Both run the same
+    code; only the pool's age differs.
+
+    Chunk entries are ``(etag, value, charge)``: stored bytes charged their
+    length until the entry's first hit, then the read-only decoded vector
+    charged :func:`decoded_size` (see the module docstring).
     """
 
     def __init__(self, store: ObjectStore, config: CacheConfig | None = None) -> None:
@@ -113,9 +192,9 @@ class BufferPool:
         self._footers: OrderedDict[tuple[str, str], tuple[int, object, int]] = (
             OrderedDict()
         )
-        # (bucket, key, offset, length) -> (etag, payload)
+        # (bucket, key, offset, length) -> (etag, bytes or vector, charge)
         self._chunks: OrderedDict[
-            tuple[str, str, int, int], tuple[int, bytes]
+            tuple[str, str, int, int], tuple[int, bytes | ColumnVector, int]
         ] = OrderedDict()
         self._chunk_bytes = 0
 
@@ -145,9 +224,10 @@ class BufferPool:
 
     def clear(self) -> None:
         """Drop every entry (a cold restart of this worker tier)."""
-        self._footers.clear()
-        self._chunks.clear()
-        self._chunk_bytes = 0
+        with self._lock:
+            self._footers.clear()
+            self._chunks.clear()
+            self._chunk_bytes = 0
 
     # -- footer cache --------------------------------------------------------
 
@@ -199,9 +279,20 @@ class BufferPool:
         key: str,
         offset: int,
         length: int,
+        decode: Callable[[bytes], ColumnVector],
         metrics: StorageMetrics | None = None,
-    ) -> bytes | None:
-        """The chunk's payload if pooled and still current, else None."""
+    ) -> ColumnVector | None:
+        """The chunk's decoded vector if pooled and still current, else None.
+
+        ``decode`` turns the chunk's stored bytes into its whole vector
+        (validating them); it runs on the entry's first hit only, under the
+        pool lock, so morsel threads that hit one entry together promote it
+        once.  The vector's arrays are read-only and a coded vector is
+        handed out as a fresh :class:`CodedVector` over the pooled codes and
+        dictionary, so no caller can change what the next one reads.  A
+        chunk whose decode raises stays pooled as bytes and raises again on
+        its next hit.
+        """
         metrics = metrics if metrics is not None else self._store.metrics
         pool_key = (bucket, key, offset, length)
         current = self._store.etag(bucket, key)
@@ -211,7 +302,12 @@ class BufferPool:
                 self._chunks.move_to_end(pool_key)
                 self.stats.chunk_hits += 1
                 metrics.chunk_cache_hits += 1
-                return entry[1]
+                vector = entry[1]
+                if isinstance(vector, bytes):
+                    vector = self._promote(pool_key, entry, decode, metrics)
+                if vector.codes is not None:
+                    return CodedVector(vector.codes, vector.dictionary, vector.nulls)
+                return vector
             if entry is not None:
                 # Stale etag: an invalidation, counted as the miss below
                 # rather than as a budget eviction.
@@ -233,7 +329,6 @@ class BufferPool:
         A payload larger than the whole budget is not cached at all —
         admitting it would flush every other entry for a single chunk.
         """
-        metrics = metrics if metrics is not None else self._store.metrics
         if len(payload) > self.config.chunk_budget_bytes:
             return
         etag = self._store.etag(bucket, key)
@@ -243,11 +338,37 @@ class BufferPool:
         with self._lock:
             if pool_key in self._chunks:
                 self._evict(pool_key, count=False)
-            self._chunks[pool_key] = (etag, payload)
+            self._chunks[pool_key] = (etag, payload, len(payload))
             self._chunk_bytes += len(payload)
-            while self._chunk_bytes > self.config.chunk_budget_bytes and self._chunks:
-                oldest = next(iter(self._chunks))
-                self._evict(oldest, metrics=metrics)
+            self._fit(metrics)
+
+    def _promote(
+        self,
+        pool_key: tuple[str, str, int, int],
+        entry: tuple[int, bytes, int],
+        decode: Callable[[bytes], ColumnVector],
+        metrics: StorageMetrics,
+    ) -> ColumnVector:
+        """Replace a bytes entry by its read-only decoded vector, in place
+        (its LRU position stays), re-charged at the decoded size.  A vector
+        larger than the whole budget is returned but not kept — like an
+        oversized payload, it counts as no eviction."""
+        etag, payload, charge = entry
+        vector = _frozen(decode(payload))
+        decoded = decoded_size(vector)
+        if decoded > self.config.chunk_budget_bytes:
+            self._evict(pool_key, count=False)
+            return vector
+        self._chunks[pool_key] = (etag, vector, decoded)
+        self._chunk_bytes += decoded - charge
+        self._fit(metrics)
+        return vector
+
+    def _fit(self, metrics: StorageMetrics | None) -> None:
+        """Evict LRU entries until the pool is within its budget."""
+        while self._chunk_bytes > self.config.chunk_budget_bytes and self._chunks:
+            oldest = next(iter(self._chunks))
+            self._evict(oldest, metrics=metrics)
 
     def _evict(
         self,
@@ -255,8 +376,8 @@ class BufferPool:
         count: bool = True,
         metrics: StorageMetrics | None = None,
     ) -> None:
-        _, payload = self._chunks.pop(pool_key)
-        self._chunk_bytes -= len(payload)
+        _, _, charge = self._chunks.pop(pool_key)
+        self._chunk_bytes -= charge
         if count:
             metrics = metrics if metrics is not None else self._store.metrics
             self.stats.chunk_evictions += 1

@@ -37,7 +37,7 @@ class Encoding(enum.Enum):
 
 
 #: The integer-like types the writer may run-length encode.
-_RLE_TYPES = (DataType.INT, DataType.BIGINT, DataType.DATE)
+RLE_TYPES = (DataType.INT, DataType.BIGINT, DataType.DATE)
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,53 @@ def compute_stats(
     return ColumnChunkStats(num_rows, null_count, int(min_value), int(max_value))
 
 
-def string_index(vector: ColumnVector) -> dict[str, int]:
+def dict_limit(num_rows: int) -> int:
+    """The most distinct strings a DICT chunk of ``num_rows`` rows may hold
+    (:func:`choose_encoding` picks DICT below half the rows)."""
+    return max(1, num_rows // 2)
+
+
+#: Fewest values :func:`string_index` hashes per step while bounded.
+_MIN_INDEX_BLOCK = 256
+
+
+def string_index(vector: ColumnVector, limit: int | None = None) -> dict[str, int]:
     """Each distinct string of a VARCHAR ``vector`` -> its dictionary code,
-    numbered by first appearance (one hash pass).  :func:`choose_encoding`
-    reads the count and the DICT encoder the codes, so a writer builds it
-    once per chunk and hands it to both."""
-    strings = dict.fromkeys(vector.data.tolist())
+    numbered by first appearance.  :func:`choose_encoding` reads the count
+    and the DICT encoder the codes, so a writer builds it once per chunk
+    and hands it to both.
+
+    With ``limit``, hashing stops as soon as more than ``limit`` distinct
+    strings are seen: an index longer than ``limit`` is then *partial* — it
+    still decides the encoding exactly (the chunk is not DICT), but it holds
+    only a prefix of the values, so it must reach neither the DICT encoder
+    nor :func:`compute_stats`.
+    """
+    values = vector.data.tolist()
+    if limit is None or limit >= len(values):
+        strings = dict.fromkeys(values)
+    else:
+        strings = {}
+        start = 0
+        while start < len(values) and len(strings) <= limit:
+            # No fewer values can take the count past ``limit``.
+            stop = start + max(limit + 1 - len(strings), _MIN_INDEX_BLOCK)
+            strings.update(dict.fromkeys(values[start:stop]))
+            start = stop
     return dict(zip(strings, range(len(strings))))
 
 
+def run_boundaries(data: np.ndarray) -> np.ndarray:
+    """The positions where a new run of equal values starts, after the
+    first: what :func:`choose_encoding` counts and the RLE encoder cuts at,
+    so a writer computes them once per chunk and hands them to both."""
+    return np.flatnonzero(np.diff(data)) + 1
+
+
 def choose_encoding(
-    vector: ColumnVector, index: dict[str, int] | None = None
+    vector: ColumnVector,
+    index: dict[str, int] | None = None,
+    boundaries: np.ndarray | None = None,
 ) -> Encoding:
     """Pick the cheapest encoding for ``vector`` with simple heuristics.
 
@@ -119,21 +155,25 @@ def choose_encoding(
     VARCHAR columns with < 50 % distinct values use DICT; everything else
     is PLAIN.  (The thresholds only affect size, never correctness — the
     round-trip property tests exercise all three paths explicitly.)
+    ``index`` (a :func:`string_index`, bounded at :func:`dict_limit` or
+    not) and ``boundaries`` (:func:`run_boundaries`) are the vector's, if
+    the caller has them.
     """
     if len(vector) == 0:
         return Encoding.PLAIN
-    if vector.dtype in _RLE_TYPES:
+    if vector.dtype in RLE_TYPES:
         data = vector.data
         if len(data) >= 8:
-            changes = int(np.count_nonzero(np.diff(data))) + 1
-            if len(data) / changes > 4.0:
+            if boundaries is None:
+                boundaries = run_boundaries(data)
+            if len(data) / (len(boundaries) + 1) > 4.0:
                 return Encoding.RLE
         return Encoding.PLAIN
     if vector.dtype is DataType.VARCHAR:
-        distinct = len(string_index(vector) if index is None else index)
-        if distinct <= max(1, len(vector) // 2):
-            return Encoding.DICT
-        return Encoding.PLAIN
+        limit = dict_limit(len(vector))
+        if index is None:
+            index = string_index(vector, limit)
+        return Encoding.DICT if len(index) <= limit else Encoding.PLAIN
     return Encoding.PLAIN
 
 
@@ -143,15 +183,19 @@ def choose_encoding(
 
 
 def encode_chunk(
-    vector: ColumnVector, encoding: Encoding, index: dict[str, int] | None = None
+    vector: ColumnVector,
+    encoding: Encoding,
+    index: dict[str, int] | None = None,
+    boundaries: np.ndarray | None = None,
 ) -> bytes:
     """Serialize ``vector`` with ``encoding``; the null mask travels inline.
-    ``index`` is the vector's :func:`string_index`, if the caller has it."""
+    ``index`` is the vector's whole :func:`string_index` and ``boundaries``
+    its :func:`run_boundaries`, if the caller has them."""
     null_blob = _encode_nulls(vector)
     if encoding is Encoding.PLAIN:
         payload = _encode_plain(vector)
     elif encoding is Encoding.RLE:
-        payload = _encode_rle(vector)
+        payload = _encode_rle(vector, boundaries)
     elif encoding is Encoding.DICT:
         payload = _encode_dict(vector, index)
     else:  # pragma: no cover - exhaustive enum
@@ -194,7 +238,7 @@ def decode_chunk(
     payload = blob[8 + null_len :]
     if encoding is Encoding.PLAIN:
         data = _decode_plain(payload, dtype, num_rows, rows)
-    elif encoding is Encoding.RLE and dtype in _RLE_TYPES:
+    elif encoding is Encoding.RLE and dtype in RLE_TYPES:
         data = _decode_rle(payload, dtype, num_rows, rows)
     elif encoding is Encoding.DICT and dtype is DataType.VARCHAR:
         codes, dictionary = _decode_dict(payload, num_rows)
@@ -253,18 +297,22 @@ def _decode_strings(
     # Vectorized offset arithmetic (cumsum) instead of a running counter
     # with per-item int() casts; slicing stays on byte boundaries so
     # multi-byte UTF-8 values decode exactly as written.
-    ends = np.cumsum(lengths, dtype=np.int64) + base
-    if (int(ends[-1]) if count else base) != len(blob):
+    ends = np.cumsum(lengths, dtype=np.int64)
+    payload = blob[base:]
+    if (int(ends[-1]) if count else 0) != len(payload):
         raise CorruptFileError("string lengths disagree with the block's size")
     starts = ends - lengths
+    if rows is not None:
+        starts, ends = starts[rows], ends[rows]
+    bounds = zip(starts.tolist(), ends.tolist())
+    if payload.isascii():
+        # One decode for the block; a byte offset is then a character one.
+        text = payload.decode("ascii")
+        return [text[start:end] for start, end in bounds]
     try:
         if rows is not None:
-            blob[base:].decode("utf-8")  # the strings not built, as one block
-            starts, ends = starts[rows], ends[rows]
-        return [
-            blob[start:end].decode("utf-8")
-            for start, end in zip(starts.tolist(), ends.tolist())
-        ]
+            payload.decode("utf-8")  # the strings not built, as one block
+        return [payload[start:end].decode("utf-8") for start, end in bounds]
     except UnicodeDecodeError as exc:
         raise CorruptFileError(f"string block is not UTF-8: {exc}") from None
 
@@ -294,14 +342,14 @@ def _decode_plain(
     return values.astype(numpy_dtype, copy=False)
 
 
-def _encode_rle(vector: ColumnVector) -> bytes:
+def _encode_rle(vector: ColumnVector, boundaries: np.ndarray | None) -> bytes:
     data = vector.data
     if len(data) == 0:
         return struct.pack("<I", 0)
-    boundaries = np.flatnonzero(np.diff(data)) + 1
+    if boundaries is None:
+        boundaries = run_boundaries(data)
     starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(data)]])
-    runs = (ends - starts).astype(np.int32)
+    runs = np.diff(starts, append=len(data)).astype(np.int32)
     values = data[starts].astype(np.int64)
     return struct.pack("<I", len(runs)) + runs.tobytes() + values.tobytes()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,12 +24,15 @@ import numpy as np
 from repro.errors import CorruptFileError, NoSuchColumnError
 from repro.storage.cache import DEFAULT_COALESCE_GAP_BYTES, BufferPool
 from repro.storage.columnar import (
+    RLE_TYPES,
     ColumnChunkStats,
     Encoding,
     choose_encoding,
     compute_stats,
     decode_chunk,
+    dict_limit,
     encode_chunk,
+    run_boundaries,
     string_index,
 )
 from repro.storage.object_store import ObjectStore, StoreView
@@ -186,9 +190,17 @@ class PixelsWriter:
                 raise ValueError(
                     f"column {name!r}: expected {dtype}, got {vector.dtype}"
                 )
-            index = string_index(vector) if dtype is DataType.VARCHAR else None
-            encoding = choose_encoding(vector, index)
-            blob = encode_chunk(vector, encoding, index)
+            index = boundaries = None
+            if dtype is DataType.VARCHAR:
+                index = string_index(vector, dict_limit(len(vector)))
+            elif dtype in RLE_TYPES:
+                boundaries = run_boundaries(vector.data)
+            encoding = choose_encoding(vector, index, boundaries)
+            if encoding is not Encoding.DICT:
+                # Past the DICT threshold the index is partial: no statistic
+                # may come from it.
+                index = None
+            blob = encode_chunk(vector, encoding, index, boundaries)
             chunks[name] = ChunkMeta(
                 column=name,
                 offset=len(self._buffer),
@@ -255,6 +267,7 @@ class PixelsReader:
         # the coordinator) skips the footer read *and* its accounting — the
         # prefetch already accounted it exactly once.
         self._footer = footer if footer is not None else self._read_footer()
+        self._types = dict(self._footer.schema)
 
     @property
     def footer(self) -> FileFooter:
@@ -403,17 +416,20 @@ class PixelsReader:
         decoded first, ``predicate({column: vector})`` returns the boolean
         mask of the group's rows to keep, and every other chunk is decoded
         under that mask (:func:`decode_chunk`'s ``rows``), so a value the
-        predicate drops is never built.  What is fetched, pooled, accounted
-        and validated does not depend on the mask.
+        predicate drops is never built.  A chunk the pool hands out decoded
+        is not decoded again; the mask is applied with ``take``.  What is
+        fetched, pooled, accounted and validated does not depend on the mask.
         """
         tested, predicate = selection or ((), None)
         fetched = columns + [column for column in tested if column not in columns]
-        blobs = self._fetch_group_chunks([group.chunks[column] for column in fetched])
-        types = dict(self._footer.schema)
+        chunks = self._fetch_group_chunks([group.chunks[column] for column in fetched])
 
         def decode(column: str, rows: np.ndarray | None = None) -> ColumnVector:
+            chunk = chunks[column]
+            if not isinstance(chunk, bytes):
+                return chunk if rows is None else chunk.take(rows)
             return decode_chunk(
-                blobs[column], types[column], group.chunks[column].encoding, rows
+                chunk, self._types[column], group.chunks[column].encoding, rows
             )
 
         probe = {column: decode(column) for column in tested}
@@ -445,8 +461,11 @@ class PixelsReader:
             if not self._pruned(group, ranges)
         ]
 
-    def _fetch_group_chunks(self, chunks: list[ChunkMeta]) -> dict[str, bytes]:
-        """Payloads for one row group's projected chunks, by column name.
+    def _fetch_group_chunks(
+        self, chunks: list[ChunkMeta]
+    ) -> dict[str, bytes | ColumnVector]:
+        """One row group's projected chunks, by column name: the decoded
+        vector of each pool hit, the stored bytes of each miss.
 
         Every chunk's length is accounted as logical scanned bytes.  Pool
         hits are served from memory; the misses are sorted by offset and
@@ -454,20 +473,25 @@ class PixelsReader:
         gaps of at most ``self._max_gap`` bytes — gap bytes cost bandwidth
         but are not logical).
         """
-        blobs: dict[str, bytes] = {}
+        fetched: dict[str, bytes | ColumnVector] = {}
         missing: list[ChunkMeta] = []
         for chunk in chunks:
             self._store.metrics.logical_bytes_scanned += chunk.length
             if self._cache is not None:
-                payload = self._cache.chunk(
+                vector = self._cache.chunk(
                     self._bucket,
                     self._key,
                     chunk.offset,
                     chunk.length,
+                    partial(
+                        decode_chunk,
+                        dtype=self._types[chunk.column],
+                        encoding=chunk.encoding,
+                    ),
                     metrics=self._store.metrics,
                 )
-                if payload is not None:
-                    blobs[chunk.column] = payload
+                if vector is not None:
+                    fetched[chunk.column] = vector
                     continue
             missing.append(chunk)
         for run in _coalesce(missing, self._max_gap):
@@ -479,7 +503,7 @@ class PixelsReader:
             self._store.metrics.chunk_get_requests += 1
             for chunk in run:
                 blob = payload[chunk.offset - start : chunk.offset - start + chunk.length]
-                blobs[chunk.column] = blob
+                fetched[chunk.column] = blob
                 if self._cache is not None:
                     self._cache.put_chunk(
                         self._bucket,
@@ -488,7 +512,7 @@ class PixelsReader:
                         blob,
                         metrics=self._store.metrics,
                     )
-        return blobs
+        return fetched
 
     @staticmethod
     def _pruned(

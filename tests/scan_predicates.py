@@ -63,16 +63,21 @@ ALL_NULL_GROUP = 2
 F_ALL_TRUE_GROUP = 4
 BATCH_SIZES = (1, 7, 4096)
 WORKERS = (1, 3)
-#: (batch_size, workers, pooled) — the whole product for the plain statement.
+#: How a configuration reads through the buffer pool: not at all, through a
+#: fresh pool ("cold"), or three times through one shared pool ("warm": a
+#: miss, a hit that promotes each chunk to its decoded vector, a decoded hit).
+POOLS = (None, "cold", "warm")
+WARM_RUNS = 3
+#: (batch_size, workers, pool) — the whole product for the plain statement.
 CONFIGURATIONS = [
-    (batch_size, workers, pooled)
+    (batch_size, workers, pool)
     for batch_size in BATCH_SIZES
-    for pooled in (False, True)
+    for pool in POOLS
     for workers in WORKERS
 ]
 #: A LIMIT keeps the scan sequential whatever the worker count (only a
 #: ``count(*)`` under it still reads in parallel), so one multi-worker run.
-LIMIT_CONFIGURATIONS = [c for c in CONFIGURATIONS if c[1] == 1] + [(4096, 3, False)]
+LIMIT_CONFIGURATIONS = [c for c in CONFIGURATIONS if c[1] == 1] + [(4096, 3, None)]
 
 _S_VALUES = ["", "a", "a\x00", "é", "\U0001F600"]
 _X_VALUES = [-1.5, 0.0, 2.25, float("nan"), 1e300, None, 0.5]
@@ -345,36 +350,48 @@ class Differential:
     def stored(self, plan, expected_rows: list[tuple], configurations) -> tuple:
         """``plan`` over the object store in each configuration: the rows of
         the in-memory run, one accounting for all of them (returned), and
-        one EXPLAIN ANALYZE text per (batch size, pool) whatever the workers."""
+        one EXPLAIN ANALYZE text per (batch size, pool, run) whatever the
+        workers.  A warm configuration's later runs read pooled chunks, so
+        their GETs are compared among themselves; the rest of their
+        accounting is the cold one."""
         accounting = None
+        warm_gets = {}
         explained: dict[tuple, str] = {}
-        for batch_size, workers, pooled in configurations:
-            cache = BufferPool(self.store) if pooled else None  # cold every time
-            source = ObjectStoreSource(self.store, cache=cache)
-            result = self.execute(plan, source, batch_size, workers)
-            where = f"batch_size={batch_size} workers={workers} pool={pooled}"
-            if result_rows(result) != expected_rows:
-                raise Divergence(
-                    f"{where}: rows differ from the in-memory scan\n"
-                    f"  stored: {result_rows(result)}\n  memory: {expected_rows}"
+        for batch_size, workers, pool in configurations:
+            cache = BufferPool(self.store) if pool else None
+            for run in range(WARM_RUNS if pool == "warm" else 1):
+                source = ObjectStoreSource(self.store, cache=cache)
+                result = self.execute(plan, source, batch_size, workers)
+                where = (
+                    f"batch_size={batch_size} workers={workers} pool={pool} run={run}"
                 )
-            stats = result.stats
-            seen = (
-                stats.rows_scanned, stats.bytes_scanned, stats.get_requests,
-                stats.row_groups_skipped,
-            )
-            accounting = accounting or seen
-            if seen != accounting:
-                raise Divergence(
-                    f"{where}: (rows_scanned, bytes_scanned, get_requests, "
-                    f"row_groups_skipped) {seen} != {accounting}"
+                if result_rows(result) != expected_rows:
+                    raise Divergence(
+                        f"{where}: rows differ from the in-memory scan\n"
+                        f"  stored: {result_rows(result)}\n  memory: {expected_rows}"
+                    )
+                stats = result.stats
+                seen = (
+                    stats.rows_scanned, stats.bytes_scanned, stats.get_requests,
+                    stats.row_groups_skipped,
                 )
-            rendered = render_analyzed_plan(plan, result.profile, stats)
-            if explained.setdefault((batch_size, pooled), rendered) != rendered:
-                raise Divergence(
-                    f"{where}: EXPLAIN ANALYZE depends on the worker count\n"
-                    f"{rendered}\n--\n{explained[batch_size, pooled]}"
-                )
+                accounting = accounting or seen
+                expected = accounting
+                if run:
+                    gets = warm_gets.setdefault(run, stats.get_requests)
+                    expected = (*accounting[:2], gets, accounting[3])
+                if seen != expected:
+                    raise Divergence(
+                        f"{where}: (rows_scanned, bytes_scanned, get_requests, "
+                        f"row_groups_skipped) {seen} != {expected}"
+                    )
+                rendered = render_analyzed_plan(plan, result.profile, stats)
+                key = (batch_size, pool, run)
+                if explained.setdefault(key, rendered) != rendered:
+                    raise Divergence(
+                        f"{where}: EXPLAIN ANALYZE depends on the worker count\n"
+                        f"{rendered}\n--\n{explained[key]}"
+                    )
         return accounting
 
     def memory_rows(self, plan) -> list[tuple]:

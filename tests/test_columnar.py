@@ -14,6 +14,7 @@ from repro.storage.columnar import (
     choose_encoding,
     compute_stats,
     decode_chunk,
+    dict_limit,
     encode_chunk,
     string_index,
 )
@@ -333,6 +334,22 @@ class TestDictionaryEncoder:
         assert encode_chunk(vector, Encoding.DICT) == expected
         assert encode_chunk(vector, Encoding.DICT, index) == expected
         assert choose_encoding(vector, index) is choose_encoding(vector)
+
+    def test_a_bounded_index_stops_past_its_limit_and_decides_exactly(self):
+        for distinct in (1, 31, 32, 33, 64):
+            vector = ColumnVector.from_values(
+                DataType.VARCHAR, [f"s{i % distinct}" for i in range(64)]
+            )
+            full = string_index(vector)
+            bounded = string_index(vector, dict_limit(64))
+            if len(full) <= dict_limit(64):
+                assert bounded == full
+            else:
+                assert len(bounded) > dict_limit(64)
+                assert list(bounded) == list(full)[: len(bounded)]
+            assert choose_encoding(vector, bounded) is choose_encoding(vector, full)
+        many = ColumnVector.from_values(DataType.VARCHAR, [str(i) for i in range(8192)])
+        assert len(string_index(many, dict_limit(8192))) == dict_limit(8192) + 1
 
     def test_every_generated_varchar_chunk_is_byte_identical(self):
         from repro.workloads.logs import LogsGenerator

@@ -1,5 +1,7 @@
 """Unit tests for the Pixels file format (writer/reader/footer)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,91 @@ class TestPropertyRoundtripThroughFiles:
         expected = [v for v, _ in [(r[0], r[1]) for r in rows] if v is not None and v >= low]
         for value in expected:
             assert value in kept
+
+
+class TestWriterBytes:
+    """The writer's shortcuts (a string index that stops hashing at the DICT
+    threshold, run boundaries shared by the RLE decision and encoder) leave
+    every file byte where the full index and a second ``np.diff`` put it."""
+
+    #: SHA-256 of :meth:`write` as the writer produced it before either
+    #: shortcut existed.
+    DIGEST = "29c943efc77f1230d631d0ee6d747681cd10dc1a0329d4602054eb41392510f2"
+
+    SHAPES = {
+        "dict": lambda i: f"k{i % 5}",
+        "ascii": lambda i: f"10.0.{i // 256}.{i % 256}",
+        "non_ascii": lambda i: f"é{i}\U0001F600" if i % 3 else f"ü{i % 7}",
+        "nulls": lambda i: None if i % 4 == 0 else f"v{i % 40}",
+        "at_limit": lambda i: f"t{i % 32}",
+        "past_limit": lambda i: f"t{i % 33}",
+        "late_distinct": lambda i: "same" if i < 16 else f"u{i}",
+    }
+
+    def write(self, store):
+        schema = [
+            ("s", DataType.VARCHAR),
+            ("n", DataType.BIGINT),
+            ("d", DataType.DATE),
+            ("x", DataType.DOUBLE),
+        ]
+        writer = PixelsWriter(store, "b", "f", schema)
+        rows = 64
+        for make in self.SHAPES.values():
+            writer.write_row_group({
+                "s": ColumnVector.from_values(
+                    DataType.VARCHAR, [make(i) for i in range(rows)]
+                ),
+                "n": ColumnVector.from_values(
+                    DataType.BIGINT, [None if i % 9 == 0 else i // 10 for i in range(rows)]
+                ),
+                "d": ColumnVector.from_values(
+                    DataType.DATE, [9000 + i // 16 for i in range(rows)]
+                ),
+                "x": ColumnVector.from_values(DataType.DOUBLE, [i * 0.5 for i in range(rows)]),
+            })
+        rows = 8192  # the bounded index takes several steps here
+        writer.write_row_group({
+            "s": ColumnVector.from_values(
+                DataType.VARCHAR, [f"ip-{i // 2 if i < 4000 else i}" for i in range(rows)]
+            ),
+            "n": ColumnVector.from_values(DataType.BIGINT, [i // 100 for i in range(rows)]),
+            "d": ColumnVector.from_values(
+                DataType.DATE, [9000 + i // 1000 for i in range(rows)]
+            ),
+            "x": ColumnVector.from_values(
+                DataType.DOUBLE, [None if i % 5 == 0 else float(i) for i in range(rows)]
+            ),
+        })
+        writer.close()
+        return store.get("b", "f").data
+
+    def test_file_is_byte_identical_to_the_unbounded_writer(self, store):
+        blob = self.write(store)
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST
+        footer = PixelsReader(store, "b", "f").footer
+        strings = [group.chunks["s"] for group in footer.row_groups]
+        assert [chunk.encoding.value for chunk in strings] == [
+            "dict", "plain", "plain", "dict", "dict", "plain", "plain", "plain"
+        ]
+        assert strings[3].stats.null_count == 16
+        assert {group.chunks["d"].encoding.value for group in footer.row_groups} == {"rle"}
+        assert {group.chunks["n"].encoding.value for group in footer.row_groups} == {
+            "rle", "plain"
+        }
+
+    def test_a_partial_index_never_reaches_the_statistics(self, store, monkeypatch):
+        import repro.storage.file_format as file_format
+
+        handed = []
+
+        def checked(vector, index=None):
+            if index is not None:
+                assert list(index) == list(dict.fromkeys(vector.data.tolist()))
+            handed.append(index is not None)
+            return compute_stats(vector, index)
+
+        compute_stats = file_format.compute_stats
+        monkeypatch.setattr(file_format, "compute_stats", checked)
+        assert hashlib.sha256(self.write(store)).hexdigest() == self.DIGEST
+        assert any(handed) and not all(handed)

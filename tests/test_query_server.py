@@ -4,6 +4,7 @@ import pytest
 
 from repro import PixelsDB
 from repro.core import QueryStatus, ServiceLevel
+from repro.core.scheduler import AdmissionPolicy
 from repro.errors import (
     InvalidServiceLevelError,
     NoSuchQueryError,
@@ -280,3 +281,33 @@ class TestQueryIds:
         db.run_to_completion()
         assert server.query("mine") is held and held.status is QueryStatus.FINISHED
         assert server.scheduler_snapshot()["tenant_live"] == {}
+
+    def test_servers_sharing_a_bundle_refuse_each_others_ids(self, db):
+        db.load_tpch("other", scale=0.01)
+        first, second = db.query_server("tpch"), db.query_server("other")
+        first.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="q")
+        first.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="sq-2")
+        with pytest.raises(PixelsError, match="duplicate query id 'q'"):
+            second.submit("SELECT COUNT(*) FROM region", ServiceLevel.IMMEDIATE, query_id="q")
+        generated = [
+            second.submit("SELECT COUNT(*) FROM region", ServiceLevel.IMMEDIATE).query_id
+            for _ in range(2)
+        ]
+        assert generated == ["sq-1", "sq-3"]  # "sq-2" is the first server's
+        db.run_to_completion()
+        owners = [row["query_id"] for row in db.activity()["queries"]]
+        assert sorted(owners) == ["q", "sq-1", "sq-2", "sq-3"]
+
+    def test_a_rejected_id_is_refused_before_admission_moves(self):
+        db = PixelsDB(observe=True, seed=5)
+        db.load_tpch("tpch", scale=0.01)
+        server = db.query_server("tpch", admission=AdmissionPolicy(tenant_quota=1))
+        server.submit("SELECT COUNT(*) FROM region", ServiceLevel.BEST_EFFORT)
+        with pytest.raises(QueryRejectedError):
+            server.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="r")
+        with pytest.raises(NoSuchQueryError):
+            server.query("r")  # the record is gone; its entry and trace are not
+        before = (server.scheduler_snapshot(), db.activity(), db.journal_jsonl())
+        with pytest.raises(PixelsError, match="duplicate query id 'r'"):
+            server.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="r")
+        assert (server.scheduler_snapshot(), db.activity(), db.journal_jsonl()) == before

@@ -3,9 +3,15 @@
 The load-bearing property is the **billing invariant**: query results and
 billed bytes-scanned are identical with the pool on or off — caching only
 reduces GET requests and modelled latency.  Also covered: LRU eviction
-under a tiny byte budget, etag invalidation after put/delete, and the
-range-GET coalescing that collapses a cold row-group read to ~1 GET.
+under a tiny byte budget, etag invalidation after put/delete, the
+range-GET coalescing that collapses a cold row-group read to ~1 GET, and
+the entry lifecycle — stored bytes on a miss, a read-only decoded vector
+from the first hit on, charged its decoded size.
 """
+
+import sys
+import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +30,22 @@ from repro.storage import (
     TableReader,
     TableWriter,
 )
+from repro.errors import CorruptFileError
+from repro.storage.cache import decoded_size
 from repro.storage.catalog import Catalog
+from repro.storage.columnar import Encoding, decode_chunk, encode_chunk
+from repro.storage.file_format import PixelsReader
+from repro.storage.types import ColumnVector
 from repro.workloads import TPCH_QUERIES, TpchGenerator, load_dataset
 
 QUERY_NAMES = sorted(TPCH_QUERIES)
+
+#: Twelve BIGINT values stored PLAIN: an 8-byte header and 96 bytes of
+#: values, which decode to a 96-byte vector.
+VALUES = list(range(12))
+BLOB = encode_chunk(ColumnVector.from_values(DataType.BIGINT, VALUES), Encoding.PLAIN)
+SIZE = len(BLOB)
+DECODE = partial(decode_chunk, dtype=DataType.BIGINT, encoding=Encoding.PLAIN)
 
 
 @pytest.fixture(scope="module")
@@ -188,30 +206,30 @@ class TestLruEviction:
         store = ObjectStore()
         store.create_bucket("b")
         for i in range(8):
-            store.put("b", f"o{i}", b"x" * 100)
-        pool = BufferPool(store, CacheConfig(chunk_budget_bytes=250))
+            store.put("b", f"o{i}", BLOB)
+        pool = BufferPool(store, CacheConfig(chunk_budget_bytes=SIZE * 5 // 2))
         for i in range(8):
-            pool.put_chunk("b", f"o{i}", 0, b"x" * 100)
-        assert pool.cached_chunk_bytes <= 250
+            pool.put_chunk("b", f"o{i}", 0, BLOB)
+        assert pool.cached_chunk_bytes <= SIZE * 5 // 2
         assert pool.cached_chunks == 2
         assert pool.stats.chunk_evictions == 6
         # LRU: the two most recently inserted survive.
-        assert pool.chunk("b", "o7", 0, 100) is not None
-        assert pool.chunk("b", "o6", 0, 100) is not None
-        assert pool.chunk("b", "o0", 0, 100) is None
+        assert pool.chunk("b", "o7", 0, SIZE, DECODE) is not None
+        assert pool.chunk("b", "o6", 0, SIZE, DECODE) is not None
+        assert pool.chunk("b", "o0", 0, SIZE, DECODE) is None
 
     def test_lookup_refreshes_recency(self):
         store = ObjectStore()
         store.create_bucket("b")
         for name in ("a", "b", "c"):
-            store.put("b", name, b"x" * 100)
-        pool = BufferPool(store, CacheConfig(chunk_budget_bytes=200))
-        pool.put_chunk("b", "a", 0, b"x" * 100)
-        pool.put_chunk("b", "b", 0, b"x" * 100)
-        assert pool.chunk("b", "a", 0, 100) is not None  # touch "a"
-        pool.put_chunk("b", "c", 0, b"x" * 100)  # evicts LRU = "b"
-        assert pool.chunk("b", "a", 0, 100) is not None
-        assert pool.chunk("b", "b", 0, 100) is None
+            store.put("b", name, BLOB)
+        pool = BufferPool(store, CacheConfig(chunk_budget_bytes=2 * SIZE))
+        pool.put_chunk("b", "a", 0, BLOB)
+        pool.put_chunk("b", "b", 0, BLOB)
+        assert pool.chunk("b", "a", 0, SIZE, DECODE) is not None  # touch "a"
+        pool.put_chunk("b", "c", 0, BLOB)  # evicts LRU = "b"
+        assert pool.chunk("b", "a", 0, SIZE, DECODE) is not None
+        assert pool.chunk("b", "b", 0, SIZE, DECODE) is None
 
     def test_oversized_payload_is_not_admitted(self):
         store = ObjectStore()
@@ -238,12 +256,14 @@ class TestEtagInvalidation:
     def test_overwrite_invalidates_cached_chunk(self):
         store = ObjectStore()
         store.create_bucket("b")
-        store.put("b", "k", b"old-bytes")
+        store.put("b", "k", BLOB)
         pool = BufferPool(store)
-        pool.put_chunk("b", "k", 0, b"old-bytes")
-        assert pool.chunk("b", "k", 0, 9) == b"old-bytes"
-        store.put("b", "k", b"new-bytes")
-        assert pool.chunk("b", "k", 0, 9) is None
+        pool.put_chunk("b", "k", 0, BLOB)
+        assert pool.chunk("b", "k", 0, SIZE, DECODE).to_values() == VALUES
+        store.put("b", "k", encode_chunk(ColumnVector.from_values(
+            DataType.BIGINT, [-value for value in VALUES]), Encoding.PLAIN
+        ))
+        assert pool.chunk("b", "k", 0, SIZE, DECODE) is None
         # Invalidation counts as a miss, not a budget eviction.
         assert pool.stats.chunk_evictions == 0
         assert pool.stats.chunk_misses == 1
@@ -251,11 +271,11 @@ class TestEtagInvalidation:
     def test_delete_invalidates_cached_chunk(self):
         store = ObjectStore()
         store.create_bucket("b")
-        store.put("b", "k", b"payload")
+        store.put("b", "k", BLOB)
         pool = BufferPool(store)
-        pool.put_chunk("b", "k", 0, b"payload")
+        pool.put_chunk("b", "k", 0, BLOB)
         store.delete("b", "k")
-        assert pool.chunk("b", "k", 0, 7) is None
+        assert pool.chunk("b", "k", 0, SIZE, DECODE) is None
         assert pool.cached_chunks == 0
 
     def test_warm_pool_never_serves_stale_table(self, chunked_table):
@@ -282,6 +302,211 @@ class TestEtagInvalidation:
         assert pool.footer("b", "f") == ({"version": 1}, 10)
         store.put("b", "f", b"v2")
         assert pool.footer("b", "f") is None
+
+
+def pooled_chunk(store, key, vector, encoding=Encoding.PLAIN, budget=None):
+    """A pool holding ``vector``'s chunk as bytes (stored under ``key``),
+    and the lookup that reads it back."""
+    blob = encode_chunk(vector, encoding)
+    store.put("b", key, blob)
+    config = CacheConfig() if budget is None else CacheConfig(chunk_budget_bytes=budget)
+    pool = BufferPool(store, config)
+    pool.put_chunk("b", key, 0, blob)
+    decode = partial(decode_chunk, dtype=vector.dtype, encoding=encoding)
+    return pool, lambda: pool.chunk("b", key, 0, len(blob), decode)
+
+
+def pooled_values(pool):
+    """What each chunk entry holds: stored bytes or the decoded vector."""
+    return [value for _, value, _ in pool._chunks.values()]
+
+
+@pytest.fixture
+def store():
+    store = ObjectStore()
+    store.create_bucket("b")
+    return store
+
+
+class TestDecodedEntries:
+    """Stored bytes on a miss; the whole decoded vector, read-only and
+    charged its decoded size, from the entry's first hit on."""
+
+    def test_first_hit_promotes_and_recharges(self, store):
+        pool, lookup = pooled_chunk(
+            store, "k", ColumnVector.from_values(DataType.BIGINT, VALUES)
+        )
+        assert pool.cached_chunk_bytes == SIZE
+        assert isinstance(pooled_values(pool)[0], bytes)
+        first = lookup()
+        assert first.to_values() == VALUES
+        (entry,) = pooled_values(pool)
+        assert entry is first  # a later hit hands out the same vector
+        assert lookup() is first
+        assert pool.cached_chunk_bytes == decoded_size(first) == 8 * len(VALUES)
+        assert pool.stats.chunk_hits == 2 and pool.stats.chunk_misses == 0
+
+    @pytest.mark.parametrize(
+        "values", [["a", "bc", "", "a\x00"], ["é", "a", "\U0001F600", ""], [None, "x"]]
+    )
+    def test_decoded_size_follows_the_documented_rule(self, values):
+        plain = ColumnVector.from_values(DataType.VARCHAR, values)
+        strings = plain.data.nbytes + sum(map(sys.getsizeof, plain.data.tolist()))
+        nulls = 0 if plain.nulls is None else plain.nulls.nbytes
+        assert decoded_size(plain) == strings + nulls
+        coded = decode_chunk(
+            encode_chunk(plain, Encoding.DICT), DataType.VARCHAR, Encoding.DICT
+        )
+        dictionary = coded.dictionary
+        assert decoded_size(coded) == (
+            coded.codes.nbytes + dictionary.nbytes
+            + sum(map(sys.getsizeof, dictionary.tolist())) + nulls
+        )
+        fixed = ColumnVector.from_values(DataType.INT, [1, None, 3])
+        assert decoded_size(fixed) == 3 * 4 + 3
+
+    @pytest.mark.parametrize("encoding", [Encoding.PLAIN, Encoding.DICT])
+    def test_pooled_arrays_cannot_be_written(self, store, encoding):
+        values = ["a", None, "b", "a", None, "b"]
+        pool, lookup = pooled_chunk(
+            store, "k", ColumnVector.from_values(DataType.VARCHAR, values), encoding
+        )
+        lookup()
+        vector = lookup()
+        assert vector.to_values() == values
+        arrays = {"data": vector.data, "nulls": vector.nulls}
+        if encoding is Encoding.DICT:
+            arrays = {"codes": vector.codes, "dictionary": vector.dictionary,
+                      "nulls": vector.nulls}
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        assert lookup().to_values() == values
+
+    def test_fixed_width_data_cannot_be_written(self, store):
+        values = [1, None, 3]
+        _, lookup = pooled_chunk(
+            store, "k", ColumnVector.from_values(DataType.BIGINT, values)
+        )
+        lookup()
+        vector = lookup()
+        for array in (vector.data, vector.nulls):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        assert lookup().to_values() == values
+
+    def test_warm_scan_hands_out_read_only_vectors(self, chunked_table):
+        store, _, table = chunked_table
+        pool = BufferPool(store)
+        reader = TableReader(store, "b", "t", cache=pool)
+        key = reader.file_keys()[0]
+        file_reader = PixelsReader(store, "b", key, cache=pool)
+        for _ in range(2):  # a miss, then a promoting hit
+            file_reader.read_group(0)
+        for vector in file_reader.read_group(0).values():
+            assert not vector.data.flags.writeable
+        assert reader.scan().data.to_rows() == table.to_rows()
+
+    def test_overwrite_invalidates_a_promoted_entry(self, store):
+        pool, lookup = pooled_chunk(
+            store, "k", ColumnVector.from_values(DataType.BIGINT, VALUES)
+        )
+        lookup()
+        assert not isinstance(pooled_values(pool)[0], bytes)
+        store.put("b", "k", BLOB)
+        assert lookup() is None
+        assert pool.cached_chunks == 0 and pool.cached_chunk_bytes == 0
+        assert pool.stats.chunk_evictions == 0
+        assert pool.stats.chunk_misses == 1
+
+    def test_decoded_value_over_budget_is_dropped_uncounted(self, store):
+        # 100 ten-character strings: 1 412 stored bytes, ~6.7 kB decoded.
+        values = [f"{i:010d}" for i in range(100)]
+        pool, lookup = pooled_chunk(
+            store, "big", ColumnVector.from_values(DataType.VARCHAR, values),
+            budget=2000,
+        )
+        store.put("b", "small", BLOB)
+        pool.put_chunk("b", "small", 0, BLOB)
+        assert pool.cached_chunk_bytes == 1412 + SIZE
+        assert lookup().to_values() == values
+        assert decoded_size(ColumnVector.from_values(DataType.VARCHAR, values)) > 2000
+        assert pool.cached_chunks == 1 and pool.cached_chunk_bytes == SIZE
+        assert pool.stats.chunk_evictions == 0
+        assert pool.stats.chunk_hits == 1
+        assert lookup() is None  # gone, as an oversized payload never came
+
+    def test_promotion_evicts_lru_entries_to_fit(self, store):
+        values = [f"{i:04d}" for i in range(8)]
+        varchar = ColumnVector.from_values(DataType.VARCHAR, values)
+        stored = len(encode_chunk(varchar, Encoding.PLAIN))
+        decoded = decoded_size(varchar)
+        budget = decoded + SIZE // 2
+        pool, lookup = pooled_chunk(store, "s", varchar, budget=budget)
+        for key in ("x", "y"):
+            store.put("b", key, BLOB)
+            pool.put_chunk("b", key, 0, BLOB)
+        assert pool.cached_chunk_bytes == stored + 2 * SIZE <= budget
+        assert lookup().to_values() == values  # "s" moves up, then grows
+        assert pool.stats.chunk_evictions == 2  # "x" and "y", oldest first
+        assert pool.cached_chunks == 1
+        assert pool.cached_chunk_bytes == decoded
+        assert store.metrics.chunk_cache_evictions == 2
+
+    def test_materialize_leaves_the_pooled_entry_alone(self, store):
+        values = ["x", "y", "x", None] * 4
+        pool, lookup = pooled_chunk(
+            store, "k", ColumnVector.from_values(DataType.VARCHAR, values),
+            Encoding.DICT,
+        )
+        lookup()
+        charge = pool.cached_chunk_bytes
+        handed = lookup()
+        (entry,) = pooled_values(pool)
+        assert handed is not entry and handed.codes is entry.codes
+        assert handed.materialize().to_values() == values
+        assert entry._data is None
+        assert pool.cached_chunk_bytes == charge
+        assert lookup()._data is None
+
+    def test_corrupt_chunk_raises_and_stays_bytes(self, store):
+        blob = BLOB[:-1]  # one byte short of its twelve values
+        store.put("b", "k", blob)
+        pool = BufferPool(store)
+        pool.put_chunk("b", "k", 0, blob)
+        for _ in range(2):
+            with pytest.raises(CorruptFileError):
+                pool.chunk("b", "k", 0, len(blob), DECODE)
+        assert pooled_values(pool) == [blob]
+        assert pool.cached_chunk_bytes == len(blob)
+
+    def test_concurrent_hits_promote_once(self, store):
+        store.put("b", "k", BLOB)
+        pool = BufferPool(store)
+        pool.put_chunk("b", "k", 0, BLOB)
+        decodes = []
+
+        def decode(blob):
+            decodes.append(blob)
+            return DECODE(blob)
+
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def hit():
+            barrier.wait()
+            seen.append(pool.chunk("b", "k", 0, SIZE, decode))
+
+        threads = [threading.Thread(target=hit) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(decodes) == 1
+        assert len(seen) == 4 and all(vector is seen[0] for vector in seen)
+        assert seen[0].to_values() == VALUES
+        assert pool.stats.chunk_hits == 4
+        assert pool.cached_chunk_bytes == decoded_size(seen[0])
 
 
 class TestConfigPlumbing:
@@ -311,3 +536,16 @@ class TestConfigPlumbing:
         assert pool.cached_chunks == 0
         assert pool.cached_footers == 0
         assert pool.cached_chunk_bytes == 0
+
+    def test_clear_takes_the_pool_lock(self, chunked_table):
+        store, _, _ = chunked_table
+        pool = BufferPool(store)
+        TableReader(store, "b", "t", cache=pool).scan()
+        with pool._lock:
+            clearing = threading.Thread(target=pool.clear)
+            clearing.start()
+            clearing.join(timeout=0.2)
+            assert clearing.is_alive()  # waits for the lock
+            assert pool.cached_chunks > 0
+        clearing.join()
+        assert pool.cached_chunks == 0 and pool.cached_chunk_bytes == 0
