@@ -105,9 +105,11 @@ def test_a3_batch_optimization(benchmark):
         for cells in results.values()
         for r in cells["records"]
     )
-    # Same answers, fewer bytes, shorter batch window, no extra cost.
+    # Same answers and the same bill per query, fewer bytes, shorter batch
+    # window, no extra cost.
     for a, b in zip(solo["records"], batch["records"]):
         assert a.result_rows() == b.result_rows()
+        assert a.price_nanodollars == b.price_nanodollars
     assert batch["bytes_read"] < solo["bytes_read"]
     assert batch["makespan"] <= solo["makespan"]
     assert batch["provider"] <= solo["provider"] * 1.05

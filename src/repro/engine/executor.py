@@ -23,34 +23,27 @@ from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.pipeline import PhysicalOperator, build_pipeline
 from repro.engine.plan import PlanNode
 from repro.engine.source import DataSource
+from repro.storage.object_store import ScanCounters
 from repro.storage.table import TableData
 
 
 @dataclass
-class QueryStats:
+class QueryStats(ScanCounters):
     """Execution accounting for one plan run.
 
-    The storage-side counters (``get_requests``, ``cache_*``,
-    ``row_groups_skipped``) are carried up from each scan's
-    :class:`~repro.engine.source.SourceResult`, so EXPLAIN ANALYZE and
-    the metrics registry can report them per query without re-deriving
+    The :class:`~repro.storage.object_store.ScanCounters` (bytes scanned,
+    GETs, pool traffic, ``row_groups_skipped``) are summed from each
+    scan's :class:`~repro.engine.source.SourceResult`, so EXPLAIN ANALYZE
+    and the metrics registry can report them per query without re-deriving
     from the store's global ``StorageMetrics``.  Because scans account
     granule by granule, a query that exits early (LIMIT satisfied) shows
     — and is billed for — only the row groups actually fetched.
     """
 
-    bytes_scanned: int = 0
     scan_latency_s: float = 0.0
     rows_scanned: int = 0
     rows_produced: int = 0
     operators: int = 0
-    get_requests: int = 0
-    footer_gets: int = 0  # request-class split of get_requests
-    chunk_gets: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    row_groups_skipped: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         """Fold in a *sibling* fragment's accounting.
@@ -62,29 +55,23 @@ class QueryStats:
         sibling outputs, callers set ``rows_produced`` to the final
         result's row count afterwards rather than merging the stages.
         """
-        self.bytes_scanned += other.bytes_scanned
+        self.add(other)
         self.scan_latency_s += other.scan_latency_s
         self.rows_scanned += other.rows_scanned
         self.rows_produced += other.rows_produced
         self.operators += other.operators
-        self.get_requests += other.get_requests
-        self.footer_gets += other.footer_gets
-        self.chunk_gets += other.chunk_gets
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.row_groups_skipped += other.row_groups_skipped
 
 
 @dataclass
-class OperatorProfile:
+class OperatorProfile(ScanCounters):
     """Per-operator actuals from one analyzed run (EXPLAIN ANALYZE).
 
     ``time_s`` is deterministic *virtual* time — modelled from the rows,
     bytes, and batches the operator processed, never the wall clock — and
-    is cumulative over the operator's subtree, as are the storage
-    counters; ``self_time_s`` is this operator's own share (the profiler
-    builds flame graphs from selfs so grafted subtrees stay consistent).
+    is cumulative over the operator's subtree, as are the
+    :class:`~repro.storage.object_store.ScanCounters`; ``self_time_s`` is
+    this operator's own share (the profiler builds flame graphs from selfs
+    so grafted subtrees stay consistent).
     ``rows_in``/``batches``/``peak_bytes`` are per-operator: rows pulled
     from children, batches emitted, and the largest simultaneously-
     materialized output (a whole table for pipeline breakers, one batch
@@ -96,14 +83,6 @@ class OperatorProfile:
     rows_out: int
     time_s: float
     self_time_s: float = 0.0
-    bytes_scanned: int = 0
-    get_requests: int = 0
-    footer_gets: int = 0  # request-class split of get_requests
-    chunk_gets: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    row_groups_skipped: int = 0
     rows_in: int = 0
     batches: int = 0
     peak_bytes: int = 0
@@ -145,19 +124,7 @@ def _build_profile(op: PhysicalOperator) -> OperatorProfile:
     children = [_build_profile(child) for child in op.children]
     self_time_s = op.own_virtual_seconds()
     time_s = self_time_s + sum(child.time_s for child in children)
-    counters = dict(op.scan_counters)
-    counters["morsels"] = op.morsels
-    for child in children:
-        counters["morsels"] += child.morsels
-        counters["bytes_scanned"] += child.bytes_scanned
-        counters["get_requests"] += child.get_requests
-        counters["footer_gets"] += child.footer_gets
-        counters["chunk_gets"] += child.chunk_gets
-        counters["cache_hits"] += child.cache_hits
-        counters["cache_misses"] += child.cache_misses
-        counters["cache_evictions"] += child.cache_evictions
-        counters["row_groups_skipped"] += child.row_groups_skipped
-    return OperatorProfile(
+    profile = OperatorProfile(
         name=type(op.node).__name__,
         rows_out=op.rows_out,
         time_s=time_s,
@@ -165,9 +132,13 @@ def _build_profile(op: PhysicalOperator) -> OperatorProfile:
         rows_in=op.rows_in,
         batches=op.batches_out,
         peak_bytes=op.peak_bytes,
+        morsels=op.morsels + sum(child.morsels for child in children),
         children=children,
-        **counters,
     )
+    profile.add(op.counters)
+    for child in children:
+        profile.add(child)
+    return profile
 
 
 class StreamingExecution:

@@ -58,6 +58,7 @@ from repro.engine.plan import (
     UnionAllPlan,
 )
 from repro.engine.source import DataSource
+from repro.storage.object_store import ScanCounters
 from repro.storage.table import TableData
 from repro.storage.types import ColumnVector
 
@@ -69,17 +70,6 @@ from repro.storage.types import ColumnVector
 VIRTUAL_SECONDS_PER_ROW = 2.5e-7
 VIRTUAL_SECONDS_PER_SCANNED_BYTE = 5e-9
 VIRTUAL_SECONDS_PER_BATCH = 1e-6
-
-_SCAN_COUNTERS = (
-    "bytes_scanned",
-    "get_requests",
-    "footer_gets",
-    "chunk_gets",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "row_groups_skipped",
-)
 
 
 class PhysicalOperator:
@@ -102,7 +92,7 @@ class PhysicalOperator:
         # a parallel scan yields the same granules, so the count is
         # worker-count invariant.
         self.morsels = 0
-        self.scan_counters = dict.fromkeys(_SCAN_COUNTERS, 0)
+        self.counters = ScanCounters()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -135,7 +125,7 @@ class PhysicalOperator:
         """Deterministic modelled execution time of this operator alone."""
         return (
             (self.rows_in + self.rows_out) * VIRTUAL_SECONDS_PER_ROW
-            + self.scan_counters["bytes_scanned"] * VIRTUAL_SECONDS_PER_SCANNED_BYTE
+            + self.counters.bytes_scanned * VIRTUAL_SECONDS_PER_SCANNED_BYTE
             + self.batches_out * VIRTUAL_SECONDS_PER_BATCH
         )
 
@@ -214,25 +204,10 @@ class ScanOperator(PhysicalOperator):
         self.rows_in += granule.rows_scanned
         self.morsels += 1
         stats = self._stats
-        stats.bytes_scanned += granule.bytes_scanned
+        stats.add(granule)
         stats.scan_latency_s += granule.latency_s
         stats.rows_scanned += granule.rows_scanned
-        stats.get_requests += granule.get_requests
-        stats.footer_gets += granule.footer_gets
-        stats.chunk_gets += granule.chunk_gets
-        stats.cache_hits += granule.cache_hits
-        stats.cache_misses += granule.cache_misses
-        stats.cache_evictions += granule.cache_evictions
-        stats.row_groups_skipped += granule.row_groups_skipped
-        counters = self.scan_counters
-        counters["bytes_scanned"] += granule.bytes_scanned
-        counters["get_requests"] += granule.get_requests
-        counters["footer_gets"] += granule.footer_gets
-        counters["chunk_gets"] += granule.chunk_gets
-        counters["cache_hits"] += granule.cache_hits
-        counters["cache_misses"] += granule.cache_misses
-        counters["cache_evictions"] += granule.cache_evictions
-        counters["row_groups_skipped"] += granule.row_groups_skipped
+        self.counters.add(granule)
 
     def close(self) -> None:
         if self._granules is not None:

@@ -18,35 +18,27 @@ from repro.engine.expr import compile_expr, mask_from_predicate
 from repro.engine.plan import Scan
 from repro.storage.cache import BufferPool
 from repro.storage.file_format import FileFooter, PixelsReader, Selection
-from repro.storage.object_store import ObjectStore, StorageMetrics, StoreView
+from repro.storage.object_store import ObjectStore, ScanCounters, StorageMetrics, StoreView
 from repro.storage.table import TableData, TableReader
 
 
-@dataclass(frozen=True)
-class SourceResult:
+@dataclass
+class SourceResult(ScanCounters):
     """A scan's payload plus its cost accounting.
 
     ``data`` holds only the rows that satisfy the scan's residual;
     ``rows_scanned`` is the row count *before* it (what the cost model and
     the Scan operator's ``rows_in`` are built on), so it has no default: a
     source that forgets it must fail, not report zero.
-    The request/cache counters mirror :class:`~repro.storage.table
-    .ScanResult` so they survive the executor boundary and land in
-    :class:`~repro.engine.executor.QueryStats` (sources without a
-    storage layer leave them at zero).
+    The counters are :class:`~repro.storage.object_store.ScanCounters`,
+    the same record :class:`~repro.engine.executor.QueryStats` sums them
+    into, so they survive the executor boundary (sources without a
+    storage layer leave the request and cache counters at zero).
     """
 
     data: TableData
-    bytes_scanned: int
     latency_s: float
     rows_scanned: int
-    get_requests: int = 0
-    footer_gets: int = 0  # request-class split of get_requests
-    chunk_gets: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    row_groups_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -324,18 +316,14 @@ class ObjectStoreSource:
         # the sequential path's delta is a difference of the store's running
         # float total, the morsel path's a sum from zero, and the two differ
         # in the last bits.
-        return SourceResult(
-            data,
-            delta.logical_bytes_scanned,
-            self._store.profile.read_latency(delta.get_requests, delta.bytes_read),
-            rows_scanned,
-            get_requests=delta.get_requests,
-            footer_gets=delta.footer_get_requests,
-            chunk_gets=delta.chunk_get_requests,
-            cache_hits=delta.footer_cache_hits + delta.chunk_cache_hits,
-            cache_misses=delta.footer_cache_misses + delta.chunk_cache_misses,
-            cache_evictions=delta.chunk_cache_evictions,
-            row_groups_skipped=skipped,
+        return SourceResult.of(
+            delta,
+            skipped,
+            data=data,
+            latency_s=self._store.profile.read_latency(
+                delta.get_requests, delta.bytes_read
+            ),
+            rows_scanned=rows_scanned,
         )
 
 
@@ -369,4 +357,6 @@ class InMemorySource:
         if node.residual is not None and projected.num_rows:
             mask = mask_from_predicate(compile_expr(node.residual)(projected))
             kept = projected.filter(mask)
-        yield SourceResult(kept, projected.nbytes(), 0.0, projected.num_rows)
+        yield SourceResult(
+            kept, 0.0, projected.num_rows, bytes_scanned=projected.nbytes()
+        )

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
 from repro.obs.profiler import AXES, NANOS_PER_DOLLAR
+from repro.storage.object_store import ScanCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fingerprint import Fingerprint
@@ -36,8 +37,10 @@ TOP_DIMENSIONS = ("time", "dollars", "calls")
 
 
 @dataclass
-class StatementEntry:
-    """Aggregates for one fingerprint at one service level (per tenant)."""
+class StatementEntry(ScanCounters):
+    """Aggregates for one fingerprint at one service level (per tenant);
+    the :class:`~repro.storage.object_store.ScanCounters` are summed over
+    its calls."""
 
     fingerprint: str
     level: str
@@ -54,12 +57,6 @@ class StatementEntry:
     nanodollars: int = 0
     #: ``nanodollars`` by resource axis; the axes sum to it.
     axes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(AXES, 0))
-    bytes_scanned: int = 0
-    get_requests: int = 0
-    footer_gets: int = 0
-    chunk_gets: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     time_histogram: Histogram = field(
         default_factory=lambda: Histogram(
             "statement_time_seconds", buckets=STATEMENT_TIME_BUCKETS
@@ -140,12 +137,7 @@ class StatementStore:
         if stats is not None:
             entry.rows_produced += stats.rows_produced
             entry.rows_scanned += stats.rows_scanned
-            entry.bytes_scanned += stats.bytes_scanned
-            entry.get_requests += stats.get_requests
-            entry.footer_gets += stats.footer_gets
-            entry.chunk_gets += stats.chunk_gets
-            entry.cache_hits += stats.cache_hits
-            entry.cache_misses += stats.cache_misses
+            entry.add(stats)
         return entry
 
     # -- queries ------------------------------------------------------------

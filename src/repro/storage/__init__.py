@@ -20,7 +20,7 @@ package reproduces both layers:
   manages: schemas, tables, columns, and the mapping of tables to files.
 """
 
-from repro.storage.cache import BufferPool, CacheConfig, CacheStats
+from repro.storage.cache import BufferPool, CacheConfig
 from repro.storage.catalog import Catalog, ColumnMeta, SchemaMeta, TableMeta
 from repro.storage.columnar import ColumnChunkStats, Encoding
 from repro.storage.file_format import PixelsReader, PixelsWriter
@@ -31,7 +31,6 @@ from repro.storage.types import ColumnVector, DataType
 __all__ = [
     "BufferPool",
     "CacheConfig",
-    "CacheStats",
     "Catalog",
     "ColumnChunkStats",
     "ColumnMeta",

@@ -145,26 +145,6 @@ class CacheConfig:
             raise ValueError("max_coalesce_gap_bytes must be >= 0")
 
 
-@dataclass
-class CacheStats:
-    """Counters local to one pool (the store's metrics aggregate across
-    every pool sharing the store)."""
-
-    footer_hits: int = 0
-    footer_misses: int = 0
-    chunk_hits: int = 0
-    chunk_misses: int = 0
-    chunk_evictions: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.footer_hits + self.chunk_hits
-
-    @property
-    def misses(self) -> int:
-        return self.footer_misses + self.chunk_misses
-
-
 class BufferPool:
     """Footer cache + column-chunk LRU pool over one :class:`ObjectStore`.
 
@@ -179,12 +159,16 @@ class BufferPool:
     Chunk entries are ``(etag, value, charge)``: stored bytes charged their
     length until the entry's first hit, then the read-only decoded vector
     charged :func:`decoded_size` (see the module docstring).
+
+    The pool keeps no count of its own hits, misses and evictions: each
+    lookup counts them into the :class:`StorageMetrics` it is handed (a
+    morsel worker's view) or the store's, and a scan reads its share as
+    a delta of those.
     """
 
     def __init__(self, store: ObjectStore, config: CacheConfig | None = None) -> None:
         self._store = store
         self.config = config if config is not None else CacheConfig()
-        self.stats = CacheStats()
         # Morsel workers share one pool across threads; entry bookkeeping
         # (OrderedDict moves, byte budget) must stay consistent under that.
         self._lock = threading.Lock()
@@ -247,12 +231,10 @@ class BufferPool:
             entry = self._footers.get((bucket, key))
             if entry is not None and current is not None and entry[0] == current:
                 self._footers.move_to_end((bucket, key))
-                self.stats.footer_hits += 1
                 metrics.footer_cache_hits += 1
                 return entry[1], entry[2]
             if entry is not None:
                 del self._footers[(bucket, key)]
-            self.stats.footer_misses += 1
             metrics.footer_cache_misses += 1
             return None
 
@@ -300,7 +282,6 @@ class BufferPool:
             entry = self._chunks.get(pool_key)
             if entry is not None and current is not None and entry[0] == current:
                 self._chunks.move_to_end(pool_key)
-                self.stats.chunk_hits += 1
                 metrics.chunk_cache_hits += 1
                 vector = entry[1]
                 if isinstance(vector, bytes):
@@ -312,7 +293,6 @@ class BufferPool:
                 # Stale etag: an invalidation, counted as the miss below
                 # rather than as a budget eviction.
                 self._evict(pool_key, count=False)
-            self.stats.chunk_misses += 1
             metrics.chunk_cache_misses += 1
             return None
 
@@ -380,5 +360,4 @@ class BufferPool:
         self._chunk_bytes -= charge
         if count:
             metrics = metrics if metrics is not None else self._store.metrics
-            self.stats.chunk_evictions += 1
             metrics.chunk_cache_evictions += 1

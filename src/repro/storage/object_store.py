@@ -112,6 +112,56 @@ class StorageMetrics:
             setattr(self, key, getattr(self, key) + getattr(other, key))
 
 
+@dataclass(kw_only=True)
+class ScanCounters:
+    """What a scan cost, declared once for every record that reports it.
+
+    ``bytes_scanned`` is the *logical* byte count (footers plus needed
+    column chunks), the $/TB-scan billing basis; the rest say how those
+    bytes were served (GETs, footer vs chunk, pool hits, misses and
+    evictions) and how many row groups zone maps skipped.  Scan results,
+    query stats, operator profiles and statement entries subclass this;
+    a :class:`StorageMetrics` delta becomes counters only in :meth:`of`,
+    and counters are summed only in :meth:`add`.
+    """
+
+    bytes_scanned: int = 0
+    get_requests: int = 0
+    footer_gets: int = 0  # request-class split of get_requests
+    chunk_gets: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_evictions: int = 0
+    row_groups_skipped: int = 0
+
+    @classmethod
+    def of(cls, delta: StorageMetrics, skipped: int, **fields):
+        """The counters of a scan whose store accounting was ``delta`` and
+        which skipped ``skipped`` row groups, plus ``cls``'s own ``fields``."""
+        return cls(
+            bytes_scanned=delta.logical_bytes_scanned,
+            get_requests=delta.get_requests,
+            footer_gets=delta.footer_get_requests,
+            chunk_gets=delta.chunk_get_requests,
+            cache_hits=delta.footer_cache_hits + delta.chunk_cache_hits,
+            cache_misses=delta.footer_cache_misses + delta.chunk_cache_misses,
+            cache_evictions=delta.chunk_cache_evictions,
+            row_groups_skipped=skipped,
+            **fields,
+        )
+
+    def add(self, other: "ScanCounters") -> None:
+        """Add ``other``'s counters into this object."""
+        self.bytes_scanned += other.bytes_scanned
+        self.get_requests += other.get_requests
+        self.footer_gets += other.footer_gets
+        self.chunk_gets += other.chunk_gets
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+        self.cache_evictions += other.cache_evictions
+        self.row_groups_skipped += other.row_groups_skipped
+
+
 @dataclass
 class GetResult:
     """Payload plus the modelled latency of a GET."""

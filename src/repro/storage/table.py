@@ -20,7 +20,7 @@ import re
 from repro.errors import NoSuchColumnError
 from repro.storage.cache import BufferPool
 from repro.storage.file_format import PixelsReader, PixelsWriter
-from repro.storage.object_store import ObjectStore
+from repro.storage.object_store import ObjectStore, ScanCounters
 from repro.storage.types import ColumnVector, DataType
 
 
@@ -212,10 +212,12 @@ class TableWriter:
         return keys
 
 
-@dataclass(frozen=True)
-class ScanResult:
+@dataclass
+class ScanResult(ScanCounters):
     """What a table scan produced and what it cost.
 
+    The counters are :class:`~repro.storage.object_store.ScanCounters`,
+    taken from the store's accounting delta over exactly this scan.
     ``bytes_scanned`` is the *logical* byte count (footers + needed column
     chunks) — the $/TB-scan billing basis.  It is identical whether the
     bytes came from the object store or a buffer pool; caching and
@@ -223,15 +225,7 @@ class ScanResult:
     """
 
     data: TableData
-    bytes_scanned: int
     latency_s: float
-    row_groups_skipped: int
-    get_requests: int = 0
-    footer_gets: int = 0  # request-class split of get_requests
-    chunk_gets: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
 
 
 class TableReader:
@@ -297,25 +291,13 @@ class TableReader:
         skipped = 0
         for key in file_keys:
             reader = PixelsReader(self._store, self._bucket, key, cache=self._cache)
-            if ranges:
-                skipped += sum(
-                    1
-                    for group in reader.footer.row_groups
-                    if PixelsReader._pruned(group, ranges)
-                )
+            skipped += len(reader.footer.row_groups) - len(
+                reader.surviving_group_indexes(ranges)
+            )
             vectors = reader.read(columns=columns, ranges=ranges)
             pieces.append(TableData(vectors))
         merged = TableData.concat_all(pieces)
         delta = self._store.metrics.delta(before)
-        return ScanResult(
-            data=merged,
-            bytes_scanned=delta.logical_bytes_scanned,
-            latency_s=delta.read_time_s,
-            row_groups_skipped=max(skipped, 0),
-            get_requests=delta.get_requests,
-            footer_gets=delta.footer_get_requests,
-            chunk_gets=delta.chunk_get_requests,
-            cache_hits=delta.footer_cache_hits + delta.chunk_cache_hits,
-            cache_misses=delta.footer_cache_misses + delta.chunk_cache_misses,
-            cache_evictions=delta.chunk_cache_evictions,
+        return ScanResult.of(
+            delta, skipped, data=merged, latency_s=delta.read_time_s
         )

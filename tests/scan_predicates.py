@@ -6,8 +6,9 @@ hands the predicate to the reader, which evaluates it between decoding the
 tested chunks and decoding the rest under the selection.  ``run`` executes
 every generated statement through both, at every batch size, worker count
 and pool setting, plain and under a LIMIT, and demands identical rows and
-identical accounting; where every construct of the statement is on the
-allow-list below it also compares the rows with stdlib ``sqlite3``.
+identical accounting, each run's counters equal to the store's delta; where
+every construct of the statement is on the allow-list below it also
+compares the rows with stdlib ``sqlite3``.
 
 The dialect bridge is *conservative*: a statement is sent to sqlite verbatim
 or not at all.  A construct whose semantics are not provably the same is
@@ -28,6 +29,7 @@ Run as a script for the long profile::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sqlite3
 from collections import Counter
@@ -42,7 +44,7 @@ from repro.obs.explain import render_analyzed_plan
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import Catalog, ColumnMeta
 from repro.storage.file_format import PixelsReader
-from repro.storage.object_store import ObjectStore
+from repro.storage.object_store import ObjectStore, ScanCounters
 from repro.storage.table import TableData, TableReader, TableWriter
 from repro.storage.types import DataType
 
@@ -307,6 +309,13 @@ def result_rows(result) -> list[tuple]:
     ]
 
 
+def counters_of(stats) -> ScanCounters:
+    """The :class:`ScanCounters` part of a record that extends it."""
+    return ScanCounters(
+        **{f.name: getattr(stats, f.name) for f in dataclasses.fields(ScanCounters)}
+    )
+
+
 class Differential:
     """The table in its three homes, and the checks one statement gets."""
 
@@ -353,7 +362,10 @@ class Differential:
         one EXPLAIN ANALYZE text per (batch size, pool, run) whatever the
         workers.  A warm configuration's later runs read pooled chunks, so
         their GETs are compared among themselves; the rest of their
-        accounting is the cold one."""
+        accounting is the cold one.  Every run's :class:`ScanCounters`
+        also equal ``ScanCounters.of`` the store's delta over that run: the
+        footer/chunk GET split and the pool's hits, misses and evictions
+        are conserved between the store and the query."""
         accounting = None
         warm_gets = {}
         explained: dict[tuple, str] = {}
@@ -361,7 +373,9 @@ class Differential:
             cache = BufferPool(self.store) if pool else None
             for run in range(WARM_RUNS if pool == "warm" else 1):
                 source = ObjectStoreSource(self.store, cache=cache)
+                before = self.store.metrics.snapshot()
                 result = self.execute(plan, source, batch_size, workers)
+                delta = self.store.metrics.delta(before)
                 where = (
                     f"batch_size={batch_size} workers={workers} pool={pool} run={run}"
                 )
@@ -371,6 +385,14 @@ class Differential:
                         f"  stored: {result_rows(result)}\n  memory: {expected_rows}"
                     )
                 stats = result.stats
+                # Conservation: the run's counters are the store's delta.
+                counted = counters_of(stats)
+                stored = ScanCounters.of(delta, stats.row_groups_skipped)
+                if counted != stored:
+                    raise Divergence(
+                        f"{where}: the query's counters {counted} are not the "
+                        f"store's delta {stored}"
+                    )
                 seen = (
                     stats.rows_scanned, stats.bytes_scanned, stats.get_requests,
                     stats.row_groups_skipped,

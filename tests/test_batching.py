@@ -64,6 +64,22 @@ class TestSharedScanExecution:
         assert batch.shared_stats.shared_bytes_scanned > 0
         assert delta.bytes_read < 3 * batch.shared_stats.shared_bytes_scanned
 
+    def test_combined_bytes_are_what_the_store_scanned(self, planned):
+        """A member that also reads an unshared table adds only that
+        table's bytes to the provider's total, not its shared ones again."""
+        store, catalog, plans = planned
+        joined = Optimizer().optimize(
+            Planner(catalog, "tpch").plan_sql(
+                "SELECT count(*) FROM lineitem l JOIN part p "
+                "ON l.l_partkey = p.p_partkey"
+            )
+        )
+        before = store.metrics.snapshot()
+        batch = execute_shared_batch(plans + [joined], store, ObjectStoreSource(store))
+        scanned = store.metrics.delta(before).logical_bytes_scanned
+        assert batch.combined.bytes_scanned == scanned
+        assert scanned < sum(result.stats.bytes_scanned for result in batch.results)
+
     def test_union_columns(self, planned):
         _, _, plans = planned
         needed = union_columns(plans)
@@ -169,3 +185,72 @@ class TestServerBatchMode:
     def test_batch_mode_off_by_default(self):
         sim, coordinator, server = self._stack(False)
         assert server._batch_best_effort is False
+
+
+#: One batch over ``orders`` and ``lineitem`` stored in small row groups, so
+#: a member's zone maps prune groups and a LIMIT member stops early.
+BILLED = [
+    "SELECT count(*) FROM orders WHERE o_totalprice > 100000",
+    "SELECT o_orderstatus, count(*) FROM orders GROUP BY o_orderstatus",
+    "SELECT count(*) FROM orders WHERE o_orderkey < 200",
+    "SELECT o_orderkey, o_totalprice FROM orders LIMIT 5",
+    "SELECT sum(l_extendedprice) FROM lineitem l JOIN orders o "
+    "ON l.l_orderkey = o.o_orderkey WHERE o.o_orderkey < 300",
+    "SELECT l_shipmode, count(*) FROM lineitem WHERE l_quantity > 45 "
+    "GROUP BY l_shipmode",
+]
+PRUNED, LIMITED = 2, 3
+
+
+class TestMemberBilling:
+    """A batch member is billed what it would be billed alone: its own
+    bytes, rows and skipped groups, not the shared copy's sizes."""
+
+    @pytest.fixture(scope="class")
+    def backlogs(self):
+        from repro.storage.catalog import Catalog
+        from repro.storage.object_store import ObjectStore
+        from repro.workloads import TpchGenerator, load_dataset
+
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(
+            store, catalog, "tpch", TpchGenerator(scale=0.05).tables(),
+            rows_per_file=1000, rows_per_group=100,
+        )
+        runs = {}
+        for batched in (False, True):
+            sim = Simulator()
+            config = TurboConfig.fast()
+            coordinator = Coordinator(sim, config, catalog, store, "tpch")
+            server = QueryServer(sim, coordinator, config, batch_best_effort=batched)
+            for _ in range(3):  # occupy the cluster so the backlog queues
+                server.submit(SQLS[0], ServiceLevel.RELAXED)
+            runs[batched] = [
+                server.submit(sql, ServiceLevel.BEST_EFFORT) for sql in BILLED
+            ]
+            sim.run_until(1200)
+            if batched:
+                assert coordinator.trace.values("batch.bytes_saved")
+        return runs
+
+    @staticmethod
+    def bill(record):
+        stats = record.execution.result.stats
+        return (
+            record.price_nanodollars,
+            stats.bytes_scanned,
+            stats.rows_scanned,
+            stats.row_groups_skipped,
+        )
+
+    def test_member_bill_equals_solo_bill(self, backlogs):
+        for solo, member in zip(backlogs[False], backlogs[True]):
+            assert member.status is QueryStatus.FINISHED
+            assert member.result_rows() == solo.result_rows()
+            assert self.bill(member) == self.bill(solo), member.sql
+
+    def test_backlog_prunes_and_exits_early(self, backlogs):
+        members = backlogs[True]
+        assert self.bill(members[PRUNED])[3] > 0
+        limited, full = self.bill(members[LIMITED]), self.bill(members[0])
+        assert limited[2] < full[2] and limited[1] < full[1]

@@ -332,28 +332,23 @@ class TestAgainstObjectStore:
 
 class TestQueryStatsMerge:
     def test_merge_sums_every_counter(self):
+        """Every field gets its own value, so a counter that ``merge`` (or
+        the ``ScanCounters.add`` under it) leaves out or swaps fails."""
+        from dataclasses import fields
+
         from repro.engine.executor import QueryStats
 
+        names = [f.name for f in fields(QueryStats)]
         total = QueryStats()
-        fragments = [
-            QueryStats(
-                bytes_scanned=100 * i,
-                scan_latency_s=0.1 * i,
-                rows_scanned=10 * i,
-                rows_produced=i,
-                operators=i,
+        for i in range(1, 4):
+            total.merge(
+                QueryStats(**{name: (k + 1) * i for k, name in enumerate(names)})
             )
-            for i in range(1, 4)
-        ]
-        for fragment in fragments:
-            total.merge(fragment)
-        assert total.bytes_scanned == 600
-        assert total.scan_latency_s == pytest.approx(0.6)
-        assert total.rows_scanned == 60
-        # Sibling fragments produce disjoint output slices: rows sum,
-        # they are not overwritten by the last fragment merged.
-        assert total.rows_produced == 6
-        assert total.operators == 6
+        # Sibling fragments produce disjoint output slices: rows_produced
+        # sums like the rest, it is not overwritten by the last fragment.
+        assert {name: getattr(total, name) for name in names} == {
+            name: (k + 1) * 6 for k, name in enumerate(names)
+        }
 
     def test_merge_is_order_independent(self):
         from repro.engine.executor import QueryStats

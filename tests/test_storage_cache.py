@@ -212,7 +212,7 @@ class TestLruEviction:
             pool.put_chunk("b", f"o{i}", 0, BLOB)
         assert pool.cached_chunk_bytes <= SIZE * 5 // 2
         assert pool.cached_chunks == 2
-        assert pool.stats.chunk_evictions == 6
+        assert store.metrics.chunk_cache_evictions == 6
         # LRU: the two most recently inserted survive.
         assert pool.chunk("b", "o7", 0, SIZE, DECODE) is not None
         assert pool.chunk("b", "o6", 0, SIZE, DECODE) is not None
@@ -238,7 +238,7 @@ class TestLruEviction:
         pool = BufferPool(store, CacheConfig(chunk_budget_bytes=500))
         pool.put_chunk("b", "big", 0, b"x" * 1000)
         assert pool.cached_chunks == 0
-        assert pool.stats.chunk_evictions == 0
+        assert store.metrics.chunk_cache_evictions == 0
 
     def test_tiny_budget_scan_stays_correct(self, chunked_table):
         store, _, table = chunked_table
@@ -265,8 +265,8 @@ class TestEtagInvalidation:
         ))
         assert pool.chunk("b", "k", 0, SIZE, DECODE) is None
         # Invalidation counts as a miss, not a budget eviction.
-        assert pool.stats.chunk_evictions == 0
-        assert pool.stats.chunk_misses == 1
+        assert store.metrics.chunk_cache_evictions == 0
+        assert store.metrics.chunk_cache_misses == 1
 
     def test_delete_invalidates_cached_chunk(self):
         store = ObjectStore()
@@ -344,7 +344,8 @@ class TestDecodedEntries:
         assert entry is first  # a later hit hands out the same vector
         assert lookup() is first
         assert pool.cached_chunk_bytes == decoded_size(first) == 8 * len(VALUES)
-        assert pool.stats.chunk_hits == 2 and pool.stats.chunk_misses == 0
+        assert store.metrics.chunk_cache_hits == 2
+        assert store.metrics.chunk_cache_misses == 0
 
     @pytest.mark.parametrize(
         "values", [["a", "bc", "", "a\x00"], ["é", "a", "\U0001F600", ""], [None, "x"]]
@@ -416,8 +417,8 @@ class TestDecodedEntries:
         store.put("b", "k", BLOB)
         assert lookup() is None
         assert pool.cached_chunks == 0 and pool.cached_chunk_bytes == 0
-        assert pool.stats.chunk_evictions == 0
-        assert pool.stats.chunk_misses == 1
+        assert store.metrics.chunk_cache_evictions == 0
+        assert store.metrics.chunk_cache_misses == 1
 
     def test_decoded_value_over_budget_is_dropped_uncounted(self, store):
         # 100 ten-character strings: 1 412 stored bytes, ~6.7 kB decoded.
@@ -432,8 +433,8 @@ class TestDecodedEntries:
         assert lookup().to_values() == values
         assert decoded_size(ColumnVector.from_values(DataType.VARCHAR, values)) > 2000
         assert pool.cached_chunks == 1 and pool.cached_chunk_bytes == SIZE
-        assert pool.stats.chunk_evictions == 0
-        assert pool.stats.chunk_hits == 1
+        assert store.metrics.chunk_cache_evictions == 0
+        assert store.metrics.chunk_cache_hits == 1
         assert lookup() is None  # gone, as an oversized payload never came
 
     def test_promotion_evicts_lru_entries_to_fit(self, store):
@@ -448,10 +449,9 @@ class TestDecodedEntries:
             pool.put_chunk("b", key, 0, BLOB)
         assert pool.cached_chunk_bytes == stored + 2 * SIZE <= budget
         assert lookup().to_values() == values  # "s" moves up, then grows
-        assert pool.stats.chunk_evictions == 2  # "x" and "y", oldest first
+        assert store.metrics.chunk_cache_evictions == 2  # "x" and "y", oldest first
         assert pool.cached_chunks == 1
         assert pool.cached_chunk_bytes == decoded
-        assert store.metrics.chunk_cache_evictions == 2
 
     def test_materialize_leaves_the_pooled_entry_alone(self, store):
         values = ["x", "y", "x", None] * 4
@@ -505,7 +505,7 @@ class TestDecodedEntries:
         assert len(decodes) == 1
         assert len(seen) == 4 and all(vector is seen[0] for vector in seen)
         assert seen[0].to_values() == VALUES
-        assert pool.stats.chunk_hits == 4
+        assert store.metrics.chunk_cache_hits == 4
         assert pool.cached_chunk_bytes == decoded_size(seen[0])
 
 
