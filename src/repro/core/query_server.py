@@ -220,8 +220,7 @@ class QueryServer:
                 coordinator,
                 self._scheduler,
                 clock=lambda: sim.now,
-                deadline_for=self.deadline_for,
-                profile_of=self.query_profile,
+                grace_period_s=config.grace_period_s,
             )
             if guard is not None:
                 self.guard = ProjectionGuard(
@@ -299,11 +298,7 @@ class QueryServer:
         immediate starts at once, relaxed starts before the grace period
         expires, best-of-effort carries no deadline.  This is the SLO
         the tracker holds each completed query against."""
-        if level is ServiceLevel.IMMEDIATE:
-            return 0.0
-        if level is ServiceLevel.RELAXED:
-            return self._config.grace_period_s
-        return None
+        return level.deadline_s(self._config.grace_period_s)
 
     # -- submission ---------------------------------------------------------------
 
@@ -612,7 +607,7 @@ class QueryServer:
             )
             record.price_nanodollars = round(record.price * NANOS_PER_DOLLAR)
         if self._recorder is not None:
-            self._recorder.completed(record, execution)
+            self._recorder.completed(record, execution, self.query_profile)
         if record.on_finish is not None:
             record.on_finish(record)
         # A finished query frees capacity: give held queries a chance now

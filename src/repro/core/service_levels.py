@@ -27,11 +27,17 @@ class ServiceLevel(enum.Enum):
     @property
     def price_fraction(self) -> float:
         """Price relative to the immediate level (§3.2: 100 %/20 %/10 %)."""
-        return {
-            ServiceLevel.IMMEDIATE: 1.0,
-            ServiceLevel.RELAXED: 0.2,
-            ServiceLevel.BEST_EFFORT: 0.1,
-        }[self]
+        return _PRICE_FRACTIONS[self._value_]
+
+    def deadline_s(self, grace_period_s: float) -> float | None:
+        """The published pending-time deadline (§3.2): immediate starts at
+        once, relaxed before ``grace_period_s`` expires, best-of-effort
+        carries none."""
+        if self is ServiceLevel.IMMEDIATE:
+            return 0.0
+        if self is ServiceLevel.RELAXED:
+            return grace_period_s
+        return None
 
     @property
     def display_color(self) -> str:
@@ -60,6 +66,14 @@ class ServiceLevel(enum.Enum):
                 "'immediate', 'relaxed', 'best-of-effort'"
             ) from None
 
+
+
+#: By level value: a str key hashes in C, an enum member in Python.
+_PRICE_FRACTIONS = {
+    ServiceLevel.IMMEDIATE.value: 1.0,
+    ServiceLevel.RELAXED.value: 0.2,
+    ServiceLevel.BEST_EFFORT.value: 0.1,
+}
 
 class QueryStatus(enum.Enum):
     """The four statuses a submitted query moves through (§4.3)."""

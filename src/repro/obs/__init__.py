@@ -5,6 +5,9 @@ Everything here is simulation-clock-aware and deterministic:
 * :mod:`repro.obs.tracer` — per-query span trees
   (``submit → queue → dispatch → plan → scan → merge → bill``) with
   venue/cache/price attributes, exportable as byte-stable JSON timelines.
+* :mod:`repro.obs.lifecycle` — the one append-only log the tracer, the
+  journal and the activity registry write flat entries to and fold
+  their read-side objects from.
 * :mod:`repro.obs.metrics` — a Prometheus-style registry (counters,
   gauges, histograms); the venue, storage and queue-depth series are
   derived from live component state at scrape time.
@@ -56,6 +59,7 @@ from repro.obs.profiler import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.journal import CapturePolicy, QueryJournal
+from repro.obs.lifecycle import LifecycleLog
 from repro.obs.ledger import MeterEvent, MeterLedger
 from repro.obs.spend import SpendAccountant
 from repro.obs.slo import SloObjective, SloRecord, SloTracker
@@ -155,17 +159,19 @@ class Instrumentation:
         ``capture`` overrides the journal's slow-query capture policy;
         ``budgets`` seeds the spend accountant's soft per-tenant budgets
         (tenant → dollars).  Only constructors run here: no sink is
-        bound to another."""
+        bound to another; the tracer, the journal and the activity
+        registry write one shared lifecycle log."""
         ledger = MeterLedger(clock)
         metrics = MetricsRegistry()
+        log = LifecycleLog()
         return Instrumentation(
-            Tracer(clock),
+            Tracer(clock, log),
             metrics,
             SloTracker(objectives),
             StatementStore(),
-            QueryJournal(clock, capture),
+            QueryJournal(clock, capture, log),
             ledger,
             SpendAccountant(ledger, budgets),
-            ActivityRegistry(clock, metrics),
+            ActivityRegistry(clock, metrics, log),
             enabled=True,
         )

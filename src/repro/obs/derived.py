@@ -20,6 +20,7 @@ each service's running total, not a re-summed list of invocations.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.core.scheduler import HELD_LEVELS, LevelScheduler
@@ -27,7 +28,10 @@ from repro.obs.metrics import SCHEDULER_QUEUE_DEPTH_METRIC, MetricsRegistry
 from repro.storage.object_store import StorageMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.turbo.coordinator import Coordinator
+    from repro.storage.cache import BufferPool
+    from repro.storage.object_store import ObjectStore
+    from repro.turbo.cf_service import CfService
+    from repro.turbo.vm_cluster import VmCluster
 
 
 class HeldQueueSeries:
@@ -75,11 +79,18 @@ class HeldQueueSeries:
 
 class VenueSeries:
     """The VM and CF venue series of every coordinator, and the storage
-    and VM buffer-pool series under them."""
+    and VM buffer-pool series under them.  It holds each coordinator's
+    venues, store and pool, not the coordinator, and its registry only
+    weakly: the coordinator holds the registry, the registry holds the
+    series' collectors, and neither may close a cycle."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._coordinators: list[Coordinator] = []
+        # Weakly: the registry holds this series' collectors.
+        self._registry = weakref.ref(registry)
+        self._vms: list[VmCluster] = []
+        self._cfs: list[CfService] = []
+        self._stores: list[ObjectStore] = []
+        self._pools: list[BufferPool] = []
         self._m_vm_workers = registry.gauge(
             "pixels_vm_workers", "Active VM workers"
         )
@@ -105,15 +116,25 @@ class VenueSeries:
         registry.add_collector(self._collect_venue_metrics)
         registry.add_collector(self._collect_storage_metrics)
 
-    def add(self, coordinator: "Coordinator") -> None:
-        self._coordinators.append(coordinator)
+    def add(
+        self,
+        vm_cluster: "VmCluster",
+        cf_service: "CfService",
+        store: "ObjectStore",
+        vm_buffer_pool: "BufferPool | None",
+    ) -> None:
+        """One coordinator's venues, object store and VM buffer pool."""
+        self._vms.append(vm_cluster)
+        self._cfs.append(cf_service)
+        self._stores.append(store)
+        if vm_buffer_pool is not None:
+            self._pools.append(vm_buffer_pool)
 
     def _collect_venue_metrics(self) -> None:
         """The VM gauges exist from the first scrape, each ``watermark=``
         label from the first crossing, the three CF series from the first
         invocation."""
-        vms = [c.vm_cluster for c in self._coordinators]
-        cfs = [c.cf_service for c in self._coordinators]
+        vms, cfs = self._vms, self._cfs
         self._m_vm_workers.set(sum(vm.num_workers for vm in vms))
         self._m_vm_queue.set(sum(vm.queue_length for vm in vms))
         self._m_vm_concurrency.set(sum(vm.concurrency for vm in vms))
@@ -133,9 +154,9 @@ class VenueSeries:
 
     def _collect_storage_metrics(self) -> None:
         """Mirror storage/cache counters into the registry at scrape time."""
-        registry = self._registry
+        registry = self._registry()
         metrics = StorageMetrics()
-        stores = {id(c.store): c.store for c in self._coordinators}
+        stores = {id(store): store for store in self._stores}
         for store in stores.values():
             metrics.merge(store.metrics)
         store_total = registry.counter(
@@ -164,11 +185,7 @@ class VenueSeries:
         cache_events.set_total(
             metrics.chunk_cache_evictions, kind="chunk", outcome="eviction"
         )
-        pools = [
-            c.vm_buffer_pool
-            for c in self._coordinators
-            if c.vm_buffer_pool is not None
-        ]
+        pools = self._pools
         if pools:
             registry.gauge(
                 "pixels_vm_pool_chunk_bytes", "VM buffer pool occupancy in bytes"

@@ -61,6 +61,32 @@ def _format_value(units: int, value: str) -> str:
     return f"{units} µs"
 
 
+def _layout(
+    node: "ProfileNode",
+    value: str,
+    depth: int,
+    x0: float,
+    span: float,
+    rects: list[tuple[int, float, float, "ProfileNode", int]],
+) -> int:
+    """Append the rectangles of ``node``'s subtree (pre-order) to
+    ``rects``; returns the deepest depth laid out.  A module function,
+    not a closure: a recursive closure is a reference cycle."""
+    cum = _cum_value(node, value)
+    rects.append((depth, x0, span, node, cum))
+    deepest = depth
+    # children left-to-right, each scaled by its share of this node
+    x = x0
+    for child in node.children:
+        child_cum = _cum_value(child, value)
+        if child_cum <= 0:
+            continue
+        child_span = span * child_cum / cum
+        deepest = max(deepest, _layout(child, value, depth + 1, x, child_span, rects))
+        x += child_span
+    return deepest
+
+
 def render_flamegraph_svg(
     root: "ProfileNode",
     value: str = "time",
@@ -71,26 +97,8 @@ def render_flamegraph_svg(
     total = _cum_value(root, value)
     rects: list[tuple[int, float, float, "ProfileNode", int]] = []
     max_depth = 0
-
-    def layout(node: "ProfileNode", depth: int, x0: float, span: float) -> None:
-        nonlocal max_depth
-        cum = _cum_value(node, value)
-        if cum <= 0:
-            return
-        max_depth = max(max_depth, depth)
-        rects.append((depth, x0, span, node, cum))
-        # children left-to-right, each scaled by its share of this node
-        x = x0
-        for child in node.children:
-            child_cum = _cum_value(child, value)
-            if child_cum <= 0:
-                continue
-            child_span = span * child_cum / cum
-            layout(child, depth + 1, x, child_span)
-            x += child_span
-
     if total > 0:
-        layout(root, 0, 0.0, float(width))
+        max_depth = _layout(root, value, 0, 0.0, float(width), rects)
     height = HEADER_HEIGHT + (max_depth + 1) * ROW_HEIGHT + 6
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

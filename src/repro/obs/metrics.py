@@ -22,7 +22,9 @@ stays empty.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, TypeVar
+from weakref import WeakMethod
 
 _T = TypeVar("_T")
 _LabelKey = tuple[tuple[str, str], ...]
@@ -30,6 +32,11 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 def _label_key(labels: dict[str, object]) -> _LabelKey:
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
+
+
+#: Label keys an instrument remembers, per instrument: a few times the
+#: series the cardinality guard admits.
+_KEY_MEMO_ENTRIES = 1024
 
 
 def _escape_label_value(value: str) -> str:
@@ -75,16 +82,38 @@ class _CardinalityGuard:
     """
 
     max_series: int | None = None
-    _on_drop: Callable[[str], None] | None = None
+    #: The registry's drop recorder, held weakly: the registry holds the
+    #: instrument, and a strong reference back would make every registry
+    #: a cycle only the cycle collector frees.
+    _on_drop: "WeakMethod[Callable[[str], None]] | None" = None
 
     name: str  # provided by the concrete instrument
+    #: Label key by the labels' ``items()``, for all-``str`` label values
+    #: (two equal non-str values can print differently, ``1`` and ``1.0``).
+    _keys: dict[tuple, _LabelKey]
+
+    def _key(self, labels: dict[str, object]) -> _LabelKey:
+        """:func:`_label_key`, sorted and printed once per label set."""
+        items = tuple(labels.items())
+        try:
+            key = self._keys.get(items)
+        except TypeError:  # an unhashable label value
+            return _label_key(labels)
+        if key is None:
+            key = _label_key(labels)
+            if len(self._keys) < _KEY_MEMO_ENTRIES and all(
+                type(value) is str for _, value in items
+            ):
+                self._keys[items] = key
+        return key
 
     def _admit(self, store: dict, key: _LabelKey) -> bool:
         if key in store:
             return True
         if self.max_series is not None and len(store) >= self.max_series:
-            if self._on_drop is not None:
-                self._on_drop(self.name)
+            on_drop = self._on_drop() if self._on_drop is not None else None
+            if on_drop is not None:
+                on_drop(self.name)
             return False
         return True
 
@@ -98,14 +127,16 @@ class Counter(_CardinalityGuard):
         self.name = name
         self.help = help
         self._values: dict[_LabelKey, float] = {}
+        self._keys = {}
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
-        if not self._admit(self._values, key):
+        key = self._key(labels)
+        values = self._values
+        if key not in values and not self._admit(values, key):
             return
-        self._values[key] = self._values.get(key, 0.0) + value
+        values[key] = values.get(key, 0.0) + value
 
     def set_total(self, value: float, **labels: object) -> None:
         """Overwrite the cumulative total — for collector callbacks that
@@ -131,10 +162,11 @@ class Gauge(_CardinalityGuard):
         self.name = name
         self.help = help
         self._values: dict[_LabelKey, float] = {}
+        self._keys = {}
 
     def set(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
-        if not self._admit(self._values, key):
+        key = self._key(labels)
+        if key not in self._values and not self._admit(self._values, key):
             return
         self._values[key] = value
 
@@ -177,18 +209,24 @@ class Histogram(_CardinalityGuard):
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket")
+        self._keys = {}
+        #: Per label set, the observations whose first bucket is each
+        #: bound (the exposition's cumulative counts are summed on read).
         self._bucket_counts: dict[_LabelKey, list[int]] = {}
         self._sums: dict[_LabelKey, float] = {}
         self._counts: dict[_LabelKey, int] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
-        if not self._admit(self._counts, key):
+        key = self._key(labels)
+        if key not in self._counts and not self._admit(self._counts, key):
             return
-        counts = self._bucket_counts.setdefault(key, [0] * len(self.buckets))
-        for index, upper in enumerate(self.buckets):
-            if value <= upper:
-                counts[index] += 1
+        counts = self._bucket_counts.get(key)
+        if counts is None:
+            counts = self._bucket_counts[key] = [0] * len(self.buckets)
+        buckets = self.buckets
+        index = bisect_left(buckets, value)
+        if index < len(buckets) and value <= buckets[index]:  # not NaN
+            counts[index] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
         self._counts[key] = self._counts.get(key, 0) + 1
 
@@ -227,9 +265,9 @@ class Histogram(_CardinalityGuard):
             return None
         counts = self._bucket_counts[key]
         rank = q * count
-        previous = 0
+        previous = cumulative = 0
         for index, upper in enumerate(self.buckets):
-            cumulative = counts[index]
+            cumulative += counts[index]
             in_bucket = cumulative - previous
             # Skip while the rank lies past this bucket, and skip empty
             # buckets outright: a rank of 0 must land in the first
@@ -253,7 +291,7 @@ class Histogram(_CardinalityGuard):
         for key in sorted(self._counts):
             cumulative = 0
             for index, upper in enumerate(self.buckets):
-                cumulative = self._bucket_counts[key][index]
+                cumulative += self._bucket_counts[key][index]
                 out.append(
                     (
                         f"{self.name}_bucket",
@@ -330,7 +368,7 @@ class MetricsRegistry:
             return instrument
         instrument = cls(name, help, **kwargs)
         instrument.max_series = self.max_label_sets
-        instrument._on_drop = self._record_drop
+        instrument._on_drop = WeakMethod(self._record_drop)
         self._instruments[name] = instrument
         return instrument
 

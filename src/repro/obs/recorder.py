@@ -26,30 +26,36 @@ lifecycle sink:
 
 Each owner holds its recorder, or ``None`` when unobserved, so a
 transition costs it a single guarded call and it knows no sink by name.
-Neither recorder keeps per-query state: a span's ``end`` says whether
-it is open, a query is open while its root ``query`` span is, the spans
-a transition closes are found again with :meth:`Tracer.last`, and the
-fingerprint a submission was named by lives in its activity entry.
+Neither recorder keeps per-query state, and neither reads a sink back to
+label what it writes.  The spans, journal rows and activity transitions
+are flat entries of one :class:`~repro.obs.lifecycle.LifecycleLog`: a
+span a transition closes or parents under is named in the entry (the
+trace's newest ``queue`` or ``execute`` span) and found when the log is
+folded, a journal row names the query's root span and is labelled with
+it at read time if the root was still open where the row sits in the
+log, and the fingerprint a text was named by is kept per text.
 
 Neither recorder parses SQL or hashes a plan.  The statement fingerprint
 and the plan's shape hash are read off the coordinator's prepared
 statement (:meth:`Coordinator.statement`), which parses each text once
 for planning and naming alike and keeps both values once asked for.
 
-**Call order is the format.**  Span ids, journal ``seq`` and ledger
-``seq`` are counters, and what one sink holds is written into another
-(journal and ledger rows carry the tracer's root span id, the activity
-registry's prior is read off the statement store, its execution window
-is priced at the level it holds), so the order in which a method touches
-the sinks — and the order in which an owner calls the methods — is part
-of every export.  Reordering two calls changes bytes on disk.  No sink
-reads or calls another: every such read is in this module, in the
-method that writes its result.
+**Call order is the format.**  Span ids and ledger ``seq`` are
+counters, the lifecycle log is read in append order, and what one sink
+holds is written into another (journal and ledger rows carry the root
+span id, a journal row's labels depend on whether that span had closed
+by its place in the log, the activity registry's prior is read off the
+statement store, its execution window is priced at the level it holds),
+so the order in which a method touches the sinks — and the order in
+which an owner calls the methods — is part of every export.  Reordering
+two calls changes bytes on disk.  No sink reads or calls another: every
+such read is in this module, in the method that writes its result.
 
 Neither recorder derives anything the bill depends on: ``record.price``
 and ``record.price_nanodollars`` are set by the server before
 :meth:`QueryRecorder.completed` runs; the cost model's meter reading
-(:func:`_meter`) is taken here only for the per-resource split: once
+(:meth:`CostModel.meter <repro.turbo.cost.CostModel.meter>`, at the
+object store's request price) is taken here only for the per-resource split: once
 when an execution window opens (the activity registry's projection) and
 once per billed query (the ledger, the statement store and the activity
 registry's actual all report that second reading).
@@ -64,23 +70,22 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.scheduler import LevelScheduler
 from repro.core.service_levels import ServiceLevel
 from repro.errors import PixelsError
-from repro.obs.activity import Prior
 from repro.obs.derived import HeldQueueSeries, VenueSeries
-from repro.obs.fingerprint import Fingerprint
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
     ADMISSION_REJECTIONS_METRIC,
     GUARD_DECISIONS_METRIC,
 )
-from repro.obs.profiler import NANOS_PER_DOLLAR
+from repro.obs.profiler import AXES, NANOS_PER_DOLLAR
 from repro.obs.slo import SLACK_BUCKETS
-from repro.obs.tracer import ROOT, Span
+from repro.obs.tracer import ROOT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query_server import ServerQuery
     from repro.engine.executor import QueryResult, QueryStats
     from repro.obs import Instrumentation
     from repro.obs.activity import GuardDecision
+    from repro.obs.fingerprint import Fingerprint
     from repro.obs.profiler import QueryProfile
     from repro.turbo.coordinator import (
         Coordinator,
@@ -88,20 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         QueryExecution,
     )
     from repro.turbo.cost import MeterReading
-
-
-def _meter(
-    coordinator: "Coordinator", stats: "QueryStats", venue: str, price: float
-) -> "MeterReading":
-    """The cost model's integer split of ``price`` by resource, at the
-    object store's request price — what the ledger is charged and what
-    an execution window is projected to bill."""
-    return coordinator.cost_model.meter(
-        stats,
-        venue,
-        price,
-        get_price_per_1000=coordinator.store.profile.get_price_per_1000,
-    )
 
 
 class QueryRecorder:
@@ -114,18 +105,16 @@ class QueryRecorder:
         scheduler: LevelScheduler,
         *,
         clock: Callable[[], float],
-        deadline_for: Callable[[ServiceLevel], float | None],
-        profile_of: Callable[[str], "QueryProfile"],
+        grace_period_s: float,
     ) -> None:
-        """``clock`` is the simulator's; ``deadline_for`` and
-        ``profile_of`` are the server's own ``deadline_for`` and
-        ``query_profile`` (the server, not the recorder, knows the grace
-        period and the bill)."""
+        """``clock`` is the simulator's; ``grace_period_s`` the server's
+        relaxed-level deadline."""
         self.obs = obs
         self._coordinator = coordinator
         self._clock = clock
-        self._deadline_for = deadline_for
-        self._profile_of = profile_of
+        self._grace_period_s = grace_period_s
+        #: SQL text -> the fingerprint it was named by at submission.
+        self._fingerprints: dict[str, Fingerprint] = {}
         registry = obs.metrics
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
@@ -169,44 +158,36 @@ class QueryRecorder:
 
     # -- wiring ---------------------------------------------------------------
 
-    def _price_per_tb(self, level: ServiceLevel) -> float:
-        return self._coordinator.cost_model.price_per_tb(level)
-
-    def _prior(self, fp: Fingerprint, record: "ServerQuery") -> Prior | None:
-        """The statement store's prior for ``fp`` at the query's current
-        level and tenant (None before the statement's first call)."""
-        stats = self.obs.statements.entry(
-            fp.id, record.level.value, record.tenant
-        )
+    def _prior(
+        self, fp: "Fingerprint", level: str, tenant: str
+    ) -> tuple[int, float, tuple] | None:
+        """The statement store's prior for ``fp`` at ``level`` and
+        ``tenant``, as it stands now (None before the statement's first
+        call): mean bill, mean time and nanodollars by axis, in ``AXES``
+        order."""
+        stats = self.obs.statements.entry(fp.id, level, tenant)
         if stats is None or stats.calls == 0:
             return None
-        return Prior(
+        return (
             round(stats.nanodollars / stats.calls),
             stats.mean_time_s,
-            dict(stats.axes),
+            tuple(map(stats.axes.__getitem__, AXES)),
         )
 
-    def _root(self, query_id: str) -> Span:
-        """The query's root span: open until its terminal transition."""
-        return self.obs.tracer.last(query_id, "query")
-
-    def _fingerprint(self, query_id: str) -> Fingerprint:
-        """The fingerprint the submission was named by."""
-        return self.obs.activity.entry(query_id).fingerprint
-
-    def _journal(self, record: "ServerQuery", event: str, **attrs: object) -> None:
-        """One journal row, labelled with the query's root span and
-        fingerprint while the root span is open (a guard ruling can
-        arrive after the terminal transition it caused; that row carries
-        neither)."""
-        root = self._root(record.query_id)
-        is_open = root.end is None
+    def _journal(
+        self, record: "ServerQuery", event: str, level: str, **attrs: object
+    ) -> None:
+        """One journal row at ``level`` (the query's, by value), labelled
+        with the query's root span and fingerprint while the root span
+        is open (a guard ruling can arrive after the terminal transition
+        it caused; that row carries neither)."""
         self.obs.journal.event(
             event,
             record.query_id,
-            span_id=root.span_id if is_open else None,
-            fingerprint=self._fingerprint(record.query_id).id if is_open else None,
-            level=record.level.value,
+            span_id=ROOT,
+            fingerprint=self._fingerprints[record.sql].id,
+            level=level,
+            while_open=True,
             **attrs,
         )
 
@@ -215,42 +196,37 @@ class QueryRecorder:
     ) -> None:
         """End the query's newest ``queue`` span (a no-op once it has
         ended, or if the query was never held)."""
-        queue = self.obs.tracer.last(record.query_id, "queue")
-        if queue is not None:
-            queue.finish(status, held_s=self._clock() - record.submitted_at)
+        self.obs.tracer.finish(
+            record.query_id,
+            "queue",
+            status,
+            held_s=self._clock() - record.submitted_at,
+        )
 
     def knows(self, query_id: str) -> bool:
         """Whether the bundle already records a query ``query_id`` — any
-        server sharing it may have submitted one, rejected or not."""
-        return self.obs.activity.entry(query_id) is not None
+        server or coordinator sharing it may have used the id."""
+        return self.obs.activity.knows(query_id)
 
     # -- transitions ----------------------------------------------------------
 
     def submitted(self, record: "ServerQuery") -> None:
         """The server accepted a submission for judgement (it may still be
-        rejected): counter → fingerprint → activity → root ``query`` span
-        and ``submit`` span → journal."""
-        query_id, sql = record.query_id, record.sql
+        rejected): counter → fingerprint → root ``query`` span → activity
+        → ``submit`` span → journal."""
+        query_id, sql, level = record.query_id, record.sql, record.level
         decision = record.admission
-        level_value = record.level.value
-        self._m_submitted.inc(level=record.requested_level.value)
+        level_value = level.value
+        requested_value = record.requested_level.value
+        self._m_submitted.inc(level=requested_value)
         fp = self._coordinator.statement(sql).fingerprint
-        deadline = self._deadline_for(record.level)
-        self.obs.activity.begin(
-            query_id,
-            tenant=record.tenant,
-            level=level_value,
-            requested_level=record.requested_level.value,
-            fingerprint=fp,
-            deadline_s=deadline,
-            admission=decision.action,
-            prior=self._prior(fp, record),
-        )
+        self._fingerprints[sql] = fp
+        deadline = level.deadline_s(self._grace_period_s)
         admission_attrs = (
             decision.to_attrs() if decision.action != "admit" else {}
         )
         tracer = self.obs.tracer
-        price_per_tb = self._price_per_tb(record.level)
+        price_per_tb = self._coordinator.cost_model.price_per_tb(level)
         # price_fraction + deadline_s let traces join SLO records by
         # query id without re-deriving level semantics.
         tracer.start(
@@ -260,17 +236,27 @@ class QueryRecorder:
             level=level_value,
             sql=sql,
             tenant=record.tenant,
-            price_fraction=record.level.price_fraction,
+            price_fraction=level.price_fraction,
             deadline_s=deadline,
             fingerprint=fp.id,
             **admission_attrs,
         )
-        tracer.start(query_id, "submit", level=level_value).finish(
-            price_per_tb=price_per_tb
+        self.obs.activity.begin(
+            query_id,
+            tenant=record.tenant,
+            level=level_value,
+            requested_level=requested_value,
+            deadline_s=deadline,
+            admission=decision.action,
+            prior=self._prior(fp, level_value, record.tenant),
+        )
+        tracer.instant(
+            query_id, "submit", level=level_value, price_per_tb=price_per_tb
         )
         self._journal(
             record,
             "submit",
+            level_value,
             tenant=record.tenant,
             price_per_tb=price_per_tb,
             deadline_s=deadline,
@@ -286,7 +272,7 @@ class QueryRecorder:
         self.obs.journal.event(
             "reject",
             record.query_id,
-            fingerprint=self._fingerprint(record.query_id).id,
+            fingerprint=self._fingerprints[record.sql].id,
             level=record.level.value,
             error=error,
             reason=reason,
@@ -299,51 +285,58 @@ class QueryRecorder:
         """``record.level`` is now best-effort: the admission layer
         downgraded the submission, or (``held``) the projection guard
         demoted a query out of the relaxed hold queue."""
+        level = record.level.value
         if held:
             self._close_queue_span(record, status="downgraded")
         self._m_admission_downgraded.inc(reason=reason)
         self._journal(
             record,
             "downgrade",
+            level,
             reason=reason,
             requested_level=record.requested_level.value,
         )
         if held:
-            fp = self._fingerprint(record.query_id)
             self.obs.activity.downgrade(
                 record.query_id,
-                record.level.value,
+                level,
                 reason,
-                deadline_s=self._deadline_for(record.level),
-                prior=self._prior(fp, record),
+                deadline_s=record.level.deadline_s(self._grace_period_s),
+                prior=self._prior(
+                    self._fingerprints[record.sql], level, record.tenant
+                ),
             )
 
     def queued(
         self, record: "ServerQuery", reason: str, share: float, finish_tag: float
     ) -> None:
         """The query entered its level's weighted-fair hold queue."""
-        attrs = {
-            "reason": reason,
-            "share": share,
-            "finish_tag": round(finish_tag, 9),
-        }
+        level = record.level.value
+        finish_tag = round(finish_tag, 9)
         self.obs.tracer.start(
-            record.query_id, "queue", level=record.level.value, **attrs
+            record.query_id,
+            "queue",
+            level=level,
+            reason=reason,
+            share=share,
+            finish_tag=finish_tag,
         )
-        self._journal(record, "queue", **attrs)
+        self._journal(
+            record, "queue", level, reason=reason, share=share, finish_tag=finish_tag
+        )
         self.obs.activity.mark_queued(record.query_id)
 
     def dispatched(self, record: "ServerQuery", batch: bool = False) -> None:
         """The server is about to hand the query to the coordinator
         (``batch``: as a member of a shared-scan batch)."""
+        level = record.level.value
         self._close_queue_span(record)
         attrs: dict[str, object] = {"batch": True} if batch else {}
-        self.obs.tracer.start(
-            record.query_id, "dispatch", level=record.level.value, **attrs
-        ).finish()
+        self.obs.tracer.instant(record.query_id, "dispatch", level=level, **attrs)
         self._journal(
             record,
             "dispatch",
+            level,
             held_s=round(self._clock() - record.submitted_at, 9),
             **attrs,
         )
@@ -352,16 +345,17 @@ class QueryRecorder:
     def cancelled_held(self, record: "ServerQuery") -> None:
         """The user (or the guard) cancelled a query still in a hold
         queue; the ledger gets a zero void so the cancel is on record."""
-        query_id = record.query_id
+        query_id, level = record.query_id, record.level.value
         self._close_queue_span(record, status="cancelled")
-        self._journal(record, "cancel", stage="held")
-        root = self._root(query_id)
+        self._journal(record, "cancel", level, stage="held")
         self.obs.ledger.void(
             query_id,
             tenant=record.tenant,
-            level=record.level.value,
+            level=level,
             venue="none",
-            span_id=root.span_id if root.end is None else None,
+            # Still open: only the query's own terminal transitions close
+            # its root, and a held query has had none.
+            span_id=self.obs.tracer.root(query_id),
             reason="cancelled_held",
         )
         self.obs.tracer.end_open(
@@ -379,6 +373,7 @@ class QueryRecorder:
             self._journal(
                 record,
                 "guard",
+                record.level.value,
                 rule=decision.rule,
                 action=decision.action,
                 applied=decision.applied,
@@ -386,16 +381,21 @@ class QueryRecorder:
             )
 
     def completed(
-        self, record: "ServerQuery", execution: "QueryExecution"
+        self,
+        record: "ServerQuery",
+        execution: "QueryExecution",
+        profile_of: Callable[[str], "QueryProfile"],
     ) -> None:
         """The coordinator finished the query — billed, cancelled in
-        flight, or failed; the server has already priced it."""
+        flight, or failed; the server has already priced it.
+        ``profile_of`` is the server's ``query_profile``, asked only if
+        the journal captures the query."""
         obs = self.obs
         query_id = record.query_id
         level_value = record.level.value
-        root = self._root(query_id)
-        fp = self._fingerprint(query_id)
-        deadline = self._deadline_for(record.level)
+        root = obs.tracer.root(query_id)
+        fp = self._fingerprints[record.sql]
+        deadline = record.level.deadline_s(self._grace_period_s)
         pending = record.pending_time_s
         slack = (
             deadline - pending
@@ -408,11 +408,18 @@ class QueryRecorder:
         reading = None
         if execution.result is not None:
             stats = execution.result.stats
-            price_per_tb = self._price_per_tb(record.level)
+            price_per_tb = self._coordinator.cost_model.price_per_tb(record.level)
             # One meter reading feeds the ledger, the statement store and
             # the activity registry, so the three split the server's
             # integer bill identically.
-            reading = _meter(self._coordinator, stats, venue, record.price)
+            reading = self._coordinator.cost_model.meter(
+                stats,
+                venue,
+                record.price,
+                get_price_per_1000=(
+                    self._coordinator.store.profile.get_price_per_1000
+                ),
+            )
             obs.ledger.charge_query(
                 query_id,
                 axes=reading.axes,
@@ -420,7 +427,7 @@ class QueryRecorder:
                 tenant=record.tenant,
                 level=level_value,
                 venue=venue,
-                span_id=root.span_id,
+                span_id=root,
                 bytes_scanned=stats.bytes_scanned,
                 data_inflation=self._coordinator.config.data_inflation,
                 price_per_tb=price_per_tb,
@@ -439,7 +446,7 @@ class QueryRecorder:
                     actual_s=pending,
                     billed=record.price,
                 )
-            obs.tracer.start(
+            obs.tracer.instant(
                 query_id,
                 "bill",
                 parent=root,
@@ -450,7 +457,7 @@ class QueryRecorder:
                 bytes_scanned=stats.bytes_scanned,
                 deadline_s=deadline,
                 slack_s=slack,
-            ).finish()
+            )
             obs.tracer.end_open(query_id, "ok")
             projection = obs.activity.finish_billed(
                 query_id, record.price_nanodollars, axes=reading.axes
@@ -480,14 +487,14 @@ class QueryRecorder:
                     tenant=record.tenant,
                     level=level_value,
                     venue=venue,
-                    span_id=root.span_id,
+                    span_id=root,
                     reason="cancelled",
                 )
                 obs.activity.finish_cancelled(query_id)
             else:
                 obs.activity.finish_failed(query_id, execution.error)
         self._fold_statement(
-            record, execution, fp, root.span_id, slack, venue, reading
+            record, execution, fp, slack, venue, reading, profile_of
         )
         if pending is not None:
             self._m_pending.observe(pending, level=level_value)
@@ -496,11 +503,11 @@ class QueryRecorder:
         self,
         record: "ServerQuery",
         execution: "QueryExecution",
-        fp: Fingerprint,
-        span_id: int | None,
+        fp: "Fingerprint",
         slack: float | None,
         venue: str,
         reading: "MeterReading | None",
+        profile_of: Callable[[str], "QueryProfile"],
     ) -> None:
         """Fold one completion into the statement store and the journal
         (including the tail-based capture decision); ``reading`` is the
@@ -542,7 +549,7 @@ class QueryRecorder:
         journal.event(
             "error" if error else "finish",
             record.query_id,
-            span_id=span_id,
+            span_id=ROOT,
             fingerprint=fp.id,
             level=level_value,
             **attrs,
@@ -556,14 +563,14 @@ class QueryRecorder:
         )
         if reasons:
             try:
-                profile = self._profile_of(record.query_id)
+                profile = profile_of(record.query_id)
             except PixelsError:
                 profile = None
             journal.capture(
                 record.query_id,
                 reasons,
                 profile,
-                span_id=span_id,
+                span_id=ROOT,
                 fingerprint=fp.id,
                 level=level_value,
                 slack_s=round(slack, 9) if slack is not None else None,
@@ -574,21 +581,24 @@ class QueryRecorder:
 class ExecutionRecorder:
     """Writes every sink a coordinator transition feeds, in one place.
 
-    It keeps no per-query state: the span an attempt opened is found
-    again through :meth:`Tracer.last`, so the coordinator's completion
+    It keeps no per-query state and no reference to its coordinator: the
+    span an attempt opened is named by the trace's newest span of its
+    name, found when the log is folded, so the coordinator's completion
     and crash continuations capture no span, and a fan-out relaunched
     for a query cancelled mid-invocation still parents under that
     query's (closed) ``execute`` span.
     """
 
     def __init__(self, obs: "Instrumentation", coordinator: "Coordinator") -> None:
-        """``coordinator`` prices execution windows, and its venues,
-        store and VM pool join the registry's derived series."""
+        """``coordinator``'s cost model and request price price execution
+        windows, and its venues, store and VM pool join the registry's
+        derived series."""
         self._tracer = obs.tracer
         self._ledger = obs.ledger
         self._activity = obs.activity
         registry = obs.metrics
-        self._coordinator = coordinator
+        self._cost_model = coordinator.cost_model
+        self._get_price_per_1000 = coordinator.store.profile.get_price_per_1000
         self._m_queries = registry.counter(
             "pixels_queries_total", "Finished queries by venue and status"
         )
@@ -605,7 +615,12 @@ class ExecutionRecorder:
         self._m_exec_seconds = registry.histogram(
             "pixels_query_execution_seconds", "Simulated execution time by venue"
         )
-        registry.shared(VenueSeries).add(coordinator)
+        registry.shared(VenueSeries).add(
+            coordinator.vm_cluster,
+            coordinator.cf_service,
+            coordinator.store,
+            coordinator.vm_buffer_pool,
+        )
 
     @classmethod
     def observing(
@@ -628,11 +643,12 @@ class ExecutionRecorder:
         shape hash becomes the execution's statement-store plan identity)
         or with ``error``."""
         attrs: dict[str, object] = {"batch": True} if batch else {}
-        span = self._tracer.start(execution.query_id, "plan", **attrs)
         if error is not None:
-            span.finish("error", error=error)
+            self._tracer.instant(
+                execution.query_id, "plan", status="error", error=error, **attrs
+            )
             return
-        span.finish("ok")
+        self._tracer.instant(execution.query_id, "plan", **attrs)
         execution.plan_shape = prepared.shape
 
     def vm_queued(self, execution: "QueryExecution") -> None:
@@ -646,9 +662,7 @@ class ExecutionRecorder:
         """``execution.venue`` began running the plan; ``attrs`` (worker,
         batch shape) label the ``execute`` span with it.  Ends the VM
         queue wait, if there was one."""
-        queue = self._tracer.last(execution.query_id, "vm_queue")
-        if queue is not None:
-            queue.finish("ok")
+        self._tracer.finish(execution.query_id, "vm_queue", "ok")
         self._tracer.start(
             execution.query_id, "execute", venue=execution.venue.value, **attrs
         )
@@ -660,32 +674,32 @@ class ExecutionRecorder:
         merged: "QueryStats | None" = None,
         merged_batches: int = 0,
     ) -> None:
-        """The engine ran the plan: an instant ``scan`` child carrying
-        the scan-side accounting and, for a CF attempt (``merged`` is the
-        top-level plan's stats), the ``merge`` child and the fan-out
-        width."""
+        """The engine ran the plan: an instant ``scan`` child of the
+        ``execute`` span carrying the scan-side accounting and, for a CF
+        attempt (``merged`` is the top-level plan's stats), the ``merge``
+        child and the fan-out width."""
         query_id = execution.query_id
-        execute = self._tracer.last(query_id, "execute")
-        self._tracer.start(
+        tracer = self._tracer
+        tracer.instant(
             query_id,
             "scan",
-            parent=execute,
+            parent="execute",
             bytes_scanned=scanned.bytes_scanned,
             rows_scanned=scanned.rows_scanned,
             get_requests=scanned.get_requests,
             cache_hits=scanned.cache_hits,
             cache_misses=scanned.cache_misses,
             row_groups_skipped=scanned.row_groups_skipped,
-        ).finish("ok")
+        )
         if merged is not None:
-            self._tracer.start(
+            tracer.instant(
                 query_id,
                 "merge",
-                parent=execute,
+                parent="execute",
                 rows_produced=merged.rows_produced,
                 batches=merged_batches,
-            ).finish("ok")
-            execute.set(cf_workers=execution.cf_workers)
+            )
+            tracer.set(query_id, "execute", cf_workers=execution.cf_workers)
 
     def window_opened(
         self,
@@ -702,13 +716,13 @@ class ExecutionRecorder:
         the server bills with — so projection and bill cannot disagree
         at the terminal state."""
         query_id, venue = execution.query_id, execution.venue.value
-        entry = self._activity.entry(query_id)
-        final = None
-        if entry is not None and not entry.terminal and entry.level is not None:
-            price = self._coordinator.cost_model.user_price(
-                stats, ServiceLevel(entry.level)
-            )
-            final = _meter(self._coordinator, stats, venue, price)
+        level = self._activity.level_of(query_id)
+        if level is None:  # never submitted to a server, or terminal
+            return
+        price = self._cost_model.user_price(stats, ServiceLevel(level))
+        final = self._cost_model.meter(
+            stats, venue, price, get_price_per_1000=self._get_price_per_1000
+        )
         self._activity.begin_execution(
             query_id,
             venue=venue,
@@ -737,14 +751,14 @@ class ExecutionRecorder:
         retries behind it: the previous invocation failed."""
         query_id = execution.query_id
         if execution.retries:
-            self._tracer.last(query_id, "cf_invoke").finish(
-                "retry", reason="cf invocation failed"
+            self._tracer.finish(
+                query_id, "cf_invoke", "retry", reason="cf invocation failed"
             )
             self._m_retries.inc(venue="cf")
         self._tracer.start(
             query_id,
             "cf_invoke",
-            parent=self._tracer.last(query_id, "execute"),
+            parent="execute",
             workers=execution.cf_workers,
             attempt=execution.retries,
         )
@@ -763,14 +777,12 @@ class ExecutionRecorder:
         fan-out still in flight, if any.  ``failure`` (``error=`` or
         ``reason=``) labels both spans."""
         attrs = dict(failure)
-        invoke = self._tracer.last(execution.query_id, "cf_invoke")
-        if invoke is not None:
-            invoke.finish(status, **attrs)
+        self._tracer.finish(execution.query_id, "cf_invoke", status, **attrs)
         if result is not None:
             attrs["bytes_scanned"] = result.stats.bytes_scanned
         if provider_cost is not None:
             attrs["provider_cost"] = provider_cost
-        self._tracer.last(execution.query_id, "execute").finish(status, **attrs)
+        self._tracer.finish(execution.query_id, "execute", status, **attrs)
 
     def finished(self, execution: "QueryExecution", status: str) -> None:
         """The execution reached a terminal state: ``ok``, ``error`` or

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.events import WeakCallback
 
 _Labels = tuple[tuple[str, str], ...]
 
@@ -179,10 +180,13 @@ class ScrapeLoop:
         self.interval_s = interval_s
         self._listeners = list(listeners or [])
         self._last_scrape: float | None = None
-        sim.schedule(interval_s, self._tick)
+        # Held weakly: the pending tick must not pin a finished replay,
+        # so a loop lapses once its owner lets go of it.
+        self._tick_callback = WeakCallback(self._tick)
+        sim.schedule(interval_s, self._tick_callback)
 
     def _tick(self) -> None:
-        self._sim.schedule(self.interval_s, self._tick)
+        self._sim.schedule(self.interval_s, self._tick_callback)
         self.scrape()
 
     def scrape(self) -> None:

@@ -8,19 +8,24 @@ regression artifacts (CI diffs them across PRs).
 
 Parenting is implicit, OpenTelemetry-style: starting a span makes it the
 innermost open span of its trace, and subsequent spans of the same trace
-become its children until it finishes.  An explicit ``parent`` (or
-``parent=ROOT`` for a forced root) overrides this.
+become its children until it finishes.  An explicit ``parent`` — a span
+id, or a name for the trace's newest span so called — or ``parent=ROOT``
+for a forced root overrides this.
 
-A span's own ``end`` is the only record of whether it is open: the
-tracer keeps one list of spans per trace and nothing beside it, so the
-implicit parent is the newest span of the trace that has not ended.  A
-span holds the tracer's clock, not the tracer.
+Writing a span builds nothing: :meth:`Tracer.start`, :meth:`~Tracer.finish`,
+:meth:`~Tracer.instant`, :meth:`~Tracer.set` and :meth:`~Tracer.end_open`
+each append one entry to the :class:`~repro.obs.lifecycle.LifecycleLog`,
+and only a started span's id is handed back.  :class:`Span` objects, timelines and exports are folded
+from the log when read (:class:`SpanFold`), a one-query read from that
+query's entries alone.  A span's ``end`` is the only record of whether
+it is open, so the implicit parent is the newest span of the trace that
+has not ended at the moment the child starts.
 
 There is no inert twin.  The two recorders in :mod:`repro.obs.recorder`
-are the only callers of :meth:`Tracer.start`, and an unobserved stack
-builds neither of them, so the tracer in
-:meth:`Instrumentation.disabled() <repro.obs.Instrumentation.disabled>`
-is a real one that simply stays empty.
+are the only writers, and an unobserved stack builds neither of them, so
+the tracer in :meth:`Instrumentation.disabled()
+<repro.obs.Instrumentation.disabled>` is a real one that simply stays
+empty.
 """
 
 from __future__ import annotations
@@ -29,17 +34,28 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.obs.lifecycle import LifecycleLog, mapping_at
+
 #: Sentinel for ``Tracer.start(parent=ROOT)``: force a root span even when
 #: other spans of the trace are open.
 ROOT = object()
 
+#: Entry kinds the tracer appends to the lifecycle log, with their
+#: fields; each ends with the attributes, flat.
+START = "span.start"  # span_id, name, start, parent, attributes
+INSTANT = "span.instant"  # span_id, name, at, parent, status, attributes
+FINISH = "span.finish"  # span, end, status, attributes
+SET = "span.set"  # span, attributes
+END_OPEN = "span.end_open"  # end, status, attributes
+
 
 @dataclass
 class Span:
-    """One timed operation within a query's lifecycle.
+    """One timed operation within a query's lifecycle, as folded from the
+    log.
 
-    ``status`` is ``"open"`` until :meth:`finish` stamps a terminal
-    status: ``"ok"``, ``"error"``, ``"retry"`` (a failed attempt that was
+    ``status`` is ``"open"`` until a finish stamps a terminal status:
+    ``"ok"``, ``"error"``, ``"retry"`` (a failed attempt that was
     re-tried), or ``"cancelled"``.
     """
 
@@ -51,29 +67,90 @@ class Span:
     end: float | None = None
     status: str = "open"
     attributes: dict[str, object] = field(default_factory=dict)
-    _clock: Callable[[], float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def duration_s(self) -> float | None:
         return None if self.end is None else self.end - self.start
 
-    def set(self, **attributes: object) -> "Span":
-        """Attach attributes; returns self for chaining."""
-        self.attributes.update(attributes)
-        return self
 
-    def finish(self, status: str = "ok", **attributes: object) -> None:
-        """Close the span at the current clock time.
+class SpanFold:
+    """The spans of every trace a forward pass over the log has seen.
 
-        Idempotent: finishing an already-closed span is a no-op, so
-        safety-net closers (:meth:`Tracer.end_open`) compose with explicit
-        closes regardless of call order.
-        """
-        if self.end is not None or self._clock is None:
-            return
-        self.attributes.update(attributes)
-        self.status = status
-        self.end = self._clock()
+    Feed it entries in log order with :meth:`apply`; entries of other
+    kinds are ignored.  ``spans`` holds each trace's spans in creation
+    order, as they stand after the last entry applied.
+    """
+
+    def __init__(self) -> None:
+        self.spans: dict[str, list[Span]] = {}
+        self.by_id: dict[int, Span] = {}
+        #: Trace id -> its newest span started with ``parent=ROOT``.
+        self.roots: dict[str, int] = {}
+
+    def apply(self, entry: tuple) -> None:
+        kind = entry[2]
+        if kind == START:
+            self._open(entry, mapping_at(entry, 7))
+        elif kind == INSTANT:
+            span = self._open(entry, mapping_at(entry, 8))
+            span.status = entry[7]
+            span.end = span.start
+        elif kind == FINISH:
+            trace_id, _, _, ref, end, status = entry[:6]
+            span = self._resolve(trace_id, ref)
+            if span is not None:
+                self._close(span, end, status, mapping_at(entry, 6))
+        elif kind == SET:
+            trace_id, _, _, ref = entry[:4]
+            span = self._resolve(trace_id, ref)
+            if span is not None:
+                span.attributes.update(mapping_at(entry, 4))
+        elif kind == END_OPEN:
+            trace_id, _, _, end, status = entry[:5]
+            attributes = mapping_at(entry, 5)
+            for span in reversed(self.spans.get(trace_id, ())):
+                self._close(span, end, status, attributes)
+
+    def _open(self, entry: tuple, attributes: dict) -> Span:
+        trace_id, _, _, span_id, name, start, parent = entry[:7]
+        spans = self.spans.setdefault(trace_id, [])
+        if parent is ROOT:
+            parent_id = None
+            self.roots[trace_id] = span_id
+        elif type(parent) is int:
+            parent_id = parent
+        else:
+            named = self._newest(spans, parent) if parent is not None else None
+            if named is None:  # the newest span that has not ended
+                named = next((s for s in reversed(spans) if s.end is None), None)
+            parent_id = named.span_id if named is not None else None
+        span = Span(span_id, trace_id, name, start, parent_id, attributes=attributes)
+        spans.append(span)
+        self.by_id[span_id] = span
+        return span
+
+    @staticmethod
+    def _newest(spans: list[Span], name: str) -> Span | None:
+        for span in reversed(spans):
+            if span.name == name:
+                return span
+        return None
+
+    def _resolve(self, trace_id: str, ref: int | str) -> Span | None:
+        """The trace's span with id ``ref``, or its newest called ``ref``."""
+        if type(ref) is int:
+            span = self.by_id.get(ref)
+            return span if span is not None and span.trace_id == trace_id else None
+        return self._newest(self.spans.get(trace_id, []), ref)
+
+    @staticmethod
+    def _close(span: Span, end: float, status: str, attributes: dict) -> None:
+        """Finishing is idempotent: a closed span keeps its first close,
+        so safety-net closers compose with explicit ones in any order."""
+        if span.end is None:
+            span.attributes.update(attributes)
+            span.status = status
+            span.end = end
 
 
 class Tracer:
@@ -83,12 +160,22 @@ class Tracer:
         clock: Zero-argument callable returning the current time — pass
             the simulator's (``lambda: sim.now``) so span timestamps are
             virtual and reproducible.  Defaults to a frozen clock at 0.
+        log: The lifecycle log to write; an observed bundle shares one
+            with its journal and activity registry.  Defaults to a
+            private one.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        log: LifecycleLog | None = None,
+    ) -> None:
         self._clock = clock if clock is not None else (lambda: 0.0)
+        self._log = log if log is not None else LifecycleLog()
+        self._chain = self._log.chain()
         self._next_id = 0
-        self._spans: dict[str, list[Span]] = {}
+        #: Trace id -> its newest span started with ``parent=ROOT``.
+        self._roots: dict[str, int] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -96,77 +183,122 @@ class Tracer:
         self,
         trace_id: str,
         name: str,
-        parent: Span | object | None = None,
+        parent: int | str | object | None = None,
         **attributes: object,
-    ) -> Span:
-        """Open a span; it becomes the innermost open span of its trace."""
+    ) -> int:
+        """Open a span and return its id; it becomes the innermost open
+        span of its trace.  ``parent`` is a span id, the name of the
+        trace's newest span so called (the implicit parent if there is
+        none), or :data:`ROOT`."""
+        span_id = self._next_id
+        self._next_id = span_id + 1
         if parent is ROOT:
-            parent_id = None
-        elif isinstance(parent, Span):
-            parent_id = parent.span_id
-        else:  # the newest span of the trace that has not ended
-            spans = reversed(self._spans.get(trace_id, ()))
-            parent_id = next((s.span_id for s in spans if s.end is None), None)
-        span = Span(
-            span_id=self._next_id,
-            trace_id=trace_id,
-            name=name,
-            start=self._clock(),
-            parent_id=parent_id,
-            attributes=dict(attributes),
-            _clock=self._clock,
+            self._roots[trace_id] = span_id
+        self._chain.append(
+            trace_id, START, span_id, name, self._clock(), parent,
+            *attributes, *attributes.values(),
         )
-        self._next_id += 1
-        self._spans.setdefault(trace_id, []).append(span)
-        return span
+        return span_id
 
-    def end_open(self, trace_id: str, status: str = "ok", **attributes: object) -> int:
+    def instant(
+        self,
+        trace_id: str,
+        name: str,
+        parent: int | str | object | None = None,
+        status: str = "ok",
+        **attributes: object,
+    ) -> None:
+        """A span that starts and finishes now, with ``status``: what
+        :meth:`finish` of a just-started span records, in one entry."""
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        if parent is ROOT:
+            self._roots[trace_id] = span_id
+        self._chain.append(
+            trace_id, INSTANT, span_id, name, self._clock(), parent, status,
+            *attributes, *attributes.values(),
+        )
+
+    def finish(
+        self, trace_id: str, span: int | str, status: str = "ok", **attributes: object
+    ) -> None:
+        """Close ``span`` — one of the trace's span ids, or the name of its
+        newest span so called — at the current clock time.  A no-op for
+        a span already closed, or for a name the trace has no span of."""
+        if trace_id in self._chain.heads:
+            self._chain.append(
+                trace_id, FINISH, span, self._clock(), status,
+                *attributes, *attributes.values(),
+            )
+
+    def set(self, trace_id: str, span: int | str, **attributes: object) -> None:
+        """Attach attributes to ``span`` (as in :meth:`finish`), open or not."""
+        if trace_id in self._chain.heads:
+            self._chain.append(
+                trace_id, SET, span, *attributes, *attributes.values()
+            )
+
+    def end_open(self, trace_id: str, status: str = "ok", **attributes: object) -> None:
         """Close every still-open span of ``trace_id``, newest first.
 
         The safety net for error, retry-exhaustion, and cancellation
         paths: no code path may leak an open span past query completion.
-        Returns the number of spans it closed.
         """
-        closing = self.open_spans(trace_id)
-        for span in reversed(closing):
-            span.finish(status, **attributes)
-        return len(closing)
+        if trace_id in self._chain.heads:
+            self._chain.append(
+                trace_id, END_OPEN, self._clock(), status,
+                *attributes, *attributes.values(),
+            )
+
+    def root(self, trace_id: str) -> int | None:
+        """The id of the trace's newest span started with ``parent=ROOT``."""
+        return self._roots.get(trace_id)
 
     # -- inspection ----------------------------------------------------------
 
+    def _fold(self, trace_id: str) -> list[Span]:
+        fold = SpanFold()
+        for entry in self._chain.of(trace_id):
+            fold.apply(entry)
+        return fold.spans.get(trace_id, [])
+
+    def _fold_all(self) -> dict[str, list[Span]]:
+        fold = SpanFold()
+        for entry in self._log:
+            fold.apply(entry)
+        return fold.spans
+
     def trace_ids(self) -> list[str]:
-        return sorted(self._spans)
+        """Every trace with a span, sorted (closing a span of a trace
+        that has none writes nothing)."""
+        return sorted(self._chain.heads)
 
     def spans(self, trace_id: str) -> list[Span]:
         """All spans of the trace, in creation order."""
-        return list(self._spans.get(trace_id, []))
+        return self._fold(trace_id)
 
     def open_spans(self, trace_id: str) -> list[Span]:
         """The spans of the trace that have not ended, in creation order."""
-        return [span for span in self._spans.get(trace_id, ()) if span.end is None]
+        return [span for span in self._fold(trace_id) if span.end is None]
 
     def last(self, trace_id: str, name: str) -> Span | None:
         """The most recently started span called ``name`` in the trace,
-        open or closed — how a writer finds the attempt it is closing (or
-        parenting under) without carrying the span through a callback."""
-        for span in reversed(self._spans.get(trace_id, ())):
-            if span.name == name:
-                return span
-        return None
+        open or closed."""
+        return SpanFold._newest(self._fold(trace_id), name)
 
     # -- export --------------------------------------------------------------
 
-    def timeline(self, trace_id: str) -> dict:
-        """The span forest of ``trace_id`` as nested plain dicts."""
+    @staticmethod
+    def _timeline(trace_id: str, spans: list[Span]) -> dict:
         nodes: dict[int, dict] = {}
         roots: list[dict] = []
-        for span in self._spans.get(trace_id, []):
+        for span in spans:
             node = {
                 "name": span.name,
                 "start": span.start,
                 "end": span.end,
                 "status": span.status,
-                "attributes": dict(span.attributes),
+                "attributes": span.attributes,
                 "children": [],
             }
             nodes[span.span_id] = node
@@ -176,6 +308,10 @@ class Tracer:
                 roots.append(node)
         return {"trace_id": trace_id, "spans": roots}
 
+    def timeline(self, trace_id: str) -> dict:
+        """The span forest of ``trace_id`` as nested plain dicts."""
+        return self._timeline(trace_id, self._fold(trace_id))
+
     def export_json(self, trace_id: str) -> str:
         """Deterministic JSON timeline — byte-identical across same-seed
         runs (virtual-clock timestamps, counter span ids, sorted keys)."""
@@ -183,8 +319,9 @@ class Tracer:
 
     def export_all_json(self) -> str:
         """Every trace, sorted by trace id, as one JSON document."""
+        traces = self._fold_all()
         return json.dumps(
-            [self.timeline(trace_id) for trace_id in self.trace_ids()],
+            [self._timeline(trace_id, traces[trace_id]) for trace_id in sorted(traces)],
             sort_keys=True,
             indent=2,
         )

@@ -41,11 +41,9 @@ class SharedScanStats:
 
     tables_shared: int = 0
     shared_bytes_scanned: int = 0
-    unshared_bytes_scanned: int = 0  # what N independent scans would read
-
-    @property
-    def bytes_saved(self) -> int:
-        return max(self.unshared_bytes_scanned - self.shared_bytes_scanned, 0)
+    #: What the members would have scanned alone (each reports its solo
+    #: bytes exactly) minus what the batch scanned.
+    bytes_saved: int = 0
 
 
 @dataclass
@@ -194,19 +192,14 @@ def execute_shared_batch(
         batch.results.append(result)
         batch.combined.rows_scanned += result.stats.rows_scanned
         batch.combined.operators += result.stats.operators
-        # What this plan would have read on its own (for the savings line).
-        for scan in plan_scans(plan):
-            key = (scan.schema_name, scan.table.name)
-            if key in table_bytes:
-                # Approximate: the per-query share of the table's columns.
-                fraction = len(scan.columns) / max(len(needed[key]), 1)
-                batch.shared_stats.unshared_bytes_scanned += int(
-                    table_bytes[key] * fraction
-                )
     # The provider scanned each shared table once, plus what members read
     # of the tables the batch did not share — not the members' bills.
     batch.combined.bytes_scanned = ScanCounters.of(
         store.metrics.delta(before), 0
     ).bytes_scanned
+    stats.bytes_saved = (
+        sum(result.stats.bytes_scanned for result in batch.results)
+        - batch.combined.bytes_scanned
+    )
     return batch
 

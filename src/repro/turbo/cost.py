@@ -95,7 +95,17 @@ class CostModel:
     """Turns executor statistics into durations and dollars."""
 
     def __init__(self, config: TurboConfig) -> None:
+        from repro.core.service_levels import ServiceLevel
+
         self._config = config
+        prices = config.prices
+        #: $/TB by level value (a str key hashes in C, an enum member in
+        #: Python).
+        self._price_per_tb = {
+            ServiceLevel.IMMEDIATE.value: prices.immediate_per_tb,
+            ServiceLevel.RELAXED.value: prices.relaxed_per_tb,
+            ServiceLevel.BEST_EFFORT.value: prices.best_effort_per_tb,
+        }
 
     def _inflated(self, stats: QueryStats) -> tuple[float, float]:
         """(bytes, rows) after applying the workload inflation factor."""
@@ -226,14 +236,7 @@ class CostModel:
     # -- user-facing prices ------------------------------------------------------
 
     def price_per_tb(self, level: "ServiceLevel") -> float:  # noqa: F821
-        from repro.core.service_levels import ServiceLevel
-
-        prices = self._config.prices
-        return {
-            ServiceLevel.IMMEDIATE: prices.immediate_per_tb,
-            ServiceLevel.RELAXED: prices.relaxed_per_tb,
-            ServiceLevel.BEST_EFFORT: prices.best_effort_per_tb,
-        }[level]
+        return self._price_per_tb[level._value_]
 
     def user_price(self, stats: QueryStats, level: "ServiceLevel") -> float:  # noqa: F821
         """The bill for one query: TB scanned × the level's rate (§3.2).

@@ -60,6 +60,7 @@ def run_to_exec_start(sim, server, record, horizon: float = 600.0):
     while entry.exec_started_at is None and t < horizon:
         t += step
         sim.run_until(t)
+        entry = server.obs.activity.entry(record.query_id)
     assert entry.exec_started_at is not None, "query never started executing"
     return entry
 
@@ -74,6 +75,7 @@ class TestLifecycle:
         assert entry.state in ("admitted", "dispatched", "executing")
         sim.run_until(900)
         assert record.status is QueryStatus.FINISHED
+        entry = server.obs.activity.entry(record.query_id)
         assert entry.state == "billed"
         # The journal keeps the transitions, each with its time.
         rows = [
@@ -290,7 +292,7 @@ class TestGuard:
         assert downgrades and downgrades[0].action == "downgrade"
         assert downgrades[0].applied is True
         assert held.level is ServiceLevel.BEST_EFFORT
-        assert entry.level == "best_effort"
+        assert server.obs.activity.entry(held.query_id).level == "best_effort"
         row = next(
             r
             for r in server.obs.activity.snapshot()["queries"]

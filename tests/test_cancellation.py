@@ -298,6 +298,7 @@ class TestCancellationActivity:
         assert server.cancel(record.query_id) is True
         sim.run_until(900)
         assert record.status is QueryStatus.FAILED
+        entry = server.obs.activity.entry(record.query_id)
         assert entry.state == "cancelled"
         row = next(
             r
@@ -323,6 +324,7 @@ class TestCancellationActivity:
         entry = server.obs.activity.entry(held.query_id)
         assert entry.state == "queued"
         assert server.cancel(held.query_id) is True
+        entry = server.obs.activity.entry(held.query_id)
         assert entry.state == "cancelled"
         assert entry.detail == "cancelled_held"
         sim.run_until(900)
@@ -342,4 +344,4 @@ class TestCancellationActivity:
         ]
         assert events[-1] == "cancel"
         assert events.count("cancel") == 1
-        assert entry.state == "cancelled"
+        assert server.obs.activity.entry(held.query_id).state == "cancelled"

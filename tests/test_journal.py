@@ -25,11 +25,11 @@ class TestEvents:
         clock = FakeClock()
         journal = QueryJournal(clock)
         clock.now = 12.5
-        record = journal.event(
+        journal.event(
             "submit", "q-1", span_id=7, fingerprint="abc", level="relaxed",
             deadline_s=300.0,
         )
-        assert record == {
+        assert journal.records() == [{
             "ts": 12.5,
             "event": "submit",
             "query_id": "q-1",
@@ -38,11 +38,28 @@ class TestEvents:
             "fingerprint": "abc",
             "level": "relaxed",
             "deadline_s": 300.0,
-        }
+        }]
 
     def test_trace_id_defaults_to_query_id(self):
         journal = QueryJournal()
-        assert journal.event("submit", "q-9")["trace_id"] == "q-9"
+        journal.event("submit", "q-9")
+        assert journal.records()[0]["trace_id"] == "q-9"
+
+    def test_while_open_labels_only_rows_written_under_an_open_span(self):
+        from repro.obs import ROOT, Tracer
+        from repro.obs.lifecycle import LifecycleLog
+
+        log = LifecycleLog()
+        tracer, journal = Tracer(log=log), QueryJournal(log=log)
+        root = tracer.start("q-1", "query", parent=ROOT)
+        for event in ("open", "closed"):
+            journal.event(
+                event, "q-1", span_id=ROOT, fingerprint="abc", while_open=True
+            )
+            tracer.end_open("q-1")
+        journal.event("finish", "q-1", span_id=ROOT, fingerprint="abc")
+        labels = [(r["span_id"], r["fingerprint"]) for r in journal.records()]
+        assert labels == [(root, "abc"), (None, None), (root, "abc")]
 
     def test_export_jsonl_round_trips(self):
         journal = QueryJournal()
@@ -117,7 +134,8 @@ class TestCapturePolicy:
 class TestCapture:
     def test_capture_without_profile(self):
         journal = QueryJournal()
-        record = journal.capture("q-1", ["error"], None, level="immediate")
+        assert journal.capture("q-1", ["error"], None, level="immediate")
+        record = journal.records()[-1]
         assert record["event"] == "capture"
         assert record["reasons"] == ["error"]
         assert "profile" not in record
@@ -125,8 +143,8 @@ class TestCapture:
 
     def test_max_captures_drops_with_breadcrumb(self):
         journal = QueryJournal(policy=CapturePolicy(max_captures=1))
-        assert journal.capture("q-1", ["error"], None) is not None
-        assert journal.capture("q-2", ["error"], None) is None
+        assert journal.capture("q-1", ["error"], None) is True
+        assert journal.capture("q-2", ["error"], None) is False
         assert journal.dropped_captures == 1
         events = [r["event"] for r in journal.records()]
         assert events == ["capture", "capture_dropped"]
@@ -145,9 +163,10 @@ class TestCapture:
         sim.run_until(120)
         profile = server.query_profile(record.query_id)
         journal = obs.journal
-        capture = journal.capture(
+        journal.capture(
             record.query_id, ["slowest_8"], profile, level="immediate"
         )
+        capture = journal.captures()[-1]
         assert capture["profile"]["name"] == "query"
         assert capture["profile"]["children"]
         assert capture["flamegraph_svg"].startswith("<svg")

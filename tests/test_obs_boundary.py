@@ -11,8 +11,8 @@ bundle: no sink recorded anything, and every read-side accessor of
 :class:`~repro.PixelsDB` and :class:`~repro.rover.RoverServer` returns
 the documented "nothing was watching" value; options that act only on
 an observed stack are refused on an unobserved one.  And on an observed
-stack neither recorder keeps state per query: the tracer and the
-activity registry already hold it.
+stack neither recorder keeps state per query: the lifecycle log already
+holds it.
 """
 
 import ast
@@ -401,9 +401,10 @@ class TestObservedOnlyOptions:
 
 
 class TestRecordersKeepNoPerQueryState:
-    """What a query's transitions need again (its root and queue spans,
-    its fingerprint) is read back off the tracer and the activity
-    registry, so no recorder container grows with the held queue."""
+    """What a query's transitions need again is named in the lifecycle
+    log (its root and queue spans are resolved when the log is folded)
+    or kept per SQL text (its fingerprint), so no recorder container
+    grows with the held queue."""
 
     SQL = "SELECT l_returnflag, count(*) FROM lineitem GROUP BY l_returnflag"
 

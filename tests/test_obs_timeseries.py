@@ -130,9 +130,14 @@ class TestScrapeLoop:
     def test_listeners_receive_the_scrape_time(self):
         sim = Simulator()
         seen: list[float] = []
-        ScrapeLoop(sim, MetricsRegistry(), interval_s=10.0,
-                   listeners=[seen.append])
+        loop = ScrapeLoop(sim, MetricsRegistry(), interval_s=10.0,
+                          listeners=[seen.append])
         sim.run_until(30.0)
+        assert seen == [10.0, 20.0, 30.0]
+        # The pending tick holds the loop weakly: once its owner lets go,
+        # the loop lapses instead of pinning the simulator in a cycle.
+        del loop
+        sim.run_until(60.0)
         assert seen == [10.0, 20.0, 30.0]
 
     def test_rejects_nonpositive_interval(self):

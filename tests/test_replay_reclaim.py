@@ -8,7 +8,11 @@ containers unrelated code happens to allocate.  Two kinds of cycle used
 to exist in a quiesced, unobserved replay: the self-rescheduling ticks
 (simulator -> heap -> event -> bound method -> owner -> simulator) and
 each query's completion continuation (execution -> closure -> record ->
-execution).  These tests pin both fixes with the collector switched off.
+execution).  An observed replay added four more: the query recorder
+holding the server's bound methods, the execution recorder holding its
+coordinator, the venue series holding the coordinators that hold the
+registry, and the scrape loop's tick.  These tests pin every fix with
+the collector switched off.
 """
 
 import gc
@@ -50,14 +54,14 @@ def submissions() -> list[Submission]:
     ]
 
 
-def replay_and_drop(dataset) -> list[weakref.ref]:
+def replay_and_drop(dataset, observe: bool = False) -> list[weakref.ref]:
     """Run a replay to quiescence and let go of it; what comes back are
     weak references to its simulator, coordinator, server and one result
     table — the frame's own strong references die with the return."""
     store, catalog = dataset
     result = run_workload(
         submissions(), store, catalog, "tpch", TurboConfig.experiment(),
-        observe=False,
+        observe=observe,
     )
     assert len(result.queries) == 21
     assert all(query.status.is_terminal for query in result.queries)
@@ -73,11 +77,19 @@ def replay_and_drop(dataset) -> list[weakref.ref]:
 
 
 def test_quiesced_replay_is_freed_without_the_cycle_collector(dataset):
+    assert_freed_without_the_cycle_collector(dataset, observe=False)
+
+
+def test_quiesced_observed_replay_is_freed_without_the_cycle_collector(dataset):
+    assert_freed_without_the_cycle_collector(dataset, observe=True)
+
+
+def assert_freed_without_the_cycle_collector(dataset, observe: bool) -> None:
     gc.collect()  # earlier tests' garbage is not this test's business
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        refs = replay_and_drop(dataset)
+        refs = replay_and_drop(dataset, observe)
         assert [ref() for ref in refs] == [None] * len(refs)
         # Nothing of the replay was left for the collector either.
         gc.set_debug(gc.DEBUG_SAVEALL)
