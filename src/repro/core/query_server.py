@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import NoSuchQueryError, PixelsError, QueryRejectedError
 from repro.core.scheduler import (
@@ -51,6 +51,9 @@ from repro.obs.recorder import QueryRecorder
 from repro.sim import Simulator, WeakCallback
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.fingerprint import Fingerprint
 
 
 @dataclass
@@ -85,6 +88,9 @@ class ServerQuery:
     admission: AdmissionDecision | None = field(default=None, repr=False)
     #: Virtual finish tag the weighted-fair queue assigned while held.
     finish_tag: float | None = None
+    #: The statement's fingerprint, set by the query recorder at
+    #: submission (None when unobserved).
+    fingerprint: "Fingerprint | None" = field(default=None, repr=False)
 
     @property
     def downgraded(self) -> bool:

@@ -33,7 +33,8 @@ span a transition closes or parents under is named in the entry (the
 trace's newest ``queue`` or ``execute`` span) and found when the log is
 folded, a journal row names the query's root span and is labelled with
 it at read time if the root was still open where the row sits in the
-log, and the fingerprint a text was named by is kept per text.
+log, and the fingerprint a submission was named by rides on its
+:class:`~repro.core.query_server.ServerQuery` record.
 
 Neither recorder parses SQL or hashes a plan.  The statement fingerprint
 and the plan's shape hash are read off the coordinator's prepared
@@ -113,8 +114,6 @@ class QueryRecorder:
         self._coordinator = coordinator
         self._clock = clock
         self._grace_period_s = grace_period_s
-        #: SQL text -> the fingerprint it was named by at submission.
-        self._fingerprints: dict[str, Fingerprint] = {}
         registry = obs.metrics
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
@@ -185,7 +184,7 @@ class QueryRecorder:
             event,
             record.query_id,
             span_id=ROOT,
-            fingerprint=self._fingerprints[record.sql].id,
+            fingerprint=record.fingerprint.id,
             level=level,
             while_open=True,
             **attrs,
@@ -219,8 +218,7 @@ class QueryRecorder:
         level_value = level.value
         requested_value = record.requested_level.value
         self._m_submitted.inc(level=requested_value)
-        fp = self._coordinator.statement(sql).fingerprint
-        self._fingerprints[sql] = fp
+        fp = record.fingerprint = self._coordinator.statement(sql).fingerprint
         deadline = level.deadline_s(self._grace_period_s)
         admission_attrs = (
             decision.to_attrs() if decision.action != "admit" else {}
@@ -272,7 +270,7 @@ class QueryRecorder:
         self.obs.journal.event(
             "reject",
             record.query_id,
-            fingerprint=self._fingerprints[record.sql].id,
+            fingerprint=record.fingerprint.id,
             level=record.level.value,
             error=error,
             reason=reason,
@@ -302,9 +300,7 @@ class QueryRecorder:
                 level,
                 reason,
                 deadline_s=record.level.deadline_s(self._grace_period_s),
-                prior=self._prior(
-                    self._fingerprints[record.sql], level, record.tenant
-                ),
+                prior=self._prior(record.fingerprint, level, record.tenant),
             )
 
     def queued(
@@ -394,7 +390,7 @@ class QueryRecorder:
         query_id = record.query_id
         level_value = record.level.value
         root = obs.tracer.root(query_id)
-        fp = self._fingerprints[record.sql]
+        fp = record.fingerprint
         deadline = record.level.deadline_s(self._grace_period_s)
         pending = record.pending_time_s
         slack = (
@@ -716,10 +712,10 @@ class ExecutionRecorder:
         the server bills with — so projection and bill cannot disagree
         at the terminal state."""
         query_id, venue = execution.query_id, execution.venue.value
-        level = self._activity.level_of(query_id)
-        if level is None:  # never submitted to a server, or terminal
+        entry = self._activity.entry(query_id)
+        if entry is None or entry.terminal:  # never submitted, or ended
             return
-        price = self._cost_model.user_price(stats, ServiceLevel(level))
+        price = self._cost_model.user_price(stats, ServiceLevel(entry.level))
         final = self._cost_model.meter(
             stats, venue, price, get_price_per_1000=self._get_price_per_1000
         )

@@ -87,6 +87,14 @@ class SpanFold:
         #: Trace id -> its newest span started with ``parent=ROOT``.
         self.roots: dict[str, int] = {}
 
+    @staticmethod
+    def opened_root(entry: tuple) -> int | None:
+        """The id of the span ``entry`` starts with ``parent=ROOT``, or
+        None if it starts no such span."""
+        if (entry[2] == START or entry[2] == INSTANT) and entry[6] is ROOT:
+            return entry[3]
+        return None
+
     def apply(self, entry: tuple) -> None:
         kind = entry[2]
         if kind == START:
@@ -114,7 +122,7 @@ class SpanFold:
     def _open(self, entry: tuple, attributes: dict) -> Span:
         trace_id, _, _, span_id, name, start, parent = entry[:7]
         spans = self.spans.setdefault(trace_id, [])
-        if parent is ROOT:
+        if self.opened_root(entry) is not None:
             parent_id = None
             self.roots[trace_id] = span_id
         elif type(parent) is int:
@@ -174,8 +182,6 @@ class Tracer:
         self._log = log if log is not None else LifecycleLog()
         self._chain = self._log.chain()
         self._next_id = 0
-        #: Trace id -> its newest span started with ``parent=ROOT``.
-        self._roots: dict[str, int] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -192,8 +198,6 @@ class Tracer:
         none), or :data:`ROOT`."""
         span_id = self._next_id
         self._next_id = span_id + 1
-        if parent is ROOT:
-            self._roots[trace_id] = span_id
         self._chain.append(
             trace_id, START, span_id, name, self._clock(), parent,
             *attributes, *attributes.values(),
@@ -212,8 +216,6 @@ class Tracer:
         :meth:`finish` of a just-started span records, in one entry."""
         span_id = self._next_id
         self._next_id = span_id + 1
-        if parent is ROOT:
-            self._roots[trace_id] = span_id
         self._chain.append(
             trace_id, INSTANT, span_id, name, self._clock(), parent, status,
             *attributes, *attributes.values(),
@@ -251,8 +253,14 @@ class Tracer:
             )
 
     def root(self, trace_id: str) -> int | None:
-        """The id of the trace's newest span started with ``parent=ROOT``."""
-        return self._roots.get(trace_id)
+        """The id of the trace's newest span started with ``parent=ROOT``
+        (:attr:`SpanFold.roots`, read off the trace's entries without
+        building its spans)."""
+        for entry in reversed(self._chain.of(trace_id)):
+            root = SpanFold.opened_root(entry)
+            if root is not None:
+                return root
+        return None
 
     # -- inspection ----------------------------------------------------------
 

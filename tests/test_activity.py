@@ -291,6 +291,9 @@ class TestGuard:
         ]
         assert downgrades and downgrades[0].action == "downgrade"
         assert downgrades[0].applied is True
+        # The decision records the level the downgrade left the query at.
+        assert downgrades[0].level == "best_effort"
+        assert server.guard.audit()[-1]["level"] == "best_effort"
         assert held.level is ServiceLevel.BEST_EFFORT
         assert server.obs.activity.entry(held.query_id).level == "best_effort"
         row = next(
