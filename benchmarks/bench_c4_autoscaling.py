@@ -114,5 +114,5 @@ def test_c4_autoscaling(benchmark):
         watermark="low"
     )
     # The scrape loop sampled worker counts on its fixed cadence too.
-    ts_workers = result.timeseries.series("pixels_vm_workers")
+    ts_workers = result.obs.timeseries.series("pixels_vm_workers")
     assert max(v for _, v in ts_workers) == peak_workers

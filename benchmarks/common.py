@@ -67,34 +67,35 @@ def write_observability_artifacts(slug: str, result, title: str) -> dict[str, st
     """
     from repro.obs.dashboard import render_dashboard_html
 
-    results_dir = os.path.join(os.path.dirname(__file__), "results")
-    os.makedirs(results_dir, exist_ok=True)
     data = result.dashboard_data(title)  # takes the final scrape
     artifacts = {
-        "timeseries": (f"{slug}_timeseries.jsonl", result.timeseries.export_jsonl()),
-        "alerts": (f"{slug}_alerts.jsonl", result.alerts.export_jsonl()),
+        "timeseries": (f"{slug}_timeseries.jsonl", result.obs.export("timeseries")),
+        "alerts": (f"{slug}_alerts.jsonl", result.obs.export("alerts")),
         "audit": (
             f"{slug}_audit.jsonl",
             result.coordinator.vm_cluster.export_audit_jsonl(),
         ),
-        "slo": (f"{slug}_slo.json", result.obs.slo.export_json() + "\n"),
+        "slo": (f"{slug}_slo.json", result.obs.export("slo")),
         "dashboard": (f"{slug}_dashboard.html", render_dashboard_html(data)),
-        "statements": (
-            f"{slug}_statements.json", result.obs.statements.export_json()
-        ),
+        "statements": (f"{slug}_statements.json", result.obs.export("statements")),
         "statements_top": (
             f"{slug}_statements_top.txt",
             result.obs.statements.render_top(10, "dollars"),
         ),
-        "journal": (f"{slug}_journal.jsonl", result.obs.journal.export_jsonl()),
-        "activity": (
-            f"{slug}_activity.json", result.obs.activity.export_json()
-        ),
+        "journal": (f"{slug}_journal.jsonl", result.obs.export("journal")),
+        "activity": (f"{slug}_activity.json", result.obs.export("activity")),
         "projections": (
-            f"{slug}_projections.json",
-            result.obs.activity.export_projection_json(),
+            f"{slug}_projections.json", result.obs.export("projections")
         ),
     }
+    return _write_results(artifacts)
+
+
+def _write_results(artifacts: dict[str, tuple[str, str]]) -> dict[str, str]:
+    """Write each {kind: (filename, payload)} under ``benchmarks/results/``;
+    returns {kind: path}."""
+    results_dir = os.path.join(os.path.dirname(__file__), "results")
+    os.makedirs(results_dir, exist_ok=True)
     paths: dict[str, str] = {}
     for kind, (filename, payload) in artifacts.items():
         path = os.path.join(results_dir, filename)
@@ -121,22 +122,15 @@ def export_ledger_audit(slug: str, result) -> dict[str, str]:
         raise ValueError("run the workload with observe=True first")
     report = reconcile_server(result.server)
     assert report.ok, f"billing reconciliation failed:\n{report.render()}"
-    results_dir = os.path.join(os.path.dirname(__file__), "results")
-    os.makedirs(results_dir, exist_ok=True)
-    artifacts = {
-        "ledger": (f"{slug}_ledger.jsonl", result.obs.ledger.export_jsonl()),
-        "spend": (f"{slug}_spend.json", result.obs.spend.export_json()),
-        "reconciliation": (
-            f"{slug}_reconciliation.json", report.export_json()
-        ),
-    }
-    paths: dict[str, str] = {}
-    for kind, (filename, payload) in artifacts.items():
-        path = os.path.join(results_dir, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        paths[kind] = path
-    return paths
+    return _write_results(
+        {
+            "ledger": (f"{slug}_ledger.jsonl", result.obs.export("ledger")),
+            "spend": (f"{slug}_spend.json", result.obs.export("spend")),
+            "reconciliation": (
+                f"{slug}_reconciliation.json", report.export_json()
+            ),
+        }
+    )
 
 
 def workload_profile(result) -> dict:

@@ -66,16 +66,16 @@ def export(results_dir: pathlib.Path) -> int:
     outputs = {
         "demo_dashboard.html": db.dashboard_html("PixelsDB demo session"),
         "demo_dashboard.txt": db.dashboard_text("PixelsDB demo session"),
-        "demo_timeseries.jsonl": db.timeseries_jsonl(),
-        "demo_alerts.jsonl": db.alerts_jsonl(),
-        "demo_audit.jsonl": db.autoscaler_audit_jsonl(),
-        "demo_slo.json": db.slo_json() + "\n",
+        "demo_timeseries.jsonl": db.export("timeseries"),
+        "demo_alerts.jsonl": db.export("alerts"),
+        "demo_audit.jsonl": db.export("autoscaler_audit"),
+        "demo_slo.json": db.export("slo"),
     }
     for filename, payload in outputs.items():
         (results_dir / filename).write_text(payload, encoding="utf-8")
         print(f"wrote {results_dir / filename}")
 
-    report = db.slo_report()["levels"]
+    report = db.obs.slo.snapshot()["levels"]
     for name in sorted(report):
         level = report[name]
         compliance = level["compliance"]

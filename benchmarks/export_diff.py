@@ -12,9 +12,10 @@ emptied ``benchmarks/results/``:
 
 * ``export_trace.py``, ``export_dashboard.py``, ``export_fleet_obs.py``
   and ``export_faults.py`` (crashes, retries, give-ups, in-flight
-  cancels, shared batches) — **head's copies in both trees**: they use
-  only the public API, so a scenario can land in the very PR whose
-  refactor it fences;
+  cancels, shared batches) — each tree's own copy, and **head's copy
+  where the base has none**, so a scenario can land in the very PR
+  whose refactor it fences, and a change to the public API the
+  exporters read lands together with the exporters that read it;
 * the observed benches ``bench_c1``, ``c2``, ``c4``, ``c5`` and ``c9``
   (each tree's own).
 
@@ -108,10 +109,11 @@ def main() -> int:
         export_tree(base_sha, trees["base"])
         copy_worktree(trees["head"])
         for script in EXPORTS:
-            shutil.copy2(
-                trees["head"] / "benchmarks" / script,
-                trees["base"] / "benchmarks" / script,
-            )
+            if not (trees["base"] / "benchmarks" / script).exists():
+                shutil.copy2(
+                    trees["head"] / "benchmarks" / script,
+                    trees["base"] / "benchmarks" / script,
+                )
         results = {}
         for side, tree in trees.items():
             print(f"{side}: running exports and observed benches ...", flush=True)

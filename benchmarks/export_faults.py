@@ -97,7 +97,7 @@ def replay(store: ObjectStore, catalog: Catalog, seed: int) -> WorkloadResult:
             server.cancel(live[int(rng.integers(len(live)))].query_id)
     while not all(q.status.is_terminal for q in server.queries):
         sim.run_until(sim.now + 60.0)
-    result.scrape.scrape()  # the state past the last tick
+    result.obs.scrape()  # the state past the last tick
     return result
 
 
@@ -125,20 +125,25 @@ def unreached(result: WorkloadResult, batching: bool) -> list[str]:
     return [path for path, hit in reached.items() if not hit]
 
 
+#: Each export kind of the bundle → the file it is written to.
+FILES = {
+    "traces": "traces.json",
+    "metrics": "metrics.txt",
+    "journal": "journal.jsonl",
+    "ledger": "ledger.jsonl",
+    "statements": "statements.json",
+    "slo": "slo.json",
+    "spend": "spend.json",
+    "activity": "activity.json",
+    "projections": "projections.json",
+    "timeseries": "timeseries.jsonl",
+    "alerts": "alerts.jsonl",
+}
+
+
 def artifacts(result: WorkloadResult) -> dict[str, str]:
-    obs = result.obs
     return {
-        "traces.json": obs.tracer.export_all_json() + "\n",
-        "metrics.txt": obs.metrics.render(),
-        "journal.jsonl": obs.journal.export_jsonl(),
-        "ledger.jsonl": obs.ledger.export_jsonl(),
-        "statements.json": obs.statements.export_json(),
-        "slo.json": obs.slo.export_json() + "\n",
-        "spend.json": obs.spend.export_json(),
-        "activity.json": obs.activity.export_json(),
-        "projections.json": obs.activity.export_projection_json(),
-        "timeseries.jsonl": result.timeseries.export_jsonl(),
-        "alerts.jsonl": result.alerts.export_jsonl(),
+        **{name: result.obs.export(kind) for kind, name in FILES.items()},
         "audit.jsonl": result.coordinator.vm_cluster.export_audit_jsonl(),
     }
 

@@ -79,18 +79,18 @@ def export(results_dir: pathlib.Path) -> int:
 
     failures: list[str] = []
 
-    captures = db.journal_captures()
+    captures = db.obs.journal.captures()
     evidenced = [c for c in captures if "flamegraph_svg" in c]
     reconciliation = db.reconcile()
     outputs = {
         "fleet_statements_top.txt": db.statements_top(10, "dollars"),
-        "fleet_statements.json": db.statements_json(),
-        "fleet_journal.jsonl": db.journal_jsonl(),
-        "fleet_ledger.jsonl": db.ledger_jsonl(),
-        "fleet_spend.json": db.spend_json(),
+        "fleet_statements.json": db.export("statements"),
+        "fleet_journal.jsonl": db.export("journal"),
+        "fleet_ledger.jsonl": db.export("ledger"),
+        "fleet_spend.json": db.export("spend"),
         "fleet_reconciliation.json": reconciliation.export_json(),
-        "fleet_activity.json": db.activity_json(),
-        "fleet_projections.json": db.projection_json(),
+        "fleet_activity.json": db.export("activity"),
+        "fleet_projections.json": db.export("projections"),
     }
     if evidenced:
         outputs["fleet_capture_flame.svg"] = evidenced[0]["flamegraph_svg"]
@@ -108,7 +108,7 @@ def export(results_dir: pathlib.Path) -> int:
         f"journal: {len(db.obs.journal.records())} events, "
         f"{len(captures)} captures ({len(evidenced)} with profile evidence)"
     )
-    spend = db.spend_report()
+    spend = db.obs.spend.report()
     for row in spend["tenants"]:
         budget = row["budget_dollars"]
         print(
@@ -124,7 +124,7 @@ def export(results_dir: pathlib.Path) -> int:
             "no journal capture carries profile evidence — "
             "the tail-based capture path is dead"
         )
-    if not db.ledger_jsonl():
+    if not db.obs.ledger.events():
         failures.append("the metering ledger is empty — billing left no trail")
     if not spend["tenants"]:
         failures.append("the spend report has no tenants — tenant threading broke")
@@ -135,8 +135,8 @@ def export(results_dir: pathlib.Path) -> int:
             "billing reconciliation violated "
             f"{len(reconciliation.violations)} invariant(s)"
         )
-    activity = db.activity()
-    projections = db.projection_report()
+    activity = db.obs.activity.snapshot()
+    projections = db.obs.activity.projection_report()
     print(
         f"activity: {len(activity.get('queries', []))} queries tracked, "
         f"states {activity.get('states', {})}"

@@ -1,7 +1,7 @@
 """Export a demo session's span timelines and profiles, deterministically.
 
 Runs a small three-level session against a TPC-H-style dataset with
-observability on and writes ``Tracer.export_all_json()`` to the given
+observability on and writes its ``traces`` export to the given
 path (default ``results/demo_traces.json``).  For the demo GROUP BY
 query it also writes the profiler's exports next to the traces: folded
 stacks (``demo_profile_time.folded``, ``demo_profile_dollars.folded``)
@@ -35,7 +35,7 @@ def export(path: pathlib.Path) -> None:
     )
     db.run_to_completion()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(db.export_traces() + "\n")
+    path.write_text(db.export("traces"))
     trace_count = len(db.obs.tracer.trace_ids())
     print(f"wrote {trace_count} traces to {path}")
 

@@ -74,8 +74,6 @@ def _replay_all() -> int:
 
 def _negative_test() -> int:
     """Corrupt one real ledger; the reconciler must name the drift."""
-    import dataclasses
-
     from repro.obs.ledger import load_events_jsonl
     from repro.obs.reconcile import reconcile_events
 
@@ -106,8 +104,7 @@ def _negative_test() -> int:
         )
         return 2
     tampered = list(events)
-    tampered[target] = dataclasses.replace(
-        tampered[target],
+    tampered[target] = tampered[target]._replace(
         nanodollars=tampered[target].nanodollars + 1,
     )
     report = reconcile_events(tampered)

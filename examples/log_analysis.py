@@ -5,13 +5,15 @@ through the natural-language interface, and runs the canned log-analytics
 query set at the cheap best-of-effort tier (batch reporting is exactly
 the "non-urgent" query class the paper's pricing targets).  Runs with
 the observability stack on, so the session ends with the fleet view an
-operator would use: the top statements by billed $ and a tail-captured
-slow query with its full cost-attribution profile.
+operator would use: the top statements by billed $, a tail-captured
+slow query with its full cost-attribution profile, and the size of every
+byte-stable artifact the stack exports (``db.export(kind)``).
 
 Run:  python examples/log_analysis.py
 """
 
 from repro import CapturePolicy, PixelsDB, ServiceLevel
+from repro.obs import EXPORTS
 from repro.workloads import LOGS_QUERIES
 
 
@@ -58,7 +60,7 @@ def main() -> None:
     print("\nTop 5 statements by billed $ (pg_stat_statements-style):\n")
     print(db.statements_top(5, "dollars"))
 
-    captures = [c for c in db.journal_captures() if "profile" in c]
+    captures = [c for c in db.obs.journal.captures() if "profile" in c]
     if captures:
         slowest = captures[0]
         print("Tail-captured slow query (full profile evidence attached):\n")
@@ -70,6 +72,10 @@ def main() -> None:
                 f"    {child['name']:<20} {child['self_time_s']:.3f}s  "
                 f"{child['self_nanodollars']} nano$"
             )
+
+    print("\nEvery export kind of the observed stack:\n")
+    for kind in EXPORTS:
+        print(f"  {kind:<12} {len(db.export(kind)):>9} bytes")
 
 
 if __name__ == "__main__":

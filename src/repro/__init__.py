@@ -31,6 +31,7 @@ The package layers, bottom-up:
 
 from __future__ import annotations
 
+import json
 from itertools import count
 
 from repro.core import QueryServer, QueryStatus, ServerQuery, ServiceLevel
@@ -62,6 +63,7 @@ __all__ = [
     "Catalog",
     "CodesService",
     "Coordinator",
+    "DB_EXPORTS",
     "DashboardData",
     "GuardPolicy",
     "Instrumentation",
@@ -106,13 +108,12 @@ class PixelsDB:
         tenant_budgets: dict[str, float] | None = None,
         guard: GuardPolicy | None = None,
     ) -> None:
-        """``observe=True`` switches on the full observability stack
-        (:mod:`repro.obs`): tracer, metrics registry, SLO tracker,
-        statement statistics, the query journal, a scrape loop
-        snapshotting metrics every ``scrape_interval_s`` simulated
-        seconds, and the burn-rate alert engine.  ``capture`` tunes the
-        journal's tail-based slow-query capture policy (defaults to
-        :class:`~repro.obs.CapturePolicy`'s defaults).  ``tenant_budgets``
+        """``observe=True`` switches on the full observability stack:
+        :meth:`Instrumentation.create` over this instance's simulator,
+        scraping every ``scrape_interval_s`` simulated seconds and
+        alerting on ``alert_rules``; read its artifacts with
+        :meth:`export`.  ``capture`` tunes the journal's tail-based
+        slow-query capture policy.  ``tenant_budgets``
         maps tenant → soft budget dollars: crossing one never blocks a
         query, it raises a ``TenantBudget:<tenant>`` alert through the
         alert engine and flags the tenant in the spend report.
@@ -147,39 +148,18 @@ class PixelsDB:
         # One id sequence for every schema's server: the observability
         # bundle is shared, so ``sq-N`` must be unique per db.
         self._query_ids = count(1)
-        self.timeseries: TimeSeriesStore | None = None
-        self.alerts: AlertEngine | None = None
-        self.scrape_loop: ScrapeLoop | None = None
         self._guard_policy = guard
-        if observe:
-            self.obs = Instrumentation.create(
-                clock=lambda: self.sim.now,
+        self.obs = (
+            Instrumentation.create(
                 capture=capture,
                 budgets=tenant_budgets,
+                sim=self.sim,
+                scrape_interval_s=scrape_interval_s,
+                alert_rules=alert_rules,
             )
-            self.timeseries = TimeSeriesStore()
-            rules = list(
-                alert_rules if alert_rules is not None else default_rules()
-            )
-            if tenant_budgets:
-                from repro.obs.spend import budget_rules
-
-                rules.extend(budget_rules(tenant_budgets))
-            self.alerts = AlertEngine(
-                rules=rules,
-                registry=self.obs.metrics,
-                slo=self.obs.slo,
-                store=self.timeseries,
-            )
-            self.scrape_loop = ScrapeLoop(
-                self.sim,
-                self.obs.metrics,
-                self.timeseries,
-                interval_s=scrape_interval_s,
-                listeners=[self.alerts.evaluate],
-            )
-        else:
-            self.obs = Instrumentation.disabled()
+            if observe
+            else Instrumentation.disabled()
+        )
 
     # -- data loading -------------------------------------------------------------
 
@@ -236,8 +216,6 @@ class PixelsDB:
                 guard=self._guard_policy,
                 query_ids=self._query_ids,
             )
-            if server.guard is not None and self.alerts is not None:
-                server.guard.alert_sink = self.alerts.events.append
             self._servers[schema] = server
         return self._servers[schema]
 
@@ -286,18 +264,14 @@ class PixelsDB:
         actual per-operator rows, bytes, and wall time."""
         return self.coordinator(schema).explain_analyze(sql)
 
-    def metrics(self) -> str:
-        """The Prometheus text exposition of every registered series
-        (empty when the db was built without ``observe=True``)."""
-        return self.obs.metrics.render()
-
-    def trace(self, query_id: str) -> str:
-        """Deterministic JSON span timeline for one query."""
-        return self.obs.tracer.export_json(query_id)
-
-    def export_traces(self) -> str:
-        """Every recorded trace as one JSON document."""
-        return self.obs.tracer.export_all_json()
+    def export(self, kind: str) -> str:
+        """The exact bytes of one exported artifact: a kind of the
+        bundle's table (:data:`repro.obs.EXPORTS`, e.g. ``"ledger"``,
+        ``"timeseries"``) or one of :data:`DB_EXPORTS`, which span every
+        schema's server; ``""`` without ``observe=True``."""
+        if kind in DB_EXPORTS:
+            return self.obs.observed(_jsonl, DB_EXPORTS[kind](self))
+        return self.obs.export(kind)
 
     def profile(self, schema: str, query_id: str):
         """The finished query's cost/time attribution profile
@@ -307,43 +281,12 @@ class PixelsDB:
         same-seed runs."""
         return self.query_server(schema).query_profile(query_id)
 
-    # -- statement statistics & query journal ----------------------------------------
+    # -- statement statistics & billing reconciliation -------------------------------
 
     def statements_top(self, k: int = 10, by: str = "dollars") -> str:
         """The fixed-width top-K statement table (``by`` is one of
         ``time``/``dollars``/``calls``; empty without ``observe=True``)."""
         return self.obs.observed(self.obs.statements.render_top, k, by)
-
-    def statements_json(self) -> str:
-        """Every statement-statistics entry as byte-stable JSON."""
-        return self.obs.observed(self.obs.statements.export_json)
-
-    def journal_jsonl(self) -> str:
-        """The query journal — every lifecycle event, trace-correlated —
-        as deterministic JSONL (empty without ``observe=True``)."""
-        return self.obs.observed(self.obs.journal.export_jsonl)
-
-    def journal_captures(self) -> list[dict]:
-        """Journal records that tail-based capture enriched with the full
-        profiler attribution tree and flame graph."""
-        return self.obs.journal.captures()
-
-    # -- metering ledger & spend accounting -------------------------------------------
-
-    def ledger_jsonl(self) -> str:
-        """The metering ledger — every charge and void, integer
-        nanodollars — as byte-stable JSONL (empty without
-        ``observe=True``)."""
-        return self.obs.observed(self.obs.ledger.export_jsonl)
-
-    def spend_report(self) -> dict:
-        """The per-tenant spend report: net nanodollars, per-level
-        split, soft-budget status, provider-side spend per venue."""
-        return self.obs.spend.report()
-
-    def spend_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`spend_report`."""
-        return self.obs.observed(self.obs.spend.export_json)
 
     def reconcile(self):
         """Replay every server's metering ledger and prove ledger ==
@@ -364,32 +307,7 @@ class PixelsDB:
             )
         return report
 
-    # -- SLO engine ----------------------------------------------------------------
-
-    def slo_report(self) -> dict:
-        """Per-level compliance ratios, violation counts, and
-        error-budget state (empty without ``observe=True``)."""
-        return self.obs.slo.snapshot()
-
-    def slo_json(self) -> str:
-        """Every SLO record plus the summary, as deterministic JSON."""
-        if not self.obs.enabled:
-            return '{"records": [], "summary": {"levels": {}}}'
-        return self.obs.slo.export_json()
-
-    def timeseries_jsonl(self) -> str:
-        """The scrape loop's time-series store as deterministic JSONL.
-
-        Takes one final scrape first so the tail of the run (after the
-        last cadence tick) is captured."""
-        if self.scrape_loop is None:
-            return ""
-        self.scrape_loop.scrape()
-        return self.scrape_loop.store.export_jsonl()
-
-    def alerts_jsonl(self) -> str:
-        """The alert engine's transition log as deterministic JSONL."""
-        return self.alerts.export_jsonl() if self.alerts is not None else ""
+    # -- audits & dashboards -------------------------------------------------------
 
     def autoscaler_audit(self) -> list[dict]:
         """Every VM cluster's scaling decisions, time-ordered, with the
@@ -401,38 +319,6 @@ class PixelsDB:
                 entries.append({"schema": schema, **decision.to_dict()})
         entries.sort(key=lambda entry: (entry["time"], entry["schema"]))
         return entries
-
-    def autoscaler_audit_jsonl(self) -> str:
-        import json as _json
-
-        lines = [
-            _json.dumps(entry, sort_keys=True)
-            for entry in self.autoscaler_audit()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    # -- live activity & projection guard ---------------------------------------------
-
-    def activity(self) -> dict:
-        """The live query-activity snapshot — every submission's
-        lifecycle state, per-operator progress fractions, and projected
-        nanodollar bill at the current simulated time (the
-        ``pg_stat_activity`` of this system; empty without
-        ``observe=True``)."""
-        return self.obs.activity.snapshot()
-
-    def activity_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`activity`."""
-        return self.obs.observed(self.obs.activity.export_json)
-
-    def projection_report(self) -> dict:
-        """Estimator accuracy over every billed query: per-query
-        estimated vs. actual nanodollars plus the aggregate MAPE."""
-        return self.obs.activity.projection_report()
-
-    def projection_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`projection_report`."""
-        return self.obs.observed(self.obs.activity.export_projection_json)
 
     def guard_audit(self) -> list[dict]:
         """Every projection-guard decision across this instance's query
@@ -448,33 +334,16 @@ class PixelsDB:
         entries.sort(key=lambda entry: (entry["time"], entry["schema"]))
         return entries
 
-    def guard_audit_jsonl(self) -> str:
-        import json as _json
-
-        lines = [
-            _json.dumps(entry, sort_keys=True)
-            for entry in self.guard_audit()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def dashboard_data(self, title: str = "PixelsDB operator dashboard") -> DashboardData:
         """The bundle both dashboard renderers consume (final scrape
         included)."""
-        if self.scrape_loop is not None:
-            self.scrape_loop.scrape()
         return DashboardData.build(
-            title=title,
-            now=self.sim.now,
-            timeseries=self.timeseries or TimeSeriesStore(),
-            slo=self.obs.slo,
-            alerts=self.alerts,
+            title,
+            self.sim.now,
+            self.obs,
             audit=self.autoscaler_audit(),
             seed=self.seed,
-            registry=self.obs.metrics,
-            statements=self.obs.statements,
-            spend=self.obs.spend,
             scheduler=self._scheduler_snapshot(),
-            activity=self.obs.activity if self.obs.enabled else None,
         )
 
     def _scheduler_snapshot(self) -> dict | None:
@@ -520,3 +389,14 @@ class PixelsDB:
                 return
             self.sim.run_until(self.sim.now + 60.0)
         raise PixelsError("queries did not complete; check for starvation")
+
+
+def _jsonl(rows: list[dict]) -> str:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+#: ``PixelsDB.export``'s kinds beyond its bundle's (JSONL, one row each).
+DB_EXPORTS = {
+    "autoscaler_audit": PixelsDB.autoscaler_audit,
+    "guard_audit": PixelsDB.guard_audit,
+}

@@ -16,9 +16,8 @@ from repro.core.query_server import QueryServer, ServerQuery
 from repro.core.service_levels import QueryStatus, ServiceLevel
 from repro.errors import QueryRejectedError
 from repro.obs import Instrumentation
-from repro.obs.alerts import AlertEngine, BurnRateRule, ThresholdRule, default_rules
+from repro.obs.alerts import BurnRateRule, ThresholdRule
 from repro.obs.dashboard import DashboardData
-from repro.obs.timeseries import ScrapeLoop, TimeSeriesStore
 from repro.sim import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
@@ -46,11 +45,9 @@ class WorkloadResult:
     coordinator: Coordinator
     server: QueryServer
     queries: list[ServerQuery] = field(default_factory=list)
-    # Populated only when run_workload(observe=True):
+    #: The observed stack (sinks, time series, alerts, scrape loop);
+    #: populated only when run_workload(observe=True).
     obs: Instrumentation | None = None
-    timeseries: TimeSeriesStore | None = None
-    alerts: AlertEngine | None = None
-    scrape: ScrapeLoop | None = None
 
     def of_level(self, level: ServiceLevel) -> list[ServerQuery]:
         return [query for query in self.queries if query.level is level]
@@ -95,25 +92,17 @@ class WorkloadResult:
     def dashboard_data(self, title: str) -> DashboardData:
         """The operator-dashboard bundle for an observed replay
         (requires ``run_workload(observe=True)``)."""
-        if self.obs is None or self.timeseries is None:
+        if self.obs is None:
             raise ValueError("run the workload with observe=True first")
-        if self.scrape is not None:
-            self.scrape.scrape()
         return DashboardData.build(
-            title=title,
-            now=self.sim.now,
-            timeseries=self.timeseries,
-            slo=self.obs.slo,
-            alerts=self.alerts,
+            title,
+            self.sim.now,
+            self.obs,
             audit=[
                 decision.to_dict()
                 for decision in self.coordinator.vm_cluster.audit_log
             ],
-            registry=self.obs.metrics,
-            statements=self.obs.statements,
-            spend=self.obs.spend,
             scheduler=self.server.scheduler_snapshot(),
-            activity=self.obs.activity,
         )
 
 
@@ -142,9 +131,11 @@ def run_workload(
         horizon_s: Stop the simulation at this time even if queries are
             still held (needed for best-effort queries that may never run
             in a saturated-forever scenario); None runs to quiescence.
-        observe: Turn on the observability stack (tracer, metrics, SLO
-            tracker, scrape loop, alert engine); query results and
-            billed prices are unchanged either way.
+        observe: Turn on the observability stack
+            (:meth:`Instrumentation.create` over this replay's
+            simulator: sinks, scrape loop, alert engine); query results
+            and billed prices are unchanged either way.  A bundle passed
+            as ``coordinator_kwargs["obs"]`` is used as given.
         scrape_interval_s: Virtual-time cadence of the scrape loop.
         alert_rules: Alert rule set; defaults to
             :func:`repro.obs.alerts.default_rules`.
@@ -155,43 +146,17 @@ def run_workload(
         config = TurboConfig()
     sim = Simulator(seed=seed)
     kwargs = dict(coordinator_kwargs or {})
-    obs: Instrumentation | None = None
-    timeseries: TimeSeriesStore | None = None
-    alerts: AlertEngine | None = None
-    scrape: ScrapeLoop | None = None
-    if observe:
-        obs = kwargs.get("obs")
-        if obs is None:
-            obs = Instrumentation.create(clock=lambda: sim.now)
-            kwargs["obs"] = obs
-        timeseries = TimeSeriesStore()
-        alerts = AlertEngine(
-            rules=alert_rules if alert_rules is not None else default_rules(),
-            registry=obs.metrics,
-            slo=obs.slo,
-            store=timeseries,
-        )
-        scrape = ScrapeLoop(
-            sim,
-            obs.metrics,
-            timeseries,
-            interval_s=scrape_interval_s,
-            listeners=[alerts.evaluate],
+    if observe and "obs" not in kwargs:
+        kwargs["obs"] = Instrumentation.create(
+            sim=sim, scrape_interval_s=scrape_interval_s, alert_rules=alert_rules
         )
     coordinator = coordinator_cls(sim, config, catalog, store, schema, **kwargs)
     server = QueryServer(sim, coordinator, config, **(server_kwargs or {}))
-    if server.guard is not None and alerts is not None:
-        # Projection-guard trips land in the same alert timeline as the
-        # burn-rate/threshold rules.
-        server.guard.alert_sink = alerts.events.append
     result = WorkloadResult(
         sim=sim,
         coordinator=coordinator,
         server=server,
-        obs=obs,
-        timeseries=timeseries,
-        alerts=alerts,
-        scrape=scrape,
+        obs=kwargs["obs"] if observe else None,
     )
 
     def make_submit(submission: Submission):
@@ -220,8 +185,8 @@ def run_workload(
         sim.run_until(horizon_s)
     else:
         _run_to_quiescence(sim, result, last_arrival)
-    if scrape is not None:
-        scrape.scrape()  # capture the final state past the last tick
+    if result.obs is not None:
+        result.obs.scrape()  # capture the final state past the last tick
     return result
 
 

@@ -32,7 +32,7 @@ TB-scanned × the level's rate ($5 / $1 / $0.5 per TB).
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -206,10 +206,11 @@ class QueryServer:
         )
         #: Per-tenant held + executing query count (the quota basis).
         self._tenant_live: dict[str, int] = {}
-        #: Min-heap of (grace_deadline, seq, record) for held relaxed
-        #: queries; dispatched/cancelled entries are skipped lazily.
-        self._grace_heap: list[tuple[float, int, ServerQuery]] = []
-        self._grace_seq = 0
+        #: (grace_deadline, record) of held relaxed queries.  Each is
+        #: pushed once, at submission, with deadline ``now +
+        #: grace_period_s``, so push order is deadline order; dispatched,
+        #: cancelled and downgraded entries are skipped lazily.
+        self._grace: deque[tuple[float, ServerQuery]] = deque()
         self._query_ids = query_ids if query_ids is not None else count(1)
         #: The one writer of spans, journal, ledger, activity, SLO and
         #: statement records and the server's instruments; None when
@@ -217,8 +218,8 @@ class QueryServer:
         self._recorder: QueryRecorder | None = None
         #: The armed :class:`ProjectionGuard` (None unless a policy was
         #: passed and observability is on); its ``audit_log`` is the
-        #: guard's decision record, and ``alert_sink`` may be attached
-        #: post-construction to route alerts into an alert engine.
+        #: guard's decision record, and its alerts join the bundle's
+        #: alert engine when there is one.
         self.guard: ProjectionGuard | None = None
         if observed:
             self._recorder = QueryRecorder(
@@ -235,6 +236,11 @@ class QueryServer:
                     self.obs.spend,
                     canceller=self.cancel,
                     downgrader=self.downgrade_query,
+                    alert_sink=(
+                        self.obs.alerts.events.append
+                        if self.obs.alerts is not None
+                        else None
+                    ),
                     on_decision=self._on_guard_decision,
                 )
         # Held weakly: the pending tick must not pin a finished replay.
@@ -425,11 +431,7 @@ class QueryServer:
             )
         finish_tag = self._scheduler.push(record)
         if record.level is ServiceLevel.RELAXED:
-            self._grace_seq += 1
-            heapq.heappush(
-                self._grace_heap,
-                (record.grace_deadline, self._grace_seq, record),
-            )
+            self._grace.append((record.grace_deadline, record))
         if self._recorder is not None:
             watermark = (
                 "high" if record.level is ServiceLevel.RELAXED else "low"
@@ -547,8 +549,8 @@ class QueryServer:
         relaxed below the high watermark, best-effort below the low one.
         """
         now = self._sim.now
-        while self._grace_heap and self._grace_heap[0][0] <= now:
-            _, _, record = heapq.heappop(self._grace_heap)
+        while self._grace and self._grace[0][0] <= now:
+            _, record = self._grace.popleft()
             if (
                 record.dispatched_at is not None
                 or record.cancelled

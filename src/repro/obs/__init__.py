@@ -34,6 +34,10 @@ themselves have no on/off state and no inert twins.  The default
 everywhere is :meth:`Instrumentation.disabled` — eight real, empty sinks
 that nothing writes, because the flag decides once, at construction,
 whether a component gets a recorder or ``None``.
+:meth:`Instrumentation.create` over a simulator is the one place an
+observed stack is assembled (sinks, time-series store, alert engine,
+scrape loop), and :data:`EXPORTS` the one table of what each exported
+artifact's bytes are.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ from repro.obs.activity import (
     ProjectionGuard,
     ProjectionRecord,
 )
+from repro.obs.alerts import (
+    AlertEngine,
+    BurnRateRule,
+    ThresholdRule,
+    default_rules,
+)
 from repro.obs.explain import render_analyzed_plan
 from repro.obs.flamegraph import render_flamegraph_svg
 from repro.obs.profiler import (
@@ -61,15 +71,18 @@ from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
 from repro.obs.journal import CapturePolicy, QueryJournal
 from repro.obs.lifecycle import LifecycleLog
 from repro.obs.ledger import MeterEvent, MeterLedger
-from repro.obs.spend import SpendAccountant
+from repro.obs.spend import SpendAccountant, budget_rules
 from repro.obs.slo import SloObjective, SloRecord, SloTracker
 from repro.obs.statements import StatementStore
+from repro.obs.timeseries import ScrapeLoop, TimeSeriesStore
 from repro.obs.tracer import ROOT, Span, Tracer
+from repro.sim import Simulator
 
 __all__ = [
     "ActivityRegistry",
     "CapturePolicy",
     "Counter",
+    "EXPORTS",
     "ROOT",
     "Fingerprint",
     "Gauge",
@@ -105,8 +118,9 @@ __all__ = [
 class Instrumentation:
     """A tracer + metrics registry + SLO tracker + statement store +
     query journal + metering ledger + spend accountant + live activity
-    registry threaded through the system, and the one flag that says
-    whether any of it is written."""
+    registry threaded through the system, the one flag that says whether
+    any of it is written, and — when created over a simulator — the
+    scrape loop, its time-series store and the alert engine."""
 
     tracer: Tracer
     metrics: MetricsRegistry
@@ -121,13 +135,32 @@ class Instrumentation:
     #: only readers use it, to tell "nothing happened" from "nothing was
     #: watching".
     enabled: bool
+    #: The scraped history, the alert engine evaluated on each scrape,
+    #: and the loop that drives both; ``None`` unless the bundle was
+    #: created over a simulator.
+    timeseries: TimeSeriesStore | None = None
+    alerts: AlertEngine | None = None
+    scrape_loop: ScrapeLoop | None = None
 
     def observed(self, export: Callable[..., str], *args: object) -> str:
-        """``export(*args)`` of one of this bundle's sinks — or ``""``
-        when unobserved, the read-side contract of every string accessor
-        (``PixelsDB.ledger_jsonl()``, ``RoverServer.activity()``, …),
-        decided here once rather than sink by sink."""
+        """``export(*args)`` — or ``""`` when unobserved, the read-side
+        contract of every export, decided here once rather than sink by
+        sink."""
         return export(*args) if self.enabled else ""
+
+    def export(self, kind: str) -> str:
+        """The exact artifact bytes of one export kind (a key of
+        :data:`EXPORTS`; ``KeyError`` otherwise), ``""`` when
+        unobserved."""
+        return self.observed(EXPORTS[kind], self)
+
+    def scrape(self) -> TimeSeriesStore | None:
+        """Take one final scrape, so the tail of the run (after the last
+        cadence tick) is in the time series, and return the store
+        (``None`` without a scrape loop)."""
+        if self.scrape_loop is not None:
+            self.scrape_loop.scrape()
+        return self.timeseries
 
     @staticmethod
     def disabled() -> "Instrumentation":
@@ -153,21 +186,36 @@ class Instrumentation:
         objectives: list[SloObjective] | None = None,
         capture: CapturePolicy | None = None,
         budgets: dict[str, float] | None = None,
+        sim: Simulator | None = None,
+        scrape_interval_s: float = 30.0,
+        alert_rules: list[BurnRateRule | ThresholdRule] | None = None,
     ) -> "Instrumentation":
         """A live bundle; pass the simulator's clock (``lambda: sim.now``)
         so span/journal timestamps are virtual and reproducible.
         ``capture`` overrides the journal's slow-query capture policy;
         ``budgets`` seeds the spend accountant's soft per-tenant budgets
-        (tenant → dollars).  Only constructors run here: no sink is
-        bound to another; the tracer, the journal and the activity
-        registry write one shared lifecycle log."""
+        (tenant → dollars).  The tracer, the journal and the activity
+        registry write one shared lifecycle log; no lifecycle sink is
+        bound to another.
+
+        Given ``sim`` (the clock then defaults to its ``now``), the
+        bundle is the whole observed stack: a time-series store, an
+        alert engine over ``alert_rules`` (default
+        :func:`~repro.obs.alerts.default_rules`) plus one soft-budget
+        rule per tenant of ``budgets``, and a scrape loop every
+        ``scrape_interval_s`` simulated seconds with the engine as its
+        listener.  Build it before any coordinator, so the loop's first
+        tick is scheduled ahead of theirs."""
+        if clock is None and sim is not None:
+            clock = lambda: sim.now  # noqa: E731
         ledger = MeterLedger(clock)
         metrics = MetricsRegistry()
+        slo = SloTracker(objectives)
         log = LifecycleLog()
-        return Instrumentation(
+        bundle = Instrumentation(
             Tracer(clock, log),
             metrics,
-            SloTracker(objectives),
+            slo,
             StatementStore(),
             QueryJournal(clock, capture, log),
             ledger,
@@ -175,3 +223,43 @@ class Instrumentation:
             ActivityRegistry(clock, metrics, log),
             enabled=True,
         )
+        if sim is not None:
+            rules = alert_rules if alert_rules is not None else default_rules()
+            bundle.timeseries = TimeSeriesStore()
+            bundle.alerts = AlertEngine(
+                rules=[*rules, *budget_rules(budgets or {})],
+                registry=metrics,
+                slo=slo,
+                store=bundle.timeseries,
+            )
+            bundle.scrape_loop = ScrapeLoop(
+                sim,
+                metrics,
+                bundle.timeseries,
+                interval_s=scrape_interval_s,
+                listeners=[bundle.alerts.evaluate],
+            )
+        return bundle
+
+
+#: Every export kind of a bundle → its exact artifact bytes.  Readers
+#: (:meth:`Instrumentation.export`, ``PixelsDB.export``,
+#: ``RoverServer.export``, the bench exporters) name a kind; none wraps
+#: a sink's export itself.
+EXPORTS: dict[str, Callable[[Instrumentation], str]] = {
+    "traces": lambda obs: obs.tracer.export_all_json(),
+    "metrics": lambda obs: obs.metrics.render(),
+    "statements": lambda obs: obs.statements.export_json(),
+    "journal": lambda obs: obs.journal.export_jsonl(),
+    "ledger": lambda obs: obs.ledger.export_jsonl(),
+    "spend": lambda obs: obs.spend.export_json(),
+    "slo": lambda obs: obs.slo.export_json(),
+    "activity": lambda obs: obs.activity.export_json(),
+    "projections": lambda obs: obs.activity.export_projection_json(),
+    "timeseries": lambda obs: (
+        obs.scrape().export_jsonl() if obs.timeseries is not None else ""
+    ),
+    "alerts": lambda obs: (
+        obs.alerts.export_jsonl() if obs.alerts is not None else ""
+    ),
+}

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from html import escape
 
-from repro.obs.alerts import AlertEngine, AlertEvent
+from repro.obs import Instrumentation
+from repro.obs.alerts import AlertEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloTracker
+from repro.obs.spend import SpendAccountant
 from repro.obs.statements import StatementStore
 from repro.obs.timeseries import TimeSeriesStore
 
@@ -93,40 +94,33 @@ class DashboardData:
     def build(
         title: str,
         now: float,
-        timeseries: TimeSeriesStore,
-        slo: SloTracker | None = None,
-        alerts: AlertEngine | None = None,
+        obs: Instrumentation,
         audit: list[dict] | None = None,
         seed: int | None = None,
-        registry: MetricsRegistry | None = None,
-        statements: StatementStore | None = None,
-        spend=None,
         scheduler: dict | None = None,
-        activity=None,
     ) -> "DashboardData":
+        """Every panel of ``obs`` at ``now``, after its final scrape; an
+        unobserved bundle gives empty panels."""
+        alerts, timeseries = obs.alerts, obs.scrape()
         return DashboardData(
             title=title,
             generated_at=now,
             seed=seed,
-            timeseries=timeseries,
-            slo=slo.snapshot() if slo is not None else {"levels": {}},
+            timeseries=timeseries if timeseries is not None else TimeSeriesStore(),
+            slo=obs.slo.snapshot(),
             alerts=list(alerts.events) if alerts is not None else [],
             firing=alerts.firing() if alerts is not None else [],
             audit=list(audit or []),
-            pending_percentiles=_pending_percentiles(registry),
-            top_statements=_top_statement_rows(statements),
-            tenant_spend=_tenant_spend_rows(spend),
+            pending_percentiles=_pending_percentiles(obs.metrics),
+            top_statements=_top_statement_rows(obs.statements),
+            tenant_spend=_tenant_spend_rows(obs.spend),
             scheduler=dict(scheduler or {}),
-            activity=activity.snapshot() if activity is not None else {},
+            activity=obs.activity.snapshot() if obs.enabled else {},
         )
 
 
-def _top_statement_rows(
-    statements: StatementStore | None, k: int = 10
-) -> list[dict]:
+def _top_statement_rows(statements: StatementStore, k: int = 10) -> list[dict]:
     """Rank-ordered top-``k`` statements by billed $ for the panel."""
-    if statements is None:
-        return []
     rows: list[dict] = []
     for entry in statements.top(k, by="dollars"):
         ratio = entry.cache_hit_ratio
@@ -147,11 +141,8 @@ def _top_statement_rows(
     return rows
 
 
-def _tenant_spend_rows(spend) -> list[dict]:
-    """Per-tenant net-spend rows (descending by spend) for the panel;
-    ``spend`` is a :class:`~repro.obs.spend.SpendAccountant` or None."""
-    if spend is None:
-        return []
+def _tenant_spend_rows(spend: SpendAccountant) -> list[dict]:
+    """Per-tenant net-spend rows (descending by spend) for the panel."""
     report = spend.report()
     rows = list(report.get("tenants", []))
     rows.sort(key=lambda r: (-r["nanodollars"], r["tenant"]))
@@ -234,10 +225,8 @@ def _verdict_summary(counts: dict) -> str:
     return ", ".join(f"{reason}={counts[reason]}" for reason in sorted(counts))
 
 
-def _pending_percentiles(registry: MetricsRegistry | None) -> dict:
+def _pending_percentiles(registry: MetricsRegistry) -> dict:
     """p50/p95/p99 pending time per level from the registry's histogram."""
-    if registry is None:
-        return {}
     histogram = registry.get("pixels_query_pending_seconds")
     if histogram is None or not hasattr(histogram, "quantile"):
         return {}

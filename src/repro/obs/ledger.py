@@ -25,9 +25,8 @@ replay an exported ledger standalone and re-prove every invariant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from repro.obs.profiler import AXES  # the axes a user charge splits into
 
@@ -38,9 +37,10 @@ ACCOUNTS = ("user", "provider")
 KINDS = ("charge", "void")
 
 
-@dataclass(frozen=True)
-class MeterEvent:
-    """One immutable ledger entry, in integer nanodollars.
+class MeterEvent(NamedTuple):
+    """One immutable ledger entry, in integer nanodollars (a named
+    tuple: a billed query appends several, and a tuple is the cheapest
+    immutable record to build).
 
     ``nanodollars`` is positive for charges and non-positive for voids;
     ``billed_nanodollars`` stamps the query's *total* bill on every
@@ -251,8 +251,7 @@ class MeterLedger:
             for event in prior:
                 voids.append(
                     self._append(
-                        replace(
-                            event,
+                        event._replace(
                             seq=len(self._events),
                             ts=self._clock(),
                             kind="void",

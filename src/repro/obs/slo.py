@@ -342,4 +342,4 @@ class SloTracker:
             "records": [r.to_dict() for r in self.records()],
             "summary": self.snapshot(),
         }
-        return json.dumps(document, sort_keys=True, indent=2)
+        return json.dumps(document, sort_keys=True, indent=2) + "\n"

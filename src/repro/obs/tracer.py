@@ -332,4 +332,4 @@ class Tracer:
             [self._timeline(trace_id, traces[trace_id]) for trace_id in sorted(traces)],
             sort_keys=True,
             indent=2,
-        )
+        ) + "\n"

@@ -250,11 +250,14 @@ class RoverServer:
 
     # -- observability ------------------------------------------------------------------
 
-    def metrics(self, token: str) -> str:
-        """Prometheus text exposition of the server's metrics registry
-        (empty unless the system was built with observability on)."""
-        self._session(token)  # any authenticated session may scrape
-        return self._query_server.obs.metrics.render()
+    def export(self, token: str, kind: str) -> str:
+        """One observability artifact of the server's bundle — any kind
+        of :data:`repro.obs.EXPORTS` (``"metrics"``, ``"ledger"``,
+        ``"activity"``, …) — as its exact bytes; empty unless the system
+        was built with observability on.  Any authenticated session may
+        read it."""
+        self._session(token)
+        return self._query_server.obs.export(kind)
 
     def trace(self, token: str, query_id: str) -> str:
         """The JSON span timeline of one submitted query."""
@@ -271,55 +274,10 @@ class RoverServer:
         obs = self._query_server.obs
         return obs.observed(obs.statements.render_top, k, by)
 
-    def statements_json(self, token: str) -> str:
-        """Every statement-statistics entry as byte-stable JSON."""
-        self._session(token)
-        obs = self._query_server.obs
-        return obs.observed(obs.statements.export_json)
-
-    def journal(self, token: str) -> str:
-        """The trace-correlated query journal as deterministic JSONL
-        (includes tail-based slow-query captures)."""
-        self._session(token)
-        obs = self._query_server.obs
-        return obs.observed(obs.journal.export_jsonl)
-
-    def ledger(self, token: str) -> str:
-        """The full metering ledger as byte-stable JSONL — every charge
-        and void the server emitted, in sequence order (empty without
-        observability)."""
-        self._session(token)  # any authenticated session may audit
-        obs = self._query_server.obs
-        return obs.observed(obs.ledger.export_jsonl)
-
-    def spend(self, token: str) -> str:
-        """The per-tenant spend report (net nanodollars, per-level
-        split, soft-budget status) as byte-stable JSON."""
-        self._session(token)
-        obs = self._query_server.obs
-        return obs.observed(obs.spend.export_json)
-
-    def activity(self, token: str) -> str:
-        """The live query-activity view — every submission's lifecycle
-        state, per-operator progress, and projected bill — as byte-stable
-        JSON (the ``pg_stat_activity`` of this system; empty without
-        observability)."""
-        self._session(token)  # any authenticated session may inspect
-        obs = self._query_server.obs
-        return obs.observed(obs.activity.export_json)
-
-    def projections(self, token: str) -> str:
-        """The estimator's accuracy record — estimated vs. actual bill
-        per completed query plus the aggregate MAPE — as byte-stable
-        JSON."""
-        self._session(token)
-        obs = self._query_server.obs
-        return obs.observed(obs.activity.export_projection_json)
-
     def scheduler(self, token: str) -> str:
         """The scheduler state — per-tenant/per-level queue depths, WFQ
         shares, Jain fairness, and admission verdict counts — as
-        byte-stable JSON, consistent with the ledger/spend endpoints."""
+        byte-stable JSON, consistent with the ledger/spend exports."""
         self._session(token)  # any authenticated session may inspect
         snapshot = self._query_server.scheduler_snapshot()
         return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"

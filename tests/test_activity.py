@@ -28,7 +28,9 @@ def observed_env(
     grace_s: float | None = None,
 ):
     """A fully observed stack; small row groups make every lineitem scan
-    multi-morsel so mid-flight progress is visible morsel by morsel."""
+    multi-morsel so mid-flight progress is visible morsel by morsel.  Its
+    alert engine has no rules of its own (budgets add theirs), so the
+    guard's alerts are the only ones besides budget crossings."""
     sim = Simulator(seed=11)
     store = ObjectStore()
     catalog = Catalog()
@@ -43,7 +45,7 @@ def observed_env(
     if grace_s is not None:
         config = dataclasses.replace(config, grace_period_s=grace_s)
     obs = Instrumentation.create(
-        clock=lambda: sim.now, budgets=budgets, capture=capture
+        budgets=budgets, capture=capture, sim=sim, alert_rules=[]
     )
     coordinator = Coordinator(sim, config, catalog, store, "tpch", obs=obs)
     server = QueryServer(
@@ -246,8 +248,7 @@ class TestGuard:
             guard=GuardPolicy(budget_action="cancel", deadline_action=None),
             budgets={"acme": 1e-9},  # one nanodollar: anything trips it
         )
-        alerts: list = []
-        server.guard.alert_sink = alerts.append
+        alerts = server.obs.alerts.events
         record = server.submit(HEAVY, ServiceLevel.RELAXED, tenant="acme")
         sim.run_until(900)
         assert record.status is QueryStatus.FAILED
@@ -340,8 +341,7 @@ class TestGuard:
             guard=GuardPolicy(budget_action=None, deadline_action="alert"),
             grace_s=0.05,
         )
-        alerts: list = []
-        server.guard.alert_sink = alerts.append
+        alerts = server.obs.alerts.events
         for _ in range(12):
             server.submit(HEAVY, ServiceLevel.RELAXED)
         sim.run_until(3600)
@@ -419,8 +419,8 @@ class TestExportsAndSurfaces:
         rover = RoverServer(users, catalog, CodesService(), server)
         token = rover.login("u", "p")
         # Without observability the endpoints render empty, not crash.
-        assert rover.activity(token) == ""
-        assert rover.projections(token) == ""
+        assert rover.export(token, "activity") == ""
+        assert rover.export(token, "projections") == ""
 
     def test_pixelsdb_facade_surfaces(self):
         from repro import CapturePolicy, PixelsDB
@@ -435,18 +435,18 @@ class TestExportsAndSurfaces:
         db.load_tpch("tpch", scale=0.05)
         db.submit("tpch", HEAVY, ServiceLevel.RELAXED, tenant="acme")
         db.run_to_completion()
-        activity = db.activity()
+        activity = db.obs.activity.snapshot()
         assert activity["states"] == {"billed": 1}
-        assert json.loads(db.activity_json()) == activity
-        report = db.projection_report()
+        assert json.loads(db.export("activity")) == activity
+        report = db.obs.activity.projection_report()
         assert report["queries"] == 1
         audit = db.guard_audit()
         assert audit and audit[0]["schema"] == "tpch"
         assert audit[0]["rule"] == "budget"
-        assert db.guard_audit_jsonl().strip()
+        assert db.export("guard_audit").strip()
         # The guard's alert joined the engine's alert timeline.
         assert any(
-            e.rule == "projection_guard_budget" for e in db.alerts.events
+            e.rule == "projection_guard_budget" for e in db.obs.alerts.events
         )
 
     def test_dashboard_renders_active_queries_panel(self):

@@ -145,8 +145,8 @@ class TestStatementCacheEviction:
         unbounded, full = self._observed_run(capacity=None)
         assert cache.evictions == 2 and len(cache) == 2  # the repeat missed
         assert (full.evictions, len(full)) == (0, 3)
-        assert bounded.statements_json() == unbounded.statements_json()
-        assert bounded.journal_jsonl() == unbounded.journal_jsonl()
+        assert bounded.export("statements") == unbounded.export("statements")
+        assert bounded.export("journal") == unbounded.export("journal")
 
 
 def _deck_texts() -> list[str]:

@@ -20,10 +20,17 @@ import pathlib
 
 import pytest
 
-from repro import CapturePolicy, GuardPolicy, PixelsDB, QueryServer, ServiceLevel
+from repro import (
+    DB_EXPORTS,
+    CapturePolicy,
+    GuardPolicy,
+    PixelsDB,
+    QueryServer,
+    ServiceLevel,
+)
 from repro.core import QueryStatus
 from repro.errors import NoSuchQueryError
-from repro.obs import Instrumentation
+from repro.obs import EXPORTS, Instrumentation
 from repro.rover import UserStore
 from repro.sim import Simulator
 from repro.storage.catalog import Catalog
@@ -55,6 +62,9 @@ ALLOWED_READS = {
 NULL_OBJECTS: set[str] = set()
 #: Registry and tracer entry points only ``repro.obs`` may call.
 WRITER_CALLS = {"counter", "gauge", "histogram", "add_collector", "end_open"}
+#: The functions that build an alert rule set (not methods of a sink):
+#: ``Instrumentation.create`` calls them to assemble the observed stack.
+RULE_SETS = {"default_rules", "budget_rules"}
 #: The modules of the six lifecycle sinks, and the one runtime import
 #: between them: the spend accountant is a view over the ledger.
 LIFECYCLE_SINKS = ("slo", "statements", "journal", "ledger", "spend", "activity")
@@ -150,8 +160,10 @@ class TestStaticFence:
         assert offenders == []
 
     def test_bundle_constructors_only_construct(self):
-        """``Instrumentation.create`` / ``disabled`` wire nothing: every
-        call in them is a constructor, none a method call on a sink."""
+        """``Instrumentation.create`` / ``disabled`` wire nothing by
+        calling into a sink: every call in them is a constructor (or one
+        of the functions that build an alert rule set), none a method
+        call on a sink."""
         tree = dict(parsed_sources())["obs/__init__.py"]
         bundle = next(
             node
@@ -171,10 +183,36 @@ class TestStaticFence:
             for call in ast.walk(factory)
             if isinstance(call, ast.Call)
             and not (
-                isinstance(call.func, ast.Name) and call.func.id[:1].isupper()
+                isinstance(call.func, ast.Name)
+                and (call.func.id[:1].isupper() or call.func.id in RULE_SETS)
             )
         ]
         assert offenders == []
+
+    def test_the_observed_stack_is_assembled_in_one_place(self):
+        """Only ``Instrumentation.create`` builds a scrape loop or an
+        alert engine, and nothing attaches the guard's alert sink after
+        construction."""
+        builders = {
+            f"{name}:{function.name}"
+            for name, tree in parsed_sources()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and terminal_name(call.func) in ("ScrapeLoop", "AlertEngine")
+        }
+        assert builders == {"obs/__init__.py:create"}
+        sink_writers = {
+            f"{name}:{function.name}"
+            for name, tree in parsed_sources()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and any(terminal_name(target) == "alert_sink" for target in node.targets)
+        }
+        assert sink_writers == {"obs/activity.py:__init__"}
 
     def test_no_lifecycle_sink_binds_or_listens(self):
         offenders = [
@@ -265,31 +303,55 @@ EMPTY_SPEND = {"tenants": [], "provider_nanodollars": {}, "events": 0, "voids": 
 EMPTY_PROJECTIONS = {
     "queries": 0, "mape": 0.0, "max_ape": 0.0, "by_source": {}, "records": [],
 }
+#: Every export kind ``PixelsDB.export`` serves, by the name of the
+#: per-kind accessor it replaced; each reads ``""`` unobserved.
 DB_ACCESSORS = {
-    "metrics": "",
-    "export_traces": "[]",
-    "statements_top": "",
-    "statements_json": "",
-    "journal_jsonl": "",
-    "journal_captures": [],
-    "ledger_jsonl": "",
-    "spend_report": EMPTY_SPEND,
-    "spend_json": "",
-    "slo_report": {"levels": {}},
-    "slo_json": '{"records": [], "summary": {"levels": {}}}',
-    "timeseries_jsonl": "",
-    "alerts_jsonl": "",
-    "activity": {"generated_at": 0.0, "states": {}, "queries": []},
-    "activity_json": "",
-    "projection_report": EMPTY_PROJECTIONS,
-    "projection_json": "",
-    "guard_audit": [],
-    "guard_audit_jsonl": "",
+    "metrics": "metrics",
+    "export_traces": "traces",
+    "statements_json": "statements",
+    "journal_jsonl": "journal",
+    "ledger_jsonl": "ledger",
+    "spend_json": "spend",
+    "slo_json": "slo",
+    "timeseries_jsonl": "timeseries",
+    "alerts_jsonl": "alerts",
+    "activity_json": "activity",
+    "projection_json": "projections",
+    "guard_audit_jsonl": "guard_audit",
+    "autoscaler_audit_jsonl": "autoscaler_audit",
 }
-ROVER_ENDPOINTS = (
-    "metrics", "statements", "statements_json", "journal", "ledger", "spend",
-    "activity", "projections",
-)
+#: The other reads, by the accessor that offered them, and their
+#: unobserved value: those that take parameters or span servers stay on
+#: the facade, the pass-through ones are read off the bundle's sinks.
+DB_READS = {
+    "statements_top": (lambda db: db.statements_top(), ""),
+    "guard_audit": (lambda db: db.guard_audit(), []),
+    "journal_captures": (lambda db: db.obs.journal.captures(), []),
+    "spend_report": (lambda db: db.obs.spend.report(), EMPTY_SPEND),
+    "slo_report": (lambda db: db.obs.slo.snapshot(), {"levels": {}}),
+    "activity": (
+        lambda db: db.obs.activity.snapshot(),
+        {"generated_at": 0.0, "states": {}, "queries": []},
+    ),
+    "projection_report": (
+        lambda db: db.obs.activity.projection_report(), EMPTY_PROJECTIONS
+    ),
+}
+#: Every export kind ``RoverServer.export`` serves, by the endpoint name
+#: it had (or, new to Rover, its own); ``statements`` is the top-K table.
+ROVER_ENDPOINTS = {
+    "metrics": "metrics",
+    "statements_json": "statements",
+    "journal": "journal",
+    "ledger": "ledger",
+    "spend": "spend",
+    "activity": "activity",
+    "projections": "projections",
+    "traces": "traces",
+    "slo": "slo",
+    "timeseries": "timeseries",
+    "alerts": "alerts",
+}
 
 
 class TestUnobservedBundle:
@@ -303,15 +365,26 @@ class TestUnobservedBundle:
         db, _, _ = dark_session
         assert not RECORDED[sink](getattr(db.obs, sink))
 
-    @pytest.mark.parametrize("accessor", sorted(DB_ACCESSORS))
+    def test_every_export_kind_is_checked(self):
+        assert sorted(DB_ACCESSORS.values()) == sorted([*EXPORTS, *DB_EXPORTS])
+        assert sorted(ROVER_ENDPOINTS.values()) == sorted(EXPORTS)
+
+    @pytest.mark.parametrize("accessor", sorted([*DB_ACCESSORS, *DB_READS]))
     def test_pixelsdb_accessor(self, dark_session, accessor):
         db, _, _ = dark_session
-        assert getattr(db, accessor)() == DB_ACCESSORS[accessor]
+        if accessor in DB_ACCESSORS:
+            assert db.export(DB_ACCESSORS[accessor]) == ""
+        else:
+            read, empty = DB_READS[accessor]
+            assert read(db) == empty
 
-    @pytest.mark.parametrize("endpoint", ROVER_ENDPOINTS)
+    @pytest.mark.parametrize("endpoint", sorted([*ROVER_ENDPOINTS, "statements"]))
     def test_rover_endpoint(self, dark_session, endpoint):
         _, rover, token = dark_session
-        assert getattr(rover, endpoint)(token) == ""
+        if endpoint == "statements":
+            assert rover.statements(token) == ""
+        else:
+            assert rover.export(token, ROVER_ENDPOINTS[endpoint]) == ""
 
     def test_rover_has_no_trace_to_serve(self, dark_session):
         db, rover, token = dark_session
@@ -369,7 +442,7 @@ class TestUnobservedCoordinator:
         assert obs.metrics.render() == ""
         assert obs.metrics.instruments() == []
         assert obs.tracer.trace_ids() == []
-        assert obs.tracer.export_all_json() == "[]"
+        assert obs.tracer.export_all_json() == "[]\n"
         assert on_cf.profile is None and on_cf.plan_shape is None
 
 

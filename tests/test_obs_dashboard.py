@@ -30,8 +30,8 @@ class TestDeterminism:
         first, second = _demo_session(), _demo_session()
         assert first.dashboard_html() == second.dashboard_html()
         assert first.dashboard_text() == second.dashboard_text()
-        assert first.timeseries_jsonl() == second.timeseries_jsonl()
-        assert first.slo_json() == second.slo_json()
+        assert first.export("timeseries") == second.export("timeseries")
+        assert first.export("slo") == second.export("slo")
 
     def test_render_is_a_pure_function_of_data(self):
         db = _demo_session()
@@ -121,11 +121,9 @@ class TestSchedulerPanel:
         assert "scheduler" in text
 
     def test_empty_scheduler_omits_panel(self):
-        from repro.obs.timeseries import TimeSeriesStore
+        from repro.obs import Instrumentation
 
-        data = DashboardData.build(
-            title="empty", now=0.0, timeseries=TimeSeriesStore(), slo=None
-        )
+        data = DashboardData.build("empty", 0.0, Instrumentation.disabled())
         assert data.scheduler == {}
         html = render_dashboard_html(data)
         assert "WFQ dispatches" not in html

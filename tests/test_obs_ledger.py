@@ -235,12 +235,12 @@ class TestTenantThreading:
         assert counter.value(tenant="acme") > 0.0
 
     def test_soft_budget_alert_fires(self, observed_db):
-        assert "TenantBudget:acme" in observed_db.alerts.firing()
+        assert "TenantBudget:acme" in observed_db.obs.alerts.firing()
 
     def test_spend_report_flags_over_budget_tenant(self, observed_db):
         rows = {
             row["tenant"]: row
-            for row in observed_db.spend_report()["tenants"]
+            for row in observed_db.obs.spend.report()["tenants"]
         }
         assert rows["acme"]["over_budget"] is True
         assert rows["default"]["over_budget"] is False
@@ -269,13 +269,13 @@ class TestRoverBillingEndpoints:
         rover.submit_query(token, block.block_id, ServiceLevel.IMMEDIATE)
         db.run_to_completion()
 
-        ledger_text = rover.ledger(token)
+        ledger_text = rover.export(token, "ledger")
         assert ledger_text  # billing left a trail
         events = load_events_jsonl(ledger_text)
         assert any(
             e.tenant == "analytics" for e in events if e.account == "user"
         )
-        spend = json.loads(rover.spend(token))
+        spend = json.loads(rover.export(token, "spend"))
         assert [row["tenant"] for row in spend["tenants"]] == ["analytics"]
         assert spend["tenants"][0]["nanodollars"] > 0
 
@@ -295,6 +295,6 @@ class TestRoverBillingEndpoints:
         db.load_tpch("tpch", scale=0.02)
         rover = db.rover(UserStore(), "tpch")
         with pytest.raises(AuthenticationError):
-            rover.ledger("bogus-token")
+            rover.export("bogus-token", "ledger")
         with pytest.raises(AuthenticationError):
-            rover.spend("bogus-token")
+            rover.export("bogus-token", "spend")

@@ -88,11 +88,11 @@ class TestBurnRateUnderOverload:
 
     def test_burn_rate_alert_fires(self, dataset):
         result = _run_stress(dataset, observe=True)
-        fired = [e for e in result.alerts.events if e.state == "firing"]
+        fired = [e for e in result.obs.alerts.events if e.state == "firing"]
         assert [e.rule for e in fired] == ["relaxed_burn_rate"]
         assert fired[0].value >= 6.0
         # It fired on a scrape tick — alert timing is cadence-quantized.
-        assert fired[0].time in result.timeseries.scrape_times
+        assert fired[0].time in result.obs.timeseries.scrape_times
 
     def test_slack_histogram_recorded_misses(self, dataset):
         result = _run_stress(dataset, observe=True)
@@ -124,16 +124,13 @@ class TestObserveInvariance:
         assert fingerprint(dark) == fingerprint(lit)
         assert dark.billed() == lit.billed()
         # The unobserved run truly ran dark.
-        assert dark.obs is None and dark.timeseries is None
+        assert dark.obs is None
 
     def test_observed_run_is_deterministic(self, dataset):
         first = _run_stress(dataset, observe=True)
         second = _run_stress(dataset, observe=True)
-        assert (
-            first.timeseries.export_jsonl() == second.timeseries.export_jsonl()
-        )
-        assert first.alerts.export_jsonl() == second.alerts.export_jsonl()
-        assert first.obs.slo.export_json() == second.obs.slo.export_json()
+        for kind in ("timeseries", "alerts", "slo"):
+            assert first.obs.export(kind) == second.obs.export(kind)
         assert (
             first.coordinator.vm_cluster.export_audit_jsonl()
             == second.coordinator.vm_cluster.export_audit_jsonl()

@@ -118,6 +118,22 @@ class TestRelaxedLevel:
             <= config.grace_period_s + config.scheduler_interval_s
         )
 
+    def test_simultaneous_holds_expire_in_submission_order(
+        self, turbo_env, monkeypatch
+    ):
+        sim, _, _, config, coordinator, server = turbo_env
+        # Saturated for good: only the grace deadline lets a hold out.
+        monkeypatch.setattr(coordinator, "below_high_watermark", lambda: False)
+        held = [
+            server.submit(HEAVY, ServiceLevel.RELAXED, tenant=tenant)
+            for tenant in ("c", "a", "d", "b", "a")
+        ]
+        sim.run_until(config.grace_period_s + config.scheduler_interval_s + 1)
+        (expired_at,) = {record.dispatched_at for record in held}
+        assert expired_at >= config.grace_period_s
+        order = [execution.query_id for execution in coordinator.executions]
+        assert order == [record.query_id for record in held]
+
     def test_all_relaxed_eventually_finish(self, turbo_env):
         sim, _, _, _, _, server = turbo_env
         records = [server.submit(HEAVY, ServiceLevel.RELAXED) for _ in range(15)]
@@ -268,8 +284,8 @@ class TestQueryIds:
             return (
                 list(server.queries),
                 server.scheduler_snapshot(),
-                db.activity(),
-                db.journal_jsonl(),
+                db.obs.activity.snapshot(),
+                db.export("journal"),
             )
 
         before = state()
@@ -295,7 +311,7 @@ class TestQueryIds:
         ]
         assert generated == ["sq-1", "sq-3"]  # "sq-2" is the first server's
         db.run_to_completion()
-        owners = [row["query_id"] for row in db.activity()["queries"]]
+        owners = [row["query_id"] for row in db.obs.activity.snapshot()["queries"]]
         assert sorted(owners) == ["q", "sq-1", "sq-2", "sq-3"]
 
     def test_a_rejected_id_is_refused_before_admission_moves(self):
@@ -307,7 +323,7 @@ class TestQueryIds:
             server.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="r")
         with pytest.raises(NoSuchQueryError):
             server.query("r")  # the record is gone; its entry and trace are not
-        before = (server.scheduler_snapshot(), db.activity(), db.journal_jsonl())
+        before = (server.scheduler_snapshot(), db.obs.activity.snapshot(), db.export("journal"))
         with pytest.raises(PixelsError, match="duplicate query id 'r'"):
             server.submit("SELECT COUNT(*) FROM nation", ServiceLevel.IMMEDIATE, query_id="r")
-        assert (server.scheduler_snapshot(), db.activity(), db.journal_jsonl()) == before
+        assert (server.scheduler_snapshot(), db.obs.activity.snapshot(), db.export("journal")) == before

@@ -7,7 +7,6 @@ and the negative direction corrupts ledgers in specific ways and
 requires the reconciler to name each violated invariant.
 """
 
-import dataclasses
 
 import pytest
 
@@ -108,7 +107,7 @@ class TestEqualityChain:
         assert store_total == observed_db.obs.ledger.total_nanodollars("user")
 
     def test_standalone_replay_of_export_is_clean(self, observed_db):
-        events = load_events_jsonl(observed_db.ledger_jsonl())
+        events = load_events_jsonl(observed_db.export("ledger"))
         report = reconcile_events(events)
         assert report.ok, report.render()
         assert report.total_nanodollars == (
@@ -150,8 +149,8 @@ class TestNamedViolations:
     def test_one_nanodollar_drift_is_detected(self, observed_db):
         events = self._events(observed_db)
         i = self._user_charge_index(events)
-        events[i] = dataclasses.replace(
-            events[i], nanodollars=events[i].nanodollars + 1
+        events[i] = events[i]._replace(
+            nanodollars=events[i].nanodollars + 1
         )
         report = reconcile_events(events)
         assert not report.ok
@@ -163,8 +162,8 @@ class TestNamedViolations:
     def test_tampered_bytes_basis_is_detected(self, observed_db):
         events = self._events(observed_db)
         i = self._user_charge_index(events)
-        events[i] = dataclasses.replace(
-            events[i], bytes_scanned=events[i].bytes_scanned + 1000
+        events[i] = events[i]._replace(
+            bytes_scanned=events[i].bytes_scanned + 1000
         )
         report = reconcile_events(events)
         assert "ledger.bytes_basis" in {
@@ -182,7 +181,7 @@ class TestNamedViolations:
     def test_negative_charge_is_detected(self, observed_db):
         events = self._events(observed_db)
         i = self._user_charge_index(events)
-        events[i] = dataclasses.replace(events[i], nanodollars=-5)
+        events[i] = events[i]._replace(nanodollars=-5)
         report = reconcile_events(events)
         assert "ledger.charge_sign" in {
             v.invariant for v in report.violations
@@ -190,7 +189,7 @@ class TestNamedViolations:
 
     def test_unknown_axis_is_detected(self, observed_db):
         events = self._events(observed_db)
-        events[0] = dataclasses.replace(events[0], axis="gpu")
+        events[0] = events[0]._replace(axis="gpu")
         report = reconcile_events(events)
         assert "ledger.schema" in {v.invariant for v in report.violations}
 
@@ -198,8 +197,7 @@ class TestNamedViolations:
         """Voiding only one axis leaves a non-zero net — caught."""
         events = self._events(observed_db)
         i = self._user_charge_index(events)
-        tail = dataclasses.replace(
-            events[i],
+        tail = events[i]._replace(
             seq=events[-1].seq + 1,
             kind="void",
             nanodollars=-(events[i].nanodollars // 2) - 1,
@@ -227,8 +225,8 @@ class TestNamedViolations:
     def test_violation_report_round_trips_to_json(self, observed_db):
         events = self._events(observed_db)
         i = self._user_charge_index(events)
-        events[i] = dataclasses.replace(
-            events[i], nanodollars=events[i].nanodollars + 1
+        events[i] = events[i]._replace(
+            nanodollars=events[i].nanodollars + 1
         )
         report = reconcile_events(events)
         payload = report.to_dict()
@@ -244,7 +242,7 @@ class TestReconcileCli:
         self, observed_db, tmp_path, capsys
     ):
         clean = tmp_path / "clean.jsonl"
-        clean.write_text(observed_db.ledger_jsonl(), encoding="utf-8")
+        clean.write_text(observed_db.export("ledger"), encoding="utf-8")
         assert reconcile_main([str(clean)]) == 0
 
         events = list(observed_db.obs.ledger.events())
@@ -253,8 +251,8 @@ class TestReconcileCli:
             for i, e in enumerate(events)
             if e.kind == "charge" and e.account == "user"
         )
-        events[i] = dataclasses.replace(
-            events[i], nanodollars=events[i].nanodollars + 1
+        events[i] = events[i]._replace(
+            nanodollars=events[i].nanodollars + 1
         )
         from repro.obs.ledger import events_jsonl
 

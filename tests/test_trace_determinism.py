@@ -138,14 +138,14 @@ def span_names(timeline):
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_traces(self):
-        first = run_session().export_traces()
-        second = run_session().export_traces()
+        first = run_session().export("traces")
+        second = run_session().export("traces")
         assert first == second
         assert json.loads(first)  # non-empty, valid JSON
 
     def test_query_lifecycle_spans_present(self):
         db = run_session()
-        timeline = json.loads(db.trace("sq-1"))
+        timeline = json.loads(db.obs.tracer.export_json("sq-1"))
         names = span_names(timeline)
         for expected in ("query", "submit", "dispatch", "plan", "execute", "scan", "bill"):
             assert expected in names, f"missing span {expected!r}"
@@ -224,8 +224,8 @@ class TestClosureOnTerminationPaths:
 class TestDisabledDefault:
     def test_observe_off_records_nothing(self):
         db = run_session(observe=False)
-        assert db.metrics() == ""
-        assert json.loads(db.export_traces()) == []
+        assert db.export("metrics") == ""
+        assert db.export("traces") == ""
         assert not db.obs.enabled
 
     def test_results_identical_with_and_without_observability(self):
@@ -268,7 +268,7 @@ class TestDisabledDefault:
 class TestMetricsEndToEnd:
     def test_exposition_covers_the_paper_series(self):
         db = run_session()
-        text = db.metrics()
+        text = db.export("metrics")
         for series in (
             "pixels_queries_submitted_total",
             "pixels_queries_total",
@@ -432,6 +432,6 @@ class TestMetricsEndToEnd:
         users.register("ana", "pw", {"tpch"})
         rover = db.rover(users, "tpch")
         token = rover.login("ana", "pw")
-        assert "pixels_queries_total" in rover.metrics(token)
+        assert "pixels_queries_total" in rover.export(token, "metrics")
         trace = json.loads(rover.trace(token, "sq-1"))
         assert trace["trace_id"] == "sq-1"
