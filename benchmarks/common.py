@@ -118,7 +118,7 @@ def export_ledger_audit(slug: str, result) -> dict[str, str]:
     """
     from repro.obs.reconcile import reconcile_server
 
-    if result.obs is None:
+    if not result.obs.enabled:
         raise ValueError("run the workload with observe=True first")
     report = reconcile_server(result.server)
     assert report.ok, f"billing reconciliation failed:\n{report.render()}"

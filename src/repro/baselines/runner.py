@@ -44,10 +44,11 @@ class WorkloadResult:
     sim: Simulator
     coordinator: Coordinator
     server: QueryServer
+    #: The coordinator's bundle: the observed stack (sinks, time
+    #: series, alerts, scrape loop) when run_workload(observe=True), the
+    #: unobserved default otherwise, whose every export reads ``""``.
+    obs: Instrumentation
     queries: list[ServerQuery] = field(default_factory=list)
-    #: The observed stack (sinks, time series, alerts, scrape loop);
-    #: populated only when run_workload(observe=True).
-    obs: Instrumentation | None = None
 
     def of_level(self, level: ServiceLevel) -> list[ServerQuery]:
         return [query for query in self.queries if query.level is level]
@@ -92,7 +93,7 @@ class WorkloadResult:
     def dashboard_data(self, title: str) -> DashboardData:
         """The operator-dashboard bundle for an observed replay
         (requires ``run_workload(observe=True)``)."""
-        if self.obs is None:
+        if not self.obs.enabled:
             raise ValueError("run the workload with observe=True first")
         return DashboardData.build(
             title,
@@ -153,10 +154,7 @@ def run_workload(
     coordinator = coordinator_cls(sim, config, catalog, store, schema, **kwargs)
     server = QueryServer(sim, coordinator, config, **(server_kwargs or {}))
     result = WorkloadResult(
-        sim=sim,
-        coordinator=coordinator,
-        server=server,
-        obs=kwargs["obs"] if observe else None,
+        sim=sim, coordinator=coordinator, server=server, obs=coordinator.obs
     )
 
     def make_submit(submission: Submission):
@@ -185,8 +183,7 @@ def run_workload(
         sim.run_until(horizon_s)
     else:
         _run_to_quiescence(sim, result, last_arrival)
-    if result.obs is not None:
-        result.obs.scrape()  # capture the final state past the last tick
+    result.obs.scrape()  # capture the final state past the last tick
     return result
 
 

@@ -46,11 +46,12 @@ from repro.core.scheduler import (
 )
 from repro.core.service_levels import QueryStatus, ServiceLevel
 from repro.obs.activity import GuardDecision, GuardPolicy, ProjectionGuard
-from repro.obs.profiler import NANOS_PER_DOLLAR
+from repro.obs.profiler import NANOS_PER_DOLLAR, QueryProfile, build_query_profile
 from repro.obs.recorder import QueryRecorder
 from repro.sim import Simulator, WeakCallback
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
+from repro.turbo.cost import MeterReading
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fingerprint import Fingerprint
@@ -71,12 +72,10 @@ class ServerQuery:
     grace_deadline: float | None = None
     dispatched_at: float | None = None
     execution: QueryExecution | None = field(default=None, repr=False)
-    price: float = 0.0
-    #: The exact integer bill, ``round(price × 1e9)`` — derived once, by
-    #: the server, observed or not.  The metering ledger is charged this
-    #: integer (its per-axis events sum to it), and the server's aggregate
-    #: billing sums these so no float drift can accumulate.
-    price_nanodollars: int = 0
+    #: The one bill (price, integer nanodollars, resource split), taken
+    #: once by the server when the query completes with a result,
+    #: observed or not; every billing surface reads it.
+    bill: MeterReading | None = field(default=None, repr=False)
     tenant: str = "default"
     cancelled: bool = False
     on_finish: Callable[["ServerQuery"], None] | None = field(
@@ -91,6 +90,16 @@ class ServerQuery:
     #: The statement's fingerprint, set by the query recorder at
     #: submission (None when unobserved).
     fingerprint: "Fingerprint | None" = field(default=None, repr=False)
+
+    @property
+    def price(self) -> float:
+        return self.bill.price if self.bill is not None else 0.0
+
+    @property
+    def price_nanodollars(self) -> int:
+        """The exact integer bill; the server's aggregate billing sums
+        these, so no float drift can accumulate."""
+        return self.bill.billed_nanodollars if self.bill is not None else 0
 
     @property
     def downgraded(self) -> bool:
@@ -609,11 +618,15 @@ class QueryServer:
     def _completed(self, record: ServerQuery, execution: QueryExecution) -> None:
         self._live_dec(record.tenant)
         if execution.result is not None:
-            # The bill — one path, whether or not anything is watching.
-            record.price = self._coordinator.cost_model.user_price(
-                execution.result.stats, record.level
+            # The bill — one reading, whether or not anything is watching.
+            record.bill = self._coordinator.cost_model.meter(
+                execution.result.stats,
+                execution.venue.value if execution.venue is not None else "none",
+                record.level,
+                get_price_per_1000=(
+                    self._coordinator.store.profile.get_price_per_1000
+                ),
             )
-            record.price_nanodollars = round(record.price * NANOS_PER_DOLLAR)
         if self._recorder is not None:
             self._recorder.completed(record, execution, self.query_profile)
         if record.on_finish is not None:
@@ -624,18 +637,15 @@ class QueryServer:
 
     # -- profiling ----------------------------------------------------------------------
 
-    def query_profile(self, query_id: str):
+    def query_profile(self, query_id: str) -> QueryProfile:
         """The finished query's deterministic cost/time attribution profile.
 
         Fuses the tracer's span tree (when tracing is on), the executor's
-        operator profile, and the billed price split by resource into one
+        operator profile, and the query's bill split by resource into one
         :class:`~repro.obs.profiler.QueryProfile` — the input for folded
         stacks and the time/$ flame graphs.  The server owns this endpoint
-        because it is the one component that knows the bill.
+        because it is the one component that keeps the bill.
         """
-        from repro.engine.executor import QueryStats
-        from repro.obs.profiler import build_query_profile
-
         record = self.query(query_id)
         execution = record.execution
         if execution is None or execution.finished_at is None:
@@ -643,24 +653,8 @@ class QueryServer:
         timeline = (
             self.obs.tracer.timeline(query_id) if self.obs.enabled else None
         )
-        venue = (
-            execution.venue.value if execution.venue is not None else "none"
-        )
-        stats = (
-            execution.result.stats
-            if execution.result is not None
-            else QueryStats()
-        )
-        attribution = self._coordinator.cost_model.attribution(
-            stats,
-            venue,
-            record.price,
-            get_price_per_1000=(
-                self._coordinator.store.profile.get_price_per_1000
-            ),
-        )
         return build_query_profile(
-            query_id, timeline, execution.profile, attribution
+            query_id, timeline, execution.profile, record.bill
         )
 
     # -- aggregate statistics ----------------------------------------------------------

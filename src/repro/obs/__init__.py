@@ -256,10 +256,12 @@ EXPORTS: dict[str, Callable[[Instrumentation], str]] = {
     "slo": lambda obs: obs.slo.export_json(),
     "activity": lambda obs: obs.activity.export_json(),
     "projections": lambda obs: obs.activity.export_projection_json(),
+    # Both read through the final scrape, which also evaluates the alert
+    # rules, so neither read depends on whether the other came first.
     "timeseries": lambda obs: (
         obs.scrape().export_jsonl() if obs.timeseries is not None else ""
     ),
     "alerts": lambda obs: (
-        obs.alerts.export_jsonl() if obs.alerts is not None else ""
+        obs.alerts.export_jsonl() if obs.scrape() is not None else ""
     ),
 }

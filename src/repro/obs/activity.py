@@ -188,8 +188,10 @@ class ActivityEntry:
     #: subtree time).
     operators: tuple[tuple[str, int, int, bool, float], ...] = ()
     prior: Prior | None = None
-    #: The exec-start-known final bill (scanned bytes × the level rate).
-    final: "MeterReading | None" = None
+    #: The exec-start-known final bill (scanned bytes × the level rate)
+    #: and its resource split, as the execution window logged them.
+    final_nanodollars: int | None = None
+    final_axes: dict[str, int] | None = None
     #: The pre-completion estimate the accuracy record is judged on.
     estimate_nanodollars: int | None = None
     estimate_source: str | None = None
@@ -290,16 +292,13 @@ class _Fold:
             entry.exec_duration_s = duration_s
             entry.merge_at = merge_at
             entry.operators = operators
-            entry.final = None
-            if nanodollars is not None:
-                from repro.turbo.cost import MeterReading
-
-                entry.final = MeterReading(nanodollars, dict(zip(AXES, axes)))
-                if entry.estimate_nanodollars is None:
-                    # First-seen statement: the exec-start projection is
-                    # the best pre-completion estimate the system ever had.
-                    entry.estimate_nanodollars = nanodollars
-                    entry.estimate_source = "execution"
+            entry.final_nanodollars = nanodollars
+            entry.final_axes = dict(zip(AXES, axes)) if axes is not None else None
+            if nanodollars is not None and entry.estimate_nanodollars is None:
+                # First-seen statement: the exec-start projection is the
+                # best pre-completion estimate the system ever had.
+                entry.estimate_nanodollars = nanodollars
+                entry.estimate_source = "execution"
             entry.state = "executing"
         elif kind == BILLED:
             _, _, _, entry.terminal_at, nanodollars, axes = log_entry
@@ -609,8 +608,8 @@ class ActivityRegistry:
             return entry.actual_nanodollars
         fraction = self._window_fraction(entry, now)
         prior = entry.prior.nanodollars if entry.prior is not None else None
-        if entry.final is not None:
-            final = entry.final.billed_nanodollars
+        final = entry.final_nanodollars
+        if final is not None:
             if prior is None:
                 return final
             return prior + round((final - prior) * fraction)
@@ -622,8 +621,8 @@ class ActivityRegistry:
             return None
         if entry.actual_nanodollars is not None:
             weights, source = entry.actual_axes, "billed"
-        elif entry.final is not None:
-            weights = entry.final.axes
+        elif entry.final_nanodollars is not None:
+            weights = entry.final_axes
             source = "blended" if entry.prior is not None else "execution"
         else:
             weights, source = entry.prior.axes, "prior"

@@ -4,8 +4,8 @@ The profiler fuses the two observability trees the system already
 records — the tracer's span tree (queue, dispatch, plan, execute, bill)
 and the executor's per-operator profile — into one :class:`ProfileNode`
 tree and attributes the query's **billed price** to the nodes that earned
-it.  Attribution follows the resource split the cost model computes
-(:meth:`~repro.turbo.cost.CostModel.attribution`): the bandwidth share is
+it.  Attribution spreads the resource split of the server's one meter
+reading (:meth:`~repro.turbo.cost.CostModel.meter`): the bandwidth share is
 distributed over each operator's self bytes scanned, the compute share
 over self virtual time, the request share over self GET counts, and the
 fixed share (startup/merge overhead no operator caused) stays at the
@@ -35,12 +35,12 @@ from typing import TYPE_CHECKING, Iterator
 from repro.engine.executor import OperatorProfile
 
 if TYPE_CHECKING:  # import cycle: turbo.coordinator imports repro.obs
-    from repro.turbo.cost import CostAttribution
+    from repro.turbo.cost import MeterReading
 
 NANOS_PER_DOLLAR = 1_000_000_000
 
 #: The resource axes one bill splits into, in the order
-#: :func:`split_attribution_nanodollars` returns its pools.
+#: :meth:`~repro.turbo.cost.CostModel.attribution` splits it.
 AXES = ("bandwidth", "compute", "requests", "fixed")
 
 #: Span name under which the executor's operator tree is grafted.
@@ -175,40 +175,9 @@ def _distribute(pool: int, weights: list[float]) -> list[int]:
     return shares
 
 
-def split_attribution_nanodollars(
-    billed: float, attribution: "CostAttribution | None"
-) -> tuple[int, list[int]]:
-    """Billed $ → integer nanodollars split by resource, exactly.
-
-    The one splitter behind the profiler pools, the statement store, the
-    metering ledger, and :meth:`~repro.turbo.cost.CostModel.meter` — a
-    single implementation is what lets the billing reconciler demand
-    *integer equality* between those surfaces rather than a tolerance.
-    Largest-remainder over the cost model's (bandwidth, compute, request,
-    fixed) components; when the components carry no weight the whole bill
-    parks in the fixed pool, so the four shares always sum to the billed
-    total.  Returns ``(billed_nanodollars, [bandwidth, compute, requests,
-    fixed])``.
-    """
-    billed_nano = round(billed * NANOS_PER_DOLLAR)
-    if attribution is None:
-        return billed_nano, [0, 0, 0, billed_nano]
-    components = [  # clamp float residue: a -1e-18 weight must not flip signs
-        max(0.0, attribution.bandwidth_dollars),
-        max(0.0, attribution.compute_dollars),
-        max(0.0, attribution.request_dollars),
-        max(0.0, attribution.fixed_dollars),
-    ]
-    pools = _distribute(billed_nano, components)
-    if sum(pools) != billed_nano:  # all-zero attribution: park in fixed
-        pools = [0, 0, 0, billed_nano]
-    return billed_nano, pools
-
-
-def _attribute_dollars(
-    root: ProfileNode, attribution: "CostAttribution"
-) -> int:
-    """Distribute the billed price over the tree, in integer nanodollars.
+def _attribute_dollars(root: ProfileNode, axes: dict[str, int]) -> None:
+    """Spread the bill's resource axes over the tree, in integer
+    nanodollars.
 
     Four pools, each keyed to the resource that earned it: bandwidth →
     self bytes scanned, compute → self virtual time (operators only, so
@@ -217,33 +186,32 @@ def _attribute_dollars(
     to the root, so the invariant Σ self_nanodollars == billed_nanodollars
     holds unconditionally.
     """
-    billed_nano, pools = split_attribution_nanodollars(
-        attribution.billed, attribution
-    )
+    bandwidth, compute, requests, fixed = map(axes.__getitem__, AXES)
     operators = [n for n in root.walk() if n.kind == "operator"]
-    by_resource = [
-        (pools[0], operators, [float(n.bytes_scanned) for n in operators]),
-        (pools[1], operators, [n.self_time_s for n in operators]),
-        (pools[2], operators, [float(n.get_requests) for n in operators]),
-    ]
-    root.self_nanodollars += pools[3]
-    for pool, nodes, weights in by_resource:
+    root.self_nanodollars += fixed
+    for pool, weights in (
+        (bandwidth, [float(n.bytes_scanned) for n in operators]),
+        (compute, [n.self_time_s for n in operators]),
+        (requests, [float(n.get_requests) for n in operators]),
+    ):
         shares = _distribute(pool, weights)
-        granted = sum(shares)
-        for node, share in zip(nodes, shares):
+        for node, share in zip(operators, shares):
             node.self_nanodollars += share
-        root.self_nanodollars += pool - granted  # zero-weight fallback
-    return billed_nano
+        root.self_nanodollars += pool - sum(shares)  # zero-weight fallback
 
 
 @dataclass
 class QueryProfile:
-    """One query's fused attribution tree plus its dollar decomposition."""
+    """One query's fused attribution tree plus the bill spread over it
+    (``None`` for a query that billed nothing)."""
 
     query_id: str
     root: ProfileNode
-    attribution: "CostAttribution"
-    billed_nanodollars: int
+    bill: "MeterReading | None"
+
+    @property
+    def billed_nanodollars(self) -> int:
+        return self.bill.billed_nanodollars if self.bill is not None else 0
 
     # -- folded-stack exports ------------------------------------------------
 
@@ -305,10 +273,11 @@ def build_query_profile(
     query_id: str,
     timeline: dict | None,
     operators: OperatorProfile | None,
-    attribution: "CostAttribution",
+    bill: "MeterReading | None",
 ) -> QueryProfile:
     """Fuse a tracer timeline + executor operator profile into one tree
-    and attribute the billed price over it.
+    and spread ``bill`` (the server's reading, ``None`` when the query
+    billed nothing) over it.
 
     Either input may be missing: with no timeline the operator tree is
     the root (under a synthetic ``query`` frame); with no operator
@@ -334,10 +303,6 @@ def build_query_profile(
         if op_root is not None:
             anchor = _find_last(root, EXECUTE_SPAN) or root
             anchor.children.append(op_root)
-    billed_nano = _attribute_dollars(root, attribution)
-    return QueryProfile(
-        query_id=query_id,
-        root=root,
-        attribution=attribution,
-        billed_nanodollars=billed_nano,
-    )
+    if bill is not None:
+        _attribute_dollars(root, bill.axes)
+    return QueryProfile(query_id=query_id, root=root, bill=bill)

@@ -4,7 +4,7 @@ The reconciler replays a ledger and proves, per query and in **exact
 integer arithmetic** (zero tolerance), that the four audit surfaces
 agree:
 
-    ledger axis sum == profiler CostAttribution split
+    ledger axis sum == the server's meter reading split
                     == billed price
                     == the $/TB logical-bytes basis from storage counters
 
@@ -25,8 +25,9 @@ Any drift is reported as a *named invariant violation*:
 * ``ledger.matches_billed_price`` — ledger net == the server's integer
   ``price_nanodollars`` == ``round(price × 1e9)``.
 * ``ledger.matches_profiler_attribution`` — per-axis ledger amounts ==
-  the profiler's largest-remainder split of the query's
-  :class:`~repro.turbo.cost.CostAttribution`.
+  the resource split of the query's one bill
+  (:class:`~repro.turbo.cost.MeterReading`, kept on ``record.bill``),
+  which the profiler spreads over its attribution tree.
 * ``profiler.tree_sums_to_bill`` — the attribution tree's per-node
   nanodollars sum exactly to the bill.
 * ``ledger.failed_query_charged`` — a failed/cancelled query with a
@@ -52,10 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.ledger import ACCOUNTS, AXES, KINDS, MeterEvent
-from repro.obs.profiler import (
-    NANOS_PER_DOLLAR,
-    split_attribution_nanodollars,
-)
+from repro.obs.profiler import NANOS_PER_DOLLAR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query_server import QueryServer
@@ -327,20 +325,15 @@ def reconcile_server(
                     f"profile tree sums to {tree_sum}, profile bill "
                     f"{profile.billed_nanodollars}, ledger net {net}",
                 )
-            _, pools = split_attribution_nanodollars(
-                record.price, profile.attribution
+        by_axis = {axis: 0 for axis in AXES}
+        for event in events:
+            by_axis[event.axis] += event.nanodollars
+        if by_axis != record.bill.axes:
+            report.add(
+                "ledger.matches_profiler_attribution",
+                record.query_id,
+                f"ledger axes {by_axis} != bill split {record.bill.axes}",
             )
-            by_axis = {axis: 0 for axis in AXES}
-            for event in events:
-                by_axis[event.axis] += event.nanodollars
-            expected_axes = dict(zip(AXES, pools))
-            if by_axis != expected_axes:
-                report.add(
-                    "ledger.matches_profiler_attribution",
-                    record.query_id,
-                    f"ledger axes {by_axis} != attribution split "
-                    f"{expected_axes}",
-                )
     total_billed = server.total_billed_nanodollars()
     if server_total != total_billed:
         report.add(

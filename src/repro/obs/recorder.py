@@ -52,14 +52,14 @@ which an owner calls the methods — is part of every export.  Reordering
 two calls changes bytes on disk.  No sink reads or calls another: every
 such read is in this module, in the method that writes its result.
 
-Neither recorder derives anything the bill depends on: ``record.price``
-and ``record.price_nanodollars`` are set by the server before
-:meth:`QueryRecorder.completed` runs; the cost model's meter reading
-(:meth:`CostModel.meter <repro.turbo.cost.CostModel.meter>`, at the
-object store's request price) is taken here only for the per-resource split: once
-when an execution window opens (the activity registry's projection) and
-once per billed query (the ledger, the statement store and the activity
-registry's actual all report that second reading).
+Neither recorder derives anything the bill depends on: the server takes
+the query's one meter reading (:meth:`CostModel.meter
+<repro.turbo.cost.CostModel.meter>`: price, integer nanodollars and
+per-resource split) and keeps it on ``record.bill`` before
+:meth:`QueryRecorder.completed` runs, and the ledger, the statement
+store and the activity registry's actual bill all record that reading.
+The only reading taken here is the activity registry's projection, when
+an execution window opens, at the level the registry holds.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         PreparedStatement,
         QueryExecution,
     )
-    from repro.turbo.cost import MeterReading
 
 
 class QueryRecorder:
@@ -401,25 +400,14 @@ class QueryRecorder:
         venue = (
             execution.venue.value if execution.venue is not None else "none"
         )
-        reading = None
-        if execution.result is not None:
+        bill = record.bill
+        if bill is not None:
             stats = execution.result.stats
             price_per_tb = self._coordinator.cost_model.price_per_tb(record.level)
-            # One meter reading feeds the ledger, the statement store and
-            # the activity registry, so the three split the server's
-            # integer bill identically.
-            reading = self._coordinator.cost_model.meter(
-                stats,
-                venue,
-                record.price,
-                get_price_per_1000=(
-                    self._coordinator.store.profile.get_price_per_1000
-                ),
-            )
             obs.ledger.charge_query(
                 query_id,
-                axes=reading.axes,
-                billed_nanodollars=record.price_nanodollars,
+                axes=bill.axes,
+                billed_nanodollars=bill.billed_nanodollars,
                 tenant=record.tenant,
                 level=level_value,
                 venue=venue,
@@ -456,7 +444,7 @@ class QueryRecorder:
             )
             obs.tracer.end_open(query_id, "ok")
             projection = obs.activity.finish_billed(
-                query_id, record.price_nanodollars, axes=reading.axes
+                query_id, bill.billed_nanodollars, axes=bill.axes
             )
             if projection is not None:
                 # Estimated-vs-actual; the trace is closed by now, so the
@@ -489,9 +477,7 @@ class QueryRecorder:
                 obs.activity.finish_cancelled(query_id)
             else:
                 obs.activity.finish_failed(query_id, execution.error)
-        self._fold_statement(
-            record, execution, fp, slack, venue, reading, profile_of
-        )
+        self._fold_statement(record, execution, fp, slack, venue, profile_of)
         if pending is not None:
             self._m_pending.observe(pending, level=level_value)
 
@@ -502,12 +488,10 @@ class QueryRecorder:
         fp: "Fingerprint",
         slack: float | None,
         venue: str,
-        reading: "MeterReading | None",
         profile_of: Callable[[str], "QueryProfile"],
     ) -> None:
         """Fold one completion into the statement store and the journal
-        (including the tail-based capture decision); ``reading`` is the
-        bill's meter reading, None for a query that billed nothing."""
+        (including the tail-based capture decision)."""
         journal = self.obs.journal
         level_value = record.level.value
         error = execution.error is not None
@@ -516,13 +500,14 @@ class QueryRecorder:
         stats = (
             execution.result.stats if execution.result is not None else None
         )
+        bill = record.bill
         self.obs.statements.record(
             fp,
             level_value,
             time_s=time_s,
             pending_s=pending or 0.0,
-            nanodollars=reading.billed_nanodollars if reading is not None else 0,
-            axes=reading.axes if reading is not None else None,
+            nanodollars=record.price_nanodollars,
+            axes=bill.axes if bill is not None else None,
             stats=stats,
             plan_shape=execution.plan_shape,
             error=error,
@@ -708,16 +693,18 @@ class ExecutionRecorder:
         the live activity registry derives progress and bill projections
         from this window (a no-op for queries never submitted through a
         query server).  The window is priced here, at the level the
-        registry holds for the query, with the ``user_price`` and meter
-        the server bills with — so projection and bill cannot disagree
-        at the terminal state."""
+        registry holds for the query, with the meter the server bills
+        with — so projection and bill cannot disagree at the terminal
+        state."""
         query_id, venue = execution.query_id, execution.venue.value
         entry = self._activity.entry(query_id)
         if entry is None or entry.terminal:  # never submitted, or ended
             return
-        price = self._cost_model.user_price(stats, ServiceLevel(entry.level))
         final = self._cost_model.meter(
-            stats, venue, price, get_price_per_1000=self._get_price_per_1000
+            stats,
+            venue,
+            ServiceLevel(entry.level),
+            get_price_per_1000=self._get_price_per_1000,
         )
         self._activity.begin_execution(
             query_id,

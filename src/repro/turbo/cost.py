@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.engine.executor import QueryStats
+from repro.obs.profiler import AXES, NANOS_PER_DOLLAR, _distribute
 from repro.turbo.config import TurboConfig
 
 TB = 1024**4
@@ -45,48 +47,19 @@ class CfEstimate:
     provider_cost: float
 
 
-@dataclass(frozen=True)
-class CostAttribution:
-    """One query's billed price decomposed by the resource that earned it.
-
-    The profiler distributes each component over the query's profile tree
-    by the resource it measures: ``bandwidth_dollars`` over self bytes
-    scanned, ``compute_dollars`` over self execution time, and
-    ``request_dollars`` over self GET counts; ``fixed_dollars`` (startup
-    and merge overheads that no operator caused) stays at the root.  The
-    four components always sum to ``billed`` — attribution re-slices the
-    bill, it never changes it.
-    """
-
-    billed: float
-    venue: str  # "vm" | "cf" | "none"
-    bandwidth_dollars: float
-    compute_dollars: float
-    request_dollars: float
-    fixed_dollars: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.bandwidth_dollars
-            + self.compute_dollars
-            + self.request_dollars
-            + self.fixed_dollars
-        )
-
-
-@dataclass(frozen=True)
-class MeterReading:
-    """One query's bill as the metering ledger records it: its exact
-    integer-nanodollar decomposition by resource.
+class MeterReading(NamedTuple):
+    """One query's bill: the price, its exact integer nanodollars, and
+    their decomposition by the resource that earned them.
 
     ``axes`` maps resource axis (bandwidth/compute/requests/fixed) to
-    nanodollars and always sums to ``billed_nanodollars`` — the split
-    comes from the profiler's shared largest-remainder helper, so the
-    ledger, the statement store, and the flame graphs agree to the
-    nanodollar by construction.
+    nanodollars and always sums to ``billed_nanodollars``.  The server
+    keeps one reading per billed query (``ServerQuery.bill``), and the
+    ledger, the statement store, the activity registry and the profiler
+    all read that record, so they agree to the nanodollar by
+    construction.
     """
 
+    price: float
     billed_nanodollars: int
     axes: dict[str, int]
 
@@ -161,27 +134,43 @@ class CostModel:
             * cf.price_per_worker_s(self._config.vm),
         )
 
-    # -- attribution -----------------------------------------------------------
+    # -- the bill --------------------------------------------------------------
+
+    def meter(
+        self,
+        stats: QueryStats,
+        venue: str,
+        level: "ServiceLevel",  # noqa: F821
+        get_price_per_1000: float = 0.0004,
+    ) -> MeterReading:
+        """The one bill of a query: its price at ``level``, rounded once
+        to integer nanodollars and split once over the resource axes."""
+        price = self.user_price(stats, level)
+        axes = self.attribution(stats, venue, price, get_price_per_1000)
+        return MeterReading(price, sum(axes.values()), axes)
 
     def attribution(
         self,
         stats: QueryStats,
         venue: str,
-        billed: float,
+        price: float,
         get_price_per_1000: float = 0.0004,
-    ) -> CostAttribution:
-        """Split ``billed`` into per-resource components (profiler input).
+    ) -> dict[str, int]:
+        """``price`` in integer nanodollars (``round(price × 1e9)``),
+        split exactly over the resource axes.
 
         The split weights are the *provider-side* costs of each resource:
         the venue's modelled duration decomposes into a byte term, a row
         term, and fixed startup/merge overhead (each priced at the venue's
         worker rate — CF GB-s or VM-s), and GET requests carry the object
-        store's request price.  The billed price is then divided in
-        proportion to those weights, so a scan-bound query attributes its
-        bill to bandwidth while a join-heavy one attributes it to compute.
-        Weights that are all zero (e.g. a pure EXPLAIN) put the whole bill
-        in ``fixed_dollars``.
+        store's request price.  ``price`` is divided in proportion to
+        those weights, so a scan-bound query attributes its bill to
+        bandwidth while a join-heavy one attributes it to compute, and the
+        integer bill follows those dollar shares by largest remainder.
+        Weights that are all zero (e.g. a pure EXPLAIN, or no venue) put
+        the whole bill in ``fixed``; the four axes always sum to the bill.
         """
+        billed = round(price * NANOS_PER_DOLLAR)
         num_bytes, num_rows = self._inflated(stats)
         if venue == "cf":
             cf = self._config.cf
@@ -198,7 +187,7 @@ class CostModel:
             rows_s = num_rows / vm.row_throughput_rows_per_s
             fixed_s = vm.startup_overhead_s
         else:
-            return CostAttribution(billed, venue, 0.0, 0.0, 0.0, billed)
+            return _all_fixed(billed)
         weights = {
             "bandwidth": bytes_s * rate,
             "compute": rows_s * rate,
@@ -207,31 +196,20 @@ class CostModel:
         }
         total = sum(weights.values())
         if total <= 0.0:
-            return CostAttribution(billed, venue, 0.0, 0.0, 0.0, billed)
-        bandwidth = billed * weights["bandwidth"] / total
-        compute = billed * weights["compute"] / total
-        requests = billed * weights["requests"] / total
-        # The fixed component absorbs the float residue so the four parts
-        # sum to the bill by construction.
-        fixed = billed - bandwidth - compute - requests
-        return CostAttribution(billed, venue, bandwidth, compute, requests, fixed)
-
-    def meter(
-        self,
-        stats: QueryStats,
-        venue: str,
-        billed: float,
-        get_price_per_1000: float = 0.0004,
-    ) -> MeterReading:
-        """The billing point the metering ledger consumes: the exact
-        integer axis split of ``billed`` over its attribution."""
-        from repro.obs.profiler import AXES, split_attribution_nanodollars
-
-        attribution = self.attribution(stats, venue, billed, get_price_per_1000)
-        billed_nano, pools = split_attribution_nanodollars(billed, attribution)
-        return MeterReading(
-            billed_nanodollars=billed_nano, axes=dict(zip(AXES, pools))
+            return _all_fixed(billed)
+        bandwidth = price * weights["bandwidth"] / total
+        compute = price * weights["compute"] / total
+        requests = price * weights["requests"] / total
+        # The fixed share absorbs the float residue; clamping keeps a
+        # -1e-18 residue from flipping a sign.
+        fixed = price - bandwidth - compute - requests
+        pools = _distribute(
+            billed,
+            [max(0.0, share) for share in (bandwidth, compute, requests, fixed)],
         )
+        if sum(pools) != billed:
+            return _all_fixed(billed)
+        return dict(zip(AXES, pools))
 
     # -- user-facing prices ------------------------------------------------------
 
@@ -243,3 +221,8 @@ class CostModel:
         Billing uses the same inflated byte count the durations use."""
         num_bytes, _ = self._inflated(stats)
         return (num_bytes / TB) * self.price_per_tb(level)
+
+
+def _all_fixed(billed_nanodollars: int) -> dict[str, int]:
+    """The whole bill in the fixed axis: no resource earned it."""
+    return {axis: 0 for axis in AXES} | {"fixed": billed_nanodollars}

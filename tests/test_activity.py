@@ -199,9 +199,9 @@ class TestProjection:
         sim, _, server = observed_env()
         record = server.submit(HEAVY, ServiceLevel.RELAXED)
         entry = run_to_exec_start(sim, server, record)
-        assert entry.final is not None
+        assert entry.final_nanodollars is not None
         sim.run_until(900)
-        assert entry.final.billed_nanodollars == record.price_nanodollars
+        assert entry.final_nanodollars == record.price_nanodollars
 
     def test_repeat_statement_projects_from_prior(self):
         sim, _, server = observed_env()

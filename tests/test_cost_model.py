@@ -100,6 +100,29 @@ class TestUserPrices:
         assert model.user_price(stats(), ServiceLevel.IMMEDIATE) == 0.0
 
 
+class TestMeter:
+    @pytest.mark.parametrize("venue", ["vm", "cf", "none"])
+    @pytest.mark.parametrize("level", list(ServiceLevel))
+    def test_one_reading_prices_rounds_and_splits(self, model, venue, level):
+        scanned = QueryStats(
+            bytes_scanned=123_456_789, rows_scanned=98_765, get_requests=7
+        )
+        bill = model.meter(scanned, venue, level)
+        assert bill.price == model.user_price(scanned, level)
+        assert bill.billed_nanodollars == round(bill.price * 1e9) > 0
+        assert list(bill.axes) == ["bandwidth", "compute", "requests", "fixed"]
+        assert sum(bill.axes.values()) == bill.billed_nanodollars
+        assert min(bill.axes.values()) >= 0
+        if venue == "none":
+            assert bill.axes["fixed"] == bill.billed_nanodollars
+        else:
+            assert bill.axes["bandwidth"] > 0
+
+    def test_zero_scan_bills_nothing(self, model):
+        bill = model.meter(stats(), "vm", ServiceLevel.IMMEDIATE)
+        assert bill == (0.0, 0, dict.fromkeys(bill.axes, 0))
+
+
 class TestConfig:
     def test_defaults_match_paper(self):
         vm = VmConfig()

@@ -301,18 +301,28 @@ def profile_of(shape: int) -> OperatorProfile | None:
     )
 
 
+def final_view(entry) -> tuple | None:
+    """The exec-start-known bill: the eager entry keeps the reading it
+    was handed, the folded one the two atoms the log holds."""
+    if isinstance(entry, eager_activity.ActivityEntry):
+        final = entry.final
+        return None if final is None else (final.billed_nanodollars, final.axes)
+    if entry.final_nanodollars is None:
+        return None
+    return (entry.final_nanodollars, entry.final_axes)
+
+
 def entry_view(entry) -> tuple | None:
     if entry is None:
         return None
     prior = entry.prior
-    final = entry.final
     return (
         entry.query_id, entry.tenant, entry.level, entry.requested_level,
         entry.state, entry.submitted_at, entry.deadline_s, entry.admission,
         entry.venue, entry.exec_started_at, entry.exec_duration_s,
         entry.merge_at,
         None if prior is None else (prior.nanodollars, prior.time_s, prior.axes),
-        None if final is None else (final.billed_nanodollars, final.axes),
+        final_view(entry),
         entry.estimate_nanodollars, entry.estimate_source,
         entry.actual_nanodollars, entry.actual_axes, entry.terminal_at,
         entry.detail, entry.terminal,
@@ -464,7 +474,7 @@ class ActivityFolds(RuleBasedStateMachine):
                 duration_s=duration_s,
                 profile=profile_of(shape),
                 final=(
-                    MeterReading(sum(final), dict(zip(AXES, final)))
+                    MeterReading(0.0, sum(final), dict(zip(AXES, final)))
                     if final is not None
                     else None
                 ),

@@ -28,6 +28,7 @@ from repro import (
     QueryServer,
     ServiceLevel,
 )
+from repro.baselines.runner import Submission, run_workload
 from repro.core import QueryStatus
 from repro.errors import NoSuchQueryError
 from repro.obs import EXPORTS, Instrumentation
@@ -65,6 +66,15 @@ WRITER_CALLS = {"counter", "gauge", "histogram", "add_collector", "end_open"}
 #: The functions that build an alert rule set (not methods of a sink):
 #: ``Instrumentation.create`` calls them to assemble the observed stack.
 RULE_SETS = {"default_rules", "budget_rules"}
+#: The cost model's two terms of a bill: only its meter calls them.
+PRICING_TERMS = {"user_price", "attribution"}
+#: Where a bill is metered: the server's completion (the bill every
+#: surface reads) and the activity registry's projection when an
+#: execution window opens.
+METER_SITES = [
+    ("core/query_server.py", "_completed"),
+    ("obs/recorder.py", "window_opened"),
+]
 #: The modules of the six lifecycle sinks, and the one runtime import
 #: between them: the spend accountant is a view over the ledger.
 LIFECYCLE_SINKS = ("slo", "statements", "journal", "ledger", "spend", "activity")
@@ -83,6 +93,18 @@ def terminal_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id.lstrip("_")
     return None
+
+
+def method_calls(node: ast.AST, function: str | None = None):
+    """``(innermost enclosing function, method name)`` for every
+    ``x.method(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from method_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            yield function, child.func.attr
+        yield from method_calls(child, function)
 
 
 class TestStaticFence:
@@ -213,6 +235,26 @@ class TestStaticFence:
             and any(terminal_name(target) == "alert_sink" for target in node.targets)
         }
         assert sink_writers == {"obs/activity.py:__init__"}
+
+    def test_one_bill_per_query(self):
+        """Only the cost model prices and splits a bill, and only two
+        places meter one."""
+        sources = dict(parsed_sources())
+        pricing = sorted(
+            f"{name}:{function} .{method}()"
+            for name, tree in sources.items()
+            if name != "turbo/cost.py"
+            for function, method in method_calls(tree)
+            if method in PRICING_TERMS
+        )
+        assert pricing == []
+        meters = sorted(
+            (name, function)
+            for name, tree in sources.items()
+            for function, method in method_calls(tree)
+            if method == "meter"
+        )
+        assert meters == METER_SITES
 
     def test_no_lifecycle_sink_binds_or_listens(self):
         offenders = [
@@ -391,6 +433,24 @@ class TestUnobservedBundle:
         query_id = db.query_server("tpch").queries[0].query_id
         with pytest.raises(NoSuchQueryError):
             rover.trace(token, query_id)
+
+    def test_unobserved_replay_exports_nothing(self):
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.01).tables())
+        result = run_workload(
+            [Submission(0.0, "SELECT count(*) FROM nation", ServiceLevel.IMMEDIATE)],
+            store,
+            catalog,
+            "tpch",
+        )
+        assert result.finished()
+        assert result.obs is result.coordinator.obs
+        assert not result.obs.enabled
+        assert {kind: result.obs.export(kind) for kind in EXPORTS} == dict.fromkeys(
+            EXPORTS, ""
+        )
+        with pytest.raises(ValueError, match="observe=True"):
+            result.dashboard_data("dark")
 
     def test_dashboard_and_reconciler_read_an_empty_bundle(self, dark_session):
         db, _, _ = dark_session

@@ -116,6 +116,7 @@ class TestObserveInvariance:
                     q.pending_time_s,
                     q.execution.finished_at if q.execution else None,
                     q.price,
+                    q.bill,
                     q.execution.bytes_scanned if q.execution else None,
                 )
                 for q in result.queries
@@ -124,7 +125,7 @@ class TestObserveInvariance:
         assert fingerprint(dark) == fingerprint(lit)
         assert dark.billed() == lit.billed()
         # The unobserved run truly ran dark.
-        assert dark.obs is None
+        assert not dark.obs.enabled
 
     def test_observed_run_is_deterministic(self, dataset):
         first = _run_stress(dataset, observe=True)

@@ -92,3 +92,26 @@ def test_both_builders_export_the_same_bytes(exports, kind):
     db, workload = exports
     assert db[kind], f"the {kind} export is empty: the replay compares nothing"
     assert db[kind] == workload[kind]
+
+
+def test_the_alert_log_does_not_depend_on_what_was_read_before_it():
+    """The alert log reads through the same final scrape as the time
+    series, and that scrape evaluates the rules: reading the alerts
+    first gives the bytes a read after the time series gives."""
+
+    def session() -> PixelsDB:
+        db = PixelsDB(
+            observe=True,
+            alert_rules=[ThresholdRule("Busy", "pixels_vm_workers", 0.5)],
+        )
+        db.load_tpch("tpch", scale=SCALE)
+        db.submit("tpch", "SELECT count(*) FROM nation", ServiceLevel.IMMEDIATE)
+        db.run(10.0)
+        return db
+
+    alerts_first = session().export("alerts")
+    db = session()
+    db.export("timeseries")
+    alerts_after = db.export("alerts")
+    assert '"Busy"' in alerts_after
+    assert alerts_first == alerts_after

@@ -14,13 +14,14 @@ The load-bearing properties, in order:
 
 import pytest
 
-from repro import PixelsDB, ServiceLevel
+from repro import PixelsDB, ServiceLevel, TurboConfig
+from repro.engine.executor import QueryStats
 from repro.obs.profiler import (
     NANOS_PER_DOLLAR,
     _distribute,
     build_query_profile,
 )
-from repro.turbo.cost import CostAttribution
+from repro.turbo.cost import TB, CostModel
 
 DEMO_SQL = (
     "SELECT o_orderstatus, count(*) AS n, sum(o_totalprice) AS total "
@@ -93,18 +94,21 @@ class TestExactDollarAttribution:
         )
 
     def test_attribution_components_cover_bill(self, observed_profile):
-        profile, _ = observed_profile
-        attribution = profile.attribution
-        assert attribution.total == pytest.approx(attribution.billed)
+        profile, record = observed_profile
+        assert profile.bill is record.bill
+        assert sum(profile.bill.axes.values()) == profile.billed_nanodollars
 
     def test_all_zero_attribution_parks_at_root(self):
-        attribution = CostAttribution(
-            billed=1e-9, venue="none", bandwidth_dollars=0.0,
-            compute_dollars=0.0, request_dollars=0.0, fixed_dollars=0.0,
+        # No venue earned the bill: the meter parks it in the fixed axis,
+        # and the profile keeps it at the root.
+        bill = CostModel(TurboConfig()).meter(
+            QueryStats(bytes_scanned=TB // 1000), "none", ServiceLevel.IMMEDIATE
         )
-        profile = build_query_profile("q", None, None, attribution)
-        assert profile.billed_nanodollars == 1
-        assert profile.root.self_nanodollars == 1
+        assert bill.billed_nanodollars > 0
+        assert bill.axes["fixed"] == bill.billed_nanodollars
+        profile = build_query_profile("q", None, None, bill)
+        assert profile.billed_nanodollars == bill.billed_nanodollars
+        assert profile.root.self_nanodollars == bill.billed_nanodollars
 
 
 class TestByteReproducibility:

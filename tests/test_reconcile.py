@@ -12,10 +12,7 @@ import pytest
 
 from repro import PixelsDB, ServiceLevel
 from repro.obs.ledger import AXES, load_events_jsonl
-from repro.obs.profiler import (
-    NANOS_PER_DOLLAR,
-    split_attribution_nanodollars,
-)
+from repro.obs.profiler import NANOS_PER_DOLLAR
 from repro.obs.reconcile import (
     bytes_basis_nanodollars,
     main as reconcile_main,
@@ -62,14 +59,12 @@ class TestEqualityChain:
         ledger = observed_db.obs.ledger
         for record in server.queries:
             profile = server.query_profile(record.query_id)
-            _, pools = split_attribution_nanodollars(
-                record.price, profile.attribution
-            )
+            assert profile.bill is record.bill
             by_axis = {axis: 0 for axis in AXES}
             for event in ledger.events_for(record.query_id):
                 if event.account == "user" and event.kind == "charge":
                     by_axis[event.axis] += event.nanodollars
-            assert by_axis == dict(zip(AXES, pools))
+            assert by_axis == record.bill.axes
             # ... and the profile tree sums to the same integer bill.
             tree = sum(n.self_nanodollars for n in profile.root.walk())
             assert tree == record.price_nanodollars
@@ -221,6 +216,36 @@ class TestNamedViolations:
         assert "ledger.missing_query" in {
             v.invariant for v in report.violations
         }
+
+    def test_axis_shuffle_that_keeps_the_sum_is_detected(self, observed_db):
+        """One nanodollar moved between two axes of one billed query's
+        charges keeps the sum, the stamps and the bytes basis — only the
+        per-axis check against the bill's split can see it."""
+        server = observed_db.query_server("tpch")
+        ledger = server.obs.ledger
+        events = ledger._events
+        victim = next(
+            q for q in server.queries if q.bill is not None and q.bill.axes["bandwidth"]
+        )
+        i, j = (
+            next(
+                e.seq
+                for e in ledger.events_for(victim.query_id)
+                if e.account == "user" and e.kind == "charge" and e.axis == axis
+            )
+            for axis in ("bandwidth", "compute")
+        )
+        original = events[i], events[j]
+        events[i] = events[i]._replace(nanodollars=events[i].nanodollars - 1)
+        events[j] = events[j]._replace(nanodollars=events[j].nanodollars + 1)
+        try:
+            report = reconcile_server(server)
+        finally:
+            events[i], events[j] = original
+        assert {(v.invariant, v.query_id) for v in report.violations} == {
+            ("ledger.matches_profiler_attribution", victim.query_id)
+        }
+        assert reconcile_server(server).ok
 
     def test_violation_report_round_trips_to_json(self, observed_db):
         events = self._events(observed_db)

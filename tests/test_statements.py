@@ -13,33 +13,25 @@ import pytest
 from repro.engine.executor import QueryStats
 from repro.obs.fingerprint import Fingerprint
 from repro.obs.ledger import AXES
-from repro.obs.profiler import NANOS_PER_DOLLAR, split_attribution_nanodollars
+from repro.obs.profiler import NANOS_PER_DOLLAR, _distribute
 from repro.obs.statements import StatementStore
-from repro.turbo.cost import CostAttribution
 
 
 FP = Fingerprint("abc123def456", "SELECT a FROM t WHERE b = ?", True)
 OTHER = Fingerprint("fff000fff000", "SELECT count(*) FROM t", True)
 
 
-def attribution(billed, bandwidth=0.0, compute=0.0, requests=0.0):
-    fixed = billed - bandwidth - compute - requests
-    return CostAttribution(
-        billed=billed,
-        venue="vm",
-        bandwidth_dollars=bandwidth,
-        compute_dollars=compute,
-        request_dollars=requests,
-        fixed_dollars=fixed,
-    )
-
-
-def bill(dollars, split=None):
-    """``record``'s ``nanodollars`` / ``axes`` for a bill of ``dollars``,
-    split over the attribution ``split`` exactly as the cost model's
-    meter splits it."""
-    nanodollars, pools = split_attribution_nanodollars(dollars, split)
-    return {"nanodollars": nanodollars, "axes": dict(zip(AXES, pools))}
+def bill(dollars, bandwidth=0.0, compute=0.0, requests=0.0):
+    """``record``'s ``nanodollars`` / ``axes`` for a bill of ``dollars``
+    whose dollar shares are ``bandwidth``, ``compute``, ``requests`` and
+    the rest fixed, split by largest remainder as the cost model's meter
+    splits it."""
+    nanodollars = round(dollars * NANOS_PER_DOLLAR)
+    shares = [bandwidth, compute, requests, dollars - bandwidth - compute - requests]
+    return {
+        "nanodollars": nanodollars,
+        "axes": dict(zip(AXES, _distribute(nanodollars, shares))),
+    }
 
 
 def stats(bytes_scanned=1000, gets=4, footer=1, chunk=3, hits=2, misses=2):
@@ -60,9 +52,9 @@ class TestRecording:
         store = StatementStore()
         for _ in range(3):
             store.record(FP, "immediate", time_s=1.0,
-                         **bill(0.001, attribution(0.001)), stats=stats())
+                         **bill(0.001), stats=stats())
         store.record(FP, "relaxed", time_s=2.0,
-                     **bill(0.0005, attribution(0.0005)), stats=stats())
+                     **bill(0.0005), stats=stats())
         entries = store.entries()
         assert [(e.fingerprint, e.level, e.calls) for e in entries] == [
             ("abc123def456", "immediate", 3),
@@ -80,10 +72,10 @@ class TestRecording:
         # A split with remainders that cannot divide evenly.
         entry = store.record(
             FP, "immediate", time_s=1.0,
-            **bill(0.0000001, attribution(
+            **bill(
                 0.0000001, bandwidth=0.00000003, compute=0.00000003,
                 requests=0.00000003,
-            )),
+            ),
             stats=stats(),
         )
         assert sum(entry.axes.values()) == entry.nanodollars
@@ -108,10 +100,10 @@ class TestTopK:
     def _store(self):
         store = StatementStore()
         store.record(FP, "immediate", time_s=5.0,
-                     **bill(0.001, attribution(0.001)), stats=stats())
+                     **bill(0.001), stats=stats())
         for _ in range(4):
             store.record(OTHER, "relaxed", time_s=0.5,
-                         **bill(0.0001, attribution(0.0001)), stats=stats())
+                         **bill(0.0001), stats=stats())
         return store
 
     def test_top_by_each_dimension(self):
@@ -151,7 +143,7 @@ class TestExport:
     def _populated(self):
         store = StatementStore()
         store.record(FP, "immediate", time_s=1.5, pending_s=0.5,
-                     **bill(0.001, attribution(0.001, bandwidth=0.0004)),
+                     **bill(0.001, bandwidth=0.0004),
                      stats=stats(), plan_shape="d00dfeedbeef")
         return store
 

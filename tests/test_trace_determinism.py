@@ -117,6 +117,7 @@ def bills(result):
             query.status,
             query.level,
             query.price_nanodollars,
+            query.bill,
             query.execution.retries if query.execution is not None else None,
             hashlib.sha256(repr(query.result_rows()).encode()).hexdigest(),
         )
