@@ -3,8 +3,9 @@
 Two fences.  A static one walks ``src/repro`` with :mod:`ast` and fails
 when a per-sink switch, a null-object twin of any sink, a sink reached
 from ``repro.core`` or ``repro.turbo`` other than through a recorder, an
-instrument registered outside ``repro.obs``, or a lifecycle sink that
-reads, binds to or listens to another comes back.  A
+instrument registered outside ``repro.obs``, a lifecycle sink that
+reads, binds to or listens to another, or a bill priced anywhere but
+the cost model's meter comes back.  A
 behavioural one runs a whole unobserved session — and an unobserved
 coordinator on its own, through every execution path — and checks the
 bundle: no sink recorded anything, and every read-side accessor of
