@@ -199,7 +199,7 @@ class Binder:
                 name, dtype = key
                 return bound.BoundColumn(name, dtype)
         if isinstance(node, ast.Literal):
-            return self._bind_literal(node)
+            return self.literal(node)
         if isinstance(node, ast.ColumnRef):
             name, dtype = scope.resolve(node.name, node.table)
             if collector is not None:
@@ -223,10 +223,7 @@ class Binder:
         if isinstance(node, ast.Unary):
             if node.op == "not":
                 return bound.BoundNot.bind(self._bind(node.operand, scope, collector))
-            operand = self._bind(node.operand, scope, collector)
-            if isinstance(operand, bound.BoundLiteral) and operand.dtype.is_numeric:
-                return bound.BoundLiteral(-operand.value, operand.dtype)  # type: ignore[operator]
-            return bound.BoundNegate.bind(operand)
+            return self.negate(self._bind(node.operand, scope, collector))
         if isinstance(node, ast.Binary):
             return self._bind_binary(node, scope, collector)
         if isinstance(node, ast.Between):
@@ -251,7 +248,17 @@ class Binder:
             return self._bind_function(node, scope, collector)
         raise BindError(f"unsupported expression {node!r}")
 
-    def _bind_literal(self, node: ast.Literal) -> bound.BoundLiteral:
+    # -- literals ----------------------------------------------------------------
+    #
+    # A number or string literal reaches a bound plan through these four
+    # static methods, so a prepared plan's literals are re-bound through
+    # them (:func:`repro.engine.prepare.bind`) without planning again.
+
+    @staticmethod
+    def literal(node: ast.Literal) -> bound.BoundLiteral:
+        """A literal, its type from its value: ``DATE '…'`` becomes a day
+        count (a bad date raises :class:`BindError`), an integer is INT
+        unless it needs 64 bits."""
         value = node.value
         if value is None:
             return bound.BoundLiteral(None, DataType.INT)
@@ -268,6 +275,31 @@ class Binder:
         if isinstance(value, float):
             return bound.BoundLiteral(value, DataType.DOUBLE)
         return bound.BoundLiteral(str(value), DataType.VARCHAR)
+
+    @staticmethod
+    def negate(operand: bound.BoundExpr) -> bound.BoundExpr:
+        """Unary minus; over a numeric literal it folds to a literal."""
+        if isinstance(operand, bound.BoundLiteral) and operand.dtype.is_numeric:
+            return bound.BoundLiteral(-operand.value, operand.dtype)  # type: ignore[operator]
+        return bound.BoundNegate.bind(operand)
+
+    @staticmethod
+    def in_list(
+        operand: bound.BoundExpr,
+        items: list[bound.BoundLiteral],
+        negated: bool,
+    ) -> bound.BoundInList:
+        """``operand [NOT] IN (items)`` over already-checked literals."""
+        return bound.BoundInList(
+            operand, tuple(item.value for item in items), negated
+        )
+
+    @staticmethod
+    def like(
+        operand: bound.BoundExpr, pattern: bound.BoundLiteral, negated: bool
+    ) -> bound.BoundLike:
+        """``operand [NOT] LIKE pattern`` over a string literal."""
+        return bound.BoundLike(operand, pattern.value, negated)
 
     @staticmethod
     def _coerce_date(left: bound.BoundExpr, right: bound.BoundExpr):
@@ -323,7 +355,7 @@ class Binder:
         self, node: ast.InList, scope: Scope, collector: AggCollector | None
     ) -> bound.BoundExpr:
         operand = self._bind(node.expr, scope, collector)
-        values = []
+        items = []
         for item in node.items:
             literal = self._bind(item, scope, collector)
             literal, _ = self._coerce_date(literal, operand)
@@ -338,8 +370,8 @@ class Binder:
                     f"IN list item type {literal.dtype.value} does not match "
                     f"{operand.dtype.value}"
                 )
-            values.append(literal.value)
-        return bound.BoundInList(operand, tuple(values), node.negated)
+            items.append(literal)
+        return self.in_list(operand, items, node.negated)
 
     def _bind_like(
         self, node: ast.Like, scope: Scope, collector: AggCollector | None
@@ -352,7 +384,7 @@ class Binder:
             pattern.value, str
         ):
             raise BindError("LIKE pattern must be a string literal")
-        return bound.BoundLike(operand, pattern.value, node.negated)
+        return self.like(operand, pattern, node.negated)
 
     def _bind_case(
         self, node: ast.Case, scope: Scope, collector: AggCollector | None

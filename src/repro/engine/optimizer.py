@@ -130,25 +130,12 @@ class Optimizer:
         The range is only a row-group pruning hint; the conjunct always
         also joins the residual so row-level semantics are exact.
         """
-        range_hint = _range_hint(conjunct)
-        if range_hint is not None:
-            qualified, low, high = range_hint
-            base = self._base_column(scan, qualified)
-            if base is not None:
-                current = scan.ranges.get(base, (None, None))
-                scan.ranges[base] = _intersect_range(current, (low, high))
+        absorb_range(scan, conjunct)
         scan.residual = (
             conjunct
             if scan.residual is None
             else bound.BoundLogical.bind("and", scan.residual, conjunct)
         )
-
-    @staticmethod
-    def _base_column(scan: Scan, qualified: str) -> str | None:
-        for out_name, base_name in scan.columns:
-            if out_name == qualified:
-                return base_name
-        return None
 
     # -- pass 3: build-side swap --------------------------------------------------
 
@@ -314,6 +301,20 @@ def _equi_pair(
     if b in left_columns and a in right_columns:
         return b, a
     return None
+
+
+def absorb_range(scan: Scan, conjunct: bound.BoundExpr) -> None:
+    """Narrow ``scan.ranges`` by the conjunct's zone-map hint, if it has
+    one on a column the scan reads."""
+    range_hint = _range_hint(conjunct)
+    if range_hint is None:
+        return
+    qualified, low, high = range_hint
+    for out_name, base in scan.columns:
+        if out_name == qualified:
+            current = scan.ranges.get(base, (None, None))
+            scan.ranges[base] = _intersect_range(current, (low, high))
+            return
 
 
 def _range_hint(

@@ -35,10 +35,12 @@ AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
 class Planner:
     """Builds logical plans for SQL text or parsed statements."""
 
-    def __init__(self, catalog: Catalog, default_schema: str) -> None:
+    def __init__(
+        self, catalog: Catalog, default_schema: str, binder: Binder | None = None
+    ) -> None:
         self._catalog = catalog
         self._default_schema = default_schema
-        self._binder = Binder(catalog, default_schema)
+        self._binder = binder or Binder(catalog, default_schema)
 
     def plan_sql(self, sql: str) -> PlanNode:
         return self.plan(parse_sql(sql))

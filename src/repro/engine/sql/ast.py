@@ -20,10 +20,15 @@ class Expr:
 
 @dataclass(frozen=True)
 class Literal(Expr):
-    """A constant: int, float, str, bool, or None (SQL NULL)."""
+    """A constant: int, float, str, bool, or None (SQL NULL).
+
+    ``position`` is the source position of the token a number or string
+    literal was read from (None for keywords such as NULL, and for
+    literals not read from a token); it takes no part in equality."""
 
     value: object
     is_date: bool = False
+    position: int | None = field(default=None, compare=False, repr=False)
 
     def to_sql(self) -> str:
         if self.value is None:

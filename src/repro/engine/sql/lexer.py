@@ -4,12 +4,23 @@ Produces a flat token stream for the recursive-descent parser.  Keywords are
 case-insensitive; identifiers preserve case but compare case-insensitively
 downstream (the binder lowercases them).  String literals use single quotes
 with ``''`` as the escape, per the SQL standard.
+
+The lexer is one compiled scanner: a regular expression with one named
+alternative per token kind (and per lexical error), matched contiguously
+over the text.  Its character classes are those of the ``str`` predicates
+a hand-written lexer would call — ``isspace`` (``\\s``), ``isalnum`` or
+``_`` (``\\w``), ``isdigit`` and ``isalpha`` (built from the predicates,
+since ``\\d`` and ``[^\\W\\d_]`` disagree with them outside ASCII).  An
+ASCII text is matched by a scanner whose classes are ASCII; the full
+Unicode scanner is built the first time a text needs it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+import re
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -38,11 +49,7 @@ KEYWORDS = {
     "min", "max",
 }
 
-OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages)."""
 
     type: TokenType
@@ -57,136 +64,126 @@ class Token:
         return self.type is TokenType.KEYWORD and self.lower in names
 
 
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    ".": TokenType.DOT,
+    ";": TokenType.SEMICOLON,
+}
+
+
+def _char_class(chars: str) -> str:
+    """``chars`` as the body of a regex character class, in ranges."""
+    parts = []
+    codes = sorted(set(map(ord, chars)))
+    index = 0
+    while index < len(codes):
+        start = end = codes[index]
+        while index + 1 < len(codes) and codes[index + 1] == end + 1:
+            index += 1
+            end = codes[index]
+        parts.append(
+            re.escape(chr(start))
+            if start == end
+            else f"{re.escape(chr(start))}-{re.escape(chr(end))}"
+        )
+        index += 1
+    return "".join(parts)
+
+
+def _compile(characters: str) -> "re.Pattern[str]":
+    """The scanner over ``characters``' ``isdigit`` and ``isalpha`` classes.
+
+    Whitespace and comments come first (so ``--`` and ``/*`` are never
+    operators), and a number before punctuation (a ``.`` followed by a
+    digit starts one); the other alternatives start on disjoint
+    characters.  A string's body is possessive, so an unterminated
+    string never backtracks into a shorter terminated one.  The ``bad*``
+    alternatives match where a token starts but cannot finish, or where
+    none starts.
+    """
+    digit = _char_class("".join(filter(str.isdigit, characters)))
+    alpha = _char_class("".join(filter(str.isalpha, characters)))
+    return re.compile(
+        rf"""
+        (?P<skip>\s+|--[^\n]*\n?|/\*.*?\*/)
+        |(?P<bad_comment>/\*)
+        |(?P<number>(?:[{digit}]+(?:\.[{digit}]*)?|\.[{digit}]+)
+            (?:[eE][+\-{digit}][{digit}]*)?)
+        |(?P<word>[{alpha}_]\w*)
+        |(?P<string>'(?:[^']++|'')*+')
+        |(?P<bad_string>')
+        |(?P<quoted>"[^"]*")
+        |(?P<bad_quoted>")
+        |(?P<operator><=|>=|<>|!=|\|\||[=<>+\-/%])
+        |(?P<star>\*)
+        |(?P<punctuation>[,().;])
+        |(?P<bad>.)
+        """,
+        re.DOTALL | re.VERBOSE,
+    ).finditer
+
+
+_ERRORS = {
+    "bad_comment": "unterminated block comment",
+    "bad_string": "unterminated string literal",
+    "bad_quoted": "unterminated quoted identifier",
+}
+
+_ASCII_SCANNER = _compile("".join(map(chr, range(128))))
+
+
+@functools.cache
+def _unicode_scanner():
+    # Every code point, surrogates included (they are in no class, but a
+    # ``str`` may hold them); about 0.1 s, once per process.
+    import numpy as np
+
+    every = np.arange(0x110000, dtype="<u4").tobytes()
+    return _compile(every.decode("utf-32-le", "surrogatepass"))
+
+
+def scanner(sql: str):
+    """The scanner for ``sql``'s characters: a ``finditer`` whose matches
+    cover the text, each match's ``lastgroup`` naming its token kind
+    (``skip`` for whitespace and comments, ``bad…`` for a lex error)."""
+    return _ASCII_SCANNER if sql.isascii() else _unicode_scanner()
+
+
 class Lexer:
     """Converts SQL text into a list of tokens ending with EOF."""
 
     def __init__(self, sql: str) -> None:
         self._sql = sql
-        self._pos = 0
 
     def tokenize(self) -> list[Token]:
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._sql):
-                tokens.append(Token(TokenType.EOF, "", self._pos))
-                return tokens
-            tokens.append(self._next_token())
-
-    def _skip_whitespace_and_comments(self) -> None:
-        sql = self._sql
-        while self._pos < len(sql):
-            char = sql[self._pos]
-            if char.isspace():
-                self._pos += 1
-            elif sql.startswith("--", self._pos):
-                newline = sql.find("\n", self._pos)
-                self._pos = len(sql) if newline < 0 else newline + 1
-            elif sql.startswith("/*", self._pos):
-                end = sql.find("*/", self._pos + 2)
-                if end < 0:
-                    raise LexError("unterminated block comment", self._pos)
-                self._pos = end + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        sql = self._sql
-        start = self._pos
-        char = sql[start]
-        if char == ",":
-            self._pos += 1
-            return Token(TokenType.COMMA, ",", start)
-        if char == "(":
-            self._pos += 1
-            return Token(TokenType.LPAREN, "(", start)
-        if char == ")":
-            self._pos += 1
-            return Token(TokenType.RPAREN, ")", start)
-        if char == ".":
-            if start + 1 < len(sql) and sql[start + 1].isdigit():
-                return self._lex_number()
-            self._pos += 1
-            return Token(TokenType.DOT, ".", start)
-        if char == ";":
-            self._pos += 1
-            return Token(TokenType.SEMICOLON, ";", start)
-        if char == "'":
-            return self._lex_string()
-        if char == '"':
-            return self._lex_quoted_identifier()
-        if char.isdigit():
-            return self._lex_number()
-        if char.isalpha() or char == "_":
-            return self._lex_word()
-        for operator in OPERATORS:
-            if sql.startswith(operator, start):
-                self._pos += len(operator)
-                token_type = (
-                    TokenType.STAR if operator == "*" else TokenType.OPERATOR
+        append = tokens.append
+        keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
+        for match in scanner(self._sql)(self._sql):
+            kind = match.lastgroup
+            if kind == "skip":
+                continue
+            text = match.group()
+            start = match.start()
+            if kind == "word":
+                append(
+                    Token(keyword if text.lower() in KEYWORDS else identifier, text, start)
                 )
-                return Token(token_type, operator, start)
-        raise LexError(f"unexpected character {char!r}", start)
-
-    def _lex_string(self) -> Token:
-        start = self._pos
-        sql = self._sql
-        pos = start + 1
-        parts: list[str] = []
-        while pos < len(sql):
-            if sql[pos] == "'":
-                if pos + 1 < len(sql) and sql[pos + 1] == "'":
-                    parts.append("'")
-                    pos += 2
-                    continue
-                self._pos = pos + 1
-                return Token(TokenType.STRING, "".join(parts), start)
-            parts.append(sql[pos])
-            pos += 1
-        raise LexError("unterminated string literal", start)
-
-    def _lex_quoted_identifier(self) -> Token:
-        start = self._pos
-        end = self._sql.find('"', start + 1)
-        if end < 0:
-            raise LexError("unterminated quoted identifier", start)
-        self._pos = end + 1
-        return Token(TokenType.IDENTIFIER, self._sql[start + 1 : end], start)
-
-    def _lex_number(self) -> Token:
-        start = self._pos
-        sql = self._sql
-        pos = start
-        seen_dot = False
-        seen_exp = False
-        while pos < len(sql):
-            char = sql[pos]
-            if char.isdigit():
-                pos += 1
-            elif char == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                pos += 1
-            elif char in "eE" and not seen_exp and pos > start:
-                if pos + 1 < len(sql) and (
-                    sql[pos + 1].isdigit() or sql[pos + 1] in "+-"
-                ):
-                    seen_exp = True
-                    pos += 2
-                else:
-                    break
+            elif kind == "punctuation":
+                append(Token(_PUNCTUATION[text], text, start))
+            elif kind == "operator":
+                append(Token(TokenType.OPERATOR, text, start))
+            elif kind == "number":
+                append(Token(TokenType.NUMBER, text, start))
+            elif kind == "string":
+                append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), start))
+            elif kind == "star":
+                append(Token(TokenType.STAR, text, start))
+            elif kind == "quoted":
+                append(Token(identifier, text[1:-1], start))
             else:
-                break
-        self._pos = pos
-        return Token(TokenType.NUMBER, sql[start:pos], start)
-
-    def _lex_word(self) -> Token:
-        start = self._pos
-        sql = self._sql
-        pos = start
-        while pos < len(sql) and (sql[pos].isalnum() or sql[pos] == "_"):
-            pos += 1
-        self._pos = pos
-        text = sql[start:pos]
-        if text.lower() in KEYWORDS:
-            return Token(TokenType.KEYWORD, text, start)
-        return Token(TokenType.IDENTIFIER, text, start)
+                raise LexError(_ERRORS.get(kind) or f"unexpected character {text!r}", start)
+        append(Token(TokenType.EOF, "", len(self._sql)))
+        return tokens

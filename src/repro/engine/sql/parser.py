@@ -38,6 +38,15 @@ def parse_sql(
     return Parser(sql).parse()
 
 
+def number_value(text: str) -> int | float:
+    """The value of a NUMBER token's text: a float when it has a point or
+    an exponent, else an int.  Raises ``ValueError`` for a text that is a
+    number token but not a number (``1e+``, ``²``)."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
 def _hoist_union_tail(union: ast.UnionAll) -> ast.UnionAll:
     """Move a trailing ORDER BY/LIMIT/OFFSET from the last branch onto the
     union itself — standard SQL scopes them to the whole union."""
@@ -391,14 +400,15 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         token = self._current
         if token.type is TokenType.NUMBER:
+            try:
+                value = number_value(token.text)
+            except ValueError:
+                raise self._error("malformed number") from None
             self._advance()
-            text = token.text
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return ast.Literal(value, False, token.position)
         if token.type is TokenType.STRING:
             self._advance()
-            return ast.Literal(token.text)
+            return ast.Literal(token.text, False, token.position)
         if token.is_keyword("null"):
             self._advance()
             return ast.Literal(None)
@@ -411,7 +421,7 @@ class Parser:
         if token.is_keyword("date"):
             self._advance()
             literal = self._expect(TokenType.STRING)
-            return ast.Literal(literal.text, is_date=True)
+            return ast.Literal(literal.text, True, literal.position)
         if token.is_keyword("interval"):
             return self._parse_interval()
         if token.is_keyword("case"):

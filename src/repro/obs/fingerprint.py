@@ -14,19 +14,22 @@ syntax) falls back to a lexical normalization — quoted strings and
 numeric tokens replaced, whitespace collapsed — so *every* submission
 gets a fingerprint and the statement store never loses a call.
 
-A running system never parses a text just to name it: a coordinator's
-prepared statement (:class:`repro.turbo.coordinator.PreparedStatement`)
-parses each text once and fingerprints the statement it already holds
-with :func:`fingerprint_statement`.  :func:`fingerprint` parses on its
-own: it is the standalone helper, and the oracle the prepared
-statement's fingerprints are tested against.
+A running system never parses a text just to name it.  Texts that
+differ only in their literals share a statement shape
+(:mod:`repro.engine.prepare`), and so a fingerprint: a coordinator's
+:class:`repro.turbo.coordinator.StatementShape` parses its first text
+once, for planning and naming alike, and fingerprints that statement
+with :func:`fingerprint_statement` the first time it is asked — once per
+shape.  :func:`fingerprint` parses on its own: it is the standalone
+helper, and the oracle the shapes' fingerprints are tested against.
 
 :func:`plan_shape_hash` is the complementary physical identity: a hash
 over the optimized plan's preorder node kinds and scanned tables, but
 not its literals (zone-map ranges, residuals).  Two fingerprints that
 map to different plan shapes over time are how an operator spots a plan
-regression; the statement store records both.  The prepared statement
-hashes its plan's shape once, on the first execution that asks.
+regression; the statement store records both.  A shape hashes its
+template's plan once, on the first execution that asks: every plan bound
+from it has the template's node kinds and tables.
 """
 
 from __future__ import annotations

@@ -630,7 +630,7 @@ class ExecutionRecorder:
             )
             return
         self._tracer.instant(execution.query_id, "plan", **attrs)
-        execution.plan_shape = prepared.shape
+        execution.plan_shape = prepared.plan_shape
 
     def vm_queued(self, execution: "QueryExecution") -> None:
         """The query asked the VM cluster for a slot — again, if it has

@@ -33,13 +33,19 @@ from repro.engine.executor import (
     QueryStats,
 )
 from repro.engine.optimizer import Optimizer
-from repro.engine.planner import Planner
+from repro.engine.prepare import (
+    Template,
+    bind,
+    build_template,
+    exact_shape,
+    shape_of,
+    slots_of,
+)
 from repro.engine.source import ObjectStoreSource
 from repro.lru import LruCache
 from repro.obs import Instrumentation, render_analyzed_plan
 from repro.obs.fingerprint import (
     Fingerprint,
-    fingerprint as fingerprint_text,
     fingerprint_statement,
     plan_shape_hash,
 )
@@ -116,68 +122,95 @@ class QueryExecution:
         return self.result.stats.bytes_scanned if self.result else 0
 
 
-class PreparedStatement:
-    """One SQL text as its coordinator knows it under one catalog version.
+class StatementShape:
+    """One statement shape (:mod:`repro.engine.prepare`) as its coordinator
+    knows it under one catalog version.
 
-    The text is parsed once, when the entry is made; a parse failure is
-    kept too, so planning never parses it again while the entry lives.
-    The optimized plan is stored once planning succeeds, and the syntax
-    tree is let go then: a cache of plans should not pin every text's
-    tree as well.  The statement fingerprint and the plan's shape hash
-    are computed the first time an observer asks for them and then kept,
-    so an unobserved coordinator computes neither.
+    It holds the statement parsed from the first text seen of the shape,
+    and, once a text of it is planned, the shape's template.  The
+    fingerprint and the plan's shape hash are the shape's, computed the
+    first time an observer asks, so an unobserved coordinator computes
+    neither and an observed one computes each once per shape.  A shape
+    found ``parameter_free`` plans nothing itself: its texts are keyed
+    by their exact token streams instead.
     """
 
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, statement, literals: tuple) -> None:
         from repro.engine.sql import ast as sql_ast
-        from repro.engine.sql.parser import parse_sql
 
+        #: The text the statement was parsed from, and its literals.
         self.sql = sql
+        self.literals = literals
+        self.statement = statement
         #: None for a plain query, ``"plan"`` for EXPLAIN, ``"analyze"``
         #: for EXPLAIN ANALYZE.
         self.explain_mode: str | None = None
-        #: The optimized plan; None until :meth:`keep_plan`.
-        self.plan: object | None = None
-        self._parse_error: PixelsError | None = None
-        try:
-            self._statement = parse_sql(sql)
-        except PixelsError as error:
-            self._statement = None
-            self._parse_error = error
-            return
-        if isinstance(self._statement, sql_ast.Explain):
-            self.explain_mode = "analyze" if self._statement.analyze else "plan"
-
-    def query(self):
-        """The statement to plan (an EXPLAIN wrapper removed).  A text
-        that failed to parse raises a fresh copy of its parse error — the
-        same class and message as a fresh parse would raise."""
-        if self._parse_error is not None:
-            raise copy.copy(self._parse_error)
-        if self.explain_mode is not None:
-            return self._statement.statement
-        return self._statement
-
-    def keep_plan(self, plan: object) -> None:
-        """Store the optimized plan and let go of the syntax tree."""
-        self.plan = plan
-        self._statement = None
+        if isinstance(statement, sql_ast.Explain):
+            self.explain_mode = "analyze" if statement.analyze else "plan"
+        self.template: Template | None = None
+        self.parameter_free = False
 
     @cached_property
     def fingerprint(self) -> Fingerprint:
-        """The statement's fingerprint: the whole parsed statement, an
-        EXPLAIN wrapper included, or the lexical fallback when the text
-        did not parse.  The observed server asks at submission, before
-        the statement is planned; asked only after that, when the tree
-        is gone, it is computed from the text."""
-        if self.plan is not None:
-            return fingerprint_text(self.sql)
-        return fingerprint_statement(self.sql, self._statement)
+        """The whole statement's fingerprint, an EXPLAIN wrapper included:
+        every text of the shape has the same one."""
+        return fingerprint_statement(self.sql, self.statement)
 
     @cached_property
-    def shape(self) -> str:
+    def plan_shape(self) -> str:
+        """The template's plan-shape hash (only once :attr:`template` is
+        set): a bound plan has its template's node kinds and tables."""
+        return plan_shape_hash(self.template.plan)
+
+
+class PreparedStatement:
+    """One SQL text as its coordinator knows it under one catalog version.
+
+    The text is lexed once, when the entry is made, into its shape and
+    literal vector; a text of a shape not seen before is parsed then.  A
+    lex or parse failure is kept too, so planning never parses the text
+    again while the entry lives.  :attr:`plan` is the text's literals
+    bound into its shape's template, set once planning succeeds.
+    """
+
+    def __init__(
+        self,
+        sql: str,
+        shape: StatementShape | None,
+        literals: tuple = (),
+        error: PixelsError | None = None,
+    ) -> None:
+        self.sql = sql
+        self.shape = shape
+        self.literals = literals
+        #: The bound plan; None until the text is planned.
+        self.plan: object | None = None
+        self._parse_error = error
+
+    @property
+    def explain_mode(self) -> str | None:
+        """None for a plain query, ``"plan"`` for EXPLAIN, ``"analyze"``
+        for EXPLAIN ANALYZE (None for a text that did not parse)."""
+        return self.shape.explain_mode if self.shape is not None else None
+
+    def raise_parse_error(self) -> None:
+        """A text that failed to parse raises a fresh copy of its error —
+        the same class and message as a fresh parse would raise."""
+        if self._parse_error is not None:
+            raise copy.copy(self._parse_error)
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        """The shape's fingerprint, or the lexical fallback when the text
+        did not parse."""
+        if self.shape is None:
+            return fingerprint_statement(self.sql, None)
+        return self.shape.fingerprint
+
+    @property
+    def plan_shape(self) -> str:
         """The plan's shape hash (only once :attr:`plan` is set)."""
-        return plan_shape_hash(self.plan)
+        return self.shape.plan_shape
 
 
 def _graft_cf_profile(
@@ -250,9 +283,11 @@ class Coordinator:
         self.cf_service = CfService(sim, config.cf, config.vm, self.trace)
         self.cost_model = CostModel(config)
         self._optimizer = Optimizer()
-        #: Prepared statements by (exact SQL text, catalog version); see
+        #: Prepared statements by (exact SQL text, catalog version), and
+        #: their shapes by (shape key, catalog version); see
         #: :meth:`statement` and :meth:`_prepare`.
         self.prepared: LruCache[PreparedStatement] = LruCache()
+        self.shapes: LruCache[StatementShape] = LruCache()
         self._executions: dict[str, QueryExecution] = {}
         self._query_counter = 0
         # query_id -> (pending completion/crash event, worker) for queries
@@ -421,35 +456,118 @@ class Coordinator:
 
     def statement(self, sql: str) -> PreparedStatement:
         """The one place a SQL text becomes a statement: the entry for
-        ``sql`` under the current catalog version, parsed on first sight.
+        ``sql`` under the current catalog version, lexed on first sight.
 
-        Entries of older catalog versions are never looked up again and
-        age out of :attr:`prepared`.  The query recorder reads a
-        submission's fingerprint here, so an observed text is parsed once
-        for naming and planning both."""
+        A text miss lexes the text into its shape and literal vector and
+        looks the shape up in :attr:`shapes`; only a shape not seen before
+        is parsed.  Entries of older catalog versions are never looked up
+        again and age out of both caches.  The query recorder reads a
+        submission's fingerprint here, so an observed text is never
+        parsed for naming alone."""
         key = (sql, self.catalog.version)
         prepared = self.prepared.get(key)
         if prepared is None:
-            prepared = PreparedStatement(sql)
+            prepared = self._lex(sql)
             self.prepared.put(key, prepared)
         return prepared
+
+    def _lex(self, sql: str) -> PreparedStatement:
+        """A new text's entry: its shape's entry (made, by a parse, if the
+        shape is new) and its literal vector."""
+        try:
+            text_shape = shape_of(sql)
+        except PixelsError as error:
+            return PreparedStatement(sql, None, error=error)
+        shape = self.shapes.get((text_shape.key, self.catalog.version))
+        if shape is not None and shape.parameter_free:
+            text_shape = exact_shape(sql)
+            shape = self.shapes.get((text_shape.key, self.catalog.version))
+        if shape is None:
+            try:
+                statement = self._parse(sql)
+            except PixelsError as error:
+                return PreparedStatement(sql, None, error=error)
+            shape = StatementShape(sql, statement, text_shape.literals)
+            self.shapes.put((text_shape.key, self.catalog.version), shape)
+        return PreparedStatement(sql, shape, text_shape.literals)
 
     def _prepare(self, sql: str) -> PreparedStatement:
         """:meth:`statement`, planned: its ``plan`` is set on return.
 
         A text whose entry holds a plan is not planned again.  Every
         caller treats the plan as read-only (the CF splitter copies the
-        tail it rewires), so one plan serves every run of its text.  A
-        parse failure is part of the entry and raises a fresh copy of the
-        same error each time; a bind or plan failure is not stored and
-        is raised afresh by the next call."""
+        tail it rewires), so one plan serves every run of its text, and
+        a bound plan shares its literal-free nodes with its shape's
+        template.  A parse failure is part of the entry and raises a
+        fresh copy of the same error each time; a bind or plan failure
+        is not stored and is raised afresh by the next call."""
         prepared = self.statement(sql)
         if prepared.plan is None:
-            planner = Planner(self.catalog, self._default_schema)
-            prepared.keep_plan(
-                self._optimizer.optimize(planner.plan(prepared.query()))
-            )
+            shape = self._planned(prepared)
+            prepared.plan = bind(shape.template, prepared.literals)
         return prepared
+
+    def _planned(self, prepared: PreparedStatement) -> StatementShape:
+        """The shape ``prepared`` binds into, its template built.
+
+        A shape is planned once, from the statement it was first parsed
+        from; if that text's own literals fail to plan (a bad DATE, say),
+        a text of other literals plans from its own parse.  A template
+        that comes back ``parameter_free`` hands the shape's texts over to
+        their exact shapes, the planned text's plan becoming its own."""
+        prepared.raise_parse_error()
+        shape = prepared.shape
+        if shape.parameter_free:
+            shape = self._exact(prepared)
+        if shape.template is not None:
+            return shape
+        source = shape.sql, shape.statement, shape.literals
+        try:
+            template = self._template(*source)
+        except PixelsError:
+            if prepared.literals == shape.literals:
+                raise
+            source = prepared.sql, self._parse(prepared.sql), prepared.literals
+            template = self._template(*source)
+        if not template.parameter_free:
+            shape.template = template
+            return shape
+        shape.parameter_free = True
+        sql, statement, _ = source
+        exact = StatementShape(sql, statement, ())
+        exact.template = Template(template.plan)
+        self.shapes.put((exact_shape(sql).key, self.catalog.version), exact)
+        return self._planned(prepared)
+
+    def _exact(self, prepared: PreparedStatement) -> StatementShape:
+        """Move ``prepared`` to its exact shape, parsed if new."""
+        key = (exact_shape(prepared.sql).key, self.catalog.version)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = StatementShape(prepared.sql, self._parse(prepared.sql), ())
+            self.shapes.put(key, shape)
+        prepared.shape, prepared.literals = shape, ()
+        return shape
+
+    @staticmethod
+    def _parse(sql: str):
+        from repro.engine.sql.parser import parse_sql
+
+        return parse_sql(sql)
+
+    def _template(self, sql: str, statement, literals: tuple) -> Template:
+        """Plan a statement parsed from ``sql`` into its shape's template
+        (with no slots for an exact shape, whose literal vector is empty)."""
+        from repro.engine.sql import ast as sql_ast
+
+        if isinstance(statement, sql_ast.Explain):
+            statement = statement.statement
+        return build_template(
+            self.catalog,
+            self._default_schema,
+            statement,
+            slots_of(sql) if literals else (),
+        )
 
     def execute_ddl(self, sql: str) -> str:
         """Run a DDL statement against the coordinator's metadata.

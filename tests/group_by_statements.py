@@ -13,7 +13,9 @@ moves every statement across those thresholds.
 ``run`` executes each statement over plain in-memory vectors at every batch
 size, and over the stored table (where ``s`` decodes dictionary-coded) at
 every batch size x worker count, and demands identical rows in identical
-order, one scan accounting and one EXPLAIN ANALYZE per batch size.  Where
+order, one scan accounting and one EXPLAIN ANALYZE per batch size, and the
+same rows and plan from the statement bound into a sibling's template (the
+"bound" configuration).  Where
 every construct is on the allow-list it also compares the rows with stdlib
 ``sqlite3`` as multisets.  These steps are ``tests/scan_predicates.py``'s
 ``Differential``; this file holds the generator.  Off-list constructs are never
@@ -138,6 +140,7 @@ def run(seed: int, statements: int) -> GroupByCounts:
         with replayable(seed, index, statement.sql):
             plan = differential.plan(statement.sql)
             expected = differential.memory_rows(plan)
+            differential.bound(statement.sql, expected)
             differential.stored(plan, expected, STORED_CONFIGURATIONS)
             differential.compare_sqlite(statement, expected)
         differential.counts.explored += 1

@@ -21,6 +21,14 @@ the reason (the two engines above still run it):
 * ``LIKE`` on ``s`` — sqlite's LIKE stops at the NUL that ``s`` values carry;
 * ``LIMIT`` without ORDER BY — any prefix is a right answer.
 
+Each statement (and its LIMIT variant) is also planned once more the way a
+coordinator prepares a text of a known shape: bound into the template
+planned from a *sibling* — the same shape, its literals re-drawn within
+their class (:func:`redraw`) — and that bound plan must equal the fresh one
+node for node, in its EXPLAIN text and in its rows; a second sibling bound
+into the same template must plan, or fail, as it does fresh (a re-drawn
+DATE may not exist).  The counts are printed as the "bound" configuration.
+
 Run as a script for the long profile::
 
     PYTHONPATH=src python tests/scan_predicates.py --statements 5000 --seed 7
@@ -38,8 +46,13 @@ from dataclasses import dataclass, field
 
 from repro.engine.executor import QueryExecutor
 from repro.engine.optimizer import Optimizer
+from repro.engine.plan import PlanNode
 from repro.engine.planner import Planner
+from repro.engine.prepare import bind, build_template, shape_of, slots_of
 from repro.engine.source import InMemorySource, ObjectStoreSource
+from repro.engine.sql.lexer import Lexer, TokenType
+from repro.engine.sql.parser import number_value, parse_sql
+from repro.errors import PixelsError
 from repro.obs.explain import render_analyzed_plan
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import Catalog, ColumnMeta
@@ -249,6 +262,117 @@ def generate(seed: int, index: int) -> Predicate:
     return Predicate(f"SELECT {select} FROM t WHERE {predicate.sql}", off_list)
 
 
+# -- siblings: the same shape, other literals -----------------------------------
+#
+# A re-draw favours edge values: 0 and 2**31 - 1 for an INT, 2**31 for a
+# BIGINT, LIMIT 0, ``''``, ``%`` and ``_`` in strings (and so in LIKE
+# patterns), a quote that needs escaping, and dates that do not exist.
+
+_INT32 = [0, 1, 2, 3, 7, 24, 47, 100, 2**31 - 1]
+_INT64 = [2**31, 2**31 + 1, 2**40, 2**62]
+_COUNTS = [0, 1, 2, 5, 10]
+_DECIMALS = ["0.5", "2.25", "0.0", "7.75", "1e300", "1.e5", ".5e3", "100.00"]
+_STRINGS = ["", "a", "%", "_", "a%", "%1", "_p-0__", "ip-%", "é", "a'b", "1-URGENT"]
+_DATES = ["1994-08-23", "1994-08-25", "1995-01-01", "1998-12-01", "1995-13-45", "1996-02-30"]
+
+
+def _draw(rng: random.Random, token, previous) -> str:
+    """A new literal of ``token``'s class, as source text."""
+    if token.type is TokenType.STRING:
+        pool = _DATES if previous is not None and previous.is_keyword("date") else _STRINGS
+        value = rng.choice(pool + [token.text])
+        return "'" + value.replace("'", "''") + "'"
+    value = number_value(token.text)
+    if isinstance(value, float):
+        return rng.choice(_DECIMALS + [token.text])
+    if previous is not None and previous.is_keyword("limit", "offset"):
+        return str(rng.choice(_COUNTS + [value]))
+    return str(rng.choice((_INT32 if value <= 2**31 - 1 else _INT64) + [value]))
+
+
+def redraw(sql: str, rng: random.Random) -> str:
+    """``sql`` with each literal slot re-drawn within its class."""
+    tokens = Lexer(sql).tokenize()
+    slots = {slot.position for slot in slots_of(sql)}
+    pieces, at, previous = [], 0, None
+    for token in tokens:
+        if token.position in slots and token.type in (TokenType.NUMBER, TokenType.STRING):
+            source = (
+                token.text if token.type is TokenType.NUMBER
+                else "'" + token.text.replace("'", "''") + "'"
+            )
+            pieces += [sql[at : token.position], _draw(rng, token, previous)]
+            at = token.position + len(source)
+        previous = token
+    sibling = "".join(pieces) + sql[at:]
+    assert shape_of(sibling).key == shape_of(sql).key, (sql, sibling)
+    return sibling
+
+
+def dump(node: PlanNode):
+    """Every node's type and fields, a child by its own dump and anything
+    else by ``repr``: the plan's structure, object ids left out."""
+    fields = []
+    for spec in dataclasses.fields(node):
+        value = getattr(node, spec.name)
+        if isinstance(value, PlanNode):
+            value = dump(value)
+        elif isinstance(value, list) and any(isinstance(v, PlanNode) for v in value):
+            value = [dump(item) for item in value]
+        else:
+            value = repr(value)
+        fields.append((spec.name, value))
+    return type(node).__name__, fields
+
+
+def _plan_outcome(plan):
+    """``(dump, EXPLAIN)`` of the plan ``plan()`` returns, or the error."""
+    try:
+        result = plan()
+    except PixelsError as error:
+        return type(error), str(error)
+    return dump(result), result.explain()
+
+
+def check_bound(catalog, schema: str, sql: str, rng: random.Random):
+    """Bind ``sql``, and a second sibling, into the template planned from
+    a re-drawn sibling, and check each against its fresh plan.
+
+    Returns the outcomes — per text ``"bound"``, or ``"fails alike"``
+    when the text does not plan and the bind raised the same error; or
+    one ``"parameter-free"`` (no sibling can be bound into the shape), or
+    ``"sibling fails"`` (three siblings' own literals did not plan) — and
+    ``sql``'s bound plan, if any."""
+    for _ in range(3):
+        try:
+            source = redraw(sql, rng)
+            template = build_template(
+                catalog, schema, parse_sql(source), slots_of(source)
+            )
+            break
+        except PixelsError:
+            continue
+    else:
+        return ["sibling fails"], None
+    if template.parameter_free:
+        return ["parameter-free"], None
+    outcomes = []
+    for text in (sql, redraw(sql, rng)):
+        fresh = _plan_outcome(
+            lambda: Optimizer().optimize(
+                Planner(catalog, schema).plan(parse_sql(text))
+            )
+        )
+        literals = shape_of(text).literals
+        bound = _plan_outcome(lambda: bind(template, literals))
+        assert bound == fresh, (
+            f"{text!r} bound from {source!r}:\n{bound[-1]}\n--\nfresh:\n{fresh[-1]}"
+        )
+        outcomes.append("fails alike" if isinstance(fresh[0], type) else "bound")
+    plan = bind(template, shape_of(sql).literals) if outcomes[0] == "bound" else None
+    return outcomes, plan
+
+
 # -- the differential ----------------------------------------------------------
 
 
@@ -260,14 +384,18 @@ class Counts:
     sqlite_skipped_statements: int = 0
     #: Off-list constructs met (a statement can hold several).
     sqlite_skipped: Counter = field(default_factory=Counter)
+    #: Outcomes of the bound configuration (:func:`check_bound`).
+    bound: Counter = field(default_factory=Counter)
 
     def sqlite_summary(self) -> str:
         skipped = ", ".join(
             f"{reason}: {count}" for reason, count in sorted(self.sqlite_skipped.items())
         )
+        bound = ", ".join(f"{outcome} {count}" for outcome, count in sorted(self.bound.items()))
         return (
             f"sqlite3 compared {self.sqlite_compared}, "
-            f"skipped {self.sqlite_skipped_statements} ({skipped})"
+            f"skipped {self.sqlite_skipped_statements} ({skipped}); "
+            f"bound configuration: {bound}"
         )
 
 
@@ -333,6 +461,7 @@ class Differential:
             "d", "t", [ColumnMeta(name, dtype) for name, dtype in SCHEMA],
             bucket="w", prefix="d/t",
         )
+        self.catalog = catalog
         self.planner, self.optimizer = Planner(catalog, "d"), Optimizer()
         self.memory = InMemorySource({("d", "t"): self.data})
         self.lite = sqlite3.connect(":memory:")
@@ -442,10 +571,24 @@ class Differential:
             )
         self.counts.sqlite_compared += 1
 
+    def bound(self, sql: str, expected_rows: list[tuple]) -> None:
+        """The bound configuration: ``sql`` bound into a sibling's
+        template plans as it does fresh, and its bound plan's rows are
+        ``expected_rows``."""
+        outcomes, plan = check_bound(self.catalog, "d", sql, random.Random(sql))
+        self.counts.bound.update(outcomes)
+        if plan is not None:
+            rows = result_rows(self.execute(plan, self.memory, 4096))
+            if rows != expected_rows:
+                raise Divergence(
+                    f"bound plan's rows differ\n  bound: {rows}\n  fresh: {expected_rows}"
+                )
+
     def check(self, statement: Predicate, limit: int) -> None:
         sql = statement.sql
         plan = self.plan(sql)
         expected = self.memory_rows(plan)
+        self.bound(sql, expected)
         rows_scanned, _, _, skipped = self.stored(plan, expected, CONFIGURATIONS)
         if rows_scanned != ROWS_PER_GROUP * (GROUPS - skipped):
             raise Divergence(
@@ -457,6 +600,7 @@ class Differential:
             raise Divergence(f"in-memory LIMIT {limit} is not a prefix of the full scan")
         try:
             self.stored(limited, expected[:limit], LIMIT_CONFIGURATIONS)
+            self.bound(f"{sql} LIMIT {limit}", expected[:limit])
         except Divergence as exc:
             raise Divergence(f"under LIMIT {limit}: {exc}") from None
         self._count_groups(sql)

@@ -68,7 +68,11 @@ class TestFingerprint:
         assert first.id == second.id
 
     def test_never_raises_on_garbage(self):
-        for text in ("", "   ", ";;;", "SELECT FROM WHERE"):
+        for text in (
+            "", "   ", ";;;", "SELECT FROM WHERE",
+            # Number tokens the parser cannot read as numbers.
+            "SELECT 1e+ FROM t", "SELECT 1e-", "SELECT \u00b2 FROM t",
+        ):
             fp = fingerprint(text)
             assert isinstance(fp.id, str)
 
@@ -113,9 +117,10 @@ class TestPlanShape:
 
 class TestStatementCacheEviction:
     """The recorder names a submission with the fingerprint its
-    coordinator's prepared statement carries.  That cache is bounded, and
-    since an entry is a pure function of its text and catalog version,
-    evicting one changes no export."""
+    coordinator's prepared statement carries.  Both caches behind it —
+    texts and their shapes — are bounded, and since an entry is a pure
+    function of its key and catalog version, evicting one changes no
+    export."""
 
     TEXTS = [
         "SELECT count(*) FROM orders",
@@ -123,7 +128,7 @@ class TestStatementCacheEviction:
         "SELECT count(*) FROM customer",
     ]
 
-    def _observed_run(self, capacity):
+    def _observed_run(self, capacity, texts, cache_name="prepared"):
         from repro import PixelsDB, ServiceLevel
         from repro.lru import LruCache, STATEMENT_CACHE_ENTRIES
 
@@ -131,22 +136,36 @@ class TestStatementCacheEviction:
         db.load_tpch("tpch", scale=0.01)
         server = db.query_server("tpch")
         coordinator = db.coordinator("tpch")
-        cache = coordinator.prepared
+        cache = getattr(coordinator, cache_name)
         assert cache.capacity == STATEMENT_CACHE_ENTRIES
         if capacity is not None:
-            cache = coordinator.prepared = LruCache(capacity)
-        for sql in self.TEXTS + self.TEXTS[:1]:
+            cache = LruCache(capacity)
+            setattr(coordinator, cache_name, cache)
+        for sql in texts:
             server.submit(sql, ServiceLevel.IMMEDIATE)
         db.run_to_completion()
         return db, cache
 
     def test_eviction_changes_no_export(self):
-        bounded, cache = self._observed_run(capacity=2)
-        unbounded, full = self._observed_run(capacity=None)
+        texts = self.TEXTS + self.TEXTS[:1]
+        bounded, cache = self._observed_run(2, texts)
+        unbounded, full = self._observed_run(None, texts)
         assert cache.evictions == 2 and len(cache) == 2  # the repeat missed
         assert (full.evictions, len(full)) == (0, 3)
         assert bounded.export("statements") == unbounded.export("statements")
         assert bounded.export("journal") == unbounded.export("journal")
+
+    def test_shape_eviction_changes_no_export(self):
+        """The last text is a new text of the first shape, which the
+        third has evicted: its shape is parsed and planned again."""
+        first, second, third = self.TEXTS[1], self.TEXTS[0], self.TEXTS[2]
+        texts = [first, second, third, first.replace("100", "250")]
+        bounded, shapes = self._observed_run(2, texts, "shapes")
+        unbounded, full = self._observed_run(None, texts, "shapes")
+        assert (shapes.misses, shapes.hits, shapes.evictions) == (4, 0, 2)
+        assert (full.misses, full.hits, full.evictions) == (3, 1, 0)
+        for kind in ("statements", "journal"):
+            assert bounded.export(kind) == unbounded.export(kind)
 
 
 def _deck_texts() -> list[str]:
@@ -248,8 +267,8 @@ class TestPreparedStatementFingerprint:
         )
 
     def test_asked_only_after_planning(self):
-        """A planned entry has let its syntax tree go; a fingerprint first
-        asked for then is computed from the text, to the same value."""
+        """A fingerprint first asked for after planning is the shape's,
+        computed from the statement the shape keeps, to the same value."""
         from repro import PixelsDB
 
         db = PixelsDB(seed=1)

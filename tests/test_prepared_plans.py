@@ -1,14 +1,17 @@
-"""Prepared statements: one bounded cache per coordinator, keyed by exact
-text, that parses each text once for planning and naming alike.
+"""Prepared statements: two bounded caches per coordinator.  A text is
+lexed once into its shape and literal vector; a shape is parsed, planned
+and named once, and every text of it is bound into the shape's plan.
 
 Three fences.  A plan is read-only once optimized: every execution path
 (VM, CF, a VM-crash retry, a shared batch, EXPLAIN, EXPLAIN ANALYZE)
 leaves the cached plan's rendering *and* its node structure as they were.
 Every catalog mutation — through any coordinator over that catalog —
-makes a cached text prepare again, so statistics still steer the build
-side and a statement over a dropped table fails as it would uncached.
-And the replays reuse what they prepared: their cache, parse,
-fingerprint and plan-shape counts are pinned.
+makes a cached text, and a text of a cached shape, prepare again, so
+statistics still steer the build side and a statement over a dropped
+table fails as it would uncached.  And the replays reuse what they
+prepared: their cache, parse, fingerprint and plan-shape counts are
+pinned.  That a bound plan equals a fresh one is fenced by
+``tests/test_bound_plans.py``.
 """
 
 import dataclasses
@@ -19,8 +22,11 @@ import sys
 import pytest
 
 from repro import PixelsDB
+from repro.engine.optimizer import Optimizer
 from repro.engine.plan import HashJoin, PlanNode, walk_plan
-from repro.errors import NoSuchTableError, ParseError
+from repro.engine.planner import Planner
+from repro.engine.sql.parser import parse_sql
+from repro.errors import BindError, NoSuchTableError, ParseError
 from repro.lru import LruCache, STATEMENT_CACHE_ENTRIES
 from repro.sim import Simulator
 from repro.storage.catalog import Catalog, ColumnMeta
@@ -161,14 +167,29 @@ class TestPlansStayAsPrepared:
 
 
 class TestInvalidation:
+    """Invalidation of one text prepared twice.  :class:`TestShapeInvalidation`
+    runs every case again on two texts of one shape: the second is bound
+    into the first's template, never planned."""
+
+    #: The text prepared second, and the literals of the texts below.
+    AGAIN = SQL
+    LITERALS = (0, 0)
+
     def test_repeat_is_a_hit(self):
         _, _, coordinator = stack()
         first = coordinator._prepare(SQL).plan
-        second = coordinator._prepare(SQL).plan
-        cache = coordinator.prepared
-        assert second is first
-        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
-        assert cache.capacity == STATEMENT_CACHE_ENTRIES
+        second = coordinator._prepare(self.AGAIN).plan
+        cache, shapes = coordinator.prepared, coordinator.shapes
+        if self.AGAIN == SQL:
+            assert second is first
+            assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
+        else:
+            assert second is not first
+            assert (cache.misses, cache.hits, len(cache)) == (2, 0, 2)
+        assert (shapes.misses, shapes.hits, len(shapes)) == (
+            1, int(self.AGAIN != SQL), 1
+        )
+        assert cache.capacity == shapes.capacity == STATEMENT_CACHE_ENTRIES
 
     GONE = [ColumnMeta("x", DataType.INT)]
 
@@ -203,10 +224,11 @@ class TestInvalidation:
         version = catalog.version
         mutate(catalog)
         assert catalog.version == version + 1
-        again = coordinator._prepare(SQL).plan
+        again = coordinator._prepare(self.AGAIN).plan
         assert again is not first
         assert coordinator.prepared.misses == 2
-        assert coordinator._prepare(SQL).plan is again
+        assert coordinator.shapes.misses == 2  # the shape is planned again
+        assert coordinator._prepare(self.AGAIN).plan is again
 
     def test_ddl_through_one_schema_invalidates_another(self):
         db = PixelsDB(seed=3)
@@ -215,54 +237,57 @@ class TestInvalidation:
         tpch, logs = db.coordinator("tpch"), db.coordinator("logs")
         first = tpch._prepare(SQL).plan
         logs.execute_ddl("CREATE TABLE notes (id INT, body VARCHAR)")
-        assert tpch._prepare(SQL).plan is not first
+        assert tpch._prepare(self.AGAIN).plan is not first
         assert tpch.prepared.misses == 2 and logs.prepared.misses == 0
+        assert tpch.shapes.misses == 2 and logs.shapes.misses == 0
 
     def test_statistics_flip_the_build_side(self):
         _, catalog, coordinator = stack()
         sql = (
             "SELECT c_name, o_orderkey FROM customer JOIN orders "
-            "ON c_custkey = o_custkey"
+            "ON c_custkey = o_custkey WHERE o_totalprice > {}"
         )
 
-        def build_table():
-            plan = coordinator._prepare(sql).plan
+        def build_table(literal):
+            plan = coordinator._prepare(sql.format(literal)).plan
             (join,) = [n for n in walk_plan(plan) if isinstance(n, HashJoin)]
             return join.right.table.name
 
         customers = catalog.table("tpch", "customer").row_count
         orders = catalog.table("tpch", "orders").row_count
-        assert build_table() == "customer"  # the smaller side
+        first, again = self.LITERALS
+        assert build_table(first) == "customer"  # the smaller side
         catalog.update_statistics("tpch", "customer", orders * 10, 1)
         catalog.update_statistics("tpch", "orders", customers, 1)
-        assert build_table() == "orders"
+        assert build_table(again) == "orders"
 
     def test_dropped_table_fails_as_uncached(self):
         sim, catalog, coordinator = stack()
-        sql = "SELECT count(*) FROM region"
-        ok = coordinator.submit(sql, cf_enabled=False)
+        sql = "SELECT count(*) FROM region WHERE r_regionkey >= {}"
+        before, after = (sql.format(literal) for literal in self.LITERALS)
+        ok = coordinator.submit(before, cf_enabled=False)
         sim.run_until(600)
         assert ok.succeeded
         coordinator.execute_ddl("DROP TABLE region")
-        failed = coordinator.submit(sql, cf_enabled=False)
+        failed = coordinator.submit(after, cf_enabled=False)
         fresh = Coordinator(
             Simulator(seed=1), TurboConfig.fast(), catalog,
             coordinator.store, "tpch",
         )
-        uncached = fresh.submit(sql, cf_enabled=False)
+        uncached = fresh.submit(after, cf_enabled=False)
         assert failed.error is not None
         assert failed.error == uncached.error
         assert "region" in failed.error
         # A bind failure is not stored: the post-drop entry keeps its
-        # parse but no plan, and the next run binds again, identically.
-        again = coordinator.submit(sql, cf_enabled=False)
+        # shape but no plan, and the next run binds again, identically.
+        again = coordinator.submit(after, cf_enabled=False)
         assert again.error == failed.error
         assert len(coordinator.prepared) == 2  # pre-drop + post-drop entry
-        assert coordinator.prepared.get((sql, catalog.version)).plan is None
+        assert coordinator.prepared.get((after, catalog.version)).plan is None
         with pytest.raises(NoSuchTableError) as first:
-            coordinator._prepare(sql)
+            coordinator._prepare(after)
         with pytest.raises(NoSuchTableError) as second:
-            coordinator._prepare(sql)
+            coordinator._prepare(after)
         assert first.value is not second.value
         assert str(first.value) == str(second.value) == failed.error
 
@@ -282,6 +307,7 @@ class TestInvalidation:
             assert execution.error == uncached.error
         assert len(coordinator.prepared) == 1
         assert (coordinator.prepared.misses, coordinator.prepared.hits) == (1, 1)
+        assert len(coordinator.shapes) == 0  # a failed parse makes no shape
         raised = []
         for target in (coordinator, coordinator, fresh):
             with pytest.raises(ParseError) as info:
@@ -291,6 +317,34 @@ class TestInvalidation:
         assert {type(error) for error in raised} == {ParseError}
         assert len({str(error) for error in raised}) == 1
         assert raised[0].position == raised[2].position
+
+
+class TestShapeInvalidation(TestInvalidation):
+    """Every invalidation case on two texts of one shape, other literals."""
+
+    AGAIN = SQL.replace("LIMIT 3", "LIMIT 7")
+    LITERALS = (0, 2)
+
+    def test_bad_date_fails_at_bind_as_uncached(self):
+        """A bad DATE in a text of a planned shape raises the binder's own
+        error when bound; a shape first seen with a bad DATE is planned
+        from a text of good literals."""
+        sql = "SELECT count(*) FROM orders WHERE o_orderdate < DATE '{}'"
+
+        def outcome(plan):
+            try:
+                return plan().explain()
+            except BindError as error:
+                return type(error), str(error)
+
+        for dates in (("1995-01-01", "1995-13-45"), ("1996-02-30", "1996-03-01")):
+            _, catalog, coordinator = stack()
+            planner = Planner(catalog, "tpch")
+            for text in (sql.format(date) for date in dates):
+                assert outcome(lambda: coordinator._prepare(text).plan) == outcome(
+                    lambda: Optimizer().optimize(planner.plan(parse_sql(text)))
+                ), text
+            assert len(coordinator.shapes) == 1
 
 
 class TestLruCache:
@@ -349,7 +403,9 @@ class TestReplayReuse:
     def test_hybrid_replay_counts(self, counts):
         """A seed-1 ``hybrid_replay`` replay prepares 128 distinct texts
         once each and serves the other 182 submissions from the cache.
-        It is unobserved, so it never fingerprints or hashes a shape."""
+        The texts are 8 shapes: each is parsed and planned once, and the
+        other 120 texts are bound into their shape's plan.  The replay is
+        unobserved, so it never fingerprints or hashes a shape."""
         workloads = replay_workloads()
         from repro.baselines.runner import run_workload
 
@@ -364,17 +420,18 @@ class TestReplayReuse:
             sim.run_until(until)
         while (until := replay.drain_until(sim, server)) is not None:
             sim.run_until(until)
-        cache = result.coordinator.prepared
+        cache, shapes = result.coordinator.prepared, result.coordinator.shapes
         assert len(replay.schedule) == 310
         assert (cache.misses, cache.hits, cache.evictions) == (128, 182, 0)
-        assert counts == {"parse": 128, "fingerprint": 0, "shape": 0}
+        assert (shapes.misses, shapes.hits, len(shapes)) == (8, 120, 8)
+        assert counts == {"parse": 8, "fingerprint": 0, "shape": 0}
 
-    def test_fleet_sched_parses_each_text_once(self, counts):
+    def test_fleet_sched_parses_each_shape_once(self, counts):
         """A seed-1 ``fleet_sched`` replay is observed: the recorder names
         every submission and every execution records its plan shape.  Its
-        768 distinct texts are parsed once each (for naming and planning
-        both) and each of the 768 prepared plans is shape-hashed once,
-        across 2 028 executions."""
+        768 distinct texts are 14 shapes, each parsed, fingerprinted and
+        shape-hashed once (for naming and planning both) across 2 028
+        executions."""
         workloads = replay_workloads()
         replay = workloads.FleetSched(1, {})
         replay.load()
@@ -387,5 +444,5 @@ class TestReplayReuse:
         assert len(executions) == 2028
         assert all(e.plan_shape is not None for e in executions if e.succeeded)
         assert len(server._coordinator.prepared) == 768
-        assert counts["parse"] == 768
-        assert counts["shape"] == 768
+        assert len(server._coordinator.shapes) == 14
+        assert counts == {"parse": 14, "fingerprint": 14, "shape": 14}

@@ -8,6 +8,7 @@ from repro.core.scheduler import AdmissionPolicy
 from repro.errors import (
     InvalidServiceLevelError,
     NoSuchQueryError,
+    ParseError,
     PixelsError,
     QueryRejectedError,
 )
@@ -203,6 +204,18 @@ class TestBillingAndStatus:
         sim.run_until(10)
         assert record.status is QueryStatus.FAILED
         assert "nope" in record.error
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
+    @pytest.mark.parametrize("sql", ["SELECT 1e+ FROM orders", "SELECT \u00b2 FROM orders"])
+    def test_malformed_number_fails_with_the_parse_error(self, sql, observe):
+        db = PixelsDB(seed=2, observe=observe)
+        db.load_tpch("tpch", scale=0.01)
+        record = db.submit("tpch", sql)
+        db.run_to_completion()
+        assert record.status is QueryStatus.FAILED
+        assert record.error.startswith("malformed number near ")
+        with pytest.raises(ParseError):
+            db.coordinator("tpch").statement(sql).raise_parse_error()
 
     def test_status_counts(self, turbo_env):
         sim, _, _, _, _, server = turbo_env
