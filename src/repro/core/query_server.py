@@ -90,6 +90,9 @@ class ServerQuery:
     #: The statement's fingerprint, set by the query recorder at
     #: submission (None when unobserved).
     fingerprint: "Fingerprint | None" = field(default=None, repr=False)
+    #: The id of the query's root span, set by the query recorder at
+    #: submission (None when unobserved).
+    root_span: int | None = field(default=None, repr=False)
 
     @property
     def price(self) -> float:
@@ -460,6 +463,7 @@ class QueryServer:
             sql=record.sql,
             cf_enabled=record.level.cf_enabled,
             query_id=record.query_id,
+            level=record.level,
             on_complete=lambda execution: self._completed(record, execution),
             submit_context=self._pending_context(record),
         )
@@ -603,6 +607,7 @@ class QueryServer:
         executions = self._coordinator.submit_shared_batch(
             [record.sql for record in group],
             [record.query_id for record in group],
+            level=ServiceLevel.BEST_EFFORT,
         )
         now = self._sim.now
         for record, execution in zip(group, executions):
@@ -628,7 +633,7 @@ class QueryServer:
                 ),
             )
         if self._recorder is not None:
-            self._recorder.completed(record, execution, self.query_profile)
+            self._recorder.completed(record, execution)
         if record.on_finish is not None:
             record.on_finish(record)
         # A finished query frees capacity: give held queries a chance now

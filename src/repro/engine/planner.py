@@ -48,6 +48,11 @@ class Planner:
     def plan(self, statement: "ast.SelectStatement | ast.UnionAll") -> PlanNode:
         if isinstance(statement, ast.UnionAll):
             return self._plan_union(statement)
+        if not isinstance(statement, ast.SelectStatement):
+            raise PlanError(
+                f"{type(statement).__name__} is not a query: DDL runs through "
+                "execute_ddl, not as a submitted query"
+            )
         if statement.from_clause is None:
             raise PlanError("queries without a FROM clause are not supported")
         scope = self._binder.build_scope(statement.from_clause)

@@ -5,9 +5,9 @@ Everything here is simulation-clock-aware and deterministic:
 * :mod:`repro.obs.tracer` — per-query span trees
   (``submit → queue → dispatch → plan → scan → merge → bill``) with
   venue/cache/price attributes, exportable as byte-stable JSON timelines.
-* :mod:`repro.obs.lifecycle` — the one append-only log the tracer, the
-  journal and the activity registry write flat entries to and fold
-  their read-side objects from.
+* :mod:`repro.obs.lifecycle` — the one append-only log of query
+  transitions, one entry each, that the tracer, the journal and the
+  activity registry fold their read-side objects from.
 * :mod:`repro.obs.metrics` — a Prometheus-style registry (counters,
   gauges, histograms); the venue, storage and queue-depth series are
   derived from live component state at scrape time.
@@ -130,6 +130,9 @@ class Instrumentation:
     ledger: MeterLedger
     spend: SpendAccountant
     activity: ActivityRegistry
+    #: The lifecycle log the recorders append to and the tracer, the
+    #: journal and the activity registry fold.
+    log: LifecycleLog
     #: The only observability switch.  It is tested once per component,
     #: at construction, to build a recorder or hold ``None``; after that
     #: only readers use it, to tell "nothing happened" from "nothing was
@@ -168,15 +171,17 @@ class Instrumentation:
         but never written (the SLO tracker without objectives, so its
         report has no levels rather than three empty ones)."""
         ledger = MeterLedger()
+        log = LifecycleLog()
         return Instrumentation(
-            Tracer(),
+            Tracer(log),
             MetricsRegistry(),
             SloTracker(objectives=[]),
             StatementStore(),
-            QueryJournal(),
+            QueryJournal(log=log),
             ledger,
             SpendAccountant(ledger),
-            ActivityRegistry(),
+            ActivityRegistry(log=log),
+            log,
             enabled=False,
         )
 
@@ -195,7 +200,7 @@ class Instrumentation:
         ``capture`` overrides the journal's slow-query capture policy;
         ``budgets`` seeds the spend accountant's soft per-tenant budgets
         (tenant → dollars).  The tracer, the journal and the activity
-        registry write one shared lifecycle log; no lifecycle sink is
+        registry fold one shared lifecycle log; no lifecycle sink is
         bound to another.
 
         Given ``sim`` (the clock then defaults to its ``now``), the
@@ -211,16 +216,17 @@ class Instrumentation:
         ledger = MeterLedger(clock)
         metrics = MetricsRegistry()
         slo = SloTracker(objectives)
-        log = LifecycleLog()
+        log = LifecycleLog(clock)
         bundle = Instrumentation(
-            Tracer(clock, log),
+            Tracer(log),
             metrics,
             slo,
             StatementStore(),
-            QueryJournal(clock, capture, log),
+            QueryJournal(capture, log),
             ledger,
             SpendAccountant(ledger, budgets),
             ActivityRegistry(clock, metrics, log),
+            log,
             enabled=True,
         )
         if sim is not None:

@@ -49,17 +49,17 @@ audit-log entry (mirroring the autoscaler's decision log); the optional
 through the server's normal cancel path, so the ledger voids the charges
 and the reconciler still balances.
 
-**Entries are folded when read.**  Each transition is one flat entry of
-the :class:`~repro.obs.lifecycle.LifecycleLog` the registry shares with
-the tracer and the journal; a held or rejected submission is those
-entries and nothing else until something reads the registry.
-:class:`ActivityEntry` objects are built when something reads them:
-:meth:`ActivityRegistry.entry` folds one query's entries, and the
-snapshot, the gauges' collector, the projection report and the guard's
-ticks share one fold that keeps an entry per query and advances over
-new log entries only.  A transition of a query never submitted here
-writes nothing, so :meth:`ActivityRegistry.knows` is the log's id
-index.
+**Entries are folded when read.**  Nothing writes the registry.  Each
+transition the recorders append to the
+:class:`~repro.obs.lifecycle.LifecycleLog` says what it does to the
+query's entry, and :class:`~repro.obs.lifecycle.Replay` applies it:
+:class:`~repro.obs.lifecycle.ActivityEntry` objects are built when
+something reads them.  :meth:`ActivityRegistry.entry` replays one
+query's entries, and the snapshot, the gauges' collector, the
+projection report and the guard's ticks share one replay that keeps an
+entry per query and advances over new log entries only.  A held or
+rejected submission is two entries of the log and nothing else until
+something reads the registry.
 
 Everything here is passive — no simulator events are scheduled — and
 derived from virtual quantities only, so snapshots and exports are
@@ -70,163 +70,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
-from repro.engine.pipeline import BLOCKING_PLAN_NODES
-from repro.obs.lifecycle import LifecycleLog
+from repro.obs.lifecycle import (
+    LIFECYCLE_STATES,
+    ActivityEntry,
+    LifecycleLog,
+    ProjectionRecord,
+    Replay,
+)
 from repro.obs.profiler import AXES, NANOS_PER_DOLLAR, _distribute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.executor import OperatorProfile
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spend import SpendAccountant
-    from repro.turbo.cost import MeterReading
-
-#: Lifecycle states, in rough progression order.  ``merging`` is the CF
-#: tail of ``executing`` (the VM-side merge of function results) and is
-#: derived from the window position rather than stored.
-LIFECYCLE_STATES = (
-    "queued",
-    "admitted",
-    "dispatched",
-    "executing",
-    "merging",
-    "billed",
-    "cancelled",
-    "rejected",
-    "failed",
-)
-
-TERMINAL_STATES = frozenset({"billed", "cancelled", "rejected", "failed"})
-
-#: Entry kinds the registry appends to the lifecycle log, with their
-#: fields.  A prior is ``(nanodollars, time_s, axes)`` or None; axes are
-#: nanodollars in :data:`~repro.obs.profiler.AXES` order; operators are
-#: :attr:`ActivityEntry.operators`.
-BEGIN = "activity.begin"  # at, tenant, level, requested_level, deadline_s, admission, prior
-QUEUED = "activity.queued"
-DISPATCHED = "activity.dispatched"
-DOWNGRADED = "activity.downgraded"  # level, reason, deadline_s, prior
-EXECUTING = "activity.executing"  # at, venue, duration_s, operators, final_nanodollars, final_axes, merge_at
-BILLED = "activity.billed"  # at, nanodollars, axes
-ENDED = "activity.ended"  # at, state, detail
-_KINDS = frozenset(
-    {BEGIN, QUEUED, DISPATCHED, DOWNGRADED, EXECUTING, BILLED, ENDED}
-)
-
-
-class Prior(NamedTuple):
-    """What past calls of one fingerprint × level × tenant say about the
-    next: the mean bill, the mean execution time, and the resource split
-    of their summed bills (the weights a prior-only projection is split
-    by)."""
-
-    nanodollars: int
-    time_s: float
-    axes: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ProjectionRecord:
-    """One billed query's estimated-vs-actual accuracy record."""
-
-    query_id: str
-    tenant: str
-    level: str | None
-    estimated_nanodollars: int
-    actual_nanodollars: int
-    #: Where the estimate came from: ``prior`` (statement history, known
-    #: at submission) or ``execution`` (first-seen statement; the
-    #: exec-start projection from scanned bytes).
-    source: str
-
-    @property
-    def abs_error_nanodollars(self) -> int:
-        return abs(self.estimated_nanodollars - self.actual_nanodollars)
-
-    @property
-    def ape(self) -> float:
-        """Absolute percentage error (0.0 when the bill was $0)."""
-        if self.actual_nanodollars == 0:
-            return 0.0 if self.estimated_nanodollars == 0 else 1.0
-        return self.abs_error_nanodollars / self.actual_nanodollars
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "tenant": self.tenant,
-            "level": self.level,
-            "estimated_nanodollars": self.estimated_nanodollars,
-            "actual_nanodollars": self.actual_nanodollars,
-            "abs_error_nanodollars": self.abs_error_nanodollars,
-            "ape": round(self.ape, 9),
-            "source": self.source,
-        }
-
-
-@dataclass
-class ActivityEntry:
-    """The registry's record of one query's live state."""
-
-    query_id: str
-    tenant: str = "default"
-    level: str | None = None
-    requested_level: str | None = None
-    state: str = "admitted"
-    submitted_at: float = 0.0
-    deadline_s: float | None = None
-    admission: str = "admit"
-    venue: str | None = None
-    exec_started_at: float | None = None
-    exec_duration_s: float | None = None
-    #: Window fraction where the CF merge phase begins (CF venue only).
-    merge_at: float | None = None
-    #: One ``(name, depth, morsels, blocking, emit_at)`` per operator, in
-    #: pre-order: ``morsels`` counts a scan's row groups (0 elsewhere),
-    #: and ``emit_at`` is the window fraction where a blocking sink flips
-    #: from accumulating input to emitting output (its upstream share of
-    #: subtree time).
-    operators: tuple[tuple[str, int, int, bool, float], ...] = ()
-    prior: Prior | None = None
-    #: The exec-start-known final bill (scanned bytes × the level rate)
-    #: and its resource split, as the execution window logged them.
-    final_nanodollars: int | None = None
-    final_axes: dict[str, int] | None = None
-    #: The pre-completion estimate the accuracy record is judged on.
-    estimate_nanodollars: int | None = None
-    estimate_source: str | None = None
-    actual_nanodollars: int | None = None
-    actual_axes: dict[str, int] | None = None
-    terminal_at: float | None = None
-    detail: str | None = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-
-def _flatten_operators(profile: "OperatorProfile") -> tuple[tuple, ...]:
-    """Pre-order walk of the profile tree into
-    :attr:`ActivityEntry.operators`."""
-    work: list[tuple] = []
-    stack = [(profile, 0)]
-    while stack:
-        node, depth = stack.pop()
-        blocking = node.name in BLOCKING_PLAN_NODES
-        morsels = node.morsels if not node.children else 0
-        emit_at = 1.0
-        if blocking and node.time_s > 0:
-            # The sink accumulates while its subtree (children) works and
-            # emits during its own self time — the tail of its window.
-            emit_at = max(0.0, min(1.0, 1.0 - node.self_time_s / node.time_s))
-        work.append((node.name, depth, morsels, blocking, round(emit_at, 9)))
-        stack.extend((child, depth + 1) for child in reversed(node.children))
-    return tuple(work)
-
-
-def _axis_values(axes: dict[str, int]) -> tuple[int, ...]:
-    """``axes`` as the log keeps them: nanodollars in ``AXES`` order."""
-    return tuple(map(axes.__getitem__, AXES))
 
 
 def _split_axes(total: int, weights: dict[str, int] | None) -> dict[str, int]:
@@ -245,106 +102,14 @@ def _split_axes(total: int, weights: dict[str, int] | None) -> dict[str, int]:
     return {axis: (total if axis == "fixed" else 0) for axis in AXES}
 
 
-class _Fold:
-    """Activity entries folded from the log: each transition applies to
-    its query's entry as the registry's methods once applied it eagerly
-    (a transition of an unknown or terminal query changes nothing)."""
-
-    def __init__(self) -> None:
-        self.entries: dict[str, ActivityEntry] = {}
-        self.records: list[ProjectionRecord] = []
-
-    def apply(self, log_entry: tuple) -> ProjectionRecord | None:
-        """Apply one log entry; returns the accuracy record a billing
-        appended, if it did."""
-        kind = log_entry[2]
-        if kind not in _KINDS:
-            return None
-        query_id = log_entry[0]
-        if kind == BEGIN:
-            _, _, _, at, tenant, level, requested, deadline_s, admission, prior = log_entry
-            entry = ActivityEntry(
-                query_id=query_id,
-                tenant=tenant,
-                level=level,
-                requested_level=requested,
-                submitted_at=at,
-                deadline_s=deadline_s,
-                admission=admission,
-            )
-            self.entries[query_id] = entry
-            _set_prior(entry, prior)
-            return None
-        entry = self.entries.get(query_id)
-        if entry is None or entry.terminal:
-            return None
-        if kind == QUEUED:
-            entry.state = "queued"
-        elif kind == DISPATCHED:
-            entry.state = "dispatched"
-        elif kind == DOWNGRADED:
-            _, _, _, entry.level, entry.detail, entry.deadline_s, prior = log_entry
-            _set_prior(entry, prior)
-        elif kind == EXECUTING:
-            _, _, _, at, venue, duration_s, operators, nanodollars, axes, merge_at = log_entry
-            entry.venue = venue
-            entry.exec_started_at = at
-            entry.exec_duration_s = duration_s
-            entry.merge_at = merge_at
-            entry.operators = operators
-            entry.final_nanodollars = nanodollars
-            entry.final_axes = dict(zip(AXES, axes)) if axes is not None else None
-            if nanodollars is not None and entry.estimate_nanodollars is None:
-                # First-seen statement: the exec-start projection is the
-                # best pre-completion estimate the system ever had.
-                entry.estimate_nanodollars = nanodollars
-                entry.estimate_source = "execution"
-            entry.state = "executing"
-        elif kind == BILLED:
-            _, _, _, entry.terminal_at, nanodollars, axes = log_entry
-            entry.actual_nanodollars = nanodollars
-            entry.actual_axes = dict(zip(AXES, axes)) if axes is not None else None
-            entry.state = "billed"
-            if entry.estimate_nanodollars is None:
-                return None
-            record = ProjectionRecord(
-                query_id=query_id,
-                tenant=entry.tenant,
-                level=entry.level,
-                estimated_nanodollars=entry.estimate_nanodollars,
-                actual_nanodollars=nanodollars,
-                source=entry.estimate_source or "execution",
-            )
-            self.records.append(record)
-            return record
-        else:  # ENDED
-            _, _, _, entry.terminal_at, entry.state, entry.detail = log_entry
-        return None
-
-
-def _set_prior(entry: ActivityEntry, prior: tuple | None) -> None:
-    """Install the prior for the entry's fingerprint × level × tenant
-    (the queued-state projection and the blend's anchor)."""
-    entry.prior = (
-        Prior(prior[0], prior[1], dict(zip(AXES, prior[2])))
-        if prior is not None
-        else None
-    )
-    if prior is not None and (
-        entry.estimate_nanodollars is None or entry.estimate_source == "prior"
-    ):
-        entry.estimate_nanodollars = entry.prior.nanodollars
-        entry.estimate_source = "prior"
-
-
 class ActivityRegistry:
     """Live registry of every submitted query's lifecycle + projection.
 
-    The query server drives the state machine (submission, queueing,
-    dispatch, billing, cancellation); the coordinator registers the
-    execution window the moment a venue starts running the plan.  All
-    methods are passive bookkeeping — nothing here schedules simulator
-    events or perturbs execution.
+    The query server's transitions drive the state machine (submission,
+    queueing, dispatch, billing, cancellation) and the coordinator's
+    open the execution window the moment a venue starts running the
+    plan; the registry replays them from the log.  Nothing here
+    schedules simulator events or perturbs execution.
     """
 
     def __init__(
@@ -354,13 +119,12 @@ class ActivityRegistry:
         log: LifecycleLog | None = None,
     ) -> None:
         """``metrics``, when given, gets the live-activity gauges; ``log``
-        is the lifecycle log to write (an observed bundle shares one with
+        is the lifecycle log to read (an observed bundle shares one with
         its tracer and journal), a private one by default."""
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._log = log if log is not None else LifecycleLog()
-        self._chain = self._log.chain()
-        #: The readers' shared fold and how far into the log it has got.
-        self._fold = _Fold()
+        #: The readers' shared replay and how far into the log it has got.
+        self._replay = Replay()
         self._folded = 0
         self._projected_series: set[str] = set()
         if metrics is not None:
@@ -409,133 +173,24 @@ class ActivityRegistry:
 
         registry.add_collector(collect)
 
-    # -- state machine --------------------------------------------------------
-
-    def begin(
-        self,
-        query_id: str,
-        *,
-        tenant: str = "default",
-        level: str | None = None,
-        requested_level: str | None = None,
-        deadline_s: float | None = None,
-        admission: str = "admit",
-        prior: tuple[int, float, tuple] | None = None,
-    ) -> None:
-        """Admit a submission into the registry (state ``admitted``);
-        ``prior`` — mean bill, mean time and resource split (in
-        :data:`~repro.obs.profiler.AXES` order) of the statement's past
-        calls — anchors its projection until execution starts."""
-        self._chain.append(
-            query_id, BEGIN, self._clock(), tenant, level, requested_level,
-            deadline_s, admission, prior,
-        )
-
-    def _transition(self, query_id: str, *fields: object) -> None:
-        """Append a transition of a submitted query; one of a query never
-        submitted here would change nothing, so it writes nothing."""
-        if query_id in self._chain.heads:
-            self._chain.append(query_id, *fields)
-
-    def mark_queued(self, query_id: str) -> None:
-        self._transition(query_id, QUEUED)
-
-    def mark_dispatched(self, query_id: str) -> None:
-        self._transition(query_id, DISPATCHED)
-
-    def downgrade(
-        self,
-        query_id: str,
-        level: str,
-        reason: str,
-        *,
-        deadline_s: float | None,
-        prior: tuple[int, float, tuple] | None,
-    ) -> None:
-        """Record a held query's level change: the new level's deadline
-        and prior replace the old ones, because the query now waits and
-        bills as the new level does."""
-        self._transition(query_id, DOWNGRADED, level, reason, deadline_s, prior)
-
-    def begin_execution(
-        self,
-        query_id: str,
-        *,
-        venue: str,
-        duration_s: float,
-        profile: "OperatorProfile | None" = None,
-        final: "MeterReading | None" = None,
-        merge_at: float | None = None,
-    ) -> None:
-        """The coordinator's hook: a venue started running the plan over
-        the virtual window ``[now, now + duration_s]`` and will bill
-        ``final``.  Unknown query ids (coordinator-only executions never
-        submitted through the server) are ignored — the registry tracks
-        billed work."""
-        self._transition(
-            query_id,
-            EXECUTING,
-            self._clock(),
-            venue,
-            max(0.0, duration_s),
-            _flatten_operators(profile) if profile is not None else (),
-            final.billed_nanodollars if final is not None else None,
-            _axis_values(final.axes) if final is not None else None,
-            merge_at,
-        )
-
-    def finish_billed(
-        self,
-        query_id: str,
-        billed_nanodollars: int,
-        axes: dict[str, int] | None = None,
-    ) -> ProjectionRecord | None:
-        """Terminal ``billed``: record the actual bill; returns the
-        estimated-vs-actual accuracy record it appends (for journalling)."""
-        self._transition(
-            query_id,
-            BILLED,
-            self._clock(),
-            billed_nanodollars,
-            _axis_values(axes) if axes is not None else None,
-        )
-        fold = _Fold()
-        record = None
-        for entry in self._chain.of(query_id):
-            record = fold.apply(entry)
-        return record
-
-    def finish_cancelled(self, query_id: str, reason: str = "cancelled") -> None:
-        self._transition(query_id, ENDED, self._clock(), "cancelled", reason)
-
-    def finish_failed(self, query_id: str, error: str | None = None) -> None:
-        self._transition(query_id, ENDED, self._clock(), "failed", error)
-
-    def finish_rejected(self, query_id: str, reason: str | None = None) -> None:
-        self._transition(query_id, ENDED, self._clock(), "rejected", reason)
-
     # -- reads ------------------------------------------------------------------
 
-    def knows(self, query_id: str) -> bool:
-        """Whether a query ``query_id`` was ever submitted here."""
-        return query_id in self._chain.heads
-
     def _advance(self) -> dict[str, ActivityEntry]:
-        """Fold the entries appended since the last read into the shared
+        """Replay the entries appended since the last read into the shared
         entries, and return them."""
         end = self._log.end
         for entry in self._log.since(self._folded):
-            self._fold.apply(entry)
+            self._replay.apply(entry)
         self._folded = end
-        return self._fold.entries
+        return self._replay.entries
 
     def entry(self, query_id: str) -> ActivityEntry | None:
-        """The query's entry as it stands now, folded from its own log
+        """The query's entry as it stands now, replayed from its own log
         entries alone (a fresh object on every call)."""
-        fold = _Fold()
-        for entry in self._chain.of(query_id):
-            fold.apply(entry)
-        return fold.entries.get(query_id)
+        replay = Replay()
+        for entry in self._log.of(query_id):
+            replay.apply(entry)
+        return replay.entries.get(query_id)
 
     def entries(self) -> list[ActivityEntry]:
         """All entries in submission order (deterministic)."""
@@ -705,7 +360,7 @@ class ActivityRegistry:
 
     def projection_records(self) -> list[ProjectionRecord]:
         self._advance()
-        return list(self._fold.records)
+        return list(self._replay.records)
 
     def projection_report(self) -> dict:
         """Estimator quality over every billed query: mean/max absolute

@@ -2,51 +2,46 @@
 
 A :class:`Tracer` records one span tree per query (``trace_id`` is the
 query id).  Spans are stamped with the *simulated* clock, and span ids
-come from a per-tracer counter — so two runs with the same seed produce
+come from the lifecycle log's counter — so two runs with the same seed produce
 byte-identical exported timelines, which is what makes traces usable as
 regression artifacts (CI diffs them across PRs).
 
-Parenting is implicit, OpenTelemetry-style: starting a span makes it the
-innermost open span of its trace, and subsequent spans of the same trace
-become its children until it finishes.  An explicit ``parent`` — a span
-id, or a name for the trace's newest span so called — or ``parent=ROOT``
-for a forced root overrides this.
+Parenting is implicit, OpenTelemetry-style: a started span is the
+innermost open span of its trace, and later spans of the same trace
+become its children until it finishes.  A span may also name its
+parent — a span id, the trace's newest span of a name, or
+:data:`~repro.obs.lifecycle.ROOT` for a forced root.
 
-Writing a span builds nothing: :meth:`Tracer.start`, :meth:`~Tracer.finish`,
-:meth:`~Tracer.instant`, :meth:`~Tracer.set` and :meth:`~Tracer.end_open`
-each append one entry to the :class:`~repro.obs.lifecycle.LifecycleLog`,
-and only a started span's id is handed back.  :class:`Span` objects, timelines and exports are folded
-from the log when read (:class:`SpanFold`), a one-query read from that
-query's entries alone.  A span's ``end`` is the only record of whether
-it is open, so the implicit parent is the newest span of the trace that
-has not ended at the moment the child starts.
+Nothing writes a span.  Each transition the recorders in
+:mod:`repro.obs.recorder` append to the
+:class:`~repro.obs.lifecycle.LifecycleLog` names the spans it opens and
+closes; :class:`~repro.obs.lifecycle.Replay` renders them as span facts
+and :class:`SpanFold` folds those into :class:`Span` objects when
+something reads the tracer — a one-query read from that query's entries
+alone.  A span's ``end`` is the only record of whether it is open, so
+the implicit parent is the newest span of the trace that has not ended
+when the child starts.
 
-There is no inert twin.  The two recorders in :mod:`repro.obs.recorder`
-are the only writers, and an unobserved stack builds neither of them, so
-the tracer in :meth:`Instrumentation.disabled()
-<repro.obs.Instrumentation.disabled>` is a real one that simply stays
-empty.
+There is no inert twin: the tracer of :meth:`Instrumentation.disabled()
+<repro.obs.Instrumentation.disabled>` is a real one over a log nothing
+writes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.obs.lifecycle import LifecycleLog, mapping_at
-
-#: Sentinel for ``Tracer.start(parent=ROOT)``: force a root span even when
-#: other spans of the trace are open.
-ROOT = object()
-
-#: Entry kinds the tracer appends to the lifecycle log, with their
-#: fields; each ends with the attributes, flat.
-START = "span.start"  # span_id, name, start, parent, attributes
-INSTANT = "span.instant"  # span_id, name, at, parent, status, attributes
-FINISH = "span.finish"  # span, end, status, attributes
-SET = "span.set"  # span, attributes
-END_OPEN = "span.end_open"  # end, status, attributes
+from repro.obs.lifecycle import (
+    END_OPEN,
+    FINISH,
+    INSTANT,
+    ROOT,
+    SET,
+    START,
+    LifecycleLog,
+    Replay,
+)
 
 
 @dataclass
@@ -76,9 +71,10 @@ class Span:
 class SpanFold:
     """The spans of every trace a forward pass over the log has seen.
 
-    Feed it entries in log order with :meth:`apply`; entries of other
-    kinds are ignored.  ``spans`` holds each trace's spans in creation
-    order, as they stand after the last entry applied.
+    Feed it a :class:`~repro.obs.lifecycle.Replay`'s facts in log order
+    with :meth:`apply`; facts of other kinds are ignored.  ``spans``
+    holds each trace's spans in creation order, as they stand after the
+    last fact applied.
     """
 
     def __init__(self) -> None:
@@ -87,42 +83,33 @@ class SpanFold:
         #: Trace id -> its newest span started with ``parent=ROOT``.
         self.roots: dict[str, int] = {}
 
-    @staticmethod
-    def opened_root(entry: tuple) -> int | None:
-        """The id of the span ``entry`` starts with ``parent=ROOT``, or
-        None if it starts no such span."""
-        if (entry[2] == START or entry[2] == INSTANT) and entry[6] is ROOT:
-            return entry[3]
-        return None
-
-    def apply(self, entry: tuple) -> None:
-        kind = entry[2]
+    def apply(self, fact: tuple) -> None:
+        kind = fact[0]
         if kind == START:
-            self._open(entry, mapping_at(entry, 7))
+            self._open(fact)
         elif kind == INSTANT:
-            span = self._open(entry, mapping_at(entry, 8))
-            span.status = entry[7]
+            span = self._open(fact)
+            span.status = fact[7]
             span.end = span.start
         elif kind == FINISH:
-            trace_id, _, _, ref, end, status = entry[:6]
+            _, trace_id, ref, end, status, attributes = fact
             span = self._resolve(trace_id, ref)
             if span is not None:
-                self._close(span, end, status, mapping_at(entry, 6))
+                self._close(span, end, status, attributes)
         elif kind == SET:
-            trace_id, _, _, ref = entry[:4]
+            _, trace_id, ref, attributes = fact
             span = self._resolve(trace_id, ref)
             if span is not None:
-                span.attributes.update(mapping_at(entry, 4))
+                span.attributes.update(attributes)
         elif kind == END_OPEN:
-            trace_id, _, _, end, status = entry[:5]
-            attributes = mapping_at(entry, 5)
+            _, trace_id, end, status, attributes = fact
             for span in reversed(self.spans.get(trace_id, ())):
                 self._close(span, end, status, attributes)
 
-    def _open(self, entry: tuple, attributes: dict) -> Span:
-        trace_id, _, _, span_id, name, start, parent = entry[:7]
+    def _open(self, fact: tuple) -> Span:
+        trace_id, span_id, name, start, parent, attributes = fact[1:7]
         spans = self.spans.setdefault(trace_id, [])
-        if self.opened_root(entry) is not None:
+        if parent is ROOT:
             parent_id = None
             self.roots[trace_id] = span_id
         elif type(parent) is int:
@@ -162,124 +149,34 @@ class SpanFold:
 
 
 class Tracer:
-    """Records span trees keyed by trace id, on a caller-supplied clock.
+    """Span trees keyed by trace id, folded from a lifecycle log.
 
     Args:
-        clock: Zero-argument callable returning the current time — pass
-            the simulator's (``lambda: sim.now``) so span timestamps are
-            virtual and reproducible.  Defaults to a frozen clock at 0.
-        log: The lifecycle log to write; an observed bundle shares one
+        log: The lifecycle log to read; an observed bundle shares one
             with its journal and activity registry.  Defaults to a
-            private one.
+            private (and so empty) one.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        log: LifecycleLog | None = None,
-    ) -> None:
-        self._clock = clock if clock is not None else (lambda: 0.0)
+    def __init__(self, log: LifecycleLog | None = None) -> None:
         self._log = log if log is not None else LifecycleLog()
-        self._chain = self._log.chain()
-        self._next_id = 0
 
-    # -- recording -----------------------------------------------------------
+    @staticmethod
+    def _replay(entries) -> SpanFold:
+        """The spans ``entries`` (in log order) leave."""
+        fold, replay = SpanFold(), Replay()
+        for entry in entries:
+            for fact in replay.apply(entry):
+                fold.apply(fact)
+        return fold
 
-    def start(
-        self,
-        trace_id: str,
-        name: str,
-        parent: int | str | object | None = None,
-        **attributes: object,
-    ) -> int:
-        """Open a span and return its id; it becomes the innermost open
-        span of its trace.  ``parent`` is a span id, the name of the
-        trace's newest span so called (the implicit parent if there is
-        none), or :data:`ROOT`."""
-        span_id = self._next_id
-        self._next_id = span_id + 1
-        self._chain.append(
-            trace_id, START, span_id, name, self._clock(), parent,
-            *attributes, *attributes.values(),
-        )
-        return span_id
-
-    def instant(
-        self,
-        trace_id: str,
-        name: str,
-        parent: int | str | object | None = None,
-        status: str = "ok",
-        **attributes: object,
-    ) -> None:
-        """A span that starts and finishes now, with ``status``: what
-        :meth:`finish` of a just-started span records, in one entry."""
-        span_id = self._next_id
-        self._next_id = span_id + 1
-        self._chain.append(
-            trace_id, INSTANT, span_id, name, self._clock(), parent, status,
-            *attributes, *attributes.values(),
-        )
-
-    def finish(
-        self, trace_id: str, span: int | str, status: str = "ok", **attributes: object
-    ) -> None:
-        """Close ``span`` — one of the trace's span ids, or the name of its
-        newest span so called — at the current clock time.  A no-op for
-        a span already closed, or for a name the trace has no span of."""
-        if trace_id in self._chain.heads:
-            self._chain.append(
-                trace_id, FINISH, span, self._clock(), status,
-                *attributes, *attributes.values(),
-            )
-
-    def set(self, trace_id: str, span: int | str, **attributes: object) -> None:
-        """Attach attributes to ``span`` (as in :meth:`finish`), open or not."""
-        if trace_id in self._chain.heads:
-            self._chain.append(
-                trace_id, SET, span, *attributes, *attributes.values()
-            )
-
-    def end_open(self, trace_id: str, status: str = "ok", **attributes: object) -> None:
-        """Close every still-open span of ``trace_id``, newest first.
-
-        The safety net for error, retry-exhaustion, and cancellation
-        paths: no code path may leak an open span past query completion.
-        """
-        if trace_id in self._chain.heads:
-            self._chain.append(
-                trace_id, END_OPEN, self._clock(), status,
-                *attributes, *attributes.values(),
-            )
-
-    def root(self, trace_id: str) -> int | None:
-        """The id of the trace's newest span started with ``parent=ROOT``
-        (:attr:`SpanFold.roots`, read off the trace's entries without
-        building its spans)."""
-        for entry in reversed(self._chain.of(trace_id)):
-            root = SpanFold.opened_root(entry)
-            if root is not None:
-                return root
-        return None
+    def _fold(self, trace_id: str) -> list[Span]:
+        return self._replay(self._log.of(trace_id)).spans.get(trace_id, [])
 
     # -- inspection ----------------------------------------------------------
 
-    def _fold(self, trace_id: str) -> list[Span]:
-        fold = SpanFold()
-        for entry in self._chain.of(trace_id):
-            fold.apply(entry)
-        return fold.spans.get(trace_id, [])
-
-    def _fold_all(self) -> dict[str, list[Span]]:
-        fold = SpanFold()
-        for entry in self._log:
-            fold.apply(entry)
-        return fold.spans
-
     def trace_ids(self) -> list[str]:
-        """Every trace with a span, sorted (closing a span of a trace
-        that has none writes nothing)."""
-        return sorted(self._chain.heads)
+        """Every trace with a span, sorted."""
+        return sorted(self._replay(self._log).spans)
 
     def spans(self, trace_id: str) -> list[Span]:
         """All spans of the trace, in creation order."""
@@ -297,7 +194,8 @@ class Tracer:
     # -- export --------------------------------------------------------------
 
     @staticmethod
-    def _timeline(trace_id: str, spans: list[Span]) -> dict:
+    def render(trace_id: str, spans: list[Span]) -> dict:
+        """The span forest ``spans`` of ``trace_id`` as nested plain dicts."""
         nodes: dict[int, dict] = {}
         roots: list[dict] = []
         for span in spans:
@@ -318,7 +216,7 @@ class Tracer:
 
     def timeline(self, trace_id: str) -> dict:
         """The span forest of ``trace_id`` as nested plain dicts."""
-        return self._timeline(trace_id, self._fold(trace_id))
+        return self.render(trace_id, self._fold(trace_id))
 
     def export_json(self, trace_id: str) -> str:
         """Deterministic JSON timeline — byte-identical across same-seed
@@ -327,9 +225,9 @@ class Tracer:
 
     def export_all_json(self) -> str:
         """Every trace, sorted by trace id, as one JSON document."""
-        traces = self._fold_all()
+        traces = self._replay(self._log).spans
         return json.dumps(
-            [self._timeline(trace_id, traces[trace_id]) for trace_id in sorted(traces)],
+            [self.render(trace_id, traces[trace_id]) for trace_id in sorted(traces)],
             sort_keys=True,
             indent=2,
         ) + "\n"

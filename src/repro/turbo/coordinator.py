@@ -23,7 +23,7 @@ import copy
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import NoSuchQueryError, PixelsError
 from repro.engine.executor import (
@@ -61,6 +61,9 @@ from repro.turbo.faults import FaultConfig, FaultInjector
 from repro.turbo.plan_split import split_plan
 from repro.turbo.vm_cluster import VmCluster, VmTask, VmWorker
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.service_levels import ServiceLevel
+
 
 class ExecutionVenue(enum.Enum):
     """Where a query's heavy work ran."""
@@ -96,6 +99,10 @@ class QueryExecution:
     #: queue wait + admission verdict; EXPLAIN ANALYZE's ``pending:``
     #: header renders it next to the execution header.
     submit_context: dict | None = field(default=None, repr=False)
+    #: The service level the submitter bills the query at (None for a
+    #: query no query server submitted); an observed coordinator prices
+    #: the query's execution window at it.
+    level: "ServiceLevel | None" = field(default=None, repr=False)
     #: One-shot completion continuation: cleared just before it fires.
     on_complete: Callable[["QueryExecution"], None] | None = field(
         default=None, repr=False
@@ -366,6 +373,7 @@ class Coordinator:
         query_id: str | None = None,
         on_complete: Callable[[QueryExecution], None] | None = None,
         submit_context: dict | None = None,
+        level: "ServiceLevel | None" = None,
     ) -> QueryExecution:
         """Accept a query for execution at the current simulated time.
 
@@ -374,10 +382,11 @@ class Coordinator:
         CFs when the VM cluster is overloaded (immediate execution);
         disabled → the query waits for VM capacity.  ``submit_context``
         carries the submitter's scheduling story (queue wait, admission
-        verdict) into EXPLAIN ANALYZE's ``pending:`` header.
+        verdict) into EXPLAIN ANALYZE's ``pending:`` header, and
+        ``level`` the service level it bills the query at.
         """
         execution = self._register(
-            sql, query_id, cf_enabled, on_complete, submit_context
+            sql, query_id, cf_enabled, on_complete, submit_context, level
         )
         prepared = self._plan(execution)
         if prepared is None:
@@ -409,6 +418,7 @@ class Coordinator:
         cf_enabled: bool,
         on_complete: Callable[[QueryExecution], None] | None,
         submit_context: dict | None = None,
+        level: "ServiceLevel | None" = None,
     ) -> QueryExecution:
         """Open the record of a query arriving now, under ``query_id`` or
         the next ``q-N``."""
@@ -423,6 +433,7 @@ class Coordinator:
             submitted_at=self._sim.now,
             cf_enabled=cf_enabled,
             submit_context=submit_context,
+            level=level,
             on_complete=on_complete,
         )
         self._executions[query_id] = execution
@@ -932,6 +943,7 @@ class Coordinator:
         sqls: list[str],
         query_ids: list[str] | None = None,
         on_complete: Callable[[QueryExecution], None] | None = None,
+        level: "ServiceLevel | None" = None,
     ) -> list[QueryExecution]:
         """Execute several non-urgent queries as one shared-scan batch.
 
@@ -940,6 +952,7 @@ class Coordinator:
         :mod:`repro.turbo.batching`).  Every member gets its own
         QueryExecution with its own result and bill; the shared fetch
         shows up as a lower combined provider cost, split evenly.
+        ``level`` is the service level every member bills at.
         """
         from repro.turbo.batching import execute_shared_batch
 
@@ -948,7 +961,9 @@ class Coordinator:
         plans = []
         members: list[QueryExecution] = []
         for sql, query_id in zip(sqls, query_ids or [None] * len(sqls)):
-            execution = self._register(sql, query_id, False, on_complete)
+            execution = self._register(
+                sql, query_id, False, on_complete, level=level
+            )
             executions.append(execution)
             prepared = self._plan(execution, batch=True)
             if prepared is not None:

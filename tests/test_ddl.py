@@ -98,3 +98,27 @@ class TestDdlExecution:
         )
         assert "avg(temperature)" in translation.sql
         assert "FROM sensors" in translation.sql
+
+
+class TestDdlSubmittedAsAQuery:
+    """A DDL text parses, so it reaches the planner when submitted as a
+    query: it fails that query with a named error, observed or not, and
+    changes no table."""
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize(
+        "sql", ["CREATE TABLE x (a INT)", "DROP TABLE nation"]
+    )
+    def test_submitted_ddl_fails_the_query(self, observe, sql):
+        from repro import PixelsDB
+
+        db = PixelsDB(observe=observe, seed=5)
+        db.load_tpch("tpch", scale=0.01)
+        record = db.submit("tpch", sql, ServiceLevel.IMMEDIATE)
+        db.run_to_completion()
+        assert record.status is QueryStatus.FAILED
+        assert "is not a query" in record.error
+        assert db.query_server("tpch").total_billed_nanodollars() == 0
+        ok = db.submit("tpch", "SELECT count(*) FROM nation")
+        db.run_to_completion()
+        assert ok.status is QueryStatus.FINISHED

@@ -10,6 +10,7 @@ profile evidence attached.
 import json
 
 from repro.obs.journal import CapturePolicy, QueryJournal
+from repro.obs.lifecycle import COMPLETE, GUARD, REJECT, SUBMIT, LifecycleLog
 
 
 class FakeClock:
@@ -20,55 +21,80 @@ class FakeClock:
         return self.now
 
 
+def submit(log, query_id, fingerprint="abc", level="relaxed", deadline_s=300.0):
+    """A submission's transition, as the query recorder appends it."""
+    return log.append(
+        query_id, SUBMIT, 2, level, level, "default", deadline_s, 5.0, 1.0,
+        fingerprint, "SELECT 1", "admit", None,
+    )
+
+
+def guard(log, query_id, fingerprint="abc", level="relaxed"):
+    log.append(query_id, GUARD, 0, level, fingerprint, "deadline", "alert", True, "late")
+
+
+def complete(log, query_id, reasons=None, evidence=None, fingerprint="abc"):
+    """A failed completion, with the capture policy's ``reasons``."""
+    log.append(
+        query_id, COMPLETE, 0, "immediate", fingerprint, 0, "boom", False,
+        "vm", 1.0, 0.5, None, None, 0.0, 5.0, 1.0, 0, 0, None, None, None,
+        reasons, evidence,
+    )
+
+
 class TestEvents:
     def test_record_carries_correlation_ids(self):
         clock = FakeClock()
-        journal = QueryJournal(clock)
+        log = LifecycleLog(clock)
+        journal = QueryJournal(log=log)
         clock.now = 12.5
-        journal.event(
-            "submit", "q-1", span_id=7, fingerprint="abc", level="relaxed",
-            deadline_s=300.0,
-        )
+        root = submit(log, "q-1")
         assert journal.records() == [{
             "ts": 12.5,
             "event": "submit",
             "query_id": "q-1",
             "trace_id": "q-1",
-            "span_id": 7,
+            "span_id": root,
             "fingerprint": "abc",
             "level": "relaxed",
             "deadline_s": 300.0,
+            "price_per_tb": 5.0,
+            "tenant": "default",
         }]
 
     def test_trace_id_defaults_to_query_id(self):
-        journal = QueryJournal()
-        journal.event("submit", "q-9")
-        assert journal.records()[0]["trace_id"] == "q-9"
+        log = LifecycleLog()
+        submit(log, "q-9")
+        assert QueryJournal(log=log).records()[0]["trace_id"] == "q-9"
 
     def test_while_open_labels_only_rows_written_under_an_open_span(self):
-        from repro.obs import ROOT, Tracer
-        from repro.obs.lifecycle import LifecycleLog
-
         log = LifecycleLog()
-        tracer, journal = Tracer(log=log), QueryJournal(log=log)
-        root = tracer.start("q-1", "query", parent=ROOT)
-        for event in ("open", "closed"):
-            journal.event(
-                event, "q-1", span_id=ROOT, fingerprint="abc", while_open=True
-            )
-            tracer.end_open("q-1")
-        journal.event("finish", "q-1", span_id=ROOT, fingerprint="abc")
-        labels = [(r["span_id"], r["fingerprint"]) for r in journal.records()]
-        assert labels == [(root, "abc"), (None, None), (root, "abc")]
+        journal = QueryJournal(log=log)
+        root = submit(log, "q-1")
+        guard(log, "q-1")
+        log.append("q-1", REJECT, 0, "relaxed", "abc", "full", "queue_full")
+        guard(log, "q-1")
+        complete(log, "q-1")
+        labels = [
+            (r["event"], r["span_id"], r["fingerprint"]) for r in journal.records()
+        ]
+        assert labels == [
+            ("submit", root, "abc"),
+            ("guard", root, "abc"),  # while the root is open
+            ("reject", None, "abc"),  # the trace is closed by now
+            ("guard", None, None),  # "while open", after the close
+            ("error", root, "abc"),  # labelled with the root regardless
+        ]
 
     def test_export_jsonl_round_trips(self):
-        journal = QueryJournal()
-        journal.event("submit", "q-1")
-        journal.event("finish", "q-1", billed_dollars=0.001)
+        log = LifecycleLog()
+        journal = QueryJournal(log=log)
+        submit(log, "q-1")
+        complete(log, "q-1")
         lines = journal.export_jsonl().splitlines()
         assert len(lines) == 2
         assert [json.loads(line)["event"] for line in lines] == [
-            "submit", "finish",
+            "submit", "error",
         ]
 
     def test_empty_export_is_empty_string(self):
@@ -133,8 +159,9 @@ class TestCapturePolicy:
 
 class TestCapture:
     def test_capture_without_profile(self):
-        journal = QueryJournal()
-        assert journal.capture("q-1", ["error"], None, level="immediate")
+        log = LifecycleLog()
+        journal = QueryJournal(log=log)
+        complete(log, "q-1", reasons=("error",))
         record = journal.records()[-1]
         assert record["event"] == "capture"
         assert record["reasons"] == ["error"]
@@ -142,12 +169,14 @@ class TestCapture:
         assert journal.captures() == [record]
 
     def test_max_captures_drops_with_breadcrumb(self):
-        journal = QueryJournal(policy=CapturePolicy(max_captures=1))
-        assert journal.capture("q-1", ["error"], None) is True
-        assert journal.capture("q-2", ["error"], None) is False
+        log = LifecycleLog()
+        journal = QueryJournal(policy=CapturePolicy(max_captures=1), log=log)
+        complete(log, "q-1", reasons=("error",))
+        complete(log, "q-2", reasons=("error",))
         assert journal.dropped_captures == 1
         events = [r["event"] for r in journal.records()]
-        assert events == ["capture", "capture_dropped"]
+        assert events == ["error", "capture", "error", "capture_dropped"]
+        assert journal.records()[-1]["reasons"] == ["error"]
 
     def test_capture_attaches_profile_evidence(self, turbo_env):
         from repro.core import QueryServer, ServiceLevel
@@ -161,12 +190,11 @@ class TestCapture:
         record = server.submit("SELECT count(*) FROM orders",
                                ServiceLevel.IMMEDIATE)
         sim.run_until(120)
+        # The first completion lands in the slowest-N ring: captured.
         profile = server.query_profile(record.query_id)
         journal = obs.journal
-        journal.capture(
-            record.query_id, ["slowest_8"], profile, level="immediate"
-        )
         capture = journal.captures()[-1]
+        assert capture["reasons"] == ["slowest_8"]
         assert capture["profile"]["name"] == "query"
         assert capture["profile"]["children"]
         assert capture["flamegraph_svg"].startswith("<svg")

@@ -5,7 +5,8 @@ when a per-sink switch, a null-object twin of any sink, a sink reached
 from ``repro.core`` or ``repro.turbo`` other than through a recorder, an
 instrument registered outside ``repro.obs``, a lifecycle sink that
 reads, binds to or listens to another, or a bill priced anywhere but
-the cost model's meter comes back.  A
+the cost model's meter comes back, or anything but the two recorders
+appends to the lifecycle log.  A
 behavioural one runs a whole unobserved session — and an unobserved
 coordinator on its own, through every execution path — and checks the
 bundle: no sink recorded anything, and every read-side accessor of
@@ -50,7 +51,7 @@ SINKS = (
 #: spend accountant is also the admission layer's budget input).
 FENCED = (
     "tracer", "metrics", "slo", "statements", "journal", "ledger", "activity",
-    "enabled",
+    "log", "enabled",
 )
 #: The reads that are the boundary itself, as (file, function, attribute):
 #: the server tests the flag once to build its recorder and arm the guard,
@@ -256,6 +257,30 @@ class TestStaticFence:
             if method == "meter"
         )
         assert meters == METER_SITES
+
+    def test_only_the_recorders_append_to_the_lifecycle_log(self):
+        """One entry per transition: an append to the lifecycle log
+        anywhere but in the two recorders would be a second writer."""
+
+        def appends(node: ast.AST):
+            return any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "append"
+                and terminal_name(call.func.value) == "log"
+                for call in ast.walk(node)
+            )
+
+        writers = sorted(
+            (name, top.name if isinstance(top, ast.ClassDef) else "<module>")
+            for name, tree in parsed_sources()
+            for top in tree.body
+            if appends(top)
+        )
+        assert writers == [
+            ("obs/recorder.py", "ExecutionRecorder"),
+            ("obs/recorder.py", "QueryRecorder"),
+        ]
 
     def test_no_lifecycle_sink_binds_or_listens(self):
         offenders = [

@@ -1,7 +1,12 @@
 """Unit tests for the span tracer (repro.obs.tracer).
 
-Writes hand back span ids; every read folds the log, so each check
-reads the span afresh with :func:`span`.
+Nothing writes a span: the recorders append transitions to the
+lifecycle log, :class:`~repro.obs.lifecycle.Replay` renders them as span
+facts and :class:`~repro.obs.tracer.SpanFold` folds those into spans.
+Most tests here feed the fold facts directly, through :class:`Spans` —
+start, instant, finish, set and end-of-trace facts as a replay renders
+them — and read the spans as the tracer does; the rest read a
+:class:`~repro.obs.Tracer` over a log of real transitions.
 """
 
 import gc
@@ -9,6 +14,18 @@ import itertools
 import json
 
 from repro.obs import ROOT, Tracer
+from repro.obs.lifecycle import (
+    END_OPEN,
+    EXECUTE,
+    FAIL,
+    FINISH,
+    INSTANT,
+    SET,
+    START,
+    VM_QUEUE,
+    LifecycleLog,
+)
+from repro.obs.tracer import SpanFold
 
 
 class FakeClock:
@@ -19,15 +36,69 @@ class FakeClock:
         return self.now
 
 
-def span(tracer: Tracer, trace_id: str, span_id: int):
-    """The span ``span_id`` of ``trace_id`` as the tracer reads it now."""
+class Spans:
+    """Span facts folded as the tracer folds them, written the way a
+    replay renders them: span ids from one counter, times off ``clock``."""
+
+    def __init__(self, clock=None) -> None:
+        self.clock = clock if clock is not None else (lambda: 0.0)
+        self.fold = SpanFold()
+        self.next_id = 0
+
+    def _id(self) -> int:
+        self.next_id += 1
+        return self.next_id - 1
+
+    def start(self, trace_id, name, parent=None, **attributes) -> int:
+        span_id = self._id()
+        self.fold.apply((START, trace_id, span_id, name, self.clock(), parent, attributes))
+        return span_id
+
+    def instant(self, trace_id, name, parent=None, status="ok", **attributes) -> None:
+        self.fold.apply(
+            (INSTANT, trace_id, self._id(), name, self.clock(), parent, attributes, status)
+        )
+
+    def finish(self, trace_id, span, status="ok", **attributes) -> None:
+        self.fold.apply((FINISH, trace_id, span, self.clock(), status, attributes))
+
+    def set(self, trace_id, span, **attributes) -> None:
+        self.fold.apply((SET, trace_id, span, attributes))
+
+    def end_open(self, trace_id, status="ok", **attributes) -> None:
+        self.fold.apply((END_OPEN, trace_id, self.clock(), status, attributes))
+
+    def spans(self, trace_id):
+        return self.fold.spans.get(trace_id, [])
+
+    def open_spans(self, trace_id):
+        return [s for s in self.spans(trace_id) if s.end is None]
+
+    def last(self, trace_id, name):
+        return SpanFold._newest(self.spans(trace_id), name)
+
+    def root(self, trace_id):
+        return self.fold.roots.get(trace_id)
+
+    def trace_ids(self):
+        return sorted(self.fold.spans)
+
+    def timeline(self, trace_id):
+        return Tracer.render(trace_id, self.spans(trace_id))
+
+    def export_json(self, trace_id):
+        return json.dumps(self.timeline(trace_id), sort_keys=True, indent=2)
+
+
+def span(tracer: Spans, trace_id: str, span_id: int):
+    """The span ``span_id`` of ``trace_id`` as the fold holds it now."""
     return next(s for s in tracer.spans(trace_id) if s.span_id == span_id)
 
 
 class TestSpanLifecycle:
     def test_start_and_finish_stamp_the_clock(self):
         clock = FakeClock()
-        tracer = Tracer(clock)
+        tracer = Spans(clock)
         span_id = tracer.start("q1", "execute", venue="vm")
         clock.now = 2.5
         tracer.finish("q1", span_id, "ok", bytes_scanned=10)
@@ -40,7 +111,7 @@ class TestSpanLifecycle:
 
     def test_finish_is_idempotent(self):
         clock = FakeClock()
-        tracer = Tracer(clock)
+        tracer = Spans(clock)
         span_id = tracer.start("q1", "a")
         clock.now = 1.0
         tracer.finish("q1", span_id, "error", error="boom")
@@ -52,28 +123,30 @@ class TestSpanLifecycle:
         assert done.status == "error"
 
     def test_set_chains_attributes(self):
-        tracer = Tracer()
+        tracer = Spans()
         span_id = tracer.start("q1", "a")
         tracer.set("q1", span_id, x=1)
         tracer.set("q1", "a", y=2)
         assert span(tracer, "q1", span_id).attributes == {"x": 1, "y": 2}
 
     def test_span_holds_no_reference_to_its_tracer(self):
-        # Writing a span leaves only atoms in the log: a read builds the
+        # A transition leaves only atoms in the log: a read builds the
         # span afresh, holding neither the tracer nor a bound method of
         # it, and the log holds nothing the cycle collector tracks.
-        tracer = Tracer(FakeClock())
-        span_id = tracer.start("q1", "a", level="relaxed")
+        log = LifecycleLog(FakeClock())
+        tracer = Tracer(log)
+        span_id = log.append("q1", VM_QUEUE, 1)
         held = list(vars(span(tracer, "q1", span_id)).values())
         assert not any(isinstance(value, Tracer) for value in held)
         assert not any(getattr(value, "__self__", None) is tracer for value in held)
-        assert not any(gc.is_tracked(cell) for cell in tracer._log._cells)
-        tracer.finish("q1", span_id)
-        assert tracer.open_spans("q1") == []
+        assert not any(gc.is_tracked(cell) for cell in log._cells)
+        log.append("q1", EXECUTE, 1, "vm", "worker", 3)
+        assert [s.name for s in tracer.open_spans("q1")] == ["execute"]
+        assert tracer.last("q1", "execute").attributes == {"venue": "vm", "worker": 3}
 
     def test_instant_span_starts_and_ends_at_once(self):
         clock = FakeClock()
-        tracer = Tracer(clock)
+        tracer = Spans(clock)
         root = tracer.start("q1", "query")
         clock.now = 1.5
         tracer.instant("q1", "plan", status="error", error="boom")
@@ -85,7 +158,7 @@ class TestSpanLifecycle:
 
 class TestParenting:
     def test_implicit_parent_is_innermost_open_span(self):
-        tracer = Tracer()
+        tracer = Spans()
         outer = tracer.start("q1", "outer")
         inner = tracer.start("q1", "inner")
         leaf = tracer.start("q1", "leaf")
@@ -93,7 +166,7 @@ class TestParenting:
         assert span(tracer, "q1", leaf).parent_id == inner
 
     def test_finishing_pops_the_stack(self):
-        tracer = Tracer()
+        tracer = Spans()
         outer = tracer.start("q1", "outer")
         tracer.finish("q1", tracer.start("q1", "first"))
         second = tracer.start("q1", "second")
@@ -101,7 +174,7 @@ class TestParenting:
 
     def test_finishing_a_middle_span_keeps_the_newest_open_one_as_parent(self):
         ticks = itertools.count()
-        tracer = Tracer(lambda: float(next(ticks)))
+        tracer = Spans(lambda: float(next(ticks)))
         outer = tracer.start("q1", "outer")  # t=0
         middle = tracer.start("q1", "middle")  # t=1
         inner = tracer.start("q1", "inner")  # t=2
@@ -119,7 +192,7 @@ class TestParenting:
         assert spans["middle"].end == 3.0
 
     def test_explicit_parent_overrides_stack(self):
-        tracer = Tracer()
+        tracer = Spans()
         a = tracer.start("q1", "a")
         tracer.start("q1", "b")
         child_of_a = tracer.start("q1", "c", parent=a)
@@ -128,14 +201,14 @@ class TestParenting:
         assert span(tracer, "q1", child_of_b).parent_id == a + 1
 
     def test_root_sentinel_forces_a_root(self):
-        tracer = Tracer()
+        tracer = Spans()
         tracer.start("q1", "open")
         forced = tracer.start("q1", "root2", parent=ROOT)
         assert span(tracer, "q1", forced).parent_id is None
         assert tracer.root("q1") == forced
 
     def test_traces_are_independent(self):
-        tracer = Tracer()
+        tracer = Spans()
         tracer.start("q1", "a")
         other = tracer.start("q2", "b")
         assert span(tracer, "q2", other).parent_id is None
@@ -143,7 +216,7 @@ class TestParenting:
 
 class TestLast:
     def test_finds_the_newest_span_of_a_name_open_or_closed(self):
-        tracer = Tracer()
+        tracer = Spans()
         first = tracer.start("q1", "execute")
         tracer.finish("q1", first, "retry")
         second = tracer.start("q1", "execute")
@@ -159,7 +232,7 @@ class TestLast:
 class TestEndOpen:
     def test_closes_innermost_first_and_counts(self):
         clock = FakeClock()
-        tracer = Tracer(clock)
+        tracer = Spans(clock)
         tracer.start("q1", "outer")
         tracer.start("q1", "inner")
         clock.now = 3.0
@@ -172,23 +245,26 @@ class TestEndOpen:
         assert tracer.open_spans("q1") == []
 
     def test_composes_with_explicit_finish(self):
-        tracer = Tracer()
+        tracer = Spans()
         span_id = tracer.start("q1", "a")
         tracer.finish("q1", span_id, "ok")
         tracer.end_open("q1", "error")
         assert span(tracer, "q1", span_id).status == "ok"
 
     def test_closing_a_trace_without_spans_writes_nothing(self):
-        tracer = Tracer()
-        tracer.end_open("ghost", "error")
-        tracer.finish("ghost", "queue")
+        # A transition that only closes spans opens no trace.
+        log = LifecycleLog()
+        log.append("ghost", FAIL, 0, "error", "boom")
+        tracer = Tracer(log)
         assert tracer.trace_ids() == []
+        assert tracer.spans("ghost") == []
+        assert tracer.export_all_json() == "[]\n"
 
 
 class TestExport:
     def test_timeline_nests_children(self):
         clock = FakeClock()
-        tracer = Tracer(clock)
+        tracer = Spans(clock)
         root = tracer.start("q1", "query")
         tracer.finish("q1", tracer.start("q1", "plan"))
         clock.now = 1.0
@@ -201,7 +277,7 @@ class TestExport:
     def test_export_json_is_deterministic(self):
         def run():
             clock = FakeClock()
-            tracer = Tracer(clock)
+            tracer = Spans(clock)
             root = tracer.start("q1", "query", level="relaxed")
             clock.now = 0.5
             tracer.finish("q1", tracer.start("q1", "scan", bytes=7))
@@ -213,8 +289,10 @@ class TestExport:
         json.loads(run())  # valid JSON
 
     def test_export_all_sorts_by_trace_id(self):
-        tracer = Tracer()
-        tracer.finish("q2", tracer.start("q2", "b"))
-        tracer.finish("q1", tracer.start("q1", "a"))
+        log = LifecycleLog()
+        log.append("q2", VM_QUEUE, 1)
+        log.append("q1", VM_QUEUE, 1)
+        tracer = Tracer(log)
         doc = json.loads(tracer.export_all_json())
         assert [t["trace_id"] for t in doc] == ["q1", "q2"]
+        assert tracer.trace_ids() == ["q1", "q2"]
