@@ -347,9 +347,10 @@ class QueryServer:
         queue is full (back-pressure rather than unbounded growth), and
         :class:`PixelsError` if an explicit ``query_id`` is already in
         use (a generated ``sq-N`` skips the ids that are).  Observed, an id
-        is in use as long as the shared activity registry holds an entry
-        for it: a server sharing the bundle may own it, or it named a
-        rejected submission whose trace and entry remain.
+        is in use as long as the shared lifecycle log holds an entry for
+        it: a server sharing the bundle may own it, a coordinator sharing
+        it may have run a query under it directly, or it named a rejected
+        submission whose trace remains.
         """
         if query_id is None:
             query_id = f"sq-{next(self._query_ids)}"

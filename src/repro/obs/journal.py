@@ -19,10 +19,11 @@ read.  A row rendered ``while_open`` is labelled with its span id and
 fingerprint only if that span is still open at the row's place in the
 log, and a capture becomes a ``capture`` row — its evidence rendered
 from the query's spans as they stand there — or, past the cap, a
-``capture_dropped`` one; both decided by folding the log in order, at
-read time.  So :meth:`QueryJournal.export_jsonl` is byte-identical
-across runs and invariant to ``REPRO_WORKERS``.  Only the capture
-policy's slowest-N ring is kept as the recorder consults it.
+``capture_dropped`` one.  So :meth:`QueryJournal.export_jsonl` is
+byte-identical across runs and invariant to ``REPRO_WORKERS``.  Only
+what the recorder consults is kept as it goes: the capture policy's
+slowest-N ring and the count of captures kept and dropped, so a
+completion past the cap stores no evidence.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class QueryJournal:
         self.policy = policy if policy is not None else CapturePolicy()
         self._log = log if log is not None else LifecycleLog()
         self._slow_ring: list[float] = []  # N slowest durations seen
+        self._kept_captures = 0
+        #: Captures the policy selected past ``max_captures``.
+        self.dropped_captures = 0
 
     # -- capture policy -----------------------------------------------------
 
@@ -123,6 +127,16 @@ class QueryJournal:
             reasons.append(f"slowest_{policy.slowest_n}")
         return reasons
 
+    def keep_capture(self) -> bool:
+        """Count one capture the policy selected: True while under the
+        cap, else False — the capture is dropped and leaves a breadcrumb
+        row instead of its evidence."""
+        if self._kept_captures < self.policy.max_captures:
+            self._kept_captures += 1
+            return True
+        self.dropped_captures += 1
+        return False
+
     # -- accessors ----------------------------------------------------------
 
     @staticmethod
@@ -149,11 +163,10 @@ class QueryJournal:
             record[name] = list(value) if type(value) is tuple else value
         return record
 
-    def _fold(self) -> tuple[list[dict], int]:
-        """Every row in log order, and how many captures the cap dropped."""
+    def records(self) -> list[dict]:
+        """Every row, in log order."""
         spans, replay = SpanFold(), Replay()
         records: list[dict] = []
-        captured = dropped = 0
         for entry in self._log:
             for fact in replay.apply(entry):
                 kind = fact[0]
@@ -161,18 +174,16 @@ class QueryJournal:
                     records.append(self._record(fact, spans))
                 elif kind != CAPTURE:
                     spans.apply(fact)
-                elif captured >= self.policy.max_captures:
-                    dropped += 1
-                    records.append(self._record(self._dropped(fact), spans))
-                else:
-                    captured += 1
+                elif fact[4]:
                     records.append(self._record(self._evidence(fact, spans), spans))
-        return records, dropped
+                else:
+                    records.append(self._record(self._dropped(fact), spans))
+        return records
 
     @staticmethod
     def _dropped(fact: tuple) -> tuple:
         """The breadcrumb a capture past the cap leaves instead."""
-        _, query_id, at, reasons, _, fingerprint, level, _, _ = fact
+        _, query_id, at, reasons, _, _, fingerprint, level, _, _ = fact
         return (
             ROW, query_id, at, "capture_dropped", ROOT, fingerprint, level,
             False, {"reasons": reasons},
@@ -183,7 +194,7 @@ class QueryJournal:
         """A ``capture`` row: the query's profile — its spans as they
         stand at this place in the log, fused with its operator profile
         and bill — and the time flame graph of it, when it has one."""
-        _, query_id, at, reasons, evidence, fingerprint, level, slack_s, billed = fact
+        _, query_id, at, reasons, _, evidence, fingerprint, level, slack_s, billed = fact
         attrs = {"slack_s": slack_s, "billed_dollars": billed, "reasons": reasons}
         if evidence is not None:
             operators, bill = evidence
@@ -196,20 +207,12 @@ class QueryJournal:
             ROW, query_id, at, "capture", ROOT, fingerprint, level, False, attrs
         )
 
-    def records(self) -> list[dict]:
-        """Every row, in log order."""
-        return self._fold()[0]
-
     def captures(self) -> list[dict]:
         return [
             record
             for record in self.records()
             if record["event"] == "capture"
         ]
-
-    @property
-    def dropped_captures(self) -> int:
-        return self._fold()[1]
 
     # -- exports ------------------------------------------------------------
 

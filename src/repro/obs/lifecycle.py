@@ -18,8 +18,9 @@ it opens, the clock when it was written, and the transition's fields
 ``None`` — or tuples of atoms; a kind that stores a mapping puts it
 last, flat: its keys, then its values (:func:`mapping_at` reads it
 back).  One field is not: a completion the journal's capture policy
-selected holds the execution's operator profile and its bill, which the
-journal renders its evidence from when read.
+selected, and whose capture the cap kept, holds the execution's
+operator profile and its bill, which the journal renders its evidence
+from when read.
 
 The log keeps its entries flat too: one list of cells, each entry its
 field count, trace id, link and fields in a row.  Writing an entry
@@ -68,6 +69,20 @@ CF_INVOKE = "cf_invoke"  # attempt, workers
 ATTEMPT_END = "attempt_end"  # status, bytes_scanned, provider_cost, failure attributes
 FAIL = "fail"  # status, error
 
+#: Spans each transition opens (none if absent): ``submit`` the ``query``
+#: root and its ``submit`` instant, the others one each.  Two kinds
+#: decide by a field, in :meth:`LifecycleLog.append`: a measure opens a
+#: ``merge`` span too when it has merged rows, a completion a ``bill``
+#: span only when it was billed.
+OPENS = {
+    SUBMIT: 2, QUEUE: 1, DISPATCH: 1, PLAN: 1, VM_QUEUE: 1, EXECUTE: 1,
+    CF_INVOKE: 1,
+}
+#: Positions, among a transition's fields, of the two fields that decide
+#: its span count: a measure's merged rows, a completion's bill.
+MERGED_FIELD = 6
+BILLED_FIELD = 16
+
 #: Facts a replay renders, with their fields after the trace id.
 START = "span.start"  # span_id, name, at, parent, attributes
 INSTANT = "span.instant"  # span_id, name, at, parent, attributes, status
@@ -75,7 +90,7 @@ FINISH = "span.finish"  # span (id or newest of a name), at, status, attributes
 SET = "span.set"  # span, attributes
 END_OPEN = "span.end_open"  # at, status, attributes
 ROW = "journal.row"  # at, event, span_id, fingerprint, level, while_open, attributes
-CAPTURE = "journal.capture"  # at, reasons, evidence, fingerprint, level, slack_s, billed_dollars
+CAPTURE = "journal.capture"  # at, reasons, kept, evidence, fingerprint, level, slack_s, billed_dollars
 
 #: Lifecycle states, in rough progression order.  ``merging`` is the CF
 #: tail of ``executing`` (the VM-side merge of function results) and is
@@ -120,12 +135,18 @@ class LifecycleLog:
         #: The id the next span opened will get.
         self.next_span = 0
 
-    def append(self, trace_id: str, kind: str, opens: int, *fields: object) -> int:
-        """Append one transition of ``trace_id`` that opens ``opens``
-        spans; returns the id of the first (the next span id if none)."""
+    def append(self, trace_id: str, kind: str, *fields: object) -> int:
+        """Append one transition of ``trace_id``; returns the id of the
+        first span it opens (the next span id if none, see :data:`OPENS`)."""
         cells = self._cells
         heads = self.heads
         span = self.next_span
+        if kind == MEASURE:
+            opens = 1 if fields[MERGED_FIELD] is None else 2
+        elif kind == COMPLETE:
+            opens = 0 if fields[BILLED_FIELD] is None else 1
+        else:
+            opens = OPENS.get(kind, 0)
         self.next_span = span + opens
         previous = heads.get(trace_id, -1)
         heads[trace_id] = len(cells)
@@ -485,7 +506,7 @@ class Replay:
         (q, _, _, span, at, level, fp, root, error, cancelled, venue,
          time_s, pending, deadline, slack, price, per_tb, fraction,
          scanned, produced, plan_shape, nanodollars, axes, reasons,
-         evidence) = entry
+         kept, evidence) = entry
         facts: list[tuple] = []
         if nanodollars is not None:
             facts.append(
@@ -532,7 +553,7 @@ class Replay:
         )
         if reasons is not None:
             facts.append(
-                (CAPTURE, q, at, reasons, evidence, fp, level,
+                (CAPTURE, q, at, reasons, kept, evidence, fp, level,
                  round(slack, 9) if slack is not None else None,
                  round(price, 12))
             )

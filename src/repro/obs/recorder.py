@@ -36,8 +36,10 @@ parents under is named in it (the trace's newest ``queue`` or
 transition needs of an earlier one rides on the owner's record — the
 fingerprint a submission was named by and its root span id on
 :class:`~repro.core.query_server.ServerQuery`, the level an execution is
-billed at on :class:`~repro.turbo.coordinator.QueryExecution`.  The one
-read left is the statement store's prior, taken at submission.
+billed at on :class:`~repro.turbo.coordinator.QueryExecution`.  What
+is still consulted is kept eagerly as it goes: the statement store's
+prior, taken at submission, and the journal's capture policy (its
+slowest-N ring and its count of kept captures), at completion.
 
 Neither recorder parses SQL or hashes a plan.  The statement fingerprint
 and the plan's shape hash are read off the coordinator's prepared
@@ -235,7 +237,7 @@ class QueryRecorder:
         fp = record.fingerprint = self._coordinator.statement(record.sql).fingerprint
         verdict = decision.to_attrs() if decision.action != "admit" else {}
         record.root_span = self._log.append(
-            record.query_id, SUBMIT, 2,
+            record.query_id, SUBMIT,
             level_value, requested, tenant,
             level.deadline_s(self._grace_period_s),
             self._coordinator.cost_model.price_per_tb(level),
@@ -248,7 +250,7 @@ class QueryRecorder:
         self._m_rejected.inc(level=record.requested_level.value)
         self._m_admission_rejected.inc(reason=reason)
         self._log.append(
-            record.query_id, REJECT, 0,
+            record.query_id, REJECT,
             record.level.value, record.fingerprint.id, error, reason,
         )
 
@@ -262,7 +264,7 @@ class QueryRecorder:
         level = record.level.value
         self._m_admission_downgraded.inc(reason=reason)
         self._log.append(
-            record.query_id, DOWNGRADE, 0,
+            record.query_id, DOWNGRADE,
             level, record.fingerprint.id, reason,
             record.requested_level.value, held, record.submitted_at,
             record.level.deadline_s(self._grace_period_s) if held else None,
@@ -274,7 +276,7 @@ class QueryRecorder:
     ) -> None:
         """The query entered its level's weighted-fair hold queue."""
         self._log.append(
-            record.query_id, QUEUE, 1,
+            record.query_id, QUEUE,
             record.level.value, record.fingerprint.id, reason, share,
             round(finish_tag, 9),
         )
@@ -283,7 +285,7 @@ class QueryRecorder:
         """The server is about to hand the query to the coordinator
         (``batch``: as a member of a shared-scan batch)."""
         self._log.append(
-            record.query_id, DISPATCH, 1,
+            record.query_id, DISPATCH,
             record.level.value, record.fingerprint.id, record.submitted_at,
             batch,
         )
@@ -293,7 +295,7 @@ class QueryRecorder:
         queue; the ledger gets a zero void so the cancel is on record."""
         level = record.level.value
         self._log.append(
-            record.query_id, CANCEL, 0,
+            record.query_id, CANCEL,
             level, record.fingerprint.id, record.submitted_at,
         )
         self.obs.ledger.void(
@@ -313,7 +315,7 @@ class QueryRecorder:
         self._m_guard.inc(rule=decision.rule, action=decision.action)
         if record is not None:
             self._log.append(
-                record.query_id, GUARD, 0,
+                record.query_id, GUARD,
                 record.level.value, record.fingerprint.id, decision.rule,
                 decision.action, decision.applied, decision.reason,
             )
@@ -402,8 +404,9 @@ class QueryRecorder:
             error=error is not None,
             downgraded=record.downgraded,
         )
+        kept = bool(reasons) and obs.journal.keep_capture()
         self._log.append(
-            query_id, COMPLETE, 1 if bill is not None else 0,
+            query_id, COMPLETE,
             level_value, fp.id, root, error, cancelled, venue, time_s,
             pending, deadline, slack, record.price, price_per_tb,
             level.price_fraction,
@@ -413,11 +416,12 @@ class QueryRecorder:
             bill.billed_nanodollars if bill is not None else None,
             _axis_values(bill.axes) if bill is not None else None,
             tuple(reasons) if reasons else None,
+            kept,
             # The journal renders a capture's evidence from these two when
             # read.  A query that failed inside its own dispatch is not on
             # its record yet, and has no profile to capture.
             (execution.profile, bill)
-            if reasons and record.execution is execution
+            if kept and record.execution is execution
             else None,
         )
         if pending is not None:
@@ -487,7 +491,7 @@ class ExecutionRecorder:
         """Planning ended: with the ``prepared`` statement (its plan's
         shape hash becomes the execution's statement-store plan identity)
         or with ``error``."""
-        self._log.append(execution.query_id, PLAN, 1, error, batch)
+        self._log.append(execution.query_id, PLAN, error, batch)
         if error is None:
             execution.plan_shape = prepared.plan_shape
 
@@ -496,14 +500,14 @@ class ExecutionRecorder:
         retries behind it (a worker crashed under the last attempt)."""
         if execution.retries:
             self._m_retries.inc(venue="vm")
-        self._log.append(execution.query_id, VM_QUEUE, 1)
+        self._log.append(execution.query_id, VM_QUEUE)
 
     def attempt_started(self, execution: "QueryExecution", **attrs: object) -> None:
         """``execution.venue`` began running the plan; ``attrs`` (worker,
         batch shape) label the ``execute`` span with it.  Ends the VM
         queue wait, if there was one."""
         self._log.append(
-            execution.query_id, EXECUTE, 1,
+            execution.query_id, EXECUTE,
             execution.venue.value, *attrs, *attrs.values(),
         )
 
@@ -519,7 +523,7 @@ class ExecutionRecorder:
         attempt (``merged`` is the top-level plan's stats), the ``merge``
         child and the fan-out width."""
         self._log.append(
-            execution.query_id, MEASURE, 1 if merged is None else 2,
+            execution.query_id, MEASURE,
             scanned.bytes_scanned, scanned.rows_scanned, scanned.get_requests,
             scanned.cache_hits, scanned.cache_misses,
             scanned.row_groups_skipped,
@@ -551,7 +555,7 @@ class ExecutionRecorder:
         )
         profile = execution.profile
         self._log.append(
-            execution.query_id, WINDOW, 0,
+            execution.query_id, WINDOW,
             venue, max(0.0, duration_s),
             _flatten_operators(profile) if profile is not None else (),
             final.billed_nanodollars, _axis_values(final.axes), merge_at,
@@ -577,7 +581,7 @@ class ExecutionRecorder:
         if execution.retries:
             self._m_retries.inc(venue="cf")
         self._log.append(
-            execution.query_id, CF_INVOKE, 1,
+            execution.query_id, CF_INVOKE,
             execution.retries, execution.cf_workers,
         )
 
@@ -595,7 +599,7 @@ class ExecutionRecorder:
         fan-out still in flight, if any.  ``failure`` (``error=`` or
         ``reason=``) labels both spans."""
         self._log.append(
-            execution.query_id, ATTEMPT_END, 0,
+            execution.query_id, ATTEMPT_END,
             status,
             result.stats.bytes_scanned if result is not None else None,
             provider_cost, *failure, *failure.values(),
@@ -614,4 +618,4 @@ class ExecutionRecorder:
                     execution.execution_time_s, venue=venue
                 )
         else:
-            self._log.append(execution.query_id, FAIL, 0, status, execution.error)
+            self._log.append(execution.query_id, FAIL, status, execution.error)

@@ -260,10 +260,11 @@ class RoverServer:
         return self._query_server.obs.export(kind)
 
     def trace(self, token: str, query_id: str) -> str:
-        """The JSON span timeline of one submitted query."""
+        """The JSON span timeline of one submitted query (read from that
+        query's entries alone)."""
         self._session(token)
         tracer = self._query_server.obs.tracer
-        if query_id not in tracer.trace_ids():
+        if not tracer.spans(query_id):
             raise NoSuchQueryError(f"no trace for query {query_id!r}")
         return tracer.export_json(query_id)
 

@@ -24,21 +24,23 @@ class FakeClock:
 def submit(log, query_id, fingerprint="abc", level="relaxed", deadline_s=300.0):
     """A submission's transition, as the query recorder appends it."""
     return log.append(
-        query_id, SUBMIT, 2, level, level, "default", deadline_s, 5.0, 1.0,
+        query_id, SUBMIT, level, level, "default", deadline_s, 5.0, 1.0,
         fingerprint, "SELECT 1", "admit", None,
     )
 
 
 def guard(log, query_id, fingerprint="abc", level="relaxed"):
-    log.append(query_id, GUARD, 0, level, fingerprint, "deadline", "alert", True, "late")
+    log.append(query_id, GUARD, level, fingerprint, "deadline", "alert", True, "late")
 
 
-def complete(log, query_id, reasons=None, evidence=None, fingerprint="abc"):
-    """A failed completion, with the capture policy's ``reasons``."""
+def complete(log, query_id, reasons=None, kept=True, evidence=None,
+             fingerprint="abc"):
+    """A failed completion, with the capture policy's ``reasons`` (and
+    whether the cap ``kept`` the capture)."""
     log.append(
-        query_id, COMPLETE, 0, "immediate", fingerprint, 0, "boom", False,
+        query_id, COMPLETE, "immediate", fingerprint, 0, "boom", False,
         "vm", 1.0, 0.5, None, None, 0.0, 5.0, 1.0, 0, 0, None, None, None,
-        reasons, evidence,
+        reasons, kept, evidence,
     )
 
 
@@ -72,7 +74,7 @@ class TestEvents:
         journal = QueryJournal(log=log)
         root = submit(log, "q-1")
         guard(log, "q-1")
-        log.append("q-1", REJECT, 0, "relaxed", "abc", "full", "queue_full")
+        log.append("q-1", REJECT, "relaxed", "abc", "full", "queue_full")
         guard(log, "q-1")
         complete(log, "q-1")
         labels = [
@@ -171,8 +173,9 @@ class TestCapture:
     def test_max_captures_drops_with_breadcrumb(self):
         log = LifecycleLog()
         journal = QueryJournal(policy=CapturePolicy(max_captures=1), log=log)
-        complete(log, "q-1", reasons=("error",))
-        complete(log, "q-2", reasons=("error",))
+        for query_id in ("q-1", "q-2"):
+            complete(log, query_id, reasons=("error",),
+                     kept=journal.keep_capture())
         assert journal.dropped_captures == 1
         events = [r["event"] for r in journal.records()]
         assert events == ["error", "capture", "error", "capture_dropped"]
@@ -201,3 +204,27 @@ class TestCapture:
         assert capture["billed_nanodollars"] == profile.billed_nanodollars
         # The capture is a journal record too: it exports with the rest.
         assert '"event": "capture"' in journal.export_jsonl()
+
+    def test_a_capture_past_the_cap_stores_no_evidence(self, turbo_env):
+        from repro.core import QueryServer, ServiceLevel
+        from repro.obs import Instrumentation
+        from repro.obs.lifecycle import COMPLETE
+        from repro.turbo import Coordinator
+
+        sim, store, catalog, config, _, _ = turbo_env
+        obs = Instrumentation.create(
+            clock=lambda: sim.now, capture=CapturePolicy(max_captures=1)
+        )
+        coordinator = Coordinator(sim, config, catalog, store, "tpch", obs=obs)
+        server = QueryServer(sim, coordinator, config)
+        for _ in range(3):  # each lands in the slowest-8 ring
+            server.submit("SELECT count(*) FROM orders", ServiceLevel.IMMEDIATE)
+            sim.run_until(sim.now + 120)
+        # The cap is counted as completions are recorded: only the kept
+        # capture's entry holds an operator profile and a bill.
+        evidence = [entry[-1] for entry in obs.log if entry[2] == COMPLETE]
+        assert [item is not None for item in evidence] == [True, False, False]
+        assert obs.journal.dropped_captures == 2
+        events = [r["event"] for r in obs.journal.records()]
+        assert events.count("capture") == 1
+        assert events.count("capture_dropped") == 2

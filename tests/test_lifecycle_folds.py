@@ -1,31 +1,38 @@
-"""The tracer, the journal and the activity registry read as folds of the
-lifecycle log equal the eager sinks they replaced.
+"""The folds the tracer, the journal and the activity registry read the
+lifecycle log through equal the eager sinks they replaced, fed directly.
 
-A Hypothesis state machine drives recorder-shaped call sequences — spans
-with implicit, explicit, by-name and ``ROOT`` parents, finishes by id
-and by newest name, instants, ``set`` and ``end_open``, journal rows
-before and after the root span closes — through one log shared by the
-new :class:`~repro.obs.Tracer` and :class:`~repro.obs.QueryJournal`, and
-through the eager classes they replaced (``tests/eager_tracer.py`` and
-``tests/eager_journal.py``, kept verbatim).  At random points every read
-is compared: ``export_all_json``, each trace's ``timeline``, ``last`` and
-``open_spans``, and the journal's ``export_jsonl``.
+``tests/test_recorder_oracle.py`` drives the recorders, so it only ever
+feeds the folds what a recorder writes.  The machines here feed each
+fold its own input, in orders no recorder produces.
+
+The first machine drives span and journal-row facts — spans with
+implicit, explicit, by-name and ``ROOT`` parents, finishes by id and by
+newest name, instants, ``set`` and ``end_open``, rows before and after
+the root span closes — through :class:`~repro.obs.tracer.SpanFold` and
+the journal's rendering of each row against the span state at its
+place (as :class:`~repro.obs.QueryJournal` folds a replay), and through
+the eager classes they replaced (``tests/eager_tracer.py`` and
+``tests/eager_journal.py``, kept verbatim).  At random points every
+span, each trace's root and timeline, and the journal's rows are
+compared.
 
 As in the recorders, a trace's root is its ``query`` span, the only span
 started with ``parent=ROOT``, and a row labelled "while open" carries
 the root's span id and fingerprint only while the root is open.
 
-A second machine drives activity transitions — submissions with and
-without a prior, queueing, dispatch, downgrades, execution windows with
-and without a known final bill and an operator profile, every terminal
-state, repeats on terminal and unknown queries — through the
-:class:`~repro.obs.ActivityRegistry` and its
-:class:`~repro.obs.activity.ProjectionGuard`, and through the eager
-registry and guard they replaced (``tests/eager_activity.py``, kept
-verbatim), whose downgrade and cancel actions write back into the
-registry mid-decision as the query server's do.  Snapshots, projection
-reports, one-query entries, the gauges' exposition, the guard's audit
-log and its alerts are compared.
+The second machine appends activity transitions to a
+:class:`~repro.obs.lifecycle.LifecycleLog` — submissions with and
+without a prior, queueing, dispatch, held downgrades, execution windows
+with and without an operator profile, every terminal state, transitions
+only the tracer and journal read, and repeats on terminal and unknown
+queries — read by an :class:`~repro.obs.ActivityRegistry` and its
+:class:`~repro.obs.activity.ProjectionGuard`, and makes the matching
+calls on the eager registry and guard they replaced
+(``tests/eager_activity.py``, kept verbatim).  Each guard's downgrade
+and cancel actions write back mid-decision, as the query server's do:
+the new one by appending to the log its registry reads.  One-query
+entries, the shared fold's entries, snapshots, projection reports, the
+gauges' exposition, the guard's audit log and its alerts are compared.
 
 Tier-1 runs a small derandomized budget.  The long profile::
 
@@ -50,13 +57,36 @@ from hypothesis.stateful import (
 from repro.engine.executor import OperatorProfile
 from repro.obs import ROOT, ActivityRegistry, QueryJournal, Tracer
 from repro.obs.activity import GuardPolicy, ProjectionGuard
-from repro.obs.lifecycle import LifecycleLog
+from repro.obs.lifecycle import (
+    CANCEL,
+    COMPLETE,
+    DISPATCH,
+    DOWNGRADE,
+    END_OPEN,
+    FAIL,
+    FINISH,
+    GUARD,
+    INSTANT,
+    PLAN,
+    QUEUE,
+    REJECT,
+    ROW,
+    SET,
+    START,
+    SUBMIT,
+    VM_QUEUE,
+    WINDOW,
+    LifecycleLog,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import AXES
+from repro.obs.recorder import _flatten_operators
+from repro.obs.tracer import SpanFold
 from repro.turbo.cost import MeterReading
 from tests import eager_activity, eager_journal, eager_tracer
+from tests.test_recorder_oracle import entry_view
 
-TRACES = ("q0", "q1", "q2")
+TRACES = ("q0", "q1")
 NAMES = ("queue", "execute", "scan", "cf_invoke")
 STATUSES = ("ok", "error", "retry", "cancelled")
 ATTRIBUTES = st.dictionaries(
@@ -75,36 +105,47 @@ class FakeClock:
         return self.now
 
 
-def span_view(span) -> tuple | None:
-    if span is None:
-        return None
+def span_view(span) -> tuple:
     return (
         span.span_id, span.trace_id, span.name, span.start, span.parent_id,
         span.end, span.status, dict(span.attributes),
     )
 
 
+class FactFold:
+    """What the tracer and the journal fold out of a replay's facts: the
+    spans, and each row rendered against the spans as they stand at its
+    place."""
+
+    def __init__(self) -> None:
+        self.spans = SpanFold()
+        self.rows: list[dict] = []
+
+    def apply(self, fact: tuple) -> None:
+        if fact[0] == ROW:
+            self.rows.append(QueryJournal._record(fact, self.spans))
+        else:
+            self.spans.apply(fact)
+
+
 class LifecycleFolds(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.clock = FakeClock()
-        log = LifecycleLog()
-        self.tracer = Tracer(self.clock, log)
-        self.journal = QueryJournal(self.clock, log=log)
+        self.fold = FactFold()
         self.eager = eager_tracer.Tracer(self.clock)
         self.eager_journal = eager_journal.QueryJournal(self.clock)
-        #: Every span the eager tracer started, by id (ids match: both
-        #: count one per span).
+        #: Every span the eager tracer started; each fact carries its id.
         self.spans: list = []
 
-    # -- writes ---------------------------------------------------------------
+    # -- facts ------------------------------------------------------------------
 
     @rule(seconds=st.sampled_from((0.0, 0.25, 1.0, 7.5)))
     def tick(self, seconds):
         self.clock.now += seconds
 
     def _parent(self, trace: str, how: str, pick: int):
-        """(new tracer's parent, eager tracer's parent)."""
+        """(the fact's parent, the eager tracer's parent)."""
         if how == "explicit" and self.spans:
             span = self.spans[pick % len(self.spans)]
             return span.span_id, span
@@ -121,18 +162,22 @@ class LifecycleFolds(RuleBasedStateMachine):
     )
     def start(self, trace, name, how, pick, attributes):
         parent, eager_parent = self._parent(trace, how, pick)
-        span_id = self.tracer.start(trace, name, parent=parent, **attributes)
         span = self.eager.start(trace, name, parent=eager_parent, **attributes)
-        assert span_id == span.span_id
+        self.fold.apply(
+            (START, trace, span.span_id, name, self.clock.now, parent,
+             dict(attributes))
+        )
         self.spans.append(span)
 
     @rule(trace=st.sampled_from(TRACES), attributes=ATTRIBUTES)
     def start_root(self, trace, attributes):
-        span_id = self.tracer.start(trace, "query", parent=ROOT, **attributes)
         span = self.eager.start(
             trace, "query", parent=eager_tracer.ROOT, **attributes
         )
-        assert span_id == span.span_id
+        self.fold.apply(
+            (START, trace, span.span_id, "query", self.clock.now, ROOT,
+             dict(attributes))
+        )
         self.spans.append(span)
 
     @rule(
@@ -145,11 +190,12 @@ class LifecycleFolds(RuleBasedStateMachine):
     )
     def instant(self, trace, name, how, pick, status, attributes):
         parent, eager_parent = self._parent(trace, how, pick)
-        self.tracer.instant(
-            trace, name, parent=parent, status=status, **attributes
-        )
         span = self.eager.start(trace, name, parent=eager_parent, **attributes)
         span.finish(status)
+        self.fold.apply(
+            (INSTANT, trace, span.span_id, name, self.clock.now, parent,
+             dict(attributes), status)
+        )
         self.spans.append(span)
 
     @precondition(lambda self: self.spans)
@@ -160,7 +206,10 @@ class LifecycleFolds(RuleBasedStateMachine):
     )
     def finish_by_id(self, pick, status, attributes):
         span = self.spans[pick % len(self.spans)]
-        self.tracer.finish(span.trace_id, span.span_id, status, **attributes)
+        self.fold.apply(
+            (FINISH, span.trace_id, span.span_id, self.clock.now, status,
+             dict(attributes))
+        )
         span.finish(status, **attributes)
 
     @rule(
@@ -170,7 +219,9 @@ class LifecycleFolds(RuleBasedStateMachine):
         attributes=ATTRIBUTES,
     )
     def finish_newest(self, trace, name, status, attributes):
-        self.tracer.finish(trace, name, status, **attributes)
+        self.fold.apply(
+            (FINISH, trace, name, self.clock.now, status, dict(attributes))
+        )
         span = self.eager.last(trace, name)
         if span is not None:
             span.finish(status, **attributes)
@@ -186,9 +237,9 @@ class LifecycleFolds(RuleBasedStateMachine):
             if not owned:
                 return
             span = owned[ref % len(owned)]
-            self.tracer.set(trace, span.span_id, **attributes)
+            self.fold.apply((SET, trace, span.span_id, dict(attributes)))
         else:
-            self.tracer.set(trace, ref, **attributes)
+            self.fold.apply((SET, trace, ref, dict(attributes)))
             span = self.eager.last(trace, ref)
         if span is not None:
             span.set(**attributes)
@@ -199,7 +250,7 @@ class LifecycleFolds(RuleBasedStateMachine):
         attributes=ATTRIBUTES,
     )
     def end_open(self, trace, status, attributes):
-        self.tracer.end_open(trace, status, **attributes)
+        self.fold.apply((END_OPEN, trace, self.clock.now, status, dict(attributes)))
         self.eager.end_open(trace, status, **attributes)
 
     @rule(
@@ -213,17 +264,17 @@ class LifecycleFolds(RuleBasedStateMachine):
         root = self.eager.last(trace, "query")
         if label == "explicit" or root is None:
             span_id, fingerprint = len(self.spans), "fp-explicit"
-            self.journal.event(
-                event, trace, span_id=span_id, fingerprint=fingerprint,
-                level=level, **attributes,
+            self.fold.apply(
+                (ROW, trace, self.clock.now, event, span_id, fingerprint,
+                 level, False, dict(attributes))
             )
         else:
             open_ = label == "root" or root.end is None
             span_id = root.span_id if open_ else None
             fingerprint = "fp-" + trace if open_ else None
-            self.journal.event(
-                event, trace, span_id=ROOT, fingerprint="fp-" + trace,
-                level=level, while_open=label == "while_open", **attributes,
+            self.fold.apply(
+                (ROW, trace, self.clock.now, event, ROOT, "fp-" + trace,
+                 level, label == "while_open", dict(attributes))
             )
         self.eager_journal.event(
             event, trace, span_id=span_id, fingerprint=fingerprint,
@@ -233,28 +284,26 @@ class LifecycleFolds(RuleBasedStateMachine):
     # -- reads ----------------------------------------------------------------
 
     @invariant()
-    def reads_agree(self):
+    def folds_agree(self):
+        assert self.fold.rows == self.eager_journal.records()
+        folded = self.fold.spans
         for trace in TRACES:
-            for name in (*NAMES, "query"):
-                assert span_view(self.tracer.last(trace, name)) == span_view(
-                    self.eager.last(trace, name)
-                )
-            assert [span_view(s) for s in self.tracer.open_spans(trace)] == [
-                span_view(s) for s in self.eager.open_spans(trace)
+            assert [span_view(s) for s in folded.spans.get(trace, [])] == [
+                span_view(s) for s in self.eager.spans(trace)
             ]
             root = self.eager.last(trace, "query")
-            assert self.tracer.root(trace) == (
+            assert folded.roots.get(trace) == (
                 root.span_id if root is not None else None
             )
 
     @rule()
     def exports_agree(self):
-        assert self.tracer.trace_ids() == self.eager.trace_ids()
+        traces = self.fold.spans.spans
+        assert sorted(traces) == self.eager.trace_ids()
         for trace in TRACES:
-            assert self.tracer.timeline(trace) == self.eager.timeline(trace)
-        # The sink ends its export in a newline; the eager copy predates that.
-        assert self.tracer.export_all_json() == self.eager.export_all_json() + "\n"
-        assert self.journal.export_jsonl() == self.eager_journal.export_jsonl()
+            assert Tracer.render(trace, traces.get(trace, [])) == (
+                self.eager.timeline(trace)
+            )
 
     def teardown(self):
         self.exports_agree()
@@ -273,6 +322,7 @@ PRIORS = st.one_of(
 AXIS_VALUES = st.one_of(
     st.none(), st.tuples(*(st.integers(0, 500) for _ in AXES))
 )
+FP = "fp-activity"
 
 
 def eager_prior(prior: tuple | None):
@@ -301,34 +351,6 @@ def profile_of(shape: int) -> OperatorProfile | None:
     )
 
 
-def final_view(entry) -> tuple | None:
-    """The exec-start-known bill: the eager entry keeps the reading it
-    was handed, the folded one the two atoms the log holds."""
-    if isinstance(entry, eager_activity.ActivityEntry):
-        final = entry.final
-        return None if final is None else (final.billed_nanodollars, final.axes)
-    if entry.final_nanodollars is None:
-        return None
-    return (entry.final_nanodollars, entry.final_axes)
-
-
-def entry_view(entry) -> tuple | None:
-    if entry is None:
-        return None
-    prior = entry.prior
-    return (
-        entry.query_id, entry.tenant, entry.level, entry.requested_level,
-        entry.state, entry.submitted_at, entry.deadline_s, entry.admission,
-        entry.venue, entry.exec_started_at, entry.exec_duration_s,
-        entry.merge_at,
-        None if prior is None else (prior.nanodollars, prior.time_s, prior.axes),
-        final_view(entry),
-        entry.estimate_nanodollars, entry.estimate_source,
-        entry.actual_nanodollars, entry.actual_axes, entry.terminal_at,
-        entry.detail, entry.terminal,
-    )
-
-
 class FakeSpend:
     """The two reads the guard makes of a spend accountant."""
 
@@ -349,7 +371,8 @@ class ActivityFolds(RuleBasedStateMachine):
         self.spend = FakeSpend()
         self.metrics = MetricsRegistry()
         self.eager_metrics = MetricsRegistry()
-        self.activity = ActivityRegistry(self.clock, self.metrics)
+        self.log = LifecycleLog(self.clock)
+        self.activity = ActivityRegistry(self.clock, self.metrics, log=self.log)
         self.eager = eager_activity.ActivityRegistry(
             self.clock, self.eager_metrics
         )
@@ -357,42 +380,71 @@ class ActivityFolds(RuleBasedStateMachine):
         self.eager_alerts: list = []
         self.guard = self.eager_guard = None
 
+    def append(self, query: str, kind: str, *fields: object) -> None:
+        """One transition of ``query``."""
+        self.log.append(query, kind, *fields)
+
+    def held_downgrade(self, query, reason, deadline_s, prior) -> None:
+        self.append(
+            query, DOWNGRADE, "best_effort", FP, reason, "relaxed", True, 0.0,
+            deadline_s, prior,
+        )
+
+    def cancel_held(self, query) -> None:
+        self.append(query, CANCEL, "relaxed", FP, 0.0)
+
+    def complete(self, query, error=None, cancelled=False, nanodollars=None,
+                 axes=None) -> None:
+        """The server's completion: billed when ``nanodollars`` is given."""
+        self.append(
+            query, COMPLETE, "relaxed", FP, None, error, cancelled, "vm",
+            1.0, None, None, None, 0.0, 5.0, 1.0, 0, 0, None, nanodollars,
+            axes, None, False, None,
+        )
+
     @initialize(
         budget_action=st.sampled_from((None, *eager_activity.GUARD_ACTIONS)),
         deadline_action=st.sampled_from((None, *eager_activity.GUARD_ACTIONS)),
     )
     def guards(self, budget_action, deadline_action):
-        # Each guard acts on its own registry, as the query server's
-        # downgrade and cancel paths act on the server's one registry.
-        def actions(registry):
-            def downgrade(query_id, reason):
-                registry.downgrade(
-                    query_id, "best_effort", reason, deadline_s=None, prior=None
-                )
-                return True
+        # Each guard acts through its own stack, as the query server's
+        # downgrade and cancel paths act on a held query.
+        def downgrade(query_id, reason):
+            self.held_downgrade(query_id, reason, None, None)
+            return True
 
-            def cancel(query_id):
-                registry.finish_cancelled(query_id, "guard")
-                return True
+        def cancel(query_id):
+            self.cancel_held(query_id)
+            return True
 
-            return {"downgrader": downgrade, "canceller": cancel}
+        def eager_downgrade(query_id, reason):
+            self.eager.downgrade(
+                query_id, "best_effort", reason, deadline_s=None, prior=None
+            )
+            return True
+
+        def eager_cancel(query_id):
+            self.eager.finish_cancelled(query_id, "cancelled_held")
+            return True
 
         self.guard = ProjectionGuard(
             GuardPolicy(budget_action, deadline_action),
             self.activity,
             self.spend,
             alert_sink=self.alerts.append,
-            **actions(self.activity),
+            downgrader=downgrade,
+            canceller=cancel,
         )
         self.eager_guard = eager_activity.ProjectionGuard(
             eager_activity.GuardPolicy(budget_action, deadline_action),
             self.eager,
             self.spend,
             alert_sink=self.eager_alerts.append,
-            **actions(self.eager),
+            downgrader=eager_downgrade,
+            canceller=eager_cancel,
         )
 
-    # -- writes ---------------------------------------------------------------
+    # -- transitions --------------------------------------------------------------
 
     @rule(seconds=st.sampled_from((0.0, 0.5, 2.0, 30.0)))
     def tick(self, seconds):
@@ -410,9 +462,9 @@ class ActivityFolds(RuleBasedStateMachine):
         prior=PRIORS,
     )
     def begin(self, query, tenant, level, requested, deadline_s, admission, prior):
-        self.activity.begin(
-            query, tenant=tenant, level=level, requested_level=requested,
-            deadline_s=deadline_s, admission=admission, prior=prior,
+        self.append(
+            query, SUBMIT, level, requested, tenant, deadline_s, 5.0, 1.0, FP,
+            "SELECT 1", admission, prior,
         )
         self.eager.begin(
             query, tenant=tenant, level=level, requested_level=requested,
@@ -433,10 +485,10 @@ class ActivityFolds(RuleBasedStateMachine):
     @rule(query=st.sampled_from(QUERIES), queued=st.booleans())
     def mark(self, query, queued):
         if queued:
-            self.activity.mark_queued(query)
+            self.append(query, QUEUE, "relaxed", FP, "above_high_watermark", 0.5, 1.0)
             self.eager.mark_queued(query)
         else:
-            self.activity.mark_dispatched(query)
+            self.append(query, DISPATCH, "relaxed", FP, 0.0, False)
             self.eager.mark_dispatched(query)
 
     @rule(
@@ -445,10 +497,7 @@ class ActivityFolds(RuleBasedStateMachine):
         prior=PRIORS,
     )
     def downgrade(self, query, deadline_s, prior):
-        self.activity.downgrade(
-            query, "best_effort", "admission", deadline_s=deadline_s,
-            prior=prior,
-        )
+        self.held_downgrade(query, "admission", deadline_s, prior)
         self.eager.downgrade(
             query, "best_effort", "admission", deadline_s=deadline_s,
             prior=eager_prior(prior),
@@ -456,30 +505,47 @@ class ActivityFolds(RuleBasedStateMachine):
 
     @rule(
         query=st.sampled_from(QUERIES),
+        kind=st.sampled_from((PLAN, VM_QUEUE, GUARD, FAIL, "admission")),
+    )
+    def unread(self, query, kind):
+        """A transition that changes no activity entry: the tracer and
+        journal read it, or (an admission downgrade) the submission
+        already carries it."""
+        fields = {
+            PLAN: (None, False),
+            VM_QUEUE: (),
+            GUARD: ("relaxed", FP, "deadline", "alert", False, "late"),
+            FAIL: ("error", "engine error"),
+            "admission": ("best_effort", FP, "pressure", "relaxed", False, 0.0,
+                          None, None),
+        }[kind]
+        self.append(query, DOWNGRADE if kind == "admission" else kind, *fields)
+
+    @rule(
+        query=st.sampled_from(QUERIES),
         venue=st.sampled_from(("vm", "cf")),
         duration_s=st.sampled_from((-1.0, 0.0, 1.0, 10.0)),
         shape=st.integers(0, 2),
-        final=st.one_of(
-            st.none(), st.tuples(*(st.integers(0, 900) for _ in AXES))
-        ),
+        final=st.tuples(*(st.integers(0, 900) for _ in AXES)),
         merge_at=st.sampled_from((None, 0.25, 0.8)),
     )
     def begin_execution(self, query, venue, duration_s, shape, final, merge_at):
-        for registry in (self.activity, self.eager):
-            # Each gets its own reading and profile (the eager one keeps
-            # the objects it is handed).
-            registry.begin_execution(
-                query,
-                venue=venue,
-                duration_s=duration_s,
-                profile=profile_of(shape),
-                final=(
-                    MeterReading(0.0, sum(final), dict(zip(AXES, final)))
-                    if final is not None
-                    else None
-                ),
-                merge_at=merge_at,
-            )
+        # The log holds the window as the execution recorder writes it:
+        # clamped, its operators flattened, its bill as atoms.
+        profile = profile_of(shape)
+        self.append(
+            query, WINDOW, venue, max(0.0, duration_s),
+            _flatten_operators(profile) if profile is not None else (),
+            sum(final), final, merge_at,
+        )
+        self.eager.begin_execution(
+            query,
+            venue=venue,
+            duration_s=duration_s,
+            profile=profile_of(shape),
+            final=MeterReading(0.0, sum(final), dict(zip(AXES, final))),
+            merge_at=merge_at,
+        )
 
     @rule(
         query=st.sampled_from(QUERIES),
@@ -487,19 +553,29 @@ class ActivityFolds(RuleBasedStateMachine):
         axes=AXIS_VALUES,
     )
     def finish_billed(self, query, nanodollars, axes):
-        axes = dict(zip(AXES, axes)) if axes is not None else None
-        record = self.activity.finish_billed(query, nanodollars, axes)
-        eager = self.eager.finish_billed(query, nanodollars, axes)
-        assert (record and record.to_dict()) == (eager and eager.to_dict())
+        self.complete(query, nanodollars=nanodollars, axes=axes)
+        self.eager.finish_billed(
+            query, nanodollars, dict(zip(AXES, axes)) if axes is not None else None
+        )
 
     @rule(
         query=st.sampled_from(QUERIES),
-        how=st.sampled_from(("cancelled", "failed", "rejected")),
+        how=st.sampled_from(("cancelled", "held", "failed", "rejected")),
         detail=st.sampled_from((None, "why")),
     )
     def finish(self, query, how, detail):
-        for registry in (self.activity, self.eager):
-            getattr(registry, "finish_" + how)(query, detail or how)
+        if how == "cancelled":
+            self.complete(query, error="cancelled by user", cancelled=True)
+            self.eager.finish_cancelled(query, "cancelled")
+        elif how == "held":
+            self.cancel_held(query)
+            self.eager.finish_cancelled(query, "cancelled_held")
+        elif how == "failed":
+            self.complete(query, error=detail or how)
+            self.eager.finish_failed(query, detail or how)
+        else:
+            self.append(query, REJECT, "relaxed", FP, "refused", detail or how)
+            self.eager.finish_rejected(query, detail or how)
 
     @rule(
         tenant=st.sampled_from(("acme", "beta")),
@@ -518,12 +594,12 @@ class ActivityFolds(RuleBasedStateMachine):
     @invariant()
     def entries_agree(self):
         for query in QUERIES:
-            assert self.activity.knows(query) == (
-                self.eager.entry(query) is not None
-            )
             assert entry_view(self.activity.entry(query)) == entry_view(
                 self.eager.entry(query)
             )
+        assert [entry_view(e) for e in self.activity.entries()] == [
+            entry_view(e) for e in self.eager.entries()
+        ]
 
     @rule()
     def exports_agree(self):

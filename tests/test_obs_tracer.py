@@ -135,12 +135,12 @@ class TestSpanLifecycle:
         # it, and the log holds nothing the cycle collector tracks.
         log = LifecycleLog(FakeClock())
         tracer = Tracer(log)
-        span_id = log.append("q1", VM_QUEUE, 1)
+        span_id = log.append("q1", VM_QUEUE)
         held = list(vars(span(tracer, "q1", span_id)).values())
         assert not any(isinstance(value, Tracer) for value in held)
         assert not any(getattr(value, "__self__", None) is tracer for value in held)
         assert not any(gc.is_tracked(cell) for cell in log._cells)
-        log.append("q1", EXECUTE, 1, "vm", "worker", 3)
+        log.append("q1", EXECUTE, "vm", "worker", 3)
         assert [s.name for s in tracer.open_spans("q1")] == ["execute"]
         assert tracer.last("q1", "execute").attributes == {"venue": "vm", "worker": 3}
 
@@ -254,7 +254,7 @@ class TestEndOpen:
     def test_closing_a_trace_without_spans_writes_nothing(self):
         # A transition that only closes spans opens no trace.
         log = LifecycleLog()
-        log.append("ghost", FAIL, 0, "error", "boom")
+        log.append("ghost", FAIL, "error", "boom")
         tracer = Tracer(log)
         assert tracer.trace_ids() == []
         assert tracer.spans("ghost") == []
@@ -290,8 +290,8 @@ class TestExport:
 
     def test_export_all_sorts_by_trace_id(self):
         log = LifecycleLog()
-        log.append("q2", VM_QUEUE, 1)
-        log.append("q1", VM_QUEUE, 1)
+        log.append("q2", VM_QUEUE)
+        log.append("q1", VM_QUEUE)
         tracer = Tracer(log)
         doc = json.loads(tracer.export_all_json())
         assert [t["trace_id"] for t in doc] == ["q1", "q2"]

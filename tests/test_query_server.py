@@ -327,6 +327,15 @@ class TestQueryIds:
         owners = [row["query_id"] for row in db.obs.activity.snapshot()["queries"]]
         assert sorted(owners) == ["q", "sq-1", "sq-2", "sq-3"]
 
+    def test_an_id_a_coordinator_ran_directly_is_refused(self, db):
+        coordinator = db.coordinator("tpch")
+        coordinator.submit("SELECT COUNT(*) FROM nation", cf_enabled=False, query_id="q")
+        db.run_to_completion()
+        server = db.query_server("tpch")
+        with pytest.raises(PixelsError, match="duplicate query id 'q'"):
+            server.submit("SELECT COUNT(*) FROM region", ServiceLevel.IMMEDIATE, query_id="q")
+        assert server.queries == []
+
     def test_a_rejected_id_is_refused_before_admission_moves(self):
         db = PixelsDB(observe=True, seed=5)
         db.load_tpch("tpch", scale=0.01)

@@ -436,3 +436,24 @@ class TestMetricsEndToEnd:
         assert "pixels_queries_total" in rover.export(token, "metrics")
         trace = json.loads(rover.trace(token, "sq-1"))
         assert trace["trace_id"] == "sq-1"
+
+    def test_rover_reads_one_trace_without_replaying_the_log(self, monkeypatch):
+        from repro.errors import NoSuchQueryError
+        from repro.obs import LifecycleLog
+        from repro.rover import UserStore
+
+        db = run_session()
+        users = UserStore()
+        users.register("ana", "pw", {"tpch"})
+        rover = db.rover(users, "tpch")
+        token = rover.login("ana", "pw")
+        expected = db.obs.tracer.export_json("sq-1")
+
+        def whole_log(*args):
+            raise AssertionError("a one-trace read replayed the whole log")
+
+        monkeypatch.setattr(LifecycleLog, "__iter__", whole_log)
+        monkeypatch.setattr(LifecycleLog, "since", whole_log)
+        assert rover.trace(token, "sq-1") == expected
+        with pytest.raises(NoSuchQueryError):
+            rover.trace(token, "no-such-query")
