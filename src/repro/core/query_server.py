@@ -26,8 +26,9 @@ journal, ledger, activity, instruments — sits behind one
 and absent (``None``) when the stack is unobserved.
 
 Held queries are re-evaluated on a periodic scheduler tick and whenever a
-query completes.  On completion the server computes the user's bill:
-TB-scanned × the level's rate ($5 / $1 / $0.5 per TB).
+query completes.  The user's bill — TB-scanned × the level's rate ($5 /
+$1 / $0.5 per TB) — is the coordinator's meter reading of the query's
+last execution window, which the server reads off the execution.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from repro.obs.recorder import QueryRecorder
 from repro.sim import Simulator, WeakCallback
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
-from repro.turbo.cost import MeterReading
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fingerprint import Fingerprint
+    from repro.turbo.cost import MeterReading
 
 
 @dataclass
@@ -72,9 +73,9 @@ class ServerQuery:
     grace_deadline: float | None = None
     dispatched_at: float | None = None
     execution: QueryExecution | None = field(default=None, repr=False)
-    #: The one bill (price, integer nanodollars, resource split), taken
-    #: once by the server when the query completes with a result,
-    #: observed or not; every billing surface reads it.
+    #: The one bill (price, integer nanodollars, resource split): the
+    #: execution's ``bill`` itself, read when the query completes,
+    #: observed or not.  Every billing surface reads it.
     bill: MeterReading | None = field(default=None, repr=False)
     tenant: str = "default"
     cancelled: bool = False
@@ -623,16 +624,7 @@ class QueryServer:
 
     def _completed(self, record: ServerQuery, execution: QueryExecution) -> None:
         self._live_dec(record.tenant)
-        if execution.result is not None:
-            # The bill — one reading, whether or not anything is watching.
-            record.bill = self._coordinator.cost_model.meter(
-                execution.result.stats,
-                execution.venue.value if execution.venue is not None else "none",
-                record.level,
-                get_price_per_1000=(
-                    self._coordinator.store.profile.get_price_per_1000
-                ),
-            )
+        record.bill = execution.bill
         if self._recorder is not None:
             self._recorder.completed(record, execution)
         if record.on_finish is not None:

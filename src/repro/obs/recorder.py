@@ -57,14 +57,13 @@ export.  Reordering two calls changes bytes on disk.  No sink reads or
 calls another: the one such read is in this module, in the method that
 writes its result.
 
-Neither recorder derives anything the bill depends on: the server takes
-the query's one meter reading (:meth:`CostModel.meter
-<repro.turbo.cost.CostModel.meter>`: price, integer nanodollars and
-per-resource split) and keeps it on ``record.bill`` before
-:meth:`QueryRecorder.completed` runs, and the ledger, the statement
-store and the activity registry's actual bill all record that reading.
-The only reading taken here is the activity registry's projection, when
-an execution window opens, at the level the query is billed at.
+Neither recorder prices anything: the coordinator takes the meter
+reading (:meth:`CostModel.meter <repro.turbo.cost.CostModel.meter>`:
+price, integer nanodollars, per-resource split) as each execution
+window opens, :meth:`ExecutionRecorder.window_opened` logs it as the
+activity registry's projection, and a successful execution's bill
+(``record.bill``) is that same reading, which the ledger, the statement
+store and the activity registry's actual bill all record.
 """
 
 from __future__ import annotations
@@ -324,7 +323,7 @@ class QueryRecorder:
         self, record: "ServerQuery", execution: "QueryExecution"
     ) -> None:
         """The coordinator finished the query — billed, cancelled in
-        flight, or failed; the server has already priced it."""
+        flight, or failed; its bill is already on ``record``."""
         obs = self.obs
         query_id = record.query_id
         level = record.level
@@ -434,20 +433,15 @@ class ExecutionRecorder:
     It keeps no per-query state and no reference to its coordinator: the
     span an attempt opened is named by the trace's newest span of its
     name, found when the log is replayed, so the coordinator's
-    completion and crash continuations capture no span, and a fan-out
-    relaunched for a query cancelled mid-invocation still parents under
-    that query's (closed) ``execute`` span.
+    completion and crash continuations capture no span.
     """
 
     def __init__(self, obs: "Instrumentation", coordinator: "Coordinator") -> None:
-        """``coordinator``'s cost model and request price price execution
-        windows, and its venues, store and VM pool join the registry's
+        """``coordinator``'s venues, store and VM pool join the registry's
         derived series."""
         self._log = obs.log
         self._ledger = obs.ledger
         registry = obs.metrics
-        self._cost_model = coordinator.cost_model
-        self._get_price_per_1000 = coordinator.store.profile.get_price_per_1000
         self._m_queries = registry.counter(
             "pixels_queries_total", "Finished queries by venue and status"
         )
@@ -535,28 +529,21 @@ class ExecutionRecorder:
         self,
         execution: "QueryExecution",
         duration_s: float,
-        stats: "QueryStats",
         merge_at: float | None = None,
     ) -> None:
         """The attempt occupies its venue over ``[now, now + duration_s]``:
         the live activity registry derives progress and bill projections
-        from this window (a no-op for a query no server submitted, which
-        has no level).  The window is priced here, at the level the query
-        is billed at, with the meter the server bills with — so
+        from this window and the reading the coordinator took as it
+        opened (a no-op for a query no server submitted, which has no
+        reading).  A successful execution's bill is that same reading, so
         projection and bill cannot disagree at the terminal state."""
-        if execution.level is None:
+        final = execution.reading
+        if final is None:
             return
-        venue = execution.venue.value
-        final = self._cost_model.meter(
-            stats,
-            venue,
-            execution.level,
-            get_price_per_1000=self._get_price_per_1000,
-        )
         profile = execution.profile
         self._log.append(
             execution.query_id, WINDOW,
-            venue, max(0.0, duration_s),
+            execution.venue.value, max(0.0, duration_s),
             _flatten_operators(profile) if profile is not None else (),
             final.billed_nanodollars, _axis_values(final.axes), merge_at,
         )

@@ -56,7 +56,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
 from repro.turbo.cf_service import CfService
 from repro.turbo.config import TurboConfig
-from repro.turbo.cost import CostModel
+from repro.turbo.cost import CostModel, MeterReading
 from repro.turbo.faults import FaultConfig, FaultInjector
 from repro.turbo.plan_split import split_plan
 from repro.turbo.vm_cluster import VmCluster, VmTask, VmWorker
@@ -100,9 +100,11 @@ class QueryExecution:
     #: header renders it next to the execution header.
     submit_context: dict | None = field(default=None, repr=False)
     #: The service level the submitter bills the query at (None for a
-    #: query no query server submitted); an observed coordinator prices
-    #: the query's execution window at it.
+    #: query no query server submitted, which has no bill).
     level: "ServiceLevel | None" = field(default=None, repr=False)
+    #: The meter reading of the latest execution window (or a plain
+    #: EXPLAIN's zero reading), taken at ``level``; None without one.
+    reading: MeterReading | None = field(default=None, repr=False)
     #: One-shot completion continuation: cleared just before it fires.
     on_complete: Callable[["QueryExecution"], None] | None = field(
         default=None, repr=False
@@ -111,6 +113,11 @@ class QueryExecution:
     @property
     def succeeded(self) -> bool:
         return self.finished_at is not None and self.error is None
+
+    @property
+    def bill(self) -> MeterReading | None:
+        """The reading of a successful execution; any other has no bill."""
+        return self.reading if self.succeeded else None
 
     @property
     def pending_time_s(self) -> float | None:
@@ -320,12 +327,30 @@ class Coordinator:
             workers=self._config.workers or None,
         )
 
-    def _charge(self, execution: QueryExecution, cost: float) -> None:
-        """Accrue provider-side spend (the operator's worker-second bill
-        for this query at its venue)."""
-        execution.provider_cost += cost
-        if self._recorder is not None:
-            self._recorder.provider_charged(execution, cost)
+    def _open_window(
+        self,
+        execution: QueryExecution,
+        stats: QueryStats,
+        duration_s: float | None = None,
+        cost: float = 0.0,
+        merge_at: float | None = None,
+    ) -> None:
+        """The venue starts executing for ``duration_s``: accrue the
+        operator's ``cost``, take the query's one meter reading of
+        ``stats`` at its level and record the window.  A plain EXPLAIN
+        occupies no venue, passes no ``duration_s`` and only reads."""
+        if duration_s is not None:
+            execution.provider_cost += cost
+            if self._recorder is not None:
+                self._recorder.provider_charged(execution, cost)
+        if execution.level is not None:
+            venue = execution.venue.value if execution.venue is not None else "none"
+            execution.reading = self.cost_model.meter(
+                stats, venue, execution.level,
+                get_price_per_1000=self._store.profile.get_price_per_1000,
+            )
+        if duration_s is not None and self._recorder is not None:
+            self._recorder.window_opened(execution, duration_s, merge_at)
 
     @property
     def config(self) -> TurboConfig:
@@ -394,11 +419,12 @@ class Coordinator:
         plan, explain_mode = prepared.plan, prepared.explain_mode
         if explain_mode == "plan":
             # Pure EXPLAIN renders without occupying any venue and bills
-            # nothing (no bytes are scanned).
+            # a zero reading (no bytes are scanned).
             execution.explain_text = self._render_plan_report(plan, cf_enabled)
+            stats = QueryStats()
+            self._open_window(execution, stats)
             self._succeed(
-                execution,
-                QueryResult(_text_table(execution.explain_text), QueryStats()),
+                execution, QueryResult(_text_table(execution.explain_text), stats)
             )
             return execution
         if explain_mode == "analyze":
@@ -775,39 +801,29 @@ class Coordinator:
         estimate = self.cost_model.vm_execution(result.stats)
         if recorder is not None:
             recorder.attempt_measured(execution, result.stats)
-            recorder.window_opened(execution, estimate.duration_s, result.stats)
-        if self.fault_injector is not None and self.fault_injector.vm_task_fails():
-            # The worker crashes partway through; the partial work is still
-            # paid for, the worker is retired, and the query retries on the
-            # remaining capacity.
-            fraction = self.fault_injector.failure_point()
-            self._charge(execution, estimate.provider_cost * fraction)
+        # A crashing worker dies partway through; the partial work is still
+        # paid for, the worker is retired, and the query retries on the
+        # remaining capacity.
+        injector = self.fault_injector
+        fails = injector is not None and injector.vm_task_fails()
+        fraction = injector.failure_point() if fails else 1.0
+        cost = estimate.provider_cost * fraction
+        self._open_window(execution, result.stats, estimate.duration_s, cost)
 
-            def crash() -> None:
-                if recorder is not None:
-                    recorder.attempt_ended(
-                        execution, "retry", reason="vm worker crashed"
-                    )
-                self._vm_running.pop(query_id, None)
-                self.vm_cluster.release(worker)
-                self.vm_cluster.fail_worker(worker)
-                self._retry(execution, plan, reason="VM worker crashed")
-
-            event = self._sim.schedule(estimate.duration_s * fraction, crash)
-            self._vm_running[query_id] = (event, worker)
-            return
-        self._charge(execution, estimate.provider_cost)
-
-        def finish() -> None:
-            if recorder is not None:
-                recorder.attempt_ended(
-                    execution, "ok", result, estimate.provider_cost
-                )
+        def ended() -> None:
+            if recorder is not None and fails:
+                recorder.attempt_ended(execution, "retry", reason="vm worker crashed")
+            elif recorder is not None:
+                recorder.attempt_ended(execution, "ok", result, cost)
             self._vm_running.pop(query_id, None)
             self.vm_cluster.release(worker)
-            self._succeed(execution, result)
+            if fails:
+                self.vm_cluster.fail_worker(worker)
+                self._retry(execution, plan, reason="VM worker crashed")
+            else:
+                self._succeed(execution, result)
 
-        event = self._sim.schedule(estimate.duration_s, finish)
+        event = self._sim.schedule(estimate.duration_s * fraction, ended)
         self._vm_running[query_id] = (event, worker)
 
     def _retry(self, execution: QueryExecution, plan, reason: str) -> None:
@@ -893,28 +909,27 @@ class Coordinator:
         recorder = self._recorder
         if recorder is not None:
             recorder.cf_invoked(execution)
-        fails = (
-            self.fault_injector is not None
-            and self.fault_injector.cf_invocation_fails()
-        )
+        injector = self.fault_injector
+        fails = injector is not None and injector.cf_invocation_fails()
         # A failing invocation dies partway through — before the merge —
         # and its function time is still billed.
-        fraction = self.fault_injector.failure_point() if fails else 1.0
+        fraction = injector.failure_point() if fails else 1.0
         duration_s = estimate.duration_s * fraction
-        self._charge(execution, estimate.provider_cost * fraction)
-        if recorder is not None:
-            recorder.window_opened(
-                execution, duration_s, result.stats, None if fails else merge_at
-            )
+        cost = estimate.provider_cost * fraction
+        self._open_window(
+            execution, result.stats, duration_s, cost, None if fails else merge_at
+        )
 
         def returned() -> None:
+            if execution.finished_at is not None:
+                return  # cancelled in flight: the invocation billed above
             if not fails:
                 if recorder is not None:
                     recorder.attempt_ended(
                         execution, "ok", result, execution.provider_cost
                     )
                 self._succeed(execution, result)
-            elif execution.retries >= self.fault_injector.config.max_retries:
+            elif execution.retries >= injector.config.max_retries:
                 if recorder is not None:
                     recorder.attempt_ended(
                         execution, "error", error="cf invocation failed"
@@ -987,11 +1002,10 @@ class Coordinator:
             for execution, result in zip(members, batch.results):
                 execution.started_at = self._sim.now
                 execution.venue = ExecutionVenue.VM
-                self._charge(execution, per_member_cost)
+                self._open_window(
+                    execution, result.stats, estimate.duration_s, per_member_cost
+                )
                 if recorder is not None:
-                    recorder.window_opened(
-                        execution, estimate.duration_s, result.stats
-                    )
                     recorder.attempt_started(
                         execution,
                         batch=True,
@@ -1021,8 +1035,9 @@ class Coordinator:
         Pending VM-queued queries are removed from the queue; running VM
         queries have their slot freed at once; CF-accelerated queries are
         marked failed immediately but their invocations run (and bill) to
-        completion — functions cannot be recalled once launched.  Returns
-        False if the query had already finished.
+        completion — functions cannot be recalled once launched — and a
+        failed one is not relaunched.  Returns False if the query had
+        already finished.
         """
         execution = self.execution(query_id)
         if execution.finished_at is not None:
@@ -1053,7 +1068,9 @@ class Coordinator:
     ) -> None:
         """Terminal failure; ``status`` is ``"cancelled"`` only when the
         user (or the guard) withdrew the query — never inferred from the
-        message, which may quote user SQL."""
+        message, which may quote user SQL.  A finished one stays as is."""
+        if execution.finished_at is not None:
+            return
         execution.finished_at = self._sim.now
         if execution.started_at is None:
             execution.started_at = self._sim.now

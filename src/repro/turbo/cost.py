@@ -52,11 +52,11 @@ class MeterReading(NamedTuple):
     their decomposition by the resource that earned them.
 
     ``axes`` maps resource axis (bandwidth/compute/requests/fixed) to
-    nanodollars and always sums to ``billed_nanodollars``.  The server
-    keeps one reading per billed query (``ServerQuery.bill``), and the
+    nanodollars and always sums to ``billed_nanodollars``.  The
+    coordinator takes one as each execution window opens; a successful
+    execution's last one is its bill (``ServerQuery.bill``), and the
     ledger, the statement store, the activity registry and the profiler
-    all read that record, so they agree to the nanodollar by
-    construction.
+    all read that record, so they agree to the nanodollar by construction.
     """
 
     price: float

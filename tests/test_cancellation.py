@@ -98,6 +98,64 @@ class TestCfCancellation:
         assert record.status is QueryStatus.FAILED
         assert coordinator.cf_service.provider_cost() > 0
 
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_cancel_mid_invocation_launches_nothing_more(self, observe):
+        """A failing invocation that returns after its query was cancelled
+        relaunches nothing: the cancel stands, the query is counted once,
+        and its trace gains no span after the root closed."""
+        from repro.core import QueryServer
+        from repro.obs import Instrumentation
+        from repro.sim import Simulator
+        from repro.storage.catalog import Catalog
+        from repro.storage.object_store import ObjectStore
+        from repro.turbo import Coordinator, TurboConfig
+        from repro.turbo.faults import FaultConfig
+        from repro.workloads import TpchGenerator, load_dataset
+
+        sim = Simulator(seed=11)
+        store, catalog = ObjectStore(), Catalog()
+        load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.05).tables())
+        config = TurboConfig.fast()
+        obs = (
+            Instrumentation.create(clock=lambda: sim.now)
+            if observe
+            else Instrumentation.disabled()
+        )
+        coordinator = Coordinator(
+            sim, config, catalog, store, "tpch",
+            faults=FaultConfig(cf_failure_rate=1.0, max_retries=3), obs=obs,
+        )
+        server = QueryServer(sim, coordinator, config)
+        for _ in range(4):
+            server.submit(HEAVY, ServiceLevel.RELAXED)
+        record = server.submit(HEAVY, ServiceLevel.IMMEDIATE)
+        assert record.execution.venue is ExecutionVenue.CF
+        launches = []
+        invoke = coordinator.cf_service.invoke
+
+        def counting(*args, **kwargs):
+            launches.append(sim.now)
+            return invoke(*args, **kwargs)
+
+        coordinator.cf_service.invoke = counting
+        billed = record.execution.provider_cost
+        assert billed > 0  # the invocation in flight is paid for
+        assert server.cancel(record.query_id) is True
+        sim.run_until(900)
+        assert launches == []
+        assert record.execution.error == "cancelled by user"
+        assert record.execution.provider_cost == billed
+        assert coordinator.cf_service.provider_cost() == billed
+        assert record.bill is None and record.price_nanodollars == 0
+        if observe:
+            finished = obs.metrics.get("pixels_queries_total")
+            assert finished.value(venue="cf", status="cancelled") == 1
+            assert finished.value(venue="cf", status="error") == 0
+            spans = obs.tracer.spans(record.query_id)
+            (root,) = [span for span in spans if span.name == "query"]
+            assert root.status == "cancelled"
+            assert [s.name for s in spans if s.start > root.end] == []
+
 
 class TestCancellationEdges:
     def test_cancel_finished_query_returns_false(self, turbo_env):

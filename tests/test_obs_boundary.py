@@ -70,12 +70,12 @@ WRITER_CALLS = {"counter", "gauge", "histogram", "add_collector", "end_open"}
 RULE_SETS = {"default_rules", "budget_rules"}
 #: The cost model's two terms of a bill: only its meter calls them.
 PRICING_TERMS = {"user_price", "attribution"}
-#: Where a bill is metered: the server's completion (the bill every
-#: surface reads) and the activity registry's projection when an
-#: execution window opens.
+#: Where a bill is metered: the coordinator, as an execution window
+#: opens (and for a plain EXPLAIN's zero reading).  That one reading is
+#: both the activity registry's projection and the bill every surface
+#: reads.
 METER_SITES = [
-    ("core/query_server.py", "_completed"),
-    ("obs/recorder.py", "window_opened"),
+    ("turbo/coordinator.py", "_open_window"),
 ]
 #: The modules of the six lifecycle sinks, and the one runtime import
 #: between them: the spend accountant is a view over the ledger.
@@ -239,8 +239,9 @@ class TestStaticFence:
         assert sink_writers == {"obs/activity.py:__init__"}
 
     def test_one_bill_per_query(self):
-        """Only the cost model prices and splits a bill, and only two
-        places meter one."""
+        """Only the cost model prices and splits a bill, and only the
+        coordinator's window opening meters one: the server and the
+        recorders read that reading."""
         sources = dict(parsed_sources())
         pricing = sorted(
             f"{name}:{function} .{method}()"
@@ -257,6 +258,19 @@ class TestStaticFence:
             if method == "meter"
         )
         assert meters == METER_SITES
+        # The request price is read where the reading is taken (and by
+        # the object store that owns it), nowhere else.
+        request_price = sorted(
+            (name, function.name)
+            for name, tree in sources.items()
+            if not name.startswith("storage/")
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "get_price_per_1000"
+        )
+        assert request_price == METER_SITES
 
     def test_only_the_recorders_append_to_the_lifecycle_log(self):
         """One entry per transition: an append to the lifecycle log

@@ -390,17 +390,35 @@ class Stack:
         if record is None or (record.execution is not None and record.execution is not execution):
             return
         if execution.result is not None:
-            venue = execution.venue.value if execution.venue is not None else "none"
-            record.bill = self.coordinator.cost_model.meter(
-                execution.result.stats, venue, record.level,
-                get_price_per_1000=self.coordinator.store.profile.get_price_per_1000,
-            )
+            # The coordinator's reading of what the execution finished with.
+            execution.reading = self.reading(execution, execution.result.stats)
+        record.bill = execution.bill
         if self.eager:
             self.queries.completed(record, execution, self.profile_of)
         else:
             self.queries.completed(record, execution)
 
     # -- the coordinator's side -------------------------------------------------
+
+    def reading(self, execution: QueryExecution, stats: QueryStats):
+        """The coordinator's meter reading of ``stats`` at the execution's
+        level (None without one)."""
+        if execution.level is None:
+            return None
+        venue = execution.venue.value if execution.venue is not None else "none"
+        return self.coordinator.cost_model.meter(
+            stats, venue, execution.level,
+            get_price_per_1000=self.coordinator.store.profile.get_price_per_1000,
+        )
+
+    def window_opened(self, execution, duration_s, stats, merge_at=None) -> None:
+        """The coordinator opens a window: it takes the execution's reading,
+        which the recorder logs; the eager recorder took its own."""
+        execution.reading = self.reading(execution, stats)
+        if self.eager:
+            self.executions.window_opened(execution, duration_s, stats, merge_at)
+        else:
+            self.executions.window_opened(execution, duration_s, merge_at)
 
     def fail(self, execution, error: str, status: str) -> None:
         execution.finished_at = self.clock()
@@ -577,7 +595,7 @@ class RecorderTransitions(RuleBasedStateMachine):
                     run.vm_queued(execution)
                     run.attempt_started(execution, worker=attempt)
                     run.attempt_measured(execution, stats_of(seed))
-                    run.window_opened(execution, 2.0, stats_of(seed))
+                    stack.window_opened(execution, 2.0, stats_of(seed))
                     run.provider_charged(execution, 1e-6 * seed)
                     if attempt < setbacks:
                         run.attempt_ended(execution, "retry", reason="vm worker crashed")
@@ -594,7 +612,7 @@ class RecorderTransitions(RuleBasedStateMachine):
                 for attempt in range(setbacks + 1):
                     run.cf_invoked(execution)
                     run.provider_charged(execution, 1e-6 * seed)
-                    run.window_opened(
+                    stack.window_opened(
                         execution, 3.0, stats_of(seed),
                         None if attempt < setbacks else 0.6,
                     )
@@ -609,7 +627,7 @@ class RecorderTransitions(RuleBasedStateMachine):
                     run.attempt_ended(execution, "error", error="cf invocation failed")
             else:
                 execution.venue = ExecutionVenue.VM
-                run.window_opened(execution, 4.0, stats_of(seed))
+                stack.window_opened(execution, 4.0, stats_of(seed))
                 run.attempt_started(
                     execution, batch=True, batch_size=setbacks + 2, bytes_saved=seed
                 )
@@ -699,9 +717,7 @@ class RecorderTransitions(RuleBasedStateMachine):
             if execution.venue is None:
                 return
             execution.profile = profile_of_shape(shape)
-            stack.executions.window_opened(
-                execution, duration_s, stats_of(seed), merge_at
-            )
+            stack.window_opened(execution, duration_s, stats_of(seed), merge_at)
 
     @precondition(lambda self: self.live())
     @rule(pick=st.integers(0, 20), again=st.booleans())

@@ -16,6 +16,7 @@ from repro.sim import Simulator
 from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
 from repro.turbo import Coordinator, TurboConfig
+from repro.turbo.coordinator import ExecutionVenue
 from repro.turbo.faults import FaultConfig
 from repro.workloads import TPCH_QUERIES, TpchGenerator, load_dataset
 
@@ -60,8 +61,9 @@ def dataset():
 def replay_composition(dataset, observe, batch_best_effort, seed=1):
     """One seeded schedule through every feature that touches the bill at
     once: VM crashes and CF failures with a retry budget, quota and
-    pressure-downgrade admission, a statement that fails in planning, and
-    25 cancels at seeded times of whichever query is live then."""
+    pressure-downgrade admission, a statement that fails in planning, an
+    EXPLAIN ANALYZE, and 25 cancels at seeded times of whichever query is
+    live then."""
     store, catalog = dataset
     rng = np.random.default_rng(seed)
     statements = [*TPCH_QUERIES.values(), "SELECT no_such_column FROM nation"]
@@ -69,11 +71,13 @@ def replay_composition(dataset, observe, batch_best_effort, seed=1):
     submissions = [
         Submission(
             float(at),
-            statements[int(rng.integers(len(statements)))],
+            # Every fortieth arrival is analyzed: it runs, bills and prints.
+            ("" if index % 40 else "EXPLAIN ANALYZE ")
+            + statements[int(rng.integers(len(statements)))],
             levels[int(rng.integers(len(levels)))],
             tenant=f"tenant-{int(rng.integers(2))}",
         )
-        for at in np.sort(rng.uniform(0.0, 240.0, 120))
+        for index, at in enumerate(np.sort(rng.uniform(0.0, 240.0, 120)))
     ]
     # Horizon 0: the stack is built and every arrival scheduled, nothing
     # has run — the cancels below interleave with the replay.
@@ -254,8 +258,32 @@ class TestDisabledDefault:
         assert any(q.cancelled and q.execution is None for q in queries)
         assert any(q.cancelled and q.execution is not None for q in queries)
         assert any(q.price_nanodollars > 0 for q in queries)
+        assert any(
+            q.execution and q.execution.venue is ExecutionVenue.CF
+            and q.execution.retries
+            for q in queries
+        )
+        assert any(
+            q.sql.startswith("EXPLAIN ANALYZE") and q.bill is not None
+            for q in queries
+        )
+        if batch_best_effort:
+            assert any(
+                span.name == "execute" and span.attributes.get("batch")
+                for q in queries
+                if q.bill is not None
+                for span in observed.obs.tracer.spans(q.query_id)
+            )
 
         assert bills(observed) == bills(dark)
+        # Projection and bill are one reading: every billed query's
+        # activity entry was handed exactly the integer and axes it billed.
+        billed = [q for q in queries if q.bill is not None]
+        assert billed
+        for query in billed:
+            entry = observed.obs.activity.entry(query.query_id)
+            assert entry.final_nanodollars == query.bill.billed_nanodollars
+            assert entry.final_axes == query.bill.axes
         total = observed.server.total_billed_nanodollars()
         assert total == dark.server.total_billed_nanodollars()
         # The ledger (observed only) nets to the integer both runs billed.
