@@ -292,9 +292,12 @@ class PixelsDB:
         """Replay every server's metering ledger and prove ledger ==
         profiler attribution == billed price == $/TB bytes basis, in
         exact integer arithmetic.  Returns one merged
-        :class:`~repro.obs.reconcile.ReconciliationReport`."""
+        :class:`~repro.obs.reconcile.ReconciliationReport`.  An unobserved
+        database keeps no ledger to replay: it raises ``ValueError``."""
         from repro.obs.reconcile import ReconciliationReport, reconcile_server
 
+        if not self.obs.enabled:
+            raise ValueError("reconcile() needs observe=True: no ledger is kept")
         report = ReconciliationReport()
         # The ledger is shared across schemas: replay the events once
         # (via the first server), then cross-check every server's

@@ -16,7 +16,7 @@ GROUP BY / HAVING, aggregate functions, CASE, BETWEEN/IN/LIKE, ORDER BY,
 LIMIT, and DISTINCT.
 """
 
-from repro.engine.batch import DEFAULT_BATCH_SIZE, BatchStream, RecordBatch
+from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.executor import QueryExecutor, QueryResult
 from repro.engine.binder import Binder
 from repro.engine.optimizer import Optimizer
@@ -24,13 +24,11 @@ from repro.engine.planner import Planner
 from repro.engine.sql.parser import parse_sql
 
 __all__ = [
-    "BatchStream",
     "Binder",
     "DEFAULT_BATCH_SIZE",
     "Optimizer",
     "Planner",
     "QueryExecutor",
     "QueryResult",
-    "RecordBatch",
     "parse_sql",
 ]

@@ -1,10 +1,10 @@
-"""Record batches: the unit of data flow in the vectorized pipeline.
+"""Batches: the unit of data flow in the vectorized pipeline.
 
-The pipeline executor (:mod:`repro.engine.pipeline`) moves data between
-physical operators as fixed-size :class:`RecordBatch` slices instead of
-whole tables.  A batch is a *view*: slicing a :class:`~repro.storage.table
-.TableData` goes through ``numpy`` basic slicing, so the column buffers are
-shared with the parent table (zero-copy for every non-object dtype).
+The pipeline (:mod:`repro.engine.pipeline`) moves data between physical
+operators as bounded :class:`~repro.storage.table.TableData` slices of at
+most ``batch_size`` rows instead of whole tables.  A slice is a *view*: it
+goes through ``numpy`` basic slicing, so the column buffers are shared with
+the parent table (zero-copy for every non-object dtype).
 
 Batching is what bounds peak memory in streaming operators (at most one
 batch is materialized per operator) and what makes LIMIT early-exit
@@ -14,7 +14,6 @@ all the way down to the object-store scan — never do the remaining work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.storage.table import TableData
@@ -48,83 +47,18 @@ def approx_table_nbytes(table: TableData) -> int:
     return sum(approx_vector_nbytes(vector) for vector in table.columns.values())
 
 
-@dataclass(frozen=True)
-class RecordBatch:
-    """A bounded horizontal slice of a table, exchanged between operators.
+def slices(table: TableData, batch_size: int) -> Iterator[TableData]:
+    """Yield ``table`` as zero-copy batches of at most ``batch_size`` rows.
 
-    ``data`` shares buffers with whatever produced it — operators must not
-    mutate column arrays in place.
+    Batches share buffers with ``table`` — consumers must not mutate their
+    column arrays in place.  An empty table yields nothing (the executor
+    rebuilds the schema from the plan when no batch arrives).
     """
-
-    data: TableData
-
-    @property
-    def num_rows(self) -> int:
-        return self.data.num_rows
-
-    @property
-    def column_names(self) -> list[str]:
-        return self.data.column_names
-
-    def approx_nbytes(self) -> int:
-        return approx_table_nbytes(self.data)
-
-    @staticmethod
-    def slices(table: TableData, batch_size: int) -> Iterator["RecordBatch"]:
-        """Yield ``table`` as zero-copy batches of at most ``batch_size`` rows.
-
-        An empty table yields nothing (the pipeline driver rebuilds the
-        schema from the plan when no batch arrives).
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        total = table.num_rows
-        start = 0
-        while start < total:
-            stop = min(start + batch_size, total)
-            yield RecordBatch(table.slice(start, stop))
-            start = stop
-
-
-class BatchStream:
-    """A single-use stream of table batches attachable to a
-    :class:`~repro.engine.plan.MaterializedView`.
-
-    This is the seam that makes the Turbo coordinator's merge step
-    incremental: instead of materializing the CF sub-plan's full result and
-    handing it to the top-level plan as one table, the coordinator attaches
-    the sub-executor's batch iterator, and the top-level pipeline pulls it
-    batch by batch.  If the top-level plan stops early (LIMIT), closing the
-    stream propagates all the way back into the sub-plan's scan.
-    """
-
-    def __init__(
-        self,
-        batches: Iterator[TableData],
-        schema: list[tuple[str, DataType]],
-    ) -> None:
-        self._batches = batches
-        self._schema = list(schema)
-        self._closed = False
-        self.batches_consumed = 0
-
-    def schema(self) -> list[tuple[str, DataType]]:
-        return list(self._schema)
-
-    def next_table(self) -> TableData | None:
-        if self._closed:
-            return None
-        piece = next(self._batches, None)
-        if piece is None:
-            self.close()
-            return None
-        self.batches_consumed += 1
-        return piece
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        closer = getattr(self._batches, "close", None)
-        if closer is not None:
-            closer()
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    total = table.num_rows
+    start = 0
+    while start < total:
+        stop = min(start + batch_size, total)
+        yield table.slice(start, stop)
+        start = stop

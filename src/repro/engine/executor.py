@@ -1,11 +1,13 @@
 """Plan execution: a thin driver over the vectorized pipeline.
 
 The executor lowers the logical plan into a tree of physical operators
-(:mod:`repro.engine.pipeline`) and pulls record batches from the root until
-exhaustion.  It is deliberately synchronous and deterministic — in Turbo,
-each VM or CF worker runs one executor over its assigned plan fragment, and
-the simulation charges time from the cost model using the statistics
-returned here (bytes scanned, rows processed).
+(:mod:`repro.engine.pipeline`) and iterates the root operator's
+``batches()`` generator until exhaustion, inside ``contextlib.closing`` so
+that an early end or an error closes the whole tree.  It is deliberately
+synchronous and deterministic — in Turbo, each VM or CF worker runs one
+executor over its assigned plan fragment, and the simulation charges time
+from the cost model using the statistics returned here (bytes scanned,
+rows processed).
 
 :meth:`QueryExecutor.execute_stream` exposes the same pipeline without the
 final concatenation: batches flow out as they are produced, which is how
@@ -16,6 +18,7 @@ waiting for whole fragments.
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -157,18 +160,11 @@ class StreamingExecution:
         self._root = root
 
     def batches(self) -> Iterator[TableData]:
-        root = self._root
-        root.open()
-        try:
-            while True:
-                batch = root.next_batch()
-                if batch is None:
-                    break
+        with closing(self._root.batches()) as batches:
+            for batch in batches:
                 self.batches_emitted += 1
                 self.stats.rows_produced += batch.num_rows
-                yield batch.data
-        finally:
-            root.close()
+                yield batch
 
     def profile(self) -> OperatorProfile:
         """Per-operator profile of the work done so far (or ever, once the
@@ -216,16 +212,8 @@ class QueryExecutor:
             plan, self._source, stats, self._batch_size, self._workers
         )
         stats.operators = root.count_operators()
-        pieces: list[TableData] = []
-        root.open()
-        try:
-            while True:
-                batch = root.next_batch()
-                if batch is None:
-                    break
-                pieces.append(batch.data)
-        finally:
-            root.close()
+        with closing(root.batches()) as batches:
+            pieces = list(batches)
         if pieces:
             # The result boundary: dictionary-coded VARCHAR columns become
             # strings here, for the rows that survived, and never later.

@@ -1,12 +1,15 @@
 """The physical operator layer: a Volcano-style vectorized pipeline.
 
-Every logical plan node lowers to exactly one :class:`PhysicalOperator`
-with the classic ``open() / next_batch() / close()`` interface, pulling
-:class:`~repro.engine.batch.RecordBatch` slices of at most ``batch_size``
-rows.  Operators come in two kinds:
+Every logical plan node lowers to exactly one :class:`PhysicalOperator`,
+whose :meth:`~PhysicalOperator.batches` generator pulls its children's
+generators and yields :class:`~repro.storage.table.TableData` slices of at
+most ``batch_size`` rows: the pull protocol is the language's own iterator
+protocol.  Each operator closes the child generators it opened when it
+ends, stops early or fails, so a closed root closes the whole tree.
+Operators come in two kinds:
 
 * **streaming** (Scan, Filter, Project, Limit, MaterializedView): one
-  batch in, at most one batch out, nothing retained between calls — peak
+  batch in, at most one batch out, nothing retained between pulls — peak
   memory is bounded by the batch size.  Because the model is pull-based,
   LIMIT early-exit is structural: once a Limit stops pulling, the scan
   below it never fetches the remaining row groups, so a ``LIMIT 10`` over
@@ -26,16 +29,16 @@ deterministic-trace tests rely on.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Iterator
 
 from repro.errors import ExecutionError
-from repro.engine.batch import BatchStream, RecordBatch
+from repro.engine.batch import approx_table_nbytes, slices
 from repro.engine.expr import compile_expr, mask_from_predicate
 from repro.engine.physical import (
     execute_aggregate,
     execute_distinct,
     execute_hash_join,
-    execute_limit,
     execute_semi_anti_join,
     execute_sort,
     execute_top_n,
@@ -60,7 +63,6 @@ from repro.engine.plan import (
 from repro.engine.source import DataSource
 from repro.storage.object_store import ScanCounters
 from repro.storage.table import TableData
-from repro.storage.types import ColumnVector
 
 # Virtual-time rates for per-operator EXPLAIN ANALYZE timing.  Aligned
 # with the VM tier's modelled throughput (200 MB/s scan, 4M rows/s) so the
@@ -75,10 +77,11 @@ VIRTUAL_SECONDS_PER_BATCH = 1e-6
 class PhysicalOperator:
     """Base class: an executable counterpart of one logical plan node.
 
-    Subclasses implement :meth:`next_batch`; the base class manages the
-    child lifecycle and the per-operator accounting every operator shares
-    (rows in/out, batches emitted, peak materialized bytes, and — for
-    scans — the storage-side counters).
+    Subclasses implement :meth:`batches`; the base class holds the
+    per-operator accounting every operator shares (rows in/out, batches
+    emitted, peak materialized bytes, and — for scans — the storage-side
+    counters).  Iteration state lives in the generator's frame, never on
+    the operator.
     """
 
     def __init__(self, node: PlanNode, children: "list[PhysicalOperator]") -> None:
@@ -94,31 +97,16 @@ class PhysicalOperator:
         self.morsels = 0
         self.counters = ScanCounters()
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def open(self) -> None:
-        for child in self.children:
-            child.open()
-
-    def next_batch(self) -> RecordBatch | None:
+    def batches(self) -> Iterator[TableData]:
+        """Yield this operator's output, batch by batch, pulled lazily."""
         raise NotImplementedError  # pragma: no cover
-
-    def close(self) -> None:
-        for child in self.children:
-            child.close()
 
     # -- accounting --------------------------------------------------------
 
-    def _emit(self, batch: RecordBatch) -> RecordBatch:
+    def _emit(self, batch: TableData) -> TableData:
         self.rows_out += batch.num_rows
         self.batches_out += 1
-        self.peak_bytes = max(self.peak_bytes, batch.approx_nbytes())
-        return batch
-
-    def _pull(self, child: "PhysicalOperator") -> RecordBatch | None:
-        batch = child.next_batch()
-        if batch is not None:
-            self.rows_in += batch.num_rows
+        self.peak_bytes = max(self.peak_bytes, approx_table_nbytes(batch))
         return batch
 
     def own_virtual_seconds(self) -> float:
@@ -132,29 +120,15 @@ class PhysicalOperator:
     def count_operators(self) -> int:
         return 1 + sum(child.count_operators() for child in self.children)
 
-    # -- helpers for blocking subclasses ------------------------------------
-
-    def _drain_child(self, child: "PhysicalOperator") -> TableData:
-        """Materialize a child's full output (the pipeline-breaker move)."""
-        pieces: list[TableData] = []
-        while True:
-            batch = self._pull(child)
-            if batch is None:
-                break
-            pieces.append(batch.data)
-        if not pieces:
-            return TableData.empty(child.node.output_schema())
-        return TableData.concat_all(pieces)
-
 
 class ScanOperator(PhysicalOperator):
     """Leaf: stream a table scan, one source granule at a time.
 
     Granules arrive at the source's natural fetch unit (a row group for
     object-store scans), already filtered by the scan's residual, and are
-    re-sliced into record batches; ``rows_in`` counts the rows the source
-    read, before that filter.  The granule iterator is advanced lazily, so
-    a consumer that stops pulling ends the scan with the remaining row
+    re-sliced into batches; ``rows_in`` counts the rows the source read,
+    before that filter.  The granule iterator is advanced lazily, so a
+    consumer that stops pulling ends the scan with the remaining row
     groups unfetched — the early-exit half of the billing story (§3.2: pay
     for bytes actually scanned).
 
@@ -176,29 +150,22 @@ class ScanOperator(PhysicalOperator):
         self._stats = stats
         self._batch_size = batch_size
         self._workers = workers
-        self._granules: Iterator | None = None
-        self._slices: Iterator[RecordBatch] | None = None
 
-    def open(self) -> None:
+    def batches(self) -> Iterator[TableData]:
         parallel = getattr(self._source, "scan_batches_parallel", None)
         if self._workers > 1 and parallel is not None:
-            self._granules = parallel(self.node, self._workers)
+            granules = parallel(self.node, self._workers)
         else:
-            self._granules = self._source.scan_batches(self.node)
-
-    def next_batch(self) -> RecordBatch | None:
-        assert self._granules is not None, "operator not opened"
-        while True:
-            if self._slices is not None:
-                batch = next(self._slices, None)
-                if batch is not None:
-                    return self._emit(batch)
-                self._slices = None
-            granule = next(self._granules, None)
-            if granule is None:
-                return None
-            self._account(granule)
-            self._slices = RecordBatch.slices(granule.data, self._batch_size)
+            granules = self._source.scan_batches(self.node)
+        # Closing the granule stream shuts a parallel scan's pool down.
+        with closing(granules):
+            for granule in granules:
+                self._account(granule)
+                pieces = slices(granule.data, self._batch_size)
+                # A frame local would hold this row group (through the
+                # granule or its last slice) while the next one is fetched.
+                del granule
+                yield from map(self._emit, pieces)
 
     def _account(self, granule) -> None:
         self.rows_in += granule.rows_scanned
@@ -209,61 +176,41 @@ class ScanOperator(PhysicalOperator):
         stats.rows_scanned += granule.rows_scanned
         self.counters.add(granule)
 
-    def close(self) -> None:
-        if self._granules is not None:
-            closer = getattr(self._granules, "close", None)
-            if closer is not None:
-                closer()
-            self._granules = None
-        self._slices = None
-
 
 class ViewOperator(PhysicalOperator):
-    """Leaf serving a MaterializedView: a whole table (re-sliced) or an
-    attached :class:`~repro.engine.batch.BatchStream` pulled incrementally
-    (how the Turbo coordinator merges CF fragment results)."""
+    """Leaf serving a MaterializedView: a whole table (re-sliced, one
+    morsel) or an attached iterator of tables pulled incrementally, one
+    morsel each (how the Turbo coordinator merges CF fragment results).
+    The iterator is closed when this operator ends, so a top plan that
+    stops early stops the sub-plan feeding it."""
 
     def __init__(self, node: MaterializedView, batch_size: int) -> None:
         super().__init__(node, [])
         self._batch_size = batch_size
-        self._slices: Iterator[RecordBatch] | None = None
-        self._stream: BatchStream | None = None
-        self._table_done = False
 
-    def open(self) -> None:
+    def batches(self) -> Iterator[TableData]:
         data = self.node.data
-        if isinstance(data, BatchStream):
-            self._stream = data
-        elif isinstance(data, TableData):
-            self.morsels += 1
-            self._slices = RecordBatch.slices(data, self._batch_size)
-        else:
+        if data is None:
             raise ExecutionError(
                 f"materialized view {self.node.name!r} has no data attached"
             )
+        tables = (data,) if isinstance(data, TableData) else data
+        try:
+            for table in tables:
+                self.morsels += 1
+                pieces = slices(table, self._batch_size)
+                del table  # as in the scan: not held while the next is pulled
+                yield from map(self._emit, pieces)
+        finally:
+            close = getattr(tables, "close", None)
+            if close is not None:
+                close()
 
-    def next_batch(self) -> RecordBatch | None:
-        while True:
-            if self._slices is not None:
-                batch = next(self._slices, None)
-                if batch is not None:
-                    self.rows_in += batch.num_rows
-                    return self._emit(batch)
-                self._slices = None
-                if self._stream is None:
-                    return None
-            elif self._stream is None:
-                return None
-            piece = self._stream.next_table()
-            if piece is None:
-                return None
-            self.morsels += 1
-            self._slices = RecordBatch.slices(piece, self._batch_size)
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-        self._slices = None
+    def _emit(self, batch: TableData) -> TableData:
+        # A leaf's input is what it emits: a consumer that stops early
+        # leaves the rest of the table uncounted.
+        self.rows_in += batch.num_rows
+        return super()._emit(batch)
 
 
 class FilterOperator(PhysicalOperator):
@@ -271,19 +218,16 @@ class FilterOperator(PhysicalOperator):
         super().__init__(node, children)
         self._predicate = compile_expr(node.predicate)
 
-    def next_batch(self) -> RecordBatch | None:
-        (child,) = self.children
-        while True:
-            batch = self._pull(child)
-            if batch is None:
-                return None
-            if batch.num_rows == 0:
-                continue
-            mask = mask_from_predicate(self._predicate(batch.data))
-            filtered = batch.data.filter(mask)
-            if filtered.num_rows == 0:
-                continue
-            return self._emit(RecordBatch(filtered))
+    def batches(self) -> Iterator[TableData]:
+        predicate = self._predicate
+        with closing(self.children[0].batches()) as batches:
+            for batch in batches:
+                self.rows_in += batch.num_rows
+                if batch.num_rows == 0:
+                    continue
+                filtered = batch.filter(mask_from_predicate(predicate(batch)))
+                if filtered.num_rows:
+                    yield self._emit(filtered)
 
 
 class ProjectOperator(PhysicalOperator):
@@ -293,55 +237,43 @@ class ProjectOperator(PhysicalOperator):
             (name, compile_expr(expr)) for name, expr in node.exprs
         ]
 
-    def next_batch(self) -> RecordBatch | None:
-        (child,) = self.children
-        batch = self._pull(child)
-        if batch is None:
-            return None
-        columns: dict[str, ColumnVector] = {}
-        for name, evaluate in self._exprs:
-            columns[name] = evaluate(batch.data)
-        return self._emit(RecordBatch(TableData(columns)))
+    def batches(self) -> Iterator[TableData]:
+        exprs = self._exprs
+        with closing(self.children[0].batches()) as batches:
+            for batch in batches:
+                self.rows_in += batch.num_rows
+                columns = {name: evaluate(batch) for name, evaluate in exprs}
+                yield self._emit(TableData(columns))
 
 
 class LimitOperator(PhysicalOperator):
     """Streaming OFFSET/LIMIT with early exit.
 
-    Once the limit is satisfied the operator never pulls its child again —
-    in a pull pipeline that *is* the stop signal: every operator below,
-    down to the object-store scan, simply stops being asked for work.
+    Once the limit is satisfied the generator returns and closes its
+    child — in a pull pipeline that *is* the stop signal: every operator
+    below, down to the object-store scan, is never asked for work again.
     """
 
-    def __init__(self, node: Limit, children: list[PhysicalOperator]) -> None:
-        super().__init__(node, children)
-        self._to_skip = node.offset
-        self._remaining = node.limit  # None = unbounded
-        self._done = False
-
-    def next_batch(self) -> RecordBatch | None:
-        if self._done:
-            return None
-        (child,) = self.children
-        while True:
-            batch = self._pull(child)
-            if batch is None:
-                self._done = True
-                return None
-            data = batch.data
-            if self._to_skip:
-                skip = min(self._to_skip, data.num_rows)
-                self._to_skip -= skip
-                data = data.slice(skip, data.num_rows)
-            if data.num_rows == 0:
-                continue
-            if self._remaining is not None:
-                take = min(self._remaining, data.num_rows)
-                self._remaining -= take
-                if take < data.num_rows:
-                    data = data.slice(0, take)
-                if self._remaining == 0:
-                    self._done = True
-            return self._emit(RecordBatch(data))
+    def batches(self) -> Iterator[TableData]:
+        to_skip = self.node.offset
+        remaining = self.node.limit  # None = unbounded
+        with closing(self.children[0].batches()) as batches:
+            for data in batches:
+                self.rows_in += data.num_rows
+                if to_skip:
+                    skip = min(to_skip, data.num_rows)
+                    to_skip -= skip
+                    data = data.slice(skip, data.num_rows)
+                if data.num_rows == 0:
+                    continue
+                if remaining is not None:
+                    take = min(remaining, data.num_rows)
+                    remaining -= take
+                    if take < data.num_rows:
+                        data = data.slice(0, take)
+                yield self._emit(data)
+                if remaining == 0:
+                    return
 
 
 #: Plan-node names whose physical operators are pipeline breakers (the
@@ -362,27 +294,28 @@ class BlockingOperator(PhysicalOperator):
     ) -> None:
         super().__init__(node, children)
         self._batch_size = batch_size
-        self._slices: Iterator[RecordBatch] | None = None
-        self._computed = False
 
     def _compute(self) -> TableData:
         raise NotImplementedError  # pragma: no cover
 
-    def next_batch(self) -> RecordBatch | None:
-        if not self._computed:
-            result = self._compute()
-            self._computed = True
-            # Peak memory of a breaker is its materialized result (the
-            # drained inputs were already released batch by batch).
-            from repro.engine.batch import approx_table_nbytes
+    def batches(self) -> Iterator[TableData]:
+        result = self._compute()
+        # Peak memory of a breaker is its materialized result (the
+        # drained inputs were already released batch by batch).
+        self.peak_bytes = max(self.peak_bytes, approx_table_nbytes(result))
+        for batch in slices(result, self._batch_size):
+            yield self._emit(batch)
 
-            self.peak_bytes = max(self.peak_bytes, approx_table_nbytes(result))
-            self._slices = RecordBatch.slices(result, self._batch_size)
-        assert self._slices is not None
-        batch = next(self._slices, None)
-        if batch is None:
-            return None
-        return self._emit(batch)
+    def _drain_child(self, child: PhysicalOperator) -> TableData:
+        """Materialize a child's full output (the pipeline-breaker move)."""
+        pieces: list[TableData] = []
+        with closing(child.batches()) as batches:
+            for batch in batches:
+                self.rows_in += batch.num_rows
+                pieces.append(batch)
+        if not pieces:
+            return TableData.empty(child.node.output_schema())
+        return TableData.concat_all(pieces)
 
 
 class SortOperator(BlockingOperator):

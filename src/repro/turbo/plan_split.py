@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from repro.engine.batch import BatchStream
 from repro.engine.plan import (
     Aggregate,
     Distinct,
@@ -61,15 +60,16 @@ class SplitPlan:
         self.view.data = data
 
     def attach_stream(self, batches: Iterator[TableData]) -> None:
-        """Wire the CF workers' result in as a batch stream.
+        """Wire the CF workers' result in as an iterator of tables.
 
         The top-level plan then pulls the sub-plan's output incrementally
         (the coordinator's merge step consumes fragment batches as they
-        arrive instead of waiting for a whole materialized table), and a
+        arrive instead of waiting for a whole materialized table).  The
+        view's operator closes ``batches`` when the top plan ends, so a
         top that stops early — e.g. a LIMIT above the view — stops the
-        sub-plan's remaining work via generator close.
+        sub-plan's remaining work.  The iterator is single-use.
         """
-        self.view.data = BatchStream(batches, self.sub.output_schema())
+        self.view.data = batches
 
 
 def split_plan(plan: PlanNode) -> SplitPlan:

@@ -499,9 +499,9 @@ class TestUnobservedBundle:
         assert data.top_statements == [] and data.tenant_spend == []
         assert data.activity == {}
         assert "PixelsDB operator dashboard" in db.dashboard_text()
-        # Billed queries, no ledger: the reconciler says so, per query.
-        report = db.reconcile()
-        assert not report.ok
+        # Billed queries, no ledger: there are no books to reconcile.
+        with pytest.raises(ValueError, match="observe=True"):
+            db.reconcile()
 
 
 class TestUnobservedCoordinator:

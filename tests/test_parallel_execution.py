@@ -20,7 +20,7 @@ from tests.conftest import (
     CUSTOMER_ROWS,
     build_catalog,
 )
-from repro.engine.batch import RecordBatch
+from repro.engine.batch import slices
 from repro.engine.executor import QueryExecutor
 from repro.engine.expr import (
     BoundArithmetic,
@@ -437,8 +437,8 @@ class TestCompiledExpressions:
             whole = expr.evaluate(table)
             for size in (1, 7, table.num_rows):
                 pieces = [
-                    expr.evaluate(batch.data)
-                    for batch in RecordBatch.slices(table, size)
+                    expr.evaluate(batch)
+                    for batch in slices(table, size)
                 ]
                 _assert_vectors_equal(
                     whole,

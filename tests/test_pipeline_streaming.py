@@ -13,6 +13,9 @@ Covers the properties the batch-at-a-time rewrite has to guarantee:
 * the TopN fusion produces exactly the rows of Sort + Limit.
 """
 
+import inspect
+import threading
+
 import pytest
 
 from repro.engine.executor import QueryExecutor
@@ -20,6 +23,7 @@ from repro.engine.optimizer import Optimizer
 from repro.engine.plan import TopN, walk_plan
 from repro.engine.planner import Planner
 from repro.engine.source import InMemorySource, ObjectStoreSource
+from repro.errors import ExecutionError
 from repro.obs import render_analyzed_plan
 from repro.storage.catalog import Catalog, ColumnMeta
 from repro.storage.object_store import ObjectStore
@@ -349,8 +353,11 @@ class TestIncrementalCoordinatorMerge:
         via_cf = executor.execute(split.top)
         assert via_cf.rows() == direct.rows()
         assert via_cf.column_names == direct.column_names
-        # The stream's stats cover the sub-plan work actually performed.
-        assert sub_exec.stats.rows_produced == sub_exec.stats.rows_produced
+        # The stream's stats cover the sub-plan work actually performed:
+        # every query here drains its stream, so all of the sub-plan's rows.
+        assert (
+            sub_exec.stats.rows_produced == executor.execute(split.sub).num_rows
+        )
         assert sub_exec.batches_emitted >= 1
         assert sub_exec.stats.bytes_scanned > 0
 
@@ -389,3 +396,43 @@ class TestIncrementalCoordinatorMerge:
         # group of two rows, not the whole six-row table).
         assert streaming.stats.rows_scanned == 2
         assert streaming.stats.rows_produced == 1
+
+
+class TestClosing:
+    """Closing a pipeline reaches every generator below it."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_limit_over_the_cf_view_stops_the_sub_plan(self, big_store, workers):
+        store, catalog = big_store
+        planner, optimizer = Planner(catalog, "big"), Optimizer()
+        executor = QueryExecutor(ObjectStoreSource(store), workers=workers)
+
+        def plan(sql):
+            return optimizer.optimize(planner.plan_sql(sql))
+
+        full = executor.execute(plan("SELECT k FROM t")).stats.bytes_scanned
+        direct = executor.execute(plan("SELECT k FROM t LIMIT 3"))
+        split = split_plan(plan("SELECT k FROM t LIMIT 3"))
+        sub_exec = executor.execute_stream(split.sub)
+        stream = sub_exec.batches()
+        split.attach_stream(stream)
+        via_cf = executor.execute(split.top)
+        assert via_cf.rows() == direct.rows()
+        # The LIMIT above the view closed the sub-plan after its first row
+        # group: it scanned what the direct plan scanned, not the table.
+        assert sub_exec.stats.bytes_scanned == direct.stats.bytes_scanned == 1550
+        assert full == 6695
+        assert inspect.getgeneratorstate(stream) == inspect.GEN_CLOSED
+
+    def test_error_in_a_parallel_scan_shuts_its_pool_down(self, big_store):
+        store, catalog = big_store
+        plan = Optimizer().optimize(
+            Planner(catalog, "big").plan_sql(
+                "SELECT CAST(s AS INT) AS n FROM t ORDER BY n"
+            )
+        )
+        executor = QueryExecutor(ObjectStoreSource(store), workers=4)
+        threads = threading.active_count()
+        with pytest.raises(ExecutionError):
+            executor.execute(plan)
+        assert threading.active_count() == threads
