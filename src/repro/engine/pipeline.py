@@ -134,7 +134,8 @@ class ScanOperator(PhysicalOperator):
 
     With ``workers`` > 1 and a source that can read in parallel, granules
     come from ``scan_batches_parallel`` instead: the same granules in the
-    same order, their row groups read ahead on ``workers`` threads.
+    same order (an object-store source cuts both from one morsel
+    enumeration), their row groups read ahead on ``workers`` threads.
     """
 
     def __init__(

@@ -11,13 +11,13 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 from repro.errors import ExecutionError
 from repro.engine.expr import compile_expr, mask_from_predicate
 from repro.engine.plan import Scan
 from repro.storage.cache import BufferPool
-from repro.storage.file_format import FileFooter, PixelsReader, Selection
+from repro.storage.file_format import PixelsReader, Selection
 from repro.storage.object_store import ObjectStore, ScanCounters, StorageMetrics, StoreView
 from repro.storage.table import TableData, TableReader
 
@@ -41,21 +41,21 @@ class SourceResult(ScanCounters):
     rows_scanned: int
 
 
-@dataclass(frozen=True)
-class Morsel:
-    """One unit of parallel scan work: a single row group of one file.
+class Morsel(NamedTuple):
+    """One unit of scan work: a single row group of one open file.
 
-    ``group_index`` is None for the degenerate "empty file" morsel (every
-    group pruned, or a file with no rows) — it exists only to carry the
-    footer accounting and skip count that the sequential path surfaces.
-    ``footer_delta`` is attached to a file's *first* morsel: the footer
-    read happens once on the coordinator during enumeration, and its
-    counters must land on exactly one granule, like the sequential path.
+    ``reader`` is the file's reader, opened on the enumerating thread
+    through the real store and pool.  ``group_index`` is None for the
+    degenerate "empty file" morsel (every group pruned, or a file with no
+    rows): it exists only to carry the footer accounting and skip count.
+    ``footer_delta`` (the footer read's accounting) and
+    ``row_groups_skipped`` ride on a file's *first* morsel only, so they
+    land on exactly one granule; later morsels carry None and 0.
     """
 
     file_key: str
+    reader: PixelsReader
     group_index: int | None
-    footer: FileFooter
     footer_delta: StorageMetrics | None
     row_groups_skipped: int
 
@@ -103,13 +103,16 @@ class DataSource(Protocol):
 
 
 class ObjectStoreSource:
-    """Reads base tables from the object store via :class:`TableReader`.
+    """Reads base tables from the object store, one row group per granule.
+
+    :meth:`morsels` cuts a scan into row-group morsels, and both scan paths
+    read those morsels: :meth:`scan_batches` lazily on the calling thread,
+    :meth:`scan_batches_parallel` on reader threads, a bounded number
+    ahead.  One :meth:`_granule` turns each morsel into its
+    :class:`SourceResult`, so the two paths yield the same granules.
 
     Args:
         store: The backing object store.
-        keys: Optional restriction to specific file keys — this is how
-            Turbo assigns distinct file subsets of one table to parallel
-            workers.
         cache: Optional buffer pool shared by this worker tier.  The
             coordinator passes its long-lived pool for VM execution (warm
             across queries) and a fresh pool per CF invocation (functions
@@ -117,15 +120,28 @@ class ObjectStoreSource:
             billing basis is logical bytes either way.
     """
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        keys: list[str] | None = None,
-        cache: "BufferPool | None" = None,
-    ) -> None:
+    def __init__(self, store: ObjectStore, cache: "BufferPool | None" = None) -> None:
         self._store = store
-        self._keys = keys
         self._cache = cache
+
+    def morsels(self, node: Scan) -> Iterator[Morsel]:
+        """Enumerate the scan as row-group morsels, opening each file (its
+        footer read through the real store and pool, and charged to the
+        shared metrics) only when the enumeration reaches it."""
+        ranges = node.ranges or None
+        metrics = self._store.metrics
+        for key in self._table_reader(node).file_keys():
+            before = metrics.snapshot()
+            reader = PixelsReader(self._store, node.table.bucket, key, cache=self._cache)
+            footer_delta = metrics.delta(before)
+            surviving = reader.surviving_group_indexes(ranges)
+            skipped = len(reader.footer.row_groups) - len(surviving)
+            if not surviving:
+                yield Morsel(key, reader, None, footer_delta, skipped)
+                continue
+            for index in surviving:
+                yield Morsel(key, reader, index, footer_delta, skipped)
+                footer_delta, skipped = None, 0
 
     def scan_batches(self, node: Scan) -> Iterator[SourceResult]:
         """Stream the scan one row group at a time, fetching lazily.
@@ -135,75 +151,61 @@ class ObjectStoreSource:
         consumer that abandons the iterator (LIMIT satisfied) therefore
         never pays — in GETs, bytes, or billed logical bytes — for the row
         groups and files it did not reach.  Per-granule accounting is the
-        metrics delta since the previous yield, so summing the yielded
-        counters reproduces a whole ``TableReader.scan``'s totals exactly
-        when the stream is drained in full.
+        metrics delta around each fetch, so summing the yielded counters
+        reproduces a whole ``TableReader.scan``'s totals exactly when the
+        stream is drained in full.
         """
-        reader = self._table_reader(node)
-        base_columns = [base for _, base in node.columns]
+        columns = [base for _, base in node.columns]
         ranges = node.ranges or None
         selection = _residual_selection(node)
-        file_keys = self._keys if self._keys is not None else reader.file_keys()
         metrics = self._store.metrics
-        for key in file_keys:
+        reader = groups = None
+        for morsel in self.morsels(node):
+            if morsel.reader is not reader:
+                reader = morsel.reader
+                groups = reader.iter_groups(columns, ranges, selection)
             # Deltas are snapshotted tightly around each fetch (not across
             # yields) so work other code does between pulls is never
             # attributed to this scan.
             before = metrics.snapshot()
-            file_reader = PixelsReader(
-                self._store, node.table.bucket, key, cache=self._cache
-            )
-            pending = metrics.delta(before)  # the footer read
-            footer = file_reader.footer
-            surviving = file_reader.surviving_group_indexes(ranges)
-            pending_skipped = len(footer.row_groups) - len(surviving)
-            groups = file_reader.iter_groups(base_columns, ranges, selection)
-            for index in surviving:
-                before = metrics.snapshot()
-                vectors = next(groups)
-                delta = metrics.delta(before)
-                delta.merge(pending)
-                pending = StorageMetrics()
-                yield self._granule(
-                    self._rename(TableData(vectors), node),
-                    delta,
-                    pending_skipped,
-                    footer.row_groups[index].num_rows,
-                )
-                pending_skipped = 0
-            if not surviving:
-                # Fully pruned (or empty) file: still surface the footer
-                # read and the skip count so accounting stays exact.
-                yield self._granule(
-                    TableData.empty(node.output_schema()), pending, pending_skipped, 0
-                )
-
-    # -- morsel-driven parallel scan path -----------------------------------
+            vectors = None if morsel.group_index is None else next(groups)
+            yield self._granule(node, morsel, vectors, metrics.delta(before))
 
     def scan_batches_parallel(
         self, node: Scan, workers: int
     ) -> Iterator[SourceResult]:
         """:meth:`scan_batches` with row groups read on ``workers`` threads.
 
-        Reads wait on GETs, which threads overlap.  The morsels are
-        enumerated up front (footers read and charged on the calling
-        thread); each is then read through a private :class:`StoreView`,
-        at most ``workers`` morsels ahead of the consumer.  Granules are
-        yielded in morsel order and each view's metrics are merged into the
-        store as its granule is yielded, so the granules, their counters
-        and the store's totals equal the sequential stream's drained in
-        full.  This path is not lazy about row groups, so it suits only a
-        consumer that drains the scan (a pipeline breaker).
+        Reads wait on GETs, which threads overlap.  Each morsel is read
+        through a private :class:`StoreView`, at most ``workers`` morsels
+        ahead of the consumer; granules are yielded in morsel order and
+        each view's metrics are merged into the store as its granule is
+        yielded, so granules and store totals equal the sequential
+        stream's drained in full.  Not lazy about row groups, this path
+        suits only a consumer that drains the scan (a pipeline breaker).
         """
+        columns = [base for _, base in node.columns]
+        selection = _residual_selection(node)
 
         def read(morsel: Morsel) -> tuple[SourceResult, StoreView]:
             view = StoreView(self._store)
-            return self.read_morsel(node, morsel, view), view
+            vectors = None
+            if morsel.group_index is not None:
+                vectors = PixelsReader(
+                    view,
+                    node.table.bucket,
+                    morsel.file_key,
+                    cache=self._cache,
+                    footer=morsel.reader.footer,
+                ).read_group(morsel.group_index, columns, selection)
+            # A copy: the footer delta merged into it must not reach the
+            # view's metrics, which are merged into the store as well.
+            return self._granule(node, morsel, vectors, view.metrics.snapshot()), view
 
         pool = ThreadPoolExecutor(max_workers=workers)
         ahead: deque[Future] = deque()
         try:
-            for morsel in self.morsel_granules(node):
+            for morsel in self.morsels(node):
                 ahead.append(pool.submit(read, morsel))
                 if len(ahead) > workers:
                     yield self._take(ahead.popleft())
@@ -217,83 +219,6 @@ class ObjectStoreSource:
         self._store.metrics.merge(view.metrics)
         return granule
 
-    def morsel_granules(self, node: Scan) -> list[Morsel]:
-        """Enumerate the scan as row-group morsels (on the calling thread).
-
-        Footers are read here, sequentially, through the *real* store and
-        the configured pool — byte-for-byte the same footer GET/cache
-        accounting as the sequential path, charged to the shared metrics
-        immediately.  The per-file footer delta is captured and attached
-        to that file's first morsel so operator-level counters also match.
-        """
-        ranges = node.ranges or None
-        reader = self._table_reader(node)
-        file_keys = self._keys if self._keys is not None else reader.file_keys()
-        metrics = self._store.metrics
-        morsels: list[Morsel] = []
-        for key in file_keys:
-            before = metrics.snapshot()
-            file_reader = PixelsReader(
-                self._store, node.table.bucket, key, cache=self._cache
-            )
-            footer_delta: StorageMetrics | None = metrics.delta(before)
-            surviving = file_reader.surviving_group_indexes(ranges)
-            skipped = len(file_reader.footer.row_groups) - len(surviving)
-            if not surviving:
-                morsels.append(
-                    Morsel(key, None, file_reader.footer, footer_delta, skipped)
-                )
-                continue
-            for group_index in surviving:
-                morsels.append(
-                    Morsel(
-                        key, group_index, file_reader.footer, footer_delta, skipped
-                    )
-                )
-                footer_delta = None
-                skipped = 0
-        return morsels
-
-    def read_morsel(self, node: Scan, morsel: Morsel, view: StoreView) -> SourceResult:
-        """Materialize one morsel through ``view`` (on a reader thread).
-
-        Chunk GETs and pool hit/miss accounting land in ``view.metrics``
-        only; the caller merges views into the shared store metrics in
-        morsel order.  The returned granule's counters (chunks + any
-        attached footer delta) equal what the sequential stream would have
-        yielded for the same row group.
-        """
-        delta = StorageMetrics()
-        if morsel.footer_delta is not None:
-            delta.merge(morsel.footer_delta)
-        if morsel.group_index is None:
-            return self._granule(
-                TableData.empty(node.output_schema()),
-                delta,
-                morsel.row_groups_skipped,
-                0,
-            )
-        file_reader = PixelsReader(
-            view,
-            node.table.bucket,
-            morsel.file_key,
-            cache=self._cache,
-            footer=morsel.footer,
-        )
-        before = view.metrics.snapshot()
-        vectors = file_reader.read_group(
-            morsel.group_index,
-            [base for _, base in node.columns],
-            _residual_selection(node),
-        )
-        delta.merge(view.metrics.delta(before))
-        return self._granule(
-            self._rename(TableData(vectors), node),
-            delta,
-            morsel.row_groups_skipped,
-            morsel.footer.row_groups[morsel.group_index].num_rows,
-        )
-
     def _table_reader(self, node: Scan) -> TableReader:
         if not node.table.bucket or not node.table.prefix:
             raise ExecutionError(
@@ -303,25 +228,37 @@ class ObjectStoreSource:
             self._store, node.table.bucket, node.table.prefix, cache=self._cache
         )
 
-    @staticmethod
-    def _rename(data: TableData, node: Scan) -> TableData:
-        return data.rename({base: out for out, base in node.columns}).select(
-            [out for out, _ in node.columns]
-        )
-
     def _granule(
-        self, data: TableData, delta, skipped: int, rows_scanned: int
+        self,
+        node: Scan,
+        morsel: Morsel,
+        vectors: dict | None,
+        fetched: StorageMetrics,
     ) -> SourceResult:
-        # Latency from the granule's integer counts, not ``delta.read_time_s``:
+        """``morsel``'s granule: its rows (``vectors``, None for an empty
+        file) and ``fetched``, the granule's own record of reading them,
+        into which the morsel's footer delta is merged."""
+        if morsel.footer_delta is not None:
+            fetched.merge(morsel.footer_delta)
+        if vectors is None:
+            data, rows_scanned = TableData.empty(node.output_schema()), 0
+        else:
+            data = (
+                TableData(vectors)
+                .rename({base: out for out, base in node.columns})
+                .select([out for out, _ in node.columns])
+            )
+            rows_scanned = morsel.reader.footer.row_groups[morsel.group_index].num_rows
+        # Latency from the granule's integer counts, not ``read_time_s``:
         # the sequential path's delta is a difference of the store's running
-        # float total, the morsel path's a sum from zero, and the two differ
-        # in the last bits.
+        # float total, the read-ahead path's a sum from zero, and the two
+        # differ in the last bits.
         return SourceResult.of(
-            delta,
-            skipped,
+            fetched,
+            morsel.row_groups_skipped,
             data=data,
             latency_s=self._store.profile.read_latency(
-                delta.get_requests, delta.bytes_read
+                fetched.get_requests, fetched.bytes_read
             ),
             rows_scanned=rows_scanned,
         )

@@ -263,9 +263,9 @@ class PixelsReader:
             if cache is not None
             else DEFAULT_COALESCE_GAP_BYTES
         )
-        # An injected footer (the morsel driver prefetches footers once on
-        # the coordinator) skips the footer read *and* its accounting — the
-        # prefetch already accounted it exactly once.
+        # An injected footer (the read-ahead scan opens each file once on
+        # the enumerating thread) skips the footer read *and* its
+        # accounting — that open already accounted it exactly once.
         self._footer = footer if footer is not None else self._read_footer()
         self._types = dict(self._footer.schema)
 

@@ -79,13 +79,6 @@ class TurboConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     grace_period_s: float = 300.0  # §3.2: relaxed-level grace period
     scheduler_interval_s: float = 5.0  # query-server queue drain period
-    # Rows per record batch in the vectorized pipeline executor.  Purely a
-    # memory/laziness knob: results are bit-identical for any value >= 1.
-    batch_size: int = 4096
-    # Morsel-driven parallel scan workers per executor.  0 falls back to
-    # the REPRO_WORKERS environment variable (default sequential); like
-    # batch_size, results/billing/EXPLAIN are identical for any value.
-    workers: int = 0
     # Experiments execute MB-scale generated data but model TB-scale
     # workloads: the cost model multiplies observed bytes/rows by this
     # factor for durations AND billing, so query *shapes* stay real while

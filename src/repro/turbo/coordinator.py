@@ -321,11 +321,7 @@ class Coordinator:
     def _executor(self, pool: BufferPool | None) -> QueryExecutor:
         """An executor reading through ``pool`` — the warm VM pool or a CF
         invocation's private one."""
-        return QueryExecutor(
-            ObjectStoreSource(self._store, cache=pool),
-            batch_size=self._config.batch_size,
-            workers=self._config.workers or None,
-        )
+        return QueryExecutor(ObjectStoreSource(self._store, cache=pool))
 
     def _open_window(
         self,

@@ -166,8 +166,7 @@ class TestStatistics:
         executor = QueryExecutor(
             ObjectStoreSource(
                 store, cache=BufferPool.from_config(store, config.cache)
-            ),
-            batch_size=config.batch_size,
+            )
         )
         sub = executor.execute_stream(split.sub)
         split.attach_stream(sub.batches())
